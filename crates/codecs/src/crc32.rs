@@ -1,18 +1,32 @@
 //! CRC-32 (IEEE 802.3 polynomial), implemented here so block frames can be
 //! integrity-checked without external dependencies.
 //!
-//! The hot path uses **slicing-by-8**: eight const-built 256-entry tables
-//! let the state advance eight input bytes per step with one unaligned
-//! 8-byte load and eight independent table lookups, instead of the classic
-//! one-lookup-per-byte Sarwate loop. On long payloads (every frame CRC runs
-//! over up to 128 KiB) this is worth 3–5x. The byte-at-a-time loop survives
-//! for the ≤7-byte head/tail and as [`crc32_bitwise`]'s table-free
-//! reference for the known-answer and differential tests.
-//!
-//! This is the *only* CRC implementation in the workspace: frames
-//! ([`crate::frame`]) and every other caller go through [`crc32`] /
+//! **One entry point, two kernels.** Frames ([`crate::frame`]), the seek
+//! index, the serve protocol and every other caller go through [`crc32`] /
 //! [`Hasher`], so an optimization (or a bug) here is visible everywhere —
-//! which is exactly why the module carries published test vectors.
+//! which is exactly why the module carries published test vectors. Behind
+//! that entry point [`Hasher::update`] picks a kernel from what it can
+//! observe — the CPU and the input length — and nothing else; both kernels
+//! compute the same function, so no wire byte depends on the choice:
+//!
+//! * **Carry-less-multiply folding** (`clmul`, x86_64 with PCLMULQDQ +
+//!   SSE4.1 detected at run time, inputs of at least 128 bytes): the
+//!   Intel "Fast CRC Computation Using PCLMULQDQ" scheme — four 128-bit
+//!   accumulators folded across 64-byte strides, fold-by-1 over the
+//!   remaining 16-byte lanes, Barrett reduction to 32 bits. Roughly 10x
+//!   slicing-by-8 on block-sized payloads, which matters because every
+//!   application byte crosses a CRC two to four times on the `put`/`get`
+//!   paths. It is the crate's only `unsafe` code.
+//! * **Slicing-by-8** (everything else — other architectures, older CPUs,
+//!   control frames, and the < 16-byte tail the folding kernel leaves):
+//!   eight const-built 256-entry tables let the state advance eight input
+//!   bytes per step with one unaligned 8-byte load and eight independent
+//!   table lookups, instead of the classic one-lookup-per-byte Sarwate
+//!   loop (3–5x over it). It stays because it is the only kernel on those
+//!   platforms and inputs.
+//!
+//! [`crc32_bitwise`] is neither: a table-free bit-at-a-time loop that
+//! shares nothing with the kernels and anchors their differential tests.
 
 const POLY: u32 = 0xEDB8_8320;
 
@@ -55,8 +69,8 @@ pub fn crc32(data: &[u8]) -> u32 {
     h.finish()
 }
 
-/// Bit-at-a-time reference implementation (no tables). Kept for
-/// differential property tests against the slicing-by-8 hot path; never
+/// Bit-at-a-time reference implementation (no tables, no intrinsics). Kept
+/// as the oracle both kernels are differentially tested against; never
 /// used on the wire path.
 pub fn crc32_bitwise(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
@@ -71,6 +85,46 @@ pub fn crc32_bitwise(data: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
+/// Slicing-by-8 kernel: advances the raw (un-inverted) `state` over `data`.
+pub(crate) fn update_slicing(state: u32, data: &[u8]) -> u32 {
+    let mut c = state;
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        // One 8-byte little-endian load; low word folds the current
+        // state, high word is pure data. Eight independent lookups —
+        // no loop-carried dependency between them, so the CPU
+        // overlaps the loads.
+        let lo = u32::from_le_bytes(chunk[0..4].try_into().unwrap()) ^ c;
+        let hi = u32::from_le_bytes(chunk[4..8].try_into().unwrap());
+        c = TABLES[7][(lo & 0xFF) as usize]
+            ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+            ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+            ^ TABLES[4][(lo >> 24) as usize]
+            ^ TABLES[3][(hi & 0xFF) as usize]
+            ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+            ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+            ^ TABLES[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// Carry-less-multiply folding kernel: advances the raw `state` over all of
+/// `data` (the whole 16-byte lanes by folding, the < 16-byte tail through
+/// [`update_slicing`]). `None` when the kernel does not apply — the CPU
+/// lacks PCLMULQDQ/SSE4.1 or `data` is shorter than 128 bytes.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn update_folding(state: u32, data: &[u8]) -> Option<u32> {
+    clmul::update(state, data)
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) fn update_folding(_state: u32, _data: &[u8]) -> Option<u32> {
+    None
+}
+
 /// Incremental CRC-32 hasher.
 #[derive(Debug, Clone)]
 pub struct Hasher {
@@ -83,28 +137,8 @@ impl Hasher {
     }
 
     pub fn update(&mut self, data: &[u8]) {
-        let mut c = self.state;
-        let mut chunks = data.chunks_exact(8);
-        for chunk in &mut chunks {
-            // One 8-byte little-endian load; low word folds the current
-            // state, high word is pure data. Eight independent lookups —
-            // no loop-carried dependency between them, so the CPU
-            // overlaps the loads.
-            let lo = u32::from_le_bytes(chunk[0..4].try_into().unwrap()) ^ c;
-            let hi = u32::from_le_bytes(chunk[4..8].try_into().unwrap());
-            c = TABLES[7][(lo & 0xFF) as usize]
-                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
-                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
-                ^ TABLES[4][(lo >> 24) as usize]
-                ^ TABLES[3][(hi & 0xFF) as usize]
-                ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
-                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
-                ^ TABLES[0][(hi >> 24) as usize];
-        }
-        for &b in chunks.remainder() {
-            c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.state = c;
+        self.state =
+            update_folding(self.state, data).unwrap_or_else(|| update_slicing(self.state, data));
     }
 
     pub fn finish(&self) -> u32 {
@@ -118,50 +152,233 @@ impl Default for Hasher {
     }
 }
 
+/// The PCLMULQDQ folding kernel — the one place in this crate that needs
+/// `unsafe` (to call a `#[target_feature]` function and to issue unaligned
+/// 16-byte loads). Not compiled on other architectures.
+///
+/// Bit-reflected arithmetic throughout: a 128-bit register holds a
+/// polynomial over GF(2) with bit 0 as its *highest* power, which is how
+/// little-endian loads of CRC-32's LSB-first byte stream land. A carry-less
+/// multiply of two reflected operands comes out one bit low, so every
+/// constant below is `reflect32(x^n mod P) << 1`.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod clmul {
+    #![deny(unsafe_op_in_unsafe_fn)]
+
+    use std::arch::x86_64::*;
+
+    /// Shorter inputs stay on slicing-by-8: the kernel needs 64 bytes just
+    /// to fill its accumulators and ends in a fixed five-multiply reduction.
+    const MIN_LEN: usize = 128;
+
+    /// x^(4·128+32) and x^(4·128−32) mod P: carry an accumulator's low and
+    /// high halves 512 bits (one 64-byte stride) forward.
+    pub(super) const K1: u64 = 0x1_5444_2BD4;
+    pub(super) const K2: u64 = 0x1_C6E4_1596;
+    /// x^(128+32) and x^(128−32) mod P: the same, one 16-byte lane forward.
+    pub(super) const K3: u64 = 0x1_7519_97D0;
+    pub(super) const K4: u64 = 0x0_CCAA_009E;
+    /// x^64 mod P.
+    pub(super) const K5: u64 = 0x1_63CD_6124;
+    /// P itself (33 bits) and μ = ⌊x^64 / P⌋, for the Barrett step.
+    pub(super) const P_X: u64 = 0x1_DB71_0641;
+    pub(super) const MU: u64 = 0x1_F701_1641;
+
+    pub(super) fn update(state: u32, data: &[u8]) -> Option<u32> {
+        if data.len() < MIN_LEN
+            || !is_x86_feature_detected!("pclmulqdq")
+            || !is_x86_feature_detected!("sse4.1")
+        {
+            return None;
+        }
+        let (lanes, tail) = data.as_chunks::<16>();
+        // SAFETY: `fold_lanes` is compiled for exactly the two features
+        // detected on this CPU just above; this is its only caller.
+        let state = unsafe { fold_lanes(state, lanes) };
+        Some(super::update_slicing(state, tail))
+    }
+
+    #[inline]
+    fn load(lane: &[u8; 16]) -> __m128i {
+        // SAFETY: `lane` is a live reference to exactly 16 bytes — every
+        // caller takes it from a slice already split into `[u8; 16]`
+        // chunks — and `_mm_loadu_si128` has no alignment requirement.
+        unsafe { _mm_loadu_si128(lane.as_ptr().cast()) }
+    }
+
+    /// `acc · x^distance + next`, where `keys` holds the two constants for
+    /// that distance (low half of `acc` × low key, high half × high key).
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    fn fold(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(acc, keys);
+        let hi = _mm_clmulepi64_si128::<0x11>(acc, keys);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// Advances the raw CRC `state` over `lanes` (at least four: callers
+    /// guarantee [`MIN_LEN`] bytes).
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold_lanes(state: u32, lanes: &[[u8; 16]]) -> u32 {
+        let (head, mut rest) = lanes.split_first_chunk::<4>().expect("at least four lanes");
+        let mut acc: [__m128i; 4] = std::array::from_fn(|i| load(&head[i]));
+        // The running CRC is a polynomial in front of the message: xor it
+        // into the first four message bytes.
+        acc[0] = _mm_xor_si128(acc[0], _mm_cvtsi32_si128(state as i32));
+
+        // Four independent accumulators hide the multiplier's latency.
+        let stride_keys = _mm_set_epi64x(K2 as i64, K1 as i64);
+        while let Some((stride, after)) = rest.split_first_chunk::<4>() {
+            for (a, lane) in acc.iter_mut().zip(stride) {
+                *a = fold(*a, load(lane), stride_keys);
+            }
+            rest = after;
+        }
+
+        // Four accumulators → one, then the lanes a whole stride left over.
+        let lane_keys = _mm_set_epi64x(K4 as i64, K3 as i64);
+        let mut x = acc[0];
+        for &next in &acc[1..] {
+            x = fold(x, next, lane_keys);
+        }
+        for lane in rest {
+            x = fold(x, load(lane), lane_keys);
+        }
+
+        // `x` now stands for a 128-bit message R whose CRC state is the
+        // answer: R·x^32 mod P. Shrink it with two more multiplies —
+        // low half × x^96 onto the high half gives 96 bits ≡ R·x^64 …
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128::<0x10>(x, lane_keys), _mm_srli_si128::<8>(x));
+        // … and its low word × x^64 onto the rest gives 64 bits that are
+        // ≡ R·x^96 sitting 64 bits up, i.e. T ≡ R·x^32 in the low qword.
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5 as i64)),
+            _mm_srli_si128::<4>(x),
+        );
+
+        // Barrett reduction of the 64-bit T (reflected form):
+        // T1 = ⌊T / x^32⌋ · μ, T2 = ⌊T1 / x^32⌋ · P, T mod P = low 32
+        // coefficients of T + T2 — bits 32..64 of the register.
+        let barrett_keys = _mm_set_epi64x(MU as i64, P_X as i64);
+        let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), barrett_keys);
+        let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), barrett_keys);
+        _mm_extract_epi32::<1>(_mm_xor_si128(x, t2)) as u32
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
-    /// Published CRC-32/ISO-HDLC known-answer vectors.
-    #[test]
-    fn known_vectors() {
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"a"), 0xE8B7_BE43);
-        assert_eq!(crc32(b"abc"), 0x3524_41C2);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
-        // All-zeros vectors (regression net for table-indexing mistakes
-        // that cancel out on text).
-        assert_eq!(crc32(&[0u8; 4]), 0x2144_DF1C);
-        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+    /// One-shot CRC through the slicing-by-8 kernel alone.
+    fn slicing(data: &[u8]) -> u32 {
+        update_slicing(!0, data) ^ !0
     }
 
-    /// The same vectors must hold for the bitwise reference — it anchors
-    /// every differential test below.
-    #[test]
-    fn bitwise_reference_matches_known_vectors() {
-        assert_eq!(crc32_bitwise(b""), 0x0000_0000);
-        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32_bitwise(&[0u8; 32]), 0x190A_55AD);
+    /// One-shot CRC through the folding kernel alone; `None` where it does
+    /// not apply (short input, or no PCLMULQDQ on this CPU).
+    fn folding(data: &[u8]) -> Option<u32> {
+        update_folding(!0, data).map(|state| state ^ !0)
     }
 
-    /// Slicing-by-8 vs bitwise reference over 1 MiB of xorshift
-    /// pseudo-random data — the long-payload regime the fast path exists
-    /// for, plus every short length 0..64 to cover head/tail handling.
-    #[test]
-    fn slicing_equals_bitwise_reference() {
+    /// Whether the folding cases below can run here. Says so on the real
+    /// stderr (not the captured one), once, so a test log always shows
+    /// which kernels were exercised.
+    fn folding_available() -> bool {
+        static NOTE: std::sync::Once = std::sync::Once::new();
+        let available = update_folding(0, &[0; 128]).is_some();
+        NOTE.call_once(|| {
+            let what = if available { "run" } else { "SKIPPED (no pclmulqdq+sse4.1 on this CPU)" };
+            let _ = writeln!(std::io::stderr(), "crc32 unit tests: folding-kernel cases {what}");
+        });
+        available
+    }
+
+    fn xorshift_bytes(len: usize) -> Vec<u8> {
         let mut x = 0x0123_4567_89AB_CDEFu64;
-        let data: Vec<u8> = (0..1 << 20)
+        (0..len)
             .map(|_| {
                 x ^= x << 13;
                 x ^= x >> 7;
                 x ^= x << 17;
                 x as u8
             })
-            .collect();
-        assert_eq!(crc32(&data), crc32_bitwise(&data));
-        for len in 0..64 {
-            assert_eq!(crc32(&data[..len]), crc32_bitwise(&data[..len]), "len={len}");
+            .collect()
+    }
+
+    /// Published CRC-32/ISO-HDLC known-answer vectors, plus longer ones
+    /// (taken from zlib, an implementation that shares nothing with this
+    /// one) that reach the folding kernel.
+    const KNOWN: &[(&[u8], u32)] = &[
+        (b"", 0x0000_0000),
+        (b"a", 0xE8B7_BE43),
+        (b"abc", 0x3524_41C2),
+        (b"123456789", 0xCBF4_3926),
+        (b"The quick brown fox jumps over the lazy dog", 0x414F_A339),
+        // All-zeros vectors (regression net for table-indexing mistakes
+        // that cancel out on text).
+        (&[0; 4], 0x2144_DF1C),
+        (&[0; 32], 0x190A_55AD),
+        (&[0; 128], 0xC2A8_FA9D),
+        (&[0; 1024], 0xEFB5_AF2E),
+        (&[0xFF; 1024], 0xB83A_FFF4),
+    ];
+
+    #[test]
+    fn known_vectors() {
+        for &(data, expect) in KNOWN {
+            assert_eq!(crc32(data), expect, "dispatch, len={}", data.len());
+            assert_eq!(slicing(data), expect, "slicing, len={}", data.len());
+            // The bitwise reference anchors every differential test below.
+            assert_eq!(crc32_bitwise(data), expect, "bitwise, len={}", data.len());
+        }
+        let repeated = b"123456789".repeat(15);
+        assert_eq!(crc32(&repeated), 0x708C_7CFC);
+        assert_eq!(slicing(&repeated), 0x708C_7CFC);
+    }
+
+    #[test]
+    fn folding_known_vectors() {
+        // Below its threshold the kernel declines on every CPU.
+        assert_eq!(folding(b"123456789"), None);
+        assert_eq!(folding(&[0; 127]), None);
+        if !folding_available() {
+            return;
+        }
+        for &(data, expect) in KNOWN.iter().filter(|(data, _)| data.len() >= 128) {
+            assert_eq!(folding(data), Some(expect), "len={}", data.len());
+        }
+        assert_eq!(folding(&b"123456789".repeat(15)), Some(0x708C_7CFC));
+    }
+
+    /// Each kernel against the bitwise reference for every length 0..=1024
+    /// at every start offset 0..16 (so every lane/stride/tail split and
+    /// every load alignment), and over 1 MiB — the long-payload regime the
+    /// fast paths exist for.
+    #[test]
+    fn each_kernel_equals_bitwise_reference() {
+        let data = xorshift_bytes(1 << 20);
+        let have_folding = folding_available();
+        for offset in 0..16 {
+            for len in 0..=1024 {
+                let input = &data[offset..offset + len];
+                let expect = crc32_bitwise(input);
+                assert_eq!(slicing(input), expect, "slicing offset={offset} len={len}");
+                match folding(input) {
+                    Some(got) => assert_eq!(got, expect, "folding offset={offset} len={len}"),
+                    None => assert!(len < 128 || !have_folding, "folding declined len={len}"),
+                }
+            }
+        }
+        for input in [&data[..], &data[3..], &data[..data.len() - 5]] {
+            let expect = crc32_bitwise(input);
+            assert_eq!(slicing(input), expect);
+            if have_folding {
+                assert_eq!(folding(input), Some(expect));
+            }
         }
     }
 
@@ -176,6 +393,58 @@ mod tests {
         h.update(&data[20..21]);
         h.update(&data[21..]);
         assert_eq!(h.finish(), crc32(data));
+    }
+
+    /// The running state crosses between kernels in both directions: a
+    /// short head through slicing, a long middle through folding (seeded
+    /// with a non-initial state), a short tail through slicing again.
+    #[test]
+    fn state_hands_over_between_kernels() {
+        let data = xorshift_bytes(4096);
+        let expect = crc32_bitwise(&data);
+        for (a, b) in [(0, 4096), (1, 4000), (77, 77 + 128), (127, 3001), (500, 500)] {
+            let mut h = Hasher::new();
+            h.update(&data[..a]);
+            h.update(&data[a..b]);
+            h.update(&data[b..]);
+            assert_eq!(h.finish(), expect, "split at {a},{b}");
+        }
+    }
+
+    /// The folding constants are the published ones (Intel, "Fast CRC
+    /// Computation Using PCLMULQDQ"); re-derive each from `POLY` so a typo
+    /// cannot hide behind vectors that happen not to exercise it.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn folding_constants_derive_from_the_polynomial() {
+        /// `reflect32(x^n mod P) << 1`: in reflected form x^0 is the top
+        /// bit and multiplying by x is the CRC shift step.
+        fn x_pow_mod_p(n: u32) -> u64 {
+            let mut c = 0x8000_0000u32;
+            for _ in 0..n {
+                c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
+            }
+            u64::from(c) << 1
+        }
+        assert_eq!(clmul::K1, x_pow_mod_p(4 * 128 + 32));
+        assert_eq!(clmul::K2, x_pow_mod_p(4 * 128 - 32));
+        assert_eq!(clmul::K3, x_pow_mod_p(128 + 32));
+        assert_eq!(clmul::K4, x_pow_mod_p(128 - 32));
+        assert_eq!(clmul::K5, x_pow_mod_p(64));
+        assert_eq!(clmul::P_X, u64::from(POLY) << 1 | 1);
+
+        // μ = ⌊x^64 / P⌋ by long division in normal bit order, then
+        // reflected over its 33 bits.
+        let p = (u64::from(POLY.reverse_bits())) | 1 << 32;
+        let (mut rem, mut quotient) = (1u64 << 32, 0u64);
+        for bit in (0..=32).rev() {
+            if rem & (1 << 32) != 0 {
+                quotient |= 1 << bit;
+                rem ^= p;
+            }
+            rem <<= 1;
+        }
+        assert_eq!(clmul::MU, quotient.reverse_bits() >> 31);
     }
 
     #[test]

@@ -32,6 +32,10 @@
 //! builds that predate an id fail with a typed
 //! [`CodecError::UnknownCodec`], never a panic.
 
+// Safe Rust everywhere except the private `crc32::clmul` kernel, which
+// carries the crate's single `#[allow(unsafe_code)]`.
+#![deny(unsafe_code)]
+
 pub mod calibrate;
 pub mod columnar;
 pub mod crc32;

@@ -7,7 +7,11 @@
 //! * the wide `match_len` against `match_len_naive` on adversarial layouts
 //!   (overlap distances 1..16, block-boundary straddles, every length up
 //!   to 1 KiB);
-//! * the slicing-by-8 CRC against the table-free bitwise reference.
+//! * the CRC entry point — whichever of the slicing-by-8 and
+//!   carry-less-multiply kernels it dispatches to on this CPU, at every
+//!   length, alignment and chunking — against the table-free bitwise
+//!   reference (the kernels are also checked one by one in the `crc32`
+//!   unit tests, where they are visible).
 //!
 //! The wire format is frozen: these tests are the contract that lets the
 //! hot loops change shape without changing a single byte.
@@ -19,6 +23,7 @@ use adcomp_codecs::qlz::{
 use adcomp_codecs::CodecError;
 use adcomp_corpus::{generate, Class};
 use proptest::prelude::*;
+use std::io::Write;
 
 /// Runs both decoders on the same input and asserts byte-identical output
 /// and identical results — including the partial output the reference
@@ -108,6 +113,59 @@ proptest! {
         h.update(&data[..cut]);
         h.update(&data[cut..]);
         prop_assert_eq!(h.finish(), expect);
+    }
+
+    /// `Hasher::update` over an arbitrary chunking equals the one-shot
+    /// value: chunk lengths sit on both sides of the 128-byte kernel
+    /// threshold, are mostly not multiples of 16, and include 0, so the
+    /// running state crosses between kernels in every order.
+    #[test]
+    fn crc_chunked_updates_equal_oneshot(
+        data in proptest::collection::vec(any::<u8>(), 0..4096),
+        chunks in proptest::collection::vec(
+            prop_oneof![Just(0usize), 1usize..32, 100usize..160, 160usize..700],
+            0..16,
+        ),
+    ) {
+        let mut h = Hasher::new();
+        let mut rest = &data[..];
+        for len in chunks {
+            let (chunk, after) = rest.split_at(len.min(rest.len()));
+            h.update(chunk);
+            rest = after;
+        }
+        h.update(rest);
+        prop_assert_eq!(h.finish(), crc32(&data));
+        prop_assert_eq!(h.finish(), crc32_bitwise(&data));
+    }
+}
+
+/// The CRC entry point against the bitwise reference for every length
+/// 0..=1024 at every start offset 0..16, and over 1 MiB. From 128 bytes up
+/// this is the carry-less-multiply kernel where the CPU has it (the first
+/// line of output says which), slicing-by-8 otherwise and below.
+#[test]
+fn crc_agrees_with_bitwise_at_every_length_and_alignment() {
+    #[cfg(target_arch = "x86_64")]
+    let folding = std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1");
+    #[cfg(not(target_arch = "x86_64"))]
+    let folding = false;
+    // Straight to stderr so the line survives output capture.
+    let _ = writeln!(
+        std::io::stderr(),
+        "hot_loops: crc32 inputs >= 128 B exercise the {} kernel on this CPU",
+        if folding { "pclmulqdq folding" } else { "slicing-by-8 (no pclmulqdq+sse4.1)" }
+    );
+    let data = generate(Class::Moderate, 1 << 20, 0xC3C);
+    for offset in 0..16 {
+        for len in 0..=1024 {
+            let input = &data[offset..offset + len];
+            assert_eq!(crc32(input), crc32_bitwise(input), "offset={offset} len={len}");
+        }
+    }
+    for input in [&data[..], &data[5..]] {
+        assert_eq!(crc32(input), crc32_bitwise(input), "len={}", input.len());
     }
 }
 

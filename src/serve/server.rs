@@ -874,37 +874,39 @@ fn read_range_sealed(
         return Ok(Vec::new());
     }
     let take = len.min(total - offset) as usize;
-    let blocks = index.blocks_covering(offset, len);
-    let first_off = index.entries[blocks.start].uncompressed_offset;
-    let mut out = Vec::with_capacity(take + (offset - first_off) as usize);
+    let end = offset + take as u64;
+    let mut out = Vec::with_capacity(take);
     let mut scratch = DecodeScratch::new();
-    for i in blocks {
+    for i in index.blocks_covering(offset, len) {
         let e = index.entries[i];
         if e.uncompressed_len == 0 {
             continue; // flush artifact: a frame with no application bytes
         }
         let key = (e.crc, e.uncompressed_len);
-        if let Some(bytes) = shared.cache.get(key) {
-            out.extend_from_slice(&bytes);
-            continue;
-        }
-        let frame = &sealed.wire[e.frame_offset as usize..(e.frame_offset + u64::from(e.frame_len)) as usize];
-        let mut block = Vec::with_capacity(e.uncompressed_len as usize);
-        decode_block_with(&mut scratch, frame, &mut block, DEFAULT_MAX_FRAME)
-            .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err))?;
-        let bytes = Arc::new(block);
-        shared.cache.insert(key, Arc::clone(&bytes));
-        out.extend_from_slice(&bytes);
+        let bytes = match shared.cache.get(key) {
+            Some(bytes) => bytes,
+            None => {
+                let frame = &sealed.wire
+                    [e.frame_offset as usize..(e.frame_offset + u64::from(e.frame_len)) as usize];
+                let mut block = Vec::with_capacity(e.uncompressed_len as usize);
+                decode_block_with(&mut scratch, frame, &mut block, DEFAULT_MAX_FRAME)
+                    .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err))?;
+                let bytes = Arc::new(block);
+                shared.cache.insert(key, Arc::clone(&bytes));
+                bytes
+            }
+        };
+        // Copy only the part of this block the range asked for.
+        let lo = offset.saturating_sub(e.uncompressed_offset) as usize;
+        let hi = end.saturating_sub(e.uncompressed_offset).min(bytes.len() as u64) as usize;
+        out.extend_from_slice(bytes.get(lo..hi).unwrap_or_default());
     }
-    let skip = (offset - first_off) as usize;
-    if skip + take > out.len() {
+    if out.len() != take {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             "covering blocks shorter than the index promised",
         ));
     }
-    out.drain(..skip);
-    out.truncate(take);
     Ok(out)
 }
 
