@@ -10,6 +10,10 @@
 //! prefix. Combined with the server's fail-fast reader this makes a
 //! completed transfer byte-identical to the input by construction — the
 //! property the socket soak asserts over hundreds of hostile runs.
+//!
+//! Every request is a fresh connection. What the client reads back goes
+//! through a small buffered reader, so an accept or `done` frame costs one
+//! `read`, and a GET's body and trailer arrive in one `read_exact`.
 
 use super::proto::{
     read_done, read_get_payload, read_response, write_request, RejectReason, Request, Response,
@@ -22,9 +26,19 @@ use adcomp_core::stream::AdaptiveWriter;
 use adcomp_core::{Backoff, WallClock};
 use adcomp_metrics::registry::{self, CounterKind};
 use adcomp_trace::{TraceHandle, TraceSink};
-use std::io::{self, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
+
+/// Capacity of the reader the client parses control frames through: room
+/// for the longest one (a 17-byte receipt) and little else, so an accept
+/// or `done` frame costs one `read` instead of one per field, while a GET
+/// body that follows still lands in the caller's buffer directly.
+const CONTROL_BUF: usize = 64;
+
+fn control_reader<R: Read>(r: R) -> BufReader<R> {
+    BufReader::with_capacity(CONTROL_BUF, r)
+}
 
 /// Wraps any [`DecisionModel`] and clamps its choices to the server's
 /// `level_cap` — the circuit breaker's degrade signal. With cap 0 the
@@ -179,13 +193,12 @@ fn attempt(
     bytes_sent: &mut u64,
 ) -> Result<super::proto::Done, AttemptError> {
     let transient = AttemptError::Transient;
-    let mut sock =
-        TcpStream::connect_timeout(&addr, opts.io_timeout).map_err(transient)?;
+    let sock = TcpStream::connect_timeout(&addr, opts.io_timeout).map_err(transient)?;
     let _ = sock.set_nodelay(true);
     sock.set_read_timeout(Some(opts.io_timeout)).map_err(transient)?;
     sock.set_write_timeout(Some(opts.io_timeout)).map_err(transient)?;
     write_request(
-        &mut sock,
+        &mut &sock,
         &Request::Put {
             tenant: opts.tenant.clone(),
             transfer_id: opts.transfer_id,
@@ -193,7 +206,8 @@ fn attempt(
         },
     )
     .map_err(transient)?;
-    let (start, level_cap) = match read_response(&mut sock).map_err(transient)? {
+    let mut control = control_reader(&sock);
+    let (start, level_cap) = match read_response(&mut control).map_err(transient)? {
         Response::Accept { start_offset, level_cap } => (start_offset, level_cap),
         Response::Reject { reason } => {
             let e = io::Error::new(
@@ -262,7 +276,7 @@ fn attempt(
     // Half-close: our frame stream is done, the receipt comes back on the
     // same socket.
     sock.shutdown(Shutdown::Write).map_err(transient)?;
-    let done = read_done(&mut sock).map_err(transient)?;
+    let done = read_done(&mut control).map_err(transient)?;
     if !done.ok {
         // Clean close but incomplete (e.g. the wire ate the tail after the
         // last verified frame): reconnect and resume.
@@ -286,15 +300,23 @@ pub fn get(
     len: u64,
     io_timeout: Duration,
 ) -> io::Result<Vec<u8>> {
-    let mut sock = TcpStream::connect_timeout(&addr, io_timeout)?;
+    let sock = TcpStream::connect_timeout(&addr, io_timeout)?;
     let _ = sock.set_nodelay(true);
     sock.set_read_timeout(Some(io_timeout))?;
     sock.set_write_timeout(Some(io_timeout))?;
     write_request(
-        &mut sock,
+        &mut &sock,
         &Request::Get { tenant: tenant.to_string(), transfer_id, offset, len },
     )?;
-    match read_response(&mut sock)? {
+    read_get_reply(&sock, len)
+}
+
+/// Reads a GET reply off `r`: the verdict through the control reader,
+/// then body and trailer in one `read_exact`. `len` is what was asked
+/// for; a server announcing more is refused before anything is allocated.
+fn read_get_reply(r: impl Read, len: u64) -> io::Result<Vec<u8>> {
+    let mut r = control_reader(r);
+    match read_response(&mut r)? {
         Response::Accept { start_offset: n, .. } => {
             if n > len {
                 return Err(io::Error::new(
@@ -302,7 +324,7 @@ pub fn get(
                     "server announced more bytes than requested",
                 ));
             }
-            read_get_payload(&mut sock, n)
+            read_get_payload(&mut r, n)
         }
         Response::Reject { reason } => Err(io::Error::new(
             io::ErrorKind::ConnectionRefused,
@@ -314,15 +336,65 @@ pub fn get(
 /// Asks a daemon to drain gracefully. Returns the number of transfers
 /// that were still in flight when the drain began.
 pub fn drain(addr: SocketAddr, io_timeout: Duration) -> io::Result<u64> {
-    let mut sock = TcpStream::connect_timeout(&addr, io_timeout)?;
+    let sock = TcpStream::connect_timeout(&addr, io_timeout)?;
     sock.set_read_timeout(Some(io_timeout))?;
     sock.set_write_timeout(Some(io_timeout))?;
-    write_request(&mut sock, &Request::Drain)?;
-    match read_response(&mut sock)? {
+    write_request(&mut &sock, &Request::Drain)?;
+    match read_response(&mut control_reader(&sock))? {
         Response::Accept { start_offset, .. } => Ok(start_offset),
         Response::Reject { reason } => Err(io::Error::new(
             io::ErrorKind::ConnectionRefused,
             format!("drain rejected: {}", reason.as_str()),
         )),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::proto::{write_done, write_response, Done, GetReply};
+    use super::super::testio::Counting;
+    use super::*;
+
+    #[test]
+    fn control_frames_cost_the_client_one_read_each() {
+        // A PUT's accept frame and, later on the same socket, its receipt.
+        let mut wire = Vec::new();
+        write_response(&mut wire, &Response::Accept { start_offset: 7, level_cap: 2 }).unwrap();
+        let mut r = control_reader(Counting::new(&wire[..]));
+        assert_eq!(
+            read_response(&mut r).unwrap(),
+            Response::Accept { start_offset: 7, level_cap: 2 }
+        );
+        assert_eq!(r.get_ref().calls, 1, "accept frame read");
+
+        let done = Done { ok: true, verified: 7, crc: 0xABCD };
+        let mut wire = Vec::new();
+        write_done(&mut wire, &done).unwrap();
+        let mut r = control_reader(Counting::new(&wire[..]));
+        assert_eq!(read_done(&mut r).unwrap(), done);
+        assert_eq!(r.get_ref().calls, 1, "done frame read");
+    }
+
+    #[test]
+    fn get_reply_is_read_in_a_verdict_read_plus_one_body_read() {
+        let body: Vec<u8> = (0..64 * 1024).map(|i| (i * 31) as u8).collect();
+        let mut reply = GetReply::with_capacity(body.len());
+        reply.extend_from_slice(&body);
+        let wire = reply.finish();
+        let mut r = Counting::new(&wire[..]);
+        assert_eq!(read_get_reply(&mut r, body.len() as u64).unwrap(), body);
+        // One read fills the control buffer (verdict + the body's first
+        // bytes); the rest of body + trailer lands in the caller's buffer
+        // with one more.
+        assert_eq!(r.calls, 2);
+        // A reply that fits the control buffer is a single read.
+        let mut reply = GetReply::with_capacity(3);
+        reply.extend_from_slice(b"abc");
+        let wire = reply.finish();
+        let mut r = Counting::new(&wire[..]);
+        assert_eq!(read_get_reply(&mut r, 3).unwrap(), b"abc");
+        assert_eq!(r.calls, 1);
+        // A server announcing more than was asked for is refused.
+        assert!(read_get_reply(&wire[..], 2).is_err());
     }
 }

@@ -10,9 +10,11 @@
 //!
 //! * [`proto`] — the tiny length-prefixed handshake (request / verdict /
 //!   receipt) around the self-describing frame stream;
-//! * [`server`] — [`Server`] / [`ServeConfig`]: thread-per-connection
-//!   daemon with per-tenant quotas, typed [`RejectReason`] shedding,
-//!   idle + wall deadlines, verified-prefix transfer table, and drain;
+//! * [`server`] — [`Server`] / [`ServeConfig`]: one-handler-per-connection
+//!   daemon (handlers park and are reused, so a request does not pay a
+//!   thread spawn) with per-tenant quotas, typed [`RejectReason`]
+//!   shedding, idle + wall deadlines, verified-prefix transfer table, and
+//!   drain;
 //! * [`client`] — [`put`] / [`PutOptions`]: bounded-retry exponential
 //!   backoff uploads that resume from the server's last verified byte,
 //!   and [`get`]: CRC-verified ranged reads of completed transfers;
@@ -33,6 +35,43 @@ pub use client::{drain, get, put, CappedModel, PutOptions, PutReport};
 pub use netsoak::{run_net_soak, NetSoakConfig, NetSoakSummary};
 pub use proto::{Done, RejectReason, Request, Response, NO_LEVEL_CAP};
 pub use server::{payload_crc, ServeConfig, ServeStats, Server};
+
+/// Test-only I/O wrapper behind the syscall-budget tests: every `read` or
+/// `write` that reaches the wrapped value stands for one syscall on a
+/// socket.
+#[cfg(test)]
+pub(crate) mod testio {
+    use std::io::{Read, Result, Write};
+
+    pub(crate) struct Counting<T> {
+        pub inner: T,
+        pub calls: usize,
+    }
+
+    impl<T> Counting<T> {
+        pub fn new(inner: T) -> Self {
+            Counting { inner, calls: 0 }
+        }
+    }
+
+    impl<T: Read> Read for Counting<T> {
+        fn read(&mut self, buf: &mut [u8]) -> Result<usize> {
+            self.calls += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    impl<T: Write> Write for Counting<T> {
+        fn write(&mut self, buf: &[u8]) -> Result<usize> {
+            self.calls += 1;
+            self.inner.write(buf)
+        }
+
+        fn flush(&mut self) -> Result<()> {
+            self.inner.flush()
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

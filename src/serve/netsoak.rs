@@ -273,7 +273,7 @@ pub fn run_net_soak(
 /// Polls `sample` until it drops back to `baseline` or ~10 s pass (a
 /// clean soak returns at the first sample); returns the remaining excess
 /// (0 = settled).
-fn settle(sample: impl Fn() -> Option<u64>, baseline: u64) -> u64 {
+pub(super) fn settle(sample: impl Fn() -> Option<u64>, baseline: u64) -> u64 {
     let mut excess = 0;
     for _ in 0..500 {
         excess = sample().unwrap_or(baseline).saturating_sub(baseline);
@@ -288,7 +288,7 @@ fn settle(sample: impl Fn() -> Option<u64>, baseline: u64) -> u64 {
 /// Thread ids of this process's live daemon and proxy threads, told by
 /// name. The kernel truncates `comm` to 15 bytes; both prefixes fit.
 #[cfg(target_os = "linux")]
-fn soak_threads() -> Option<HashSet<std::ffi::OsString>> {
+pub(super) fn soak_threads() -> Option<HashSet<std::ffi::OsString>> {
     let mut tids = HashSet::new();
     for task in std::fs::read_dir("/proc/self/task").ok()?.flatten() {
         // A thread may exit between the listing and the read: not ours to count.
@@ -301,7 +301,7 @@ fn soak_threads() -> Option<HashSet<std::ffi::OsString>> {
 }
 
 #[cfg(not(target_os = "linux"))]
-fn soak_threads() -> Option<HashSet<std::ffi::OsString>> {
+pub(super) fn soak_threads() -> Option<HashSet<std::ffi::OsString>> {
     None
 }
 

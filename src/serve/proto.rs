@@ -25,6 +25,12 @@
 //! a damaged control frame is a typed `InvalidData` error (shed as
 //! `bad_request` server-side, a retryable transport error client-side),
 //! never a misrouted transfer.
+//!
+//! Every frame is written with one `write_all`, and the readers take a
+//! frame in at most two exact-length reads — a fixed head, then what the
+//! head announces — never a byte past its trailer, so whatever follows on
+//! the socket (a PUT's frame stream) is left for its own reader.
+//! The server's GET reply is the one-write form of accept frame + payload.
 
 use adcomp_codecs::crc32::crc32;
 use std::io::{self, Read, Write};
@@ -133,21 +139,14 @@ fn write_framed(w: &mut impl Write, mut buf: Vec<u8>) -> io::Result<()> {
     w.write_all(&buf)
 }
 
-/// Reads `n` more bytes, appending them to `seen` (the CRC input).
-fn read_into(r: &mut impl Read, seen: &mut Vec<u8>, n: usize) -> io::Result<()> {
-    let at = seen.len();
-    seen.resize(at + n, 0);
-    r.read_exact(&mut seen[at..])
-}
-
-/// Reads and checks the 4-byte CRC trailer over `seen`.
-fn check_trailer(r: &mut impl Read, seen: &[u8]) -> io::Result<()> {
-    let mut trailer = [0u8; 4];
-    r.read_exact(&mut trailer)?;
-    if u32::from_le_bytes(trailer) != crc32(seen) {
+/// Splits `framed` into the bytes its 4-byte CRC trailer covers and checks
+/// the trailer against them.
+fn split_trailer(framed: &[u8]) -> io::Result<&[u8]> {
+    let (seen, trailer) = framed.split_at(framed.len() - 4);
+    if u32::from_le_bytes(trailer.try_into().unwrap()) != crc32(seen) {
         return Err(bad("control frame failed CRC check"));
     }
-    Ok(())
+    Ok(seen)
 }
 
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
@@ -187,57 +186,62 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
     write_framed(w, buf)
 }
 
+/// Bytes every request starts with: magic, version, kind and one byte
+/// more (the tenant length, or for a [`Request::Drain`] the first trailer
+/// byte). No request is shorter, so reading this much never takes a byte
+/// that belongs to what follows the request.
+const REQUEST_HEAD: usize = 7;
+/// Longest request on the wire: a GET with a [`MAX_TENANT`]-byte tenant.
+const MAX_REQUEST: usize = REQUEST_HEAD + MAX_TENANT + 24 + 4;
+
+/// Reads one request in two exact-length reads — the fixed head, then
+/// the remainder the head announces, trailer included — and never
+/// consumes a byte past the trailer: a PUT's frame stream follows on the
+/// same socket and belongs to the ingest path.
 pub fn read_request(r: &mut impl Read) -> io::Result<Request> {
-    let mut seen = Vec::with_capacity(40);
-    read_into(r, &mut seen, 6)?;
-    if seen[..4] != MAGIC {
+    let mut buf = [0u8; MAX_REQUEST];
+    r.read_exact(&mut buf[..REQUEST_HEAD])?;
+    if buf[..4] != MAGIC {
         return Err(bad("bad magic"));
     }
-    if seen[4] != VERSION {
+    if buf[4] != VERSION {
         return Err(bad("unsupported protocol version"));
     }
-    match seen[5] {
-        0 => {
-            read_into(r, &mut seen, 1)?;
-            let len = seen[6] as usize;
-            if len == 0 || len > MAX_TENANT {
-                return Err(bad("tenant name must be 1..=64 bytes"));
-            }
-            read_into(r, &mut seen, len + 16)?;
-            check_trailer(r, &seen)?;
-            let tenant = String::from_utf8(seen[7..7 + len].to_vec())
-                .map_err(|_| bad("tenant not utf-8"))?;
-            let nums = &seen[7 + len..];
-            Ok(Request::Put {
-                tenant,
-                transfer_id: u64::from_le_bytes(nums[..8].try_into().unwrap()),
-                total_len: u64::from_le_bytes(nums[8..].try_into().unwrap()),
-            })
+    // How many u64 fields follow the tenant name.
+    let nums = match buf[5] {
+        0 => 2,
+        1 => 0,
+        2 => 3,
+        _ => return Err(bad("unknown request kind")),
+    };
+    // A drain carries no tenant: its trailer starts right after the kind
+    // byte, so the head already holds the first trailer byte.
+    let (tenant_len, crc_at) = if nums == 0 {
+        (0, REQUEST_HEAD - 1)
+    } else {
+        let len = buf[6] as usize;
+        if len == 0 || len > MAX_TENANT {
+            return Err(bad("tenant name must be 1..=64 bytes"));
         }
-        1 => {
-            check_trailer(r, &seen)?;
-            Ok(Request::Drain)
-        }
-        2 => {
-            read_into(r, &mut seen, 1)?;
-            let len = seen[6] as usize;
-            if len == 0 || len > MAX_TENANT {
-                return Err(bad("tenant name must be 1..=64 bytes"));
-            }
-            read_into(r, &mut seen, len + 24)?;
-            check_trailer(r, &seen)?;
-            let tenant = String::from_utf8(seen[7..7 + len].to_vec())
-                .map_err(|_| bad("tenant not utf-8"))?;
-            let nums = &seen[7 + len..];
-            Ok(Request::Get {
-                tenant,
-                transfer_id: u64::from_le_bytes(nums[..8].try_into().unwrap()),
-                offset: u64::from_le_bytes(nums[8..16].try_into().unwrap()),
-                len: u64::from_le_bytes(nums[16..].try_into().unwrap()),
-            })
-        }
-        _ => Err(bad("unknown request kind")),
+        (len, REQUEST_HEAD + len + 8 * nums)
+    };
+    r.read_exact(&mut buf[REQUEST_HEAD..crc_at + 4])?;
+    split_trailer(&buf[..crc_at + 4])?;
+    if nums == 0 {
+        return Ok(Request::Drain);
     }
+    let tenant_end = REQUEST_HEAD + tenant_len;
+    let tenant = String::from_utf8(buf[REQUEST_HEAD..tenant_end].to_vec())
+        .map_err(|_| bad("tenant not utf-8"))?;
+    let num = |i: usize| {
+        let at = tenant_end + 8 * i;
+        u64::from_le_bytes(buf[at..at + 8].try_into().unwrap())
+    };
+    Ok(if nums == 2 {
+        Request::Put { tenant, transfer_id: num(0), total_len: num(1) }
+    } else {
+        Request::Get { tenant, transfer_id: num(0), offset: num(1), len: num(2) }
+    })
 }
 
 /// Writes a GET data stream: the raw bytes followed by a CRC-32 trailer.
@@ -248,41 +252,91 @@ pub fn write_get_payload(w: &mut impl Write, bytes: &[u8]) -> io::Result<()> {
     w.write_all(&crc32(bytes).to_le_bytes())
 }
 
-/// Reads a GET data stream of exactly `n` announced bytes and verifies
-/// its CRC-32 trailer.
+/// Reads a GET data stream of exactly `n` announced bytes — body and
+/// trailer in one `read_exact` — and verifies its CRC-32 trailer.
 pub fn read_get_payload(r: &mut impl Read, n: u64) -> io::Result<Vec<u8>> {
-    let mut bytes = vec![0u8; n as usize];
+    let framed = usize::try_from(n).ok().and_then(|n| n.checked_add(4));
+    let mut bytes = vec![0u8; framed.ok_or_else(|| bad("announced length overflows"))?];
     r.read_exact(&mut bytes)?;
-    check_trailer(r, &bytes)?;
+    let n = split_trailer(&bytes)?.len();
+    bytes.truncate(n);
     Ok(bytes)
+}
+
+/// A whole GET reply — accept frame, body, CRC trailer — built in one
+/// buffer so it crosses the socket in a single write. Byte for byte what
+/// [`write_response`] followed by [`write_get_payload`] put on the wire.
+pub(crate) struct GetReply(Vec<u8>);
+
+impl GetReply {
+    /// An empty reply with room for `body_len` body bytes; the accept
+    /// frame's place is reserved and filled in by [`GetReply::finish`].
+    pub(crate) fn with_capacity(body_len: usize) -> GetReply {
+        let mut buf = Vec::with_capacity(ACCEPT_FRAME + body_len + 4);
+        buf.resize(ACCEPT_FRAME, 0);
+        GetReply(buf)
+    }
+
+    /// Appends body bytes.
+    pub(crate) fn extend_from_slice(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+
+    /// Body bytes appended so far.
+    pub(crate) fn body_len(&self) -> usize {
+        self.0.len() - ACCEPT_FRAME
+    }
+
+    /// Announces the body length in the accept frame, appends the body's
+    /// CRC trailer and returns the wire bytes.
+    pub(crate) fn finish(self) -> Vec<u8> {
+        let mut buf = self.0;
+        let (head, body) = buf.split_at_mut(ACCEPT_FRAME);
+        head.copy_from_slice(&accept_frame(body.len() as u64, NO_LEVEL_CAP));
+        let crc = crc32(body);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        buf
+    }
+}
+
+/// Wire size of an accept frame (status, offset, cap, trailer) and of a
+/// reject frame (status, trailer).
+const ACCEPT_FRAME: usize = 14;
+const REJECT_FRAME: usize = 5;
+
+fn accept_frame(start_offset: u64, level_cap: u8) -> [u8; ACCEPT_FRAME] {
+    let mut buf = [0u8; ACCEPT_FRAME];
+    buf[1..9].copy_from_slice(&start_offset.to_le_bytes());
+    buf[9] = level_cap;
+    let crc = crc32(&buf[..10]);
+    buf[10..].copy_from_slice(&crc.to_le_bytes());
+    buf
 }
 
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
     match *resp {
         Response::Accept { start_offset, level_cap } => {
-            let mut buf = vec![0u8; 10];
-            buf[1..9].copy_from_slice(&start_offset.to_le_bytes());
-            buf[9] = level_cap;
-            write_framed(w, buf)
+            w.write_all(&accept_frame(start_offset, level_cap))
         }
         Response::Reject { reason } => write_framed(w, vec![reason as u8]),
     }
 }
 
+/// Reads a verdict: the reject-sized head first (no verdict is shorter),
+/// then the rest of an accept frame when the status byte announces one.
 pub fn read_response(r: &mut impl Read) -> io::Result<Response> {
-    let mut seen = Vec::with_capacity(16);
-    read_into(r, &mut seen, 1)?;
-    if seen[0] == 0 {
-        read_into(r, &mut seen, 9)?;
-        check_trailer(r, &seen)?;
+    let mut buf = [0u8; ACCEPT_FRAME];
+    r.read_exact(&mut buf[..REJECT_FRAME])?;
+    if buf[0] == 0 {
+        r.read_exact(&mut buf[REJECT_FRAME..])?;
+        let seen = split_trailer(&buf)?;
         Ok(Response::Accept {
             start_offset: u64::from_le_bytes(seen[1..9].try_into().unwrap()),
             level_cap: seen[9],
         })
     } else {
-        let code = seen[0];
-        check_trailer(r, &seen)?;
-        let reason = RejectReason::from_code(code).ok_or_else(|| bad("unknown status"))?;
+        split_trailer(&buf[..REJECT_FRAME])?;
+        let reason = RejectReason::from_code(buf[0]).ok_or_else(|| bad("unknown status"))?;
         Ok(Response::Reject { reason })
     }
 }
@@ -296,9 +350,9 @@ pub fn write_done(w: &mut impl Write, done: &Done) -> io::Result<()> {
 }
 
 pub fn read_done(r: &mut impl Read) -> io::Result<Done> {
-    let mut seen = Vec::with_capacity(20);
-    read_into(r, &mut seen, 13)?;
-    check_trailer(r, &seen)?;
+    let mut buf = [0u8; 17];
+    r.read_exact(&mut buf)?;
+    let seen = split_trailer(&buf)?;
     if seen[0] > 1 {
         return Err(bad("malformed done frame"));
     }
@@ -315,6 +369,7 @@ fn bad(msg: &str) -> io::Error {
 
 #[cfg(test)]
 mod tests {
+    use super::super::testio::Counting;
     use super::*;
 
     #[test]
@@ -431,6 +486,16 @@ mod tests {
         frames.push(std::mem::take(&mut wire));
         write_done(&mut wire, &Done { ok: true, verified: 4716, crc: 0x1234_5678 }).unwrap();
         frames.push(std::mem::take(&mut wire));
+        // The one-write GET reply: accept frame, body and trailer together.
+        let body = b"coalesced ranged get body";
+        let mut reply = GetReply::with_capacity(body.len());
+        reply.extend_from_slice(body);
+        frames.push(reply.finish());
+        let read_reply = |r: &mut &[u8]| match read_response(r)? {
+            Response::Accept { start_offset, .. } => read_get_payload(r, start_offset),
+            Response::Reject { .. } => Err(bad("reject")),
+        };
+        assert_eq!(read_reply(&mut &frames[6][..]).unwrap(), body);
         for (f, frame) in frames.iter().enumerate() {
             for i in 0..frame.len() {
                 for flip in [0x01u8, 0x80, 0xFF] {
@@ -440,12 +505,39 @@ mod tests {
                     let err = match f {
                         0..=2 => read_request(r).is_err(),
                         3 | 4 => read_response(r).is_err(),
-                        _ => read_done(r).is_err(),
+                        5 => read_done(r).is_err(),
+                        _ => read_reply(r).is_err(),
                     };
                     assert!(err, "frame {f}: flip {flip:#x} at byte {i} went undetected");
                 }
             }
         }
+    }
+
+    #[test]
+    fn request_takes_two_reads_and_stops_at_its_trailer() {
+        // What follows a PUT request on the socket is the frame stream;
+        // the request parser must leave every byte of it unread.
+        let follow = b"ADCF frame stream bytes that belong to the ingest path";
+        for req in [
+            Request::Put { tenant: "t".into(), transfer_id: 1, total_len: 9 },
+            Request::Put { tenant: "x".repeat(MAX_TENANT), transfer_id: u64::MAX, total_len: 0 },
+            Request::Get { tenant: "reader".into(), transfer_id: 2, offset: 3, len: 4 },
+            Request::Drain,
+        ] {
+            let mut wire = Vec::new();
+            write_request(&mut wire, &req).unwrap();
+            wire.extend_from_slice(follow);
+            let mut r = Counting::new(&wire[..]);
+            assert_eq!(read_request(&mut r).unwrap(), req);
+            assert!(r.calls <= 2, "{req:?} took {} reads", r.calls);
+            assert_eq!(r.inner, follow, "{req:?}: parser consumed bytes past the trailer");
+        }
+    }
+
+    #[test]
+    fn absurd_announced_length_is_an_error_not_an_overflow() {
+        assert!(read_get_payload(&mut &[0u8; 8][..], u64::MAX).is_err());
     }
 
     #[test]

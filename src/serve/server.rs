@@ -1,6 +1,18 @@
-//! The `adcomp serve` daemon: a thread-per-connection TCP server where
-//! every accepted stream is decoded through its own [`AdaptiveReader`],
-//! with robustness as the design center.
+//! The `adcomp serve` daemon: a TCP server with thread-per-connection
+//! semantics — every connection has a handler thread to itself, every
+//! accepted stream is decoded through its own [`AdaptiveReader`] — with
+//! robustness as the design center.
+//!
+//! What a connection does not get is a thread *spawn* of its own. A
+//! handler that finishes its connection parks on a condition variable for
+//! a short linger; the accept loop hands the next socket to a parked
+//! handler when there is one and spawns only when there is none. So
+//! back-to-back requests are served by one long-lived thread, a burst
+//! still gets one handler per connection (nobody queues behind a slow
+//! `put`), and handlers left over from a burst exit after the linger.
+//! Control frames cross the socket in one syscall each way: a request is
+//! two exact-length reads, a GET reply is one write of accept frame, body
+//! and trailer assembled in the buffer the block reads fill.
 //!
 //! The overload model, end to end:
 //!
@@ -29,8 +41,8 @@
 
 use super::cache::{BlockCache, CacheStats};
 use super::proto::{
-    read_request, write_done, write_get_payload, write_response, Done, RejectReason, Request,
-    Response, NO_LEVEL_CAP,
+    read_request, write_done, write_response, Done, GetReply, RejectReason, Request, Response,
+    NO_LEVEL_CAP,
 };
 use adcomp_codecs::crc32::{crc32, Hasher};
 use adcomp_codecs::frame::{
@@ -45,12 +57,18 @@ use adcomp_metrics::registry::{
 };
 use adcomp_trace::events::{ServerEvent, NO_EPOCH};
 use adcomp_trace::{TraceEvent, TraceHandle, TraceSink};
-use std::collections::HashMap;
-use std::io::Read;
+use std::collections::{HashMap, VecDeque};
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// How long a handler that finished its connection stays parked waiting
+/// for the next one before it exits. Long enough that back-to-back
+/// requests never pay a thread spawn, short enough that a burst's
+/// handlers (and the allocator arenas behind them) are gone soon after it.
+const HANDLER_LINGER: Duration = Duration::from_millis(500);
 
 /// Tuning for one daemon instance.
 #[derive(Clone)]
@@ -129,6 +147,9 @@ pub struct ServeStats {
     pub aborts: u64,
     pub drained_transfers: u64,
     pub breaker_trips: u64,
+    /// Handler threads ever spawned. Far below the connection count when
+    /// requests arrive back to back: parked handlers are reused.
+    pub handler_spawns: u64,
 }
 
 #[derive(Default)]
@@ -141,6 +162,7 @@ struct Counters {
     aborts: AtomicU64,
     drained_transfers: AtomicU64,
     breaker_trips: AtomicU64,
+    handler_spawns: AtomicU64,
 }
 
 /// State of one transfer `(tenant, transfer_id)`: the verified prefix.
@@ -175,7 +197,18 @@ struct Shared {
     stop: AtomicBool,
     draining: AtomicBool,
     active_streams: AtomicU64,
+    /// Accepted connections not yet finished: queued for a handler or
+    /// inside one. The accept loop's flood cap reads it.
     live_conns: AtomicU64,
+    /// Accepted sockets handed to parked handlers. Never longer than
+    /// `idle_handlers`: the accept loop queues a socket only for a handler
+    /// that is parked and not yet spoken for, and spawns otherwise.
+    handoff: Mutex<VecDeque<TcpStream>>,
+    handoff_wake: Condvar,
+    /// Handlers parked in [`next_conn`]. Changed only while holding the
+    /// `handoff` lock, which is what keeps it comparable to the queue
+    /// length; an atomic so a drop guard can restore it.
+    idle_handlers: AtomicU64,
     tenant_active: Mutex<HashMap<String, u64>>,
     tenant_throttles: Mutex<HashMap<String, SharedThrottle>>,
     transfers: Mutex<HashMap<(String, u64), Transfer>>,
@@ -209,6 +242,20 @@ impl Shared {
         self.counters.shed.fetch_add(1, Ordering::Relaxed);
         self.metric(|m| m.label_count(LabelFamily::ShedReason, reason.as_str(), 1));
         self.event("reject", tenant, 0, reason as u64);
+    }
+
+    /// Gives back one admitted stream's global and per-tenant slot. A
+    /// tenant whose count reaches zero leaves the table, so it holds only
+    /// tenants with streams in flight.
+    fn release_stream_slot(&self, tenant: &str) {
+        self.active_streams.fetch_sub(1, Ordering::AcqRel);
+        let mut tenants = self.tenant_active.lock().expect("tenants poisoned");
+        if let Some(n) = tenants.get_mut(tenant) {
+            *n = n.saturating_sub(1);
+            if *n == 0 {
+                tenants.remove(tenant);
+            }
+        }
     }
 
     fn open_breaker(&self, open: bool) {
@@ -249,6 +296,9 @@ impl Server {
             draining: AtomicBool::new(false),
             active_streams: AtomicU64::new(0),
             live_conns: AtomicU64::new(0),
+            handoff: Mutex::default(),
+            handoff_wake: Condvar::new(),
+            idle_handlers: AtomicU64::new(0),
             tenant_active: Mutex::default(),
             tenant_throttles: Mutex::default(),
             transfers: Mutex::default(),
@@ -300,14 +350,24 @@ impl Server {
                         continue;
                     }
                     s.live_conns.fetch_add(1, Ordering::AcqRel);
+                    // Hand the socket to a parked handler when one is free;
+                    // otherwise spawn, so concurrency stays unbounded up to
+                    // the flood cap and a slow stream never queues anyone
+                    // behind it.
+                    let mut queue = s.handoff.lock().expect("handoff poisoned");
+                    if s.idle_handlers.load(Ordering::Acquire) > queue.len() as u64 {
+                        queue.push_back(sock);
+                        s.handoff_wake.notify_one();
+                        continue;
+                    }
+                    drop(queue);
                     let sh = Arc::clone(&s);
                     match std::thread::Builder::new()
                         .name("adcomp-serve-conn".into())
-                        .spawn(move || {
-                            handle_conn(&sh, sock);
-                            sh.live_conns.fetch_sub(1, Ordering::AcqRel);
-                        }) {
+                        .spawn(move || handler_loop(&sh, sock))
+                    {
                         Ok(h) => {
+                            s.counters.handler_spawns.fetch_add(1, Ordering::Relaxed);
                             let mut v = hs.lock().expect("handlers poisoned");
                             // Reap finished handlers so the vector stays
                             // bounded over a long-lived daemon.
@@ -358,6 +418,7 @@ impl Server {
             aborts: c.aborts.load(Ordering::Relaxed),
             drained_transfers: c.drained_transfers.load(Ordering::Relaxed),
             breaker_trips: c.breaker_trips.load(Ordering::Relaxed),
+            handler_spawns: c.handler_spawns.load(Ordering::Relaxed),
         }
     }
 
@@ -432,6 +493,13 @@ impl Server {
             return;
         }
         self.shared.stop.store(true, Ordering::Release);
+        // Wake parked handlers at once. Notifying under the queue lock
+        // closes the window in which a handler has read `stop` as false
+        // but not yet started to wait.
+        {
+            let _queue = self.shared.handoff.lock().expect("handoff poisoned");
+            self.shared.handoff_wake.notify_all();
+        }
         let _ = TcpStream::connect(self.local_addr);
         if let Some(t) = self.accept.take() {
             let _ = t.join();
@@ -452,6 +520,55 @@ impl Drop for Server {
     }
 }
 
+/// Gives one count of a population counter back when dropped, so a slot
+/// taken by `fetch_add` returns on every exit path — a panicking handler
+/// included.
+struct Release<'a>(&'a AtomicU64);
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// Body of an `adcomp-serve-conn` thread: serve the connection it was
+/// spawned for, then every connection the accept loop hands over while it
+/// is parked, and exit once none arrives within [`HANDLER_LINGER`].
+fn handler_loop(shared: &Arc<Shared>, first: TcpStream) {
+    let mut next = Some(first);
+    while let Some(sock) = next {
+        {
+            // The accept loop took the slot; it goes back even if the
+            // handler panics, or the flood cap would shrink for good.
+            let _slot = Release(&shared.live_conns);
+            handle_conn(shared, sock);
+        }
+        next = next_conn(shared);
+    }
+}
+
+/// Parks the calling handler until the accept loop hands it a socket.
+/// `None` tells it to exit: the linger ran out or the server is stopping.
+fn next_conn(shared: &Shared) -> Option<TcpStream> {
+    let deadline = Instant::now() + HANDLER_LINGER;
+    // Declared before the idle guard, so the count drops back while the
+    // lock is still held and the accept loop never sees a handler that is
+    // already leaving.
+    let mut queue = shared.handoff.lock().expect("handoff poisoned");
+    shared.idle_handlers.fetch_add(1, Ordering::AcqRel);
+    let _idle = Release(&shared.idle_handlers);
+    loop {
+        if let Some(sock) = queue.pop_front() {
+            return Some(sock);
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || shared.stop.load(Ordering::Acquire) {
+            return None;
+        }
+        queue = shared.handoff_wake.wait_timeout(queue, left).expect("handoff poisoned").0;
+    }
+}
+
 /// Undoes one stream admission on every exit path (including panics in
 /// the handler body).
 struct StreamGuard<'a> {
@@ -462,16 +579,8 @@ struct StreamGuard<'a> {
 
 impl Drop for StreamGuard<'_> {
     fn drop(&mut self) {
-        self.shared.active_streams.fetch_sub(1, Ordering::AcqRel);
+        self.shared.release_stream_slot(&self.tenant);
         self.shared.metric(|m| m.gauge_add(GaugeKind::ServeActiveConns, -1));
-        let mut tenants = self.shared.tenant_active.lock().expect("tenants poisoned");
-        if let Some(n) = tenants.get_mut(&self.tenant) {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                tenants.remove(&self.tenant);
-            }
-        }
-        drop(tenants);
         let mut transfers = self.shared.transfers.lock().expect("transfers poisoned");
         if let Some(t) = transfers.get_mut(&(self.tenant.clone(), self.transfer_id)) {
             t.busy = false;
@@ -517,7 +626,8 @@ fn handle_conn(shared: &Arc<Shared>, mut sock: TcpStream) {
             handle_put(shared, sock, tenant, transfer_id, total_len);
         }
         Request::Get { tenant, transfer_id, offset, len } => {
-            handle_get(shared, sock, &tenant, transfer_id, offset, len);
+            handle_get(shared, &mut sock, &tenant, transfer_id, offset, len);
+            let _ = sock.shutdown(Shutdown::Write);
         }
     }
 }
@@ -577,13 +687,7 @@ fn handle_put(
         });
         if t.busy || t.total != total_len {
             drop(transfers);
-            // Roll the tenant slot back too before refusing.
-            let mut tenants = shared.tenant_active.lock().expect("tenants poisoned");
-            if let Some(n) = tenants.get_mut(&tenant) {
-                *n = n.saturating_sub(1);
-            }
-            drop(tenants);
-            shared.active_streams.fetch_sub(1, Ordering::AcqRel);
+            shared.release_stream_slot(&tenant);
             return reject(RejectReason::TenantQuota, sock);
         }
         t.busy = true;
@@ -800,82 +904,86 @@ impl Read for CaptureReader {
 /// only the covering blocks out of the stored wire — through the block
 /// cache, so a hot block is decoded once and then served from memory;
 /// unsealed-but-retained ones fall back to slicing the decoded payload.
-fn handle_get(
-    shared: &Arc<Shared>,
-    mut sock: TcpStream,
+/// Either way the reply — accept frame, body, CRC trailer — is assembled
+/// in one buffer and leaves in one write.
+fn handle_get<W: Write>(
+    shared: &Shared,
+    out: &mut W,
     tenant: &str,
     transfer_id: u64,
     offset: u64,
     len: u64,
 ) {
     let tenant_id = ServerEvent::tenant_id(tenant);
-    let reject = |mut sock: TcpStream| {
+    let reject = |out: &mut W| {
         shared.shed(RejectReason::BadRequest, tenant_id);
-        let _ = write_response(&mut sock, &Response::Reject { reason: RejectReason::BadRequest });
+        let _ = write_response(out, &Response::Reject { reason: RejectReason::BadRequest });
     };
     enum Source {
         Sealed(Arc<SealedObject>),
-        Plain(Vec<u8>),
+        Plain(GetReply),
     }
     let source = {
         let transfers = shared.transfers.lock().expect("transfers poisoned");
         match transfers.get(&(tenant.to_string(), transfer_id)) {
-            Some(t) if t.completed => match &t.sealed {
-                Some(s) => Some(Source::Sealed(Arc::clone(s))),
-                None => t.data.clone().map(Source::Plain),
+            Some(t) if t.completed => match (&t.sealed, &t.data) {
+                (Some(s), _) => Some(Source::Sealed(Arc::clone(s))),
+                // No stored wire (storage off, or invalidated
+                // mid-transfer): slice the retained decoded payload,
+                // copying only the asked-for range while the table is
+                // locked.
+                (None, Some(data)) => {
+                    let lo = (offset as usize).min(data.len());
+                    let hi = offset.saturating_add(len).min(data.len() as u64) as usize;
+                    let mut reply = GetReply::with_capacity(hi - lo);
+                    reply.extend_from_slice(&data[lo..hi]);
+                    Some(Source::Plain(reply))
+                }
+                (None, None) => None,
             },
             _ => None,
         }
     };
     let Some(source) = source else {
-        return reject(sock);
+        return reject(out);
     };
     let span = registry::span(SpanKind::RangedRead);
     shared.metric(|m| m.counter_add(CounterKind::RangedReads, 1));
-    let out = match &source {
-        Source::Plain(data) => {
-            // No stored wire (storage off, or invalidated mid-transfer):
-            // slice the retained decoded payload. Counted as a fallback —
-            // the index never served this read.
+    let reply = match source {
+        Source::Plain(reply) => {
+            // Counted as a fallback — the index never served this read.
             shared.metric(|m| m.counter_add(CounterKind::IndexFallbacks, 1));
-            let lo = (offset as usize).min(data.len());
-            let hi = offset.saturating_add(len).min(data.len() as u64) as usize;
-            data[lo..hi].to_vec()
+            reply
         }
-        Source::Sealed(sealed) => match read_range_sealed(shared, sealed, offset, len) {
-            Ok(bytes) => bytes,
+        Source::Sealed(sealed) => match read_range_sealed(shared, &sealed, offset, len) {
+            Ok(reply) => reply,
             // The server's own wire failed to decode — nothing sane to
             // serve; shed rather than ship wrong bytes.
-            Err(_) => return reject(sock),
+            Err(_) => return reject(out),
         },
     };
     drop(span);
-    shared.event("get", tenant_id, out.len() as u64, transfer_id);
-    let accept = Response::Accept { start_offset: out.len() as u64, level_cap: NO_LEVEL_CAP };
-    if write_response(&mut sock, &accept).is_err() {
-        return;
-    }
-    let _ = write_get_payload(&mut sock, &out);
-    let _ = sock.shutdown(Shutdown::Write);
+    shared.event("get", tenant_id, reply.body_len() as u64, transfer_id);
+    let _ = out.write_all(&reply.finish());
 }
 
-/// Decodes `[offset, offset + len)` (clamped) out of a sealed object,
-/// serving every covering block from the cache when it can. A cache hit
-/// never touches the decoder.
+/// Decodes `[offset, offset + len)` (clamped) out of a sealed object
+/// straight into the reply buffer, serving every covering block from the
+/// cache when it can. A cache hit never touches the decoder.
 fn read_range_sealed(
     shared: &Shared,
     sealed: &SealedObject,
     offset: u64,
     len: u64,
-) -> std::io::Result<Vec<u8>> {
+) -> std::io::Result<GetReply> {
     let index = &sealed.index;
     let total = index.total_uncompressed();
     if offset >= total || len == 0 {
-        return Ok(Vec::new());
+        return Ok(GetReply::with_capacity(0));
     }
     let take = len.min(total - offset) as usize;
     let end = offset + take as u64;
-    let mut out = Vec::with_capacity(take);
+    let mut out = GetReply::with_capacity(take);
     let mut scratch = DecodeScratch::new();
     for i in index.blocks_covering(offset, len) {
         let e = index.entries[i];
@@ -901,7 +1009,7 @@ fn read_range_sealed(
         let hi = end.saturating_sub(e.uncompressed_offset).min(bytes.len() as u64) as usize;
         out.extend_from_slice(bytes.get(lo..hi).unwrap_or_default());
     }
-    if out.len() != take {
+    if out.body_len() != take {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             "covering blocks shorter than the index promised",
@@ -914,4 +1022,212 @@ fn read_range_sealed(
 /// don't need the codecs crate in scope.
 pub fn payload_crc(payload: &[u8]) -> u32 {
     crc32(payload)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::client::{get, put, PutOptions};
+    use super::super::netsoak::{settle, soak_threads};
+    use super::super::proto::{read_response, write_get_payload, write_request};
+    use super::super::testio::Counting;
+    use super::*;
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const IO: Duration = Duration::from_secs(2);
+
+    fn start() -> Server {
+        Server::start(ServeConfig { io_timeout: IO, ..ServeConfig::default() }).unwrap()
+    }
+
+    fn body(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i / 3) as u8 ^ (i as u8).rotate_left(3)).collect()
+    }
+
+    /// Spins until `cond` holds; panics with `what` after 5 s.
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn idle(server: &Server) -> u64 {
+        server.shared.idle_handlers.load(Ordering::Acquire)
+    }
+
+    fn live(server: &Server) -> u64 {
+        server.shared.live_conns.load(Ordering::Acquire)
+    }
+
+    #[test]
+    fn release_guard_gives_the_slot_back_when_the_holder_panics() {
+        let slots = AtomicU64::new(1);
+        let died = catch_unwind(AssertUnwindSafe(|| {
+            let _slot = Release(&slots);
+            panic!("handler died");
+        }));
+        assert!(died.is_err());
+        assert_eq!(slots.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
+    fn panicking_handler_does_not_leak_its_connection_slot() {
+        let server = start();
+        // Poison the transfer table: every GET handler now panics on its
+        // `expect`, the way a bug in a handler would.
+        let shared = Arc::clone(&server.shared);
+        let _ = std::thread::spawn(move || {
+            let _held = shared.transfers.lock().unwrap();
+            panic!("poison the transfer table");
+        })
+        .join();
+        for _ in 0..3 {
+            assert!(get(server.local_addr(), "t", 1, 0, 1, IO).is_err());
+        }
+        wait_for("panicked handlers to give their slots back", || live(&server) == 0);
+        assert_eq!(idle(&server), 0, "a dead handler still counts as parked");
+        server.shutdown();
+    }
+
+    #[test]
+    fn refused_put_leaves_no_tenant_entry_behind() {
+        let server = start();
+        let addr = server.local_addr();
+        // Park a PUT of (t, 1) mid-stream, then drop it: an incomplete
+        // transfer with a declared length stays behind.
+        let mut held = TcpStream::connect(addr).unwrap();
+        let req = |total_len| Request::Put { tenant: "t".into(), transfer_id: 1, total_len };
+        write_request(&mut held, &req(1000)).unwrap();
+        assert!(matches!(read_response(&mut held).unwrap(), Response::Accept { .. }));
+        // Same transfer while it is busy: refused, the holder keeps its slot.
+        let mut dup = TcpStream::connect(addr).unwrap();
+        write_request(&mut dup, &req(1000)).unwrap();
+        let refused = Response::Reject { reason: RejectReason::TenantQuota };
+        assert_eq!(read_response(&mut dup).unwrap(), refused);
+        assert_eq!(server.shared.tenant_active.lock().unwrap().get("t"), Some(&1));
+        drop(held);
+        wait_for("the cut stream to be reaped", || server.active() == 0);
+        // Same transfer, different declared length: refused after the
+        // tenant slot was already taken — the rollback must drop the entry.
+        let mut other = TcpStream::connect(addr).unwrap();
+        write_request(&mut other, &req(999)).unwrap();
+        assert_eq!(read_response(&mut other).unwrap(), refused);
+        assert_eq!(server.active(), 0);
+        assert!(server.shared.tenant_active.lock().unwrap().is_empty());
+        server.shutdown();
+    }
+
+    #[test]
+    fn back_to_back_requests_reuse_a_parked_handler_and_bursts_still_fan_out() {
+        let server = start();
+        let addr = server.local_addr();
+        let data = body(100_000);
+        let opts = |id| PutOptions { tenant: "t".into(), transfer_id: id, ..Default::default() };
+        put(addr, &data, &opts(1)).unwrap();
+        // Each request waits for the previous handler to park, which is
+        // what makes the spawn count exact rather than a race.
+        for i in 0..250u64 {
+            wait_for("a parked handler", || idle(&server) >= 1);
+            if i % 5 == 0 {
+                put(addr, &data[..2000], &opts(2 + i)).unwrap();
+            } else {
+                let at = i * 300;
+                assert_eq!(get(addr, "t", 1, at, 512, IO).unwrap(), &data[at as usize..][..512]);
+            }
+        }
+        let sequential = server.stats().handler_spawns;
+        assert!(sequential <= 2, "{sequential} handlers spawned for sequential requests");
+
+        // Eight connections stuck mid-handshake each hold a handler of
+        // their own…
+        let mut held: Vec<TcpStream> =
+            (0..8).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        wait_for("eight concurrent handlers", || live(&server) == 8 && idle(&server) == 0);
+        assert!(server.shared.handoff.lock().unwrap().is_empty(), "a connection is queued");
+        // …a ninth request is answered meanwhile…
+        assert_eq!(get(addr, "t", 1, 7, 100, IO).unwrap(), &data[7..107]);
+        // …and so is each of the eight, last opened first.
+        let unknown = Request::Get { tenant: "t".into(), transfer_id: 999, offset: 0, len: 1 };
+        while let Some(mut sock) = held.pop() {
+            write_request(&mut sock, &unknown).unwrap();
+            let refused = Response::Reject { reason: RejectReason::BadRequest };
+            assert_eq!(read_response(&mut sock).unwrap(), refused);
+        }
+        let stats = server.shutdown();
+        assert!(
+            (8..=sequential + 9).contains(&stats.handler_spawns),
+            "{} handlers spawned in all",
+            stats.handler_spawns
+        );
+    }
+
+    #[test]
+    fn shutdown_wakes_parked_handlers_at_once_and_leaves_no_thread() {
+        let before = soak_threads();
+        let server = start();
+        let addr = server.local_addr();
+        // Three handlers at once, then all three parked.
+        let held: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        wait_for("three handlers", || live(&server) == 3);
+        drop(held);
+        wait_for("three parked handlers", || idle(&server) == 3);
+        let ours = soak_threads();
+        let t0 = Instant::now();
+        server.shutdown();
+        let took = t0.elapsed();
+        // Below the linger, or the handlers merely timing out would pass.
+        let bound = Duration::from_millis(250);
+        assert!(bound < HANDLER_LINGER);
+        assert!(took < bound, "shutdown took {took:?} with parked handlers");
+        // Census as in the net soak: daemon threads born since the
+        // baseline and seen while this server ran must be gone (a sibling
+        // test's threads, told apart only by living on, settle too).
+        if let (Some(before), Some(ours)) = (before, ours) {
+            let born: HashSet<_> = ours.difference(&before).cloned().collect();
+            assert!(born.len() >= 4, "accept + three handlers expected, saw {}", born.len());
+            let alive = || soak_threads().map(|now| now.intersection(&born).count() as u64);
+            assert_eq!(settle(alive, 0), 0, "daemon threads outlived shutdown");
+        }
+    }
+
+    #[test]
+    fn get_reply_leaves_in_one_write_identical_to_the_two_frame_form() {
+        // Both sources: sealed wire through the index, retained payload.
+        for store_wire in [true, false] {
+            let server = Server::start(ServeConfig {
+                keep_payloads: !store_wire,
+                store_wire,
+                io_timeout: IO,
+                ..ServeConfig::default()
+            })
+            .unwrap();
+            let data = body(300_000);
+            let opts = PutOptions {
+                tenant: "t".into(),
+                transfer_id: 1,
+                block_len: 8 * 1024,
+                ..Default::default()
+            };
+            put(server.local_addr(), &data, &opts).unwrap();
+            assert_eq!(server.is_sealed("t", 1), store_wire);
+            for (offset, len) in [(0u64, 0u64), (5, 1), (8000, 64 * 1024), (299_990, 100)] {
+                let mut out = Counting::new(Vec::new());
+                handle_get(&server.shared, &mut out, "t", 1, offset, len);
+                assert_eq!(out.calls, 1, "reply to ({offset}, {len}) took {} writes", out.calls);
+                let lo = offset as usize;
+                let slice = &data[lo..(lo + len as usize).min(data.len())];
+                let mut want = Vec::new();
+                let accept = Response::Accept {
+                    start_offset: slice.len() as u64,
+                    level_cap: NO_LEVEL_CAP,
+                };
+                write_response(&mut want, &accept).unwrap();
+                write_get_payload(&mut want, slice).unwrap();
+                assert_eq!(out.inner, want, "reply to ({offset}, {len})");
+            }
+            server.shutdown();
+        }
+    }
 }
