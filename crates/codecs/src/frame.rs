@@ -49,16 +49,6 @@ pub const FLAG_INDEX: u8 = 0b0000_0100;
 /// only forged length fields trip it.
 pub const DEFAULT_MAX_FRAME: u32 = 64 * 1024 * 1024;
 
-/// Live-registry counters shared by both encode entry points.
-fn record_encode_counters(m: &MetricsRegistry, info: &BlockInfo) {
-    m.counter_add(CounterKind::BlocksCompressed, 1);
-    m.counter_add(CounterKind::CodecInBytes, info.uncompressed_len as u64);
-    m.counter_add(CounterKind::CodecOutBytes, info.frame_len as u64);
-    if info.raw_fallback {
-        m.counter_add(CounterKind::RawFallbacks, 1);
-    }
-}
-
 /// Parsed frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
@@ -402,55 +392,28 @@ impl<W: Write, S: TraceSink> FrameWriter<W, S> {
         self.trace_t = t;
     }
 
-    /// Encodes one block with the given codec and writes the frame.
+    /// Encodes one block with the given codec into the reusable wire buffer
+    /// and writes it via [`FrameWriter::write_frame`].
     pub fn write_block(&mut self, codec: &dyn Codec, data: &[u8]) -> io::Result<BlockInfo> {
-        self.wire_buf.clear();
-        let metrics = registry::global();
-        let timed = self.sink.enabled() || metrics.is_some_and(MetricsRegistry::wall_spans);
-        let info;
-        let mut compress_ns = 0;
-        if timed {
-            // Trace/metrics-only work (timestamping + event construction)
-            // lives entirely inside this branch; with `NullSink` and no
-            // registry installed it reduces to one relaxed load.
-            let start = std::time::Instant::now();
-            info = encode_block_with(&mut self.codec_scratch, codec, data, &mut self.wire_buf);
-            compress_ns = start.elapsed().as_nanos() as u64;
-        } else {
-            info = encode_block_with(&mut self.codec_scratch, codec, data, &mut self.wire_buf);
-        }
-        if self.sink.enabled() {
-            self.sink.emit(&TraceEvent::Codec(CodecEvent {
-                epoch: self.trace_epoch,
-                t: self.trace_t,
-                level: codec.id().level_name(),
-                in_bytes: info.uncompressed_len as u64,
-                out_bytes: info.frame_len as u64,
-                compress_ns,
-                raw_fallback: info.raw_fallback,
-            }));
-        }
-        if let Some(m) = metrics {
-            m.span_ns(SpanKind::Compress, compress_ns);
-            record_encode_counters(m, &info);
-        }
-        self.inner.write_all(&self.wire_buf)?;
-        if self.index.is_some() {
-            let frame = std::mem::take(&mut self.wire_buf);
-            self.record_index_entry(&frame, &info);
-            self.wire_buf = frame;
-        }
-        self.app_bytes += info.uncompressed_len as u64;
-        self.wire_bytes += info.frame_len as u64;
-        self.blocks += 1;
-        Ok(info)
+        let mut frame = std::mem::take(&mut self.wire_buf);
+        frame.clear();
+        // Timestamping is trace/metrics-only work; with `NullSink` and no
+        // registry installed this reduces to one relaxed load.
+        let timed = self.sink.enabled()
+            || registry::global().is_some_and(MetricsRegistry::wall_spans);
+        let start = timed.then(std::time::Instant::now);
+        let info = encode_block_with(&mut self.codec_scratch, codec, data, &mut frame);
+        let compress_ns = start.map_or(0, |s| s.elapsed().as_nanos() as u64);
+        let written = self.write_frame(codec.id(), &frame, info, compress_ns);
+        self.wire_buf = frame;
+        written.map(|()| info)
     }
 
-    /// Writes a frame that was encoded elsewhere (e.g. on a worker pool),
-    /// updating the same totals and emitting the same [`CodecEvent`] as
-    /// [`FrameWriter::write_block`]. `requested` is the codec the caller
-    /// asked for (the event's level name — `info.codec` may be `Raw` after
-    /// fallback), `compress_ns` the caller-measured encode time.
+    /// Writes one encoded frame (from [`FrameWriter::write_block`] or from
+    /// a compress pool), updating the totals, the index and the registry
+    /// and emitting the block's [`CodecEvent`]. `requested` is the codec the
+    /// caller asked for (the event's level name — `info.codec` may be `Raw`
+    /// after fallback), `compress_ns` the caller-measured encode time.
     pub fn write_frame(
         &mut self,
         requested: CodecId,
@@ -471,7 +434,12 @@ impl<W: Write, S: TraceSink> FrameWriter<W, S> {
         }
         if let Some(m) = registry::global() {
             m.span_ns(SpanKind::Compress, compress_ns);
-            record_encode_counters(m, &info);
+            m.counter_add(CounterKind::BlocksCompressed, 1);
+            m.counter_add(CounterKind::CodecInBytes, info.uncompressed_len as u64);
+            m.counter_add(CounterKind::CodecOutBytes, info.frame_len as u64);
+            if info.raw_fallback {
+                m.counter_add(CounterKind::RawFallbacks, 1);
+            }
         }
         self.inner.write_all(frame)?;
         self.record_index_entry(frame, &info);

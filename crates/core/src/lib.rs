@@ -16,9 +16,11 @@
 //!   [`AdaptiveReader`]: drop-in `Write`/`Read`
 //!   wrappers that make the whole scheme transparent to the application,
 //!   as in the paper's Nephele integration.
-//! * [`pipeline`] — the bounded worker pools ([`CompressPool`],
-//!   [`DecodePool`]) that parallelize the pure per-block codec work while
-//!   keeping the wire stream byte-identical to the serial path.
+//! * [`pipeline`] — the one ordered block path ([`CompressPool`],
+//!   [`DecodePool`] over a shared ordering core): the pure per-block codec
+//!   work runs on the caller's thread by default and on a bounded set of
+//!   worker threads on request, with byte-identical wire output because
+//!   both run the same function.
 //! * [`seek`] — [`IndexedReader`]: O(block) random access over seekable
 //!   streams (written with [`AdaptiveWriter::set_seekable`]), with ranged
 //!   reads fanned across the decode pool and a streaming fallback when the

@@ -1,20 +1,32 @@
-//! Pipelined parallel block compression and decompression.
+//! Ordered block compression and decompression on zero to `N` threads.
 //!
 //! The paper's premise is that the compressing channel must never become
 //! the bottleneck the controller is trying to route around: Algorithm 1
-//! only observes the *application* data rate, so if the codec itself
-//! serializes the hot path, the controller ends up reacting to its own
-//! overhead. This module moves the pure, per-block codec work — and only
-//! that work — onto a bounded worker pool:
+//! only observes the *application* data rate, so how a block gets encoded
+//! must never show in the bytes or in what the `EpochDriver` is told. Every
+//! block therefore takes the same path — submit, encode, release in order —
+//! and only the number of threads behind it varies:
 //!
-//! * [`CompressPool`] — encodes application blocks into complete frames on
-//!   `N` workers (each with its own reusable [`Scratch`]) and hands them
-//!   back **in submission order** through a reorder gate, so the wire
-//!   stream is byte-identical to the serial path for any worker count.
+//! * [`CompressPool`] — encodes application blocks into complete frames and
+//!   hands them back **in submission order**. It is the only encode path of
+//!   `AdaptiveWriter` and nephele's `RecordWriter`.
 //! * [`DecodePool`] — the mirror image for the read side: CRC-validated
 //!   payloads go in, plaintext blocks come out in wire order. All frame
 //!   parsing, validation and fault recovery stay on the caller's thread
 //!   (see `FrameReader::read_frame`), so recovery semantics are untouched.
+//!
+//! Both are thin shells over one private ordering core (`Ordered`), which
+//! owns the sequence numbers, the in-flight bound, the reorder gate and the
+//! lanes. A lane is one [`Scratch`] (or [`DecodeScratch`]) plus the pure
+//! per-block function; the core runs it in one of two places:
+//!
+//! * **Inline lane** (`workers <= 1`): `submit` runs the per-block function
+//!   on the caller's thread and releases the completion in the same call.
+//!   No threads, no channels, nothing ever in flight — and so no `pipeline`
+//!   trace events and no pipeline registry counters, because there is no
+//!   pipeline to observe.
+//! * **Thread lanes** (`workers >= 2`): the same function runs on `N`
+//!   worker threads behind bounded channels.
 //!
 //! ## Invariants
 //!
@@ -26,19 +38,20 @@
 //!   `EpochDriver` measures — remains the true end-to-end rate rather
 //!   than the rate of filling an unbounded queue.
 //! * **Determinism**: the level for each block is chosen by the caller at
-//!   submission time and travels with the job; workers only run
+//!   submission time and travels with the job; lanes only run
 //!   `encode_block_flags`, which is a pure function of
 //!   `(codec, input, flags)`. Scheduling therefore cannot change a single
-//!   output byte.
+//!   output byte, and the inline lane is byte-identical to any worker count
+//!   by construction: it *is* the worker function.
 //!
-//! A worker that panics mid-encode (a codec bug on one specific block)
-//! degrades that block to a raw frame instead of poisoning the stream,
-//! mirroring the serial writer's self-healing path; the completion is
-//! flagged so the caller can force the controller to level 0.
+//! A codec that panics mid-encode (a codec bug on one specific block)
+//! degrades that block to a raw frame instead of poisoning the stream; the
+//! completion is flagged so the caller can force the controller to level 0.
+//! This is the one `catch_unwind` of the write side, on every lane.
 
 use adcomp_codecs::frame::{encode_block_flags, BlockInfo};
 use adcomp_codecs::{codec_for, CodecError, CodecId, DecodeScratch, Scratch};
-use adcomp_metrics::registry::{self, CounterKind, GaugeKind, HistKind, MetricsRegistry, SpanKind};
+use adcomp_metrics::registry::{self, CounterKind, GaugeKind, HistKind, SpanKind};
 use adcomp_trace::{PipelineEvent, TraceEvent, TraceHandle, TraceSink as _, NO_EPOCH};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::BTreeMap;
@@ -46,7 +59,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
 
 /// Default number of pipeline workers: `ADCOMP_THREADS` if set, otherwise
-/// the machine's available parallelism. `1` means "stay serial".
+/// the machine's available parallelism. `1` means "no threads".
 pub fn default_workers() -> usize {
     match std::env::var("ADCOMP_THREADS") {
         Ok(v) => v.trim().parse().ok().filter(|&n| n >= 1).unwrap_or(1),
@@ -59,15 +72,18 @@ pub fn default_workers() -> usize {
 struct SeqGate<T> {
     next_emit: u64,
     stash: BTreeMap<u64, T>,
+    /// Most completions ever parked at once.
+    peak: usize,
 }
 
 impl<T> SeqGate<T> {
     fn new() -> Self {
-        SeqGate { next_emit: 0, stash: BTreeMap::new() }
+        SeqGate { next_emit: 0, stash: BTreeMap::new(), peak: 0 }
     }
 
     fn park(&mut self, seq: u64, v: T) {
         self.stash.insert(seq, v);
+        self.peak = self.peak.max(self.stash.len());
     }
 
     /// Pops every completion that is next in sequence.
@@ -83,21 +99,202 @@ impl<T> SeqGate<T> {
     }
 }
 
-/// One compression job travelling to a worker.
+/// One lane of a pool: its private working memory plus the per-block
+/// function. The same `run` serves the caller's thread (inline lane) and
+/// every worker thread.
+trait Lane: Send + 'static {
+    type Job: Send + 'static;
+    type Done: Send + 'static;
+    /// Registry series a pool of this lane keeps while it has threads.
+    const SUBMITS: CounterKind;
+    const IN_FLIGHT: GaugeKind;
+    const IN_FLIGHT_MAX: GaugeKind;
+    fn new() -> Self;
+    fn run(&mut self, seq: u64, job: Self::Job) -> Self::Done;
+}
+
+enum Lanes<L: Lane> {
+    /// Zero threads: the caller's thread is the lane.
+    Inline(L),
+    Threads {
+        /// `None` once shut down; closing it lets the workers exit.
+        job_tx: Option<Sender<(u64, L::Job)>>,
+        done_rx: Receiver<(u64, L::Done)>,
+        handles: Vec<JoinHandle<()>>,
+    },
+}
+
+/// The ordering core shared by [`CompressPool`] and [`DecodePool`]:
+/// sequence numbering, the in-flight bound and in-order release, over
+/// either lane kind. Completions always leave through a caller-owned `Vec`
+/// so steady state allocates nothing here.
+struct Ordered<L: Lane> {
+    lanes: Lanes<L>,
+    nworkers: usize,
+    depth: usize,
+    next_seq: u64,
+    in_flight: usize,
+    gate: SeqGate<L::Done>,
+}
+
+impl<L: Lane> Ordered<L> {
+    fn new(workers: usize, depth: usize) -> Self {
+        let nworkers = workers.max(1);
+        let depth = depth.max(nworkers);
+        let lanes = if nworkers == 1 {
+            Lanes::Inline(L::new())
+        } else {
+            let (job_tx, job_rx) = bounded::<(u64, L::Job)>(depth);
+            let (done_tx, done_rx) = bounded::<(u64, L::Done)>(depth);
+            let handles = (0..nworkers)
+                .map(|_| {
+                    let rx = job_rx.clone();
+                    let tx = done_tx.clone();
+                    std::thread::spawn(move || {
+                        let mut lane = L::new();
+                        while let Ok((seq, job)) = rx.recv() {
+                            if tx.send((seq, lane.run(seq, job))).is_err() {
+                                break;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            Lanes::Threads { job_tx: Some(job_tx), done_rx, handles }
+        };
+        Ordered {
+            lanes,
+            nworkers,
+            depth,
+            next_seq: 0,
+            in_flight: 0,
+            gate: SeqGate::new(),
+        }
+    }
+
+    fn threaded(&self) -> bool {
+        matches!(self.lanes, Lanes::Threads { .. })
+    }
+
+    /// At the in-flight bound: the next dispatch must wait. Never true on
+    /// the inline lane, where nothing is ever in flight.
+    fn full(&self) -> bool {
+        self.in_flight >= self.depth
+    }
+
+    /// Hands `job` to a lane and returns its sequence number. The inline
+    /// lane runs it here and pushes the completion straight to `out`.
+    fn dispatch(&mut self, job: L::Job, out: &mut Vec<L::Done>) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        match &mut self.lanes {
+            Lanes::Inline(lane) => out.push(lane.run(seq, job)),
+            Lanes::Threads { job_tx, .. } => {
+                job_tx
+                    .as_ref()
+                    .expect("pool already shut down")
+                    .send((seq, job))
+                    .expect("worker pool hung up");
+                self.in_flight += 1;
+                if let Some(m) = registry::global() {
+                    m.counter_add(L::SUBMITS, 1);
+                    m.gauge_add(L::IN_FLIGHT, 1);
+                    m.gauge_max(L::IN_FLIGHT_MAX, self.in_flight as i64);
+                    m.observe(HistKind::QueueDepth, self.in_flight as u64);
+                }
+            }
+        }
+        seq
+    }
+
+    fn release(&mut self, out: &mut Vec<L::Done>) {
+        let before = out.len();
+        self.gate.release(out);
+        let released = out.len() - before;
+        self.in_flight -= released;
+        if released > 0 {
+            if let Some(m) = registry::global() {
+                m.gauge_add(L::IN_FLIGHT, -(released as i64));
+            }
+        }
+    }
+
+    /// Non-blocking: parks whatever the workers have finished and releases
+    /// everything that is next in sequence.
+    fn release_ready(&mut self, out: &mut Vec<L::Done>) {
+        if let Lanes::Threads { done_rx, .. } = &self.lanes {
+            while let Ok((seq, done)) = done_rx.try_recv() {
+                self.gate.park(seq, done);
+            }
+        }
+        self.release(out);
+    }
+
+    /// Blocks for one more completion. Only reachable with work in flight,
+    /// i.e. on thread lanes; every lower-numbered job is already with the
+    /// workers, so the wait always ends.
+    fn wait_one(&mut self, out: &mut Vec<L::Done>) {
+        let Lanes::Threads { done_rx, .. } = &self.lanes else {
+            unreachable!("the inline lane never has work in flight");
+        };
+        let (seq, done) = done_rx.recv().expect("worker pool hung up");
+        self.gate.park(seq, done);
+        self.release(out);
+    }
+
+    /// Backpressure: blocks until the next dispatch fits under the bound.
+    fn make_room(&mut self, out: &mut Vec<L::Done>) {
+        while self.full() {
+            self.wait_one(out);
+        }
+    }
+
+    /// Blocks until at least one completion is released into `out` or
+    /// nothing is in flight.
+    fn wait_ready(&mut self, out: &mut Vec<L::Done>) {
+        let before = out.len();
+        while out.len() == before && self.in_flight > 0 {
+            self.wait_one(out);
+        }
+    }
+
+    /// Blocks until nothing is in flight. The core stays usable afterwards.
+    fn drain(&mut self, out: &mut Vec<L::Done>) {
+        while self.in_flight > 0 {
+            self.wait_one(out);
+        }
+    }
+}
+
+impl<L: Lane> Drop for Ordered<L> {
+    fn drop(&mut self) {
+        if let Lanes::Threads { job_tx, handles, .. } = &mut self.lanes {
+            // Closing the job channel lets workers drain and exit.
+            *job_tx = None;
+            for h in handles.drain(..) {
+                let _ = h.join();
+            }
+        }
+    }
+}
+
+/// One compression job travelling to a lane.
 struct Job {
-    seq: u64,
     level: usize,
     codec: CodecId,
     extra_flags: u8,
     data: Vec<u8>,
-    /// Test seam: makes this block's encode panic on the worker,
-    /// exercising the degrade-to-raw path.
+    /// Recycled frame buffer (capacity retained from an earlier block, see
+    /// [`CompressPool::recycle`]).
+    frame: Vec<u8>,
+    /// Test seam: makes this block's encode panic, exercising the
+    /// degrade-to-raw path.
     #[cfg(test)]
     bomb: bool,
 }
 
-/// One finished frame coming back from a worker, in submission order by
-/// the time the caller sees it.
+/// One finished frame coming back from a lane, in submission order by the
+/// time the caller sees it.
 pub struct Completion {
     /// Block sequence number (0-based submission order).
     pub seq: u64,
@@ -107,27 +304,47 @@ pub struct Completion {
     pub requested: CodecId,
     /// The complete frame (header + payload), ready for the wire.
     pub frame: Vec<u8>,
-    /// Encode outcome, exactly what the serial `write_block` reports.
+    /// Encode outcome.
     pub info: BlockInfo,
-    /// The worker's encode panicked and the block was re-emitted raw.
+    /// The encode panicked and the block was re-emitted raw.
     pub degraded: bool,
-    /// Worker-measured encode time.
+    /// Lane-measured encode time.
     pub compress_ns: u64,
     /// The application bytes of the block, returned for buffer reuse.
     pub data: Vec<u8>,
 }
 
-fn compress_worker(rx: Receiver<Job>, tx: Sender<Completion>) {
-    let mut scratch = Scratch::new();
-    while let Ok(job) = rx.recv() {
-        let mut frame = Vec::new();
+struct EncodeLane {
+    scratch: Scratch,
+}
+
+impl Lane for EncodeLane {
+    type Job = Job;
+    type Done = Completion;
+    const SUBMITS: CounterKind = CounterKind::PipelineSubmits;
+    const IN_FLIGHT: GaugeKind = GaugeKind::CompressInFlight;
+    const IN_FLIGHT_MAX: GaugeKind = GaugeKind::CompressInFlightMax;
+
+    fn new() -> Self {
+        EncodeLane { scratch: Scratch::new() }
+    }
+
+    fn run(&mut self, seq: u64, job: Job) -> Completion {
+        let mut frame = job.frame;
+        frame.clear();
         let start = std::time::Instant::now();
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             #[cfg(test)]
             if job.bomb {
                 panic!("injected codec bomb");
             }
-            encode_block_flags(&mut scratch, codec_for(job.codec), &job.data, &mut frame, job.extra_flags)
+            encode_block_flags(
+                &mut self.scratch,
+                codec_for(job.codec),
+                &job.data,
+                &mut frame,
+                job.extra_flags,
+            )
         }));
         let (info, degraded) = match attempt {
             Ok(info) => (info, false),
@@ -135,10 +352,10 @@ fn compress_worker(rx: Receiver<Job>, tx: Sender<Completion>) {
                 // The codec failed on this block; its scratch state is
                 // suspect. Replace it and emit the block raw — a plain
                 // copy cannot fail — so the stream survives.
-                scratch = Scratch::new();
+                self.scratch = Scratch::new();
                 frame.clear();
                 let info = encode_block_flags(
-                    &mut scratch,
+                    &mut self.scratch,
                     codec_for(CodecId::Raw),
                     &job.data,
                     &mut frame,
@@ -147,8 +364,8 @@ fn compress_worker(rx: Receiver<Job>, tx: Sender<Completion>) {
                 (info, true)
             }
         };
-        let done = Completion {
-            seq: job.seq,
+        Completion {
+            seq,
             level: job.level,
             requested: job.codec,
             frame,
@@ -156,24 +373,17 @@ fn compress_worker(rx: Receiver<Job>, tx: Sender<Completion>) {
             degraded,
             compress_ns: start.elapsed().as_nanos() as u64,
             data: job.data,
-        };
-        if tx.send(done).is_err() {
-            break;
         }
     }
 }
 
-/// Bounded worker pool turning application blocks into wire frames, in
-/// order. See the module docs for the ordering/backpressure invariants.
+/// Turns application blocks into wire frames, in order, on zero to `N`
+/// threads. See the module docs for the ordering/backpressure invariants.
 pub struct CompressPool {
-    job_tx: Option<Sender<Job>>,
-    done_rx: Receiver<Completion>,
-    workers: Vec<JoinHandle<()>>,
-    nworkers: usize,
-    depth: usize,
-    next_seq: u64,
-    in_flight: usize,
-    gate: SeqGate<Completion>,
+    core: Ordered<EncodeLane>,
+    /// Frame buffers returned via [`CompressPool::recycle`], reissued to
+    /// later jobs so steady-state encode is allocation-free.
+    spare_frames: Vec<Vec<u8>>,
     trace: TraceHandle,
     trace_epoch: u64,
     trace_t: f64,
@@ -182,8 +392,9 @@ pub struct CompressPool {
 }
 
 impl CompressPool {
-    /// A pool with `workers` threads and the default pipeline depth of
-    /// `2 × workers` blocks in flight.
+    /// A pool with `workers` threads (`workers <= 1`: none, blocks are
+    /// encoded inside [`CompressPool::submit`]) and the default pipeline
+    /// depth of `2 × workers` blocks in flight.
     pub fn new(workers: usize) -> Self {
         CompressPool::with_depth(workers, workers * 2)
     }
@@ -191,26 +402,9 @@ impl CompressPool {
     /// Full-control constructor. `depth` bounds the number of blocks in
     /// flight (submitted but not yet released in order).
     pub fn with_depth(workers: usize, depth: usize) -> Self {
-        assert!(workers >= 1, "need at least one worker");
-        let depth = depth.max(workers);
-        let (job_tx, job_rx) = bounded::<Job>(depth);
-        let (done_tx, done_rx) = bounded::<Completion>(depth);
-        let threads = (0..workers)
-            .map(|_| {
-                let rx = job_rx.clone();
-                let tx = done_tx.clone();
-                std::thread::spawn(move || compress_worker(rx, tx))
-            })
-            .collect();
         CompressPool {
-            job_tx: Some(job_tx),
-            done_rx,
-            workers: threads,
-            nworkers: workers,
-            depth,
-            next_seq: 0,
-            in_flight: 0,
-            gate: SeqGate::new(),
+            core: Ordered::new(workers, depth),
+            spare_frames: Vec::new(),
             trace: TraceHandle::disabled(),
             trace_epoch: NO_EPOCH,
             trace_t: 0.0,
@@ -220,7 +414,7 @@ impl CompressPool {
     }
 
     /// Attaches a trace sink receiving one `PipelineEvent` per
-    /// submit/stall/drain.
+    /// submit/stall/drain (thread lanes only).
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
     }
@@ -231,19 +425,30 @@ impl CompressPool {
         self.trace_t = t;
     }
 
-    /// Worker count.
+    /// Worker count (1 = the inline lane).
     pub fn workers(&self) -> usize {
-        self.nworkers
+        self.core.nworkers
+    }
+
+    /// Rebuilds the pool with `workers` threads, keeping the trace sink.
+    /// Only before the first block: a pool swapped out with blocks in
+    /// flight would drop them silently, so that is refused loudly.
+    pub fn set_workers(&mut self, workers: usize) {
+        assert!(
+            self.core.next_seq == 0,
+            "set_pipeline_workers must be called before the first write"
+        );
+        self.core = Ordered::new(workers, workers * 2);
     }
 
     /// Blocks submitted but not yet released in order.
     pub fn in_flight(&self) -> usize {
-        self.in_flight
+        self.core.in_flight
     }
 
     /// Completed frames parked behind a slower earlier block.
     pub fn reorder_depth(&self) -> usize {
-        self.gate.parked()
+        self.core.gate.parked()
     }
 
     #[cfg(test)]
@@ -251,172 +456,108 @@ impl CompressPool {
         self.bomb_next = true;
     }
 
+    /// Hands a written frame's buffer back for reuse by a later block.
+    /// Callers that recycle every [`Completion::frame`] make the encode
+    /// path zero-alloc in steady state.
+    pub fn recycle(&mut self, frame: Vec<u8>) {
+        // Anything beyond one buffer per pipeline slot can never be in use
+        // at once.
+        if self.spare_frames.len() < self.core.depth {
+            self.spare_frames.push(frame);
+        }
+    }
+
+    /// The inline lane has no queue to report on, so it emits nothing.
     fn emit_event(&self, kind: &'static str, seq: u64) {
-        if self.trace.enabled() {
+        if self.core.threaded() && self.trace.enabled() {
             self.trace.emit(&TraceEvent::Pipeline(PipelineEvent {
                 epoch: self.trace_epoch,
                 t: self.trace_t,
                 kind,
                 seq,
-                in_flight: self.in_flight as u32,
-                reorder_depth: self.gate.parked() as u32,
-                workers: self.nworkers as u32,
+                in_flight: self.core.in_flight as u32,
+                reorder_depth: self.core.gate.parked() as u32,
+                workers: self.core.nworkers as u32,
             }));
         }
     }
 
-    fn collect(&mut self, done: Completion) {
-        self.gate.park(done.seq, done);
-        if let Some(m) = registry::global() {
-            m.gauge_max(GaugeKind::ReorderDepthMax, self.gate.parked() as i64);
+    /// Reports the completions the core just released into `released`.
+    fn note_released(&self, released: &[Completion]) {
+        for c in released {
+            self.emit_event("drain", c.seq);
         }
-    }
-
-    fn note_drained(&self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        if let Some(m) = registry::global() {
-            m.gauge_add(GaugeKind::CompressInFlight, -(n as i64));
+        if self.core.gate.peak > 0 {
+            if let Some(m) = registry::global() {
+                m.gauge_max(GaugeKind::ReorderDepthMax, self.core.gate.peak as i64);
+            }
         }
     }
 
     /// Submits one block for compression at the caller-chosen `level` /
-    /// `codec`, and returns every frame that is now releasable in order.
-    /// Blocks (backpressure) while the pipeline is at capacity.
+    /// `codec`, and appends every frame that is now releasable in order to
+    /// `out` (on the inline lane: exactly this block's). Blocks
+    /// (backpressure) while the pipeline is at capacity.
     pub fn submit(
         &mut self,
         level: usize,
         codec: CodecId,
         extra_flags: u8,
         data: Vec<u8>,
-    ) -> Vec<Completion> {
-        // Backpressure: wait until in-flight drops below the bound. All
-        // lower-numbered blocks are in the pool, so they will complete.
-        let metrics = registry::global();
-        let stall_start = if self.in_flight >= self.depth {
-            if let Some(m) = metrics {
-                m.counter_add(CounterKind::PipelineStalls, 1);
-            }
-            metrics
-                .is_some_and(MetricsRegistry::wall_spans)
-                .then(std::time::Instant::now)
-        } else {
-            None
-        };
-        while self.in_flight >= self.depth {
-            self.emit_event("stall", self.next_seq);
-            let done = self.done_rx.recv().expect("compress worker pool hung up");
-            self.collect(done);
-            let mut ready = Vec::new();
-            self.gate.release(&mut ready);
-            if !ready.is_empty() {
-                self.in_flight -= ready.len();
-                self.note_drained(ready.len());
-                for c in &ready {
-                    self.emit_event("drain", c.seq);
-                }
-                if let (Some(m), Some(t0)) = (metrics, stall_start) {
-                    m.span_ns(SpanKind::PoolStall, t0.elapsed().as_nanos() as u64);
-                }
-                self.finish_submit(level, codec, extra_flags, data);
-                let mut more = self.drain_ready();
-                ready.append(&mut more);
-                return ready;
-            }
-        }
-        if let (Some(m), Some(t0)) = (metrics, stall_start) {
-            m.span_ns(SpanKind::PoolStall, t0.elapsed().as_nanos() as u64);
-        }
-        self.finish_submit(level, codec, extra_flags, data);
-        self.drain_ready()
-    }
-
-    fn finish_submit(&mut self, level: usize, codec: CodecId, extra_flags: u8, data: Vec<u8>) {
-        let seq = self.next_seq;
+        out: &mut Vec<Completion>,
+    ) {
         let job = Job {
-            seq,
             level,
             codec,
             extra_flags,
             data,
+            frame: self.spare_frames.pop().unwrap_or_default(),
             #[cfg(test)]
             bomb: std::mem::replace(&mut self.bomb_next, false),
         };
-        self.job_tx
-            .as_ref()
-            .expect("pool already shut down")
-            .send(job)
-            .expect("compress worker pool hung up");
-        self.next_seq += 1;
-        self.in_flight += 1;
-        self.emit_event("submit", seq);
-        if let Some(m) = registry::global() {
-            m.counter_add(CounterKind::PipelineSubmits, 1);
-            m.gauge_add(GaugeKind::CompressInFlight, 1);
-            m.gauge_max(GaugeKind::CompressInFlightMax, self.in_flight as i64);
-            m.observe(HistKind::QueueDepth, self.in_flight as u64);
+        if self.core.full() {
+            self.emit_event("stall", self.core.next_seq);
+            if let Some(m) = registry::global() {
+                m.counter_add(CounterKind::PipelineStalls, 1);
+            }
+            let _stalled = registry::span(SpanKind::PoolStall);
+            let before = out.len();
+            self.core.make_room(out);
+            self.note_released(&out[before..]);
         }
+        let seq = self.core.dispatch(job, out);
+        self.emit_event("submit", seq);
+        self.drain_ready(out);
     }
 
     /// Opportunistically pulls finished completions without blocking and
-    /// returns everything releasable in order.
-    pub fn drain_ready(&mut self) -> Vec<Completion> {
-        while let Ok(done) = self.done_rx.try_recv() {
-            self.collect(done);
-        }
-        let mut ready = Vec::new();
-        self.gate.release(&mut ready);
-        self.in_flight -= ready.len();
-        self.note_drained(ready.len());
-        for c in &ready {
-            self.emit_event("drain", c.seq);
-        }
-        ready
+    /// appends everything releasable in order to `out`.
+    pub fn drain_ready(&mut self, out: &mut Vec<Completion>) {
+        let before = out.len();
+        self.core.release_ready(out);
+        self.note_released(&out[before..]);
     }
 
-    /// Blocks until every in-flight block has completed and returns the
-    /// remaining frames in order. The pool stays usable afterwards.
-    pub fn drain(&mut self) -> Vec<Completion> {
-        let mut ready = self.drain_ready();
-        while self.in_flight > 0 {
-            let done = self.done_rx.recv().expect("compress worker pool hung up");
-            self.collect(done);
-            let mut more = Vec::new();
-            self.gate.release(&mut more);
-            self.in_flight -= more.len();
-            self.note_drained(more.len());
-            for c in &more {
-                self.emit_event("drain", c.seq);
-            }
-            ready.append(&mut more);
-        }
-        ready
+    /// Blocks until every in-flight block has completed and appends the
+    /// remaining frames in order to `out`. The pool stays usable afterwards.
+    pub fn drain(&mut self, out: &mut Vec<Completion>) {
+        let before = out.len();
+        self.core.drain(out);
+        self.note_released(&out[before..]);
     }
 }
 
-impl Drop for CompressPool {
-    fn drop(&mut self) {
-        // Closing the job channel lets workers drain and exit.
-        self.job_tx = None;
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// One decompression job travelling to a worker.
+/// One decompression job travelling to a lane.
 struct DecodeJob {
-    seq: u64,
     codec: CodecId,
     uncompressed_len: usize,
     payload: Vec<u8>,
-    /// Recycled output buffer (cleared; capacity retained from a previous
-    /// block so steady-state decode allocates nothing).
+    /// Recycled output buffer (capacity retained from a previous block so
+    /// steady-state decode allocates nothing).
     out: Vec<u8>,
 }
 
-/// One decoded block coming back from a [`DecodePool`] worker.
+/// One decoded block coming back from a [`DecodePool`] lane.
 pub struct Decoded {
     /// Frame sequence number (0-based wire order).
     pub seq: u64,
@@ -431,15 +572,27 @@ pub struct Decoded {
     pub err: Option<CodecError>,
 }
 
-fn decode_worker(rx: Receiver<DecodeJob>, tx: Sender<Decoded>) {
-    // One decode scratch per worker, reused for the thread's lifetime.
-    let mut scratch = DecodeScratch::new();
-    while let Ok(job) = rx.recv() {
+struct DecodeLane {
+    scratch: DecodeScratch,
+}
+
+impl Lane for DecodeLane {
+    type Job = DecodeJob;
+    type Done = Decoded;
+    const SUBMITS: CounterKind = CounterKind::DecodeSubmits;
+    const IN_FLIGHT: GaugeKind = GaugeKind::DecodeInFlight;
+    const IN_FLIGHT_MAX: GaugeKind = GaugeKind::DecodeInFlightMax;
+
+    fn new() -> Self {
+        DecodeLane { scratch: DecodeScratch::new() }
+    }
+
+    fn run(&mut self, seq: u64, job: DecodeJob) -> Decoded {
         let mut bytes = job.out;
         bytes.clear();
         let timer = registry::span(SpanKind::Decompress);
         let err = match codec_for(job.codec).decompress_with(
-            &mut scratch,
+            &mut self.scratch,
             &job.payload,
             job.uncompressed_len,
             &mut bytes,
@@ -456,138 +609,75 @@ fn decode_worker(rx: Receiver<DecodeJob>, tx: Sender<Decoded>) {
                 m.counter_add(CounterKind::BlocksDecompressed, 1);
             }
         }
-        if tx.send(Decoded { seq: job.seq, bytes, payload: job.payload, err }).is_err() {
-            break;
-        }
+        Decoded { seq, bytes, payload: job.payload, err }
     }
 }
 
-/// Bounded worker pool decompressing CRC-validated frame payloads, in wire
-/// order. Frame parsing, validation and recovery stay with the caller.
+/// Decompresses CRC-validated frame payloads, in wire order, on zero to
+/// `N` threads. Frame parsing, validation and recovery stay with the
+/// caller.
 pub struct DecodePool {
-    job_tx: Option<Sender<DecodeJob>>,
-    done_rx: Receiver<Decoded>,
-    workers: Vec<JoinHandle<()>>,
-    nworkers: usize,
-    depth: usize,
-    next_seq: u64,
-    in_flight: usize,
-    gate: SeqGate<Decoded>,
+    core: Ordered<DecodeLane>,
     /// Output buffers returned via [`DecodePool::recycle`], reissued to
     /// later jobs so steady-state decode is allocation-free.
     spare_out: Vec<Vec<u8>>,
 }
 
 impl DecodePool {
-    /// A pool with `workers` threads and a pipeline depth of `2 × workers`.
+    /// A pool with `workers` threads (`workers <= 1`: none) and a pipeline
+    /// depth of `2 × workers`.
     pub fn new(workers: usize) -> Self {
         DecodePool::with_depth(workers, workers * 2)
     }
 
     pub fn with_depth(workers: usize, depth: usize) -> Self {
-        assert!(workers >= 1, "need at least one worker");
-        let depth = depth.max(workers);
-        let (job_tx, job_rx) = bounded::<DecodeJob>(depth);
-        let (done_tx, done_rx) = bounded::<Decoded>(depth);
-        let threads = (0..workers)
-            .map(|_| {
-                let rx = job_rx.clone();
-                let tx = done_tx.clone();
-                std::thread::spawn(move || decode_worker(rx, tx))
-            })
-            .collect();
-        DecodePool {
-            job_tx: Some(job_tx),
-            done_rx,
-            workers: threads,
-            nworkers: workers,
-            depth,
-            next_seq: 0,
-            in_flight: 0,
-            gate: SeqGate::new(),
-            spare_out: Vec::new(),
-        }
+        DecodePool { core: Ordered::new(workers, depth), spare_out: Vec::new() }
     }
 
     /// Hands a consumed output buffer back to the pool for reuse by a later
     /// job. Callers that recycle every [`Decoded::bytes`] they finish with
     /// make the whole decode pipeline zero-alloc in steady state.
-    pub fn recycle(&mut self, mut buf: Vec<u8>) {
-        buf.clear();
+    pub fn recycle(&mut self, buf: Vec<u8>) {
         // Bound the free list: anything beyond one buffer per pipeline slot
         // can never be in use at once.
-        if self.spare_out.len() < self.depth {
+        if self.spare_out.len() < self.core.depth {
             self.spare_out.push(buf);
         }
     }
 
     pub fn workers(&self) -> usize {
-        self.nworkers
+        self.core.nworkers
     }
 
     pub fn in_flight(&self) -> usize {
-        self.in_flight
+        self.core.in_flight
     }
 
     pub fn reorder_depth(&self) -> usize {
-        self.gate.parked()
+        self.core.gate.parked()
     }
 
     /// True when another frame can be submitted without blocking on the
     /// pipeline bound.
     pub fn has_capacity(&self) -> bool {
-        self.in_flight < self.depth
-    }
-
-    fn note_decoded(&self, n: usize) {
-        if n == 0 {
-            return;
-        }
-        if let Some(m) = registry::global() {
-            m.gauge_add(GaugeKind::DecodeInFlight, -(n as i64));
-        }
+        !self.core.full()
     }
 
     /// Submits one validated payload for decompression; returns blocks now
     /// releasable in wire order. Blocks while the pipeline is at capacity.
     pub fn submit(&mut self, codec: CodecId, uncompressed_len: usize, payload: Vec<u8>) -> Vec<Decoded> {
         let mut ready = Vec::new();
-        while self.in_flight >= self.depth {
-            let done = self.done_rx.recv().expect("decode worker pool hung up");
-            self.gate.park(done.seq, done);
-            self.gate.release(&mut ready);
-            self.in_flight -= ready.len();
-            self.note_decoded(ready.len());
-        }
+        self.core.make_room(&mut ready);
         let out = self.spare_out.pop().unwrap_or_default();
-        let job = DecodeJob { seq: self.next_seq, codec, uncompressed_len, payload, out };
-        self.job_tx
-            .as_ref()
-            .expect("pool already shut down")
-            .send(job)
-            .expect("decode worker pool hung up");
-        self.next_seq += 1;
-        self.in_flight += 1;
-        if let Some(m) = registry::global() {
-            m.counter_add(CounterKind::DecodeSubmits, 1);
-            m.gauge_add(GaugeKind::DecodeInFlight, 1);
-            m.gauge_max(GaugeKind::DecodeInFlightMax, self.in_flight as i64);
-            m.observe(HistKind::QueueDepth, self.in_flight as u64);
-        }
-        let mut more = self.drain_ready();
-        ready.append(&mut more);
+        self.core.dispatch(DecodeJob { codec, uncompressed_len, payload, out }, &mut ready);
+        self.core.release_ready(&mut ready);
         ready
     }
 
     /// Non-blocking: everything releasable in wire order right now.
     pub fn drain_ready(&mut self) -> Vec<Decoded> {
-        while let Ok(done) = self.done_rx.try_recv() {
-            self.gate.park(done.seq, done);
-        }
         let mut ready = Vec::new();
-        self.gate.release(&mut ready);
-        self.in_flight -= ready.len();
-        self.note_decoded(ready.len());
+        self.core.release_ready(&mut ready);
         ready
     }
 
@@ -595,48 +685,20 @@ impl DecodePool {
     /// nothing is in flight); returns everything releasable.
     pub fn wait_ready(&mut self) -> Vec<Decoded> {
         let mut ready = self.drain_ready();
-        if !ready.is_empty() || self.in_flight == 0 {
+        if !ready.is_empty() || self.core.in_flight == 0 {
             return ready;
         }
-        let metrics = registry::global();
-        let wait_start = metrics
-            .is_some_and(MetricsRegistry::wall_spans)
-            .then(std::time::Instant::now);
-        while ready.is_empty() && self.in_flight > 0 {
-            let done = self.done_rx.recv().expect("decode worker pool hung up");
-            self.gate.park(done.seq, done);
-            self.gate.release(&mut ready);
-            self.in_flight -= ready.len();
-            self.note_decoded(ready.len());
-        }
-        if let (Some(m), Some(t0)) = (metrics, wait_start) {
-            m.span_ns(SpanKind::DecodeWait, t0.elapsed().as_nanos() as u64);
-        }
+        let _waited = registry::span(SpanKind::DecodeWait);
+        self.core.wait_ready(&mut ready);
         ready
     }
 
     /// Blocks until every in-flight payload is decoded; returns the rest
     /// in wire order.
     pub fn drain(&mut self) -> Vec<Decoded> {
-        let mut ready = self.drain_ready();
-        while self.in_flight > 0 {
-            let done = self.done_rx.recv().expect("decode worker pool hung up");
-            self.gate.park(done.seq, done);
-            let before = ready.len();
-            self.gate.release(&mut ready);
-            self.in_flight -= ready.len() - before;
-            self.note_decoded(ready.len() - before);
-        }
+        let mut ready = Vec::new();
+        self.core.drain(&mut ready);
         ready
-    }
-}
-
-impl Drop for DecodePool {
-    fn drop(&mut self) {
-        self.job_tx = None;
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
     }
 }
 
@@ -651,20 +713,16 @@ mod tests {
 
     fn collect_frames(pool: &mut CompressPool, blocks: &[Vec<u8>], codec: CodecId) -> Vec<u8> {
         let mut wire = Vec::new();
-        let mut emitted = 0u64;
+        let mut ready = Vec::new();
         for b in blocks {
-            for c in pool.submit(1, codec, 0, b.clone()) {
-                assert_eq!(c.seq, emitted, "frames must release in submission order");
-                emitted += 1;
-                wire.extend_from_slice(&c.frame);
-            }
+            pool.submit(1, codec, 0, b.clone(), &mut ready);
         }
-        for c in pool.drain() {
-            assert_eq!(c.seq, emitted);
-            emitted += 1;
+        pool.drain(&mut ready);
+        assert_eq!(ready.len(), blocks.len());
+        for (i, c) in ready.iter().enumerate() {
+            assert_eq!(c.seq, i as u64, "frames must release in submission order");
             wire.extend_from_slice(&c.frame);
         }
-        assert_eq!(emitted as usize, blocks.len());
         wire
     }
 
@@ -686,32 +744,43 @@ mod tests {
     fn backpressure_bounds_in_flight() {
         let mut pool = CompressPool::with_depth(2, 2);
         let blocks: Vec<Vec<u8>> = (0..32).map(block).collect();
+        let mut ready = Vec::new();
         for b in &blocks {
             assert!(pool.in_flight() <= 2);
-            pool.submit(0, CodecId::Raw, 0, b.clone());
+            pool.submit(0, CodecId::Raw, 0, b.clone(), &mut ready);
         }
-        pool.drain();
+        pool.drain(&mut ready);
         assert_eq!(pool.in_flight(), 0);
+        assert_eq!(ready.len(), blocks.len());
     }
 
     #[test]
     fn bombed_block_degrades_to_raw_and_is_flagged() {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // silence the injected panic
-        let mut pool = CompressPool::new(2);
         let data = block(3);
-        pool.bomb_next_block();
-        let mut all = pool.submit(3, CodecId::Heavy, 0, data.clone());
-        all.append(&mut pool.drain());
+        // The inline lane and the thread lanes run the same per-block
+        // function, so both degrade the same way.
+        let mut runs = Vec::new();
+        for workers in [1, 2] {
+            let mut pool = CompressPool::new(workers);
+            let mut all = Vec::new();
+            pool.bomb_next_block();
+            pool.submit(3, CodecId::Heavy, 0, data.clone(), &mut all);
+            pool.drain(&mut all);
+            runs.push((workers, all));
+        }
         std::panic::set_hook(prev);
-        assert_eq!(all.len(), 1);
-        let c = &all[0];
-        assert!(c.degraded);
-        assert_eq!(c.info.codec, CodecId::Raw);
-        assert_eq!(c.requested, CodecId::Heavy);
-        let mut out = Vec::new();
-        decode_block(&c.frame, &mut out).unwrap();
-        assert_eq!(out, data);
+        for (workers, all) in runs {
+            assert_eq!(all.len(), 1, "{workers} workers");
+            let c = &all[0];
+            assert!(c.degraded, "{workers} workers");
+            assert_eq!(c.info.codec, CodecId::Raw);
+            assert_eq!(c.requested, CodecId::Heavy);
+            let mut out = Vec::new();
+            decode_block(&c.frame, &mut out).unwrap();
+            assert_eq!(out, data, "{workers} workers");
+        }
     }
 
     #[test]

@@ -265,32 +265,12 @@ impl<R: Read + Seek> IndexedReader<R> {
         if self.pool.is_some() {
             self.decode_blocks_pooled(blocks)?;
         } else {
-            let mut frame = std::mem::take(&mut self.frame_buf);
-            for i in blocks {
-                let entry = self.index.as_ref().expect("index vanished").entries[i];
-                let header = match self.read_validated_frame(&entry, &mut frame) {
-                    Ok(h) => h,
-                    Err(e) => {
-                        self.frame_buf = frame;
-                        return Err(e);
-                    }
-                };
-                let mut staged = std::mem::take(&mut self.range_buf);
-                let before = staged.len();
-                let res = codec_for(header.codec).decompress_with(
-                    &mut self.scratch,
-                    &frame[HEADER_LEN..],
-                    header.uncompressed_len as usize,
-                    &mut staged,
-                );
-                staged.truncate(if res.is_ok() { staged.len() } else { before });
-                self.range_buf = staged;
-                if let Err(e) = res {
-                    self.frame_buf = frame;
-                    return Err(to_io(e));
-                }
-            }
-            self.frame_buf = frame;
+            let mut staged = std::mem::take(&mut self.range_buf);
+            let decoded = blocks
+                .into_iter()
+                .try_for_each(|i| self.fetch_block(i, &mut staged).map(drop));
+            self.range_buf = staged;
+            decoded?;
         }
         let skip = (start - first_off) as usize;
         if skip + take > self.range_buf.len() {

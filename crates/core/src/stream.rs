@@ -7,6 +7,15 @@
 //! side ([`AdaptiveReader`]) needs no coordination — every frame names its
 //! codec.
 //!
+//! The writer has one block path: every block is submitted to a
+//! [`CompressPool`] and written when the pool releases it. By default the
+//! pool has no threads and encodes inside `submit`;
+//! [`AdaptiveWriter::set_pipeline_workers`] only changes how many threads
+//! stand behind the same calls. The reader keeps a serial arm beside its
+//! pooled one because the serial arm decodes straight out of the frame
+//! reader's payload buffer (the pooled arm copies payload and output once
+//! each) and, in skip mode, can re-scan a CRC-colliding payload.
+//!
 //! These wrappers run on real I/O (sockets, files, pipes) under a wall
 //! clock; the simulator reuses the same controller under virtual time.
 
@@ -71,15 +80,14 @@ pub struct AdaptiveWriter<W: Write> {
     raw_fallbacks: u64,
     last_block_ratio: Option<f64>,
     degraded_blocks: u64,
-    /// Worker pool for pipelined block compression (`None` = serial).
-    pool: Option<CompressPool>,
+    /// Every block is encoded here: on the caller's thread by default, on
+    /// worker threads after [`AdaptiveWriter::set_pipeline_workers`].
+    pool: CompressPool,
+    /// Reused landing buffer for the pool's in-order completions.
+    ready: Vec<Completion>,
     /// Content-aware portfolio mode: each block's codec family is chosen
     /// by [`crate::portfolio::select`] over the controller's level.
     portfolio: bool,
-    /// Test seam: makes the next block's encode panic, exercising the
-    /// degrade-to-raw path without needing a genuinely buggy codec.
-    #[cfg(test)]
-    bomb_next_block: std::cell::Cell<bool>,
 }
 
 impl<W: Write> AdaptiveWriter<W> {
@@ -118,35 +126,27 @@ impl<W: Write> AdaptiveWriter<W> {
             raw_fallbacks: 0,
             last_block_ratio: None,
             degraded_blocks: 0,
-            pool: None,
+            pool: CompressPool::new(1),
+            ready: Vec::new(),
             portfolio: false,
-            #[cfg(test)]
-            bomb_next_block: std::cell::Cell::new(false),
         }
     }
 
-    /// Enables pipelined compression on `workers` pool threads
-    /// (`workers <= 1` stays serial). The wire stream remains
-    /// byte-identical to the serial path for any worker count: levels are
-    /// chosen at submission time and frames are re-emitted in submission
-    /// order through the same [`FrameWriter`], while the pool's bounded
-    /// queues push back on the caller so the rate the `EpochDriver`
-    /// observes stays the true application rate.
+    /// Encodes blocks on `workers` pool threads (`workers <= 1`: on the
+    /// caller's thread, the default). The wire stream is byte-identical
+    /// for any worker count: levels are chosen at submission time and
+    /// frames are re-emitted in submission order through the same
+    /// [`FrameWriter`], while the pool's bounded queues push back on the
+    /// caller so the rate the `EpochDriver` observes stays the true
+    /// application rate. Call before writing any data: panics once a
+    /// block has been submitted (blocks in flight would be lost).
     pub fn set_pipeline_workers(&mut self, workers: usize) {
-        if workers <= 1 {
-            self.pool = None;
-            return;
-        }
-        let mut pool = CompressPool::new(workers);
-        if self.driver.trace().enabled() {
-            pool.set_trace(self.driver.trace().clone());
-        }
-        self.pool = Some(pool);
+        self.pool.set_workers(workers);
     }
 
-    /// Active pipeline worker count (1 = serial).
+    /// Active pipeline worker count (1 = no threads).
     pub fn pipeline_workers(&self) -> usize {
-        self.pool.as_ref().map_or(1, CompressPool::workers)
+        self.pool.workers()
     }
 
     /// Enables per-block content-aware codec selection: each block is
@@ -155,8 +155,8 @@ impl<W: Write> AdaptiveWriter<W> {
     /// instead of the fixed [`LevelSet`]. The rate controller still makes
     /// the online level decision; the wire format is unchanged (every
     /// frame names its codec). Selection is a pure function of the block
-    /// bytes and runs at submission time, so pipelined portfolio streams
-    /// stay byte-identical to serial ones for any worker count.
+    /// bytes and runs at submission time, so portfolio streams stay
+    /// byte-identical for any worker count.
     pub fn set_portfolio(&mut self, portfolio: bool) {
         self.portfolio = portfolio;
     }
@@ -188,25 +188,12 @@ impl<W: Write> AdaptiveWriter<W> {
         self.frames.index_enabled()
     }
 
-    #[cfg(test)]
-    fn take_bomb(&self) -> bool {
-        self.bomb_next_block.replace(false)
-    }
-
-    #[cfg(not(test))]
-    #[inline(always)]
-    fn take_bomb(&self) -> bool {
-        false
-    }
-
     /// Attaches a trace sink: the epoch driver emits epoch/decision events
     /// and the frame writer emits per-block codec events tagged with the
     /// epoch in force when the block was compressed.
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.driver.set_trace(trace.clone());
-        if let Some(pool) = self.pool.as_mut() {
-            pool.set_trace(trace.clone());
-        }
+        self.pool.set_trace(trace.clone());
         self.frames.set_sink(trace);
     }
 
@@ -234,82 +221,15 @@ impl<W: Write> AdaptiveWriter<W> {
         }
     }
 
+    /// The one block path: the level is captured *now* (submission order ==
+    /// decision order), the block goes to the pool, and whatever frames the
+    /// pool releases are written in sequence. `driver.record` runs at
+    /// submission with this block's `(bytes, now)`, so the level trajectory
+    /// — and therefore the wire bytes — cannot depend on the worker count.
     fn emit_block(&mut self) -> io::Result<()> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        if self.pool.is_some() {
-            return self.emit_block_pipelined();
-        }
-        let mut level = self.driver.level();
-        let now = self.clock.now();
-        if self.driver.trace().enabled() {
-            self.frames.set_trace_mark(self.driver.epochs(), now);
-        }
-        // Self-healing write: a panicking codec (a compression bug on this
-        // particular block) must not take the stream down. Catch it, force
-        // the level to NONE until the next epoch decision, and re-emit the
-        // block raw — level 0 is a plain copy and cannot fail. Transport
-        // I/O errors are NOT degraded around: we cannot know how much of a
-        // frame already reached the wire, so they stay fail-fast.
-        let mut codec_id = if self.portfolio {
-            crate::portfolio::select(&self.buf, level)
-        } else {
-            self.levels.id(level)
-        };
-        let codec = adcomp_codecs::codec_for(codec_id);
-        let bomb = self.take_bomb();
-        let frames = &mut self.frames;
-        let buf = &self.buf;
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if bomb {
-                panic!("injected codec bomb");
-            }
-            frames.write_block(codec, buf)
-        }));
-        let info = match attempt {
-            Ok(res) => res?,
-            Err(_panic) => {
-                self.degraded_blocks += 1;
-                if self.driver.trace().enabled() {
-                    self.driver.trace().emit(&TraceEvent::Fault(FaultEvent {
-                        epoch: self.driver.epochs(),
-                        t: now,
-                        kind: "degrade",
-                        bytes: self.buf.len() as u64,
-                        attempt: level as u64,
-                    }));
-                }
-                self.driver.force_level(0, now);
-                level = 0;
-                codec_id = CodecId::Raw;
-                self.frames.write_block(self.levels.codec(0), &self.buf)?
-            }
-        };
-        self.blocks_per_level[level] += 1;
-        let wire_codec = if info.raw_fallback { CodecId::Raw } else { codec_id };
-        self.blocks_per_codec[wire_codec as usize] += 1;
-        if info.raw_fallback {
-            self.raw_fallbacks += 1;
-        }
-        self.last_block_ratio = Some(info.wire_ratio());
-        let bytes = self.buf.len() as u64;
-        self.buf.clear();
-        let ctx = EpochContext {
-            observed_ratio: self.last_block_ratio,
-            ..EpochContext::default()
-        };
-        self.driver.record(bytes, now, &ctx);
-        Ok(())
-    }
-
-    /// Pipelined twin of [`AdaptiveWriter::emit_block`]: the level is
-    /// captured *now* (submission order == decision order), the block
-    /// travels to the pool, and whatever frames the reorder gate releases
-    /// are written in sequence. `driver.record` runs at submission with
-    /// the same `(bytes, now)` a serial writer would use, so level
-    /// trajectories — and therefore the wire bytes — are identical.
-    fn emit_block_pipelined(&mut self) -> io::Result<()> {
         let level = self.driver.level();
         let now = self.clock.now();
         // Portfolio selection happens here, at submission time, on the
@@ -322,18 +242,13 @@ impl<W: Write> AdaptiveWriter<W> {
         };
         let data = std::mem::take(&mut self.buf);
         let bytes = data.len() as u64;
-        let traced = self.driver.trace().enabled();
-        let epochs = self.driver.epochs();
-        let pool = self.pool.as_mut().expect("pipelined emit without a pool");
-        if traced {
-            pool.set_trace_mark(epochs, now);
+        if self.driver.trace().enabled() {
+            self.pool.set_trace_mark(self.driver.epochs(), now);
         }
-        #[cfg(test)]
-        if self.bomb_next_block.replace(false) {
-            pool.bomb_next_block();
-        }
-        let ready = pool.submit(level, codec_id, 0, data);
-        self.write_completions(ready, now)?;
+        self.pool.submit(level, codec_id, 0, data, &mut self.ready);
+        self.write_completions(now)?;
+        // Without threads the block just written is this one, so the model
+        // sees its own ratio; with threads it sees the last drained one.
         let ctx = EpochContext {
             observed_ratio: self.last_block_ratio,
             ..EpochContext::default()
@@ -342,59 +257,62 @@ impl<W: Write> AdaptiveWriter<W> {
         Ok(())
     }
 
-    /// Writes pool completions (already in submission order) to the wire,
-    /// updating the same statistics as the serial path. A degraded
-    /// completion (worker-side codec panic, block re-encoded raw) forces
-    /// the controller to level 0, like the serial self-healing path — just
-    /// discovered at drain time rather than mid-encode.
-    fn write_completions(&mut self, ready: Vec<Completion>, now: f64) -> io::Result<()> {
-        for c in ready {
-            let traced = self.driver.trace().enabled();
-            if c.degraded {
-                self.degraded_blocks += 1;
-                if traced {
-                    self.driver.trace().emit(&TraceEvent::Fault(FaultEvent {
-                        epoch: self.driver.epochs(),
-                        t: now,
-                        kind: "degrade",
-                        bytes: c.info.uncompressed_len as u64,
-                        attempt: c.level as u64,
-                    }));
-                }
-                self.driver.force_level(0, now);
-            }
+    /// Writes the pool completions landed in `ready` (already in submission
+    /// order) to the wire. Self-healing: a degraded completion (the codec
+    /// panicked on that block and the pool re-encoded it raw) forces the
+    /// level to NONE until the next epoch decision. Transport I/O errors
+    /// are NOT degraded around: we cannot know how much of a frame already
+    /// reached the wire, so they stay fail-fast.
+    fn write_completions(&mut self, now: f64) -> io::Result<()> {
+        let mut ready = std::mem::take(&mut self.ready);
+        let written = ready.drain(..).try_for_each(|c| self.write_completion(c, now));
+        self.ready = ready;
+        written
+    }
+
+    fn write_completion(&mut self, c: Completion, now: f64) -> io::Result<()> {
+        let traced = self.driver.trace().enabled();
+        if c.degraded {
+            self.degraded_blocks += 1;
             if traced {
-                self.frames.set_trace_mark(self.driver.epochs(), now);
+                self.driver.trace().emit(&TraceEvent::Fault(FaultEvent {
+                    epoch: self.driver.epochs(),
+                    t: now,
+                    kind: "degrade",
+                    bytes: c.info.uncompressed_len as u64,
+                    attempt: c.level as u64,
+                }));
             }
-            let requested = if c.degraded { CodecId::Raw } else { c.requested };
-            self.frames.write_frame(requested, &c.frame, c.info, c.compress_ns)?;
-            let level = if c.degraded { 0 } else { c.level };
-            self.blocks_per_level[level] += 1;
-            let wire_codec = if c.info.raw_fallback { CodecId::Raw } else { requested };
-            self.blocks_per_codec[wire_codec as usize] += 1;
-            if c.info.raw_fallback {
-                self.raw_fallbacks += 1;
-            }
-            self.last_block_ratio = Some(c.info.wire_ratio());
-            // Reuse the block's buffer for the next fill — keeps the
-            // pipelined steady state allocation-bounded like the serial one.
-            if self.buf.capacity() == 0 {
-                let mut d = c.data;
-                d.clear();
-                self.buf = d;
-            }
+            self.driver.force_level(0, now);
+        }
+        if traced {
+            self.frames.set_trace_mark(self.driver.epochs(), now);
+        }
+        let requested = if c.degraded { CodecId::Raw } else { c.requested };
+        self.frames.write_frame(requested, &c.frame, c.info, c.compress_ns)?;
+        let level = if c.degraded { 0 } else { c.level };
+        self.blocks_per_level[level] += 1;
+        let wire_codec = if c.info.raw_fallback { CodecId::Raw } else { requested };
+        self.blocks_per_codec[wire_codec as usize] += 1;
+        if c.info.raw_fallback {
+            self.raw_fallbacks += 1;
+        }
+        self.last_block_ratio = Some(c.info.wire_ratio());
+        // Both buffers go round again: the frame's to the pool, the
+        // block's to the next fill.
+        self.pool.recycle(c.frame);
+        if self.buf.capacity() == 0 {
+            let mut d = c.data;
+            d.clear();
+            self.buf = d;
         }
         Ok(())
     }
 
-    /// Drains every in-flight pipelined block to the wire.
+    /// Drains every in-flight block to the wire.
     fn drain_pipeline(&mut self) -> io::Result<()> {
-        if self.pool.is_none() {
-            return Ok(());
-        }
-        let now = self.clock.now();
-        let rest = self.pool.as_mut().expect("drain without a pool").drain();
-        self.write_completions(rest, now)
+        self.pool.drain(&mut self.ready);
+        self.write_completions(self.clock.now())
     }
 
     /// Flushes buffered data as a (possibly short) block and flushes the
@@ -476,7 +394,12 @@ impl<R: Read> AdaptiveReader<R> {
     /// The one divergence: a corrupt payload whose CRC *collides* is
     /// detected after the reorder buffer, so it is counted and dropped
     /// (skip mode) without re-scanning its bytes for embedded frames.
+    /// Call before reading any data.
     pub fn set_pipeline_workers(&mut self, workers: usize) {
+        assert!(
+            self.frames.wire_bytes == 0,
+            "set_pipeline_workers must be called before the first read"
+        );
         self.pool = if workers <= 1 { None } else { Some(DecodePool::new(workers)) };
     }
 
@@ -774,6 +697,7 @@ mod tests {
             Box::new(clock.clone()),
         );
         w.set_trace(TraceHandle::new(sink.clone()));
+        assert_eq!(w.pipeline_workers(), 1);
         let data = b"traced stream payload with repetition repetition ".repeat(400);
         for (i, chunk) in data.chunks(1024).enumerate() {
             clock.set(i as f64 * 0.02);
@@ -797,6 +721,10 @@ mod tests {
         assert_eq!(codecs as u64, stats.blocks_per_level.iter().sum::<u64>());
         assert_eq!(decisions as u64, stats.epochs);
         assert_eq!(epochs as u64, stats.epochs);
+        // Without threads there is no pipeline to report on: the pool the
+        // blocks went through stays silent. (The registry half of this
+        // contract needs its own process: `tests/inline_lane_registry.rs`.)
+        assert!(!events.iter().any(|e| matches!(e, TraceEvent::Pipeline(_))));
         // Codec events are tagged with an epoch that has actually started.
         for e in &events {
             if let TraceEvent::Codec(c) = e {
@@ -870,7 +798,7 @@ mod tests {
         // it, emit the block raw, and force level NONE.
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        w.bomb_next_block.set(true);
+        w.pool.bomb_next_block();
         w.write_all(&data[1024..2048]).unwrap();
         std::panic::set_hook(prev);
         assert_eq!(w.level(), 0, "degrade must force level NONE");
@@ -929,6 +857,93 @@ mod tests {
             out.extend_from_slice(&small[..n]);
         }
         assert_eq!(out, data);
+    }
+
+    /// The reference no longer comes from a second writer implementation:
+    /// it is a bare `encode_block` loop, which shares nothing with the
+    /// writer and its pool but the pure encode function.
+    #[test]
+    fn writer_matches_bare_encode_block_loop() {
+        use adcomp_codecs::frame::encode_block;
+        let data = b"independent reference corpus, mildly repetitive. ".repeat(3000);
+        for level in 0..4 {
+            let mut reference = Vec::new();
+            for block in data.chunks(4096) {
+                encode_block(levels().codec(level), block, &mut reference);
+            }
+            for workers in [1usize, 4] {
+                let mut w = AdaptiveWriter::with_params(
+                    Vec::new(),
+                    levels(),
+                    Box::new(StaticModel::new(level, 4)),
+                    4096,
+                    1.0,
+                    Box::new(ManualClock::new()),
+                );
+                w.set_pipeline_workers(workers);
+                w.write_all(&data).unwrap();
+                let (wire, stats) = w.finish().unwrap();
+                assert_eq!(wire, reference, "level {level} workers {workers}");
+                assert_eq!(stats.blocks_per_level[level], data.chunks(4096).count() as u64);
+            }
+        }
+    }
+
+    /// 64 × 4 KiB blocks at HEAVY on 4 workers, worker count changed after
+    /// 32 of them.
+    fn heavy_writer_mid_stream(data: &[u8]) -> AdaptiveWriter<Vec<u8>> {
+        let mut w = AdaptiveWriter::with_params(
+            Vec::new(),
+            levels(),
+            Box::new(StaticModel::new(3, 4)),
+            4096,
+            1.0,
+            Box::new(ManualClock::new()),
+        );
+        w.set_pipeline_workers(4);
+        w.write_all(&data[..32 * 4096]).unwrap();
+        w
+    }
+
+    /// Replacing the pool mid-stream used to drop the blocks in flight
+    /// silently (the stream decoded short, `app_bytes` agreed with the
+    /// short count). The call is refused instead and the stream is whole.
+    #[test]
+    fn set_pipeline_workers_mid_stream_is_refused_and_loses_nothing() {
+        let data = b"blocks in flight must not vanish. ".repeat(8000);
+        let data = &data[..64 * 4096];
+        let mut w = heavy_writer_mid_stream(data);
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.set_pipeline_workers(1)
+        }));
+        std::panic::set_hook(prev);
+        assert!(refused.is_err(), "mid-stream worker change must be refused");
+        assert_eq!(w.pipeline_workers(), 4);
+        w.write_all(&data[32 * 4096..]).unwrap();
+        let (wire, stats) = w.finish().unwrap();
+        assert_eq!(stats.app_bytes, data.len() as u64);
+        let mut out = Vec::new();
+        AdaptiveReader::new(&wire[..]).read_to_end(&mut out).unwrap();
+        assert_eq!(out, data);
+    }
+
+    #[test]
+    #[should_panic(expected = "set_pipeline_workers must be called before the first write")]
+    fn set_pipeline_workers_after_first_write_panics() {
+        let data = vec![7u8; 64 * 4096];
+        heavy_writer_mid_stream(&data).set_pipeline_workers(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "set_pipeline_workers must be called before the first read")]
+    fn reader_set_pipeline_workers_after_first_read_panics() {
+        let wire = serial_wire(&b"reader in flight ".repeat(4000), 1, 4096);
+        let mut r = AdaptiveReader::new(&wire[..]);
+        r.set_pipeline_workers(4);
+        r.read_exact(&mut [0u8; 16]).unwrap();
+        r.set_pipeline_workers(1);
     }
 
     /// Serial wire bytes for a fixed corpus, used as the reference in the
@@ -1161,7 +1176,7 @@ mod tests {
         w.write_all(&data[..1024]).unwrap();
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        w.bomb_next_block.set(true);
+        w.pool.bomb_next_block();
         w.write_all(&data[1024..2048]).unwrap();
         // The degraded completion may still be in flight; draining the pool
         // applies the forced level before any later submission is observed.

@@ -7,13 +7,20 @@
 //! adaptively) compressed into a self-describing frame before it reaches
 //! the transport. The compression layer is completely transparent to task
 //! code.
+//!
+//! [`RecordWriter`] has one block path: every block is submitted to a
+//! [`CompressPool`] and shipped when the pool releases it. By default the
+//! pool has no threads and encodes inside `submit`;
+//! [`RecordWriter::set_pipeline_workers`] only changes how many threads
+//! stand behind the same calls. A codec panic on one block therefore
+//! degrades that block to raw and forces level NONE at every worker count.
 
 use crate::error::{NepheleError, Result};
 use adcomp_codecs::frame::{
-    decode_block_limited, encode_block_flags, RecoveryMode, RecoveryPolicy, RecoveryStats,
-    DEFAULT_BLOCK_LEN, FLAG_RECORD_ALIGNED,
+    decode_block_limited, RecoveryMode, RecoveryPolicy, RecoveryStats, DEFAULT_BLOCK_LEN,
+    FLAG_RECORD_ALIGNED,
 };
-use adcomp_codecs::{LevelSet, Scratch};
+use adcomp_codecs::LevelSet;
 use adcomp_core::controller::ControllerConfig;
 use adcomp_core::epoch::{Clock, EpochContext, EpochDriver, WallClock};
 use adcomp_core::model::{DecisionModel, RateBasedModel, StaticModel};
@@ -331,8 +338,6 @@ pub struct RecordWriter {
     clock: Box<dyn Clock>,
     buf: Vec<u8>,
     block_len: usize,
-    frame_scratch: Vec<u8>,
-    codec_scratch: Scratch,
     stats: ChannelStats,
     trace: TraceHandle,
     /// Record-aligned mode: blocks are flushed before a record would span
@@ -342,12 +347,15 @@ pub struct RecordWriter {
     /// Whether the block currently accumulating in `buf` starts at a
     /// record boundary.
     cur_block_aligned: bool,
-    /// Optional compression worker pool ([`RecordWriter::set_pipeline_workers`]).
-    /// `None` keeps the serial in-line encode path bit-for-bit unchanged.
-    pool: Option<CompressPool>,
+    /// Every block is encoded here: on the caller's thread by default, on
+    /// worker threads after [`RecordWriter::set_pipeline_workers`].
+    pool: CompressPool,
+    /// Reused landing buffer for the pool's in-order completions.
+    ready: Vec<Completion>,
     /// Wire ratio of the most recently *shipped* block, fed to the epoch
-    /// driver as `observed_ratio` on the pipelined path (the in-flight
-    /// block's ratio is not known at submission time).
+    /// driver as `observed_ratio`: this block's without threads, the last
+    /// drained one's with threads (an in-flight block's ratio is not known
+    /// at submission time).
     last_ratio: Option<f64>,
 }
 
@@ -369,37 +377,30 @@ impl RecordWriter {
             clock,
             buf: Vec::with_capacity(DEFAULT_BLOCK_LEN),
             block_len: DEFAULT_BLOCK_LEN,
-            frame_scratch: Vec::new(),
-            codec_scratch: Scratch::new(),
             stats: ChannelStats { blocks_per_level: vec![0; nlevels], ..Default::default() },
             trace: TraceHandle::disabled(),
             aligned: false,
             cur_block_aligned: true,
-            pool: None,
+            pool: CompressPool::new(1),
+            ready: Vec::new(),
             last_ratio: None,
         }
     }
 
-    /// Routes block compression through a bounded pool of `workers`
-    /// threads. Levels are still chosen by the epoch driver at submission
-    /// time and frames are shipped strictly in submission order, so the
-    /// wire stream is byte-identical to the serial path for the same
-    /// decision trajectory. `workers <= 1` keeps the in-line serial encode.
+    /// Encodes blocks on a bounded pool of `workers` threads (`workers <= 1`:
+    /// on the caller's thread, the default). Levels are still chosen by the
+    /// epoch driver at submission time and frames are shipped strictly in
+    /// submission order, so the wire stream is byte-identical for any worker
+    /// count given the same decision trajectory. Must be called before the
+    /// first block is emitted: panics afterwards (blocks in flight would be
+    /// lost).
     pub fn set_pipeline_workers(&mut self, workers: usize) {
-        if workers <= 1 {
-            self.pool = None;
-            return;
-        }
-        let mut pool = CompressPool::new(workers);
-        if self.trace.enabled() {
-            pool.set_trace(self.trace.clone());
-        }
-        self.pool = Some(pool);
+        self.pool.set_workers(workers);
     }
 
-    /// Number of compression workers (1 = serial in-line encoding).
+    /// Number of compression workers (1 = no threads).
     pub fn pipeline_workers(&self) -> usize {
-        self.pool.as_ref().map_or(1, CompressPool::workers)
+        self.pool.workers()
     }
 
     /// Enables record-aligned block emission: a record that would span the
@@ -427,9 +428,7 @@ impl RecordWriter {
     /// `"flush"` event for the explicit tail flush in [`RecordWriter::finish`].
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.driver.set_trace(trace.clone());
-        if let Some(pool) = self.pool.as_mut() {
-            pool.set_trace(trace.clone());
-        }
+        self.pool.set_trace(trace.clone());
         self.trace = trace;
     }
 
@@ -473,136 +472,77 @@ impl RecordWriter {
         Ok(())
     }
 
+    /// The one block path: the level is captured from the driver *now*, the
+    /// block goes to the pool, and whatever blocks the pool releases are
+    /// shipped in order. The application rate is recorded at submission, so
+    /// the rate the epoch driver observes is the true producer rate, not
+    /// the pool's drain rate.
     fn emit_block(&mut self) -> Result<()> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        if self.pool.is_some() {
-            return self.emit_block_pipelined();
-        }
-        let level = self.driver.level();
-        let flags = if self.aligned && self.cur_block_aligned { FLAG_RECORD_ALIGNED } else { 0 };
-        self.frame_scratch.clear();
-        let metrics = registry::global();
-        let timed = self.trace.enabled() || metrics.is_some_and(MetricsRegistry::wall_spans);
-        let info;
-        if timed {
-            let start = std::time::Instant::now();
-            info = encode_block_flags(
-                &mut self.codec_scratch,
-                self.levels.codec(level),
-                &self.buf,
-                &mut self.frame_scratch,
-                flags,
-            );
-            let encode_ns = start.elapsed().as_nanos() as u64;
-            if self.trace.enabled() {
-                self.trace.emit(
-                    &ChannelEvent {
-                        epoch: self.driver.epochs(),
-                        t: self.clock.now(),
-                        kind: "block",
-                        bytes: info.uncompressed_len as u64,
-                        wait_ns: encode_ns,
-                        level: level as u32,
-                    }
-                    .into(),
-                );
-            }
-            if let Some(m) = metrics {
-                m.span_ns(SpanKind::Compress, encode_ns);
-            }
-        } else {
-            info = encode_block_flags(
-                &mut self.codec_scratch,
-                self.levels.codec(level),
-                &self.buf,
-                &mut self.frame_scratch,
-                flags,
-            );
-        }
-        self.transport.send(&self.frame_scratch)?;
-        self.stats.app_bytes += info.uncompressed_len as u64;
-        self.stats.wire_bytes += info.frame_len as u64;
-        self.stats.blocks_per_level[level] += 1;
-        if let Some(m) = metrics {
-            m.counter_add(CounterKind::ChannelBlocks, 1);
-            m.level_block(level, 1);
-        }
-        let bytes = self.buf.len() as u64;
-        self.buf.clear();
-        let ctx = EpochContext { observed_ratio: Some(info.wire_ratio()), ..Default::default() };
-        self.driver.record(bytes, self.clock.now(), &ctx);
-        Ok(())
-    }
-
-    /// Pipelined variant of [`RecordWriter::emit_block`]: the level is
-    /// captured from the driver *now*, the block is handed to a worker, and
-    /// whatever earlier blocks have completed are shipped in order. The
-    /// application rate is recorded at submission (before compression
-    /// finishes), so the rate the epoch driver observes is the true
-    /// producer rate, not the pool's drain rate.
-    fn emit_block_pipelined(&mut self) -> Result<()> {
         let level = self.driver.level();
         let flags = if self.aligned && self.cur_block_aligned { FLAG_RECORD_ALIGNED } else { 0 };
         let data = std::mem::take(&mut self.buf);
         let bytes = data.len() as u64;
-        let traced = self.trace.enabled();
-        let epochs = self.driver.epochs();
-        let now = self.clock.now();
-        let pool = self.pool.as_mut().expect("pipelined emit without pool");
-        if traced {
-            pool.set_trace_mark(epochs, now);
+        if self.trace.enabled() {
+            self.pool.set_trace_mark(self.driver.epochs(), self.clock.now());
         }
-        let ready = pool.submit(level, self.levels.id(level), flags, data);
-        self.ship_completions(ready)?;
+        self.pool.submit(level, self.levels.id(level), flags, data, &mut self.ready);
+        self.ship_completions()?;
         let ctx = EpochContext { observed_ratio: self.last_ratio, ..Default::default() };
         self.driver.record(bytes, self.clock.now(), &ctx);
         Ok(())
     }
 
-    /// Ships pool completions (already in submission order) over the
-    /// transport and accounts for them exactly as the serial path does.
-    fn ship_completions(&mut self, ready: Vec<Completion>) -> Result<()> {
-        for c in ready {
-            let level = if c.degraded {
-                // A worker's codec panicked; the block was re-emitted raw.
-                // Mirror the serial degrade contract: force level NONE
-                // until the next epoch decision.
-                self.driver.force_level(0, self.clock.now());
-                0
-            } else {
-                c.level
-            };
-            if self.trace.enabled() {
-                self.trace.emit(
-                    &ChannelEvent {
-                        epoch: self.driver.epochs(),
-                        t: self.clock.now(),
-                        kind: "block",
-                        bytes: c.info.uncompressed_len as u64,
-                        wait_ns: c.compress_ns,
-                        level: level as u32,
-                    }
-                    .into(),
-                );
-            }
-            self.transport.send(&c.frame)?;
-            self.stats.app_bytes += c.info.uncompressed_len as u64;
-            self.stats.wire_bytes += c.info.frame_len as u64;
-            self.stats.blocks_per_level[level] += 1;
-            if let Some(m) = registry::global() {
-                m.counter_add(CounterKind::ChannelBlocks, 1);
-                m.level_block(level, 1);
-                m.span_ns(SpanKind::Compress, c.compress_ns);
-            }
-            self.last_ratio = Some(c.info.wire_ratio());
-            if self.buf.capacity() == 0 {
-                // Recycle the block buffer that just came back from the pool.
-                let mut d = c.data;
-                d.clear();
-                self.buf = d;
-            }
+    /// Ships the pool completions landed in `ready` (already in submission
+    /// order) over the transport and accounts for them.
+    fn ship_completions(&mut self) -> Result<()> {
+        let mut ready = std::mem::take(&mut self.ready);
+        let shipped = ready.drain(..).try_for_each(|c| self.ship_completion(c));
+        self.ready = ready;
+        shipped
+    }
+
+    fn ship_completion(&mut self, c: Completion) -> Result<()> {
+        let level = if c.degraded {
+            // The codec panicked on this block and the pool re-emitted it
+            // raw: force level NONE until the next epoch decision.
+            self.driver.force_level(0, self.clock.now());
+            0
+        } else {
+            c.level
+        };
+        if self.trace.enabled() {
+            self.trace.emit(
+                &ChannelEvent {
+                    epoch: self.driver.epochs(),
+                    t: self.clock.now(),
+                    kind: "block",
+                    bytes: c.info.uncompressed_len as u64,
+                    wait_ns: c.compress_ns,
+                    level: level as u32,
+                }
+                .into(),
+            );
+        }
+        self.transport.send(&c.frame)?;
+        self.stats.app_bytes += c.info.uncompressed_len as u64;
+        self.stats.wire_bytes += c.info.frame_len as u64;
+        self.stats.blocks_per_level[level] += 1;
+        if let Some(m) = registry::global() {
+            m.counter_add(CounterKind::ChannelBlocks, 1);
+            m.level_block(level, 1);
+            m.span_ns(SpanKind::Compress, c.compress_ns);
+        }
+        self.last_ratio = Some(c.info.wire_ratio());
+        // Both buffers go round again: the frame's to the pool, the block's
+        // to the next fill.
+        self.pool.recycle(c.frame);
+        if self.buf.capacity() == 0 {
+            let mut d = c.data;
+            d.clear();
+            self.buf = d;
         }
         Ok(())
     }
@@ -623,10 +563,8 @@ impl RecordWriter {
             );
         }
         self.emit_block()?;
-        if let Some(mut pool) = self.pool.take() {
-            let ready = pool.drain();
-            self.ship_completions(ready)?;
-        }
+        self.pool.drain(&mut self.ready);
+        self.ship_completions()?;
         self.transport.close()?;
         self.stats.epochs = self.driver.epochs();
         Ok(self.stats)
@@ -980,6 +918,23 @@ mod tests {
                 assert_eq!(stats.blocks_per_level, ref_stats.blocks_per_level);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "set_pipeline_workers must be called before the first write")]
+    fn set_pipeline_workers_after_first_block_panics() {
+        let mut w = RecordWriter::new(
+            Box::new(CaptureTransport(Arc::new(Mutex::new(Vec::new())))),
+            &CompressionMode::Static(3),
+            LevelSet::paper_default(),
+            2.0,
+        );
+        w.set_block_len(4096);
+        w.set_pipeline_workers(4);
+        for _ in 0..32 {
+            w.write_record(&[9u8; 4092]).unwrap();
+        }
+        w.set_pipeline_workers(1);
     }
 
     #[test]

@@ -75,8 +75,8 @@ pub struct Executor {
     pub mem_channel_blocks: usize,
     /// Directory for file-channel spools.
     pub spool_dir: std::path::PathBuf,
-    /// Compression workers per output channel (1 = serial in-line encode,
-    /// exactly the pre-pipeline behaviour).
+    /// Compression worker threads per output channel (1 = none: blocks are
+    /// encoded on the task's own thread, through the same pool calls).
     pub pipeline_workers: usize,
 }
 
@@ -128,9 +128,7 @@ impl Executor {
                 self.levels.clone(),
                 self.epoch_secs,
             );
-            if self.pipeline_workers > 1 {
-                writer.set_pipeline_workers(self.pipeline_workers);
-            }
+            writer.set_pipeline_workers(self.pipeline_workers);
             writers.push(Some(writer));
             readers.push(Some(RecordReader::new(source)));
         }

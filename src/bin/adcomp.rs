@@ -377,9 +377,7 @@ fn cmd_compress(opts: Options) -> io::Result<()> {
         opts.epoch_secs,
         Box::new(WallClock::new()),
     );
-    if opts.pipeline_workers > 1 {
-        writer.set_pipeline_workers(opts.pipeline_workers);
-    }
+    writer.set_pipeline_workers(opts.pipeline_workers);
     if opts.seekable {
         writer.set_seekable(true);
     }

@@ -250,9 +250,7 @@ fn attempt(
         opts.epoch_secs,
         Box::new(WallClock::new()),
     );
-    if opts.workers > 1 {
-        writer.set_pipeline_workers(opts.workers);
-    }
+    writer.set_pipeline_workers(opts.workers);
     if opts.portfolio {
         writer.set_portfolio(true);
     }

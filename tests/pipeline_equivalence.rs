@@ -1,10 +1,11 @@
-//! Serial-equivalence harness for the pipelined compression engine.
+//! Worker-count-equivalence harness for the compression engine.
 //!
 //! The contract under test: for every codec level, every block size, every
 //! worker count and every recovery policy — including streams damaged by
-//! the seeded fault injectors — the pipelined path produces output
-//! **byte-identical** to the serial path, and the pipelined reader reports
-//! the same recovery statistics as the serial reader.
+//! the seeded fault injectors — a writer with worker threads produces
+//! output **byte-identical** to one without (the writer has a single block
+//! path; only the thread count behind it varies), and the pipelined reader
+//! reports the same recovery statistics as the serial reader.
 
 use adcomp::codecs::frame::RecoveryPolicy;
 use adcomp::codecs::LevelSet;
