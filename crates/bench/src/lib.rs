@@ -1,11 +1,9 @@
 //! # adcomp-bench — experiment harness
 //!
 //! One binary per figure/table of the paper (see DESIGN.md's experiment
-//! index), plus criterion micro-benchmarks. This library holds shared
-//! helpers: argument parsing, scaled experiment volumes, and model
-//! construction.
+//! index). This library holds shared helpers: argument parsing, scaled
+//! experiment volumes, and model construction.
 
-pub mod ledger;
 pub mod runner;
 pub mod table2;
 

@@ -170,47 +170,45 @@ impl fmt::Display for CodecId {
 ///
 /// Implementations are stateless across blocks: every block is independently
 /// decodable (the paper requires each 128 KiB block to carry everything the
-/// receiver needs).
+/// receiver needs). The scratch arguments carry working memory only, never
+/// data: a fresh scratch and a reused one produce **bit-identical** output
+/// and the same result on every input, valid or corrupt (see [`Scratch`]).
 pub trait Codec: Send + Sync {
     fn id(&self) -> CodecId;
 
-    /// Compresses `input`, appending to `out`.
-    fn compress(&self, input: &[u8], out: &mut Vec<u8>);
-
     /// Compresses `input`, appending to `out`, reusing the working memory
     /// in `scratch` so steady-state block encoding is allocation-free.
-    ///
-    /// Produces output **bit-identical** to [`Codec::compress`] (a fresh
-    /// scratch and a reused one parse identically; see [`Scratch`]). The
-    /// default implementation ignores `scratch` for codecs without working
-    /// memory.
-    fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
-        let _ = scratch;
-        self.compress(input, out);
-    }
+    /// Codecs without working memory ignore `scratch`.
+    fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>);
 
     /// Decompresses `input` (exactly `expected_len` output bytes), appending
-    /// to `out`.
-    fn decompress(&self, input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()>;
-
-    /// Decompresses `input`, appending to `out`, reusing the working memory
-    /// in `scratch` so steady-state block decoding is allocation-free — the
-    /// decode-side mirror of [`Codec::compress_with`].
-    ///
-    /// Produces output **byte-identical** to [`Codec::decompress`] and
-    /// returns the same result on every input, valid or corrupt. The
-    /// default implementation ignores `scratch` for codecs without decode
-    /// working memory.
+    /// to `out`, reusing the working memory in `scratch` so steady-state
+    /// block decoding is allocation-free. Codecs without decode working
+    /// memory ignore `scratch`.
     fn decompress_with(
         &self,
         scratch: &mut DecodeScratch,
         input: &[u8],
         expected_len: usize,
         out: &mut Vec<u8>,
-    ) -> Result<()> {
-        let _ = scratch;
-        self.decompress(input, expected_len, out)
-    }
+    ) -> Result<()>;
+}
+
+/// [`Codec::compress_with`] on a fresh [`Scratch`]: for one-off blocks
+/// (probes, tests) where building the tables per call does not matter.
+pub fn compress_fresh(codec: &dyn Codec, input: &[u8], out: &mut Vec<u8>) {
+    codec.compress_with(&mut Scratch::new(), input, out);
+}
+
+/// [`Codec::decompress_with`] on a fresh [`DecodeScratch`]; the decode-side
+/// mirror of [`compress_fresh`].
+pub fn decompress_fresh(
+    codec: &dyn Codec,
+    input: &[u8],
+    expected_len: usize,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    codec.decompress_with(&mut DecodeScratch::new(), input, expected_len, out)
 }
 
 /// Level 0: stored.
@@ -221,10 +219,16 @@ impl Codec for RawCodec {
     fn id(&self) -> CodecId {
         CodecId::Raw
     }
-    fn compress(&self, input: &[u8], out: &mut Vec<u8>) {
+    fn compress_with(&self, _: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
         out.extend_from_slice(input);
     }
-    fn decompress(&self, input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
+    fn decompress_with(
+        &self,
+        _: &mut DecodeScratch,
+        input: &[u8],
+        expected_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         if input.len() != expected_len {
             return Err(CodecError::Corrupt("raw block length mismatch"));
         }
@@ -241,13 +245,16 @@ impl Codec for QlzLightCodec {
     fn id(&self) -> CodecId {
         CodecId::QlzLight
     }
-    fn compress(&self, input: &[u8], out: &mut Vec<u8>) {
-        qlz::compress_light(input, out);
-    }
     fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
         qlz::compress_light_with(scratch, input, out);
     }
-    fn decompress(&self, input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
+    fn decompress_with(
+        &self,
+        _: &mut DecodeScratch,
+        input: &[u8],
+        expected_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         qlz::decompress(input, expected_len, out)
     }
 }
@@ -260,13 +267,16 @@ impl Codec for QlzMediumCodec {
     fn id(&self) -> CodecId {
         CodecId::QlzMedium
     }
-    fn compress(&self, input: &[u8], out: &mut Vec<u8>) {
-        qlz::compress_medium(input, out);
-    }
     fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
         qlz::compress_medium_with(scratch, input, out);
     }
-    fn decompress(&self, input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
+    fn decompress_with(
+        &self,
+        _: &mut DecodeScratch,
+        input: &[u8],
+        expected_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         qlz::decompress(input, expected_len, out)
     }
 }
@@ -279,14 +289,8 @@ impl Codec for HeavyCodec {
     fn id(&self) -> CodecId {
         CodecId::Heavy
     }
-    fn compress(&self, input: &[u8], out: &mut Vec<u8>) {
-        heavy::compress(input, out);
-    }
     fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
         heavy::compress_with(scratch, input, out);
-    }
-    fn decompress(&self, input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
-        heavy::decompress(input, expected_len, out)
     }
     fn decompress_with(
         &self,
@@ -307,13 +311,16 @@ impl Codec for HuffCodec {
     fn id(&self) -> CodecId {
         CodecId::Huffman
     }
-    fn compress(&self, input: &[u8], out: &mut Vec<u8>) {
-        huff::compress(input, out);
-    }
     fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
         huff::compress_with(scratch, input, out);
     }
-    fn decompress(&self, input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
+    fn decompress_with(
+        &self,
+        _: &mut DecodeScratch,
+        input: &[u8],
+        expected_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         huff::decompress(input, expected_len, out)
     }
 }
@@ -326,10 +333,16 @@ impl Codec for ColumnarCodec {
     fn id(&self) -> CodecId {
         CodecId::Columnar
     }
-    fn compress(&self, input: &[u8], out: &mut Vec<u8>) {
+    fn compress_with(&self, _: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
         columnar::compress(input, out);
     }
-    fn decompress(&self, input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
+    fn decompress_with(
+        &self,
+        _: &mut DecodeScratch,
+        input: &[u8],
+        expected_len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         columnar::decompress(input, expected_len, out)
     }
 }
@@ -438,26 +451,42 @@ mod tests {
     fn raw_codec_is_identity() {
         let data = b"identity".to_vec();
         let mut c = Vec::new();
-        RawCodec.compress(&data, &mut c);
+        compress_fresh(&RawCodec, &data, &mut c);
         assert_eq!(c, data);
         let mut d = Vec::new();
-        RawCodec.decompress(&c, data.len(), &mut d).unwrap();
+        decompress_fresh(&RawCodec, &c, data.len(), &mut d).unwrap();
         assert_eq!(d, data);
         let mut d2 = Vec::new();
-        assert!(RawCodec.decompress(&c, data.len() + 1, &mut d2).is_err());
+        assert!(decompress_fresh(&RawCodec, &c, data.len() + 1, &mut d2).is_err());
     }
 
+    /// Every codec round-trips through the trait object, and the fresh-state
+    /// pair gives the same bytes as one scratch reused across blocks and
+    /// codecs, on compress and on decompress.
     #[test]
     fn all_codecs_roundtrip_via_trait() {
-        let data = b"roundtrip through the trait object interface. ".repeat(50);
+        let blocks = [
+            b"roundtrip through the trait object interface. ".repeat(300),
+            (0..40_000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect(),
+            vec![7u8; 10_000],
+            Vec::new(),
+        ];
+        let mut scratch = Scratch::new();
+        let mut dscratch = DecodeScratch::new();
         for id in CodecId::REGISTRY {
             let codec = codec_for(id);
             assert_eq!(codec.id(), id);
-            let mut c = Vec::new();
-            codec.compress(&data, &mut c);
-            let mut d = Vec::new();
-            codec.decompress(&c, data.len(), &mut d).unwrap();
-            assert_eq!(d, data, "codec {id}");
+            for data in &blocks {
+                let (mut fresh, mut reused) = (Vec::new(), Vec::new());
+                compress_fresh(codec, data, &mut fresh);
+                codec.compress_with(&mut scratch, data, &mut reused);
+                assert_eq!(fresh, reused, "compress {id} len {}", data.len());
+                let (mut d, mut d_reused) = (Vec::new(), Vec::new());
+                decompress_fresh(codec, &fresh, data.len(), &mut d).unwrap();
+                codec.decompress_with(&mut dscratch, &fresh, data.len(), &mut d_reused).unwrap();
+                assert_eq!(&d, data, "codec {id} len {}", data.len());
+                assert_eq!(d, d_reused, "decompress {id} len {}", data.len());
+            }
         }
     }
 

@@ -3,16 +3,15 @@
 //! streams.
 
 use adcomp_codecs::frame::{decode_block, encode_block, FrameReader, HEADER_LEN};
-use adcomp_codecs::{codec_for, CodecError, CodecId};
+use adcomp_codecs::{codec_for, compress_fresh, decompress_fresh, CodecError, CodecId};
 
 fn roundtrip_all(data: &[u8]) {
     for id in CodecId::ALL {
         let codec = codec_for(id);
         let mut wire = Vec::new();
-        codec.compress(data, &mut wire);
+        compress_fresh(codec, data, &mut wire);
         let mut out = Vec::new();
-        codec
-            .decompress(&wire, data.len(), &mut out)
+        decompress_fresh(codec, &wire, data.len(), &mut out)
             .unwrap_or_else(|e| panic!("codec {id} len {}: {e}", data.len()));
         assert_eq!(out, data, "codec {id} len {}", data.len());
     }
@@ -175,9 +174,9 @@ fn decompress_into_nonempty_output_appends() {
     for id in CodecId::ALL {
         let codec = codec_for(id);
         let mut wire = Vec::new();
-        codec.compress(&data, &mut wire);
+        compress_fresh(codec, &data, &mut wire);
         let mut out = b"PREFIX".to_vec();
-        codec.decompress(&wire, data.len(), &mut out).unwrap();
+        decompress_fresh(codec, &wire, data.len(), &mut out).unwrap();
         assert_eq!(&out[..6], b"PREFIX");
         assert_eq!(&out[6..], &data[..], "codec {id}");
     }

@@ -11,7 +11,7 @@
 
 use adcomp_codecs::columnar::{self, columnar_reference};
 use adcomp_codecs::huff::{self, huff_reference};
-use adcomp_codecs::{codec_for, CodecError, CodecId, Scratch};
+use adcomp_codecs::{codec_for, compress_fresh, CodecError, CodecId, Scratch};
 use adcomp_corpus::{generate, Class};
 use proptest::prelude::*;
 
@@ -173,7 +173,7 @@ proptest! {
             let codec = codec_for(id);
             for block in &blocks {
                 let mut fresh = Vec::new();
-                codec.compress(block, &mut fresh);
+                compress_fresh(codec, block, &mut fresh);
                 let mut reused = Vec::new();
                 codec.compress_with(&mut scratch, block, &mut reused);
                 prop_assert_eq!(&fresh, &reused, "codec {}", id);

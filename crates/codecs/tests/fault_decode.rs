@@ -16,7 +16,7 @@
 use adcomp_codecs::frame::{
     decode_block_limited, encode_block, FrameReader, RecoveryPolicy, HEADER_LEN,
 };
-use adcomp_codecs::{codec_for, CodecId};
+use adcomp_codecs::{codec_for, compress_fresh, decompress_fresh, CodecId};
 use proptest::prelude::*;
 
 /// The full codec registry — paper ladder plus portfolio members (Raw
@@ -141,7 +141,7 @@ proptest! {
         ][ci.index(5)];
         let codec = codec_for(codec_id);
         let mut wire = Vec::new();
-        codec.compress(&data, &mut wire);
+        compress_fresh(codec, &data, &mut wire);
         // Overwrite one byte, then truncate — two independent damages.
         if !wire.is_empty() {
             let idx = pos.index(wire.len());
@@ -149,7 +149,7 @@ proptest! {
             wire.truncate(cut.index(wire.len()) + 1);
         }
         let mut out = Vec::new();
-        if codec.decompress(&wire, data.len(), &mut out).is_ok() {
+        if decompress_fresh(codec, &wire, data.len(), &mut out).is_ok() {
             prop_assert_eq!(out.len(), data.len());
         }
     }

@@ -534,6 +534,63 @@ mod tests {
         }
     }
 
+    /// A `Read + Seek` source that counts the bytes it hands out.
+    struct CountingSource<'a> {
+        inner: Cursor<&'a [u8]>,
+        bytes_read: u64,
+    }
+
+    impl Read for CountingSource<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.bytes_read += n as u64;
+            Ok(n)
+        }
+    }
+
+    impl Seek for CountingSource<'_> {
+        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            self.inner.seek(pos)
+        }
+    }
+
+    /// The O(covering blocks) contract, without a clock: once the index is
+    /// loaded, a 64 KiB ranged read in the middle pulls the covering frames
+    /// off the source and nothing else, however long the stream is.
+    #[test]
+    fn ranged_read_touches_only_covering_frames() {
+        const BLOCK: usize = 32 * 1024;
+        const BASE: usize = 16 * BLOCK;
+        const LEN: u64 = 64 * 1024;
+        // (source bytes read by the ranged read, largest covering frame)
+        let middle_read = |scale: usize| -> (u64, u64) {
+            let data = adcomp_corpus::generate(adcomp_corpus::Class::Moderate, BASE * scale, 7);
+            let wire = seekable_wire(&data, 2, BLOCK, 1);
+            let source = CountingSource { inner: Cursor::new(&wire[..]), bytes_read: 0 };
+            let mut r = IndexedReader::open(source).unwrap();
+            let start = data.len() as u64 / 2 + 1000;
+            let frames: Vec<u64> = {
+                let ix = r.index().unwrap();
+                ix.blocks_covering(start, LEN).map(|i| u64::from(ix.entries[i].frame_len)).collect()
+            };
+            assert_eq!(frames.len(), 3, "64 KiB off a block boundary spans three blocks");
+            let after_open = r.inner.bytes_read;
+            let mut out = Vec::new();
+            r.read_range(start, LEN, &mut out).unwrap();
+            assert_eq!(out, &data[start as usize..(start + LEN) as usize], "scale={scale}");
+            assert_eq!(r.fallback_scans, 0);
+            let read = r.inner.bytes_read - after_open;
+            assert!(read > 0 && read <= frames.iter().sum::<u64>(), "scale={scale} read={read}");
+            (read, frames.into_iter().max().unwrap())
+        };
+        let (read_1x, frame_1x) = middle_read(1);
+        let (read_8x, frame_8x) = middle_read(8);
+        assert!(
+            read_1x.abs_diff(read_8x) <= frame_1x.max(frame_8x),
+            "source bytes read must not grow with the stream: 1x={read_1x} 8x={read_8x}"
+        );
+    }
+
     #[test]
     fn seekable_wire_is_byte_identical_for_any_worker_count() {
         let data = corpus(5000);

@@ -16,9 +16,9 @@
 //!   lock-free generation claim;
 //! * [`jsonl`] — JSONL serialization ([`JsonlWriter`]) and the live
 //!   [`JsonlSink`];
-//! * [`prom`] — Prometheus-text snapshots ([`PromSnapshot`],
-//!   [`TraceStats`]) built on `adcomp-metrics` instruments, plus
-//!   [`render_registry`] for the live `adcomp_metrics` registry;
+//! * [`prom`] — Prometheus-text snapshots ([`PromSnapshot`]) and
+//!   [`render_registry`], the one renderer, for the live `adcomp_metrics`
+//!   registry;
 //! * [`promlint`] — hand-rolled exposition parser and the conformance
 //!   lint shared by CI, tests and the dashboard;
 //! * [`http`] — the minimal `/metrics` HTTP listener ([`MetricsServer`])
@@ -64,7 +64,7 @@ pub use dash::render_top;
 pub use http::{http_get, MetricsServer};
 pub use jsonl::{JsonlSink, JsonlWriter};
 pub use manifest::RunManifest;
-pub use prom::{render_registry, PromSnapshot, TraceStats};
+pub use prom::{render_registry, PromSnapshot};
 pub use promlint::{conformance_lint, parse_samples};
 pub use ring::RingSink;
 pub use sink::{MemorySink, NullSink, TeeSink, TraceHandle, TraceSink};

@@ -2,13 +2,12 @@
 //!
 //! Renders counters, gauges and histograms in the Prometheus text format
 //! (`# HELP` / `# TYPE` headers, cumulative `_bucket{le=…}` series), built
-//! on the workspace's own instruments — `metrics::{OnlineStats, Histogram,
-//! P2Quantile}` — rather than a client library. [`TraceStats`] aggregates
-//! a slice of trace events into such a snapshot, which is what
-//! `adcomp trace` prints after rendering the timeline.
+//! on the workspace's own instruments rather than a client library.
+//! [`render_registry`] is the one renderer: the `/metrics` endpoint,
+//! `adcomp top` and the stderr panel of `adcomp trace` all print a fold of
+//! the live registry through it.
 
-use crate::events::TraceEvent;
-use adcomp_metrics::{Histogram, OnlineStats, P2Quantile};
+use adcomp_metrics::Histogram;
 use std::fmt::Write as _;
 
 /// A set of metric families, rendered in registration order.
@@ -118,225 +117,10 @@ impl PromSnapshot {
         let _ = writeln!(self.out, "{name}_count{} {count}", Self::labels(labels));
     }
 
-    /// Summary-style gauges from an [`OnlineStats`]: `_mean`, `_stddev`,
-    /// `_min`, `_max` gauges plus a `_count` counter.
-    pub fn stats(&mut self, name: &str, help: &str, labels: &[(&str, &str)], s: &OnlineStats) {
-        if s.count() == 0 {
-            return;
-        }
-        for (suffix, v) in [
-            ("mean", s.mean()),
-            ("stddev", s.std_dev()),
-            ("min", s.min()),
-            ("max", s.max()),
-        ] {
-            self.gauge(&format!("{name}_{suffix}"), help, labels, v);
-        }
-        self.counter(&format!("{name}_count"), help, labels, s.count());
-    }
-
-    /// A streaming quantile estimate as a `{quantile="…"}` gauge sample.
-    pub fn quantile(&mut self, name: &str, help: &str, labels: &[(&str, &str)], q: &P2Quantile) {
-        if q.count() == 0 {
-            return;
-        }
-        let mut ls: Vec<(&str, &str)> = labels.to_vec();
-        let qs = format!("{}", q.q());
-        ls.push(("quantile", &qs));
-        self.header(name, help, "gauge");
-        let _ = writeln!(self.out, "{name}{} {}", Self::labels(&ls), Self::value(q.estimate()));
-    }
-
     /// The rendered exposition text.
     #[must_use]
     pub fn render(&self) -> String {
         self.out.clone()
-    }
-}
-
-/// Aggregates a run's events into the standard `adcomp_trace_*` metric
-/// families.
-#[derive(Debug)]
-pub struct TraceStats {
-    counts: [(&'static str, u64); 8],
-    case_counts: Vec<(&'static str, u64)>,
-    fault_kinds: Vec<(&'static str, u64)>,
-    fault_bytes: u64,
-    level_epochs: Vec<(u32, u64)>,
-    cdr: OnlineStats,
-    epoch_rate: OnlineStats,
-    rate_p50: P2Quantile,
-    rate_p95: P2Quantile,
-    compress_us: Histogram,
-    codec_in: u64,
-    codec_out: u64,
-    raw_fallbacks: u64,
-    stalls: u64,
-    stall_ns: u64,
-}
-
-impl TraceStats {
-    /// Aggregates `events` (typically one run's slice).
-    pub fn from_events(events: &[TraceEvent]) -> Self {
-        let mut s = TraceStats {
-            counts: [
-                ("decision", 0),
-                ("epoch", 0),
-                ("codec", 0),
-                ("sim", 0),
-                ("channel", 0),
-                ("fault", 0),
-                ("pipeline", 0),
-                ("server", 0),
-            ],
-            case_counts: Vec::new(),
-            fault_kinds: Vec::new(),
-            fault_bytes: 0,
-            level_epochs: Vec::new(),
-            cdr: OnlineStats::new(),
-            epoch_rate: OnlineStats::new(),
-            rate_p50: P2Quantile::new(0.5),
-            rate_p95: P2Quantile::new(0.95),
-            compress_us: Histogram::new(0.0, 20_000.0, 40),
-            codec_in: 0,
-            codec_out: 0,
-            raw_fallbacks: 0,
-            stalls: 0,
-            stall_ns: 0,
-        };
-        for ev in events {
-            match ev {
-                TraceEvent::Decision(e) => {
-                    s.counts[0].1 += 1;
-                    s.cdr.push(e.cdr);
-                    bump(&mut s.case_counts, e.case);
-                    bump_level(&mut s.level_epochs, e.ccl);
-                }
-                TraceEvent::Epoch(e) => {
-                    s.counts[1].1 += 1;
-                    if e.rate.is_finite() {
-                        s.epoch_rate.push(e.rate);
-                        s.rate_p50.push(e.rate);
-                        s.rate_p95.push(e.rate);
-                    }
-                }
-                TraceEvent::Codec(e) => {
-                    s.counts[2].1 += 1;
-                    s.codec_in += e.in_bytes;
-                    s.codec_out += e.out_bytes;
-                    s.raw_fallbacks += e.raw_fallback as u64;
-                    s.compress_us.push(e.compress_ns as f64 / 1_000.0);
-                }
-                TraceEvent::Sim(_) => s.counts[3].1 += 1,
-                TraceEvent::Channel(e) => {
-                    s.counts[4].1 += 1;
-                    if e.kind == "stall" {
-                        s.stalls += 1;
-                        s.stall_ns += e.wait_ns;
-                    }
-                }
-                TraceEvent::Fault(e) => {
-                    s.counts[5].1 += 1;
-                    bump(&mut s.fault_kinds, e.kind);
-                    s.fault_bytes += e.bytes;
-                }
-                TraceEvent::Pipeline(_) => s.counts[6].1 += 1,
-                TraceEvent::Server(_) => s.counts[7].1 += 1,
-            }
-        }
-        s
-    }
-
-    /// Renders the aggregate as a Prometheus text snapshot.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut p = PromSnapshot::new();
-        for (kind, n) in self.counts {
-            p.counter("adcomp_trace_events_total", "Trace events by kind.", &[("kind", kind)], n);
-        }
-        for (case, n) in &self.case_counts {
-            p.counter(
-                "adcomp_decision_cases_total",
-                "Algorithm-1 decision branches taken.",
-                &[("case", case)],
-                *n,
-            );
-        }
-        for (level, n) in &self.level_epochs {
-            let l = format!("{level}");
-            p.counter(
-                "adcomp_level_epochs_total",
-                "Epochs spent at each compression level.",
-                &[("level", &l)],
-                *n,
-            );
-        }
-        p.stats("adcomp_cdr_bytes_per_second", "Observed current data rate.", &[], &self.cdr);
-        p.stats(
-            "adcomp_epoch_rate_bytes_per_second",
-            "Per-epoch application data rate.",
-            &[],
-            &self.epoch_rate,
-        );
-        p.quantile(
-            "adcomp_epoch_rate_quantile",
-            "Streaming epoch-rate quantiles (P2).",
-            &[],
-            &self.rate_p50,
-        );
-        p.quantile(
-            "adcomp_epoch_rate_quantile",
-            "Streaming epoch-rate quantiles (P2).",
-            &[],
-            &self.rate_p95,
-        );
-        if self.counts[2].1 > 0 {
-            p.counter("adcomp_codec_in_bytes_total", "Bytes fed to codecs.", &[], self.codec_in);
-            p.counter(
-                "adcomp_codec_out_bytes_total",
-                "Bytes produced on the wire.",
-                &[],
-                self.codec_out,
-            );
-            p.counter(
-                "adcomp_codec_raw_fallbacks_total",
-                "Blocks that fell back to raw frames.",
-                &[],
-                self.raw_fallbacks,
-            );
-            p.histogram(
-                "adcomp_codec_compress_microseconds",
-                "Per-block compression time.",
-                &[],
-                &self.compress_us,
-            );
-        }
-        for (kind, n) in &self.fault_kinds {
-            p.counter(
-                "adcomp_faults_total",
-                "Transport faults and recovery actions by kind.",
-                &[("kind", kind)],
-                *n,
-            );
-        }
-        if self.counts[5].1 > 0 {
-            p.counter(
-                "adcomp_fault_bytes_total",
-                "Bytes involved in faults (skipped, scanned, lost).",
-                &[],
-                self.fault_bytes,
-            );
-        }
-        if self.stalls > 0 {
-            p.counter("adcomp_channel_stalls_total", "Record-channel reader stalls.", &[], self.stalls);
-            p.counter(
-                "adcomp_channel_stall_nanoseconds_total",
-                "Total nanoseconds stalled.",
-                &[],
-                self.stall_ns,
-            );
-        }
-        p.render()
     }
 }
 
@@ -440,43 +224,9 @@ pub fn render_registry(snap: &adcomp_metrics::RegistrySnapshot) -> String {
     p.render()
 }
 
-fn bump(v: &mut Vec<(&'static str, u64)>, key: &'static str) {
-    if let Some(e) = v.iter_mut().find(|(k, _)| *k == key) {
-        e.1 += 1;
-    } else {
-        v.push((key, 1));
-    }
-}
-
-fn bump_level(v: &mut Vec<(u32, u64)>, level: u32) {
-    if let Some(e) = v.iter_mut().find(|(k, _)| *k == level) {
-        e.1 += 1;
-    } else {
-        v.push((level, 1));
-        v.sort_by_key(|(k, _)| *k);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{CodecEvent, DecisionEvent, EpochEvent, MAX_LEVELS};
-
-    fn decision(epoch: u64, case: &'static str, ccl: u32, cdr: f64) -> TraceEvent {
-        DecisionEvent {
-            epoch,
-            t: epoch as f64 * 2.0,
-            cdr,
-            pdr: if epoch == 0 { f64::NAN } else { cdr * 0.9 },
-            ccl,
-            prev_level: ccl,
-            case,
-            backoffs: [0; MAX_LEVELS],
-            num_levels: 4,
-        }
-        .into()
-    }
-
     #[test]
     fn snapshot_format_is_prometheus_text() {
         let mut p = PromSnapshot::new();
@@ -522,30 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_stats_render_passes_conformance_lint() {
-        let events = vec![
-            decision(0, "seed", 3, 1e6),
-            decision(1, "stable", 2, 9e5),
-            EpochEvent { epoch: 0, t: 2.0, duration: 2.0, bytes: 2_000_000, rate: 1e6, level: 3 }
-                .into(),
-            CodecEvent {
-                epoch: 0,
-                t: 1.0,
-                level: "HEAVY",
-                in_bytes: 1000,
-                out_bytes: 400,
-                compress_ns: 5_000,
-                raw_fallback: false,
-            }
-            .into(),
-        ];
-        let text = TraceStats::from_events(&events).render();
-        crate::promlint::conformance_lint(&text).unwrap_or_else(|errs| {
-            panic!("TraceStats render violates conformance: {errs:#?}\n{text}")
-        });
-    }
-
-    #[test]
     fn registry_render_passes_conformance_lint_and_is_canonical() {
         use adcomp_metrics::registry::{
             CounterKind, GaugeKind, HistKind, LabelFamily, MetricsRegistry, RegistryMode,
@@ -588,34 +314,5 @@ mod tests {
         let mut p = PromSnapshot::new();
         p.gauge("adcomp_g", "G.", &[("name", "a\"b\\c\nd")], 1.0);
         assert!(p.render().contains(r#"name="a\"b\\c\nd""#), "{}", p.render());
-    }
-
-    #[test]
-    fn trace_stats_aggregates_cases_and_levels() {
-        let events = vec![
-            decision(0, "seed", 3, 1e6),
-            decision(1, "degraded", 2, 8e5),
-            decision(2, "stable", 2, 9e5),
-            EpochEvent { epoch: 0, t: 2.0, duration: 2.0, bytes: 2_000_000, rate: 1e6, level: 3 }
-                .into(),
-            CodecEvent {
-                epoch: 0,
-                t: 1.0,
-                level: "HEAVY",
-                in_bytes: 1000,
-                out_bytes: 400,
-                compress_ns: 5_000,
-                raw_fallback: true,
-            }
-            .into(),
-        ];
-        let text = TraceStats::from_events(&events).render();
-        assert!(text.contains("adcomp_trace_events_total{kind=\"decision\"} 3"), "{text}");
-        assert!(text.contains("adcomp_decision_cases_total{case=\"seed\"} 1"), "{text}");
-        assert!(text.contains("adcomp_decision_cases_total{case=\"degraded\"} 1"), "{text}");
-        assert!(text.contains("adcomp_level_epochs_total{level=\"2\"} 2"), "{text}");
-        assert!(text.contains("adcomp_codec_raw_fallbacks_total 1"), "{text}");
-        assert!(text.contains("adcomp_cdr_bytes_per_second_mean"), "{text}");
-        assert!(text.contains("quantile=\"0.5\""), "{text}");
     }
 }

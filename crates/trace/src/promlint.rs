@@ -1,7 +1,7 @@
 //! Prometheus text-exposition parser and conformance lint.
 //!
 //! One parser serves three consumers: the conformance lint run by CI on
-//! `/metrics` bodies and on [`crate::TraceStats`] renders, the
+//! `/metrics` bodies and [`crate::render_registry`] output, the
 //! `adcomp top` dashboard (which reads a scrape back into samples), and
 //! the prom tests. Hand-rolled like the rest of the workspace's text
 //! layers — no client library.

@@ -30,7 +30,7 @@
 //! while an ASCII level-over-time timeline and a Prometheus-style snapshot
 //! go to stderr — stdout stays machine-parseable.
 
-use adcomp::codecs::{codec_for, CodecId, LevelSet};
+use adcomp::codecs::{codec_for, compress_fresh, CodecId, LevelSet};
 use adcomp::core::model::{DecisionModel, RateBasedModel, StaticModel};
 use adcomp::core::stream::{AdaptiveReader, AdaptiveWriter};
 use adcomp::core::WallClock;
@@ -524,7 +524,7 @@ fn cmd_probe(opts: Options) -> io::Result<()> {
         let codec = codec_for(id);
         let start = std::time::Instant::now();
         let mut out = Vec::new();
-        codec.compress(&sample, &mut out);
+        compress_fresh(codec, &sample, &mut out);
         let secs = start.elapsed().as_secs_f64();
         println!(
             "{:<8}: ratio {:.3}, {:7.1} MB/s",
@@ -551,9 +551,10 @@ fn cmd_probe(opts: Options) -> io::Result<()> {
 /// exports every observability surface at once: JSONL (stdout/file), ASCII
 /// timeline + Prometheus snapshot (stderr).
 fn cmd_trace(opts: Options) -> io::Result<()> {
+    use adcomp::metrics::registry::{self, RegistryMode};
     use adcomp::trace::{
-        render_level_timeline, JsonlWriter, MemorySink, RunManifest, TimelineOptions, TraceHandle,
-        TraceStats,
+        render_level_timeline, render_registry, JsonlWriter, MemorySink, RunManifest,
+        TimelineOptions, TraceHandle,
     };
     use adcomp::vcloud::{run_transfer_traced, ConstantClass, SpeedModel, TransferConfig};
     use std::sync::Arc;
@@ -578,6 +579,7 @@ fn cmd_trace(opts: Options) -> io::Result<()> {
     let sink = Arc::new(MemorySink::new());
     let speed =
         if opts.portfolio { SpeedModel::portfolio_fit() } else { SpeedModel::paper_fit() };
+    let reg = registry::install(RegistryMode::Virtual);
     let out = run_transfer_traced(
         &cfg,
         &speed,
@@ -606,7 +608,7 @@ fn cmd_trace(opts: Options) -> io::Result<()> {
     if let Some(tl) = render_level_timeline(&events, &TimelineOptions::default()) {
         eprintln!("{tl}");
     }
-    eprintln!("{}", TraceStats::from_events(&events).render());
+    eprintln!("{}", render_registry(&reg.snapshot()));
     eprintln!(
         "adcomp trace: {scheme} on {} data, {} background flow(s): {:.0} s virtual, \
          {} epochs, wire ratio {:.3}, {} events",

@@ -3,7 +3,7 @@
 //! controller never leaves its level range, and sources conserve bytes.
 
 use adcomp::codecs::frame::{decode_block, encode_block};
-use adcomp::codecs::{codec_for, CodecId};
+use adcomp::codecs::{codec_for, compress_fresh, decompress_fresh, CodecId};
 use adcomp::core::controller::{ControllerConfig, RateController};
 use adcomp::core::model::{EpochObservation, QueueBasedModel, ThresholdSamplingModel, DecisionModel};
 use adcomp::corpus::{ByteSource, CyclicSource, SwitchingSource};
@@ -16,9 +16,9 @@ proptest! {
     fn qlz_light_roundtrips_any_bytes(data in proptest::collection::vec(any::<u8>(), 0..20_000)) {
         let codec = codec_for(CodecId::QlzLight);
         let mut wire = Vec::new();
-        codec.compress(&data, &mut wire);
+        compress_fresh(codec, &data, &mut wire);
         let mut out = Vec::new();
-        codec.decompress(&wire, data.len(), &mut out).unwrap();
+        decompress_fresh(codec, &wire, data.len(), &mut out).unwrap();
         prop_assert_eq!(out, data);
     }
 
@@ -26,9 +26,9 @@ proptest! {
     fn qlz_medium_roundtrips_any_bytes(data in proptest::collection::vec(any::<u8>(), 0..20_000)) {
         let codec = codec_for(CodecId::QlzMedium);
         let mut wire = Vec::new();
-        codec.compress(&data, &mut wire);
+        compress_fresh(codec, &data, &mut wire);
         let mut out = Vec::new();
-        codec.decompress(&wire, data.len(), &mut out).unwrap();
+        decompress_fresh(codec, &wire, data.len(), &mut out).unwrap();
         prop_assert_eq!(out, data);
     }
 
@@ -36,9 +36,9 @@ proptest! {
     fn heavy_roundtrips_any_bytes(data in proptest::collection::vec(any::<u8>(), 0..8_000)) {
         let codec = codec_for(CodecId::Heavy);
         let mut wire = Vec::new();
-        codec.compress(&data, &mut wire);
+        compress_fresh(codec, &data, &mut wire);
         let mut out = Vec::new();
-        codec.decompress(&wire, data.len(), &mut out).unwrap();
+        decompress_fresh(codec, &wire, data.len(), &mut out).unwrap();
         prop_assert_eq!(out, data);
     }
 
@@ -58,9 +58,9 @@ proptest! {
         for id in CodecId::ALL {
             let codec = codec_for(id);
             let mut wire = Vec::new();
-            codec.compress(&data, &mut wire);
+            compress_fresh(codec, &data, &mut wire);
             let mut out = Vec::new();
-            codec.decompress(&wire, data.len(), &mut out).unwrap();
+            decompress_fresh(codec, &wire, data.len(), &mut out).unwrap();
             prop_assert_eq!(&out, &data, "codec {}", id);
         }
     }
