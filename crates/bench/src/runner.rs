@@ -3,7 +3,7 @@
 //! Every table/figure binary sweeps a grid of independent simulation cells
 //! (compression scheme × data class × contention × repetition). Cells share
 //! nothing mutable, so they fan out across cores with a work-stealing
-//! counter over [`crossbeam::thread::scope`] workers.
+//! counter over [`std::thread::scope`] workers.
 //!
 //! # Determinism contract
 //!
@@ -86,10 +86,10 @@ where
     // grid behind a static partition.
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let f = &f;
-    crossbeam::thread::scope(|s| {
+    // A panicking cell aborts the grid: the scope re-raises it on join.
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|_| loop {
+            s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
@@ -98,8 +98,7 @@ where
                 *slots[i].lock().unwrap() = Some(r);
             });
         }
-    })
-    .expect("experiment cell panicked");
+    });
     slots
         .into_iter()
         .map(|m| m.into_inner().unwrap().expect("cell never ran"))

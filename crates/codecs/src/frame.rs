@@ -99,6 +99,24 @@ impl FrameHeader {
             crc: u32::from_le_bytes(b[12..16].try_into().unwrap()),
         })
     }
+
+    /// The checked parse: [`FrameHeader::from_bytes`] plus the bomb guard.
+    /// Both length fields must be ≤ `max_frame`, else the header is rejected
+    /// with [`CodecError::FrameTooLarge`]. Headers are not CRC-covered, so
+    /// every site that takes one from outside the program (socket, file,
+    /// stored wire) calls this *before* it allocates or seeks by what the
+    /// header says.
+    pub fn parse(b: &[u8; HEADER_LEN], max_frame: u32) -> Result<FrameHeader> {
+        let header = FrameHeader::from_bytes(b)?;
+        for (field, len) in
+            [("uncompressed_len", header.uncompressed_len), ("payload_len", header.payload_len)]
+        {
+            if len > max_frame {
+                return Err(CodecError::FrameTooLarge { field, len, max: max_frame });
+            }
+        }
+        Ok(header)
+    }
 }
 
 /// Outcome of encoding one block — what the adaptive layer feeds its
@@ -229,8 +247,7 @@ pub fn decode_block_with(
     if input.len() < HEADER_LEN {
         return Err(CodecError::Truncated);
     }
-    let header = FrameHeader::from_bytes(input[..HEADER_LEN].try_into().unwrap())?;
-    check_header_caps(&header, max_frame)?;
+    let header = FrameHeader::parse(input[..HEADER_LEN].try_into().unwrap(), max_frame)?;
     let total = HEADER_LEN + header.payload_len as usize;
     if input.len() < total {
         return Err(CodecError::Truncated);
@@ -253,25 +270,6 @@ pub fn decode_block_with(
         return Err(e);
     }
     Ok((header, total))
-}
-
-/// Bomb guard: rejects headers whose length fields exceed `max_frame`.
-fn check_header_caps(header: &FrameHeader, max_frame: u32) -> Result<()> {
-    if header.uncompressed_len > max_frame {
-        return Err(CodecError::FrameTooLarge {
-            field: "uncompressed_len",
-            len: header.uncompressed_len,
-            max: max_frame,
-        });
-    }
-    if header.payload_len > max_frame {
-        return Err(CodecError::FrameTooLarge {
-            field: "payload_len",
-            len: header.payload_len,
-            max: max_frame,
-        });
-    }
-    Ok(())
 }
 
 /// Scans `buf` for the next frame [`MAGIC`] pair, returning its offset.
@@ -866,32 +864,20 @@ impl<R: Read, S: TraceSink> FrameReader<R, S> {
 
 impl<R: Read, S: TraceSink> FrameReader<R, S> {
     /// Reads and decodes the next frame, appending application bytes to
-    /// `out`. Returns `Ok(None)` on a clean end of stream — and, under
-    /// [`RecoveryMode::SkipAndCount`], after dropping any trailing
-    /// corrupt/truncated bytes (check [`FrameReader::recovery`] to tell the
-    /// two apart).
+    /// `out`: [`FrameReader::read_frame`]'s validated frame, then the
+    /// decode, on this thread. Returns `Ok(None)` on a clean end of stream
+    /// — and, under [`RecoveryMode::SkipAndCount`], after dropping any
+    /// trailing corrupt/truncated bytes (check [`FrameReader::recovery`] to
+    /// tell the two apart). A CRC-valid payload that fails to decode is
+    /// handled like any other corrupt frame: counted and, in skip mode,
+    /// re-scanned for embedded frames.
     pub fn read_block(&mut self, out: &mut Vec<u8>) -> io::Result<Option<FrameHeader>> {
         let metrics = registry::global();
         let timed = metrics.is_some_and(MetricsRegistry::wall_spans);
         loop {
-            let start = timed.then(std::time::Instant::now);
-            let frame = self.read_valid_frame()?;
-            if let (Some(m), Some(s)) = (metrics, start) {
-                m.span_ns(SpanKind::FrameRead, s.elapsed().as_nanos() as u64);
-            }
-            let Some((header, header_bytes)) = frame else {
+            let Some((header, header_bytes)) = self.next_frame()? else {
                 return Ok(None);
             };
-            if header.index {
-                // Seekable-stream index trailer: CRC-validated above,
-                // carries no application bytes. Consume and move on.
-                let flen = (HEADER_LEN + header.payload_len as usize) as u64;
-                if let Some(m) = metrics {
-                    m.counter_add(CounterKind::WireInBytes, flen);
-                }
-                self.wire_bytes += flen;
-                continue;
-            }
             let out_start = out.len();
             let start = timed.then(std::time::Instant::now);
             if let Err(e) = codec_for(header.codec).decompress_with(
@@ -912,28 +898,39 @@ impl<R: Read, S: TraceSink> FrameReader<R, S> {
                     m.span_ns(SpanKind::Decompress, s.elapsed().as_nanos() as u64);
                 }
                 m.counter_add(CounterKind::BlocksDecompressed, 1);
-                m.counter_add(
-                    CounterKind::WireInBytes,
-                    (HEADER_LEN + header.payload_len as usize) as u64,
-                );
             }
+            self.wire_bytes += wire_in(&header);
             self.app_bytes += header.uncompressed_len as u64;
-            self.wire_bytes += (HEADER_LEN + header.payload_len as usize) as u64;
             self.blocks += 1;
             return Ok(Some(header));
         }
     }
 
     /// Reads the next CRC-valid frame *without* decompressing it: the
-    /// payload is copied into `payload` and the parsed header returned.
-    /// All header/length/CRC validation and the full recovery machinery
-    /// (retry, resync, truncation handling) run exactly as in
-    /// [`FrameReader::read_block`]; only the decompression step is left to
-    /// the caller. This is the parallel-decode seam: a reader thread pulls
-    /// validated frames in wire order and hands the pure
-    /// payload-decompression to a worker pool. Updates `wire_bytes` and
-    /// `blocks` (`app_bytes` is the decoding caller's to account).
+    /// payload is read straight into `payload` (the caller's buffer stands
+    /// in as the reader's own for this one frame — no copy, no second
+    /// buffer) and the parsed header is returned. All header/length/CRC
+    /// validation and the full recovery machinery (retry, resync,
+    /// truncation handling) have run; only the decompression is left to the
+    /// caller, on this thread or a pool's. The frame is the caller's to
+    /// account once its block is delivered: `wire_bytes`, `blocks` and
+    /// `app_bytes` are not touched here.
     pub fn read_frame(&mut self, payload: &mut Vec<u8>) -> io::Result<Option<FrameHeader>> {
+        std::mem::swap(&mut self.payload_buf, payload);
+        let frame = self.next_frame();
+        std::mem::swap(&mut self.payload_buf, payload);
+        let Some((header, _)) = frame? else {
+            return Ok(None);
+        };
+        wire_in(&header);
+        Ok(Some(header))
+    }
+
+    /// The one frame loop under [`FrameReader::read_block`] and
+    /// [`FrameReader::read_frame`]: the next validated *data* frame, its
+    /// payload in `self.payload_buf`. Index trailers (CRC-validated, no
+    /// application bytes) are counted and consumed here.
+    fn next_frame(&mut self) -> io::Result<Option<(FrameHeader, [u8; HEADER_LEN])>> {
         let metrics = registry::global();
         loop {
             let start = metrics
@@ -944,30 +941,16 @@ impl<R: Read, S: TraceSink> FrameReader<R, S> {
                 m.span_ns(SpanKind::FrameRead, s.elapsed().as_nanos() as u64);
             }
             match frame {
-                Some((header, _)) => {
-                    let flen = (HEADER_LEN + header.payload_len as usize) as u64;
-                    if let Some(m) = metrics {
-                        m.counter_add(CounterKind::WireInBytes, flen);
-                    }
-                    self.wire_bytes += flen;
-                    if header.index {
-                        // Index trailer: consumed, not handed to the caller.
-                        continue;
-                    }
-                    payload.clear();
-                    payload.extend_from_slice(&self.payload_buf);
-                    self.blocks += 1;
-                    return Ok(Some(header));
-                }
-                None => return Ok(None),
+                Some((header, _)) if header.index => self.wire_bytes += wire_in(&header),
+                other => return Ok(other),
             }
         }
     }
 
-    /// The shared read loop: next frame whose header parses, passes the
-    /// length caps and whose payload matches its CRC. On return the payload
-    /// sits in `self.payload_buf`. Recovery per the policy; `Ok(None)` on
-    /// (possibly recovered-to) end of stream.
+    /// Next frame whose header parses, passes the length caps and whose
+    /// payload matches its CRC. On return the payload sits in
+    /// `self.payload_buf`. Recovery per the policy; `Ok(None)` on (possibly
+    /// recovered-to) end of stream.
     fn read_valid_frame(&mut self) -> io::Result<Option<(FrameHeader, [u8; HEADER_LEN])>> {
         loop {
             let header_off = self.stream_offset;
@@ -983,9 +966,7 @@ impl<R: Read, S: TraceSink> FrameReader<R, S> {
                 }
                 FillOutcome::Full => {}
             }
-            let header = match FrameHeader::from_bytes(&header_bytes)
-                .and_then(|h| check_header_caps(&h, self.policy.max_frame).map(|()| h))
-            {
+            let header = match FrameHeader::parse(&header_bytes, self.policy.max_frame) {
                 Ok(h) => h,
                 Err(e) => {
                     if self.recover_corrupt(e, &header_bytes, 0)? {
@@ -1053,6 +1034,16 @@ impl<R: Read, S: TraceSink> FrameReader<R, S> {
 
 fn to_io(e: CodecError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
+/// Reports one whole frame taken in off the wire to the registry and
+/// returns its length.
+fn wire_in(header: &FrameHeader) -> u64 {
+    let flen = (HEADER_LEN + header.payload_len as usize) as u64;
+    if let Some(m) = registry::global() {
+        m.counter_add(CounterKind::WireInBytes, flen);
+    }
+    flen
 }
 
 #[cfg(test)]

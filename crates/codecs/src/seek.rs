@@ -49,7 +49,7 @@
 //!   front-to-back streaming decode.
 
 use crate::crc32::crc32;
-use crate::frame::{FrameHeader, HEADER_LEN};
+use crate::frame::{FrameHeader, DEFAULT_MAX_FRAME, HEADER_LEN};
 use crate::{CodecError, CodecId, Result};
 
 /// Footer magic: "ADXI" (ADcomp indeX).
@@ -239,7 +239,7 @@ impl StreamIndex {
                 return Err(CodecError::Truncated);
             }
             let hb: &[u8; HEADER_LEN] = wire[off..off + HEADER_LEN].try_into().unwrap();
-            let header = FrameHeader::from_bytes(hb)?;
+            let header = FrameHeader::parse(hb, DEFAULT_MAX_FRAME)?;
             let frame_len = HEADER_LEN + header.payload_len as usize;
             if wire.len() - off < frame_len {
                 return Err(CodecError::Truncated);
@@ -300,7 +300,7 @@ pub fn parse_index_trailer(tail: &[u8]) -> Result<StreamIndex> {
     }
     let frame = &tail[tail.len() - trailer_len..];
     let hb: &[u8; HEADER_LEN] = frame[..HEADER_LEN].try_into().unwrap();
-    let header = FrameHeader::from_bytes(hb)?;
+    let header = FrameHeader::parse(hb, DEFAULT_MAX_FRAME)?;
     if !header.index || header.uncompressed_len != 0 {
         return Err(CodecError::Corrupt("trailer frame is not an index frame"));
     }

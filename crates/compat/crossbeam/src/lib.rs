@@ -1,14 +1,11 @@
 //! Minimal, dependency-free shim exposing the subset of the `crossbeam` API
-//! this workspace uses, built on `std::sync` / `std::thread`.
+//! this workspace uses, built on `std::sync`.
 //!
-//! Vendored so the workspace builds in fully offline environments. Provides:
-//!
-//! - [`channel::bounded`] — MPMC bounded channel with crossbeam's disconnect
-//!   semantics (send fails once all receivers are gone; recv fails once the
-//!   queue is empty and all senders are gone).
-//! - [`thread::scope`] — scoped threads that may borrow from the enclosing
-//!   stack frame, wrapping `std::thread::scope` and returning
-//!   `std::thread::Result` like crossbeam does.
+//! Vendored so the workspace builds in fully offline environments. Provides
+//! [`channel::bounded`] — an MPMC bounded channel with crossbeam's
+//! disconnect semantics (send fails once all receivers are gone; recv fails
+//! once the queue is empty and all senders are gone), which `std::sync::mpsc`
+//! cannot stand in for (its receiver is single-consumer).
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -216,55 +213,6 @@ pub mod channel {
     }
 }
 
-pub mod thread {
-    //! Scoped threads with crossbeam's signature, wrapping
-    //! `std::thread::scope`.
-
-    /// Handle to a scope; lets spawned closures spawn further threads.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    /// Join handle for a scoped thread.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        pub fn join(self) -> std::thread::Result<T> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a scoped thread. The closure receives the scope, so it can
-        /// spawn nested threads, mirroring crossbeam's API.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            ScopedJoinHandle {
-                inner: inner.spawn(move || f(&Scope { inner })),
-            }
-        }
-    }
-
-    /// Creates a scope in which threads may borrow non-`'static` data.
-    /// Returns `Ok(r)` with the closure's result; like crossbeam, panics in
-    /// unjoined child threads surface as `Err` (std::thread::scope
-    /// propagates child panics as a resumed panic, which we catch here).
-    pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            std::thread::scope(|s| f(&Scope { inner: s }))
-        }))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,28 +250,5 @@ mod tests {
         }
         drop(tx);
         assert_eq!(h.join().unwrap(), 4950);
-    }
-
-    #[test]
-    fn scoped_threads_borrow_stack() {
-        let data = vec![1u64, 2, 3, 4];
-        let total: u64 = thread::scope(|s| {
-            let handles: Vec<_> = data
-                .chunks(2)
-                .map(|c| s.spawn(move |_| c.iter().sum::<u64>()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        })
-        .unwrap();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn nested_scope_spawn() {
-        let r = thread::scope(|s| {
-            s.spawn(|s2| s2.spawn(|_| 21).join().unwrap() * 2).join().unwrap()
-        })
-        .unwrap();
-        assert_eq!(r, 42);
     }
 }

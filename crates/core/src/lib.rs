@@ -16,15 +16,16 @@
 //!   [`AdaptiveReader`]: drop-in `Write`/`Read`
 //!   wrappers that make the whole scheme transparent to the application,
 //!   as in the paper's Nephele integration.
-//! * [`pipeline`] — the one ordered block path ([`CompressPool`],
-//!   [`DecodePool`] over a shared ordering core): the pure per-block codec
-//!   work runs on the caller's thread by default and on a bounded set of
-//!   worker threads on request, with byte-identical wire output because
-//!   both run the same function.
+//! * [`pipeline`] — the one ordered block path of each direction
+//!   ([`CompressPool`] under the writers, [`DecodePool`] under the readers,
+//!   over a shared ordering core): the pure per-block codec work runs on
+//!   the caller's thread by default and on a bounded set of worker threads
+//!   on request, with byte-identical output because both run the same
+//!   function.
 //! * [`seek`] — [`IndexedReader`]: O(block) random access over seekable
 //!   streams (written with [`AdaptiveWriter::set_seekable`]), with ranged
-//!   reads fanned across the decode pool and a streaming fallback when the
-//!   index is missing or lies.
+//!   reads decoded through the decode pool and a streaming fallback when
+//!   the index is missing or lies.
 //!
 //! ## Quick start
 //!

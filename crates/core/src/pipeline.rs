@@ -11,9 +11,11 @@
 //!   hands them back **in submission order**. It is the only encode path of
 //!   `AdaptiveWriter` and nephele's `RecordWriter`.
 //! * [`DecodePool`] — the mirror image for the read side: CRC-validated
-//!   payloads go in, plaintext blocks come out in wire order. All frame
+//!   payloads go in, plaintext blocks come out in wire order. It is the
+//!   only decode path of `AdaptiveReader` and `IndexedReader`. All frame
 //!   parsing, validation and fault recovery stay on the caller's thread
-//!   (see `FrameReader::read_frame`), so recovery semantics are untouched.
+//!   (see `FrameReader::read_frame`), so recovery does not depend on the
+//!   worker count.
 //!
 //! Both are thin shells over one private ordering core (`Ordered`), which
 //! owns the sequence numbers, the in-flight bound, the reorder gate and the
@@ -245,15 +247,6 @@ impl<L: Lane> Ordered<L> {
     /// Backpressure: blocks until the next dispatch fits under the bound.
     fn make_room(&mut self, out: &mut Vec<L::Done>) {
         while self.full() {
-            self.wait_one(out);
-        }
-    }
-
-    /// Blocks until at least one completion is released into `out` or
-    /// nothing is in flight.
-    fn wait_ready(&mut self, out: &mut Vec<L::Done>) {
-        let before = out.len();
-        while out.len() == before && self.in_flight > 0 {
             self.wait_one(out);
         }
     }
@@ -551,7 +544,10 @@ impl CompressPool {
 struct DecodeJob {
     codec: CodecId,
     uncompressed_len: usize,
-    payload: Vec<u8>,
+    /// The wire buffer; the CRC-validated payload starts at `payload_at`
+    /// (0 for a bare payload, `HEADER_LEN` for a whole frame).
+    wire: Vec<u8>,
+    payload_at: usize,
     /// Recycled output buffer (capacity retained from a previous block so
     /// steady-state decode allocates nothing).
     out: Vec<u8>,
@@ -563,12 +559,12 @@ pub struct Decoded {
     pub seq: u64,
     /// The recovered application bytes (empty when `err` is set).
     pub bytes: Vec<u8>,
-    /// The wire payload buffer the job travelled in, handed back so the
-    /// caller can refill it for a later frame instead of allocating.
-    pub payload: Vec<u8>,
-    /// Decode failure, if any. With CRC validation upstream this only
-    /// fires on a checksum collision over corrupt data — the caller maps
-    /// it through its `RecoveryPolicy` exactly like the serial reader.
+    /// The wire buffer the job travelled in, exactly as submitted.
+    pub wire: Vec<u8>,
+    /// Decode failure, if any. The payload's CRC was checked upstream, so
+    /// this fires on a checksum collision over corrupt data or on a
+    /// damaged header field (headers are not CRC-covered) — the caller
+    /// applies its recovery rule when the block is released.
     pub err: Option<CodecError>,
 }
 
@@ -593,7 +589,7 @@ impl Lane for DecodeLane {
         let timer = registry::span(SpanKind::Decompress);
         let err = match codec_for(job.codec).decompress_with(
             &mut self.scratch,
-            &job.payload,
+            &job.wire[job.payload_at..],
             job.uncompressed_len,
             &mut bytes,
         ) {
@@ -609,103 +605,109 @@ impl Lane for DecodeLane {
                 m.counter_add(CounterKind::BlocksDecompressed, 1);
             }
         }
-        Decoded { seq, bytes, payload: job.payload, err }
+        Decoded { seq, bytes, wire: job.wire, err }
     }
 }
 
 /// Decompresses CRC-validated frame payloads, in wire order, on zero to
-/// `N` threads. Frame parsing, validation and recovery stay with the
-/// caller.
+/// `N` threads. It is the only decode path of `AdaptiveReader` and
+/// `IndexedReader`; frame parsing, validation and recovery stay with the
+/// caller. Both buffers of every [`Decoded`] come back through
+/// [`DecodePool::recycle`] and go out again with later jobs, so steady
+/// state allocates nothing.
 pub struct DecodePool {
     core: Ordered<DecodeLane>,
-    /// Output buffers returned via [`DecodePool::recycle`], reissued to
-    /// later jobs so steady-state decode is allocation-free.
     spare_out: Vec<Vec<u8>>,
+    spare_wire: Vec<Vec<u8>>,
 }
 
 impl DecodePool {
-    /// A pool with `workers` threads (`workers <= 1`: none) and a pipeline
-    /// depth of `2 × workers`.
+    /// A pool with `workers` threads (`workers <= 1`: none, blocks are
+    /// decoded inside [`DecodePool::submit`]) and a pipeline depth of
+    /// `2 × workers`.
     pub fn new(workers: usize) -> Self {
         DecodePool::with_depth(workers, workers * 2)
     }
 
     pub fn with_depth(workers: usize, depth: usize) -> Self {
-        DecodePool { core: Ordered::new(workers, depth), spare_out: Vec::new() }
-    }
-
-    /// Hands a consumed output buffer back to the pool for reuse by a later
-    /// job. Callers that recycle every [`Decoded::bytes`] they finish with
-    /// make the whole decode pipeline zero-alloc in steady state.
-    pub fn recycle(&mut self, buf: Vec<u8>) {
-        // Bound the free list: anything beyond one buffer per pipeline slot
-        // can never be in use at once.
-        if self.spare_out.len() < self.core.depth {
-            self.spare_out.push(buf);
+        DecodePool {
+            core: Ordered::new(workers, depth),
+            spare_out: Vec::new(),
+            spare_wire: Vec::new(),
         }
     }
 
+    /// Hands a consumed block's two buffers back for reuse by later jobs.
+    pub fn recycle(&mut self, d: Decoded) {
+        // One buffer per pipeline slot plus the block being served is all
+        // that can be in use at once; a caller may submit wire buffers it
+        // did not take from `wire_buf`, so the lists are bounded.
+        let cap = self.core.depth + 1;
+        if self.spare_out.len() < cap {
+            self.spare_out.push(d.bytes);
+        }
+        if self.spare_wire.len() < cap {
+            self.spare_wire.push(d.wire);
+        }
+    }
+
+    /// A recycled wire buffer (or a fresh one) for the caller to fill with
+    /// the next frame and [`DecodePool::submit`].
+    pub fn wire_buf(&mut self) -> Vec<u8> {
+        self.spare_wire.pop().unwrap_or_default()
+    }
+
+    /// Worker count (1 = the inline lane).
     pub fn workers(&self) -> usize {
         self.core.nworkers
     }
 
+    /// Blocks submitted but not yet released in order.
     pub fn in_flight(&self) -> usize {
         self.core.in_flight
     }
 
-    pub fn reorder_depth(&self) -> usize {
-        self.core.gate.parked()
-    }
-
-    /// True when another frame can be submitted without blocking on the
-    /// pipeline bound.
-    pub fn has_capacity(&self) -> bool {
-        !self.core.full()
-    }
-
-    /// Submits one validated payload for decompression; returns blocks now
-    /// releasable in wire order. Blocks while the pipeline is at capacity.
-    pub fn submit(&mut self, codec: CodecId, uncompressed_len: usize, payload: Vec<u8>) -> Vec<Decoded> {
-        let mut ready = Vec::new();
-        self.core.make_room(&mut ready);
-        let out = self.spare_out.pop().unwrap_or_default();
-        self.core.dispatch(DecodeJob { codec, uncompressed_len, payload, out }, &mut ready);
-        self.core.release_ready(&mut ready);
-        ready
-    }
-
-    /// Non-blocking: everything releasable in wire order right now.
-    pub fn drain_ready(&mut self) -> Vec<Decoded> {
-        let mut ready = Vec::new();
-        self.core.release_ready(&mut ready);
-        ready
-    }
-
-    /// Blocks until at least one block is releasable in wire order (or
-    /// nothing is in flight); returns everything releasable.
-    pub fn wait_ready(&mut self) -> Vec<Decoded> {
-        let mut ready = self.drain_ready();
-        if !ready.is_empty() || self.core.in_flight == 0 {
-            return ready;
+    /// Submits one validated payload (`wire[payload_at..]`) for
+    /// decompression and appends every block now releasable in wire order
+    /// to `out` (on the inline lane: exactly this one). Blocks while the
+    /// pipeline is at capacity.
+    pub fn submit(
+        &mut self,
+        codec: CodecId,
+        uncompressed_len: usize,
+        wire: Vec<u8>,
+        payload_at: usize,
+        out: &mut Vec<Decoded>,
+    ) {
+        if self.core.full() {
+            let _waited = registry::span(SpanKind::DecodeWait);
+            self.core.make_room(out);
         }
-        let _waited = registry::span(SpanKind::DecodeWait);
-        self.core.wait_ready(&mut ready);
-        ready
+        let job = DecodeJob {
+            codec,
+            uncompressed_len,
+            wire,
+            payload_at,
+            out: self.spare_out.pop().unwrap_or_default(),
+        };
+        self.core.dispatch(job, out);
+        self.core.release_ready(out);
     }
 
-    /// Blocks until every in-flight payload is decoded; returns the rest
-    /// in wire order.
-    pub fn drain(&mut self) -> Vec<Decoded> {
-        let mut ready = Vec::new();
-        self.core.drain(&mut ready);
-        ready
+    /// Blocks until every in-flight payload is decoded and appends the rest
+    /// in wire order to `out`. The pool stays usable afterwards.
+    pub fn drain(&mut self, out: &mut Vec<Decoded>) {
+        if self.core.in_flight > 0 {
+            let _waited = registry::span(SpanKind::DecodeWait);
+            self.core.drain(out);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adcomp_codecs::frame::{decode_block, encode_block};
+    use adcomp_codecs::frame::{decode_block, encode_block, HEADER_LEN};
 
     fn block(i: usize) -> Vec<u8> {
         format!("pipeline block {i} ").repeat(200 + i * 7).into_bytes()
@@ -794,19 +796,21 @@ mod tests {
         }
         for workers in [1, 2, 4] {
             let mut pool = DecodePool::new(workers);
-            let mut out: Vec<Vec<u8>> = Vec::new();
-            for (codec, len, wire) in &frames {
-                let payload = wire[adcomp_codecs::frame::HEADER_LEN..].to_vec();
-                for d in pool.submit(*codec, *len, payload) {
-                    assert!(d.err.is_none());
-                    out.push(d.bytes);
-                }
+            let mut ready = Vec::new();
+            for (i, (codec, len, wire)) in frames.iter().enumerate() {
+                // A whole frame and a bare payload travel the same way.
+                let at = if i % 2 == 0 { HEADER_LEN } else { 0 };
+                pool.submit(*codec, *len, wire[HEADER_LEN - at..].to_vec(), at, &mut ready);
             }
-            for d in pool.drain() {
+            pool.drain(&mut ready);
+            assert_eq!(pool.in_flight(), 0);
+            assert_eq!(ready.len(), blocks.len());
+            for (i, d) in ready.into_iter().enumerate() {
                 assert!(d.err.is_none());
-                out.push(d.bytes);
+                assert_eq!(d.seq, i as u64);
+                assert_eq!(d.bytes, blocks[i], "decode order broken at {workers} workers");
+                assert_eq!(d.wire, frames[i].2[HEADER_LEN * (i % 2)..], "wire comes back as sent");
             }
-            assert_eq!(out, blocks, "decode order broken at {workers} workers");
         }
     }
 
@@ -816,11 +820,12 @@ mod tests {
         let mut wire = Vec::new();
         let info = encode_block(codec_for(CodecId::Heavy), &data, &mut wire);
         assert_eq!(info.codec, CodecId::Heavy);
-        let mut payload = wire[adcomp_codecs::frame::HEADER_LEN..].to_vec();
+        let mut payload = wire[HEADER_LEN..].to_vec();
         payload.truncate(payload.len() / 2); // simulate a CRC collision slipping through
         let mut pool = DecodePool::new(2);
-        let mut all = pool.submit(CodecId::Heavy, data.len(), payload);
-        all.append(&mut pool.drain());
+        let mut all = Vec::new();
+        pool.submit(CodecId::Heavy, data.len(), payload, 0, &mut all);
+        pool.drain(&mut all);
         assert_eq!(all.len(), 1);
         assert!(all[0].err.is_some());
         assert!(all[0].bytes.is_empty());

@@ -11,10 +11,12 @@
 //! [`CompressPool`] and written when the pool releases it. By default the
 //! pool has no threads and encodes inside `submit`;
 //! [`AdaptiveWriter::set_pipeline_workers`] only changes how many threads
-//! stand behind the same calls. The reader keeps a serial arm beside its
-//! pooled one because the serial arm decodes straight out of the frame
-//! reader's payload buffer (the pooled arm copies payload and output once
-//! each) and, in skip mode, can re-scan a CRC-colliding payload.
+//! stand behind the same calls. The reader is its mirror image: every
+//! validated frame is submitted to a [`DecodePool`] and served out of the
+//! block the pool releases, and [`AdaptiveReader::set_pipeline_workers`]
+//! likewise only changes the thread count. Frames are read straight into
+//! recycled buffers and served out of them, so neither side copies a block
+//! between stages or allocates per block in steady state.
 //!
 //! These wrappers run on real I/O (sockets, files, pipes) under a wall
 //! clock; the simulator reuses the same controller under virtual time.
@@ -24,6 +26,7 @@ use crate::model::DecisionModel;
 use crate::pipeline::{Completion, CompressPool, DecodePool, Decoded};
 use adcomp_codecs::frame::{
     FrameReader, FrameWriter, RecoveryMode, RecoveryPolicy, RecoveryStats, DEFAULT_BLOCK_LEN,
+    HEADER_LEN,
 };
 use adcomp_codecs::{CodecId, LevelSet};
 use adcomp_trace::{FaultEvent, TraceEvent, TraceHandle, TraceSink as _};
@@ -350,21 +353,26 @@ impl<W: Write> Write for AdaptiveWriter<W> {
 }
 
 /// Decompressing reader for streams produced by [`AdaptiveWriter`].
+///
+/// One block path, the mirror of the writer's: `FrameReader::read_frame`
+/// validates the next frame on the caller's thread (header, caps, CRC,
+/// recovery), the payload is submitted to the [`DecodePool`], and bytes are
+/// served straight out of the block the pool releases.
 pub struct AdaptiveReader<R: Read> {
     frames: FrameReader<R>,
-    pending: Vec<u8>,
+    /// Every block is decoded here: on the caller's thread by default, on
+    /// worker threads after [`AdaptiveReader::set_pipeline_workers`].
+    pool: DecodePool,
+    /// Blocks the pool has released in wire order and that are not served
+    /// yet (at most the pool depth).
+    ready: Vec<Decoded>,
+    /// The block being served, and how much of it has been.
+    block: Option<Decoded>,
     pos: usize,
     eof: bool,
-    /// Worker pool for pipelined decompression (`None` = serial). Frame
-    /// parsing, CRC checks and recovery always run on the caller thread
-    /// (`FrameReader::read_frame`); only the pure payload decompression is
-    /// farmed out, and blocks are released in wire order.
-    pool: Option<DecodePool>,
-    /// Recycled wire-payload buffers (pipelined mode): each [`Decoded`]
-    /// hands its payload back and `refill_pipelined` reuses it for a later
-    /// frame, so steady-state pipelined decode performs no per-frame
-    /// allocation on the reader thread.
-    spare_payloads: Vec<Vec<u8>>,
+    /// A frame-layer error met while reading ahead. It surfaces once every
+    /// block before it has been served, as it would without read-ahead.
+    failed: Option<io::Error>,
 }
 
 impl<R: Read> AdaptiveReader<R> {
@@ -379,33 +387,32 @@ impl<R: Read> AdaptiveReader<R> {
     pub fn with_policy(inner: R, policy: RecoveryPolicy) -> Self {
         AdaptiveReader {
             frames: FrameReader::with_policy(inner, policy),
-            pending: Vec::new(),
+            pool: DecodePool::new(1),
+            ready: Vec::new(),
+            block: None,
             pos: 0,
             eof: false,
-            pool: None,
-            spare_payloads: Vec::new(),
+            failed: None,
         }
     }
 
-    /// Enables pipelined decompression on `workers` pool threads
-    /// (`workers <= 1` stays serial). Decoded bytes are identical to the
-    /// serial reader's for any worker count; recovery statistics match
-    /// whenever corruption is caught by the CRC (the caller-thread path).
-    /// The one divergence: a corrupt payload whose CRC *collides* is
-    /// detected after the reorder buffer, so it is counted and dropped
-    /// (skip mode) without re-scanning its bytes for embedded frames.
-    /// Call before reading any data.
+    /// Decodes blocks on `workers` pool threads (`workers <= 1`: on the
+    /// caller's thread, the default). Decoded bytes, recovery statistics
+    /// and the byte/block counters are identical for any worker count, on
+    /// clean and on damaged streams: validation and recovery never leave
+    /// the caller's thread, and a frame is counted when its block is
+    /// released in wire order. Call before reading any data.
     pub fn set_pipeline_workers(&mut self, workers: usize) {
         assert!(
             self.frames.wire_bytes == 0,
             "set_pipeline_workers must be called before the first read"
         );
-        self.pool = if workers <= 1 { None } else { Some(DecodePool::new(workers)) };
+        self.pool = DecodePool::new(workers);
     }
 
-    /// Active pipeline worker count (1 = serial).
+    /// Active pipeline worker count (1 = no threads).
     pub fn pipeline_workers(&self) -> usize {
-        self.pool.as_ref().map_or(1, DecodePool::workers)
+        self.pool.workers()
     }
 
     /// The active recovery policy.
@@ -434,17 +441,19 @@ impl<R: Read> AdaptiveReader<R> {
         }
     }
 
-    /// Application bytes decoded so far.
+    /// Application bytes of the blocks released so far.
     pub fn app_bytes(&self) -> u64 {
         self.frames.app_bytes
     }
 
-    /// Wire bytes consumed so far.
+    /// Wire bytes of the frames whose blocks have been released so far
+    /// (plus any index trailer skipped): frames read ahead or dropped as
+    /// damaged are not in it.
     pub fn wire_bytes(&self) -> u64 {
         self.frames.wire_bytes
     }
 
-    /// Frames decoded so far.
+    /// Blocks released so far.
     pub fn blocks(&self) -> u64 {
         self.frames.blocks
     }
@@ -454,110 +463,80 @@ impl<R: Read> AdaptiveReader<R> {
         self.frames.into_inner()
     }
 
-    /// Folds a batch of in-order decoded blocks into `pending`, applying
-    /// the recovery policy to worker-reported decode failures (which, with
-    /// CRC validation upstream, only occur on checksum collisions).
-    fn absorb_decoded(&mut self, batch: Vec<Decoded>) -> io::Result<()> {
-        for d in batch {
-            match d.err {
-                None => {
-                    self.frames.app_bytes += d.bytes.len() as u64;
-                    self.pending.extend_from_slice(&d.bytes);
-                }
-                Some(e) => {
-                    self.frames.recovery.corrupt_frames += 1;
-                    if self.frames.policy().mode == RecoveryMode::FailFast {
-                        return Err(io::Error::new(io::ErrorKind::InvalidData, e));
-                    }
-                    // Skip mode: the frame is dropped. Its wire bytes were
-                    // already consumed during validation, so unlike the
-                    // serial reader there is nothing left to re-scan.
-                }
+    /// Validates and submits frames until the pool releases a block or the
+    /// stream ends, so at most the pool depth is ever read ahead.
+    fn refill(&mut self) {
+        while self.ready.is_empty() {
+            if self.eof || self.failed.is_some() {
+                // Nothing more to submit: what is in flight comes out.
+                self.pool.drain(&mut self.ready);
+                return;
             }
-            // Hand both buffers back for reuse: the output to the pool,
-            // the wire payload to the reader-thread free list.
-            if let Some(pool) = self.pool.as_mut() {
-                pool.recycle(d.bytes);
-                if self.spare_payloads.len() < pool.workers() * 2 {
-                    let mut p = d.payload;
-                    p.clear();
-                    self.spare_payloads.push(p);
-                }
+            let mut payload = self.pool.wire_buf();
+            match self.frames.read_frame(&mut payload) {
+                Ok(Some(h)) => self.pool.submit(
+                    h.codec,
+                    h.uncompressed_len as usize,
+                    payload,
+                    0,
+                    &mut self.ready,
+                ),
+                Ok(None) => self.eof = true,
+                Err(e) => self.failed = Some(e),
             }
         }
-        Ok(())
     }
 
-    /// Pipelined refill: validate frames on this thread, decode on the
-    /// pool, release in wire order. Returns with `pending` non-empty or
-    /// `eof` set with the pipeline fully drained.
-    fn refill_pipelined(&mut self) -> io::Result<()> {
-        loop {
-            while !self.eof
-                && self.pool.as_ref().expect("pipelined refill without a pool").has_capacity()
-            {
-                let mut payload = self.spare_payloads.pop().unwrap_or_default();
-                match self.frames.read_frame(&mut payload)? {
-                    Some(h) => {
-                        let pool = self.pool.as_mut().expect("pipelined refill without a pool");
-                        let batch =
-                            pool.submit(h.codec, h.uncompressed_len as usize, payload);
-                        self.absorb_decoded(batch)?;
-                    }
-                    None => {
-                        self.spare_payloads.push(payload);
-                        self.eof = true;
-                    }
+    /// Accounts for a released block. The frame passed its CRC, so a decode
+    /// failure means a damaged header field or a checksum collision: the
+    /// bytes are one payload with nothing to re-scan, and the whole frame is
+    /// dropped and counted — the same rule at every worker count.
+    fn accept(&mut self, mut d: Decoded) -> io::Result<()> {
+        // `refill` submits the bare payload, so the frame is that + header.
+        let frame_len = (HEADER_LEN + d.wire.len()) as u64;
+        match d.err.take() {
+            None => {
+                self.frames.app_bytes += d.bytes.len() as u64;
+                self.frames.wire_bytes += frame_len;
+                self.frames.blocks += 1;
+            }
+            Some(e) => {
+                self.frames.recovery.corrupt_frames += 1;
+                if self.frames.policy().mode == RecoveryMode::FailFast {
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, e));
                 }
-            }
-            if self.eof {
-                let rest = self.pool.as_mut().expect("pipelined refill without a pool").drain();
-                self.absorb_decoded(rest)?;
-                return Ok(());
-            }
-            if !self.pending.is_empty() {
-                return Ok(());
-            }
-            // Pipeline full but nothing releasable yet: wait for the head
-            // of the reorder gate.
-            let batch =
-                self.pool.as_mut().expect("pipelined refill without a pool").wait_ready();
-            self.absorb_decoded(batch)?;
-            if !self.pending.is_empty() {
-                return Ok(());
+                self.frames.recovery.skipped_bytes += frame_len;
             }
         }
+        self.block = Some(d);
+        self.pos = 0;
+        Ok(())
     }
 }
 
 impl<R: Read> Read for AdaptiveReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         loop {
-            if self.pos < self.pending.len() {
-                let take = (self.pending.len() - self.pos).min(buf.len());
-                buf[..take].copy_from_slice(&self.pending[self.pos..self.pos + take]);
-                self.pos += take;
-                return Ok(take);
-            }
-            if self.eof {
-                return Ok(0);
-            }
-            self.pending.clear();
-            self.pos = 0;
-            if self.pool.is_some() {
-                self.refill_pipelined()?;
-                if self.pending.is_empty() {
-                    return Ok(0);
-                }
-                continue;
-            }
-            match self.frames.read_block(&mut self.pending)? {
-                Some(_) => continue,
-                None => {
-                    self.eof = true;
-                    return Ok(0);
+            if let Some(d) = &self.block {
+                if self.pos < d.bytes.len() {
+                    let take = (d.bytes.len() - self.pos).min(buf.len());
+                    buf[..take].copy_from_slice(&d.bytes[self.pos..self.pos + take]);
+                    self.pos += take;
+                    return Ok(take);
                 }
             }
+            // Hand the consumed block's buffers back before the next submit,
+            // so the inline lane decodes into the same, still-hot buffer.
+            if let Some(d) = self.block.take() {
+                self.pool.recycle(d);
+            }
+            self.refill();
+            if self.ready.is_empty() {
+                return self.failed.take().map_or(Ok(0), Err);
+            }
+            // Never more than the pool depth to shift.
+            let next = self.ready.remove(0);
+            self.accept(next)?;
         }
     }
 }
@@ -1157,6 +1136,63 @@ mod tests {
             assert_eq!(out, data, "workers {workers}");
             assert_eq!(r.app_bytes(), data.len() as u64);
             assert_eq!(r.wire_bytes(), wire.len() as u64);
+        }
+    }
+
+    /// A source slower than the decoders (a socket): one call hands out at
+    /// most one header or payload, after a pause.
+    struct SlowSource<'a> {
+        wire: &'a [u8],
+        handed_out: usize,
+    }
+
+    impl Read for SlowSource<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            let n = buf.len().min(self.wire.len() - self.handed_out);
+            buf[..n].copy_from_slice(&self.wire[self.handed_out..self.handed_out + n]);
+            self.handed_out += n;
+            Ok(n)
+        }
+    }
+
+    /// Refill stops at the first releasable block, so what a `read` takes
+    /// from the source ahead of what it serves is bounded by the pool depth
+    /// — however far the workers outrun the source.
+    #[test]
+    fn read_ahead_is_bounded_by_the_pool_depth() {
+        const BLOCK: usize = 128 * 1024;
+        let data = b"read-ahead corpus, compressible enough. ".repeat(256 * BLOCK / 40);
+        let wire = serial_wire(&data, 1, BLOCK);
+        let mut frame_ends = Vec::new();
+        let mut at = 0;
+        while at < wire.len() {
+            at += 16 + u32::from_le_bytes(wire[at + 8..at + 12].try_into().unwrap()) as usize;
+            frame_ends.push(at);
+        }
+        assert_eq!(frame_ends.len(), 256);
+        for workers in [1usize, 2, 4] {
+            // Nothing is ever in flight on the inline lane; thread lanes hold
+            // `depth = 2 × workers` blocks plus the frame being submitted.
+            let bound = if workers == 1 { 1 } else { 2 * workers + 1 };
+            let mut source = SlowSource { wire: &wire, handed_out: 0 };
+            let mut r = AdaptiveReader::new(&mut source);
+            r.set_pipeline_workers(workers);
+            let mut first = [0u8; 1024];
+            r.read_exact(&mut first).unwrap();
+            assert_eq!(&first[..], &data[..1024]);
+            let released = r.app_bytes();
+            drop(r);
+            assert!(
+                source.handed_out <= frame_ends[bound - 1],
+                "workers {workers}: {} bytes taken for the first read, {bound} frames end at {}",
+                source.handed_out,
+                frame_ends[bound - 1]
+            );
+            assert!(
+                released <= (bound * BLOCK) as u64,
+                "workers {workers}: {released} bytes released before the first was served"
+            );
         }
     }
 

@@ -1,22 +1,23 @@
-//! The unified block path keeps the write side's headline property:
-//! **zero heap allocation per block in steady state** through an
-//! [`AdaptiveWriter`] without threads — submit, encode, release, write and
-//! recycle included.
+//! The unified block paths keep the headline property on both sides:
+//! **zero heap allocation per block in steady state** without threads —
+//! through an [`AdaptiveWriter`] (submit, encode, release, write, recycle),
+//! back through an [`AdaptiveReader`] (validate, submit, decode, serve,
+//! recycle), and for a repeated [`IndexedReader::read_range`].
 //!
 //! A counting global allocator tallies every `alloc`/`realloc` (same
 //! harness as `crates/codecs/tests/zero_alloc.rs`). A pool that returned a
-//! fresh `Vec` of completions per submit, or encoded into a fresh frame
-//! buffer per block, fails this.
+//! fresh `Vec` per submit, encoded or decoded into a fresh buffer per
+//! block, or copied a payload into a new `Vec` fails this.
 //!
 //! This file intentionally contains a single `#[test]` so no concurrent
 //! test can disturb the allocation counter.
 
 use adcomp_codecs::LevelSet;
 use adcomp_core::epoch::ManualClock;
-use adcomp_core::{AdaptiveWriter, StaticModel};
+use adcomp_core::{AdaptiveReader, AdaptiveWriter, IndexedReader, StaticModel};
 use adcomp_corpus::{generate, Class};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::io::Write;
+use std::io::{Cursor, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -53,19 +54,24 @@ fn steady_state_stream_writing_allocates_nothing() {
         .collect();
     let levels = LevelSet::paper_default();
     for level in 0..levels.len() {
-        let mut w = AdaptiveWriter::with_params(
-            std::io::sink(),
-            levels.clone(),
-            Box::new(StaticModel::new(level, levels.len())),
-            BLOCK_LEN,
-            2.0,
-            Box::new(ManualClock::new()),
-        );
+        let warm_up = 4.max(blocks.len());
+        let writer = |sink: Vec<u8>| {
+            AdaptiveWriter::with_params(
+                sink,
+                levels.clone(),
+                Box::new(StaticModel::new(level, levels.len())),
+                BLOCK_LEN,
+                2.0,
+                Box::new(ManualClock::new()),
+            )
+        };
+        // Room for the whole stream, so the sink itself never grows.
+        let mut w = writer(Vec::with_capacity((warm_up + 16) * (BLOCK_LEN + 16)));
         assert_eq!(w.pipeline_workers(), 1);
         // Warm-up: grows the block buffer, the frame buffer, the codec
         // tables and the completion landing buffer to their high-water
         // marks (one block of every corpus class).
-        for block in blocks.iter().cycle().take(4.max(blocks.len())) {
+        for block in blocks.iter().cycle().take(warm_up) {
             w.write_all(block).unwrap();
         }
         let before = ALLOCS.load(Ordering::Relaxed);
@@ -77,7 +83,47 @@ fn steady_state_stream_writing_allocates_nothing() {
             delta, 0,
             "level {level}: 16 steady-state blocks performed {delta} heap allocation(s)"
         );
-        let (_, stats) = w.finish().unwrap();
-        assert_eq!(stats.blocks_per_level[level], (4.max(blocks.len()) + 16) as u64);
+        let (wire, stats) = w.finish().unwrap();
+        assert_eq!(stats.blocks_per_level[level], (warm_up + 16) as u64);
+
+        // Read half: the same stream back through a reader without threads,
+        // into a fixed buffer smaller than a block.
+        let mut r = AdaptiveReader::new(&wire[..]);
+        assert_eq!(r.pipeline_workers(), 1);
+        let mut buf = vec![0u8; 64 * 1024];
+        for _ in 0..warm_up * BLOCK_LEN / buf.len() {
+            r.read_exact(&mut buf).unwrap();
+        }
+        let before = ALLOCS.load(Ordering::Relaxed);
+        for _ in 0..16 * BLOCK_LEN / buf.len() {
+            r.read_exact(&mut buf).unwrap();
+        }
+        let delta = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            delta, 0,
+            "level {level}: reading 16 steady-state blocks performed {delta} heap allocation(s)"
+        );
+        assert_eq!(r.read(&mut buf).unwrap(), 0, "stream is exactly warm-up + 16 blocks");
+        assert_eq!(r.blocks(), (warm_up + 16) as u64);
+
+        // Ranged half: the second read of a span reuses every buffer of the
+        // first (three covering blocks, off both block boundaries).
+        let mut w = writer(Vec::new());
+        w.set_seekable(true);
+        for block in blocks.iter().cycle().take(4) {
+            w.write_all(block).unwrap();
+        }
+        let (wire, _) = w.finish().unwrap();
+        let mut r = IndexedReader::open(Cursor::new(&wire[..])).unwrap();
+        assert!(r.is_indexed() && r.pipeline_workers() == 1);
+        let (start, len) = (BLOCK_LEN as u64 + 1000, 2 * BLOCK_LEN as u64);
+        let mut out = Vec::new();
+        r.read_range(start, len, &mut out).unwrap();
+        out.clear();
+        let before = ALLOCS.load(Ordering::Relaxed);
+        assert_eq!(r.read_range(start, len, &mut out).unwrap(), len as usize);
+        let delta = ALLOCS.load(Ordering::Relaxed) - before;
+        assert_eq!(delta, 0, "level {level}: a repeated ranged read performed {delta} allocation(s)");
+        assert_eq!(r.fallback_scans, 0);
     }
 }

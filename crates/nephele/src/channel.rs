@@ -14,13 +14,19 @@
 //! [`RecordWriter::set_pipeline_workers`] only changes how many threads
 //! stand behind the same calls. A codec panic on one block therefore
 //! degrades that block to raw and forces level NONE at every worker count.
+//!
+//! On the receiving side the byte-stream transports (TCP, spool file)
+//! reassemble frames through one `read_frame`, whose header parse is the
+//! checked one: a length field is bounded before anything is allocated by
+//! it. [`RecordReader`] decodes every frame on the task's thread with one
+//! long-lived `DecodeScratch`.
 
 use crate::error::{NepheleError, Result};
 use adcomp_codecs::frame::{
-    decode_block_limited, RecoveryMode, RecoveryPolicy, RecoveryStats, DEFAULT_BLOCK_LEN,
-    FLAG_RECORD_ALIGNED,
+    decode_block_with, FrameHeader, RecoveryMode, RecoveryPolicy, RecoveryStats,
+    DEFAULT_BLOCK_LEN, DEFAULT_MAX_FRAME, FLAG_RECORD_ALIGNED, HEADER_LEN,
 };
-use adcomp_codecs::LevelSet;
+use adcomp_codecs::{DecodeScratch, LevelSet};
 use adcomp_core::controller::ControllerConfig;
 use adcomp_core::epoch::{Clock, EpochContext, EpochDriver, WallClock};
 use adcomp_core::model::{DecisionModel, RateBasedModel, StaticModel};
@@ -28,11 +34,10 @@ use adcomp_core::pipeline::{Completion, CompressPool};
 use adcomp_metrics::registry::{self, CounterKind, MetricsRegistry, SpanKind};
 use adcomp_trace::{ChannelEvent, TraceHandle, TraceSink as _, NO_EPOCH};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Transport flavour of a channel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,9 +192,11 @@ impl BlockSource for TcpSource {
     }
 }
 
-/// Reads one complete frame (header + payload) from a byte stream.
+/// Reads one complete frame (header + payload) from a byte stream. The
+/// header comes from outside, so it goes through the checked parse before
+/// anything is allocated by what it says: a forged length is a typed
+/// `FrameTooLarge`, not a multi-gigabyte zero-fill.
 fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>> {
-    use adcomp_codecs::frame::HEADER_LEN;
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0;
     while filled < HEADER_LEN {
@@ -206,7 +213,7 @@ fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>> {
             Err(e) => return Err(e.into()),
         }
     }
-    let parsed = adcomp_codecs::frame::FrameHeader::from_bytes(&header)
+    let parsed = FrameHeader::parse(&header, DEFAULT_MAX_FRAME)
         .map_err(|e| NepheleError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))?;
     let mut frame = Vec::with_capacity(HEADER_LEN + parsed.payload_len as usize);
     frame.extend_from_slice(&header);
@@ -232,6 +239,15 @@ struct FileState {
     written: Mutex<(u64, bool)>, // (bytes durable, writer done)
     cond: Condvar,
     path: PathBuf,
+}
+
+impl FileState {
+    /// Each update is one plain store, so the pair is valid at every step:
+    /// a lock poisoned by a panicking task is taken over, not propagated
+    /// (a writer that cannot mark itself done leaves the reader blocked).
+    fn lock(&self) -> MutexGuard<'_, (u64, bool)> {
+        self.written.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl Drop for FileState {
@@ -260,8 +276,7 @@ impl Drop for FileTransport {
     fn drop(&mut self) {
         // A writer that dies without close() must not leave the reader
         // blocked on the condvar forever.
-        let mut w = self.state.written.lock();
-        w.1 = true;
+        self.state.lock().1 = true;
         self.state.cond.notify_all();
     }
 }
@@ -270,59 +285,39 @@ impl BlockTransport for FileTransport {
     fn send(&mut self, frame: &[u8]) -> Result<()> {
         self.file.write_all(frame)?;
         self.file.flush()?;
-        let mut w = self.state.written.lock();
-        w.0 += frame.len() as u64;
+        self.state.lock().0 += frame.len() as u64;
         self.state.cond.notify_all();
         Ok(())
     }
 
     fn close(&mut self) -> Result<()> {
         self.file.flush()?;
-        let mut w = self.state.written.lock();
-        w.1 = true;
+        self.state.lock().1 = true;
         self.state.cond.notify_all();
         Ok(())
     }
 }
 
-impl FileSource {
-    /// Blocks until at least `needed` total bytes exist or the writer is
-    /// done; returns the currently available byte count.
-    fn wait_for(&self, needed: u64) -> u64 {
-        let mut w = self.state.written.lock();
-        while w.0 < needed && !w.1 {
-            self.state.cond.wait(&mut w);
-        }
-        w.0
+/// Tailing read: blocks until the writer has made at least one more byte
+/// durable or is done (then 0, end of stream).
+impl Read for FileSource {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let written = self
+            .state
+            .cond
+            .wait_while(self.state.lock(), |w| w.0 <= self.read_pos && !w.1)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+        let avail = (written - self.read_pos).min(buf.len() as u64) as usize;
+        let n = self.file.read(&mut buf[..avail])?;
+        self.read_pos += n as u64;
+        Ok(n)
     }
 }
 
 impl BlockSource for FileSource {
     fn recv(&mut self) -> Result<Option<Vec<u8>>> {
-        use adcomp_codecs::frame::HEADER_LEN;
-        let avail = self.wait_for(self.read_pos + HEADER_LEN as u64);
-        if avail < self.read_pos + HEADER_LEN as u64 {
-            return Ok(None); // clean EOF
-        }
-        let mut header = [0u8; HEADER_LEN];
-        self.file.read_exact(&mut header)?;
-        let parsed = adcomp_codecs::frame::FrameHeader::from_bytes(&header).map_err(|e| {
-            NepheleError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-        })?;
-        let total = HEADER_LEN as u64 + parsed.payload_len as u64;
-        let avail = self.wait_for(self.read_pos + total);
-        if avail < self.read_pos + total {
-            return Err(NepheleError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "spool file truncated",
-            )));
-        }
-        let mut frame = Vec::with_capacity(total as usize);
-        frame.extend_from_slice(&header);
-        frame.resize(total as usize, 0);
-        self.file.read_exact(&mut frame[HEADER_LEN..])?;
-        self.read_pos += total;
-        Ok(Some(frame))
+        read_frame(self)
     }
 }
 
@@ -598,6 +593,8 @@ pub struct RecordReader {
     /// Set after a skipped frame (or a detected desync): decoded bytes are
     /// discarded until a block flagged [`FLAG_RECORD_ALIGNED`] arrives.
     realign: bool,
+    /// Decode working memory, kept across frames.
+    scratch: DecodeScratch,
 }
 
 impl RecordReader {
@@ -617,6 +614,7 @@ impl RecordReader {
             started: std::time::Instant::now(),
             policy,
             realign: false,
+            scratch: DecodeScratch::new(),
         }
     }
 
@@ -676,7 +674,12 @@ impl RecordReader {
                         self.pos = 0;
                     }
                     let before = self.buf.len();
-                    match decode_block_limited(&frame, &mut self.buf, self.policy.max_frame) {
+                    match decode_block_with(
+                        &mut self.scratch,
+                        &frame,
+                        &mut self.buf,
+                        self.policy.max_frame,
+                    ) {
                         Ok((header, _consumed)) => {
                             if self.realign {
                                 if header.record_aligned {
@@ -871,7 +874,7 @@ mod tests {
 
     impl BlockTransport for CaptureTransport {
         fn send(&mut self, frame: &[u8]) -> Result<()> {
-            self.0.lock().extend_from_slice(frame);
+            self.0.lock().unwrap().extend_from_slice(frame);
             Ok(())
         }
         fn close(&mut self) -> Result<()> {
@@ -896,7 +899,7 @@ mod tests {
             w.write_record(r).unwrap();
         }
         let stats = w.finish().unwrap();
-        let bytes = wire.lock().clone();
+        let bytes = wire.lock().unwrap().clone();
         (bytes, stats)
     }
 
@@ -1044,6 +1047,60 @@ mod tests {
         assert_eq!(out, records);
         let stats = sender.join().unwrap();
         assert_eq!(stats.records, 100);
+    }
+
+    /// A `Read` that serves `wire` and then fails the test if asked for
+    /// more: the forged frame's payload must never be waited for.
+    struct NoMoreAfter<'a>(&'a [u8]);
+
+    impl Read for NoMoreAfter<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            assert!(!self.0.is_empty(), "read past the forged header");
+            self.0.read(buf)
+        }
+    }
+
+    /// Headers are not CRC-covered: a forged `payload_len` must be refused
+    /// by the checked parse before the frame buffer is sized by it (it used
+    /// to zero-fill 4 GiB, then block on the socket for the payload).
+    #[test]
+    fn forged_payload_len_is_refused_before_allocating() {
+        use adcomp_codecs::{codec_for, CodecError, CodecId};
+        let mut good = Vec::new();
+        adcomp_codecs::frame::encode_block(codec_for(CodecId::QlzLight), &[7u8; 5000], &mut good);
+        let mut forged = good[..HEADER_LEN].to_vec();
+        forged[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        let wire = [&good[..], &forged[..]].concat();
+        let assert_refused = |res: Result<Option<Vec<u8>>>| match res {
+            Err(NepheleError::Io(e)) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+                let inner = e.get_ref().and_then(|e| e.downcast_ref::<CodecError>());
+                assert!(
+                    matches!(
+                        inner,
+                        Some(CodecError::FrameTooLarge { field: "payload_len", len: u32::MAX, .. })
+                    ),
+                    "expected FrameTooLarge, got {e:?}"
+                );
+            }
+            other => panic!("forged header must be refused, got {other:?}"),
+        };
+
+        // Any `Read` through the shared function: the ordinary frame round-
+        // trips, the forged one errors without another byte being read.
+        let mut plain = NoMoreAfter(&wire);
+        assert_eq!(read_frame(&mut plain).unwrap().as_deref(), Some(&good[..]));
+        assert_refused(read_frame(&mut plain));
+
+        // The same over a real socket whose peer stays open and silent: a
+        // reader waiting for the forged payload would hang here.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut source = TcpSource::new(listener.accept().unwrap().0);
+        peer.write_all(&wire).unwrap();
+        assert_eq!(source.recv().unwrap().as_deref(), Some(&good[..]));
+        assert_refused(source.recv());
+        drop(peer);
     }
 
     #[test]

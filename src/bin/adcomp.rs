@@ -431,9 +431,7 @@ fn cmd_range(opts: Options) -> io::Result<()> {
         std::process::exit(2);
     };
     let mut reader = IndexedReader::open(std::fs::File::open(path)?)?;
-    if opts.pipeline_workers > 1 {
-        reader.set_pipeline_workers(opts.pipeline_workers);
-    }
+    reader.set_pipeline_workers(opts.pipeline_workers);
     let total = reader.total_uncompressed()?;
     let len = opts.len.unwrap_or_else(|| total.saturating_sub(opts.offset));
     let mut out = Vec::new();
@@ -487,9 +485,7 @@ fn cmd_decompress(opts: Options) -> io::Result<()> {
     let input = open_input(&opts.input)?;
     let mut output = open_output(&opts.output)?;
     let mut reader = AdaptiveReader::new(input);
-    if opts.pipeline_workers > 1 {
-        reader.set_pipeline_workers(opts.pipeline_workers);
-    }
+    reader.set_pipeline_workers(opts.pipeline_workers);
     io::copy(&mut reader, &mut output)?;
     output.flush()?;
     eprintln!(

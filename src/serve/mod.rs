@@ -501,74 +501,109 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn resumed_transfer_still_seals_and_serves_ranged_gets() {
-        let mut cfg = test_config();
-        cfg.keep_payloads = false;
-        let server = Server::start(cfg).unwrap();
-        let data = payload(13, 300_000);
-        // Attempt 1: stream half, then cut (same shape as the resume test
-        // above) — the captured wire must stay frame-aligned.
-        {
-            let mut sock = TcpStream::connect(server.local_addr()).unwrap();
-            proto::write_request(
-                &mut sock,
-                &Request::Put {
-                    tenant: "t".into(),
-                    transfer_id: 9,
-                    total_len: data.len() as u64,
-                },
-            )
-            .unwrap();
-            match proto::read_response(&mut sock).unwrap() {
-                Response::Accept { start_offset: 0, .. } => {}
-                other => panic!("expected fresh accept, got {other:?}"),
-            }
-            use adcomp_codecs::LevelSet;
-            use adcomp_core::model::StaticModel;
-            use adcomp_core::stream::AdaptiveWriter;
-            use std::io::Write;
-            let levels = LevelSet::paper_default();
-            let n = levels.len();
-            let mut w = AdaptiveWriter::with_params(
-                sock.try_clone().unwrap(),
-                levels,
-                Box::new(StaticModel::new(1, n)),
-                8 * 1024,
-                2.0,
-                Box::new(adcomp_core::WallClock::new()),
-            );
-            w.write_all(&data[..150_000]).unwrap();
-            let (inner, _) = w.finish().unwrap();
-            drop(inner);
-            drop(sock);
+    /// First attempt of a PUT of `data` as transfer `t`/9, framed by hand:
+    /// the first 150 000 bytes as 8 KiB LIGHT blocks, `damage` applied to
+    /// that wire, then an abrupt close with no `Done` exchange. Returns
+    /// once the server has reaped the connection.
+    fn cut_first_attempt(server: &Server, data: &[u8], damage: impl FnOnce(&mut [u8])) {
+        use adcomp_codecs::LevelSet;
+        use adcomp_core::model::StaticModel;
+        use adcomp_core::stream::AdaptiveWriter;
+        use std::io::Write;
+        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+        proto::write_request(
+            &mut sock,
+            &Request::Put { tenant: "t".into(), transfer_id: 9, total_len: data.len() as u64 },
+        )
+        .unwrap();
+        match proto::read_response(&mut sock).unwrap() {
+            Response::Accept { start_offset: 0, .. } => {}
+            other => panic!("expected fresh accept, got {other:?}"),
         }
+        let levels = LevelSet::paper_default();
+        let n = levels.len();
+        let mut w = AdaptiveWriter::with_params(
+            Vec::new(),
+            levels,
+            Box::new(StaticModel::new(1, n)),
+            8 * 1024,
+            2.0,
+            Box::new(adcomp_core::WallClock::new()),
+        );
+        w.write_all(&data[..150_000]).unwrap();
+        let (mut wire, _) = w.finish().unwrap();
+        damage(&mut wire);
+        // The server may hang up on a damaged stream before all of it is
+        // written; what it verified is asserted by the callers.
+        let _ = sock.write_all(&wire);
+        drop(sock);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while server.active() > 0 {
             assert!(std::time::Instant::now() < deadline, "cut stream never reaped");
             std::thread::sleep(Duration::from_millis(10));
         }
-        // Attempt 2: resume to completion; blocks from BOTH connections
-        // must be index-addressable.
+    }
+
+    /// Second attempt: the real client resumes `t`/9 to completion; blocks
+    /// from BOTH connections must then be index-addressable.
+    fn resume_seals_and_serves_ranged_gets(server: &Server, data: &[u8]) {
         let opts = PutOptions {
             tenant: "t".into(),
             transfer_id: 9,
             block_len: 8 * 1024,
             ..Default::default()
         };
-        let report = put(server.local_addr(), &data, &opts).unwrap();
+        let report = put(server.local_addr(), data, &opts).unwrap();
         assert!(report.resumed);
         assert!(server.is_sealed("t", 9), "resumed transfer was not sealed");
         let io = Duration::from_secs(2);
         // Ranges straddling the resume seam, both halves, and the whole.
-        for (offset, len) in
-            [(0u64, data.len() as u64), (140_000, 20_000), (10_000, 5000), (200_000, 50_000)]
-        {
+        for (offset, len) in [
+            (0u64, data.len() as u64),
+            (140_000, 20_000),
+            (80_000, 4000),
+            (10_000, 5000),
+            (200_000, 50_000),
+        ] {
             let got = get(server.local_addr(), "t", 9, offset, len, io).unwrap();
             let hi = (offset + len).min(data.len() as u64) as usize;
             assert_eq!(got, &data[offset as usize..hi], "offset={offset} len={len}");
         }
+    }
+
+    #[test]
+    fn resumed_transfer_still_seals_and_serves_ranged_gets() {
+        let mut cfg = test_config();
+        cfg.keep_payloads = false;
+        let server = Server::start(cfg).unwrap();
+        let data = payload(13, 300_000);
+        // Stream half, then cut — the captured wire must stay frame-aligned.
+        cut_first_attempt(&server, &data, |_| {});
+        resume_seals_and_serves_ranged_gets(&server, &data);
         server.shutdown();
+    }
+
+    /// The stored wire is the socket capture cut to the reader's
+    /// `wire_bytes()`, so that count must never cover a frame whose block
+    /// was not delivered. Frame headers are not CRC-covered: a flipped bit
+    /// in `uncompressed_len` gives a CRC-valid frame that cannot decode.
+    #[test]
+    fn undecodable_frame_aborts_the_put_and_is_never_retained() {
+        let mut cfg = test_config();
+        cfg.keep_payloads = false;
+        let server = Server::start(cfg).unwrap();
+        let data = payload(13, 300_000);
+        cut_first_attempt(&server, &data, |wire| {
+            let mut at = 0;
+            for _ in 0..10 {
+                at += 16 + u32::from_le_bytes(wire[at + 8..at + 12].try_into().unwrap()) as usize;
+            }
+            wire[at + 4] ^= 1;
+        });
+        assert_eq!(server.verified_len("t", 9), Some(10 * 8 * 1024), "prefix before the bad frame");
+        resume_seals_and_serves_ranged_gets(&server, &data);
+        let stats = server.shutdown();
+        assert_eq!((stats.aborts, stats.resumed, stats.completed), (1, 1, 1));
     }
 
     #[test]

@@ -881,9 +881,10 @@ fn handle_put(
 /// Tees every byte read from the socket into `captured`, so a completed
 /// PUT can retain its frame-aligned compressed wire for ranged GETs.
 /// `AdaptiveReader`'s frame layer consumes the socket in exact frame
-/// units (header `read_exact`, then payload `read_exact`), so truncating
-/// the capture to the reader's `wire_bytes()` yields only whole, valid
-/// frames.
+/// units (header `read_exact`, then payload `read_exact`) and counts a
+/// frame only once its block has decoded and been released, so truncating
+/// the capture to the reader's `wire_bytes()` yields only whole, valid,
+/// decodable frames.
 struct CaptureReader {
     inner: Box<dyn Read + Send>,
     captured: Vec<u8>,

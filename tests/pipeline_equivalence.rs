@@ -3,11 +3,12 @@
 //! The contract under test: for every codec level, every block size, every
 //! worker count and every recovery policy — including streams damaged by
 //! the seeded fault injectors — a writer with worker threads produces
-//! output **byte-identical** to one without (the writer has a single block
-//! path; only the thread count behind it varies), and the pipelined reader
-//! reports the same recovery statistics as the serial reader.
+//! output **byte-identical** to one without, and a reader with worker
+//! threads delivers the same bytes and reports the same recovery statistics
+//! and byte/block counters as one without (each side has a single block
+//! path; only the thread count behind it varies).
 
-use adcomp::codecs::frame::RecoveryPolicy;
+use adcomp::codecs::frame::{RecoveryPolicy, RecoveryStats};
 use adcomp::codecs::LevelSet;
 use adcomp::core::model::{DecisionModel, RateBasedModel, StaticModel};
 use adcomp::core::stream::{AdaptiveReader, AdaptiveWriter};
@@ -57,21 +58,33 @@ fn split_frames(wire: &[u8]) -> Vec<&[u8]> {
     frames
 }
 
-/// Decompresses `wire` with the given policy and worker count; returns
-/// `(bytes, corrupt_frames, resyncs)`.
-fn decompress(
-    wire: &[u8],
-    policy: RecoveryPolicy,
-    workers: usize,
-) -> std::io::Result<(Vec<u8>, u64, u64)> {
+/// Everything a reader reports about one pass over a stream.
+#[derive(Debug, PartialEq)]
+struct Decompressed {
+    /// Bytes delivered (before the error, if any).
+    bytes: Vec<u8>,
+    recovery: RecoveryStats,
+    wire_bytes: u64,
+    blocks: u64,
+    app_bytes: u64,
+    /// Kind and message of the error that ended the pass.
+    error: Option<(std::io::ErrorKind, String)>,
+}
+
+/// Decompresses `wire` with the given policy and worker count.
+fn decompress(wire: &[u8], policy: RecoveryPolicy, workers: usize) -> Decompressed {
     let mut r = AdaptiveReader::with_policy(wire, policy);
-    if workers > 1 {
-        r.set_pipeline_workers(workers);
+    r.set_pipeline_workers(workers);
+    let mut bytes = Vec::new();
+    let error = r.read_to_end(&mut bytes).err().map(|e| (e.kind(), e.to_string()));
+    Decompressed {
+        bytes,
+        recovery: r.recovery(),
+        wire_bytes: r.wire_bytes(),
+        blocks: r.blocks(),
+        app_bytes: r.app_bytes(),
+        error,
     }
-    let mut out = Vec::new();
-    r.read_to_end(&mut out)?;
-    let rec = r.recovery();
-    Ok((out, rec.corrupt_frames, rec.resyncs))
 }
 
 proptest! {
@@ -92,9 +105,10 @@ proptest! {
         let piped = compress(&data, Box::new(StaticModel::new(level, 4)), block, workers);
         prop_assert_eq!(&serial, &piped);
         // And both decode back, serially or pipelined.
-        let (out, c, _) = decompress(&piped, RecoveryPolicy::fail_fast(), workers).unwrap();
-        prop_assert_eq!(out, data);
-        prop_assert_eq!(c, 0);
+        let out = decompress(&piped, RecoveryPolicy::fail_fast(), workers);
+        prop_assert_eq!(out.error, None);
+        prop_assert_eq!(out.bytes, data);
+        prop_assert!(out.recovery.is_clean());
     }
 
     /// Same property under the adaptive model: the level *trajectory* is a
@@ -133,9 +147,11 @@ proptest! {
         cw.flush().unwrap();
         let wire = cw.into_inner();
 
-        let serial = decompress(&wire, RecoveryPolicy::skip_and_count(), 1).unwrap();
-        let piped = decompress(&wire, RecoveryPolicy::skip_and_count(), workers).unwrap();
-        prop_assert_eq!(serial, piped);
+        for policy in [RecoveryPolicy::skip_and_count(), RecoveryPolicy::fail_fast()] {
+            let serial = decompress(&wire, policy, 1);
+            let piped = decompress(&wire, policy, workers);
+            prop_assert_eq!(serial, piped);
+        }
     }
 }
 
@@ -167,13 +183,12 @@ fn per_frame_damage_through_pipelined_writer_roundtrips() {
     assert!(injected.flips > 0, "expected bit flips, got {injected:?}");
     let wire = cw.into_inner();
 
-    let (out, corrupt, _resyncs) = decompress(&wire, RecoveryPolicy::skip_and_count(), 4).unwrap();
-    assert!(corrupt >= injected.flips, "every flipped frame must be counted");
-    assert!(out.len() < data.len(), "flipped blocks must be dropped");
-    // The serial reader agrees byte-for-byte on the damaged stream.
-    let serial = decompress(&wire, RecoveryPolicy::skip_and_count(), 1).unwrap();
-    assert_eq!(serial.0, out);
-    assert_eq!(serial.1, corrupt);
+    let out = decompress(&wire, RecoveryPolicy::skip_and_count(), 4);
+    assert_eq!(out.error, None);
+    assert!(out.recovery.corrupt_frames >= injected.flips, "every flipped frame must be counted");
+    assert!(out.bytes.len() < data.len(), "flipped blocks must be dropped");
+    // The reader without threads agrees on the damaged stream.
+    assert_eq!(decompress(&wire, RecoveryPolicy::skip_and_count(), 1), out);
 }
 
 /// Bounded-retry exhaustion: a transient burst longer than `max_retries`
@@ -250,10 +265,50 @@ fn resync_after_damage_matches_serial_across_worker_counts() {
     }
     let wire = cw.into_inner();
 
-    let serial = decompress(&wire, RecoveryPolicy::skip_and_count(), 1).unwrap();
-    assert!(serial.1 > 0, "fault plan should have damaged at least one frame");
+    let serial = decompress(&wire, RecoveryPolicy::skip_and_count(), 1);
+    assert!(serial.recovery.corrupt_frames > 0, "fault plan should have damaged a frame");
     for workers in [2usize, 4, 8] {
-        let piped = decompress(&wire, RecoveryPolicy::skip_and_count(), workers).unwrap();
+        let piped = decompress(&wire, RecoveryPolicy::skip_and_count(), workers);
         assert_eq!(serial, piped, "workers {workers}");
+    }
+}
+
+/// Frame headers are not CRC-covered: one flipped bit in `uncompressed_len`
+/// leaves a CRC-valid frame that cannot decode. One rule for every worker
+/// count — the whole frame is dropped and counted, nothing is re-scanned (the
+/// CRC proves the bytes are one payload), and the byte/block counters count
+/// only the frames whose blocks were delivered.
+#[test]
+fn crc_valid_undecodable_frame_is_handled_alike_for_any_worker_count() {
+    const BLOCK: usize = 2048;
+    let data = corpus::generate(Class::Moderate, 64 * BLOCK, 0x4EAD);
+    let mut wire = compress(&data, Box::new(StaticModel::new(1, 4)), BLOCK, 1);
+    let frames: Vec<usize> = split_frames(&wire).iter().map(|f| f.len()).collect();
+    assert_eq!(frames.len(), 64);
+    let victim: usize = frames[..10].iter().sum();
+    wire[victim + 4] ^= 1;
+    let survivors = [&data[..10 * BLOCK], &data[11 * BLOCK..]].concat();
+
+    let skip = decompress(&wire, RecoveryPolicy::skip_and_count(), 1);
+    assert_eq!(skip.error, None);
+    assert_eq!(skip.bytes, survivors);
+    let dropped = RecoveryStats {
+        corrupt_frames: 1,
+        skipped_bytes: frames[10] as u64,
+        ..RecoveryStats::default()
+    };
+    assert_eq!(skip.recovery, dropped);
+    assert_eq!(skip.wire_bytes, (wire.len() - frames[10]) as u64);
+    assert_eq!((skip.blocks, skip.app_bytes), (63, survivors.len() as u64));
+
+    let strict = decompress(&wire, RecoveryPolicy::fail_fast(), 1);
+    assert_eq!(strict.bytes, &data[..10 * BLOCK], "every block before the fault is delivered");
+    assert_eq!(strict.error.as_ref().map(|e| e.0), Some(std::io::ErrorKind::InvalidData));
+    assert_eq!(strict.recovery, RecoveryStats { corrupt_frames: 1, ..RecoveryStats::default() });
+    assert_eq!((strict.wire_bytes, strict.blocks), (victim as u64, 10));
+
+    for workers in [2usize, 4, 7] {
+        assert_eq!(decompress(&wire, RecoveryPolicy::skip_and_count(), workers), skip, "{workers}");
+        assert_eq!(decompress(&wire, RecoveryPolicy::fail_fast(), workers), strict, "{workers}");
     }
 }
