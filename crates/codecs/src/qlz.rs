@@ -7,8 +7,10 @@
 //!
 //! * **LIGHT** — greedy parse, single-probe hash table, literal-run skip
 //!   acceleration on incompressible data.
-//! * **MEDIUM** — hash-chain match finder with bounded depth plus one-step
-//!   lazy matching.
+//! * **MEDIUM** — two hash chains of bounded depth over each block (one
+//!   keyed on 8 bytes, one on 4; `u16` distance links) plus one-step lazy
+//!   matching whose probe at `i + 1` only looks for matches that would win
+//!   and hands a winner to the next step, and LIGHT's literal-run skip.
 //!
 //! ## Token format (shared by both settings)
 //!
@@ -253,117 +255,213 @@ pub fn compress_light_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8
     scratch.note_out(crate::CodecId::QlzLight, produced);
 }
 
-/// Hash-chain lazy compression (QuickLZ level-2 analogue: better ratio,
+/// Two-chain lazy compression (QuickLZ level-2 analogue: better ratio,
 /// lower speed), allocating fresh working memory. Thin wrapper over
 /// [`compress_medium_with`].
 pub fn compress_medium(input: &[u8], out: &mut Vec<u8>) {
     compress_medium_with(&mut Scratch::new(), input, out);
 }
 
-/// Hash-chain lazy compression using reusable working memory. In steady
-/// state (same-size blocks) this performs no heap allocation: the chain
-/// array is only grown, never cleared — stale entries are unreachable
-/// because chains start at heads reset for every block and each `prev[pos]`
-/// is written before `head` can point at `pos`.
+/// Two-chain lazy compression using reusable working memory. In steady
+/// state (same-size blocks) this performs no heap allocation: the link
+/// arrays are only grown, never cleared — stale entries are unreachable
+/// because chains start at heads reset for every block and each
+/// `link[pos]` is written before a head can point at `pos`.
 pub fn compress_medium_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
-    const HASH_BITS: u32 = 15;
-    const MAX_DEPTH: u32 = 48;
+    /// Inputs shorter than this go out as literals (the finder reads 8-byte
+    /// keys; nothing that small is worth a table reset).
+    const SHORT_INPUT: usize = 16;
     let n = input.len();
     out.reserve(scratch.out_hint(crate::CodecId::QlzMedium, n));
     let out_start = out.len();
     let mut w = TokenWriter::new(out);
-    if n < MIN_MATCH {
+    if n < SHORT_INPUT {
         for &b in input {
             w.literal(b);
         }
         w.finish();
         return;
     }
-    reset_table(&mut scratch.med_head, 1 << HASH_BITS);
-    ensure_len_uninit(&mut scratch.med_prev, n);
-    let head = &mut scratch.med_head[..];
-    let prev = &mut scratch.med_prev[..];
-
-    let insert = |head: &mut [u32], prev: &mut [u32], input: &[u8], pos: usize| {
-        if pos + MIN_MATCH <= n {
-            let h = hash4(input, pos, HASH_BITS);
-            prev[pos] = head[h];
-            head[h] = pos as u32;
-        }
+    reset_table(&mut scratch.med_long_head, 1 << MediumFinder::HASH_BITS);
+    reset_table(&mut scratch.med_short_head, 1 << MediumFinder::HASH_BITS);
+    ensure_len_uninit(&mut scratch.med_long_link, n);
+    ensure_len_uninit(&mut scratch.med_short_link, n);
+    let mut f = MediumFinder {
+        input,
+        long_head: &mut scratch.med_long_head,
+        long_link: &mut scratch.med_long_link,
+        short_head: &mut scratch.med_short_head,
+        short_link: &mut scratch.med_short_link,
     };
-    let find_best = |head: &[u32], prev: &[u32], input: &[u8], pos: usize| -> (usize, usize) {
-        let limit = (n - pos).min(MAX_MATCH);
-        if limit < MIN_MATCH {
-            return (0, 0);
+
+    // Positions up to `last` have a whole 8-byte key; the few after it are
+    // reachable as match tails only.
+    let last = n - MediumFinder::KEY_LEN;
+    let mut i = 0usize;
+    let mut misses = 0u32;
+    // A lazy probe that won: the match at `i`, already searched and
+    // inserted by the previous iteration.
+    let mut carried = None;
+    while i <= last {
+        let Some((len, off)) = carried.take().or_else(|| f.probe(i, MIN_MATCH - 1)) else {
+            // LIGHT's skip acceleration: after a long literal run, emit
+            // several literals per probe so incompressible data stays fast.
+            let skip = (1 + (misses >> 5) as usize).min(n - i);
+            for &b in &input[i..i + skip] {
+                w.literal(b);
+            }
+            i += skip;
+            misses += 1;
+            continue;
+        };
+        misses = 0;
+        // One-step lazy match: prefer a match at i + 1 that is longer by
+        // two or more, and keep it for the next iteration.
+        let mut next = i + 1;
+        if next <= last {
+            carried = f.probe(next, len + 1);
+            if carried.is_some() {
+                w.literal(input[i]);
+                i = next;
+                continue;
+            }
+            next += 1;
         }
-        let mut best_len = 0usize;
-        let mut best_off = 0usize;
-        let mut cand = head[hash4(input, pos, HASH_BITS)];
-        let mut depth = 0;
-        while cand != u32::MAX && depth < MAX_DEPTH {
-            let c = cand as usize;
+        w.match_token(len, off);
+        i += len;
+        for pos in next..i.min(last + 1) {
+            f.insert(pos);
+        }
+    }
+    for &b in &input[i..] {
+        w.literal(b);
+    }
+    w.finish();
+    let produced = out.len() - out_start;
+    scratch.note_out(crate::CodecId::QlzMedium, produced);
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Chain hops and probed positions of this thread's MEDIUM calls.
+    static EFFORT: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+#[inline(always)]
+fn count_effort(_hops: u64, _probes: u64) {
+    #[cfg(test)]
+    EFFORT.with(|e| e.set((e.get().0 + _hops, e.get().1 + _probes)));
+}
+
+/// MEDIUM's match finder: two hash chains over one block. The long chain is
+/// keyed on 8 bytes and gets the depth, because an 8-byte key has few
+/// occurrences and each of them is a match worth a token; the short chain
+/// (the 4-byte key LIGHT uses) is walked only when the long walk came back
+/// with nothing, for the 4..=7-byte matches the long key cannot see. Heads
+/// hold absolute positions (`u32::MAX` = empty); links are `u16` backward
+/// distances with `0` = end of chain (no earlier occurrence, or one farther
+/// than [`MAX_OFFSET`]).
+struct MediumFinder<'a> {
+    input: &'a [u8],
+    long_head: &'a mut [u32],
+    long_link: &'a mut [u16],
+    short_head: &'a mut [u32],
+    short_link: &'a mut [u16],
+}
+
+impl MediumFinder<'_> {
+    const HASH_BITS: u32 = 15;
+    /// Bytes hashed by the long chain; a position needs this many bytes
+    /// after it to be probed or inserted.
+    const KEY_LEN: usize = 8;
+    /// Hops per probe on the long and on the short chain.
+    const LONG_DEPTH: u32 = 16;
+    const SHORT_DEPTH: u32 = 8;
+
+    /// Links `pos` into both chains and returns the distance to the previous
+    /// position of each (long, short).
+    #[inline]
+    fn insert(&mut self, pos: usize) -> (u16, u16) {
+        let v = u64::from_le_bytes(self.input[pos..pos + Self::KEY_LEN].try_into().unwrap());
+        let hl = (v.wrapping_mul(0x9E37_79B1_85EB_CA87) >> (64 - Self::HASH_BITS)) as usize;
+        let hs = hash_u32(v as u32, Self::HASH_BITS);
+        // An empty head (`u32::MAX`) wraps to a distance past `MAX_OFFSET`.
+        let link = |head: u32| u16::try_from((pos as u64).wrapping_sub(head as u64)).unwrap_or(0);
+        let dl = link(std::mem::replace(&mut self.long_head[hl], pos as u32));
+        let ds = link(std::mem::replace(&mut self.short_head[hs], pos as u32));
+        self.long_link[pos] = dl;
+        self.short_link[pos] = ds;
+        (dl, ds)
+    }
+
+    /// Inserts `pos` and returns the longest match there that is strictly
+    /// longer than `floor` (at least `MIN_MATCH - 1`), as `(len, offset)`.
+    #[inline]
+    fn probe(&mut self, pos: usize, floor: usize) -> Option<(usize, usize)> {
+        let (dl, ds) = self.insert(pos);
+        let limit = (self.input.len() - pos).min(MAX_MATCH);
+        if floor >= limit {
+            return None;
+        }
+        let mut best = (floor, 0);
+        let mut hops = self.walk(self.long_link, Self::LONG_DEPTH, pos, dl, limit, &mut best);
+        // The long walk has seen every match of 8 bytes and more within its
+        // depth; the short chain adds the 4..=7-byte ones.
+        if best.0 + 1 < Self::KEY_LEN {
+            hops += self.walk(
+                self.short_link,
+                Self::SHORT_DEPTH,
+                pos,
+                ds,
+                limit,
+                &mut best,
+            );
+        }
+        count_effort(hops, 1);
+        (best.0 > floor).then_some(best)
+    }
+
+    /// Walks one chain back from `pos` (`d` = its first link) for at most
+    /// `depth` hops, raising `best` = `(len, offset)` to the longest match
+    /// found; `best.0 < limit` on entry. Returns the hops taken.
+    #[inline]
+    fn walk(
+        &self,
+        link: &[u16],
+        mut depth: u32,
+        pos: usize,
+        mut d: u16,
+        limit: usize,
+        best: &mut (usize, usize),
+    ) -> u64 {
+        let input = self.input;
+        let mut hops = 0;
+        let mut c = pos;
+        while d != 0 && depth > 0 {
+            c -= d as usize;
             if pos - c > MAX_OFFSET {
                 break;
             }
-            // Quick reject: a longer match must agree at the byte just past
-            // the current best (c + best_len < n because c < pos).
-            if best_len == 0
-                || (pos + best_len < n && input[c + best_len] == input[pos + best_len])
-            {
+            hops += 1;
+            // Load the next link before the unpredictable look at this
+            // candidate, so the two overlap.
+            d = link[c];
+            depth -= 1;
+            // A longer match must agree on the four bytes that end just
+            // past the best.
+            let at = best.0 - (MIN_MATCH - 1);
+            if read_u32(input, c + at) == read_u32(input, pos + at) {
                 let len = match_len(input, c, pos, limit);
-                if len > best_len {
-                    best_len = len;
-                    best_off = pos - c;
+                if len > best.0 {
+                    *best = (len, pos - c);
                     if len == limit {
                         break;
                     }
                 }
             }
-            cand = prev[c];
-            depth += 1;
         }
-        if best_len >= MIN_MATCH {
-            (best_len, best_off)
-        } else {
-            (0, 0)
-        }
-    };
-
-    let mut i = 0usize;
-    while i + MIN_MATCH <= n {
-        let (len, off) = find_best(head, prev, input, i);
-        insert(head, prev, input, i);
-        if len == 0 {
-            w.literal(input[i]);
-            i += 1;
-            continue;
-        }
-        // One-step lazy match: prefer a strictly longer match at i + 1.
-        if i + 1 + MIN_MATCH <= n {
-            let (len2, _off2) = find_best(head, prev, input, i + 1);
-            if len2 > len + 1 {
-                w.literal(input[i]);
-                i += 1;
-                continue;
-            }
-        }
-        w.match_token(len, off);
-        // Insert hash entries inside the match (sparsely, for speed).
-        let mut j = i + 1;
-        let end = i + len;
-        while j < end {
-            insert(head, prev, input, j);
-            j += if len > 64 { 7 } else { 1 };
-        }
-        i = end;
+        hops
     }
-    while i < n {
-        w.literal(input[i]);
-        i += 1;
-    }
-    w.finish();
-    let produced = out.len() - out_start;
-    scratch.note_out(crate::CodecId::QlzMedium, produced);
 }
 
 /// Appends `len` bytes from `off` bytes back in `out` — the LZ match copy,
@@ -570,15 +668,7 @@ mod tests {
 
     #[test]
     fn roundtrip_incompressible() {
-        let mut x = 0x12345678u64;
-        let data: Vec<u8> = (0..65536)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x as u8
-            })
-            .collect();
+        let data = noise(65536, 0x12345678);
         let cl = roundtrip(compress_light, &data);
         // Worst case ~ 9/8 expansion.
         assert!(cl <= data.len() + data.len() / 8 + 16);
@@ -682,19 +772,115 @@ mod tests {
         assert_eq!(match_len_naive(&data, 0, 8, limit), limit);
     }
 
+    /// `len` bytes of a fixed pseudo-random stream (xorshift64 from `x`):
+    /// incompressible filler with no repeats worth a token.
+    fn noise(len: usize, mut x: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    /// `(position, len, offset)` of every match token in a valid stream.
+    fn matches_of(stream: &[u8], expected_len: usize) -> Vec<(usize, usize, usize)> {
+        let (mut p, mut produced, mut found) = (0, 0, Vec::new());
+        while produced < expected_len {
+            let ctrl = stream[p];
+            p += 1;
+            for bit in 0..8 {
+                if produced == expected_len {
+                    break;
+                }
+                if ctrl >> bit & 1 == 0 {
+                    p += 1;
+                    produced += 1;
+                } else {
+                    let len = stream[p] as usize + MIN_MATCH;
+                    let off = u16::from_le_bytes([stream[p + 1], stream[p + 2]]) as usize;
+                    found.push((produced, len, off));
+                    p += 3;
+                    produced += len;
+                }
+            }
+        }
+        found
+    }
+
+    /// 200 KiB of noise whose only repeats are three 4 KiB stretches copied
+    /// 65 535, 65 536 and 70 000 bytes ahead: the farthest distance a `u16`
+    /// link and the token format reach, and two just past it. (Stretches
+    /// this long, because the literal-run skip probes noise sparsely: only
+    /// some of their positions are in the chains.)
+    const FAR_REPEATS: [(usize, usize); 3] = [(1_000, 65_535), (6_000, 65_536), (11_000, 70_000)];
+    const FAR_LEN: usize = 4096;
+
+    fn far_repeat_block() -> Vec<u8> {
+        let mut block = noise(200 * 1024, 0x9E37_79B9_7F4A_7C15);
+        for (src, dist) in FAR_REPEATS {
+            block.copy_within(src..src + FAR_LEN, src + dist);
+        }
+        block
+    }
+
+    /// MEDIUM finds a repeat exactly `MAX_OFFSET` back and nothing farther:
+    /// a link that would be longer is stored as end-of-chain.
+    #[test]
+    fn medium_reaches_max_offset_and_no_farther() {
+        let block = far_repeat_block();
+        let mut c = Vec::new();
+        compress_medium(&block, &mut c);
+        let found = matches_of(&c, block.len());
+        let found_back = |dist: usize| -> usize {
+            found
+                .iter()
+                .filter(|&&(_, _, off)| off == dist)
+                .map(|&(_, len, _)| len)
+                .sum()
+        };
+        assert!(
+            found_back(MAX_OFFSET) >= FAR_LEN / 2,
+            "the repeat 65 535 back went unfound: {found:?}"
+        );
+        // The other two copies lie past every link and token: whatever is
+        // matched inside them is a chance 4-byte hit, not the copy.
+        for (src, dist) in &FAR_REPEATS[1..] {
+            let copy = src + dist..src + dist + FAR_LEN;
+            for &(pos, len, off) in found.iter().filter(|m| copy.contains(&m.0)) {
+                assert!(
+                    len < 16,
+                    "match at {pos} (len {len}, offset {off}) inside a copy {dist} back"
+                );
+            }
+        }
+    }
+
     /// A reused scratch must produce bit-identical output to a fresh one;
     /// stale hash-table/chain contents must never leak into the parse.
     #[test]
     fn scratch_reuse_is_bit_identical() {
-        // Adversarial sequence: sizes shrink and grow so `med_prev` retains
-        // stale entries from larger earlier blocks.
-        let blocks: Vec<Vec<u8>> = vec![
-            b"abcabcabc".repeat(4000),               // 36 KB repetitive
-            vec![b'x'; 100],                         // tiny
+        // Adversarial sequence: sizes shrink and grow, so MEDIUM's link
+        // arrays keep stale distances from larger earlier blocks (a stale
+        // `u16` link followed by mistake would point at a position that
+        // never held this block's bytes), and sizes 0..=24 straddle its
+        // short-input arm.
+        let mut blocks: Vec<Vec<u8>> = vec![
+            far_repeat_block(),        // 200 KB, links near the u16 limit
+            b"abcabcabc".repeat(4000), // 36 KB repetitive
+            vec![b'x'; 100],           // tiny
             (0..50_000u32).flat_map(|i| i.to_le_bytes()).collect(), // structured
-            Vec::new(),                              // empty
-            b"the quick brown fox ".repeat(5000),    // 100 KB text
+            Vec::new(),                // empty
+            b"the quick brown fox ".repeat(5000), // 100 KB text
         ];
+        blocks.extend((0..=24).map(|n| b"abcdabcd".repeat(4)[..n].to_vec()));
+        blocks.extend(
+            [300usize, 70_000, 2_000, 150_000]
+                .map(|n| b"0123456789abcdefghijklm".repeat(n / 23 + 1)[..n].to_vec()),
+        );
+        blocks.push(far_repeat_block());
         type FreshFn = fn(&[u8], &mut Vec<u8>);
         type WithFn = fn(&mut Scratch, &[u8], &mut Vec<u8>);
         let variants: [(usize, FreshFn, WithFn); 2] = [
@@ -714,5 +900,58 @@ mod tests {
                 assert_eq!(&d, block, "block {i} codec {which}: roundtrip failed");
             }
         }
+    }
+
+    /// Hops and probed positions MEDIUM spends on `data` (one block).
+    fn effort_of(data: &[u8]) -> (u64, u64) {
+        EFFORT.with(|e| e.set((0, 0)));
+        roundtrip(compress_medium, data);
+        EFFORT.with(|e| e.get())
+    }
+
+    /// The finder's work is bounded per probed position whatever the input,
+    /// and stays at a fraction of the single 48-deep chain it replaced on
+    /// the corpus text. Fails loudly if a tune-up goes quadratic.
+    #[test]
+    fn medium_effort_is_bounded() {
+        const LEN: usize = 128 * 1024;
+        // Every 8-byte key equal, the byte after it different: the long
+        // chain is as long as the block and none of its entries extends.
+        let mut every_key_equal = noise(LEN, 7);
+        for chunk in every_key_equal.chunks_mut(9) {
+            let keyed = chunk.len().min(8);
+            chunk[..keyed].copy_from_slice(&b"8-gram!!"[..keyed]);
+        }
+        let text = adcomp_corpus::generate(adcomp_corpus::Class::Moderate, LEN, 4);
+        let inputs: [(&str, &[u8]); 6] = [
+            ("zeros", &[0; LEN]),
+            ("period 3", &b"abc".repeat(LEN / 3 + 1)[..LEN]),
+            (
+                "fax rows",
+                &adcomp_corpus::generate(adcomp_corpus::Class::High, LEN, 4),
+            ),
+            (
+                "jpeg-like",
+                &adcomp_corpus::generate(adcomp_corpus::Class::Low, LEN, 4),
+            ),
+            ("Zipf text", &text),
+            ("every 8-gram equal", &every_key_equal),
+        ];
+        let per_probe = (MediumFinder::LONG_DEPTH + MediumFinder::SHORT_DEPTH) as u64;
+        for (name, data) in inputs {
+            let (hops, probes) = effort_of(data);
+            assert!(
+                probes <= LEN as u64,
+                "{name}: {probes} probes for {LEN} positions"
+            );
+            assert!(
+                hops <= per_probe * probes,
+                "{name}: {hops} hops over {probes} probes"
+            );
+        }
+        // The chain walked to depth 48 twice per match spent 7 400 hops per
+        // KiB on this text (commit 57db0f0).
+        let per_kib = effort_of(&text).0 / (LEN as u64 / 1024);
+        assert!(per_kib <= 7_400 / 2, "text: {per_kib} hops per KiB");
     }
 }

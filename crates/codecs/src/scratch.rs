@@ -20,11 +20,15 @@
 pub struct Scratch {
     /// LIGHT: single-probe hash table (`1 << 14` entries once used).
     pub(crate) light_table: Vec<u32>,
-    /// MEDIUM: hash-chain heads (`1 << 15` entries once used).
-    pub(crate) med_head: Vec<u32>,
-    /// MEDIUM: hash-chain links, one per input byte (grown to the largest
-    /// block seen; stale contents are unreachable by construction).
-    pub(crate) med_prev: Vec<u32>,
+    /// MEDIUM: heads of the 8-byte-key and 4-byte-key chains (`1 << 15`
+    /// entries each once used).
+    pub(crate) med_long_head: Vec<u32>,
+    pub(crate) med_short_head: Vec<u32>,
+    /// MEDIUM: chain links as backward distances, one per input byte and
+    /// chain (grown to the largest block seen; stale contents are
+    /// unreachable by construction).
+    pub(crate) med_long_link: Vec<u16>,
+    pub(crate) med_short_link: Vec<u16>,
     /// HEAVY: match-finder tables + probability model (boxed so the common
     /// LIGHT/MEDIUM path does not pay for them).
     pub(crate) heavy: Option<Box<crate::heavy::HeavyScratch>>,
@@ -39,8 +43,10 @@ impl Scratch {
     pub fn new() -> Self {
         Scratch {
             light_table: Vec::new(),
-            med_head: Vec::new(),
-            med_prev: Vec::new(),
+            med_long_head: Vec::new(),
+            med_short_head: Vec::new(),
+            med_long_link: Vec::new(),
+            med_short_link: Vec::new(),
             heavy: None,
             huff_table: Vec::new(),
             last_out: [0; 6],
@@ -71,10 +77,11 @@ impl Scratch {
     pub fn table_bytes(&self) -> usize {
         let heavy = self.heavy.as_ref().map_or(0, |h| h.table_bytes());
         (self.light_table.capacity()
-            + self.med_head.capacity()
-            + self.med_prev.capacity()
+            + self.med_long_head.capacity()
+            + self.med_short_head.capacity()
             + self.huff_table.capacity())
             * 4
+            + (self.med_long_link.capacity() + self.med_short_link.capacity()) * 2
             + heavy
     }
 }
@@ -129,9 +136,9 @@ pub(crate) fn reset_table(v: &mut Vec<u32>, len: usize) {
 /// read (each `prev[pos]` is stored before the table head can point at
 /// `pos`, and chains only start at heads set in the current block).
 #[inline]
-pub(crate) fn ensure_len_uninit(v: &mut Vec<u32>, len: usize) {
+pub(crate) fn ensure_len_uninit<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
     if v.len() < len {
-        v.resize(len, u32::MAX);
+        v.resize(len, T::default());
     }
 }
 

@@ -48,6 +48,37 @@ fn low_class_compresses_like_jpeg() {
     assert!(heavy > 0.85, "HEAVY on LOW: {heavy}");
 }
 
+/// MEDIUM's place on the ladder, pinned: no larger than the single 48-deep
+/// `hash4` chain it replaced (its ratios at commit 57db0f0, same corpus,
+/// seed and block length, from that commit's binary), RAW fallback on
+/// LOW, and strictly between LIGHT and HEAVY where there is anything to
+/// compress. Deterministic — no timing.
+#[test]
+fn medium_ratio_holds_its_rung() {
+    const PARENT_HIGH: f64 = 0.035102; // 57db0f0
+    const PARENT_MODERATE: f64 = 0.409517; // 57db0f0
+    let high = ratio(Class::High, CodecId::QlzMedium);
+    let moderate = ratio(Class::Moderate, CodecId::QlzMedium);
+    let low = ratio(Class::Low, CodecId::QlzMedium);
+    assert!(
+        high <= 1.01 * PARENT_HIGH,
+        "MEDIUM on HIGH: {high} vs {PARENT_HIGH}"
+    );
+    assert!(
+        moderate <= PARENT_MODERATE,
+        "MEDIUM on MODERATE: {moderate} vs {PARENT_MODERATE}"
+    );
+    assert!(low <= 1.0002, "MEDIUM on LOW must fall back to RAW: {low}");
+    for (class, medium) in [(Class::High, high), (Class::Moderate, moderate)] {
+        let light = ratio(class, CodecId::QlzLight);
+        let heavy = ratio(class, CodecId::Heavy);
+        assert!(
+            light > medium && medium > heavy,
+            "{class}: LIGHT {light} > MEDIUM {medium} > HEAVY {heavy} must hold"
+        );
+    }
+}
+
 #[test]
 fn every_codec_roundtrips_every_class() {
     for class in Class::ALL {

@@ -108,6 +108,12 @@ fn reader_rejects_corrupted_wire_data() {
 /// appended index trailer — which an old-style streaming reader skips
 /// cleanly. Regenerate the golden with `ADCOMP_REGEN_GOLDEN=1 cargo test
 /// non_indexed_wire_bytes_match_pinned_golden`.
+///
+/// Re-pinned 2026-10-04: MEDIUM's match finder changed (two hash chains
+/// for the one 48-deep chain), so its token stream parses the same text
+/// into other matches; frame and token formats are untouched. The bytes
+/// pinned until then live on as `plain_stream_pr17.adc`, see
+/// `stream_pinned_before_the_two_chain_finder_still_decodes`.
 #[test]
 fn non_indexed_wire_bytes_match_pinned_golden() {
     let data = adcomp::corpus::generate(Class::Moderate, 48 * 1024, 0x601D);
@@ -145,4 +151,24 @@ fn non_indexed_wire_bytes_match_pinned_golden() {
         AdaptiveReader::new(&wire[..]).read_to_end(&mut out).unwrap();
         assert_eq!(out, data, "streaming reader must decode (and skip any trailer) losslessly");
     }
+}
+
+/// Old streams stay readable: the golden pinned up to PR 17, written by the
+/// single-chain MEDIUM, is a decode-only fixture — today's reader returns
+/// the text it was made from.
+#[test]
+fn stream_pinned_before_the_two_chain_finder_still_decodes() {
+    let wire = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/plain_stream_pr17.adc"
+    ))
+    .expect("decode-only fixture missing");
+    let mut out = Vec::new();
+    AdaptiveReader::new(&wire[..])
+        .read_to_end(&mut out)
+        .unwrap();
+    assert_eq!(
+        out,
+        adcomp::corpus::generate(Class::Moderate, 48 * 1024, 0x601D)
+    );
 }
