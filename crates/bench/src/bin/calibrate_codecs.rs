@@ -1,12 +1,14 @@
 //! UTILITY — measures this repository's real codecs on the generated
 //! corpus: compression/decompression throughput and wire ratio per
-//! (class, level). These measurements back the `SpeedModel::measure`
-//! pathway of the simulator and document how the from-scratch codecs
-//! compare with the paper's QuickLZ/LZMA stack.
+//! (class, codec) — the paper's four levels, which back the
+//! `SpeedModel::measure` pathway of the simulator and document how the
+//! from-scratch codecs compare with the paper's QuickLZ/LZMA stack, then
+//! the two portfolio codecs beside them.
 //!
 //! Run: `cargo run --release -p adcomp-bench --bin calibrate_codecs`
 
-use adcomp_codecs::calibrate::measure_all;
+use adcomp_codecs::calibrate::measure;
+use adcomp_codecs::CodecId;
 use adcomp_corpus::{generate, Class};
 use adcomp_metrics::Table;
 
@@ -17,7 +19,7 @@ fn main() {
     ]);
     for class in Class::ALL {
         let data = generate(class, 4 * 1024 * 1024, 42);
-        for p in measure_all(&data, 0.2) {
+        for p in CodecId::REGISTRY.map(|id| measure(id, &data, 0.2)) {
             table.row(vec![
                 class.name().to_string(),
                 p.codec.level_name().to_string(),

@@ -19,9 +19,10 @@
 //!
 //! All compressor state lives in stack arrays — the scratch path is
 //! allocation-free by construction. Decoders are bounds-hardened: typed
-//! [`CodecError`]s on damage, never panics, and the independent
-//! [`columnar_reference`] decoder is pinned to identical output and
-//! identical errors by the differential oracle suite.
+//! [`CodecError`]s on damage, never panics, and the independent per-bit
+//! oracle (`tests/reference/mod.rs::columnar_reference`, compiled only under
+//! test) is pinned to identical output and identical errors by the
+//! differential oracle suite.
 
 use crate::{CodecError, Result};
 
@@ -286,8 +287,8 @@ impl<'a> BitUnpacker<'a> {
 }
 
 /// Decompresses a COLUMNAR payload (exactly `expected_len` output bytes),
-/// appending to `out`. Identical output and identical errors to
-/// [`columnar_reference`] on every input — the differential contract.
+/// appending to `out`. Identical output and identical errors to the per-bit
+/// oracle on every input — the differential contract.
 pub fn decompress(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
     let scheme = *input.first().ok_or(CodecError::Truncated)?;
     let body = &input[1..];
@@ -384,187 +385,10 @@ pub fn decompress(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Resul
     }
 }
 
-// --- reference decoder (differential oracle) ----------------------------
-
-/// Reads bit `i` of the packed index section — the naive per-bit picture
-/// of what [`BitUnpacker`] does word-wise.
-#[inline]
-fn ref_bit(bytes: &[u8], i: usize) -> u32 {
-    ((bytes[i / 8] >> (i % 8)) & 1) as u32
-}
-
-fn ref_index(bytes: &[u8], slot: usize, w: u32) -> u32 {
-    let mut v = 0u32;
-    for b in 0..w as usize {
-        v |= ref_bit(bytes, slot * w as usize + b) << b;
-    }
-    v
-}
-
-/// Naive reference decoder: per-bit index extraction, per-byte run fills,
-/// no shared helpers with the optimized path beyond the varint reader's
-/// semantics (reimplemented here). Pinned to [`decompress`] by the
-/// differential suite: identical output bytes *and* identical errors.
-pub fn columnar_reference(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
-    fn varint(body: &[u8], pos: &mut usize) -> Result<u32> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            if *pos >= body.len() {
-                return Err(CodecError::Truncated);
-            }
-            let b = body[*pos];
-            *pos += 1;
-            if shift == 28 && b > 0x0F {
-                return Err(CodecError::Corrupt("varint overflow"));
-            }
-            if shift > 28 {
-                return Err(CodecError::Corrupt("varint too long"));
-            }
-            v |= ((b & 0x7F) as u64) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v as u32);
-            }
-            shift += 7;
-        }
-    }
-    fn dict_at<'a>(body: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
-        if *pos >= body.len() {
-            return Err(CodecError::Truncated);
-        }
-        let d = body[*pos] as usize;
-        *pos += 1;
-        if d == 0 {
-            return Err(CodecError::Corrupt("empty dictionary"));
-        }
-        if body.len() - *pos < d {
-            return Err(CodecError::Truncated);
-        }
-        let dict = &body[*pos..*pos + d];
-        *pos += d;
-        let mut k = 1;
-        while k < dict.len() {
-            if dict[k - 1] >= dict[k] {
-                return Err(CodecError::Corrupt("dictionary not sorted"));
-            }
-            k += 1;
-        }
-        Ok(dict)
-    }
-
-    if input.is_empty() {
-        return Err(CodecError::Truncated);
-    }
-    let scheme = input[0];
-    let body = &input[1..];
-    match scheme {
-        SCHEME_VERBATIM => {
-            if body.len() != expected_len {
-                return Err(CodecError::Corrupt("verbatim length mismatch"));
-            }
-            for &b in body {
-                out.push(b);
-            }
-            Ok(())
-        }
-        SCHEME_RLE => {
-            let start = out.len();
-            let mut pos = 0usize;
-            while out.len() - start < expected_len {
-                if pos >= body.len() {
-                    return Err(CodecError::Truncated);
-                }
-                let v = body[pos];
-                pos += 1;
-                let run = varint(body, &mut pos)? as usize;
-                if run == 0 {
-                    return Err(CodecError::Corrupt("zero-length run"));
-                }
-                if out.len() - start + run > expected_len {
-                    return Err(CodecError::Corrupt("run overruns expected length"));
-                }
-                for _ in 0..run {
-                    out.push(v);
-                }
-            }
-            if pos != body.len() {
-                return Err(CodecError::Corrupt("trailing bytes after runs"));
-            }
-            Ok(())
-        }
-        SCHEME_DICT => {
-            let mut pos = 0usize;
-            let dict = dict_at(body, &mut pos)?;
-            let w = index_width(dict.len());
-            if w == 0 {
-                if pos != body.len() {
-                    return Err(CodecError::Corrupt("trailing bytes after dictionary"));
-                }
-                for _ in 0..expected_len {
-                    out.push(dict[0]);
-                }
-                return Ok(());
-            }
-            let need = (expected_len * w as usize).div_ceil(8);
-            if body.len() - pos < need {
-                return Err(CodecError::Truncated);
-            }
-            if body.len() - pos > need {
-                return Err(CodecError::Corrupt("trailing bytes after indices"));
-            }
-            let section = &body[pos..];
-            for slot in 0..expected_len {
-                let idx = ref_index(section, slot, w);
-                if idx as usize >= dict.len() {
-                    return Err(CodecError::Corrupt("dictionary index out of range"));
-                }
-                out.push(dict[idx as usize]);
-            }
-            Ok(())
-        }
-        SCHEME_CASCADE => {
-            let start = out.len();
-            let mut pos = 0usize;
-            let dict = dict_at(body, &mut pos)?;
-            let w = index_width(dict.len());
-            let runs = varint(body, &mut pos)? as usize;
-            let index_bytes = (runs * w as usize).div_ceil(8);
-            if body.len() < pos || body.len() - pos < index_bytes {
-                return Err(CodecError::Truncated);
-            }
-            let section = &body[pos..pos + index_bytes];
-            pos += index_bytes;
-            for slot in 0..runs {
-                let idx = ref_index(section, slot, w);
-                if idx as usize >= dict.len() {
-                    return Err(CodecError::Corrupt("dictionary index out of range"));
-                }
-                let run = varint(body, &mut pos)? as usize;
-                if run == 0 {
-                    return Err(CodecError::Corrupt("zero-length run"));
-                }
-                if out.len() - start + run > expected_len {
-                    return Err(CodecError::Corrupt("run overruns expected length"));
-                }
-                for _ in 0..run {
-                    out.push(dict[idx as usize]);
-                }
-            }
-            if out.len() - start != expected_len {
-                return Err(CodecError::Corrupt("cascade ended before expected length"));
-            }
-            if pos != body.len() {
-                return Err(CodecError::Corrupt("trailing bytes after runs"));
-            }
-            Ok(())
-        }
-        _ => Err(CodecError::Corrupt("unknown columnar scheme")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::columnar_reference;
 
     fn roundtrip(data: &[u8]) -> u8 {
         let mut wire = Vec::new();

@@ -25,8 +25,9 @@
 //!   loop (3–5x over it). It stays because it is the only kernel on those
 //!   platforms and inputs.
 //!
-//! [`crc32_bitwise`] is neither: a table-free bit-at-a-time loop that
-//! shares nothing with the kernels and anchors their differential tests.
+//! The oracle (`tests/reference/mod.rs::crc32_bitwise`, compiled only
+//! under test) is neither: a table-free bit-at-a-time loop that shares
+//! nothing with the kernels and anchors their differential tests.
 
 const POLY: u32 = 0xEDB8_8320;
 
@@ -67,22 +68,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     let mut h = Hasher::new();
     h.update(data);
     h.finish()
-}
-
-/// Bit-at-a-time reference implementation (no tables, no intrinsics). Kept
-/// as the oracle both kernels are differentially tested against; never
-/// used on the wire path.
-pub fn crc32_bitwise(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c ^= b as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { POLY ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-    }
-    c ^ 0xFFFF_FFFF
 }
 
 /// Slicing-by-8 kernel: advances the raw (un-inverted) `state` over `data`.
@@ -271,6 +256,7 @@ mod clmul {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::crc32_bitwise;
     use std::io::Write;
 
     /// One-shot CRC through the slicing-by-8 kernel alone.

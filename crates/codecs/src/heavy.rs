@@ -343,9 +343,14 @@ pub fn decompress(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Resul
 /// [`decompress`] with a reusable probability model: in steady state the
 /// HEAVY decode path performs no heap allocation per block (the model is
 /// reset in place — a freshly-reset model is state-identical to a new one,
-/// so output bytes cannot differ). Match copies go through
-/// `qlz::copy_match` (memcpy/memset/doubling chunks) instead of
-/// per-byte pushes.
+/// so output bytes cannot differ). Match copies go through `copy_match`
+/// (memcpy/memset/doubling chunks) instead of per-byte pushes.
+///
+/// Unlike the token decoders HEAVY grows `out` on demand and keeps no
+/// pre-sized window: a range-coded payload has no useful bound on what it
+/// expands to (a handful of bytes can encode megabytes of one match), so
+/// the only bound would be the untrusted header's, and the range decoder —
+/// not the copies — is what the time goes to.
 pub fn decompress_with(
     scratch: &mut crate::scratch::DecodeScratch,
     input: &[u8],
@@ -353,7 +358,9 @@ pub fn decompress_with(
     out: &mut Vec<u8>,
 ) -> Result<()> {
     let start = out.len();
-    // Untrusted length: clamp the eager reservation (see qlz::decompress).
+    // Untrusted length: clamp the eager reservation; `out` grows on demand
+    // to the bytes actually decoded, which corrupt input cannot push past
+    // `expected_len` (the overrun check below).
     out.reserve(expected_len.min(crate::frame::DEFAULT_BLOCK_LEN * 2));
     let target = start + expected_len;
     if expected_len == 0 {
@@ -383,12 +390,44 @@ pub fn decompress_with(
             if out.len() + len > target {
                 return Err(CodecError::Corrupt("match overruns expected length"));
             }
-            crate::qlz::copy_match(out, dist, len);
+            copy_match(out, dist, len);
             prev_byte = out[out.len() - 1];
             state = 1;
         }
     }
     Ok(())
+}
+
+/// Appends `len` bytes from `off` bytes back in `out` — the LZ match copy.
+/// Three shapes, each a bulk copy rather than a byte loop:
+///
+/// * `off >= len` — non-overlapping: one `extend_from_within` (a single
+///   memcpy).
+/// * `off == 1` — run-length: `resize` with the repeated byte (a memset).
+/// * otherwise — overlapping with period `off`: doubling chunks; each
+///   `extend_from_within` sources only already-written bytes, so the
+///   periodic extension is byte-identical to the naive loop while doing
+///   O(log(len/off)) copies instead of `len` pushes.
+///
+/// Caller guarantees `0 < off <= out.len()` (validated against the
+/// produced length before the call).
+#[inline]
+fn copy_match(out: &mut Vec<u8>, off: usize, len: usize) {
+    debug_assert!(off >= 1 && off <= out.len());
+    let src = out.len() - off;
+    if off >= len {
+        out.extend_from_within(src..src + len);
+    } else if off == 1 {
+        let b = out[src];
+        out.resize(out.len() + len, b);
+    } else {
+        let mut remaining = len;
+        while remaining > 0 {
+            let chunk = (out.len() - src).min(remaining);
+            out.extend_from_within(src..src + chunk);
+            remaining -= chunk;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@
 //! dynamic-tree mode and no block structure beyond a single end-of-block
 //! symbol — every frame is one fixed-tree block, which keeps the encoder a
 //! pure streaming `BitWriter` over the caller's output span (zero heap
-//! allocations in the scratch path) and the decoder a flat-table loop.
+//! allocations in the scratch path) and the decoder a flat-table loop over
+//! a word-refilled accumulator, writing into a pre-sized window
+//! (`crate::window`).
 //!
 //! Wire format: the LSB-first bitstream of `(litlen, extra, dist, extra)*`
 //! tokens terminated by symbol 256, padded with zero bits to a byte
@@ -15,13 +17,14 @@
 //! this crate the decoder is bounds-hardened and returns typed
 //! [`CodecError`]s on damage, never panics.
 //!
-//! [`huff_reference`] is an independent bit-at-a-time canonical decoder
-//! used by the differential oracle suite: identical output bytes *and*
-//! identical errors on every input, valid or corrupt.
+//! `tests/reference/mod.rs::huff_reference` is an independent bit-at-a-time
+//! canonical decoder, compiled only under test, that the differential
+//! oracle suite holds this one to: identical output bytes *and* identical
+//! errors on every input, valid or corrupt.
 
 use crate::qlz::match_len;
 use crate::scratch::reset_table;
-use crate::{CodecError, Result, Scratch};
+use crate::{window, CodecError, Result, Scratch};
 
 /// Window the matcher may reference (deflate's 32 KiB).
 const WINDOW: usize = 32 * 1024;
@@ -95,29 +98,26 @@ const LITLEN: ([u16; 288], [u8; 288]) = build_litlen();
 const LITLEN_CODE: [u16; 288] = LITLEN.0;
 const LITLEN_LEN: [u8; 288] = LITLEN.1;
 
-/// Flat decode table: 9 peeked LSB-first bits → (symbol, code length).
-/// The fixed litlen tree is complete, so every 9-bit pattern maps to
-/// exactly one symbol.
-const fn build_litlen_lut() -> ([u16; 512], [u8; 512]) {
-    let mut sym_lut = [0u16; 512];
-    let mut len_lut = [0u8; 512];
+/// Flat decode table: 9 peeked LSB-first bits → `(symbol << 4) | code
+/// length`, one load per symbol. The fixed litlen tree is complete, so
+/// every 9-bit pattern maps to exactly one symbol.
+const fn build_litlen_lut() -> [u16; 512] {
+    let mut lut = [0u16; 512];
     let mut s = 0;
     while s < 288 {
         let l = LITLEN_LEN[s];
-        let start = LITLEN_CODE[s] as usize; // already reversed
         let step = 1usize << l;
-        let mut idx = start;
+        let mut idx = LITLEN_CODE[s] as usize; // already reversed
         while idx < 512 {
-            sym_lut[idx] = s as u16;
-            len_lut[idx] = l;
+            lut[idx] = (s as u16) << 4 | l as u16;
             idx += step;
         }
         s += 1;
     }
-    (sym_lut, len_lut)
+    lut
 }
 
-const LITLEN_LUT: ([u16; 512], [u8; 512]) = build_litlen_lut();
+const LITLEN_LUT: [u16; 512] = build_litlen_lut();
 
 /// 5 peeked LSB-first bits → distance symbol (0..=31; 30/31 are invalid).
 const fn build_dist_lut() -> [u8; 32] {
@@ -311,9 +311,12 @@ pub fn compress_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
     compress_impl(&mut scratch.huff_table, input, out);
 }
 
-// --- optimized decoder --------------------------------------------------
+// --- decoder ------------------------------------------------------------
 
 /// LSB-first bit reader over the input slice with a 64-bit accumulator.
+/// `nbits` counts exactly the stream bits taken into `acc` and not yet
+/// consumed; `acc` may hold further stream bits above them (the word refill
+/// loads more than it counts), never anything else.
 struct BitReader<'a> {
     input: &'a [u8],
     pos: usize,
@@ -326,19 +329,34 @@ impl<'a> BitReader<'a> {
         BitReader { input, pos: 0, acc: 0, nbits: 0 }
     }
 
-    #[inline]
+    /// Tops the accumulator up to at least 56 bits, or to every bit the
+    /// input has left. While 8 input bytes remain that is one `u64` load:
+    /// the word is ORed in above the `nbits` valid bits and `pos` moves by
+    /// the whole bytes that fit, `(63 - nbits) >> 3`; the bits of the
+    /// partly-fitting byte stay in `acc` uncounted and the next refill ORs
+    /// the same bits over them. The last 7 bytes go in one at a time.
+    /// Either way `nbits` is the exact count, so a reader that asks for
+    /// more than `nbits` right after a refill has run out of *stream*.
+    #[inline(always)]
     fn refill(&mut self) {
-        while self.nbits <= 56 && self.pos < self.input.len() {
-            self.acc |= (self.input[self.pos] as u64) << self.nbits;
-            self.pos += 1;
-            self.nbits += 8;
+        if let Some(word) = self.input.get(self.pos..self.pos + 8) {
+            self.acc |= u64::from_le_bytes(word.try_into().unwrap()) << self.nbits;
+            let adv = (63 - self.nbits) >> 3;
+            self.pos += adv as usize;
+            self.nbits += adv * 8;
+        } else {
+            while self.nbits <= 56 && self.pos < self.input.len() {
+                self.acc |= (self.input[self.pos] as u64) << self.nbits;
+                self.pos += 1;
+                self.nbits += 8;
+            }
         }
     }
 
-    /// Takes exactly `n` bits; [`CodecError::Truncated`] when fewer remain.
-    #[inline]
+    /// Takes exactly `n` bits of what the last refill left;
+    /// [`CodecError::Truncated`] when fewer remain.
+    #[inline(always)]
     fn take(&mut self, n: u32) -> Result<u32> {
-        self.refill();
         if self.nbits < n {
             return Err(CodecError::Truncated);
         }
@@ -347,40 +365,69 @@ impl<'a> BitReader<'a> {
         self.nbits -= n;
         Ok(v)
     }
-
-    /// Decodes one literal/length symbol via the flat 9-bit table.
-    #[inline]
-    fn litlen(&mut self) -> Result<usize> {
-        self.refill();
-        let idx = (self.acc & 0x1FF) as usize;
-        let l = LITLEN_LUT.1[idx] as u32;
-        if self.nbits < l {
-            return Err(CodecError::Truncated);
-        }
-        self.acc >>= l;
-        self.nbits -= l;
-        Ok(LITLEN_LUT.0[idx] as usize)
-    }
 }
+
+/// Longest token: a 9-bit length symbol, 5 extra bits, a 5-bit distance
+/// symbol and 13 extra bits. A reader holding this many bits decodes any
+/// one symbol or whole match without a refill in between.
+const MAX_TOKEN_BITS: u32 = 9 + 5 + 5 + 13;
+
+/// Most output a bitstream of `n` bytes can decode to, per input byte: the
+/// densest token is length symbol 285 (8 bits, no extra bits, 258 bytes)
+/// with a distance of 1..=4 (5 bits, no extra bits) — 258 bytes from 13
+/// bits, 158.8 per byte; every other token yields less per bit (a literal
+/// 1 byte from 8 bits; the next-best match 257 bytes from 18). Bounds the
+/// decode window (see `crate::window`).
+const MAX_EXPANSION: usize = (8 * MAX_MATCH).div_ceil(8 + 5);
 
 /// Decompresses a HUFF bitstream (exactly `expected_len` output bytes),
 /// appending to `out`. Bounds-hardened: damage yields a typed error with
-/// whatever prefix was decoded left in `out`, matching
-/// [`huff_reference`]'s behaviour byte for byte.
+/// whatever prefix was decoded left in `out`, byte for byte what the
+/// bit-at-a-time oracle (`tests/reference/mod.rs::huff_reference`) leaves
+/// and reports.
+///
+/// Same shape as `qlz::decompress`: one pre-sized window
+/// (`crate::window`) written through an output cursor, matches through
+/// `window::copy_match`. The bit reader refills a word at a time, and only
+/// when fewer than 32 bits — the longest token — are left, every fourth
+/// literal or so: a whole match token decodes from the accumulator.
 pub fn decompress(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
-    let start = out.len();
+    let limit = expected_len.min(input.len().saturating_mul(MAX_EXPANSION));
+    window::with(out, limit, |win, d| decompress_into(input, expected_len, win, d))
+}
+
+/// The token loop of [`decompress`] over its window; `d` is the output
+/// cursor, left at the bytes produced however the stream ends. `win` holds
+/// at least `min(expected_len, MAX_EXPANSION * input.len())` bytes, which no
+/// token sequence that passes the checks below can exceed.
+#[inline]
+fn decompress_into(
+    input: &[u8],
+    expected_len: usize,
+    win: &mut [u8],
+    d: &mut usize,
+) -> Result<()> {
     let mut br = BitReader::new(input);
     loop {
-        let sym = br.litlen()?;
+        // After this either a whole token is in the accumulator or the
+        // input is spent and `nbits` is all there is: the `Truncated`
+        // checks below fire on the bit the oracle runs out at.
+        if br.nbits < MAX_TOKEN_BITS {
+            br.refill();
+        }
+        let entry = LITLEN_LUT[(br.acc & 0x1FF) as usize] as u32;
+        let sym = (entry >> 4) as usize;
+        br.take(entry & 0xF)?;
         if sym < 256 {
-            if out.len() - start >= expected_len {
+            if *d >= expected_len {
                 return Err(CodecError::Corrupt("output overruns expected length"));
             }
-            out.push(sym as u8);
+            win[*d] = sym as u8;
+            *d += 1;
             continue;
         }
         if sym == 256 {
-            if out.len() - start != expected_len {
+            if *d != expected_len {
                 return Err(CodecError::Corrupt("block ended before expected length"));
             }
             return Ok(());
@@ -395,126 +442,21 @@ pub fn decompress(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Resul
             return Err(CodecError::Corrupt("invalid distance symbol"));
         }
         let dist = DIST_BASE[dsym] as usize + br.take(DIST_EXTRA[dsym] as u32)? as usize;
-        let produced = out.len() - start;
-        if dist > produced {
+        if dist > *d {
             return Err(CodecError::Corrupt("match offset out of range"));
         }
-        if produced + len > expected_len {
+        if *d + len > expected_len {
             return Err(CodecError::Corrupt("match overruns expected length"));
         }
-        copy_match(out, dist, len);
-    }
-}
-
-/// Appends `len` bytes copied from `dist` back — byte-at-a-time only when
-/// the regions overlap, chunked otherwise.
-#[inline]
-fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize) {
-    let from = out.len() - dist;
-    if dist >= len {
-        out.extend_from_within(from..from + len);
-        return;
-    }
-    // Overlapping (run-like) copy: doubling via extend_from_within keeps
-    // the byte semantics of the naive loop.
-    let mut remaining = len;
-    let mut avail = dist;
-    while remaining > 0 {
-        let take = avail.min(remaining);
-        out.extend_from_within(from..from + take);
-        remaining -= take;
-        avail += take;
-    }
-}
-
-// --- reference decoder (differential oracle) ----------------------------
-
-/// Naive bit-at-a-time canonical decoder: walks the fixed tree by code
-/// ranges, copies matches byte by byte. Shares no decode tables with
-/// [`decompress`]; the differential suite pins them to identical output
-/// *and* identical errors on every input.
-pub fn huff_reference(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
-    let start = out.len();
-    let mut bitpos = 0usize; // absolute bit index into input
-    let total_bits = input.len() * 8;
-    let mut read_bit = |bitpos: &mut usize| -> Result<u32> {
-        if *bitpos >= total_bits {
-            return Err(CodecError::Truncated);
-        }
-        let b = (input[*bitpos / 8] >> (*bitpos % 8)) & 1;
-        *bitpos += 1;
-        Ok(b as u32)
-    };
-    let read_extra = |bitpos: &mut usize, n: u32, rb: &mut dyn FnMut(&mut usize) -> Result<u32>| -> Result<u32> {
-        let mut v = 0u32;
-        for i in 0..n {
-            v |= rb(bitpos)? << i;
-        }
-        Ok(v)
-    };
-    loop {
-        // Canonical walk: accumulate MSB-first code bits until a range of
-        // the fixed tree matches.
-        let mut code = 0u32;
-        let mut len = 0u8;
-        let sym: usize = loop {
-            code = (code << 1) | read_bit(&mut bitpos)?;
-            len += 1;
-            match (len, code) {
-                (7, c) if c < 24 => break 256 + c as usize,
-                (8, c) if (0x30..=0xBF).contains(&c) => break c as usize - 0x30,
-                (8, c) if (0xC0..=0xC7).contains(&c) => break 280 + (c as usize - 0xC0),
-                (9, c) if (0x190..=0x1FF).contains(&c) => break 144 + (c as usize - 0x190),
-                (9, _) => unreachable!("the fixed litlen tree is complete"),
-                _ => {}
-            }
-        };
-        if sym < 256 {
-            if out.len() - start >= expected_len {
-                return Err(CodecError::Corrupt("output overruns expected length"));
-            }
-            out.push(sym as u8);
-            continue;
-        }
-        if sym == 256 {
-            if out.len() - start != expected_len {
-                return Err(CodecError::Corrupt("block ended before expected length"));
-            }
-            return Ok(());
-        }
-        if sym > 285 {
-            return Err(CodecError::Corrupt("invalid length symbol"));
-        }
-        let lc = sym - 257;
-        let len =
-            LEN_BASE[lc] as usize + read_extra(&mut bitpos, LEN_EXTRA[lc] as u32, &mut read_bit)? as usize;
-        let mut dcode = 0u32;
-        for _ in 0..5 {
-            dcode = (dcode << 1) | read_bit(&mut bitpos)?;
-        }
-        let dsym = dcode as usize;
-        if dsym > 29 {
-            return Err(CodecError::Corrupt("invalid distance symbol"));
-        }
-        let dist = DIST_BASE[dsym] as usize
-            + read_extra(&mut bitpos, DIST_EXTRA[dsym] as u32, &mut read_bit)? as usize;
-        let produced = out.len() - start;
-        if dist > produced {
-            return Err(CodecError::Corrupt("match offset out of range"));
-        }
-        if produced + len > expected_len {
-            return Err(CodecError::Corrupt("match overruns expected length"));
-        }
-        for _ in 0..len {
-            let b = out[out.len() - dist];
-            out.push(b);
-        }
+        window::copy_match(win, *d, dist, len);
+        *d += len;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::huff_reference;
 
     fn roundtrip(data: &[u8]) {
         let mut wire = Vec::new();

@@ -46,6 +46,7 @@ pub mod qlz;
 pub mod rangecoder;
 pub mod scratch;
 pub mod seek;
+mod window;
 
 pub use scratch::{DecodeScratch, Scratch};
 
@@ -418,6 +419,15 @@ impl Default for LevelSet {
         LevelSet::paper_default()
     }
 }
+
+// The oracles the hot loops are tested against live with the tests; they
+// name this crate the way the integration tests that share them do.
+#[cfg(test)]
+extern crate self as adcomp_codecs;
+#[cfg(test)]
+#[path = "../tests/reference/mod.rs"]
+#[allow(dead_code)] // the unit tests use the oracles, not the suites' helpers
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -24,9 +24,14 @@
 //! Matches are `MIN_MATCH..=MAX_MATCH` bytes (4..=259). The decompressor
 //! stops when the expected uncompressed length has been produced, so no
 //! end-of-stream marker is needed (the frame header carries the length).
+//!
+//! Both settings share one decoder, a token loop over a pre-sized window
+//! (`crate::window`): the format spends one control bit per item, so the
+//! loop's cost is a branch per item, and everything else about an item — a
+//! literal run, a short match — is a fixed-width move.
 
 use crate::scratch::{ensure_len_uninit, reset_table};
-use crate::{CodecError, Result, Scratch};
+use crate::{window, CodecError, Result, Scratch};
 
 /// Shortest encodable match.
 pub const MIN_MATCH: usize = 4;
@@ -61,8 +66,9 @@ fn hash4(data: &[u8], i: usize, bits: u32) -> usize {
 ///
 /// Requires `a < b` and `b + limit <= data.len()` (so both windows are in
 /// bounds); this is what the compressors guarantee via
-/// `limit = min(n - b, MAX_MATCH)`. Returns exactly what
-/// [`match_len_naive`] returns — the wire parse must not change by a byte.
+/// `limit = min(n - b, MAX_MATCH)`. Returns exactly what the byte-wise
+/// oracle (`tests/reference/mod.rs::match_len_naive`) returns — the wire
+/// parse must not change by a byte.
 #[inline]
 pub fn match_len(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
     debug_assert!(a < b);
@@ -117,17 +123,6 @@ pub fn match_len(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
         n += 2;
     }
     if n < limit && data[a + n] == data[b + n] {
-        n += 1;
-    }
-    n
-}
-
-/// Byte-at-a-time reference implementation of [`match_len`]; kept for
-/// differential property tests.
-#[inline]
-pub fn match_len_naive(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
-    let mut n = 0;
-    while n < limit && data[a + n] == data[b + n] {
         n += 1;
     }
     n
@@ -464,103 +459,85 @@ impl MediumFinder<'_> {
     }
 }
 
-/// Appends `len` bytes from `off` bytes back in `out` — the LZ match copy,
-/// shared by the qlz and HEAVY decoders. Branch-light: three shapes, each a
-/// bulk copy rather than a byte loop.
+/// Most output a token stream of `n` bytes can decode to, per input byte:
+/// the densest group is a control byte and eight 3-byte match tokens of
+/// [`MAX_MATCH`] bytes each — 25 wire bytes for 8 × 259 — and every other
+/// mix of items yields less per byte. Bounds the decode window (see
+/// `crate::window`).
+const MAX_EXPANSION: usize = (8 * MAX_MATCH).div_ceil(1 + 8 * 3);
+
+/// Decompresses a token stream produced by either setting, appending to
+/// `out`. `expected_len` is the uncompressed size recorded in the frame
+/// header; on an error `out` keeps the bytes decoded before it.
 ///
-/// * `off >= len` — non-overlapping: one `extend_from_within` (a single
-///   memcpy).
-/// * `off == 1` — run-length: `resize` with the repeated byte (a memset).
-/// * otherwise — overlapping with period `off`: doubling chunks; each
-///   `extend_from_within` sources only already-written bytes, so the
-///   periodic extension is byte-identical to the naive loop while doing
-///   O(log(len/off)) copies instead of `len` pushes.
-///
-/// Caller guarantees `0 < off <= out.len()` (validated against the
-/// produced length before the call).
-#[inline]
-pub(crate) fn copy_match(out: &mut Vec<u8>, off: usize, len: usize) {
-    debug_assert!(off >= 1 && off <= out.len());
-    let src = out.len() - off;
-    if off >= len {
-        out.extend_from_within(src..src + len);
-    } else if off == 1 {
-        let b = out[src];
-        out.resize(out.len() + len, b);
-    } else {
-        let mut remaining = len;
-        while remaining > 0 {
-            let chunk = (out.len() - src).min(remaining);
-            out.extend_from_within(src..src + chunk);
-            remaining -= chunk;
-        }
-    }
+/// The loop writes into a pre-sized window (`crate::window`) with an
+/// output cursor instead of growing `out` per token. Consecutive literal
+/// bits of a control byte are counted with `trailing_zeros`, and the run —
+/// at most 8 bytes — is moved as one fixed 8-byte load and store while 8
+/// input bytes and 8 window bytes are there to be touched; the stream's last
+/// bytes take the exact-length copy, which also carries the truncation rule
+/// (the literals that are present are produced, then `Truncated`). Matches
+/// go through `window::copy_match`. Output bytes, consumed bytes and every
+/// error are those of the byte-at-a-time oracle
+/// (`tests/reference/mod.rs::decompress_reference`); `tests/hot_loops.rs`
+/// holds the two together.
+pub fn decompress(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
+    let limit = expected_len.min(input.len().saturating_mul(MAX_EXPANSION));
+    window::with(out, limit, |win, d| decompress_into(input, expected_len, win, d))
 }
 
-/// Decompresses a token stream produced by either setting.
-///
-/// `expected_len` is the uncompressed size recorded in the frame header.
-///
-/// Branch-light hot loop: consecutive literal bits in a control byte are
-/// counted with `trailing_zeros` and copied as one `copy_from_slice` run,
-/// and match copies go through `copy_match` (memcpy/memset/doubling
-/// chunks) instead of per-byte pushes. Output bytes, consumed bytes and
-/// every error case are identical to [`decompress_reference`] — the
-/// differential proptests in `tests/hot_loops.rs` hold the two together.
-pub fn decompress(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
-    let start = out.len();
-    // `expected_len` comes from an untrusted frame header: never pre-reserve
-    // more than a sane block bound eagerly. `out` still grows on demand to
-    // the *actual* decoded size, which corrupt input cannot inflate past
-    // `expected_len` (the target check below).
-    out.reserve(expected_len.min(crate::frame::DEFAULT_BLOCK_LEN * 2));
-    let target = start + expected_len;
-    let n = input.len();
+/// The token loop of [`decompress`] over its window; `d` is the output
+/// cursor, left at the bytes produced however the stream ends. `win` holds
+/// at least `min(expected_len, MAX_EXPANSION * input.len())` bytes, which no
+/// token sequence that passes the checks below can exceed.
+#[inline]
+fn decompress_into(
+    input: &[u8],
+    expected_len: usize,
+    win: &mut [u8],
+    d: &mut usize,
+) -> Result<()> {
     let mut p = 0usize;
-    'outer: while out.len() < target {
-        if p >= n {
-            return Err(CodecError::Truncated);
-        }
-        let ctrl = input[p];
+    while *d < expected_len {
+        let &ctrl = input.get(p).ok_or(CodecError::Truncated)?;
         p += 1;
-        let mut bit = 0u32;
-        while bit < 8 {
-            if out.len() == target {
-                break 'outer;
-            }
-            if ctrl >> bit & 1 == 0 {
+        // Items left in this group, LSB first, under a sentinel bit that
+        // ends it: the group is spent when only the sentinel is left.
+        let mut ctrl = ctrl as u32 | 0x100;
+        while ctrl != 1 && *d < expected_len {
+            if ctrl & 1 == 0 {
                 // Literal run: every consecutive zero bit is one literal
-                // byte. The sentinel bit at position `8 - bit` caps the
-                // count at the control byte's remaining bits.
-                let run = ((ctrl as u32 >> bit) | (1u32 << (8 - bit))).trailing_zeros() as usize;
-                let want = run.min(target - out.len());
-                let avail = n - p;
-                if want > avail {
-                    // Same partial-progress-then-error shape as the
-                    // reference: available literals are produced before
-                    // the truncation is reported.
-                    out.extend_from_slice(&input[p..]);
-                    return Err(CodecError::Truncated);
+                // byte; the sentinel caps the count at the group's rest.
+                let want = (ctrl.trailing_zeros() as usize).min(expected_len - *d);
+                if let (Some(src), Some(dst)) = (input.get(p..p + 8), win.get_mut(*d..*d + 8)) {
+                    dst.copy_from_slice(src);
+                } else {
+                    let have = want.min(input.len() - p);
+                    win[*d..*d + have].copy_from_slice(&input[p..p + have]);
+                    if have < want {
+                        // The literals that are there are produced before
+                        // the truncation is reported.
+                        *d += have;
+                        return Err(CodecError::Truncated);
+                    }
                 }
-                out.extend_from_slice(&input[p..p + want]);
                 p += want;
-                bit += want as u32;
+                *d += want;
+                ctrl >>= want;
             } else {
-                if p + 3 > n {
-                    return Err(CodecError::Truncated);
-                }
-                let len = input[p] as usize + MIN_MATCH;
-                let off = u16::from_le_bytes([input[p + 1], input[p + 2]]) as usize;
+                let token = input.get(p..p + 3).ok_or(CodecError::Truncated)?;
+                let len = token[0] as usize + MIN_MATCH;
+                let off = u16::from_le_bytes([token[1], token[2]]) as usize;
                 p += 3;
-                let produced = out.len() - start;
-                if off == 0 || off > produced {
+                if off == 0 || off > *d {
                     return Err(CodecError::Corrupt("match offset out of range"));
                 }
-                if out.len() + len > target {
+                if *d + len > expected_len {
                     return Err(CodecError::Corrupt("match overruns expected length"));
                 }
-                copy_match(out, off, len);
-                bit += 1;
+                window::copy_match(win, *d, off, len);
+                *d += len;
+                ctrl >>= 1;
             }
         }
     }
@@ -572,64 +549,10 @@ pub fn decompress(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Resul
     Ok(())
 }
 
-/// Byte-at-a-time reference decoder — the pre-optimization loop, kept (like
-/// [`match_len_naive`]) as the oracle for differential property tests. Not
-/// used on any hot path.
-pub fn decompress_reference(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
-    let start = out.len();
-    out.reserve(expected_len.min(crate::frame::DEFAULT_BLOCK_LEN * 2));
-    let target = start + expected_len;
-    let mut p = 0usize;
-    'outer: while out.len() < target {
-        if p >= input.len() {
-            return Err(CodecError::Truncated);
-        }
-        let ctrl = input[p];
-        p += 1;
-        for bit in 0..8 {
-            if out.len() == target {
-                break 'outer;
-            }
-            if ctrl >> bit & 1 == 0 {
-                let &b = input.get(p).ok_or(CodecError::Truncated)?;
-                out.push(b);
-                p += 1;
-            } else {
-                if p + 3 > input.len() {
-                    return Err(CodecError::Truncated);
-                }
-                let len = input[p] as usize + MIN_MATCH;
-                let off = u16::from_le_bytes([input[p + 1], input[p + 2]]) as usize;
-                p += 3;
-                let produced = out.len() - start;
-                if off == 0 || off > produced {
-                    return Err(CodecError::Corrupt("match offset out of range"));
-                }
-                if out.len() + len > target {
-                    return Err(CodecError::Corrupt("match overruns expected length"));
-                }
-                // Overlapping copies must run byte-by-byte.
-                #[allow(clippy::explicit_counter_loop)]
-                {
-                    let mut src = out.len() - off;
-                    for _ in 0..len {
-                        let b = out[src];
-                        out.push(b);
-                        src += 1;
-                    }
-                }
-            }
-        }
-    }
-    if p != input.len() {
-        return Err(CodecError::Corrupt("trailing bytes after stream end"));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{decompress_reference, match_len_naive};
 
     fn roundtrip(compress: fn(&[u8], &mut Vec<u8>), data: &[u8]) -> usize {
         let mut c = Vec::new();
@@ -637,6 +560,9 @@ mod tests {
         let mut d = Vec::new();
         decompress(&c, data.len(), &mut d).unwrap();
         assert_eq!(d, data);
+        let mut slow = Vec::new();
+        decompress_reference(&c, data.len(), &mut slow).unwrap();
+        assert_eq!(slow, data);
         c.len()
     }
 

@@ -168,16 +168,45 @@ fn uncompressed_len_mismatch_rejected() {
     }
 }
 
+/// Every registry codec appends: what `out` held before the call is still
+/// there after a success *and* after every error (the token decoders open
+/// their window at `out[start..]` and must never write, or cut, below it).
 #[test]
 fn decompress_into_nonempty_output_appends() {
+    const PREFIX: &[u8] = b"PREFIX";
     let data = b"appended payload, repeated repeated".repeat(10);
-    for id in CodecId::ALL {
+    for id in CodecId::REGISTRY {
         let codec = codec_for(id);
         let mut wire = Vec::new();
         compress_fresh(codec, &data, &mut wire);
-        let mut out = b"PREFIX".to_vec();
+        let mut out = PREFIX.to_vec();
         decompress_fresh(codec, &wire, data.len(), &mut out).unwrap();
-        assert_eq!(&out[..6], b"PREFIX");
-        assert_eq!(&out[6..], &data[..], "codec {id}");
+        assert_eq!(&out[..PREFIX.len()], PREFIX);
+        assert_eq!(&out[PREFIX.len()..], &data[..], "codec {id}");
+
+        let mut flipped = wire.clone();
+        flipped[wire.len() / 2] ^= 0x5A;
+        let cases: [(&str, &[u8], usize); 5] = [
+            ("truncated", &wire[..wire.len() / 2], data.len()),
+            ("cut to one byte", &wire[..1], data.len()),
+            ("flipped", &flipped, data.len()),
+            ("declared short", &wire, data.len() - 7),
+            ("declared long", &wire, data.len() + 7),
+        ];
+        for (what, input, declared) in cases {
+            let mut out = PREFIX.to_vec();
+            // A flipped literal still decodes, and HEAVY — no end marker,
+            // zeros read past the payload — decodes most things to
+            // something of the declared size; everything else must fail.
+            let res = decompress_fresh(codec, input, declared, &mut out);
+            let may_decode = what == "flipped" || id == CodecId::Heavy;
+            assert!(res.is_err() || may_decode, "codec {id}, {what}: accepted");
+            assert_eq!(&out[..PREFIX.len()], PREFIX, "codec {id}, {what}: prefix damaged");
+            if res.is_ok() {
+                assert_eq!(out.len(), PREFIX.len() + declared, "codec {id}, {what}");
+            } else {
+                assert!(out.len() <= PREFIX.len() + declared, "codec {id}, {what}: overshoot");
+            }
+        }
     }
 }

@@ -104,19 +104,17 @@ fn every_codec_roundtrips_every_class() {
 fn speed_ordering_light_fastest_heavy_slowest() {
     use adcomp_codecs::calibrate::measure;
     let data = generate(Class::Moderate, 1024 * 1024, 3);
-    let light = measure(CodecId::QlzLight, &data, 0.05);
-    let medium = measure(CodecId::QlzMedium, &data, 0.05);
-    let heavy = measure(CodecId::Heavy, &data, 0.05);
-    assert!(
-        light.compress_mbps > heavy.compress_mbps * 2.0,
-        "LIGHT {} vs HEAVY {}",
-        light.compress_mbps,
-        heavy.compress_mbps
-    );
-    assert!(
-        medium.compress_mbps > heavy.compress_mbps,
-        "MEDIUM {} vs HEAVY {}",
-        medium.compress_mbps,
-        heavy.compress_mbps
-    );
+    // Fastest of three alternating passes each: in a debug build MEDIUM is
+    // only 1.1–1.5× faster than HEAVY, less than one pass swings by on a
+    // busy host.
+    let mut fastest = [0.0f64; 3];
+    for _ in 0..3 {
+        let ids = [CodecId::QlzLight, CodecId::QlzMedium, CodecId::Heavy];
+        for (best, id) in fastest.iter_mut().zip(ids) {
+            *best = best.max(measure(id, &data, 0.05).compress_mbps);
+        }
+    }
+    let [light, medium, heavy] = fastest;
+    assert!(light > heavy * 2.0, "LIGHT {light} vs HEAVY {heavy}");
+    assert!(medium > heavy, "MEDIUM {medium} vs HEAVY {heavy}");
 }

@@ -1,35 +1,86 @@
 //! Differential oracle suite for the portfolio codecs.
 //!
-//! Each new family ships with an independent naive reference decoder
-//! (`huff::huff_reference`, `columnar::columnar_reference`) and this suite
-//! pins the optimized decoder to it under the same contract
+//! Each family has an independent naive reference decoder
+//! (`reference::huff_reference`, `reference::columnar_reference`) and this
+//! suite pins the optimized decoder to it under the same contract
 //! `decompress_reference` enforces for qlz: **identical output bytes and
 //! identical error** (partial output included) on every input — valid,
-//! bit-flipped, truncated, arbitrary garbage, and wrong declared lengths.
-//! That contract is what lets the hot loops change shape without changing
-//! a single observable byte.
+//! bit-flipped, truncated, arbitrary garbage, and wrong declared lengths —
+//! into an empty `out`, behind a prefix, and into a buffer allocated to
+//! exactly the declared length. That contract is what lets the hot loops
+//! change shape without changing a single observable byte.
 
-use adcomp_codecs::columnar::{self, columnar_reference};
-use adcomp_codecs::huff::{self, huff_reference};
+use adcomp_codecs::{columnar, huff};
 use adcomp_codecs::{codec_for, compress_fresh, CodecError, CodecId, Scratch};
 use adcomp_corpus::{generate, Class};
 use proptest::prelude::*;
 
-type RefDecoder = fn(&[u8], usize, &mut Vec<u8>) -> Result<(), CodecError>;
-
-/// Runs an optimized decoder and its reference on the same input and
-/// asserts identical results and identical (partial) output.
-fn assert_agree(fast_fn: RefDecoder, slow_fn: RefDecoder, input: &[u8], expected_len: usize) {
-    let mut fast = Vec::new();
-    let mut slow = Vec::new();
-    let fast_res = fast_fn(input, expected_len, &mut fast);
-    let slow_res = slow_fn(input, expected_len, &mut slow);
-    assert_eq!(fast_res, slow_res, "result mismatch (expected_len={expected_len})");
-    assert_eq!(fast, slow, "output mismatch (expected_len={expected_len})");
-}
+#[allow(dead_code)] // every suite uses its own subset of the oracles
+mod reference;
+use reference::{
+    assert_agree, assert_agree_near, columnar_reference, huff_reference, DIST_BASE, DIST_EXTRA,
+    LEN_BASE, LEN_EXTRA,
+};
 
 fn huff_agree(input: &[u8], expected_len: usize) {
     assert_agree(huff::decompress, huff_reference, input, expected_len);
+}
+
+fn huff_agree_near(input: &[u8], len: usize, delta: i64) {
+    assert_agree_near(huff::decompress, huff_reference, input, len, delta);
+}
+
+/// LSB-first bit sink for hand-built HUFF streams (RFC 1951 packing:
+/// Huffman codes go in most-significant bit first, everything else least).
+#[derive(Default)]
+struct Bits {
+    bytes: Vec<u8>,
+    used: u32,
+}
+
+impl Bits {
+    fn bit(&mut self, b: u32) {
+        if self.used.is_multiple_of(8) {
+            self.bytes.push(0);
+        }
+        *self.bytes.last_mut().unwrap() |= (b as u8 & 1) << (self.used % 8);
+        self.used += 1;
+    }
+    fn extra(&mut self, v: u32, n: u32) {
+        (0..n).for_each(|i| self.bit(v >> i));
+    }
+    fn code(&mut self, code: u32, n: u32) {
+        (0..n).rev().for_each(|i| self.bit(code >> i));
+    }
+    /// A literal/length symbol of the fixed tree (RFC 1951 §3.2.6).
+    fn litlen(&mut self, sym: u32) {
+        match sym {
+            0..=143 => self.code(0x30 + sym, 8),
+            144..=255 => self.code(0x190 + sym - 144, 9),
+            256..=279 => self.code(sym - 256, 7),
+            _ => self.code(0xC0 + sym - 280, 8),
+        }
+    }
+    fn match_token(&mut self, len: usize, dist: usize) {
+        let lc = if len == 258 { 28 } else { LEN_BASE.iter().rposition(|&b| b as usize <= len).unwrap() };
+        self.litlen(257 + lc as u32);
+        self.extra((len - LEN_BASE[lc] as usize) as u32, LEN_EXTRA[lc] as u32);
+        let dc = DIST_BASE.iter().rposition(|&b| b as usize <= dist).unwrap();
+        self.code(dc as u32, 5);
+        self.extra((dist - DIST_BASE[dc] as usize) as u32, DIST_EXTRA[dc] as u32);
+    }
+}
+
+/// `lead` literals, one match, `tail` literals, end of block.
+fn huff_stream(lead: usize, len: usize, dist: usize, tail: usize) -> Vec<u8> {
+    let mut bits = Bits::default();
+    // Byte values on both sides of 144, where the code grows to 9 bits.
+    let literal = |i: usize| (i * 37 + 120) as u8 as u32;
+    (0..lead).for_each(|i| bits.litlen(literal(i)));
+    bits.match_token(len, dist);
+    (lead..lead + tail).for_each(|i| bits.litlen(literal(i)));
+    bits.litlen(256);
+    bits.bytes
 }
 
 fn columnar_agree(input: &[u8], expected_len: usize) {
@@ -44,10 +95,11 @@ proptest! {
     #[test]
     fn huff_agrees_on_valid_streams(
         data in proptest::collection::vec(0u8..6, 0..4096),
+        delta in -32i64..=32,
     ) {
         let mut wire = Vec::new();
         huff::compress(&data, &mut wire);
-        huff_agree(&wire, data.len());
+        huff_agree_near(&wire, data.len(), delta);
         let mut out = Vec::new();
         huff::decompress(&wire, data.len(), &mut out).unwrap();
         prop_assert_eq!(out, data);
@@ -60,12 +112,13 @@ proptest! {
         data in proptest::collection::vec(0u8..8, 1..2048),
         flip in any::<prop::sample::Index>(),
         xor in 1u8..=255,
+        delta in -32i64..=32,
     ) {
         let mut wire = Vec::new();
         huff::compress(&data, &mut wire);
         let pos = flip.index(wire.len());
         wire[pos] ^= xor;
-        huff_agree(&wire, data.len());
+        huff_agree_near(&wire, data.len(), delta);
     }
 
     /// Truncated HUFF streams at every cut point the strategy lands on.
@@ -73,11 +126,12 @@ proptest! {
     fn huff_agrees_on_truncated_streams(
         data in proptest::collection::vec(0u8..4, 1..2048),
         cut in any::<prop::sample::Index>(),
+        delta in -32i64..=32,
     ) {
         let mut wire = Vec::new();
         huff::compress(&data, &mut wire);
         let keep = cut.index(wire.len());
-        huff_agree(&wire[..keep], data.len());
+        huff_agree_near(&wire[..keep], data.len(), delta);
     }
 
     /// Wrong declared length: overrun/underrun bookkeeping must agree.
@@ -238,4 +292,58 @@ fn portfolio_error_variants_pinned() {
     columnar_agree(&[], 5);
     columnar_agree(&[7, 1, 2, 3], 5);
     columnar_agree(&[1, 42, 0], 5);
+}
+
+/// HUFF window edges, exhaustively: one match of every `dist` 1..=40 and
+/// every `len` 3..=258 (every length code and extra-bit count), ending
+/// exactly at `expected_len` and 1..=31 bytes short of it with literals
+/// making up the rest — the region where a 32-byte move overshoots the
+/// match, then the output, then (without slack) would overshoot the window.
+#[test]
+fn huff_agrees_at_window_edges() {
+    const LEAD: usize = 41;
+    for dist in 1..=40 {
+        for len in 3..=258 {
+            for short in 0..=31 {
+                huff_agree(&huff_stream(LEAD, len, dist, short), LEAD + len + short);
+            }
+        }
+    }
+}
+
+/// The word refill needs 8 input bytes to load; the last 7 go in one at a
+/// time. Streams cut at every byte of their last 24, and far distances
+/// (13 extra bits — the longest token), keep the bit at which `Truncated`
+/// fires where the bit-at-a-time reference has it.
+#[test]
+fn huff_agrees_at_the_end_of_input() {
+    for (len, dist) in [(3, 1), (10, 40), (258, 24_577 + 8_191), (131, 4_097), (258, 1)] {
+        let lead = dist.max(20);
+        for tail in 0..=12 {
+            let wire = huff_stream(lead, len, dist, tail);
+            for keep in wire.len().saturating_sub(24)..=wire.len() {
+                huff_agree(&wire[..keep], lead + len + tail);
+            }
+        }
+    }
+}
+
+/// A header may claim any length over any payload. HUFF's window is sized
+/// by what the payload can expand to; the densest stream the format has —
+/// a literal, then nothing but 258-byte matches at distance 1, 13 bits
+/// each — under a claim of 64 MiB must decode all it holds, report what
+/// the reference reports and reserve kilobytes.
+#[test]
+fn huff_forged_length_over_the_densest_stream() {
+    let mut bits = Bits::default();
+    bits.litlen(b'x' as u32);
+    (0..38).for_each(|_| bits.match_token(258, 1));
+    let wire = bits.bytes; // 8 + 38 × 13 bits in 63 bytes, no end of block
+    assert_eq!(wire.len(), 63);
+    let produced = 1 + 38 * 258;
+    huff_agree(&wire, 64 << 20);
+    let mut out = Vec::new();
+    assert_eq!(huff::decompress(&wire, 64 << 20, &mut out), Err(CodecError::Truncated));
+    assert_eq!(out.len(), produced);
+    assert!(out.capacity() <= 159 * wire.len() + 4096, "reserved {} bytes", out.capacity());
 }

@@ -1,9 +1,11 @@
 //! Differential tests pinning the optimized hot loops to their scalar
 //! references:
 //!
-//! * the branch-light `qlz::decompress` against the byte-at-a-time
-//!   `qlz::decompress_reference` — identical output bytes on success,
-//!   identical partial output *and* error on corrupt/truncated input;
+//! * the windowed `qlz::decompress` against the byte-at-a-time
+//!   `reference::decompress_reference` — identical output bytes on success,
+//!   identical partial output *and* error on corrupt/truncated input, on
+//!   an empty `out`, behind a prefix, and in a buffer allocated to exactly
+//!   the declared length (no slack for the fixed-width copies);
 //! * the wide `match_len` against `match_len_naive` on adversarial layouts
 //!   (overlap distances 1..16, block-boundary straddles, every length up
 //!   to 1 KiB);
@@ -16,25 +18,57 @@
 //! The wire format is frozen: these tests are the contract that lets the
 //! hot loops change shape without changing a single byte.
 
-use adcomp_codecs::crc32::{crc32, crc32_bitwise, Hasher};
-use adcomp_codecs::qlz::{
-    compress_light, compress_medium, decompress, decompress_reference, match_len, match_len_naive,
-};
+use adcomp_codecs::crc32::{crc32, Hasher};
+use adcomp_codecs::qlz::{compress_light, compress_medium, decompress, match_len};
 use adcomp_codecs::CodecError;
 use adcomp_corpus::{generate, Class};
 use proptest::prelude::*;
 use std::io::Write;
 
-/// Runs both decoders on the same input and asserts byte-identical output
-/// and identical results — including the partial output the reference
-/// leaves behind before reporting an error.
+#[allow(dead_code)] // every suite uses its own subset of the oracles
+mod reference;
+use reference::{crc32_bitwise, decompress_reference, match_len_naive};
+
+/// `qlz::decompress` against its oracle (see [`reference::assert_agree`]).
 fn assert_decoders_agree(input: &[u8], expected_len: usize) {
-    let mut fast = Vec::new();
-    let mut slow = Vec::new();
-    let fast_res = decompress(input, expected_len, &mut fast);
-    let slow_res = decompress_reference(input, expected_len, &mut slow);
-    assert_eq!(fast_res, slow_res, "result mismatch (expected_len={expected_len})");
-    assert_eq!(fast, slow, "output mismatch (expected_len={expected_len})");
+    reference::assert_agree(decompress, decompress_reference, input, expected_len);
+}
+
+fn assert_decoders_agree_near(input: &[u8], len: usize, delta: i64) {
+    reference::assert_agree_near(decompress, decompress_reference, input, len, delta);
+}
+
+/// One item of a hand-built token stream.
+#[derive(Clone, Copy)]
+enum Item {
+    Lit(u8),
+    Match { len: usize, off: usize },
+}
+
+/// Serializes `items` in the qlz token format: groups of eight under one
+/// control byte, LSB first, 0 = literal byte, 1 = `len - 4`, `off` LE.
+fn token_stream(items: &[Item]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for group in items.chunks(8) {
+        let ctrl_at = wire.len();
+        wire.push(0);
+        for (bit, item) in group.iter().enumerate() {
+            match *item {
+                Item::Lit(b) => wire.push(b),
+                Item::Match { len, off } => {
+                    wire[ctrl_at] |= 1 << bit;
+                    wire.push((len - 4) as u8);
+                    wire.extend_from_slice(&(off as u16).to_le_bytes());
+                }
+            }
+        }
+    }
+    wire
+}
+
+/// `n` distinct-ish literal items continuing from `from`.
+fn literals(from: usize, n: usize) -> impl Iterator<Item = Item> {
+    (from..from + n).map(|i| Item::Lit((i * 37 + 11) as u8))
 }
 
 proptest! {
@@ -47,6 +81,7 @@ proptest! {
     fn decode_agrees_on_valid_streams(
         data in proptest::collection::vec(0u8..4, 0..4096),
         medium in any::<bool>(),
+        delta in -32i64..=32,
     ) {
         let mut wire = Vec::new();
         if medium {
@@ -54,7 +89,7 @@ proptest! {
         } else {
             compress_light(&data, &mut wire);
         }
-        assert_decoders_agree(&wire, data.len());
+        assert_decoders_agree_near(&wire, data.len(), delta);
     }
 
     /// Mutated streams: flip one byte anywhere in a valid token stream.
@@ -65,12 +100,13 @@ proptest! {
         data in proptest::collection::vec(0u8..8, 1..2048),
         flip in any::<prop::sample::Index>(),
         xor in 1u8..=255,
+        delta in -32i64..=32,
     ) {
         let mut wire = Vec::new();
         compress_medium(&data, &mut wire);
         let pos = flip.index(wire.len());
         wire[pos] ^= xor;
-        assert_decoders_agree(&wire, data.len());
+        assert_decoders_agree_near(&wire, data.len(), delta);
     }
 
     /// Truncated streams: cut a valid stream anywhere. The truncated-run
@@ -79,11 +115,12 @@ proptest! {
     fn decode_agrees_on_truncated_streams(
         data in proptest::collection::vec(0u8..4, 1..2048),
         cut in any::<prop::sample::Index>(),
+        delta in -32i64..=32,
     ) {
         let mut wire = Vec::new();
         compress_light(&data, &mut wire);
         let keep = cut.index(wire.len());
-        assert_decoders_agree(&wire[..keep], data.len());
+        assert_decoders_agree_near(&wire[..keep], data.len(), delta);
     }
 
     /// Wrong declared length (shorter and longer than the real payload):
@@ -170,8 +207,8 @@ fn crc_agrees_with_bitwise_at_every_length_and_alignment() {
 }
 
 /// Overlapping matches at every small distance: `abab…`-style periods 1..16
-/// force `copy_match` through its memset (off=1), periodic-doubling
-/// (off<len) and memcpy (off>=len) branches.
+/// force the match copy through its memset (off=1), periodic-doubling
+/// (off<len) and memmove (off>=len) shapes.
 #[test]
 fn decode_agrees_on_overlap_distances() {
     for period in 1usize..=16 {
@@ -282,4 +319,91 @@ fn decode_error_variants_pinned() {
     assert_decoders_agree(&[0x01, 0x10], 64);
     assert_decoders_agree(&[0x01, 0x00, 0x00, 0x00], 64);
     assert_decoders_agree(&wire, 10);
+}
+
+/// Window edges, exhaustively: one match of every `off` 1..=40 (the fill,
+/// the short periods, both sides of the 16-byte chunk width and of two
+/// chunks) and every `len` 4..=259, placed so that it ends exactly at
+/// `expected_len` and 1..=31 bytes short of it with literals making up the
+/// rest — the region where a 32-byte move overshoots the match, then the
+/// output, then (without slack) would overshoot the window.
+#[test]
+fn decode_agrees_at_window_edges() {
+    const LEAD: usize = 41;
+    for off in 1..=40 {
+        for len in 4..=259 {
+            for short in 0..=31 {
+                let items: Vec<Item> = literals(0, LEAD)
+                    .chain([Item::Match { len, off }])
+                    .chain(literals(LEAD, short))
+                    .collect();
+                assert_decoders_agree(&token_stream(&items), LEAD + len + short);
+            }
+        }
+    }
+}
+
+/// The fixed 8-byte literal copy needs 8 input bytes to load: a literal run
+/// that straddles the last 8 bytes of the stream falls back to the
+/// exact-length copy, whole or cut anywhere (the literals that are there
+/// come out before `Truncated` does).
+#[test]
+fn decode_agrees_on_literal_runs_at_the_end_of_input() {
+    for lead in 0..=9 {
+        for tail in 0..=17 {
+            // A match in the middle so the run does not start the stream.
+            let items: Vec<Item> = literals(0, 16 + lead)
+                .chain([Item::Match { len: 9, off: 16 }])
+                .chain(literals(99, tail))
+                .collect();
+            let wire = token_stream(&items);
+            let expected_len = 16 + lead + 9 + tail;
+            for keep in wire.len().saturating_sub(20)..=wire.len() {
+                assert_decoders_agree(&wire[..keep], expected_len);
+            }
+        }
+    }
+}
+
+/// A header may claim any length over any payload (no CRC covers it). The
+/// window is sized by what the payload can expand to, so the densest
+/// stream the format has — a literal, then nothing but longest matches,
+/// 25 wire bytes for 2 072 — under a claim of 64 MiB must decode all it
+/// holds, report what the reference reports and reserve kilobytes.
+#[test]
+fn forged_length_over_the_densest_stream() {
+    let items: Vec<Item> = literals(0, 1)
+        .chain((0..63).map(|_| Item::Match { len: 259, off: 1 }))
+        .collect();
+    let wire = token_stream(&items);
+    let produced = 1 + 63 * 259;
+    assert_decoders_agree(&wire, produced);
+    assert_decoders_agree(&wire, 64 << 20);
+    let mut out = Vec::new();
+    assert_eq!(decompress(&wire, 64 << 20, &mut out), Err(CodecError::Truncated));
+    assert_eq!(out.len(), produced);
+    assert!(out.capacity() <= 83 * wire.len() + 4096, "reserved {} bytes", out.capacity());
+}
+
+/// The committed streams still decode, frame by frame, to the bytes they
+/// decoded to before the decoders were rewritten (length and CRC-32 taken
+/// with the binary of commit 61e10cb).
+#[test]
+fn golden_streams_decode_to_the_same_bytes() {
+    let pinned = [
+        ("plain_stream.adc", 49_152, 0x68C5_CB15u32),
+        ("plain_stream_pr17.adc", 49_152, 0x68C5_CB15),
+        ("portfolio_stream.adc", 98_304, 0xFA34_4F4A),
+    ];
+    for (name, len, crc) in pinned {
+        let path = format!("{}/../../tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+        let wire = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let (mut out, mut pos) = (Vec::new(), 0);
+        while pos < wire.len() {
+            pos += adcomp_codecs::frame::decode_block(&wire[pos..], &mut out)
+                .unwrap_or_else(|e| panic!("{name} at byte {pos}: {e}"))
+                .1;
+        }
+        assert_eq!((out.len(), crc32(&out)), (len, crc), "{name}");
+    }
 }

@@ -7,10 +7,14 @@
 //!   classes produces bit-identical frames to fresh-allocation compression.
 
 use adcomp_codecs::frame::{encode_block, encode_block_with};
-use adcomp_codecs::qlz::{match_len, match_len_naive};
+use adcomp_codecs::qlz::match_len;
 use adcomp_codecs::{codec_for, CodecId, Scratch};
 use adcomp_corpus::{generate, Class};
 use proptest::prelude::*;
+
+#[allow(dead_code)] // every suite uses its own subset of the oracles
+mod reference;
+use reference::match_len_naive;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
