@@ -91,15 +91,6 @@ pub fn measure(codec_id: CodecId, sample: &[u8], min_duration_secs: f64) -> Code
     CodecProfile { codec: codec_id, compress_mbps, decompress_mbps, ratio }
 }
 
-/// Measures every paper level over `sample`. Returns profiles indexed by
-/// compression level (0 = NO ... 3 = HEAVY).
-pub fn measure_all(sample: &[u8], min_duration_secs: f64) -> Vec<CodecProfile> {
-    CodecId::ALL
-        .iter()
-        .map(|&id| measure(id, sample, min_duration_secs))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +110,7 @@ mod tests {
     #[test]
     fn ratio_ordering_matches_levels_on_text() {
         let s = sample();
-        let profiles = measure_all(&s, 0.0);
+        let profiles: Vec<_> = CodecId::ALL.iter().map(|&id| measure(id, &s, 0.0)).collect();
         // NO ratio ≈ 1, LIGHT < NO, HEAVY best.
         assert!(profiles[0].ratio >= 1.0);
         assert!(profiles[1].ratio < 1.0);

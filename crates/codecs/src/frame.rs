@@ -344,11 +344,6 @@ impl<W: Write, S: TraceSink> FrameWriter<W, S> {
         }
     }
 
-    /// Whether index collection is active.
-    pub fn index_enabled(&self) -> bool {
-        self.index.is_some()
-    }
-
     /// Takes the collected index (disabling collection), for callers that
     /// emit the trailer themselves via [`crate::seek::encode_index_trailer`].
     pub fn take_index(&mut self) -> Option<crate::seek::StreamIndex> {
@@ -640,11 +635,6 @@ impl<R: Read, S: TraceSink> FrameReader<R, S> {
     /// The active recovery policy.
     pub fn policy(&self) -> RecoveryPolicy {
         self.policy
-    }
-
-    /// Replaces the recovery policy mid-stream.
-    pub fn set_policy(&mut self, policy: RecoveryPolicy) {
-        self.policy = policy;
     }
 
     /// Sets the epoch tag and timestamp stamped onto subsequent

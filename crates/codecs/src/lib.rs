@@ -408,10 +408,6 @@ impl LevelSet {
     pub fn name(&self, level: usize) -> &'static str {
         self.levels[level].level_name()
     }
-
-    pub fn ids(&self) -> &[CodecId] {
-        &self.levels
-    }
 }
 
 impl Default for LevelSet {

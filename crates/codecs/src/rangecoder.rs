@@ -122,11 +122,6 @@ impl<'a> RangeDecoder<'a> {
         b
     }
 
-    /// True if the decoder has consumed (or run past) the entire input.
-    pub fn exhausted(&self) -> bool {
-        self.pos >= self.input.len()
-    }
-
     #[inline]
     pub fn decode_bit(&mut self, prob: &mut u16) -> u32 {
         let bound = (self.range >> PROB_BITS) * (*prob as u32);

@@ -52,17 +52,6 @@ impl ControllerConfig {
         o.u64_field("max_backoff_exp", self.max_backoff_exp as u64);
         o.finish()
     }
-
-    /// The config as ordered key/value pairs for
-    /// [`adcomp_trace::RunManifest`] `config` sections.
-    #[must_use]
-    pub fn to_kv(&self) -> Vec<(String, String)> {
-        vec![
-            ("alpha".to_string(), format!("{}", self.alpha)),
-            ("num_levels".to_string(), format!("{}", self.num_levels)),
-            ("max_backoff_exp".to_string(), format!("{}", self.max_backoff_exp)),
-        ]
-    }
 }
 
 /// Which branch of Algorithm 1 fired — exposed for traces and tests.
@@ -474,8 +463,6 @@ mod tests {
     fn config_json_is_deterministic() {
         let j = ControllerConfig::default().to_json();
         assert_eq!(j, r#"{"alpha":0.2,"num_levels":4,"max_backoff_exp":16}"#);
-        let kv = ControllerConfig::default().to_kv();
-        assert_eq!(kv[0], ("alpha".to_string(), "0.2".to_string()));
     }
 
     #[test]

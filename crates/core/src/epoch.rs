@@ -205,10 +205,6 @@ impl EpochDriver {
         &self.rate_trace
     }
 
-    pub fn model_name(&self) -> String {
-        self.model.name()
-    }
-
     /// Records `app_bytes` of application data accepted at time `now`;
     /// on an epoch boundary, consults the model. Returns the level to use
     /// for subsequent data.

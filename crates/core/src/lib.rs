@@ -46,7 +46,6 @@
 //! ```
 
 pub mod controller;
-pub mod duplex;
 pub mod epoch;
 pub mod model;
 pub mod pipeline;
@@ -64,7 +63,6 @@ pub use model::{
     DecisionModel, EntropyGuidedModel, EpochObservation, GuestMetrics, MetricBasedModel, QueueBasedModel,
     RateBasedModel, SensorThresholdModel, StaticModel, ThresholdSamplingModel, TrainedLevel,
 };
-pub use duplex::{over_tcp, CompressedDuplex};
 pub use pipeline::{Completion, CompressPool, Decoded, DecodePool};
 pub use seek::IndexedReader;
 pub use stream::{AdaptiveReader, AdaptiveWriter, StreamStats};

@@ -434,16 +434,6 @@ impl CompressPool {
         self.core = Ordered::new(workers, workers * 2);
     }
 
-    /// Blocks submitted but not yet released in order.
-    pub fn in_flight(&self) -> usize {
-        self.core.in_flight
-    }
-
-    /// Completed frames parked behind a slower earlier block.
-    pub fn reorder_depth(&self) -> usize {
-        self.core.gate.parked()
-    }
-
     #[cfg(test)]
     pub fn bomb_next_block(&mut self) {
         self.bomb_next = true;
@@ -662,11 +652,6 @@ impl DecodePool {
         self.core.nworkers
     }
 
-    /// Blocks submitted but not yet released in order.
-    pub fn in_flight(&self) -> usize {
-        self.core.in_flight
-    }
-
     /// Submits one validated payload (`wire[payload_at..]`) for
     /// decompression and appends every block now releasable in wire order
     /// to `out` (on the inline lane: exactly this one). Blocks while the
@@ -748,11 +733,11 @@ mod tests {
         let blocks: Vec<Vec<u8>> = (0..32).map(block).collect();
         let mut ready = Vec::new();
         for b in &blocks {
-            assert!(pool.in_flight() <= 2);
+            assert!(pool.core.in_flight <= 2);
             pool.submit(0, CodecId::Raw, 0, b.clone(), &mut ready);
         }
         pool.drain(&mut ready);
-        assert_eq!(pool.in_flight(), 0);
+        assert_eq!(pool.core.in_flight, 0);
         assert_eq!(ready.len(), blocks.len());
     }
 
@@ -803,7 +788,7 @@ mod tests {
                 pool.submit(*codec, *len, wire[HEADER_LEN - at..].to_vec(), at, &mut ready);
             }
             pool.drain(&mut ready);
-            assert_eq!(pool.in_flight(), 0);
+            assert_eq!(pool.core.in_flight, 0);
             assert_eq!(ready.len(), blocks.len());
             for (i, d) in ready.into_iter().enumerate() {
                 assert!(d.err.is_none());

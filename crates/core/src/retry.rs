@@ -113,11 +113,6 @@ impl IdleTimer {
     pub fn remaining_secs(&self, now: f64) -> f64 {
         (self.last_activity + self.idle_secs - now).max(0.0)
     }
-
-    /// The configured idle window.
-    pub fn idle_secs(&self) -> f64 {
-        self.idle_secs
-    }
 }
 
 #[cfg(test)]

@@ -101,11 +101,6 @@ impl<R: Read + Seek> IndexedReader<R> {
         self.index.as_ref()
     }
 
-    /// Total wire bytes in the underlying stream.
-    pub fn stream_len(&self) -> u64 {
-        self.stream_len
-    }
-
     /// Decodes indexed blocks on `workers` pool threads (`workers <= 1`: on
     /// the caller's thread, the default). Outputs are byte-identical for
     /// any worker count: blocks are submitted in stream order and the pool

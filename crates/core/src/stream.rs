@@ -18,6 +18,11 @@
 //! recycled buffers and served out of them, so neither side copies a block
 //! between stages or allocates per block in steady state.
 //!
+//! Record framers (nephele's channels) are a layer above, not a second
+//! stack: they write and read through these two types and use one hook
+//! each — [`AdaptiveWriter::flush_block`] to cut and flag a block at a
+//! record boundary, [`AdaptiveReader::read_block`] to see those flags.
+//!
 //! These wrappers run on real I/O (sockets, files, pipes) under a wall
 //! clock; the simulator reuses the same controller under virtual time.
 
@@ -29,7 +34,9 @@ use adcomp_codecs::frame::{
     HEADER_LEN,
 };
 use adcomp_codecs::{CodecId, LevelSet};
+use adcomp_metrics::registry;
 use adcomp_trace::{FaultEvent, TraceEvent, TraceHandle, TraceSink as _};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
 /// Aggregate statistics of an adaptive stream, for reporting.
@@ -91,6 +98,9 @@ pub struct AdaptiveWriter<W: Write> {
     /// Content-aware portfolio mode: each block's codec family is chosen
     /// by [`crate::portfolio::select`] over the controller's level.
     portfolio: bool,
+    /// Header flags of the block being filled (see
+    /// [`AdaptiveWriter::flush_block`]); 0 unless a framer stamped it.
+    block_flags: u8,
 }
 
 impl<W: Write> AdaptiveWriter<W> {
@@ -132,6 +142,7 @@ impl<W: Write> AdaptiveWriter<W> {
             pool: CompressPool::new(1),
             ready: Vec::new(),
             portfolio: false,
+            block_flags: 0,
         }
     }
 
@@ -186,11 +197,6 @@ impl<W: Write> AdaptiveWriter<W> {
         }
     }
 
-    /// Whether [`AdaptiveWriter::finish`] will append an index trailer.
-    pub fn is_seekable(&self) -> bool {
-        self.frames.index_enabled()
-    }
-
     /// Attaches a trace sink: the epoch driver emits epoch/decision events
     /// and the frame writer emits per-block codec events tagged with the
     /// epoch in force when the block was compressed.
@@ -224,6 +230,22 @@ impl<W: Write> AdaptiveWriter<W> {
         }
     }
 
+    /// Application bytes buffered for the block being filled: what a record
+    /// framer checks to tell whether a record would span blocks.
+    pub fn buffered(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// The aligned-flush hook for record framers: emits the buffered partial
+    /// block now (nothing if the buffer is empty) and stamps the next block's
+    /// frame header with `flags` (e.g. `FLAG_RECORD_ALIGNED`). A block is
+    /// stamped only this way, so a stream that never calls it is unchanged.
+    pub fn flush_block(&mut self, flags: u8) -> io::Result<()> {
+        self.emit_block()?;
+        self.block_flags = flags;
+        Ok(())
+    }
+
     /// The one block path: the level is captured *now* (submission order ==
     /// decision order), the block goes to the pool, and whatever frames the
     /// pool releases are written in sequence. `driver.record` runs at
@@ -248,7 +270,8 @@ impl<W: Write> AdaptiveWriter<W> {
         if self.driver.trace().enabled() {
             self.pool.set_trace_mark(self.driver.epochs(), now);
         }
-        self.pool.submit(level, codec_id, 0, data, &mut self.ready);
+        let flags = std::mem::take(&mut self.block_flags);
+        self.pool.submit(level, codec_id, flags, data, &mut self.ready);
         self.write_completions(now)?;
         // Without threads the block just written is this one, so the model
         // sees its own ratio; with threads it sees the last drained one.
@@ -295,6 +318,9 @@ impl<W: Write> AdaptiveWriter<W> {
         self.frames.write_frame(requested, &c.frame, c.info, c.compress_ns)?;
         let level = if c.degraded { 0 } else { c.level };
         self.blocks_per_level[level] += 1;
+        if let Some(m) = registry::global() {
+            m.level_block(level, 1);
+        }
         let wire_codec = if c.info.raw_fallback { CodecId::Raw } else { requested };
         self.blocks_per_codec[wire_codec as usize] += 1;
         if c.info.raw_fallback {
@@ -369,6 +395,10 @@ pub struct AdaptiveReader<R: Read> {
     /// The block being served, and how much of it has been.
     block: Option<Decoded>,
     pos: usize,
+    /// `FLAG_RECORD_ALIGNED` of every frame submitted and not yet released,
+    /// in wire order, and of the block being served.
+    aligned: VecDeque<bool>,
+    block_aligned: bool,
     eof: bool,
     /// A frame-layer error met while reading ahead. It surfaces once every
     /// block before it has been served, as it would without read-ahead.
@@ -391,6 +421,8 @@ impl<R: Read> AdaptiveReader<R> {
             ready: Vec::new(),
             block: None,
             pos: 0,
+            aligned: VecDeque::new(),
+            block_aligned: false,
             eof: false,
             failed: None,
         }
@@ -474,13 +506,11 @@ impl<R: Read> AdaptiveReader<R> {
             }
             let mut payload = self.pool.wire_buf();
             match self.frames.read_frame(&mut payload) {
-                Ok(Some(h)) => self.pool.submit(
-                    h.codec,
-                    h.uncompressed_len as usize,
-                    payload,
-                    0,
-                    &mut self.ready,
-                ),
+                Ok(Some(h)) => {
+                    self.aligned.push_back(h.record_aligned);
+                    let len = h.uncompressed_len as usize;
+                    self.pool.submit(h.codec, len, payload, 0, &mut self.ready)
+                }
                 Ok(None) => self.eof = true,
                 Err(e) => self.failed = Some(e),
             }
@@ -492,6 +522,7 @@ impl<R: Read> AdaptiveReader<R> {
     /// bytes are one payload with nothing to re-scan, and the whole frame is
     /// dropped and counted — the same rule at every worker count.
     fn accept(&mut self, mut d: Decoded) -> io::Result<()> {
+        self.block_aligned = self.aligned.pop_front().unwrap_or(false);
         // `refill` submits the bare payload, so the frame is that + header.
         let frame_len = (HEADER_LEN + d.wire.len()) as u64;
         match d.err.take() {
@@ -512,19 +543,15 @@ impl<R: Read> AdaptiveReader<R> {
         self.pos = 0;
         Ok(())
     }
-}
 
-impl<R: Read> Read for AdaptiveReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        loop {
-            if let Some(d) = &self.block {
-                if self.pos < d.bytes.len() {
-                    let take = (d.bytes.len() - self.pos).min(buf.len());
-                    buf[..take].copy_from_slice(&d.bytes[self.pos..self.pos + take]);
-                    self.pos += take;
-                    return Ok(take);
-                }
-            }
+    fn block_bytes(&self) -> &[u8] {
+        self.block.as_ref().map_or(&[], |d| &d.bytes)
+    }
+
+    /// Moves on to the next released block with bytes in it unless the
+    /// current one has bytes left to serve; `false` at end of stream.
+    fn fill_block(&mut self) -> io::Result<bool> {
+        while self.pos >= self.block_bytes().len() {
             // Hand the consumed block's buffers back before the next submit,
             // so the inline lane decodes into the same, still-hot buffer.
             if let Some(d) = self.block.take() {
@@ -532,12 +559,40 @@ impl<R: Read> Read for AdaptiveReader<R> {
             }
             self.refill();
             if self.ready.is_empty() {
-                return self.failed.take().map_or(Ok(0), Err);
+                return self.failed.take().map_or(Ok(false), Err);
             }
             // Never more than the pool depth to shift.
             let next = self.ready.remove(0);
             self.accept(next)?;
         }
+        Ok(true)
+    }
+
+    /// The realign hook for record framers, and the block-granular read
+    /// under [`Read::read`]: the unserved rest of the current block, or the
+    /// next released block whole, with whether those bytes start a block
+    /// flagged `FLAG_RECORD_ALIGNED`; `None` at end of stream. A frame
+    /// dropped in between shows as [`AdaptiveReader::recovery`] moving
+    /// between two calls — at the block it preceded on the inline lane,
+    /// which reads no frame ahead.
+    pub fn read_block(&mut self) -> io::Result<Option<(&[u8], bool)>> {
+        if !self.fill_block()? {
+            return Ok(None);
+        }
+        let start = self.pos;
+        self.pos = self.block_bytes().len();
+        Ok(Some((&self.block_bytes()[start..], self.block_aligned && start == 0)))
+    }
+}
+
+impl<R: Read> Read for AdaptiveReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if !self.fill_block()? {
+            return Ok(0);
+        }
+        let n = (&self.block_bytes()[self.pos..]).read(buf)?;
+        self.pos += n;
+        Ok(n)
     }
 }
 

@@ -30,11 +30,6 @@ impl TokenBucket {
         TokenBucket { rate_bps, window_start: now, sent_in_window: 0.0 }
     }
 
-    /// The configured rate in bytes per second.
-    pub fn rate_bps(&self) -> f64 {
-        self.rate_bps
-    }
-
     /// Accounts `bytes` sent at clock reading `now` and returns the debt
     /// in seconds the sender must pause to stay at or under the rate
     /// (0.0 when within budget). Monotone in `bytes`, and never negative.

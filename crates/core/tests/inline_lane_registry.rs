@@ -1,8 +1,9 @@
 //! Registry half of the inline-lane contract: a stream written without
 //! threads goes through the same `CompressPool` calls as a pipelined one
 //! but leaves every *pipeline* series of an installed registry untouched,
-//! while the per-block codec series count as ever. With two workers the
-//! same series move, which shows the probe looks at the right ones.
+//! while the per-block series (codec counters, blocks per level) count as
+//! ever. With two workers the same series move, which shows the probe
+//! looks at the right ones.
 //!
 //! The registry is process-wide, so this lives in its own test binary with
 //! a single `#[test]`: inside the library's unit-test process any pipelined
@@ -45,6 +46,7 @@ fn inline_lane_leaves_pipeline_series_untouched() {
     let s = reg.snapshot();
     assert!(blocks > 10);
     assert_eq!(counter(&s, CounterKind::BlocksCompressed), blocks);
+    assert_eq!(s.level_blocks[2], blocks, "every block counts at its level");
     assert_eq!(counter(&s, CounterKind::PipelineSubmits), 0);
     assert_eq!(counter(&s, CounterKind::PipelineStalls), 0);
     assert_eq!(gauge(&s, GaugeKind::CompressInFlight), 0);
@@ -54,6 +56,7 @@ fn inline_lane_leaves_pipeline_series_untouched() {
     let more = write_stream(2);
     let s = reg.snapshot();
     assert_eq!(counter(&s, CounterKind::BlocksCompressed), blocks + more);
+    assert_eq!(s.level_blocks[2], blocks + more);
     assert_eq!(counter(&s, CounterKind::PipelineSubmits), more);
     assert_eq!(gauge(&s, GaugeKind::CompressInFlight), 0, "everything drained");
     assert!(gauge(&s, GaugeKind::CompressInFlightMax) >= 1);

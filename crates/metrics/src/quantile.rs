@@ -34,11 +34,6 @@ impl P2Quantile {
         }
     }
 
-    /// The quantile this estimator tracks.
-    pub fn q(&self) -> f64 {
-        self.q
-    }
-
     /// Observations seen so far.
     pub fn count(&self) -> usize {
         self.count

@@ -66,11 +66,6 @@ impl RateMeter {
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
-
-    /// Nominal epoch length (the paper's `t`).
-    pub fn epoch_len(&self) -> f64 {
-        self.epoch_len
-    }
 }
 
 /// A `(time, value)` series recorded during an experiment — the raw

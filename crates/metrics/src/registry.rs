@@ -159,7 +159,6 @@ kinds! {
         PipelineStalls => ("adcomp_pipeline_stalls_total", "Compress-pool submissions that hit backpressure."),
         DecodeSubmits => ("adcomp_decode_submits_total", "Frames submitted to the decode pool."),
         ChannelRecords => ("adcomp_channel_records_total", "Records written to nephele channels."),
-        ChannelBlocks => ("adcomp_channel_blocks_total", "Blocks shipped over nephele channels."),
         SimBlocks => ("adcomp_sim_blocks_total", "Blocks transferred by the vcloud simulator."),
         ServeAccepted => ("adcomp_serve_accepted_total", "Transfers admitted by the serve daemon."),
         ServeCompleted => ("adcomp_serve_completed_total", "Transfers fully received and CRC-verified."),
@@ -210,7 +209,6 @@ kinds! {
         EpochDecision => ("epoch_decision", "Algorithm-1 decision time."),
         PoolStall => ("pool_stall", "Compress-pool backpressure waits."),
         DecodeWait => ("decode_wait", "Decode-pool in-order waits."),
-        ChannelStall => ("channel_stall", "Nephele record-channel reader stalls."),
         SimBlock => ("sim_block", "Virtual end-to-end block latency (sim only)."),
         RangedRead => ("ranged_read", "Seek + ranged block decode time."),
     }
@@ -350,10 +348,6 @@ impl MetricsRegistry {
             label_lock: Mutex::new(()),
             label_overflow: AtomicU64::new(0),
         }
-    }
-
-    pub fn mode(&self) -> RegistryMode {
-        self.mode
     }
 
     /// Whether wall-clock spans are admitted (i.e. worth measuring).

@@ -188,12 +188,6 @@ impl Histogram {
         self.sum
     }
 
-    /// Bucket midpoint values, for rendering.
-    pub fn midpoints(&self) -> Vec<f64> {
-        let w = (self.hi - self.lo) / self.buckets.len() as f64;
-        (0..self.buckets.len()).map(|i| self.lo + (i as f64 + 0.5) * w).collect()
-    }
-
     /// A terminal sparkline of the distribution shape.
     pub fn sparkline(&self) -> String {
         const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -297,7 +291,6 @@ mod tests {
         assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow, 2);
         assert_eq!(h.total(), 13);
-        assert_eq!(h.midpoints()[0], 0.5);
         assert_eq!(h.sparkline().chars().count(), 10);
     }
 }

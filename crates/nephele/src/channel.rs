@@ -8,33 +8,31 @@
 //! the transport. The compression layer is completely transparent to task
 //! code.
 //!
-//! [`RecordWriter`] has one block path: every block is submitted to a
-//! [`CompressPool`] and shipped when the pool releases it. By default the
-//! pool has no threads and encodes inside `submit`;
-//! [`RecordWriter::set_pipeline_workers`] only changes how many threads
-//! stand behind the same calls. A codec panic on one block therefore
-//! degrades that block to raw and forces level NONE at every worker count.
-//!
-//! On the receiving side the byte-stream transports (TCP, spool file)
-//! reassemble frames through one `read_frame`, whose header parse is the
-//! checked one: a length field is bounded before anything is allocated by
-//! it. [`RecordReader`] decodes every frame on the task's thread with one
-//! long-lived `DecodeScratch`.
+//! A channel is a record framer over the one stream stack, not a second
+//! one. [`RecordWriter`] writes each record's length prefix and bytes into
+//! an [`AdaptiveWriter`] whose sink ships every frame with one
+//! [`BlockTransport::send`]; [`RecordReader`] parses records out of an
+//! [`AdaptiveReader`] over the receiving end, a byte stream on every
+//! transport (the in-memory queue reads as one too). The block pool, the
+//! epoch driver, degrade-to-raw, the checked header parse, magic-scan
+//! resync and truncation handling are theirs. The framer owns the length
+//! prefix, record-aligned block cuts, realignment after a dropped frame
+//! and the record count.
 
 use crate::error::{NepheleError, Result};
 use adcomp_codecs::frame::{
-    decode_block_with, FrameHeader, RecoveryMode, RecoveryPolicy, RecoveryStats,
-    DEFAULT_BLOCK_LEN, DEFAULT_MAX_FRAME, FLAG_RECORD_ALIGNED, HEADER_LEN,
+    RecoveryMode, RecoveryPolicy, RecoveryStats, DEFAULT_BLOCK_LEN, FLAG_RECORD_ALIGNED,
+    HEADER_LEN,
 };
-use adcomp_codecs::{DecodeScratch, LevelSet};
+use adcomp_codecs::LevelSet;
 use adcomp_core::controller::ControllerConfig;
-use adcomp_core::epoch::{Clock, EpochContext, EpochDriver, WallClock};
+use adcomp_core::epoch::WallClock;
 use adcomp_core::model::{DecisionModel, RateBasedModel, StaticModel};
-use adcomp_core::pipeline::{Completion, CompressPool};
-use adcomp_metrics::registry::{self, CounterKind, MetricsRegistry, SpanKind};
-use adcomp_trace::{ChannelEvent, TraceHandle, TraceSink as _, NO_EPOCH};
+use adcomp_core::stream::{AdaptiveReader, AdaptiveWriter};
+use adcomp_metrics::registry::{self, CounterKind};
+use adcomp_trace::TraceHandle;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -80,9 +78,9 @@ pub struct ChannelStats {
     pub records: u64,
     pub blocks_per_level: Vec<u64>,
     pub epochs: u64,
-    /// Fault-recovery counters (all zero on a clean channel). Populated by
-    /// [`RecordReader`] when a [`RecoveryPolicy`] other than fail-fast is
-    /// installed; the writer side never touches it.
+    /// Fault-recovery counters of [`RecordReader`], the stream's plus the
+    /// record layer's own (all zero on a clean channel and on the writer
+    /// side).
     pub recovery: RecoveryStats,
 }
 
@@ -100,17 +98,12 @@ impl ChannelStats {
 // Block transports
 // ---------------------------------------------------------------------------
 
-/// Moves opaque frame-encoded blocks from a writer to a reader thread.
+/// Moves opaque frame-encoded blocks from a writer to a reader thread. The
+/// receiving half of every transport is a plain byte-stream [`Read`].
 pub trait BlockTransport: Send {
     fn send(&mut self, frame: &[u8]) -> Result<()>;
     /// Signals end of stream.
     fn close(&mut self) -> Result<()>;
-}
-
-/// Receiving half.
-pub trait BlockSource: Send {
-    /// Next complete frame, or `None` at end of stream.
-    fn recv(&mut self) -> Result<Option<Vec<u8>>>;
 }
 
 /// In-memory transport over a bounded crossbeam queue.
@@ -118,15 +111,19 @@ pub struct MemTransport {
     tx: Option<Sender<Vec<u8>>>,
 }
 
+/// Receiving half of [`mem_pair`]: the queued frames, read back to back as
+/// one byte stream.
 pub struct MemSource {
     rx: Receiver<Vec<u8>>,
+    frame: Vec<u8>,
+    pos: usize,
 }
 
 /// Creates a connected in-memory transport pair with the given block
 /// capacity (backpressure bound).
 pub fn mem_pair(capacity: usize) -> (MemTransport, MemSource) {
     let (tx, rx) = bounded(capacity.max(1));
-    (MemTransport { tx: Some(tx) }, MemSource { rx })
+    (MemTransport { tx: Some(tx) }, MemSource { rx, frame: Vec::new(), pos: 0 })
 }
 
 impl BlockTransport for MemTransport {
@@ -144,13 +141,21 @@ impl BlockTransport for MemTransport {
     }
 }
 
-impl BlockSource for MemSource {
-    fn recv(&mut self) -> Result<Option<Vec<u8>>> {
-        Ok(self.rx.recv().ok())
+impl Read for MemSource {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        while self.pos == self.frame.len() {
+            let Ok(frame) = self.rx.recv() else { return Ok(0) };
+            self.frame = frame;
+            self.pos = 0;
+        }
+        let n = (&self.frame[self.pos..]).read(buf)?;
+        self.pos += n;
+        Ok(n)
     }
 }
 
-/// TCP transport: frames stream over a socket; EOF marks the end.
+/// TCP transport: frames stream over a socket; EOF marks the end. The
+/// receiving half is the accepted [`TcpStream`] itself.
 pub struct TcpTransport {
     stream: Option<TcpStream>,
 }
@@ -173,53 +178,6 @@ impl BlockTransport for TcpTransport {
         }
         Ok(())
     }
-}
-
-/// TCP receiving half: reassembles frames from the byte stream.
-pub struct TcpSource {
-    stream: TcpStream,
-}
-
-impl TcpSource {
-    pub fn new(stream: TcpStream) -> Self {
-        TcpSource { stream }
-    }
-}
-
-impl BlockSource for TcpSource {
-    fn recv(&mut self) -> Result<Option<Vec<u8>>> {
-        read_frame(&mut self.stream)
-    }
-}
-
-/// Reads one complete frame (header + payload) from a byte stream. The
-/// header comes from outside, so it goes through the checked parse before
-/// anything is allocated by what it says: a forged length is a typed
-/// `FrameTooLarge`, not a multi-gigabyte zero-fill.
-fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut filled = 0;
-    while filled < HEADER_LEN {
-        match r.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(NepheleError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "truncated frame header",
-                )))
-            }
-            Ok(n) => filled += n,
-            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let parsed = FrameHeader::parse(&header, DEFAULT_MAX_FRAME)
-        .map_err(|e| NepheleError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, e)))?;
-    let mut frame = Vec::with_capacity(HEADER_LEN + parsed.payload_len as usize);
-    frame.extend_from_slice(&header);
-    frame.resize(HEADER_LEN + parsed.payload_len as usize, 0);
-    r.read_exact(&mut frame[HEADER_LEN..])?;
-    Ok(Some(frame))
 }
 
 /// File transport: frames are appended to a spool file; a shared counter +
@@ -301,7 +259,7 @@ impl BlockTransport for FileTransport {
 /// Tailing read: blocks until the writer has made at least one more byte
 /// durable or is done (then 0, end of stream).
 impl Read for FileSource {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let written = self
             .state
             .cond
@@ -315,43 +273,43 @@ impl Read for FileSource {
     }
 }
 
-impl BlockSource for FileSource {
-    fn recv(&mut self) -> Result<Option<Vec<u8>>> {
-        read_frame(self)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Record writer / reader (the task-facing API)
 // ---------------------------------------------------------------------------
 
+/// The sink under a channel's [`AdaptiveWriter`]: `FrameWriter` hands it
+/// one whole frame per `write_all`, and each is one [`BlockTransport::send`]
+/// — which is what lets a message transport carry the byte stream.
+struct TransportSink(Box<dyn BlockTransport>);
+
+impl Write for TransportSink {
+    fn write(&mut self, frame: &[u8]) -> io::Result<usize> {
+        debug_assert!(
+            frame.len() >= HEADER_LEN
+                && frame.len()
+                    == HEADER_LEN + u32::from_le_bytes(frame[8..12].try_into().unwrap()) as usize,
+            "a sink write must be one whole frame"
+        );
+        self.0.send(frame).map_err(|e| match e {
+            NepheleError::Io(e) => e,
+            other => io::Error::other(other),
+        })?;
+        Ok(frame.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 /// Writes length-prefixed records into adaptively compressed blocks.
 pub struct RecordWriter {
-    transport: Box<dyn BlockTransport>,
-    levels: LevelSet,
-    driver: EpochDriver,
-    clock: Box<dyn Clock>,
-    buf: Vec<u8>,
+    stream: AdaptiveWriter<TransportSink>,
+    /// Blocks are cut after this many application bytes.
     block_len: usize,
-    stats: ChannelStats,
-    trace: TraceHandle,
-    /// Record-aligned mode: blocks are flushed before a record would span
-    /// them and stamped with [`FLAG_RECORD_ALIGNED`] when their first byte
-    /// is a record boundary, so a skip-mode reader can realign after loss.
+    /// See [`RecordWriter::set_record_aligned`].
     aligned: bool,
-    /// Whether the block currently accumulating in `buf` starts at a
-    /// record boundary.
-    cur_block_aligned: bool,
-    /// Every block is encoded here: on the caller's thread by default, on
-    /// worker threads after [`RecordWriter::set_pipeline_workers`].
-    pool: CompressPool,
-    /// Reused landing buffer for the pool's in-order completions.
-    ready: Vec<Completion>,
-    /// Wire ratio of the most recently *shipped* block, fed to the epoch
-    /// driver as `observed_ratio`: this block's without threads, the last
-    /// drained one's with threads (an in-flight block's ratio is not known
-    /// at submission time).
-    last_ratio: Option<f64>,
+    records: u64,
 }
 
 impl RecordWriter {
@@ -361,41 +319,19 @@ impl RecordWriter {
         levels: LevelSet,
         epoch_secs: f64,
     ) -> Self {
-        let model = mode.make_model(&levels);
-        let clock: Box<dyn Clock> = Box::new(WallClock::new());
-        let now = clock.now();
-        let nlevels = levels.len();
-        RecordWriter {
-            transport,
-            levels,
-            driver: EpochDriver::new(model, epoch_secs, now),
-            clock,
-            buf: Vec::with_capacity(DEFAULT_BLOCK_LEN),
-            block_len: DEFAULT_BLOCK_LEN,
-            stats: ChannelStats { blocks_per_level: vec![0; nlevels], ..Default::default() },
-            trace: TraceHandle::disabled(),
-            aligned: false,
-            cur_block_aligned: true,
-            pool: CompressPool::new(1),
-            ready: Vec::new(),
-            last_ratio: None,
-        }
+        let (sink, model) = (TransportSink(transport), mode.make_model(&levels));
+        let clock = Box::new(WallClock::new());
+        let stream =
+            AdaptiveWriter::with_params(sink, levels, model, DEFAULT_BLOCK_LEN, epoch_secs, clock);
+        RecordWriter { stream, block_len: DEFAULT_BLOCK_LEN, aligned: false, records: 0 }
     }
 
     /// Encodes blocks on a bounded pool of `workers` threads (`workers <= 1`:
-    /// on the caller's thread, the default). Levels are still chosen by the
-    /// epoch driver at submission time and frames are shipped strictly in
-    /// submission order, so the wire stream is byte-identical for any worker
-    /// count given the same decision trajectory. Must be called before the
-    /// first block is emitted: panics afterwards (blocks in flight would be
-    /// lost).
+    /// on the caller's thread, the default), as
+    /// [`AdaptiveWriter::set_pipeline_workers`]: the wire stream is
+    /// byte-identical for any worker count. Panics after the first block.
     pub fn set_pipeline_workers(&mut self, workers: usize) {
-        self.pool.set_workers(workers);
-    }
-
-    /// Number of compression workers (1 = no threads).
-    pub fn pipeline_workers(&self) -> usize {
-        self.pool.workers()
+        self.stream.set_pipeline_workers(workers);
     }
 
     /// Enables record-aligned block emission: a record that would span the
@@ -409,325 +345,147 @@ impl RecordWriter {
         self.aligned = on;
     }
 
-    /// Overrides the block size (default [`DEFAULT_BLOCK_LEN`]). Must be
-    /// called before the first record; the fault-injection soak uses small
-    /// blocks to exercise many frames per case cheaply.
+    /// Lowers the block size from [`DEFAULT_BLOCK_LEN`]. Must be called
+    /// before the first record; the fault-injection soak uses small blocks
+    /// to exercise many frames per case cheaply.
     pub fn set_block_len(&mut self, len: usize) {
-        assert!(len >= 16, "block length too small");
-        assert!(self.buf.is_empty(), "set_block_len after writing");
+        assert!((16..=DEFAULT_BLOCK_LEN).contains(&len), "block length must be 16..=128 KiB");
+        assert!(self.records == 0, "set_block_len after writing");
         self.block_len = len;
     }
 
-    /// Attaches a trace sink: the epoch driver emits epoch/decision events
-    /// and the channel emits one [`ChannelEvent`] per shipped block plus a
-    /// `"flush"` event for the explicit tail flush in [`RecordWriter::finish`].
+    /// Attaches a trace sink to the stream: epoch/decision events and one
+    /// codec event per block.
     pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.driver.set_trace(trace.clone());
-        self.pool.set_trace(trace.clone());
-        self.trace = trace;
+        self.stream.set_trace(trace);
     }
 
     /// Writes one record (any byte payload; may span blocks).
     pub fn write_record(&mut self, record: &[u8]) -> Result<()> {
-        if self.aligned
-            && !self.buf.is_empty()
-            && self.buf.len() + 4 + record.len() > self.block_len
-        {
-            // Flush so this record starts a fresh (aligned) block instead
-            // of spanning the current one.
-            self.emit_block()?;
+        let buffered = self.stream.buffered();
+        if self.aligned && (buffered == 0 || buffered + 4 + record.len() > self.block_len) {
+            // This record starts a fresh, flagged block instead of
+            // spanning the current one.
+            self.stream.flush_block(FLAG_RECORD_ALIGNED)?;
         }
-        if self.buf.is_empty() {
-            // The block about to accumulate starts at a record boundary.
-            self.cur_block_aligned = true;
-        }
-        let len = (record.len() as u32).to_le_bytes();
-        self.push_bytes(&len)?;
-        self.push_bytes(record)?;
-        self.stats.records += 1;
+        self.push(&(record.len() as u32).to_le_bytes())?;
+        self.push(record)?;
+        self.records += 1;
         if let Some(m) = registry::global() {
             m.counter_add(CounterKind::ChannelRecords, 1);
         }
         Ok(())
     }
 
-    fn push_bytes(&mut self, mut data: &[u8]) -> Result<()> {
+    /// Writes `data` into the stream, cutting a block every `block_len`
+    /// bytes: the stream cuts at its own block length, fixed to
+    /// [`DEFAULT_BLOCK_LEN`] when it is built, before any `set_block_len`.
+    fn push(&mut self, mut data: &[u8]) -> io::Result<()> {
         while !data.is_empty() {
-            let room = self.block_len - self.buf.len();
-            let take = room.min(data.len());
-            self.buf.extend_from_slice(&data[..take]);
+            let take = data.len().min(self.block_len - self.stream.buffered());
+            self.stream.write_all(&data[..take])?;
             data = &data[take..];
-            if self.buf.len() == self.block_len {
-                self.emit_block()?;
-                // The next block continues mid-record unless the next
-                // write_record (which sees an empty buf) says otherwise.
-                self.cur_block_aligned = false;
+            if self.stream.buffered() == self.block_len {
+                self.stream.flush_block(0)?;
             }
         }
         Ok(())
     }
 
-    /// The one block path: the level is captured from the driver *now*, the
-    /// block goes to the pool, and whatever blocks the pool releases are
-    /// shipped in order. The application rate is recorded at submission, so
-    /// the rate the epoch driver observes is the true producer rate, not
-    /// the pool's drain rate.
-    fn emit_block(&mut self) -> Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        let level = self.driver.level();
-        let flags = if self.aligned && self.cur_block_aligned { FLAG_RECORD_ALIGNED } else { 0 };
-        let data = std::mem::take(&mut self.buf);
-        let bytes = data.len() as u64;
-        if self.trace.enabled() {
-            self.pool.set_trace_mark(self.driver.epochs(), self.clock.now());
-        }
-        self.pool.submit(level, self.levels.id(level), flags, data, &mut self.ready);
-        self.ship_completions()?;
-        let ctx = EpochContext { observed_ratio: self.last_ratio, ..Default::default() };
-        self.driver.record(bytes, self.clock.now(), &ctx);
-        Ok(())
-    }
-
-    /// Ships the pool completions landed in `ready` (already in submission
-    /// order) over the transport and accounts for them.
-    fn ship_completions(&mut self) -> Result<()> {
-        let mut ready = std::mem::take(&mut self.ready);
-        let shipped = ready.drain(..).try_for_each(|c| self.ship_completion(c));
-        self.ready = ready;
-        shipped
-    }
-
-    fn ship_completion(&mut self, c: Completion) -> Result<()> {
-        let level = if c.degraded {
-            // The codec panicked on this block and the pool re-emitted it
-            // raw: force level NONE until the next epoch decision.
-            self.driver.force_level(0, self.clock.now());
-            0
-        } else {
-            c.level
-        };
-        if self.trace.enabled() {
-            self.trace.emit(
-                &ChannelEvent {
-                    epoch: self.driver.epochs(),
-                    t: self.clock.now(),
-                    kind: "block",
-                    bytes: c.info.uncompressed_len as u64,
-                    wait_ns: c.compress_ns,
-                    level: level as u32,
-                }
-                .into(),
-            );
-        }
-        self.transport.send(&c.frame)?;
-        self.stats.app_bytes += c.info.uncompressed_len as u64;
-        self.stats.wire_bytes += c.info.frame_len as u64;
-        self.stats.blocks_per_level[level] += 1;
-        if let Some(m) = registry::global() {
-            m.counter_add(CounterKind::ChannelBlocks, 1);
-            m.level_block(level, 1);
-            m.span_ns(SpanKind::Compress, c.compress_ns);
-        }
-        self.last_ratio = Some(c.info.wire_ratio());
-        // Both buffers go round again: the frame's to the pool, the block's
-        // to the next fill.
-        self.pool.recycle(c.frame);
-        if self.buf.capacity() == 0 {
-            let mut d = c.data;
-            d.clear();
-            self.buf = d;
-        }
-        Ok(())
-    }
-
     /// Flushes the tail block and closes the channel; returns final stats.
-    pub fn finish(mut self) -> Result<ChannelStats> {
-        if self.trace.enabled() {
-            self.trace.emit(
-                &ChannelEvent {
-                    epoch: self.driver.epochs(),
-                    t: self.clock.now(),
-                    kind: "flush",
-                    bytes: self.buf.len() as u64,
-                    wait_ns: 0,
-                    level: self.driver.level() as u32,
-                }
-                .into(),
-            );
-        }
-        self.emit_block()?;
-        self.pool.drain(&mut self.ready);
-        self.ship_completions()?;
-        self.transport.close()?;
-        self.stats.epochs = self.driver.epochs();
-        Ok(self.stats)
-    }
-
-    /// Current compression level (for tests / introspection).
-    pub fn level(&self) -> usize {
-        self.driver.level()
+    pub fn finish(self) -> Result<ChannelStats> {
+        let (mut sink, s) = self.stream.finish()?;
+        sink.0.close()?;
+        Ok(ChannelStats {
+            app_bytes: s.app_bytes,
+            wire_bytes: s.wire_bytes,
+            records: self.records,
+            blocks_per_level: s.blocks_per_level,
+            epochs: s.epochs,
+            recovery: RecoveryStats::default(),
+        })
     }
 }
 
 /// Reads length-prefixed records from compressed blocks.
 ///
 /// With the default fail-fast [`RecoveryPolicy`] any damaged frame aborts
-/// the transfer with a typed error, exactly as before the fault model.
-/// Under [`RecoveryMode::SkipAndCount`] the reader drops frames that fail
-/// to decode, counts the incidents in [`ChannelStats::recovery`], and —
-/// on streams produced by a record-aligned writer
-/// ([`RecordWriter::set_record_aligned`]) — realigns its record framing at
-/// the next [`FLAG_RECORD_ALIGNED`] block, so every record that did not
-/// share bytes with a damaged or lost block is recovered byte-identically.
+/// the transfer with a typed error. Under [`RecoveryMode::SkipAndCount`]
+/// the stream drops damaged frames and resyncs at the next frame magic, on
+/// every transport, and the incidents are counted in
+/// [`ChannelStats::recovery`]. On streams produced by a record-aligned
+/// writer ([`RecordWriter::set_record_aligned`]) the reader realigns its
+/// record framing at the next [`FLAG_RECORD_ALIGNED`] block, so every
+/// record that did not share bytes with a damaged or lost block is
+/// recovered byte-identically.
 pub struct RecordReader {
-    source: Box<dyn BlockSource>,
+    /// Decodes on the caller's thread: the inline lane reads no frame
+    /// ahead, so a dropped frame shows at the block it preceded.
+    stream: AdaptiveReader<Box<dyn Read + Send>>,
+    /// Decoded bytes; the unparsed ones start at `pos`.
     buf: Vec<u8>,
     pos: usize,
-    eof: bool,
     stats: ChannelStats,
-    trace: TraceHandle,
-    started: std::time::Instant,
-    policy: RecoveryPolicy,
-    /// Set after a skipped frame (or a detected desync): decoded bytes are
-    /// discarded until a block flagged [`FLAG_RECORD_ALIGNED`] arrives.
+    /// Record-layer recovery counts, added to the stream's in `stats`.
+    own: RecoveryStats,
+    /// The stream's recovery counters as of the last block.
+    seen: RecoveryStats,
+    /// Set after a dropped frame or a record-framing desync: blocks are
+    /// discarded until one flagged [`FLAG_RECORD_ALIGNED`] arrives.
     realign: bool,
-    /// Decode working memory, kept across frames.
-    scratch: DecodeScratch,
 }
 
 impl RecordReader {
-    pub fn new(source: Box<dyn BlockSource>) -> Self {
+    pub fn new(source: Box<dyn Read + Send>) -> Self {
         RecordReader::with_policy(source, RecoveryPolicy::default())
     }
 
     /// A reader with an explicit [`RecoveryPolicy`].
-    pub fn with_policy(source: Box<dyn BlockSource>, policy: RecoveryPolicy) -> Self {
+    pub fn with_policy(source: Box<dyn Read + Send>, policy: RecoveryPolicy) -> Self {
         RecordReader {
-            source,
+            stream: AdaptiveReader::with_policy(source, policy),
             buf: Vec::new(),
             pos: 0,
-            eof: false,
             stats: ChannelStats::default(),
-            trace: TraceHandle::disabled(),
-            started: std::time::Instant::now(),
-            policy,
+            own: RecoveryStats::default(),
+            seen: RecoveryStats::default(),
             realign: false,
-            scratch: DecodeScratch::new(),
         }
     }
 
-    /// The active recovery policy.
-    pub fn policy(&self) -> RecoveryPolicy {
-        self.policy
-    }
-
-    /// Replaces the recovery policy mid-stream.
-    pub fn set_policy(&mut self, policy: RecoveryPolicy) {
-        self.policy = policy;
-    }
-
-    /// Attaches a trace sink: the reader emits a `"stall"` [`ChannelEvent`]
-    /// (wait nanoseconds on the transport) for every block fetch. The
-    /// reader has no epoch driver, so events carry [`NO_EPOCH`].
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
-    }
-
+    /// Buffers at least `needed` unparsed bytes; `false` at end of stream.
     fn ensure(&mut self, needed: usize) -> Result<bool> {
         while self.buf.len() - self.pos < needed {
-            if self.eof {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+            let Some((block, aligned)) = self.stream.read_block()? else {
                 return Ok(false);
-            }
-            let metrics = registry::global();
-            let timed = self.trace.enabled() || metrics.is_some_and(MetricsRegistry::wall_spans);
-            let received = if timed {
-                let start = std::time::Instant::now();
-                let received = self.source.recv()?;
-                let wait_ns = start.elapsed().as_nanos() as u64;
-                if self.trace.enabled() {
-                    self.trace.emit(
-                        &ChannelEvent {
-                            epoch: NO_EPOCH,
-                            t: self.started.elapsed().as_secs_f64(),
-                            kind: "stall",
-                            bytes: received.as_ref().map_or(0, |f| f.len() as u64),
-                            wait_ns,
-                            level: 0,
-                        }
-                        .into(),
-                    );
-                }
-                if let Some(m) = metrics {
-                    m.span_ns(SpanKind::ChannelStall, wait_ns);
-                }
-                received
-            } else {
-                self.source.recv()?
             };
-            match received {
-                Some(frame) => {
-                    // Compact consumed prefix before appending.
-                    if self.pos > 0 {
-                        self.buf.drain(..self.pos);
-                        self.pos = 0;
-                    }
-                    let before = self.buf.len();
-                    match decode_block_with(
-                        &mut self.scratch,
-                        &frame,
-                        &mut self.buf,
-                        self.policy.max_frame,
-                    ) {
-                        Ok((header, _consumed)) => {
-                            if self.realign {
-                                if header.record_aligned {
-                                    // Back on a record boundary.
-                                    self.realign = false;
-                                    self.stats.recovery.resyncs += 1;
-                                } else {
-                                    // Still desynced: this block's bytes
-                                    // cannot be framed; drop them.
-                                    let n = self.buf.len() - before;
-                                    self.buf.truncate(before);
-                                    self.stats.recovery.skipped_bytes += n as u64;
-                                    continue;
-                                }
-                            }
-                            self.stats.app_bytes += (self.buf.len() - before) as u64;
-                            self.stats.wire_bytes += frame.len() as u64;
-                        }
-                        Err(e) => {
-                            if self.policy.mode == RecoveryMode::FailFast {
-                                return Err(NepheleError::Io(std::io::Error::new(
-                                    std::io::ErrorKind::InvalidData,
-                                    e,
-                                )));
-                            }
-                            // Skip-and-count: drop the damaged frame. On a
-                            // record-aligned stream the bytes already in
-                            // `buf` end at a record boundary, so parsing
-                            // them stays valid; realignment gates the next
-                            // appended block.
-                            self.stats.recovery.corrupt_frames += 1;
-                            self.stats.recovery.skipped_bytes += frame.len() as u64;
-                            self.realign = true;
-                        }
-                    }
-                }
-                None => self.eof = true,
+            let start = self.buf.len();
+            self.buf.extend_from_slice(block);
+            let frames = self.stream.recovery();
+            // Retries lose nothing; any other counter that moved since the
+            // last block means a frame was dropped just before this one,
+            // and with it maybe the rest of the record the held bytes began.
+            if (RecoveryStats { retries: self.seen.retries, ..frames }) != self.seen {
+                self.skip_to(start);
+            }
+            self.seen = frames;
+            if self.realign && !aligned {
+                // Still desynced: this block's bytes cannot be framed.
+                self.skip_to(self.buf.len());
+            } else {
+                self.realign = false;
             }
         }
         Ok(true)
     }
 
-    /// Drops all unconsumed buffered bytes (a detected record-framing
-    /// desync) and requires realignment before any further parsing.
-    fn drop_buffered(&mut self) {
-        let n = self.buf.len() - self.pos;
-        self.stats.recovery.skipped_bytes += n as u64;
-        self.pos = self.buf.len();
+    /// Discards the unparsed bytes before `to`; parsing resumes at the next
+    /// aligned block.
+    fn skip_to(&mut self, to: usize) {
+        self.own.skipped_bytes += (to - self.pos) as u64;
+        self.pos = to;
         self.realign = true;
     }
 
@@ -738,63 +496,58 @@ impl RecordReader {
     /// partial record are recovered from rather than fatal; see
     /// [`ChannelStats::recovery`] for what happened.
     pub fn next_record(&mut self) -> Result<Option<Vec<u8>>> {
+        let next = self.parse();
+        self.stats.app_bytes = self.stream.app_bytes();
+        self.stats.wire_bytes = self.stream.wire_bytes();
+        self.stats.recovery = self.stream.recovery();
+        self.stats.recovery.merge(&self.own);
+        next
+    }
+
+    fn parse(&mut self) -> Result<Option<Vec<u8>>> {
+        let policy = self.stream.policy();
         loop {
-            if !self.ensure(4)? {
-                let leftover = self.buf.len() - self.pos;
-                if leftover != 0 {
-                    if self.policy.mode == RecoveryMode::SkipAndCount {
-                        self.stats.recovery.truncations += 1;
-                        self.stats.recovery.skipped_bytes += leftover as u64;
-                        self.pos = self.buf.len();
-                        return Ok(None);
-                    }
-                    return Err(NepheleError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "trailing partial record",
-                    )));
-                }
-                return Ok(None);
-            }
             // Peek the length; only consume once the whole record is here,
             // so recovery never leaves a half-parsed record behind.
+            if !self.ensure(4)? {
+                return self.end(policy);
+            }
             let len =
                 u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize;
-            if len as u64 > self.policy.max_frame as u64 {
-                if self.policy.mode == RecoveryMode::SkipAndCount {
-                    // Record framing desynced (e.g. a dropped block on a
-                    // stream without alignment flags): drop the buffered
-                    // bytes and realign at the next aligned block.
-                    self.stats.recovery.corrupt_frames += 1;
-                    self.drop_buffered();
-                    continue;
+            if len as u64 > policy.max_frame as u64 {
+                if policy.mode == RecoveryMode::FailFast {
+                    let why = format!("implausible record length {len}: record framing desynced");
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, why).into());
                 }
-                return Err(NepheleError::Io(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!(
-                        "implausible record length {len} (cap {}): record framing desynced",
-                        self.policy.max_frame
-                    ),
-                )));
+                // Record framing desynced (e.g. a dropped block on a stream
+                // without alignment flags): realign at the next aligned block.
+                self.own.corrupt_frames += 1;
+                self.skip_to(self.buf.len());
+                continue;
             }
             if !self.ensure(4 + len)? {
-                let leftover = self.buf.len() - self.pos;
-                if self.policy.mode == RecoveryMode::SkipAndCount {
-                    self.stats.recovery.truncations += 1;
-                    self.stats.recovery.skipped_bytes += leftover as u64;
-                    self.pos = self.buf.len();
-                    return Ok(None);
-                }
-                return Err(NepheleError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "record body truncated",
-                )));
+                return self.end(policy);
             }
-            self.pos += 4;
-            let rec = self.buf[self.pos..self.pos + len].to_vec();
-            self.pos += len;
+            let rec = self.buf[self.pos + 4..self.pos + 4 + len].to_vec();
+            self.pos += 4 + len;
             self.stats.records += 1;
             return Ok(Some(rec));
         }
+    }
+
+    /// End of stream: clean if nothing is left unparsed, else a truncated
+    /// record — counted in skip mode, an error in fail-fast mode.
+    fn end(&mut self, policy: RecoveryPolicy) -> Result<Option<Vec<u8>>> {
+        if self.pos == self.buf.len() {
+            return Ok(None);
+        }
+        if policy.mode == RecoveryMode::FailFast {
+            let why = "stream ended inside a record";
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, why).into());
+        }
+        self.own.truncations += 1;
+        self.skip_to(self.buf.len());
+        Ok(None)
     }
 
     /// Reader-side statistics.
@@ -806,6 +559,15 @@ impl RecordReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+
+    fn read_all(reader: &mut RecordReader) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        while let Some(r) = reader.next_record().unwrap() {
+            out.push(r);
+        }
+        out
+    }
 
     fn roundtrip(mode: CompressionMode, records: &[Vec<u8>]) -> (Vec<Vec<u8>>, ChannelStats) {
         let (tx, rx) = mem_pair(1024);
@@ -814,12 +576,7 @@ mod tests {
             w.write_record(r).unwrap();
         }
         let stats = w.finish().unwrap();
-        let mut reader = RecordReader::new(Box::new(rx));
-        let mut out = Vec::new();
-        while let Some(r) = reader.next_record().unwrap() {
-            out.push(r);
-        }
-        (out, stats)
+        (read_all(&mut RecordReader::new(Box::new(rx))), stats)
     }
 
     #[test]
@@ -879,6 +636,35 @@ mod tests {
         }
         fn close(&mut self) -> Result<()> {
             Ok(())
+        }
+    }
+
+    /// Flips `mask` into byte `byte` of frame number `frame` on its way.
+    struct FlipOne {
+        inner: Box<dyn BlockTransport>,
+        frame: usize,
+        byte: usize,
+        mask: u8,
+        sent: usize,
+    }
+
+    impl FlipOne {
+        fn new(inner: Box<dyn BlockTransport>, frame: usize, byte: usize, mask: u8) -> Self {
+            FlipOne { inner, frame, byte, mask, sent: 0 }
+        }
+    }
+
+    impl BlockTransport for FlipOne {
+        fn send(&mut self, frame: &[u8]) -> Result<()> {
+            let mut frame = frame.to_vec();
+            if self.sent == self.frame {
+                frame[self.byte] ^= self.mask;
+            }
+            self.sent += 1;
+            self.inner.send(&frame)
+        }
+        fn close(&mut self) -> Result<()> {
+            self.inner.close()
         }
     }
 
@@ -952,18 +738,12 @@ mod tests {
             2.0,
         );
         w.set_pipeline_workers(4);
-        assert_eq!(w.pipeline_workers(), 4);
         for r in &records {
             w.write_record(r).unwrap();
         }
         let stats = w.finish().unwrap();
         assert_eq!(stats.records, 600);
-        let mut reader = RecordReader::new(Box::new(rx));
-        let mut out = Vec::new();
-        while let Some(r) = reader.next_record().unwrap() {
-            out.push(r);
-        }
-        assert_eq!(out, records);
+        assert_eq!(read_all(&mut RecordReader::new(Box::new(rx))), records);
     }
 
     #[test]
@@ -980,11 +760,7 @@ mod tests {
         }
         w.finish().unwrap();
         let mut reader = RecordReader::new(Box::new(rx));
-        let mut out = Vec::new();
-        while let Some(r) = reader.next_record().unwrap() {
-            out.push(r);
-        }
-        assert_eq!(out, records);
+        assert_eq!(read_all(&mut reader), records);
         drop(reader);
         assert!(!path.exists(), "spool file should be cleaned up");
     }
@@ -1020,7 +796,7 @@ mod tests {
 
     #[test]
     fn tcp_transport_roundtrip() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let records: Vec<Vec<u8>> =
             (0..100).map(|i| format!("tcp record {i} ").repeat(10).into_bytes()).collect();
@@ -1039,23 +815,21 @@ mod tests {
             w.finish().unwrap()
         });
         let (stream, _) = listener.accept().unwrap();
-        let mut reader = RecordReader::new(Box::new(TcpSource::new(stream)));
-        let mut out = Vec::new();
-        while let Some(r) = reader.next_record().unwrap() {
-            out.push(r);
-        }
-        assert_eq!(out, records);
+        assert_eq!(read_all(&mut RecordReader::new(Box::new(stream))), records);
         let stats = sender.join().unwrap();
         assert_eq!(stats.records, 100);
     }
 
     /// A `Read` that serves `wire` and then fails the test if asked for
     /// more: the forged frame's payload must never be waited for.
-    struct NoMoreAfter<'a>(&'a [u8]);
+    struct NoMoreAfter(io::Cursor<Vec<u8>>);
 
-    impl Read for NoMoreAfter<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            assert!(!self.0.is_empty(), "read past the forged header");
+    impl Read for NoMoreAfter {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            assert!(
+                self.0.position() < self.0.get_ref().len() as u64,
+                "read past the forged header"
+            );
             self.0.read(buf)
         }
     }
@@ -1066,47 +840,55 @@ mod tests {
     #[test]
     fn forged_payload_len_is_refused_before_allocating() {
         use adcomp_codecs::{codec_for, CodecError, CodecId};
+        let mut record = 4996u32.to_le_bytes().to_vec();
+        record.extend_from_slice(&[7u8; 4996]);
         let mut good = Vec::new();
-        adcomp_codecs::frame::encode_block(codec_for(CodecId::QlzLight), &[7u8; 5000], &mut good);
+        adcomp_codecs::frame::encode_block(codec_for(CodecId::QlzLight), &record, &mut good);
         let mut forged = good[..HEADER_LEN].to_vec();
         forged[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         let wire = [&good[..], &forged[..]].concat();
-        let assert_refused = |res: Result<Option<Vec<u8>>>| match res {
-            Err(NepheleError::Io(e)) => {
-                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
-                let inner = e.get_ref().and_then(|e| e.downcast_ref::<CodecError>());
-                assert!(
-                    matches!(
-                        inner,
-                        Some(CodecError::FrameTooLarge { field: "payload_len", len: u32::MAX, .. })
-                    ),
-                    "expected FrameTooLarge, got {e:?}"
-                );
+        let assert_refused = |source: Box<dyn Read + Send>| {
+            let mut reader = RecordReader::new(source);
+            assert_eq!(reader.next_record().unwrap(), Some(vec![7u8; 4996]));
+            match reader.next_record() {
+                Err(NepheleError::Io(e)) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                    let inner = e.get_ref().and_then(|e| e.downcast_ref::<CodecError>());
+                    assert!(
+                        matches!(
+                            inner,
+                            Some(CodecError::FrameTooLarge {
+                                field: "payload_len",
+                                len: u32::MAX,
+                                ..
+                            })
+                        ),
+                        "expected FrameTooLarge, got {e:?}"
+                    );
+                }
+                other => panic!("forged header must be refused, got {other:?}"),
             }
-            other => panic!("forged header must be refused, got {other:?}"),
         };
 
-        // Any `Read` through the shared function: the ordinary frame round-
-        // trips, the forged one errors without another byte being read.
-        let mut plain = NoMoreAfter(&wire);
-        assert_eq!(read_frame(&mut plain).unwrap().as_deref(), Some(&good[..]));
-        assert_refused(read_frame(&mut plain));
+        // Any `Read`: the ordinary frame's record comes back, the forged
+        // header errors without another byte being read.
+        assert_refused(Box::new(NoMoreAfter(io::Cursor::new(wire.clone()))));
 
         // The same over a real socket whose peer stays open and silent: a
-        // reader waiting for the forged payload would hang here.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        // reader waiting for the forged payload would block here (the read
+        // timeout turns that into a failure instead of a hang).
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let mut source = TcpSource::new(listener.accept().unwrap().0);
+        let socket = listener.accept().unwrap().0;
+        socket.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
         peer.write_all(&wire).unwrap();
-        assert_eq!(source.recv().unwrap().as_deref(), Some(&good[..]));
-        assert_refused(source.recv());
+        assert_refused(Box::new(socket));
         drop(peer);
     }
 
     #[test]
     fn traced_channel_emits_block_flush_and_stall_events() {
         use adcomp_trace::{MemorySink, TraceEvent};
-        use std::sync::Arc;
 
         let sink = Arc::new(MemorySink::new());
         let (tx, rx) = mem_pair(1024);
@@ -1124,36 +906,22 @@ mod tests {
             w.write_record(r).unwrap();
         }
         let stats = w.finish().unwrap();
+        assert_eq!(read_all(&mut RecordReader::new(Box::new(rx))).len(), 200);
 
-        let mut reader = RecordReader::new(Box::new(rx));
-        reader.set_trace(TraceHandle::new(sink.clone()));
-        let mut n = 0;
-        while reader.next_record().unwrap().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 200);
-
-        let events = sink.snapshot();
-        let channel_kinds: Vec<&str> = events
-            .iter()
+        // Channel blocks are traced where every stream's are: one codec
+        // event per block, from the writer's stream.
+        let codec: Vec<_> = sink
+            .snapshot()
+            .into_iter()
             .filter_map(|e| match e {
-                TraceEvent::Channel(c) => Some(c.kind),
+                TraceEvent::Codec(c) => Some(c),
                 _ => None,
             })
             .collect();
-        let blocks = channel_kinds.iter().filter(|k| **k == "block").count() as u64;
-        assert_eq!(blocks, stats.blocks_per_level.iter().sum::<u64>());
-        assert_eq!(channel_kinds.iter().filter(|k| **k == "flush").count(), 1);
-        // One stall per block fetch plus the terminal EOF fetch.
-        let stalls = channel_kinds.iter().filter(|k| **k == "stall").count() as u64;
-        assert_eq!(stalls, blocks + 1);
-        for e in &events {
-            if let TraceEvent::Channel(c) = e {
-                if c.kind == "block" {
-                    assert_eq!(c.level, 1);
-                    assert!(c.bytes > 0);
-                }
-            }
+        assert_eq!(codec.len() as u64, stats.blocks_per_level.iter().sum::<u64>());
+        for c in &codec {
+            assert_eq!(c.level, "LIGHT");
+            assert!(c.in_bytes > 0);
         }
     }
 
@@ -1173,21 +941,15 @@ mod tests {
             w.write_record(r).unwrap();
         }
         w.finish().unwrap();
-        let mut reader = RecordReader::new(Box::new(rx));
-        let mut out = Vec::new();
-        while let Some(r) = reader.next_record().unwrap() {
-            out.push(r);
-        }
-        assert_eq!(out, records);
+        assert_eq!(read_all(&mut RecordReader::new(Box::new(rx))), records);
     }
 
     #[test]
     fn skip_mode_drops_corrupt_block_and_recovers_aligned_records() {
-        use adcomp_codecs::frame::RecoveryPolicy;
-        // Build an aligned stream, then damage exactly one middle frame.
+        // An aligned stream with a payload byte of the second frame flipped.
         let (tx, rx) = mem_pair(4096);
         let mut w = RecordWriter::new(
-            Box::new(tx),
+            Box::new(FlipOne::new(Box::new(tx), 1, HEADER_LEN + 3, 0x40)),
             &CompressionMode::Static(1),
             LevelSet::paper_default(),
             2.0,
@@ -1202,30 +964,9 @@ mod tests {
         let blocks: u64 = wstats.blocks_per_level.iter().sum();
         assert!(blocks >= 3, "need several blocks, got {blocks}");
 
-        // Re-route through a corrupting middleman: flip a payload byte of
-        // the second frame.
-        let (tx2, rx2) = mem_pair(4096);
-        let mut tx2: Box<dyn BlockTransport> = Box::new(tx2);
-        let mut idx = 0u64;
-        {
-            let mut src: Box<dyn BlockSource> = Box::new(rx);
-            while let Some(mut frame) = src.recv().unwrap() {
-                if idx == 1 {
-                    let k = adcomp_codecs::frame::HEADER_LEN + 3;
-                    frame[k] ^= 0x40;
-                }
-                tx2.send(&frame).unwrap();
-                idx += 1;
-            }
-        }
-        tx2.close().unwrap();
-
         let mut reader =
-            RecordReader::with_policy(Box::new(rx2), RecoveryPolicy::skip_and_count());
-        let mut out = Vec::new();
-        while let Some(r) = reader.next_record().unwrap() {
-            out.push(r);
-        }
+            RecordReader::with_policy(Box::new(rx), RecoveryPolicy::skip_and_count());
+        let out = read_all(&mut reader);
         let rec = reader.stats().recovery;
         assert_eq!(rec.corrupt_frames, 1);
         assert_eq!(rec.resyncs, 1);
@@ -1234,6 +975,54 @@ mod tests {
         let mut it = records.iter();
         for r in &out {
             assert!(it.any(|orig| orig == r), "recovered record not in original order");
+        }
+    }
+
+    /// The defect of the per-message readers, on an aligned stream with one
+    /// bit of frame 1's magic flipped: the spool-file reader stopped after
+    /// frame 0 with "bad frame magic" whatever the policy. Every transport
+    /// is now the same resyncing byte stream and loses exactly frame 1.
+    #[test]
+    fn damaged_magic_resyncs_on_every_transport() {
+        // 12 records of 4 + 156 bytes fill a 2 KiB block: frame 1 holds
+        // records 12..24.
+        let records: Vec<Vec<u8>> =
+            (0..200).map(|i| format!("{i:05} ").repeat(26).into_bytes()).collect();
+        let expected: Vec<Vec<u8>> = records[..12].iter().chain(&records[24..]).cloned().collect();
+        let write = |transport: Box<dyn BlockTransport>| {
+            let mut w = RecordWriter::new(
+                Box::new(FlipOne::new(transport, 1, 0, 0x01)),
+                &CompressionMode::Static(1),
+                LevelSet::paper_default(),
+                2.0,
+            );
+            w.set_block_len(2048);
+            w.set_record_aligned(true);
+            for r in &records {
+                w.write_record(r).unwrap();
+            }
+            w.finish().unwrap();
+        };
+        let read = |source: Box<dyn Read + Send>| {
+            let mut reader = RecordReader::with_policy(source, RecoveryPolicy::skip_and_count());
+            (read_all(&mut reader), reader.stats().recovery)
+        };
+
+        let (tx, rx) = mem_pair(64);
+        write(Box::new(tx));
+        let mem = read(Box::new(rx));
+        let (tx, rx) = file_pair(&std::env::temp_dir(), "test-flip").unwrap();
+        write(Box::new(tx));
+        let file = read(Box::new(rx));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let tcp = std::thread::scope(|s| {
+            s.spawn(|| write(Box::new(TcpTransport::new(TcpStream::connect(addr).unwrap()))));
+            read(Box::new(listener.accept().unwrap().0))
+        });
+        for (transport, (out, rec)) in [("mem", mem), ("file", file), ("tcp", tcp)] {
+            assert_eq!(out, expected, "{transport}");
+            assert!(rec.corrupt_frames >= 1, "{transport}: {rec:?}");
         }
     }
 

@@ -7,13 +7,14 @@
 //! compression statistics — the measurements behind the paper's Table II.
 
 use crate::channel::{
-    file_pair, mem_pair, BlockSource, BlockTransport, ChannelStats, ChannelType, RecordReader,
-    RecordWriter, TcpSource, TcpTransport,
+    file_pair, mem_pair, BlockTransport, ChannelStats, ChannelType, RecordReader, RecordWriter,
+    TcpTransport,
 };
 use crate::error::{NepheleError, Result};
 use crate::graph::JobGraph;
 use crate::task::{Task, TaskContext};
 use adcomp_codecs::LevelSet;
+use std::io::Read;
 use std::time::Instant;
 
 /// Per-edge report after completion.
@@ -54,16 +55,6 @@ impl JobReport {
             any.downcast_ref::<T>()
         })
     }
-
-    /// Total application bytes written across all edges.
-    pub fn total_app_bytes(&self) -> u64 {
-        self.edges.iter().map(|e| e.stats.app_bytes).sum()
-    }
-
-    /// Total wire bytes across all edges.
-    pub fn total_wire_bytes(&self) -> u64 {
-        self.edges.iter().map(|e| e.stats.wire_bytes).sum()
-    }
 }
 
 /// Executor configuration.
@@ -103,7 +94,7 @@ impl Executor {
         let mut writers: Vec<Option<RecordWriter>> = Vec::with_capacity(edges.len());
         let mut readers: Vec<Option<RecordReader>> = Vec::with_capacity(edges.len());
         for (i, e) in edges.iter().enumerate() {
-            let (transport, source): (Box<dyn BlockTransport>, Box<dyn BlockSource>) =
+            let (transport, source): (Box<dyn BlockTransport>, Box<dyn Read + Send>) =
                 match e.channel {
                     ChannelType::InMemory => {
                         let (t, s) = mem_pair(self.mem_channel_blocks);
@@ -115,7 +106,7 @@ impl Executor {
                         let client = std::net::TcpStream::connect(addr)?;
                         client.set_nodelay(true).ok();
                         let (server, _) = listener.accept()?;
-                        (Box::new(TcpTransport::new(client)), Box::new(TcpSource::new(server)))
+                        (Box::new(TcpTransport::new(client)), Box::new(server))
                     }
                     ChannelType::File => {
                         let (t, s) = file_pair(&self.spool_dir, &format!("{job_name}-e{i}"))?;
@@ -334,7 +325,7 @@ mod tests {
         let s: &SinkTask = r.task("sink").unwrap();
         assert_eq!(s.bytes, 1_000_000);
         assert_eq!(r.edges.len(), 2);
-        assert!(r.total_app_bytes() >= 2_000_000);
+        assert!(r.edges.iter().map(|e| e.stats.app_bytes).sum::<u64>() >= 2_000_000);
     }
 
     #[test]

@@ -63,14 +63,6 @@ impl JobGraph {
         Ok(())
     }
 
-    pub fn num_vertices(&self) -> usize {
-        self.vertices.len()
-    }
-
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Validates the graph: must be a non-empty DAG.
     pub fn validate(&self) -> Result<()> {
         if self.vertices.is_empty() {
@@ -124,8 +116,7 @@ mod tests {
         let c = g.add_vertex("c", noop());
         g.connect(a, b, ChannelType::InMemory, CompressionMode::Off).unwrap();
         g.connect(b, c, ChannelType::Network, CompressionMode::Static(1)).unwrap();
-        assert_eq!(g.num_vertices(), 3);
-        assert_eq!(g.num_edges(), 2);
+        assert_eq!((g.vertices.len(), g.edges.len()), (3, 2));
         g.validate().unwrap();
     }
 

@@ -111,23 +111,6 @@ impl SimEvent {
     pub const NO_FLOW: u32 = u32::MAX;
 }
 
-/// One record-channel event from the nephele layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[must_use = "trace events do nothing unless emitted to a sink"]
-pub struct ChannelEvent {
-    pub epoch: u64,
-    pub t: f64,
-    /// `"stall"` (reader waited on transport), `"block"` (block shipped),
-    /// `"flush"` (explicit flush of a partial block).
-    pub kind: &'static str,
-    /// Bytes involved (block payload, or 0 for stalls).
-    pub bytes: u64,
-    /// Nanoseconds waited (stalls) or spent encoding (blocks).
-    pub wait_ns: u64,
-    /// Compression level in force.
-    pub level: u32,
-}
-
 /// One fault-or-recovery incident on the transport path.
 ///
 /// Emitted by the hardened readers/writers when corruption, truncation or
@@ -223,7 +206,6 @@ pub enum TraceEvent {
     Epoch(EpochEvent),
     Codec(CodecEvent),
     Sim(SimEvent),
-    Channel(ChannelEvent),
     Fault(FaultEvent),
     Pipeline(PipelineEvent),
     Server(ServerEvent),
@@ -237,7 +219,6 @@ impl TraceEvent {
             TraceEvent::Epoch(_) => "epoch",
             TraceEvent::Codec(_) => "codec",
             TraceEvent::Sim(_) => "sim",
-            TraceEvent::Channel(_) => "channel",
             TraceEvent::Fault(_) => "fault",
             TraceEvent::Pipeline(_) => "pipeline",
             TraceEvent::Server(_) => "server",
@@ -251,24 +232,9 @@ impl TraceEvent {
             TraceEvent::Epoch(e) => e.epoch,
             TraceEvent::Codec(e) => e.epoch,
             TraceEvent::Sim(e) => e.epoch,
-            TraceEvent::Channel(e) => e.epoch,
             TraceEvent::Fault(e) => e.epoch,
             TraceEvent::Pipeline(e) => e.epoch,
             TraceEvent::Server(e) => e.epoch,
-        }
-    }
-
-    /// The event timestamp (seconds).
-    pub fn t(&self) -> f64 {
-        match self {
-            TraceEvent::Decision(e) => e.t,
-            TraceEvent::Epoch(e) => e.t,
-            TraceEvent::Codec(e) => e.t,
-            TraceEvent::Sim(e) => e.t,
-            TraceEvent::Channel(e) => e.t,
-            TraceEvent::Fault(e) => e.t,
-            TraceEvent::Pipeline(e) => e.t,
-            TraceEvent::Server(e) => e.t,
         }
     }
 
@@ -315,14 +281,6 @@ impl TraceEvent {
                 }
                 o.f64_field("value", e.value);
                 o.f64_field("aux", e.aux);
-            }
-            TraceEvent::Channel(e) => {
-                o.u64_field("epoch", e.epoch);
-                o.f64_field("t", e.t);
-                o.str_field("kind", e.kind);
-                o.u64_field("bytes", e.bytes);
-                o.u64_field("wait_ns", e.wait_ns);
-                o.u64_field("level", e.level as u64);
             }
             TraceEvent::Fault(e) => {
                 o.u64_field("epoch", e.epoch);
@@ -373,11 +331,6 @@ impl From<SimEvent> for TraceEvent {
         TraceEvent::Sim(e)
     }
 }
-impl From<ChannelEvent> for TraceEvent {
-    fn from(e: ChannelEvent) -> Self {
-        TraceEvent::Channel(e)
-    }
-}
 impl From<FaultEvent> for TraceEvent {
     fn from(e: FaultEvent) -> Self {
         TraceEvent::Fault(e)
@@ -401,7 +354,6 @@ pub struct EventCounts {
     pub epoch: u64,
     pub codec: u64,
     pub sim: u64,
-    pub channel: u64,
     pub fault: u64,
     pub pipeline: u64,
     pub server: u64,
@@ -414,7 +366,6 @@ impl EventCounts {
             TraceEvent::Epoch(_) => self.epoch += 1,
             TraceEvent::Codec(_) => self.codec += 1,
             TraceEvent::Sim(_) => self.sim += 1,
-            TraceEvent::Channel(_) => self.channel += 1,
             TraceEvent::Fault(_) => self.fault += 1,
             TraceEvent::Pipeline(_) => self.pipeline += 1,
             TraceEvent::Server(_) => self.server += 1,
@@ -430,7 +381,7 @@ impl EventCounts {
     }
 
     pub fn total(&self) -> u64 {
-        self.decision + self.epoch + self.codec + self.sim + self.channel + self.fault
+        self.decision + self.epoch + self.codec + self.sim + self.fault
             + self.pipeline + self.server
     }
 
@@ -442,7 +393,6 @@ impl EventCounts {
         o.u64_field("epoch", self.epoch);
         o.u64_field("codec", self.codec);
         o.u64_field("sim", self.sim);
-        o.u64_field("channel", self.channel);
         o.u64_field("fault", self.fault);
         o.u64_field("pipeline", self.pipeline);
         o.u64_field("server", self.server);
@@ -481,7 +431,7 @@ mod tests {
 
     #[test]
     fn all_kinds_validate() {
-        let evs: [TraceEvent; 6] = [
+        let evs: [TraceEvent; 5] = [
             sample_decision(),
             EpochEvent { epoch: 0, t: 2.0, duration: 2.0, bytes: 1024, rate: 512.0, level: 1 }
                 .into(),
@@ -504,8 +454,6 @@ mod tests {
                 aux: 0.65,
             }
             .into(),
-            ChannelEvent { epoch: 2, t: 4.4, kind: "stall", bytes: 0, wait_ns: 900, level: 3 }
-                .into(),
             PipelineEvent {
                 epoch: 2,
                 t: 4.5,
@@ -524,7 +472,7 @@ mod tests {
             let keys = validate_line(&j).unwrap();
             assert_eq!(keys[0], "ev");
         }
-        assert_eq!(counts.total(), 6);
+        assert_eq!(counts.total(), 5);
         assert_eq!(counts, EventCounts::from_events(&evs));
         validate_line(&counts.to_json()).unwrap();
     }

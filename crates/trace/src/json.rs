@@ -64,12 +64,6 @@ impl ObjWriter {
         ObjWriter { buf: String::from("{"), first: true }
     }
 
-    /// Starts an object that appends into an existing buffer.
-    pub fn into_buf(buf: &mut String) -> ObjFieldWriter<'_> {
-        buf.push('{');
-        ObjFieldWriter { buf, first: true }
-    }
-
     fn key(&mut self, k: &str) {
         if !self.first {
             self.buf.push(',');
@@ -134,67 +128,6 @@ impl ObjWriter {
     pub fn finish(mut self) -> String {
         self.buf.push('}');
         self.buf
-    }
-}
-
-/// Borrowed-buffer variant of [`ObjWriter`] — appends the object into an
-/// existing `String` so per-event serialization can reuse one allocation.
-#[derive(Debug)]
-pub struct ObjFieldWriter<'a> {
-    buf: &'a mut String,
-    first: bool,
-}
-
-impl ObjFieldWriter<'_> {
-    fn key(&mut self, k: &str) {
-        if !self.first {
-            self.buf.push(',');
-        }
-        self.first = false;
-        write_str(self.buf, k);
-        self.buf.push(':');
-    }
-
-    pub fn str_field(&mut self, k: &str, v: &str) -> &mut Self {
-        self.key(k);
-        write_str(self.buf, v);
-        self
-    }
-
-    pub fn u64_field(&mut self, k: &str, v: u64) -> &mut Self {
-        self.key(k);
-        let _ = write!(self.buf, "{v}");
-        self
-    }
-
-    pub fn f64_field(&mut self, k: &str, v: f64) -> &mut Self {
-        self.key(k);
-        write_f64(self.buf, v);
-        self
-    }
-
-    pub fn bool_field(&mut self, k: &str, v: bool) -> &mut Self {
-        self.key(k);
-        self.buf.push_str(if v { "true" } else { "false" });
-        self
-    }
-
-    pub fn u32_array_field(&mut self, k: &str, vs: &[u32]) -> &mut Self {
-        self.key(k);
-        self.buf.push('[');
-        for (i, v) in vs.iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            let _ = write!(self.buf, "{v}");
-        }
-        self.buf.push(']');
-        self
-    }
-
-    /// Closes the object (appends `}`).
-    pub fn finish(self) {
-        self.buf.push('}');
     }
 }
 

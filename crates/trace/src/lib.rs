@@ -8,7 +8,7 @@
 //!
 //! * [`events`] — the typed, `Copy`, epoch-tagged event taxonomy:
 //!   [`DecisionEvent`], [`EpochEvent`], [`CodecEvent`], [`SimEvent`],
-//!   [`ChannelEvent`], [`FaultEvent`], [`PipelineEvent`];
+//!   [`FaultEvent`], [`PipelineEvent`], [`ServerEvent`];
 //! * [`sink`] — the [`TraceSink`] trait, the statically-disabled
 //!   [`NullSink`], the in-memory [`MemorySink`], the dynamic
 //!   [`TraceHandle`] and [`TeeSink`];
@@ -57,8 +57,8 @@ pub mod sink;
 pub mod timeline;
 
 pub use events::{
-    ChannelEvent, CodecEvent, DecisionEvent, EpochEvent, EventCounts, FaultEvent, PipelineEvent,
-    ServerEvent, SimEvent, TraceEvent, MAX_LEVELS, NO_EPOCH,
+    CodecEvent, DecisionEvent, EpochEvent, EventCounts, FaultEvent, PipelineEvent, ServerEvent,
+    SimEvent, TraceEvent, MAX_LEVELS, NO_EPOCH,
 };
 pub use dash::render_top;
 pub use http::{http_get, MetricsServer};

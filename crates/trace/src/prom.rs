@@ -7,7 +7,6 @@
 //! `adcomp top` and the stderr panel of `adcomp trace` all print a fold of
 //! the live registry through it.
 
-use adcomp_metrics::Histogram;
 use std::fmt::Write as _;
 
 /// A set of metric families, rendered in registration order.
@@ -74,27 +73,10 @@ impl PromSnapshot {
         let _ = writeln!(self.out, "{name}{} {}", Self::labels(labels), Self::value(v));
     }
 
-    /// A full histogram family from a [`Histogram`]: cumulative
-    /// `_bucket{le=…}` series (upper bucket edges), `+Inf`, `_sum`,
-    /// `_count`.
-    pub fn histogram(&mut self, name: &str, help: &str, labels: &[(&str, &str)], h: &Histogram) {
-        let counts = h.counts();
-        let mids = h.midpoints();
-        let width = if mids.len() >= 2 { mids[1] - mids[0] } else { 0.0 };
-        let mut buckets: Vec<(String, u64)> = Vec::with_capacity(counts.len());
-        let mut cum = h.underflow;
-        for (i, &c) in counts.iter().enumerate() {
-            cum += c;
-            buckets.push((Self::value(mids[i] + width / 2.0), cum));
-        }
-        self.histogram_cumulative(name, help, labels, &buckets, h.sum(), h.total());
-    }
-
     /// A histogram family from pre-folded cumulative buckets (`le` edge
     /// already formatted, count cumulative). Guarantees the `+Inf`
     /// bucket, `_sum` and `_count` series the exposition format
-    /// requires — the live-registry renderer and [`Self::histogram`]
-    /// both funnel through here.
+    /// requires; the live-registry renderer funnels through here.
     pub fn histogram_cumulative(
         &mut self,
         name: &str,
@@ -243,23 +225,6 @@ mod tests {
         assert_eq!(lines[4], "# HELP adcomp_g A gauge.");
         assert_eq!(lines[5], "# TYPE adcomp_g gauge");
         assert_eq!(lines[6], "adcomp_g 1.5");
-    }
-
-    #[test]
-    fn histogram_buckets_are_cumulative_with_inf() {
-        let mut h = Histogram::new(0.0, 10.0, 2);
-        for x in [1.0, 2.0, 7.0, 100.0] {
-            h.push(x);
-        }
-        let mut p = PromSnapshot::new();
-        p.histogram("adcomp_h", "H.", &[], &h);
-        let text = p.render();
-        assert!(text.contains("adcomp_h_bucket{le=\"5\"} 2"), "{text}");
-        assert!(text.contains("adcomp_h_bucket{le=\"10\"} 3"), "{text}");
-        assert!(text.contains("adcomp_h_bucket{le=\"+Inf\"} 4"), "{text}");
-        assert!(text.contains("adcomp_h_sum 110"), "{text}");
-        assert!(text.contains("adcomp_h_count 4"), "{text}");
-        crate::promlint::conformance_lint(&text).expect("histogram family must conform");
     }
 
     #[test]

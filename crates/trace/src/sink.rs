@@ -111,11 +111,6 @@ impl TraceHandle {
         TraceHandle(Some(sink))
     }
 
-    /// Wraps a concrete sink.
-    pub fn to_sink<S: TraceSink + 'static>(sink: S) -> Self {
-        TraceHandle(Some(Arc::new(sink)))
-    }
-
     /// The inner sink, if any.
     pub fn sink(&self) -> Option<&Arc<dyn TraceSink>> {
         self.0.as_ref()
