@@ -919,7 +919,11 @@ impl<R: Read, S: TraceSink> FrameReader<R, S> {
     /// The one frame loop under [`FrameReader::read_block`] and
     /// [`FrameReader::read_frame`]: the next validated *data* frame, its
     /// payload in `self.payload_buf`. Index trailers (CRC-validated, no
-    /// application bytes) are counted and consumed here.
+    /// application bytes) are counted and consumed here. A frame flagged as
+    /// one that is not one — the flag bit flipped on a data frame, which no
+    /// CRC covers — is a damaged frame and takes the rule for a CRC-valid
+    /// frame that fails to decode: counted; a typed `InvalidData` when
+    /// failing fast; otherwise dropped whole into `skipped_bytes`.
     fn next_frame(&mut self) -> io::Result<Option<(FrameHeader, [u8; HEADER_LEN])>> {
         let metrics = registry::global();
         loop {
@@ -931,7 +935,19 @@ impl<R: Read, S: TraceSink> FrameReader<R, S> {
                 m.span_ns(SpanKind::FrameRead, s.elapsed().as_nanos() as u64);
             }
             match frame {
-                Some((header, _)) if header.index => self.wire_bytes += wire_in(&header),
+                Some((header, _)) if header.index => {
+                    let frame_len = wire_in(&header);
+                    let Err(e) = check_index_trailer(&header, &self.payload_buf) else {
+                        self.wire_bytes += frame_len;
+                        continue;
+                    };
+                    self.recovery.corrupt_frames += 1;
+                    self.emit_fault("corrupt_frame", frame_len, self.blocks);
+                    if self.policy.mode == RecoveryMode::FailFast {
+                        return Err(to_io(e));
+                    }
+                    self.recovery.skipped_bytes += frame_len;
+                }
                 other => return Ok(other),
             }
         }
@@ -1024,6 +1040,16 @@ impl<R: Read, S: TraceSink> FrameReader<R, S> {
 
 fn to_io(e: CodecError) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
+/// A frame carrying [`FLAG_INDEX`] is an index trailer only if it is one:
+/// no application bytes, a RAW payload, and a payload the index parser
+/// accepts.
+fn check_index_trailer(header: &FrameHeader, payload: &[u8]) -> Result<()> {
+    if header.uncompressed_len != 0 || header.codec != CodecId::Raw {
+        return Err(CodecError::Corrupt("index flag on a data frame"));
+    }
+    crate::seek::StreamIndex::parse_payload(payload).map(drop)
 }
 
 /// Reports one whole frame taken in off the wire to the registry and
@@ -1179,6 +1205,42 @@ mod tests {
         }
         assert_eq!(i, blocks.len());
         assert_eq!(r.wire_bytes, wire.len() as u64);
+    }
+
+    /// A LIGHT data frame with `FLAG_INDEX` (bit 2 of byte 3) set is a
+    /// damaged data frame, not an index trailer to skip: a typed error when
+    /// failing fast, one counted corrupt frame dropped whole when skipping
+    /// — and the frame after it still decodes.
+    #[test]
+    fn index_flag_on_a_data_frame_is_a_corrupt_frame() {
+        let data = b"a data frame is never an index trailer. ".repeat(64);
+        let mut flipped = Vec::new();
+        let info = encode_block(&QlzLightCodec, &data, &mut flipped);
+        assert_eq!(info.codec, CodecId::QlzLight);
+        flipped[3] |= FLAG_INDEX;
+
+        let mut r = FrameReader::new(&flipped[..]);
+        let mut out = Vec::new();
+        let err = r.read_block(&mut out).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(r.recovery.corrupt_frames, 1);
+        assert!(out.is_empty());
+
+        let mut wire = flipped.clone();
+        encode_block(&QlzLightCodec, &data, &mut wire);
+        let mut r = FrameReader::with_policy(&wire[..], RecoveryPolicy::skip_and_count());
+        let mut payload = Vec::new();
+        let header = r.read_frame(&mut payload).unwrap().expect("the good frame");
+        assert_eq!(header.uncompressed_len as usize, data.len());
+        assert!(r.read_frame(&mut payload).unwrap().is_none());
+        assert_eq!(
+            r.recovery,
+            RecoveryStats {
+                corrupt_frames: 1,
+                skipped_bytes: flipped.len() as u64,
+                ..RecoveryStats::default()
+            }
+        );
     }
 
     #[test]

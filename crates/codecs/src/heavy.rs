@@ -269,7 +269,7 @@ pub fn compress(input: &[u8], out: &mut Vec<u8>) {
 /// into `out`.
 pub fn compress_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
     let n = input.len();
-    out.reserve(scratch.out_hint(crate::CodecId::Heavy, n));
+    out.reserve(scratch.out_hint(n));
     let out_start = out.len();
     let hs = scratch.heavy.get_or_insert_with(|| Box::new(HeavyScratch::new()));
     hs.prepare(n);
@@ -329,7 +329,7 @@ pub fn compress_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
     }
     rc.finish();
     let produced = out.len() - out_start;
-    scratch.note_out(crate::CodecId::Heavy, produced);
+    scratch.note_out(produced);
 }
 
 /// Decompresses exactly `expected_len` bytes from `input` into `out`

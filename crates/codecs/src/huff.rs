@@ -6,10 +6,10 @@
 //! in 5 bits, both with the standard extra-bit ranges. There is no
 //! dynamic-tree mode and no block structure beyond a single end-of-block
 //! symbol — every frame is one fixed-tree block, which keeps the encoder a
-//! pure streaming `BitWriter` over the caller's output span (zero heap
-//! allocations in the scratch path) and the decoder a flat-table loop over
-//! a word-refilled accumulator, writing into a pre-sized window
-//! (`crate::window`).
+//! streaming `BitWriter` that word-flushes into a pre-sized span
+//! (`Scratch::tokens`; zero heap allocations in the scratch path) and the
+//! decoder a flat-table loop over a word-refilled accumulator, writing into
+//! a pre-sized window (`crate::window`).
 //!
 //! Wire format: the LSB-first bitstream of `(litlen, extra, dist, extra)*`
 //! tokens terminated by symbol 256, padded with zero bits to a byte
@@ -23,7 +23,7 @@
 //! errors on every input, valid or corrupt.
 
 use crate::qlz::match_len;
-use crate::scratch::reset_table;
+use crate::scratch::{reset_table, token_span};
 use crate::{window, CodecError, Result, Scratch};
 
 /// Window the matcher may reference (deflate's 32 KiB).
@@ -207,37 +207,69 @@ fn dist_to_code(dist: usize) -> usize {
 
 // --- encoder ------------------------------------------------------------
 
-/// LSB-first bit accumulator writing straight into the caller's output
-/// span — no internal buffer, so a warmed output `Vec` makes the whole
-/// encode path allocation-free.
+/// LSB-first bit writer over a pre-sized span (`Scratch::tokens`, see
+/// `crate::scratch`): a 64-bit accumulator flushed as one 8-byte store once
+/// 32 or more bits are pending, the cursor moving by the whole bytes among
+/// them; the partial byte stays in the accumulator, and the next store
+/// writes it again, completed.
 struct BitWriter<'a> {
-    out: &'a mut Vec<u8>,
+    span: &'a mut [u8],
+    pos: usize,
     acc: u64,
     nbits: u32,
 }
 
 impl<'a> BitWriter<'a> {
-    fn new(out: &'a mut Vec<u8>) -> Self {
-        BitWriter { out, acc: 0, nbits: 0 }
+    /// Span for `n` input bytes: the longest stream they encode to — every
+    /// byte a 9-bit literal (a match spends at most 31 bits on 4 or more
+    /// bytes), then the 7-bit end-of-block symbol — plus 16 bytes of slack
+    /// for the 8-byte store, which needs 7 (see [`BitWriter::store`]).
+    fn span_len(n: usize) -> usize {
+        (9 * n + 7).div_ceil(8) + 16
     }
 
-    /// Appends the low `n` bits of `bits` (n <= 32, high bits clear).
+    /// `span` holds at least [`BitWriter::span_len`] bytes for the input.
+    fn new(span: &'a mut [u8]) -> Self {
+        BitWriter { span, pos: 0, acc: 0, nbits: 0 }
+    }
+
+    /// Appends the low `n` bits of `bits` (high bits clear). Callers
+    /// [`BitWriter::flush`] after every token, so at most 31 bits are
+    /// pending before one and the longest token (31 bits) fits.
     #[inline]
     fn push(&mut self, bits: u32, n: u32) {
+        debug_assert!(self.nbits + n <= 64);
         self.acc |= (bits as u64) << self.nbits;
         self.nbits += n;
-        while self.nbits >= 8 {
-            self.out.push(self.acc as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
+    }
+
+    /// Stores the accumulator once 32 or more bits are pending.
+    #[inline]
+    fn flush(&mut self) {
+        if self.nbits >= 32 {
+            self.store();
         }
     }
 
-    /// Flushes the final partial byte (zero-padded).
-    fn finish(self) {
-        if self.nbits > 0 {
-            self.out.push(self.acc as u8);
-        }
+    /// Writes the accumulator's 8 bytes at the cursor and moves past the
+    /// whole ones. At least one pending bit still goes out after the
+    /// cursor, so it is short of the stream's final length, at most
+    /// `span_len - 16`: the store ends at most 7 bytes past the stream.
+    #[inline]
+    fn store(&mut self) {
+        self.span[self.pos..self.pos + 8].copy_from_slice(&self.acc.to_le_bytes());
+        let whole = self.nbits / 8;
+        self.pos += whole as usize;
+        self.acc >>= whole * 8;
+        self.nbits -= whole * 8;
+    }
+
+    /// Writes the pending bits, the last byte zero-padded, and appends the
+    /// stream to `out`.
+    fn finish(mut self, out: &mut Vec<u8>) {
+        self.store();
+        let end = self.pos + usize::from(self.nbits > 0);
+        out.extend_from_slice(&self.span[..end]);
     }
 }
 
@@ -247,10 +279,21 @@ fn hash4(bytes: &[u8], i: usize) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
-fn compress_impl(table: &mut [u32], input: &[u8], out: &mut Vec<u8>) {
-    debug_assert_eq!(table.len(), TABLE_LEN);
-    let mut bw = BitWriter::new(out);
+/// Compresses `input`, appending the HUFF bitstream to `out`, allocating
+/// fresh working memory. Thin wrapper over [`compress_with`].
+pub fn compress(input: &[u8], out: &mut Vec<u8>) {
+    compress_with(&mut Scratch::new(), input, out);
+}
+
+/// Compresses `input` using reusable working memory, appending the HUFF
+/// bitstream to `out`: the hash table is reset to the fresh state before
+/// the parse, and the stream is written into the scratch's token span and
+/// copied out once. In steady state this performs no heap allocation.
+pub fn compress_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
+    reset_table(&mut scratch.huff_table, TABLE_LEN);
+    let table = &mut scratch.huff_table[..];
     let n = input.len();
+    let mut bw = BitWriter::new(token_span(&mut scratch.tokens, BitWriter::span_len(n)));
     let mut i = 0usize;
     while i < n {
         let mut matched = 0usize;
@@ -274,6 +317,7 @@ fn compress_impl(table: &mut [u32], input: &[u8], out: &mut Vec<u8>) {
         if matched == 0 {
             let sym = input[i] as usize;
             bw.push(LITLEN_CODE[sym] as u32, LITLEN_LEN[sym] as u32);
+            bw.flush();
             i += 1;
             continue;
         }
@@ -284,6 +328,7 @@ fn compress_impl(table: &mut [u32], input: &[u8], out: &mut Vec<u8>) {
         let dc = dist_to_code(dist);
         bw.push(rev(dc as u16, 5) as u32, 5);
         bw.push((dist as u32) - DIST_BASE[dc] as u32, DIST_EXTRA[dc] as u32);
+        bw.flush();
         // Seed the table part-way into the match so the next block of
         // similar content still finds it; skipping every interior position
         // keeps the encoder O(n).
@@ -295,20 +340,7 @@ fn compress_impl(table: &mut [u32], input: &[u8], out: &mut Vec<u8>) {
     }
     let eob = 256usize;
     bw.push(LITLEN_CODE[eob] as u32, LITLEN_LEN[eob] as u32);
-    bw.finish();
-}
-
-/// Compresses `input`, appending the HUFF bitstream to `out`.
-pub fn compress(input: &[u8], out: &mut Vec<u8>) {
-    let mut table = vec![u32::MAX; TABLE_LEN];
-    compress_impl(&mut table, input, out);
-}
-
-/// Scratch-reusing twin of [`compress`]; bit-identical output (the hash
-/// table is reset to the fresh state before the parse).
-pub fn compress_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
-    reset_table(&mut scratch.huff_table, TABLE_LEN);
-    compress_impl(&mut scratch.huff_table, input, out);
+    bw.finish(out);
 }
 
 // --- decoder ------------------------------------------------------------
@@ -456,7 +488,7 @@ fn decompress_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::huff_reference;
+    use crate::reference::{huff_reference, repeat_free};
 
     fn roundtrip(data: &[u8]) {
         let mut wire = Vec::new();
@@ -512,6 +544,28 @@ mod tests {
             let mut reused = Vec::new();
             compress_with(&mut scratch, &data, &mut reused);
             assert_eq!(reused, fresh);
+        }
+    }
+
+    /// The longest stream — bytes ≥ 144, every one a 9-bit literal, then
+    /// the 7-bit end-of-block symbol — is exactly `ceil((9n + 7) / 8)`
+    /// bytes, and it is written into a span of exactly
+    /// `BitWriter::span_len(n)`: an 8-byte store past its end would be an
+    /// index panic here. Run in both profiles (debug adds the overflow
+    /// checks).
+    #[test]
+    fn span_bound_all_literals() {
+        for n in (0..=64).chain([4096, 131_072, 131_073]) {
+            // No 4-byte repeat within 49 284 bytes: farther than `WINDOW`.
+            let data = repeat_free(n, 144);
+            let mut scratch = Scratch::new();
+            let mut wire = vec![0xA5; 3];
+            compress_with(&mut scratch, &data, &mut wire);
+            assert_eq!(scratch.tokens.len(), BitWriter::span_len(n), "n={n}");
+            assert_eq!(wire.len() - 3, (9 * n + 7).div_ceil(8), "n={n}");
+            let mut out = Vec::new();
+            decompress(&wire[3..], n, &mut out).unwrap();
+            assert_eq!(out, data, "n={n}");
         }
     }
 

@@ -29,8 +29,13 @@
 //! (`crate::window`): the format spends one control bit per item, so the
 //! loop's cost is a branch per item, and everything else about an item — a
 //! literal run, a short match — is a fixed-width move.
+//!
+//! Both settings share one encoder-side writer with the same shape: it
+//! writes into a pre-sized span (`Scratch::tokens`) through a cursor, the
+//! parse hands it whole literal runs — written a group's rest at a time as
+//! one 8-byte store — and a match is one 3-byte store.
 
-use crate::scratch::{ensure_len_uninit, reset_table};
+use crate::scratch::{ensure_len_uninit, reset_table, token_span};
 use crate::{window, CodecError, Result, Scratch};
 
 /// Shortest encodable match.
@@ -128,58 +133,88 @@ pub fn match_len(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
     n
 }
 
-/// Bit-group writer for the token stream.
+/// Token-stream writer over a pre-sized span (`Scratch::tokens`, see
+/// `crate::scratch`): a cursor, the open group's control byte and how many
+/// of its eight items are used. Literals are not written one by one: the
+/// parse hands over a whole run, which goes out a group's rest at a time
+/// as one fixed 8-byte load and store.
 struct TokenWriter<'a> {
-    out: &'a mut Vec<u8>,
+    span: &'a mut [u8],
+    pos: usize,
     ctrl_pos: usize,
     ctrl: u8,
-    nbits: u8,
+    nbits: usize,
 }
 
 impl<'a> TokenWriter<'a> {
-    fn new(out: &'a mut Vec<u8>) -> Self {
-        TokenWriter { out, ctrl_pos: usize::MAX, ctrl: 0, nbits: 8 }
+    /// Span for `n` input bytes: the longest stream they encode to — every
+    /// byte a literal, a control byte per eight (a match is 3 bytes and a
+    /// bit for 4 or more) — plus 8 bytes of margin, which also gives an
+    /// empty input the byte `finish` writes its (unused) control byte to.
+    fn span_len(n: usize) -> usize {
+        n + n.div_ceil(8) + 8
     }
 
-    #[inline]
-    fn put_bit(&mut self, bit: bool) {
-        if self.nbits == 8 {
-            self.flush_ctrl();
-            self.ctrl_pos = self.out.len();
-            self.out.push(0);
-            self.ctrl = 0;
-            self.nbits = 0;
-        }
-        if bit {
-            self.ctrl |= 1 << self.nbits;
-        }
-        self.nbits += 1;
+    /// `span` holds at least [`TokenWriter::span_len`] bytes for the input.
+    fn new(span: &'a mut [u8]) -> Self {
+        // A full group at the start: the first item opens one at 0.
+        TokenWriter { span, pos: 0, ctrl_pos: 0, ctrl: 0, nbits: 8 }
     }
 
+    /// Closes the full group and opens the next one at the cursor.
     #[inline]
-    fn flush_ctrl(&mut self) {
-        if self.ctrl_pos != usize::MAX {
-            self.out[self.ctrl_pos] = self.ctrl;
-        }
+    fn open_group(&mut self) {
+        self.span[self.ctrl_pos] = self.ctrl;
+        self.ctrl_pos = self.pos;
+        self.pos += 1;
+        self.ctrl = 0;
+        self.nbits = 0;
     }
 
-    #[inline]
-    fn literal(&mut self, b: u8) {
-        self.put_bit(false);
-        self.out.push(b);
+    /// The literal items `input[from..to]`. Each step moves the group's
+    /// rest, at most 8 bytes, as one 8-byte store while 8 input bytes
+    /// remain; what lands past the run is overwritten by the next item. The
+    /// store ends inside the longest stream even without the span's margin:
+    /// the cursor is at most the all-literal length of the input before
+    /// `from`, and 8 more input bytes follow it. Inlined into the parse
+    /// (called once per match, the run mostly empty or short), so the
+    /// writer's state stays in registers.
+    #[inline(always)]
+    fn literals(&mut self, input: &[u8], mut from: usize, to: usize) {
+        while from < to {
+            if self.nbits == 8 {
+                self.open_group();
+            }
+            let k = (to - from).min(8 - self.nbits);
+            if let Some(src) = input.get(from..from + 8) {
+                self.span[self.pos..self.pos + 8].copy_from_slice(src);
+            } else {
+                self.span[self.pos..self.pos + k].copy_from_slice(&input[from..from + k]);
+            }
+            self.pos += k;
+            self.nbits += k;
+            from += k;
+        }
     }
 
     #[inline]
     fn match_token(&mut self, len: usize, offset: usize) {
         debug_assert!((MIN_MATCH..=MAX_MATCH).contains(&len));
         debug_assert!((1..=MAX_OFFSET).contains(&offset));
-        self.put_bit(true);
-        self.out.push((len - MIN_MATCH) as u8);
-        self.out.extend_from_slice(&(offset as u16).to_le_bytes());
+        if self.nbits == 8 {
+            self.open_group();
+        }
+        self.ctrl |= 1 << self.nbits;
+        self.nbits += 1;
+        let [lo, hi] = (offset as u16).to_le_bytes();
+        self.span[self.pos..self.pos + 3].copy_from_slice(&[(len - MIN_MATCH) as u8, lo, hi]);
+        self.pos += 3;
     }
 
-    fn finish(mut self) {
-        self.flush_ctrl();
+    /// Closes the last group and appends the stream to `out`.
+    fn finish(self, out: &mut Vec<u8>) {
+        self.span[self.ctrl_pos] = self.ctrl;
+        out.extend_from_slice(&self.span[..self.pos]);
     }
 }
 
@@ -191,23 +226,22 @@ pub fn compress_light(input: &[u8], out: &mut Vec<u8>) {
 }
 
 /// Greedy single-probe compression using reusable working memory. In steady
-/// state (same-size blocks) this performs no heap allocation.
+/// state (same-size blocks) this performs no heap allocation. A miss only
+/// moves `i`: the literal run since the last match, `input[lit..i]`, is
+/// written when the next match is taken and at the end of the block.
 pub fn compress_light_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
     const HASH_BITS: u32 = 14;
     let n = input.len();
-    out.reserve(scratch.out_hint(crate::CodecId::QlzLight, n));
-    let out_start = out.len();
-    let mut w = TokenWriter::new(out);
+    let mut w = TokenWriter::new(token_span(&mut scratch.tokens, TokenWriter::span_len(n)));
     if n < MIN_MATCH {
-        for &b in input {
-            w.literal(b);
-        }
-        w.finish();
+        w.literals(input, 0, n);
+        w.finish(out);
         return;
     }
     reset_table(&mut scratch.light_table, 1 << HASH_BITS);
     let table = &mut scratch.light_table[..];
     let mut i = 0usize;
+    let mut lit = 0usize;
     let mut misses = 0u32;
     while i + MIN_MATCH <= n {
         let v = read_u32(input, i);
@@ -220,6 +254,7 @@ pub fn compress_light_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8
         if found {
             let limit = (n - i).min(MAX_MATCH);
             let len = match_len(input, cand, i, limit);
+            w.literals(input, lit, i);
             w.match_token(len, i - cand);
             // Seed one hash inside the match so runs keep chaining.
             if i + len + MIN_MATCH <= n {
@@ -229,25 +264,17 @@ pub fn compress_light_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8
                 }
             }
             i += len;
+            lit = i;
             misses = 0;
         } else {
-            // Skip acceleration: after a long literal run, emit several
-            // literals per probe so incompressible data stays fast.
-            let skip = (1 + (misses >> 5) as usize).min(n - i);
-            for k in 0..skip {
-                w.literal(input[i + k]);
-            }
-            i += skip;
+            // Skip acceleration: after a long literal run, pass over
+            // several literals per probe so incompressible data stays fast.
+            i += (1 + (misses >> 5) as usize).min(n - i);
             misses += 1;
         }
     }
-    while i < n {
-        w.literal(input[i]);
-        i += 1;
-    }
-    w.finish();
-    let produced = out.len() - out_start;
-    scratch.note_out(crate::CodecId::QlzLight, produced);
+    w.literals(input, lit, n);
+    w.finish(out);
 }
 
 /// Two-chain lazy compression (QuickLZ level-2 analogue: better ratio,
@@ -261,20 +288,18 @@ pub fn compress_medium(input: &[u8], out: &mut Vec<u8>) {
 /// state (same-size blocks) this performs no heap allocation: the link
 /// arrays are only grown, never cleared — stale entries are unreachable
 /// because chains start at heads reset for every block and each
-/// `link[pos]` is written before a head can point at `pos`.
+/// `link[pos]` is written before a head can point at `pos`. Literal runs
+/// are deferred as in [`compress_light_with`]: a miss and a lost lazy step
+/// only move `i`.
 pub fn compress_medium_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
     /// Inputs shorter than this go out as literals (the finder reads 8-byte
     /// keys; nothing that small is worth a table reset).
     const SHORT_INPUT: usize = 16;
     let n = input.len();
-    out.reserve(scratch.out_hint(crate::CodecId::QlzMedium, n));
-    let out_start = out.len();
-    let mut w = TokenWriter::new(out);
+    let mut w = TokenWriter::new(token_span(&mut scratch.tokens, TokenWriter::span_len(n)));
     if n < SHORT_INPUT {
-        for &b in input {
-            w.literal(b);
-        }
-        w.finish();
+        w.literals(input, 0, n);
+        w.finish(out);
         return;
     }
     reset_table(&mut scratch.med_long_head, 1 << MediumFinder::HASH_BITS);
@@ -293,47 +318,43 @@ pub fn compress_medium_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u
     // reachable as match tails only.
     let last = n - MediumFinder::KEY_LEN;
     let mut i = 0usize;
+    let mut lit = 0usize;
     let mut misses = 0u32;
     // A lazy probe that won: the match at `i`, already searched and
     // inserted by the previous iteration.
     let mut carried = None;
     while i <= last {
         let Some((len, off)) = carried.take().or_else(|| f.probe(i, MIN_MATCH - 1)) else {
-            // LIGHT's skip acceleration: after a long literal run, emit
-            // several literals per probe so incompressible data stays fast.
-            let skip = (1 + (misses >> 5) as usize).min(n - i);
-            for &b in &input[i..i + skip] {
-                w.literal(b);
-            }
-            i += skip;
+            // LIGHT's skip acceleration: after a long literal run, pass
+            // over several literals per probe so incompressible data stays
+            // fast.
+            i += (1 + (misses >> 5) as usize).min(n - i);
             misses += 1;
             continue;
         };
         misses = 0;
         // One-step lazy match: prefer a match at i + 1 that is longer by
-        // two or more, and keep it for the next iteration.
+        // two or more, and keep it for the next iteration (`input[i]`
+        // joins the literal run).
         let mut next = i + 1;
         if next <= last {
             carried = f.probe(next, len + 1);
             if carried.is_some() {
-                w.literal(input[i]);
                 i = next;
                 continue;
             }
             next += 1;
         }
+        w.literals(input, lit, i);
         w.match_token(len, off);
         i += len;
+        lit = i;
         for pos in next..i.min(last + 1) {
             f.insert(pos);
         }
     }
-    for &b in &input[i..] {
-        w.literal(b);
-    }
-    w.finish();
-    let produced = out.len() - out_start;
-    scratch.note_out(crate::CodecId::QlzMedium, produced);
+    w.literals(input, lit, n);
+    w.finish(out);
 }
 
 #[cfg(test)]
@@ -552,7 +573,7 @@ fn decompress_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::{decompress_reference, match_len_naive};
+    use crate::reference::{decompress_reference, match_len_naive, repeat_free};
 
     fn roundtrip(compress: fn(&[u8], &mut Vec<u8>), data: &[u8]) -> usize {
         let mut c = Vec::new();
@@ -709,6 +730,33 @@ mod tests {
                 x as u8
             })
             .collect()
+    }
+
+    /// The longest stream either setting writes — incompressible bytes,
+    /// every one a literal — is exactly `n + ceil(n / 8)` bytes, and it is
+    /// written into a span of exactly `TokenWriter::span_len(n)`: a fixed
+    /// 8-byte store past its end would be an index panic here. Run in both
+    /// profiles (debug adds the overflow checks).
+    #[test]
+    fn span_bound_all_literals() {
+        type WithFn = fn(&mut Scratch, &[u8], &mut Vec<u8>);
+        let settings: [(&str, WithFn); 2] =
+            [("LIGHT", compress_light_with), ("MEDIUM", compress_medium_with)];
+        for n in (0..=64).chain([4096, 131_072, 131_073]) {
+            // No 4-byte repeat within 260 100 bytes: farther than
+            // `MAX_OFFSET`.
+            let data = repeat_free(n, 0);
+            for (name, with) in settings {
+                let mut scratch = Scratch::new();
+                let mut out = vec![0xA5; 3];
+                with(&mut scratch, &data, &mut out);
+                assert_eq!(scratch.tokens.len(), TokenWriter::span_len(n), "{name} n={n}");
+                assert_eq!(out.len() - 3, n + n.div_ceil(8), "{name} n={n}");
+                let mut d = Vec::new();
+                decompress(&out[3..], n, &mut d).unwrap();
+                assert_eq!(d, data, "{name} n={n}");
+            }
+        }
     }
 
     /// `(position, len, offset)` of every match token in a valid stream.

@@ -13,6 +13,17 @@
 //! reachable through the (reset) table heads, so their stale contents can
 //! never influence the parse. A regression test in `qlz` asserts the
 //! bit-identity.
+//!
+//! **The token span** (`tokens`). The three token encoders (LIGHT, MEDIUM,
+//! HUFF) do not grow `out` per token: each writes its stream into this span
+//! through a cursor and appends `span[..cursor]` to `out` once at the end —
+//! the encode-side mirror of the decoders' window (`crate::window`). The
+//! span is grown to the encoder's worst case for the block (every byte a
+//! literal, plus slack for fixed 8-byte stores) and never cleared or
+//! zero-filled. Contract: its contents are never read before they are
+//! written in the same call — a store past the cursor lands in slack that
+//! the next item overwrites, and only bytes before the final cursor leave
+//! the span — so what an earlier block left there cannot reach `out`.
 
 /// Reusable codec working memory. Create once per writer/encoder and pass to
 /// `compress_with`-style entry points. All tables grow lazily on first use,
@@ -34,9 +45,11 @@ pub struct Scratch {
     pub(crate) heavy: Option<Box<crate::heavy::HeavyScratch>>,
     /// HUFF: single-probe hash table (`1 << 15` entries once used).
     pub(crate) huff_table: Vec<u32>,
-    /// Last compressed payload size per codec id — used as a capacity hint
-    /// for the next block's output.
-    pub(crate) last_out: [usize; 6],
+    /// LIGHT, MEDIUM and HUFF: the token span (see the module docs).
+    pub(crate) tokens: Vec<u8>,
+    /// HEAVY: the last compressed payload size — a capacity hint for the
+    /// next block's output (the range coder appends to `out` directly).
+    pub(crate) last_out: usize,
 }
 
 impl Scratch {
@@ -49,16 +62,18 @@ impl Scratch {
             med_short_link: Vec::new(),
             heavy: None,
             huff_table: Vec::new(),
-            last_out: [0; 6],
+            tokens: Vec::new(),
+            last_out: 0,
         }
     }
 
-    /// Capacity hint for the output of the next block: the previous block's
-    /// compressed size plus slack, bounded by the worst-case expansion.
+    /// HEAVY's capacity hint for the output of the next block: the previous
+    /// block's compressed size plus slack, bounded by the worst-case
+    /// expansion.
     #[inline]
-    pub(crate) fn out_hint(&self, codec: crate::CodecId, input_len: usize) -> usize {
+    pub(crate) fn out_hint(&self, input_len: usize) -> usize {
         let worst = input_len + input_len / 8 + 16;
-        let last = self.last_out[codec as usize];
+        let last = self.last_out;
         if last == 0 {
             // First block: assume mild compression.
             (input_len / 2).max(64).min(worst)
@@ -67,13 +82,14 @@ impl Scratch {
         }
     }
 
-    /// Records the compressed payload size of the block just produced.
+    /// Records the compressed payload size of HEAVY's block just produced.
     #[inline]
-    pub(crate) fn note_out(&mut self, codec: crate::CodecId, len: usize) {
-        self.last_out[codec as usize] = len;
+    pub(crate) fn note_out(&mut self, len: usize) {
+        self.last_out = len;
     }
 
-    /// Bytes of table memory currently held (diagnostics / tests).
+    /// Bytes of table memory currently held, token span included
+    /// (diagnostics / tests).
     pub fn table_bytes(&self) -> usize {
         let heavy = self.heavy.as_ref().map_or(0, |h| h.table_bytes());
         (self.light_table.capacity()
@@ -82,6 +98,7 @@ impl Scratch {
             + self.huff_table.capacity())
             * 4
             + (self.med_long_link.capacity() + self.med_short_link.capacity()) * 2
+            + self.tokens.capacity()
             + heavy
     }
 }
@@ -142,6 +159,16 @@ pub(crate) fn ensure_len_uninit<T: Copy + Default>(v: &mut Vec<T>, len: usize) {
     }
 }
 
+/// The first `len` bytes of the token span `tokens`, grown if shorter and
+/// otherwise untouched. Cut to exactly `len`, so a store past an encoder's
+/// worst case is an index panic, not a write into room a larger earlier
+/// block left behind.
+#[inline]
+pub(crate) fn token_span(tokens: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    ensure_len_uninit(tokens, len);
+    &mut tokens[..len]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,10 +203,10 @@ mod tests {
     #[test]
     fn out_hint_tracks_previous_block() {
         let mut s = Scratch::new();
-        let first = s.out_hint(crate::CodecId::QlzLight, 128 * 1024);
+        let first = s.out_hint(128 * 1024);
         assert!(first >= 64);
-        s.note_out(crate::CodecId::QlzLight, 40_000);
-        let next = s.out_hint(crate::CodecId::QlzLight, 128 * 1024);
+        s.note_out(40_000);
+        let next = s.out_hint(128 * 1024);
         assert!((40_000..=128 * 1024 + 128 * 1024 / 8 + 16).contains(&next));
     }
 }

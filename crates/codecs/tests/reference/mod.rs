@@ -45,6 +45,24 @@ pub fn assert_agree_near(fast_fn: Decoder, slow_fn: Decoder, input: &[u8], len: 
     assert_agree(fast_fn, slow_fn, input, (len as i64 + delta).max(0) as usize);
 }
 
+/// `n` bytes, each `>= lo` (`lo < 255`), with no 4-byte string repeated
+/// less than `4 * b²` bytes apart, `b = 255 - lo` — so an LZ parse over a
+/// shorter window finds no match and writes every byte as a literal: the
+/// longest stream an encoder can write. The input is the 4-byte words
+/// `[255, d2, d1, d0]` of a counter `k` in base `b` with digits `lo..=254`.
+/// The marker fixes where in a word any 4 bytes start, and each start
+/// names its word: the whole of `k` at offsets 0 and 1, `k mod b²` at 2,
+/// and at 3 `d0(k)` with `k + 1`'s top two digits (`d0(k + 1)` is
+/// `d0(k) + 1 mod b`).
+pub fn repeat_free(n: usize, lo: u8) -> Vec<u8> {
+    let b = 255 - lo as usize;
+    let digit = |v: usize| lo + (v % b) as u8;
+    (0..n.div_ceil(4))
+        .flat_map(|k| [255, digit(k / b / b), digit(k / b), digit(k)])
+        .take(n)
+        .collect()
+}
+
 // --- qlz ------------------------------------------------------------------
 
 /// Byte-at-a-time `qlz::match_len`.
