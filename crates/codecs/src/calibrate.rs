@@ -23,19 +23,6 @@ pub struct CodecProfile {
     pub ratio: f64,
 }
 
-impl CodecProfile {
-    /// A profile for the no-compression level: ratio includes only frame
-    /// header overhead; speed is effectively a memcpy.
-    pub fn raw(memcpy_mbps: f64) -> CodecProfile {
-        CodecProfile {
-            codec: CodecId::Raw,
-            compress_mbps: memcpy_mbps,
-            decompress_mbps: memcpy_mbps,
-            ratio: 1.0 + crate::frame::HEADER_LEN as f64 / DEFAULT_BLOCK_LEN as f64,
-        }
-    }
-}
-
 /// Measures one codec over `sample`, split into standard 128 KiB blocks.
 ///
 /// `min_duration_secs` bounds the measurement time: the sample is processed
@@ -119,8 +106,10 @@ mod tests {
 
     #[test]
     fn raw_profile_has_header_overhead_only() {
-        let p = CodecProfile::raw(3000.0);
-        assert!(p.ratio > 1.0 && p.ratio < 1.001);
+        let s = sample();
+        let p = measure(CodecId::Raw, &s, 0.0);
+        let header_only = 1.0 + crate::frame::HEADER_LEN as f64 / s.len() as f64;
+        assert!((p.ratio - header_only).abs() < 1e-12, "ratio {}", p.ratio);
     }
 
     #[test]

@@ -549,11 +549,6 @@ impl RecoveryStats {
         self.skipped_bytes += other.skipped_bytes;
         self.truncations += other.truncations;
     }
-
-    /// True when no fault of any kind was recorded.
-    pub fn is_clean(&self) -> bool {
-        *self == RecoveryStats::default()
-    }
 }
 
 /// Streaming frame reader over any [`Read`], hardened against corruption.

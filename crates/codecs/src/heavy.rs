@@ -363,7 +363,7 @@ pub fn decompress_with(
     // `expected_len` (the overrun check below).
     out.reserve(expected_len.min(crate::frame::DEFAULT_BLOCK_LEN * 2));
     let target = start + expected_len;
-    if expected_len == 0 {
+    if expected_len == 0 && input.is_empty() {
         return Ok(());
     }
     if input.len() < 5 {
@@ -394,6 +394,15 @@ pub fn decompress_with(
             prev_byte = out[out.len() - 1];
             state = 1;
         }
+        // The frame header's length is not CRC-covered: a larger one asks
+        // for symbols past the encoded ones, read from beyond the payload.
+        if rc.unread().is_none() {
+            return Err(CodecError::Truncated);
+        }
+    }
+    // ... and a smaller one leaves encoded bytes unread.
+    if rc.unread() != Some(0) {
+        return Err(CodecError::Corrupt("trailing bytes after the last symbol"));
     }
     Ok(())
 }

@@ -6,8 +6,8 @@
 //! | Level | Paper | Here |
 //! |---|---|---|
 //! | 0 `NO` | no compression | [`CodecId::Raw`] |
-//! | 1 `LIGHT` | QuickLZ, fastest setting | [`qlz::compress_light`] |
-//! | 2 `MEDIUM` | QuickLZ, better-ratio setting | [`qlz::compress_medium`] |
+//! | 1 `LIGHT` | QuickLZ, fastest setting | [`qlz::compress_light_with`] |
+//! | 2 `MEDIUM` | QuickLZ, better-ratio setting | [`qlz::compress_medium_with`] |
 //! | 3 `HEAVY` | LZMA | [`heavy`] (LZ77 + adaptive range coder) |
 //!
 //! All codecs are implemented from scratch in this crate. Blocks (the paper
@@ -199,17 +199,6 @@ pub trait Codec: Send + Sync {
 /// (probes, tests) where building the tables per call does not matter.
 pub fn compress_fresh(codec: &dyn Codec, input: &[u8], out: &mut Vec<u8>) {
     codec.compress_with(&mut Scratch::new(), input, out);
-}
-
-/// [`Codec::decompress_with`] on a fresh [`DecodeScratch`]; the decode-side
-/// mirror of [`compress_fresh`].
-pub fn decompress_fresh(
-    codec: &dyn Codec,
-    input: &[u8],
-    expected_len: usize,
-    out: &mut Vec<u8>,
-) -> Result<()> {
-    codec.decompress_with(&mut DecodeScratch::new(), input, expected_len, out)
 }
 
 /// Level 0: stored.
@@ -460,10 +449,10 @@ mod tests {
         compress_fresh(&RawCodec, &data, &mut c);
         assert_eq!(c, data);
         let mut d = Vec::new();
-        decompress_fresh(&RawCodec, &c, data.len(), &mut d).unwrap();
+        RawCodec.decompress_with(&mut DecodeScratch::new(), &c, data.len(), &mut d).unwrap();
         assert_eq!(d, data);
         let mut d2 = Vec::new();
-        assert!(decompress_fresh(&RawCodec, &c, data.len() + 1, &mut d2).is_err());
+        assert!(RawCodec.decompress_with(&mut DecodeScratch::new(), &c, data.len() + 1, &mut d2).is_err());
     }
 
     /// Every codec round-trips through the trait object, and the fresh-state
@@ -488,7 +477,7 @@ mod tests {
                 codec.compress_with(&mut scratch, data, &mut reused);
                 assert_eq!(fresh, reused, "compress {id} len {}", data.len());
                 let (mut d, mut d_reused) = (Vec::new(), Vec::new());
-                decompress_fresh(codec, &fresh, data.len(), &mut d).unwrap();
+                codec.decompress_with(&mut DecodeScratch::new(), &fresh, data.len(), &mut d).unwrap();
                 codec.decompress_with(&mut dscratch, &fresh, data.len(), &mut d_reused).unwrap();
                 assert_eq!(&d, data, "codec {id} len {}", data.len());
                 assert_eq!(d, d_reused, "decompress {id} len {}", data.len());

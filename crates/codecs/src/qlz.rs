@@ -218,13 +218,6 @@ impl<'a> TokenWriter<'a> {
     }
 }
 
-/// Greedy single-probe compression (QuickLZ level-1 analogue), allocating
-/// fresh working memory. Thin wrapper over [`compress_light_with`]; hot
-/// paths should hold a [`Scratch`] and call that instead.
-pub fn compress_light(input: &[u8], out: &mut Vec<u8>) {
-    compress_light_with(&mut Scratch::new(), input, out);
-}
-
 /// Greedy single-probe compression using reusable working memory. In steady
 /// state (same-size blocks) this performs no heap allocation. A miss only
 /// moves `i`: the literal run since the last match, `input[lit..i]`, is
@@ -275,13 +268,6 @@ pub fn compress_light_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8
     }
     w.literals(input, lit, n);
     w.finish(out);
-}
-
-/// Two-chain lazy compression (QuickLZ level-2 analogue: better ratio,
-/// lower speed), allocating fresh working memory. Thin wrapper over
-/// [`compress_medium_with`].
-pub fn compress_medium(input: &[u8], out: &mut Vec<u8>) {
-    compress_medium_with(&mut Scratch::new(), input, out);
 }
 
 /// Two-chain lazy compression using reusable working memory. In steady
@@ -575,9 +561,9 @@ mod tests {
     use super::*;
     use crate::reference::{decompress_reference, match_len_naive, repeat_free};
 
-    fn roundtrip(compress: fn(&[u8], &mut Vec<u8>), data: &[u8]) -> usize {
+    fn roundtrip(compress: fn(&mut Scratch, &[u8], &mut Vec<u8>), data: &[u8]) -> usize {
         let mut c = Vec::new();
-        compress(data, &mut c);
+        compress(&mut Scratch::new(), data, &mut c);
         let mut d = Vec::new();
         decompress(&c, data.len(), &mut d).unwrap();
         assert_eq!(d, data);
@@ -590,16 +576,16 @@ mod tests {
     #[test]
     fn roundtrip_empty_and_tiny() {
         for data in [&b""[..], b"a", b"ab", b"abc", b"abcd"] {
-            roundtrip(compress_light, data);
-            roundtrip(compress_medium, data);
+            roundtrip(compress_light_with, data);
+            roundtrip(compress_medium_with, data);
         }
     }
 
     #[test]
     fn roundtrip_repetitive() {
         let data = b"abcabcabcabcabcabcabcabcabcabc".repeat(100);
-        let cl = roundtrip(compress_light, &data);
-        let cm = roundtrip(compress_medium, &data);
+        let cl = roundtrip(compress_light_with, &data);
+        let cm = roundtrip(compress_medium_with, &data);
         assert!(cl < data.len() / 4, "light: {cl} vs {}", data.len());
         assert!(cm <= cl + 8, "medium ({cm}) should not be much worse than light ({cl})");
     }
@@ -608,27 +594,27 @@ mod tests {
     fn roundtrip_long_runs() {
         let mut data = vec![0u8; 100_000];
         data[50_000..50_100].fill(0xFF);
-        let c = roundtrip(compress_light, &data);
+        let c = roundtrip(compress_light_with, &data);
         assert!(c < 3000, "long zero runs should collapse, got {c}");
-        roundtrip(compress_medium, &data);
+        roundtrip(compress_medium_with, &data);
     }
 
     #[test]
     fn roundtrip_incompressible() {
         let data = noise(65536, 0x12345678);
-        let cl = roundtrip(compress_light, &data);
+        let cl = roundtrip(compress_light_with, &data);
         // Worst case ~ 9/8 expansion.
         assert!(cl <= data.len() + data.len() / 8 + 16);
-        roundtrip(compress_medium, &data);
+        roundtrip(compress_medium_with, &data);
     }
 
     #[test]
     fn medium_not_worse_than_light_on_text() {
         let data = adcomp_corpus_text();
         let mut cl = Vec::new();
-        compress_light(&data, &mut cl);
+        compress_light_with(&mut Scratch::new(), &data, &mut cl);
         let mut cm = Vec::new();
-        compress_medium(&data, &mut cm);
+        compress_medium_with(&mut Scratch::new(), &data, &mut cm);
         assert!(cm.len() <= cl.len(), "medium {} vs light {}", cm.len(), cl.len());
     }
 
@@ -662,7 +648,7 @@ mod tests {
     fn decompress_rejects_truncation() {
         let data = b"hello world hello world hello world".repeat(10);
         let mut c = Vec::new();
-        compress_light(&data, &mut c);
+        compress_light_with(&mut Scratch::new(), &data, &mut c);
         let mut out = Vec::new();
         assert!(decompress(&c[..c.len() - 2], data.len(), &mut out).is_err());
     }
@@ -671,7 +657,7 @@ mod tests {
     fn decompress_rejects_trailing_garbage() {
         let data = b"aaaa bbbb cccc".repeat(20);
         let mut c = Vec::new();
-        compress_light(&data, &mut c);
+        compress_light_with(&mut Scratch::new(), &data, &mut c);
         c.extend_from_slice(&[1, 2, 3, 4]);
         let mut out = Vec::new();
         assert!(decompress(&c, data.len(), &mut out).is_err());
@@ -681,8 +667,8 @@ mod tests {
     fn overlapping_match_copy() {
         // "aaaaaaaa..." forces offset-1 matches (RLE-style overlap).
         let data = vec![b'a'; 1000];
-        roundtrip(compress_light, &data);
-        roundtrip(compress_medium, &data);
+        roundtrip(compress_light_with, &data);
+        roundtrip(compress_medium_with, &data);
     }
 
     /// The word-oriented fast path must agree with the byte-wise reference
@@ -806,7 +792,7 @@ mod tests {
     fn medium_reaches_max_offset_and_no_farther() {
         let block = far_repeat_block();
         let mut c = Vec::new();
-        compress_medium(&block, &mut c);
+        compress_medium_with(&mut Scratch::new(), &block, &mut c);
         let found = matches_of(&c, block.len());
         let found_back = |dist: usize| -> usize {
             found
@@ -855,17 +841,13 @@ mod tests {
                 .map(|n| b"0123456789abcdefghijklm".repeat(n / 23 + 1)[..n].to_vec()),
         );
         blocks.push(far_repeat_block());
-        type FreshFn = fn(&[u8], &mut Vec<u8>);
         type WithFn = fn(&mut Scratch, &[u8], &mut Vec<u8>);
-        let variants: [(usize, FreshFn, WithFn); 2] = [
-            (0, compress_light, compress_light_with),
-            (1, compress_medium, compress_medium_with),
-        ];
+        let variants: [(usize, WithFn); 2] = [(0, compress_light_with), (1, compress_medium_with)];
         let mut scratch = Scratch::new();
         for (i, block) in blocks.iter().enumerate() {
-            for (which, fresh, with) in variants {
+            for (which, with) in variants {
                 let mut a = Vec::new();
-                fresh(block, &mut a);
+                with(&mut Scratch::new(), block, &mut a);
                 let mut b = Vec::new();
                 with(&mut scratch, block, &mut b);
                 assert_eq!(a, b, "block {i} codec {which}: reused scratch diverged");
@@ -879,7 +861,7 @@ mod tests {
     /// Hops and probed positions MEDIUM spends on `data` (one block).
     fn effort_of(data: &[u8]) -> (u64, u64) {
         EFFORT.with(|e| e.set((0, 0)));
-        roundtrip(compress_medium, data);
+        roundtrip(compress_medium_with, data);
         EFFORT.with(|e| e.get())
     }
 

@@ -95,8 +95,8 @@ impl<'a> RangeEncoder<'a> {
 }
 
 /// Decoder half. Reads the stream produced by [`RangeEncoder`]; reads past
-/// the end of the input yield zero bytes (frame-level CRC catches genuine
-/// corruption).
+/// the end of the input yield zero bytes, and `RangeDecoder::unread`
+/// tells the caller how far it is from taking the input byte for byte.
 pub struct RangeDecoder<'a> {
     input: &'a [u8],
     pos: usize,
@@ -113,6 +113,15 @@ impl<'a> RangeDecoder<'a> {
             d.code = (d.code << 8) | d.next_byte() as u32;
         }
         d
+    }
+
+    /// Input bytes not read yet, `None` once decoding has read past the
+    /// end. Decoding the symbols an encoder wrote reads its output to the
+    /// last byte and no further, so bytes left over (fewer symbols) or a
+    /// read past the end (more symbols, fed zeros) mean the decoder was
+    /// asked for a different message than the one encoded.
+    pub(crate) fn unread(&self) -> Option<usize> {
+        self.input.len().checked_sub(self.pos)
     }
 
     #[inline]

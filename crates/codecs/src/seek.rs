@@ -498,7 +498,7 @@ mod tests {
         // not counted as an application block.
         assert_eq!(r.wire_bytes, wire.len() as u64);
         assert_eq!(r.blocks, 2);
-        assert!(r.recovery.is_clean());
+        assert_eq!(r.recovery, crate::frame::RecoveryStats::default());
     }
 
     #[test]

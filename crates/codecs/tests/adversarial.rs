@@ -3,7 +3,7 @@
 //! streams.
 
 use adcomp_codecs::frame::{decode_block, encode_block, FrameReader, HEADER_LEN};
-use adcomp_codecs::{codec_for, compress_fresh, decompress_fresh, CodecError, CodecId};
+use adcomp_codecs::{codec_for, compress_fresh, CodecError, CodecId, DecodeScratch};
 
 fn roundtrip_all(data: &[u8]) {
     for id in CodecId::ALL {
@@ -11,7 +11,7 @@ fn roundtrip_all(data: &[u8]) {
         let mut wire = Vec::new();
         compress_fresh(codec, data, &mut wire);
         let mut out = Vec::new();
-        decompress_fresh(codec, &wire, data.len(), &mut out)
+        codec.decompress_with(&mut DecodeScratch::new(), &wire, data.len(), &mut out)
             .unwrap_or_else(|e| panic!("codec {id} len {}: {e}", data.len()));
         assert_eq!(out, data, "codec {id} len {}", data.len());
     }
@@ -180,7 +180,7 @@ fn decompress_into_nonempty_output_appends() {
         let mut wire = Vec::new();
         compress_fresh(codec, &data, &mut wire);
         let mut out = PREFIX.to_vec();
-        decompress_fresh(codec, &wire, data.len(), &mut out).unwrap();
+        codec.decompress_with(&mut DecodeScratch::new(), &wire, data.len(), &mut out).unwrap();
         assert_eq!(&out[..PREFIX.len()], PREFIX);
         assert_eq!(&out[PREFIX.len()..], &data[..], "codec {id}");
 
@@ -198,7 +198,7 @@ fn decompress_into_nonempty_output_appends() {
             // A flipped literal still decodes, and HEAVY — no end marker,
             // zeros read past the payload — decodes most things to
             // something of the declared size; everything else must fail.
-            let res = decompress_fresh(codec, input, declared, &mut out);
+            let res = codec.decompress_with(&mut DecodeScratch::new(), input, declared, &mut out);
             let may_decode = what == "flipped" || id == CodecId::Heavy;
             assert!(res.is_err() || may_decode, "codec {id}, {what}: accepted");
             assert_eq!(&out[..PREFIX.len()], PREFIX, "codec {id}, {what}: prefix damaged");

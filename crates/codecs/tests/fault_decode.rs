@@ -16,7 +16,7 @@
 use adcomp_codecs::frame::{
     decode_block_limited, encode_block, FrameReader, RecoveryPolicy, HEADER_LEN,
 };
-use adcomp_codecs::{codec_for, compress_fresh, decompress_fresh, CodecId};
+use adcomp_codecs::{codec_for, compress_fresh, CodecId, DecodeScratch};
 use proptest::prelude::*;
 
 /// The full codec registry — paper ladder plus portfolio members (Raw
@@ -149,7 +149,7 @@ proptest! {
             wire.truncate(cut.index(wire.len()) + 1);
         }
         let mut out = Vec::new();
-        if decompress_fresh(codec, &wire, data.len(), &mut out).is_ok() {
+        if codec.decompress_with(&mut DecodeScratch::new(), &wire, data.len(), &mut out).is_ok() {
             prop_assert_eq!(out.len(), data.len());
         }
     }

@@ -19,8 +19,8 @@
 //! hot loops change shape without changing a single byte.
 
 use adcomp_codecs::crc32::{crc32, Hasher};
-use adcomp_codecs::qlz::{compress_light, compress_medium, decompress, match_len};
-use adcomp_codecs::CodecError;
+use adcomp_codecs::qlz::{compress_light_with, compress_medium_with, decompress, match_len};
+use adcomp_codecs::{CodecError, Scratch};
 use adcomp_corpus::{generate, Class};
 use proptest::prelude::*;
 use std::io::Write;
@@ -85,9 +85,9 @@ proptest! {
     ) {
         let mut wire = Vec::new();
         if medium {
-            compress_medium(&data, &mut wire);
+            compress_medium_with(&mut Scratch::new(), &data, &mut wire);
         } else {
-            compress_light(&data, &mut wire);
+            compress_light_with(&mut Scratch::new(), &data, &mut wire);
         }
         assert_decoders_agree_near(&wire, data.len(), delta);
     }
@@ -103,7 +103,7 @@ proptest! {
         delta in -32i64..=32,
     ) {
         let mut wire = Vec::new();
-        compress_medium(&data, &mut wire);
+        compress_medium_with(&mut Scratch::new(), &data, &mut wire);
         let pos = flip.index(wire.len());
         wire[pos] ^= xor;
         assert_decoders_agree_near(&wire, data.len(), delta);
@@ -118,7 +118,7 @@ proptest! {
         delta in -32i64..=32,
     ) {
         let mut wire = Vec::new();
-        compress_light(&data, &mut wire);
+        compress_light_with(&mut Scratch::new(), &data, &mut wire);
         let keep = cut.index(wire.len());
         assert_decoders_agree_near(&wire[..keep], data.len(), delta);
     }
@@ -132,7 +132,7 @@ proptest! {
         declared in 0usize..2048,
     ) {
         let mut wire = Vec::new();
-        compress_light(&data, &mut wire);
+        compress_light_with(&mut Scratch::new(), &data, &mut wire);
         assert_decoders_agree(&wire, declared);
     }
 
@@ -209,13 +209,15 @@ fn crc_agrees_with_bitwise_at_every_length_and_alignment() {
 /// Overlapping matches at every small distance: `abab…`-style periods 1..16
 /// force the match copy through its memset (off=1), periodic-doubling
 /// (off<len) and memmove (off>=len) shapes.
+type Compress = fn(&mut Scratch, &[u8], &mut Vec<u8>);
+
 #[test]
 fn decode_agrees_on_overlap_distances() {
     for period in 1usize..=16 {
         let data: Vec<u8> = (0..3000).map(|i| (i % period) as u8).collect();
-        for compress in [compress_light as fn(&[u8], &mut Vec<u8>), compress_medium] {
+        for compress in [compress_light_with as Compress, compress_medium_with] {
             let mut wire = Vec::new();
-            compress(&data, &mut wire);
+            compress(&mut Scratch::new(), &data, &mut wire);
             assert_decoders_agree(&wire, data.len());
             let mut out = Vec::new();
             decompress(&wire, data.len(), &mut out).unwrap();
@@ -276,9 +278,9 @@ fn match_len_overlapping_windows() {
 fn decode_agrees_on_corpus_blocks() {
     for class in [Class::High, Class::Moderate, Class::Low] {
         let data = generate(class, 128 * 1024, 7);
-        for compress in [compress_light as fn(&[u8], &mut Vec<u8>), compress_medium] {
+        for compress in [compress_light_with as Compress, compress_medium_with] {
             let mut wire = Vec::new();
-            compress(&data, &mut wire);
+            compress(&mut Scratch::new(), &data, &mut wire);
             assert_decoders_agree(&wire, data.len());
         }
     }

@@ -143,11 +143,6 @@ impl RateController {
         &self.bck
     }
 
-    /// Whether the last level change was an increase (`inc`).
-    pub fn increasing(&self) -> bool {
-        self.inc
-    }
-
     pub fn config(&self) -> &ControllerConfig {
         &self.cfg
     }
@@ -253,7 +248,7 @@ mod tests {
         // First call: pdr = cdr, stable case, backoff 2^0 = 1 expired.
         let d = c.observe(100.0);
         assert_eq!(d.level, 1);
-        assert!(c.increasing());
+        assert!(c.inc);
     }
 
     #[test]
@@ -325,7 +320,7 @@ mod tests {
         let _ = c.observe(100.0); // 0 -> 1 (probe)
         let d = c.observe(50.0); // degraded -> revert to 0, inc=false
         assert_eq!(d.level, 0);
-        assert!(!c.increasing());
+        assert!(!c.inc);
         // Stable at 0: next probe would go to -1; must reflect to 1.
         let d = c.observe(50.0);
         assert_eq!(d.case, DecisionCase::Probe);
@@ -421,7 +416,7 @@ mod tests {
         }
         c.reset();
         assert_eq!(c.level(), 0);
-        assert!(c.increasing());
+        assert!(c.inc);
         assert!(c.backoffs().iter().all(|&b| b == 0));
         assert_eq!(c.observe(100.0).level, 1, "behaves like a fresh controller");
     }

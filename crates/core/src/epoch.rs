@@ -59,11 +59,6 @@ impl ManualClock {
         self.now
             .store(secs.to_bits(), std::sync::atomic::Ordering::Release);
     }
-
-    pub fn advance(&self, secs: f64) {
-        let cur = f64::from_bits(self.now.load(std::sync::atomic::Ordering::Acquire));
-        self.set(cur + secs);
-    }
 }
 
 impl Clock for ManualClock {
@@ -336,7 +331,7 @@ mod tests {
         assert_eq!(c.now(), 0.0);
         c.set(5.0);
         assert_eq!(c.now(), 5.0);
-        c.advance(2.5);
+        c.set(7.5);
         assert_eq!(c.now(), 7.5);
     }
 

@@ -57,7 +57,7 @@ pub mod throttle;
 
 pub use controller::{ControllerConfig, Decision, DecisionCase, RateController};
 pub use epoch::{Clock, EpochContext, EpochDriver, ManualClock, WallClock};
-pub use retry::{Backoff, IdleTimer};
+pub use retry::Backoff;
 pub use throttle::{SharedThrottle, ThrottledReader, ThrottledWriter, TokenBucket};
 pub use model::{
     DecisionModel, EntropyGuidedModel, EpochObservation, GuestMetrics, MetricBasedModel, QueueBasedModel,

@@ -42,21 +42,6 @@ pub struct EpochObservation {
     pub data_entropy: Option<f64>,
 }
 
-impl EpochObservation {
-    /// A minimal observation carrying only the application data rate.
-    pub fn rate_only(app_rate: f64, epoch_secs: f64) -> Self {
-        EpochObservation {
-            app_rate,
-            epoch_secs,
-            queue_depth: 0,
-            queue_capacity: 0,
-            guest: None,
-            observed_ratio: None,
-            data_entropy: None,
-        }
-    }
-}
-
 /// A fully-detailed model decision: the level plus everything the trace
 /// layer wants to know about *why*. Models that are not rate-based leave
 /// the optional fields `None`.
@@ -140,10 +125,6 @@ impl RateBasedModel {
 
     pub fn paper_default() -> Self {
         RateBasedModel { ctl: RateController::paper_default() }
-    }
-
-    pub fn controller(&self) -> &RateController {
-        &self.ctl
     }
 }
 
@@ -552,8 +533,16 @@ impl DecisionModel for ThresholdSamplingModel {
 mod tests {
     use super::*;
 
-    fn obs(rate: f64) -> EpochObservation {
-        EpochObservation::rate_only(rate, 2.0)
+    fn obs(app_rate: f64) -> EpochObservation {
+        EpochObservation {
+            app_rate,
+            epoch_secs: 2.0,
+            queue_depth: 0,
+            queue_capacity: 0,
+            guest: None,
+            observed_ratio: None,
+            data_entropy: None,
+        }
     }
 
     #[test]

@@ -55,9 +55,10 @@ use adcomp_codecs::frame::{encode_block_flags, BlockInfo};
 use adcomp_codecs::{codec_for, CodecError, CodecId, DecodeScratch, Scratch};
 use adcomp_metrics::registry::{self, CounterKind, GaugeKind, HistKind, SpanKind};
 use adcomp_trace::{PipelineEvent, TraceEvent, TraceHandle, TraceSink as _, NO_EPOCH};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// Default number of pipeline workers: `ADCOMP_THREADS` if set, otherwise
@@ -120,7 +121,7 @@ enum Lanes<L: Lane> {
     Inline(L),
     Threads {
         /// `None` once shut down; closing it lets the workers exit.
-        job_tx: Option<Sender<(u64, L::Job)>>,
+        job_tx: Option<SyncSender<(u64, L::Job)>>,
         done_rx: Receiver<(u64, L::Done)>,
         handles: Vec<JoinHandle<()>>,
     },
@@ -146,15 +147,22 @@ impl<L: Lane> Ordered<L> {
         let lanes = if nworkers == 1 {
             Lanes::Inline(L::new())
         } else {
-            let (job_tx, job_rx) = bounded::<(u64, L::Job)>(depth);
-            let (done_tx, done_rx) = bounded::<(u64, L::Done)>(depth);
+            let (job_tx, job_rx) = sync_channel::<(u64, L::Job)>(depth);
+            let (done_tx, done_rx) = sync_channel::<(u64, L::Done)>(depth);
+            // The workers share one job queue; each holds the lock only
+            // while it waits for its next job, never while running one. A
+            // receiver has no state a panic could leave half-updated, so a
+            // poisoned lock is taken over.
+            let job_rx = Arc::new(Mutex::new(job_rx));
             let handles = (0..nworkers)
                 .map(|_| {
-                    let rx = job_rx.clone();
+                    let rx = Arc::clone(&job_rx);
                     let tx = done_tx.clone();
                     std::thread::spawn(move || {
                         let mut lane = L::new();
-                        while let Ok((seq, job)) = rx.recv() {
+                        loop {
+                            let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                            let Ok((seq, job)) = next else { break };
                             if tx.send((seq, lane.run(seq, job))).is_err() {
                                 break;
                             }
@@ -814,6 +822,43 @@ mod tests {
         assert_eq!(all.len(), 1);
         assert!(all[0].err.is_some());
         assert!(all[0].bytes.is_empty());
+    }
+
+    /// A pool dropped with jobs queued, running and finished but not yet
+    /// released joins every worker: closing the job queue ends each worker
+    /// once it has handed back what it holds, and the completion queue has
+    /// room for every job in flight. A hang here is the failure.
+    #[test]
+    fn dropping_pools_with_jobs_in_flight_joins_every_worker() {
+        let data: Vec<u8> = (0..128 * 1024u32).map(|i| (i * 7 % 251) as u8).collect();
+        let mut frames = Vec::new();
+        for _ in 0..8 {
+            let mut wire = Vec::new();
+            encode_block(codec_for(CodecId::Heavy), &data, &mut wire);
+            frames.push(wire);
+        }
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            let mut pool = CompressPool::new(4);
+            let mut ready = Vec::new();
+            for _ in 0..8 {
+                pool.submit(3, CodecId::Heavy, 0, data.clone(), &mut ready);
+            }
+            assert!(pool.core.in_flight > 0);
+            drop(pool);
+            let mut pool = DecodePool::new(4);
+            let mut ready = Vec::new();
+            for wire in frames {
+                pool.submit(CodecId::Heavy, data.len(), wire, HEADER_LEN, &mut ready);
+            }
+            assert!(pool.core.in_flight > 0);
+            drop(pool);
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a dropped pool did not join its workers");
+        dropper.join().unwrap();
     }
 
     #[test]

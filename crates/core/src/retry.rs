@@ -1,12 +1,10 @@
-//! Retry backoff schedules and idle timers — the timer math of the
-//! network client and daemon, kept as pure functions of a clock reading so
-//! every property is testable without sleeping.
+//! Retry backoff schedules — the timer math of the network client, kept
+//! as pure functions of the attempt number so every property is testable
+//! without sleeping.
 //!
 //! [`Backoff`] answers "how long before attempt *n*": exponential growth
 //! from a base delay, hard-capped, with optional deterministic seeded
 //! jitter (multiplicative in `[0.5, 1.0]`, so the cap still holds).
-//! [`IdleTimer`] answers "has this connection gone quiet": it fires when
-//! no activity was recorded for `idle_secs`, under any [`crate::Clock`].
 
 /// An exponential backoff schedule with a hard cap.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,42 +77,6 @@ fn unit(seed: u64, n: u32) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Fires when no activity was recorded for `idle_secs`. Clock-agnostic:
-/// callers feed it readings from any [`crate::Clock`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IdleTimer {
-    idle_secs: f64,
-    last_activity: f64,
-}
-
-impl IdleTimer {
-    /// A timer armed at clock reading `now`.
-    pub fn new(idle_secs: f64, now: f64) -> Self {
-        assert!(idle_secs > 0.0, "idle timeout must be positive");
-        IdleTimer { idle_secs, last_activity: now }
-    }
-
-    /// Records activity at `now`, re-arming the timer.
-    pub fn touch(&mut self, now: f64) {
-        // Clamp against time going backwards so a stale reading can only
-        // delay firing, never cause a spurious early fire.
-        if now > self.last_activity {
-            self.last_activity = now;
-        }
-    }
-
-    /// True once `idle_secs` have elapsed since the last activity.
-    pub fn expired(&self, now: f64) -> bool {
-        now - self.last_activity >= self.idle_secs
-    }
-
-    /// Seconds until the timer would fire absent further activity
-    /// (0 once expired) — the poll deadline for a select-style loop.
-    pub fn remaining_secs(&self, now: f64) -> f64 {
-        (self.last_activity + self.idle_secs - now).max(0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,44 +145,6 @@ mod tests {
             let d = b.delay_secs(attempt);
             prop_assert!(d <= raw + 1e-12, "jitter raised the delay: {d} > {raw}");
             prop_assert!(d >= raw * 0.5 - 1e-12, "jitter below half: {d} < {}", raw * 0.5);
-        }
-
-        #[test]
-        fn idle_timer_never_fires_early(
-            idle in 0.001f64..100.0,
-            touches in proptest::collection::vec(0.0f64..50.0, 1..20),
-        ) {
-            // Feed a monotone activity trace through a virtual clock; the
-            // timer must not be expired strictly before last + idle, and
-            // must be expired at last + idle.
-            let mut times = touches.clone();
-            times.sort_by(f64::total_cmp);
-            let mut t = IdleTimer::new(idle, 0.0);
-            for &now in &times {
-                t.touch(now);
-            }
-            let last = *times.last().unwrap();
-            prop_assert!(!t.expired(last + idle * 0.5));
-            // `(last + idle) - last` can round to just under `idle`, so the
-            // exact boundary is not float-representable; assert one ulp-safe
-            // margin past it instead.
-            prop_assert!(t.expired(last + idle + 1e-9));
-            prop_assert!(t.expired(last + idle * 2.0));
-            prop_assert_eq!(t.remaining_secs(last + idle), 0.0);
-            let rem = t.remaining_secs(last);
-            prop_assert!((rem - idle).abs() < 1e-9, "remaining {rem} != idle {idle}");
-        }
-
-        #[test]
-        fn idle_timer_ignores_backwards_time(
-            idle in 0.001f64..10.0,
-            now in 0.0f64..100.0,
-        ) {
-            let mut t = IdleTimer::new(idle, now);
-            // A stale (earlier) reading must not rewind the arm point.
-            t.touch(now - 5.0);
-            prop_assert!(!t.expired(now + idle * 0.999));
-            prop_assert!(t.expired(now + idle + 1e-9));
         }
     }
 }

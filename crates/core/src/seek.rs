@@ -578,7 +578,7 @@ mod tests {
             r.read_to_end(&mut out).unwrap();
             assert_eq!(out, data, "workers={workers}");
             assert_eq!(r.wire_bytes(), wire.len() as u64);
-            assert!(r.recovery().is_clean());
+            assert_eq!(r.recovery(), adcomp_codecs::frame::RecoveryStats::default());
         }
     }
 

@@ -21,7 +21,6 @@ pub mod entropy;
 pub mod gen;
 pub mod prng;
 pub mod source;
-pub mod stats;
 mod words;
 
 pub use prng::Prng;
@@ -48,15 +47,6 @@ impl Class {
             Class::High => "HIGH",
             Class::Moderate => "MODERATE",
             Class::Low => "LOW",
-        }
-    }
-
-    /// The Canterbury-corpus file this class stands in for.
-    pub fn stands_in_for(self) -> &'static str {
-        match self {
-            Class::High => "ptt5",
-            Class::Moderate => "alice29.txt",
-            Class::Low => "image.jpg",
         }
     }
 }

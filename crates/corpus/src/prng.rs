@@ -129,19 +129,6 @@ impl Prng {
             rem.copy_from_slice(&b[..rem.len()]);
         }
     }
-
-    /// Picks an index according to relative weights (must be non-empty).
-    pub fn weighted(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        let mut x = self.next_f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if x < *w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
-    }
 }
 
 #[cfg(test)]
@@ -219,15 +206,5 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 10.0).abs() < 0.1);
         assert!((var.sqrt() - 2.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn weighted_prefers_heavy_bucket() {
-        let mut p = Prng::new(8);
-        let mut counts = [0usize; 3];
-        for _ in 0..10_000 {
-            counts[p.weighted(&[1.0, 1.0, 8.0])] += 1;
-        }
-        assert!(counts[2] > counts[0] + counts[1]);
     }
 }

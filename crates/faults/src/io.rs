@@ -6,11 +6,9 @@
 //! * [`CorruptingWriter`] — frame-granular bit flips, frame drops and
 //!   mid-frame cuts (each `write` call is treated as one frame, which is
 //!   exactly how `FrameWriter`/`BlockTransport` emit);
-//! * [`TruncatingWriter`] — cuts the whole stream after a byte budget and
-//!   blackholes the rest (a connection that died mid-transfer);
-//! * [`FlakyWriter`] / [`FlakyReader`] — transient `WouldBlock`-style
-//!   errors in deterministic bounded bursts, exercising the bounded-retry
-//!   recovery path.
+//! * [`FlakyReader`] — transient `WouldBlock`-style errors in
+//!   deterministic bounded bursts, exercising the bounded-retry recovery
+//!   path.
 //!
 //! Injection events are mirrored into an optional trace sink as
 //! [`FaultEvent`]s (`inject_flip` / `inject_drop` / `inject_cut` /
@@ -59,10 +57,6 @@ impl<W: Write, S: TraceSink> CorruptingWriter<W, S> {
         self.stats
     }
 
-    pub fn get_ref(&self) -> &W {
-        &self.inner
-    }
-
     pub fn into_inner(self) -> W {
         self.inner
     }
@@ -99,50 +93,6 @@ impl<W: Write, S: TraceSink> Write for CorruptingWriter<W, S> {
                 emit(&self.sink, "inject_cut", (buf.len() - keep) as u64, keep as u64);
             }
         }
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Cuts the stream after `cut_at` bytes; everything after is silently
-/// swallowed (the "connection died, sender never noticed" case).
-pub struct TruncatingWriter<W: Write> {
-    inner: W,
-    cut_at: u64,
-    written: u64,
-    /// Bytes swallowed after the cut.
-    pub lost_bytes: u64,
-}
-
-impl<W: Write> TruncatingWriter<W> {
-    /// Truncates the stream after exactly `cut_at` delivered bytes.
-    pub fn after_bytes(inner: W, cut_at: u64) -> Self {
-        TruncatingWriter { inner, cut_at, written: 0, lost_bytes: 0 }
-    }
-
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-
-    pub fn get_ref(&self) -> &W {
-        &self.inner
-    }
-}
-
-impl<W: Write> Write for TruncatingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.written >= self.cut_at {
-            self.lost_bytes += buf.len() as u64;
-            return Ok(buf.len());
-        }
-        let room = (self.cut_at - self.written) as usize;
-        let take = room.min(buf.len());
-        self.inner.write_all(&buf[..take])?;
-        self.written += take as u64;
-        self.lost_bytes += (buf.len() - take) as u64;
         Ok(buf.len())
     }
 
@@ -197,81 +147,6 @@ impl<R: Read, S: TraceSink> Read for FlakyReader<R, S> {
     }
 }
 
-/// Injects deterministic bounded bursts of transient errors before writes.
-pub struct FlakyWriter<W: Write, S: TraceSink = NullSink> {
-    inner: W,
-    plan: FaultPlan,
-    sink: S,
-    burst_left: u32,
-    stats: InjectStats,
-}
-
-impl<W: Write> FlakyWriter<W> {
-    pub fn new(inner: W, plan: FaultPlan) -> Self {
-        FlakyWriter::with_sink(inner, plan, NullSink)
-    }
-}
-
-impl<W: Write, S: TraceSink> FlakyWriter<W, S> {
-    pub fn with_sink(inner: W, plan: FaultPlan, sink: S) -> Self {
-        FlakyWriter { inner, plan, sink, burst_left: 0, stats: InjectStats::default() }
-    }
-
-    pub fn stats(&self) -> InjectStats {
-        self.stats
-    }
-
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write, S: TraceSink> Write for FlakyWriter<W, S> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.burst_left == 0 {
-            self.burst_left = self.plan.next_transient_burst();
-        }
-        if self.burst_left > 0 {
-            self.burst_left -= 1;
-            self.stats.transients += 1;
-            emit(&self.sink, "inject_transient", 0, self.stats.transients);
-            return Err(io::Error::new(io::ErrorKind::WouldBlock, "injected transient stall"));
-        }
-        let n = self.inner.write(buf)?;
-        self.stats.bytes_out += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// `write_all` that retries transient (`WouldBlock`/`TimedOut`) errors up
-/// to `max_retries` times per operation — the writer-side counterpart of
-/// the reader's bounded-retry policy.
-pub fn write_all_retry<W: Write>(w: &mut W, mut buf: &[u8], max_retries: u32) -> io::Result<()> {
-    let mut attempt = 0u32;
-    while !buf.is_empty() {
-        match w.write(buf) {
-            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "write returned 0")),
-            Ok(n) => {
-                buf = &buf[n..];
-                attempt = 0;
-            }
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-                    && attempt < max_retries =>
-            {
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,8 +157,8 @@ mod tests {
         let mut w = CorruptingWriter::new(Vec::new(), FaultPlan::new(FaultSpec::quiet(3)));
         w.write_all(b"frame one").unwrap();
         w.write_all(b"frame two").unwrap();
-        assert_eq!(w.get_ref().as_slice(), b"frame oneframe two");
         assert_eq!(w.stats().flips + w.stats().drops + w.stats().cuts, 0);
+        assert_eq!(w.into_inner(), b"frame oneframe two");
     }
 
     #[test]
@@ -305,15 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn truncating_writer_cuts_and_blackholes() {
-        let mut w = TruncatingWriter::after_bytes(Vec::new(), 10);
-        w.write_all(b"0123456789abcdef").unwrap();
-        w.write_all(b"more").unwrap();
-        assert_eq!(w.get_ref().as_slice(), b"0123456789");
-        assert_eq!(w.lost_bytes, 10);
-    }
-
-    #[test]
     fn flaky_reader_errors_then_recovers() {
         let data = vec![7u8; 4096];
         let mut r = FlakyReader::new(&data[..], FaultPlan::new(FaultSpec::from_rate(5, 0.4)));
@@ -331,13 +197,5 @@ mod tests {
         assert_eq!(out, data, "transient errors must not lose bytes");
         assert!(transients > 0);
         assert_eq!(r.stats().transients, transients);
-    }
-
-    #[test]
-    fn write_all_retry_rides_out_bursts() {
-        let spec = FaultSpec { transient_rate: 0.9, ..FaultSpec::from_rate(2, 0.0) };
-        let mut w = FlakyWriter::new(Vec::new(), FaultPlan::new(spec));
-        write_all_retry(&mut w, b"payload under transient fire", 8).unwrap();
-        assert_eq!(w.into_inner(), b"payload under transient fire");
     }
 }

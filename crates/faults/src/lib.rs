@@ -15,8 +15,8 @@
 //! - [`plan`] — `FaultSpec` / `FaultPlan` / `FaultAction`: the seeded
 //!   decision stream (two independent PRNG sub-streams: per-frame faults
 //!   and per-operation transients).
-//! - [`io`] — composable `std::io` adapters: [`CorruptingWriter`],
-//!   [`TruncatingWriter`], [`FlakyReader`], [`FlakyWriter`].
+//! - [`io`] — composable `std::io` adapters: [`CorruptingWriter`] and
+//!   [`FlakyReader`].
 //! - [`transport`] — [`FaultingTransport`], the same fault taxonomy at
 //!   the nephele block-transport layer.
 //! - [`net`] — [`ChaosProxy`], the socket-level counterpart: a seeded
@@ -36,7 +36,7 @@ pub mod plan;
 pub mod soak;
 pub mod transport;
 
-pub use io::{write_all_retry, CorruptingWriter, FlakyReader, FlakyWriter, TruncatingWriter};
+pub use io::{CorruptingWriter, FlakyReader};
 pub use net::{ChaosProxy, Direction, NetAction, NetFaultSpec, NetPlan, ProxyStats};
 pub use plan::{FaultAction, FaultPlan, FaultSpec, InjectStats};
 pub use soak::{run_case, CaseResult, SoakCase, SoakLayer};

@@ -13,7 +13,6 @@
 //! `std::net` only, blocking accept with a stop-flag + self-connect wake —
 //! the same shape as the `/metrics` server, one thread per pump direction.
 
-use crate::plan::FaultSpec;
 use adcomp_corpus::Prng;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -56,32 +55,6 @@ impl NetFaultSpec {
             partial_rate: rate * 0.2,
             stall_rate: rate * 0.3,
             close_rate: rate * 0.1,
-            max_stall_ms: 40,
-        }
-    }
-
-    /// No faults: the proxy is a transparent relay.
-    pub fn quiet(seed: u64) -> Self {
-        NetFaultSpec {
-            seed,
-            corrupt_rate: 0.0,
-            partial_rate: 0.0,
-            stall_rate: 0.0,
-            close_rate: 0.0,
-            max_stall_ms: 0,
-        }
-    }
-
-    /// Reuses an in-process [`FaultSpec`]'s seed and overall hostility for
-    /// the wire: flips become corruption, drops become resets, cuts become
-    /// partial writes, transients become stalls.
-    pub fn from_fault_spec(s: FaultSpec) -> Self {
-        NetFaultSpec {
-            seed: s.seed,
-            corrupt_rate: s.flip_rate,
-            partial_rate: s.cut_rate,
-            stall_rate: s.transient_rate.min(0.5),
-            close_rate: s.drop_rate,
             max_stall_ms: 40,
         }
     }
@@ -165,13 +138,6 @@ pub struct ProxyStats {
     pub partials: u64,
     pub stalls: u64,
     pub closes: u64,
-}
-
-impl ProxyStats {
-    /// Total injected faults (everything but clean passes and stalls-of-0).
-    pub fn total_faults(&self) -> u64 {
-        self.corrupts + self.partials + self.stalls + self.closes
-    }
 }
 
 /// A running fault-injecting TCP proxy in front of `upstream`. Dropping
@@ -415,7 +381,7 @@ mod tests {
     #[test]
     fn quiet_proxy_is_transparent() {
         let echo = EchoServer::start();
-        let proxy = ChaosProxy::start(echo.addr, NetFaultSpec::quiet(1)).unwrap();
+        let proxy = ChaosProxy::start(echo.addr, NetFaultSpec::from_rate(1, 0.0)).unwrap();
         let mut c = TcpStream::connect(proxy.local_addr()).unwrap();
         let payload: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
         c.write_all(&payload).unwrap();
@@ -425,7 +391,7 @@ mod tests {
         assert_eq!(back, payload, "quiet proxy altered bytes");
         let stats = proxy.shutdown();
         assert_eq!(stats.conns, 1);
-        assert_eq!(stats.total_faults(), 0);
+        assert_eq!((stats.corrupts, stats.partials, stats.stalls, stats.closes), (0, 0, 0, 0));
         assert!(stats.bytes_up >= payload.len() as u64);
     }
 
@@ -496,7 +462,7 @@ mod tests {
     #[test]
     fn shutdown_leaves_no_pump_threads() {
         let echo = EchoServer::start();
-        let proxy = ChaosProxy::start(echo.addr, NetFaultSpec::quiet(9)).unwrap();
+        let proxy = ChaosProxy::start(echo.addr, NetFaultSpec::from_rate(9, 0.0)).unwrap();
         for _ in 0..4 {
             let mut c = TcpStream::connect(proxy.local_addr()).unwrap();
             c.write_all(b"ping").unwrap();

@@ -705,7 +705,7 @@ mod tests {
                 assert_eq!(r.outcome, Outcome::Recovered, "{layer:?} L{level}: {}", r.error);
                 assert_eq!(r.items_recovered, 24);
                 assert_eq!(r.verify_failures, 0);
-                assert!(r.recovery.is_clean());
+                assert_eq!(r.recovery, RecoveryStats::default());
                 assert!(r.ok());
             }
         }

@@ -12,19 +12,13 @@ use std::time::Instant;
 /// The paper's sampling interval: one timestamp per 20 MB of I/O.
 pub const SAMPLE_INTERVAL_BYTES: u64 = 20_000_000;
 
-/// Result of one load run: per-20 MB throughput samples (bytes/second) plus
-/// the overall mean.
+/// Result of one load run: per-20 MB throughput samples (bytes/second),
+/// the bytes moved and the wall time taken.
 #[derive(Debug, Clone)]
 pub struct LoadResult {
     pub samples: Vec<f64>,
     pub total_bytes: u64,
     pub elapsed_secs: f64,
-}
-
-impl LoadResult {
-    pub fn mean_rate(&self) -> f64 {
-        self.total_bytes as f64 / self.elapsed_secs.max(1e-9)
-    }
 }
 
 struct IntervalTimer {
@@ -180,7 +174,8 @@ mod tests {
         assert_eq!(r.total_bytes, 64_000_000);
         assert!(r.elapsed_secs > 0.0);
         assert_eq!(r.samples.len(), 3, "one sample per 20 MB");
-        assert!(r.mean_rate() > 1e6, "loopback should exceed 1 MB/s");
+        let mean_rate = r.total_bytes as f64 / r.elapsed_secs;
+        assert!(mean_rate > 1e6, "loopback should exceed 1 MB/s");
     }
 
     #[test]

@@ -8,20 +8,18 @@
 //!   (atomic counters/gauges, log-linear histograms, span timers) that
 //!   running processes scrape while under load;
 //! * [`stats`] — online moments, five-number summaries, histograms;
-//! * [`table`] — paper-style ASCII tables and CSV output.
+//! * [`table`] — paper-style ASCII tables.
 //!
 //! Everything here is clock-agnostic: timestamps are plain `f64` seconds,
 //! supplied either by a wall clock or by the discrete-event simulator
 //! (the registry makes the split explicit via [`RegistryMode`]).
 
 pub mod plot;
-pub mod quantile;
 pub mod rate;
 pub mod registry;
 pub mod stats;
 pub mod table;
 
-pub use quantile::{P2Quantile, StreamingSummary};
 pub use rate::{EpochRate, RateMeter, TimeSeries};
 pub use registry::{
     HistKind, HistSnapshot, LabelFamily, MetricsRegistry, RegistryMode, RegistrySnapshot,
@@ -29,7 +27,7 @@ pub use registry::{
 };
 pub use registry::{CounterKind, GaugeKind};
 pub use stats::{Histogram, OnlineStats, Summary};
-pub use table::{mean_sd_cell, Align, Table};
+pub use table::{mean_sd_cell, Table};
 
 /// Converts bytes/second to MBit/s (decimal, as the paper's figures use).
 pub fn bps_to_mbit(bytes_per_sec: f64) -> f64 {

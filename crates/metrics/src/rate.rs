@@ -108,26 +108,6 @@ impl TimeSeries {
     pub fn last(&self) -> Option<(f64, f64)> {
         self.points.last().copied()
     }
-
-    /// Mean of values weighted by the interval to the next point
-    /// (time-weighted average, final point weighted zero).
-    pub fn time_weighted_mean(&self) -> f64 {
-        if self.points.len() < 2 {
-            return self.points.first().map_or(f64::NAN, |&(_, v)| v);
-        }
-        let mut area = 0.0;
-        let mut span = 0.0;
-        for w in self.points.windows(2) {
-            let dt = w[1].0 - w[0].0;
-            area += w[0].1 * dt;
-            span += dt;
-        }
-        if span == 0.0 {
-            self.points[0].1
-        } else {
-            area / span
-        }
-    }
 }
 
 #[cfg(test)]
@@ -173,22 +153,11 @@ mod tests {
     }
 
     #[test]
-    fn time_series_time_weighted_mean() {
-        let mut ts = TimeSeries::new();
-        ts.push(0.0, 10.0); // holds for 1s
-        ts.push(1.0, 20.0); // holds for 3s
-        ts.push(4.0, 0.0);
-        let expect = (10.0 * 1.0 + 20.0 * 3.0) / 4.0;
-        assert!((ts.time_weighted_mean() - expect).abs() < 1e-12);
-    }
-
-    #[test]
     fn time_series_degenerate_cases() {
         let ts = TimeSeries::new();
-        assert!(ts.time_weighted_mean().is_nan());
+        assert!(ts.is_empty() && ts.last().is_none());
         let mut ts = TimeSeries::new();
         ts.push(1.0, 5.0);
-        assert_eq!(ts.time_weighted_mean(), 5.0);
         assert_eq!(ts.last(), Some((1.0, 5.0)));
     }
 }

@@ -1,37 +1,19 @@
 //! ASCII table rendering for experiment output, so the harness can print
-//! rows shaped exactly like the paper's tables, plus a minimal CSV writer
-//! for downstream plotting.
-
-/// Column alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
-    Left,
-    Right,
-}
+//! rows shaped exactly like the paper's tables.
 
 /// A simple monospace table builder.
 #[derive(Debug, Clone)]
 pub struct Table {
     headers: Vec<String>,
-    aligns: Vec<Align>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
-    /// Creates a table; every column defaults to right alignment except the
-    /// first.
+    /// Creates a table. Headers and the first column are left-aligned,
+    /// every other cell right-aligned.
     pub fn new<S: Into<String>>(headers: Vec<S>) -> Self {
         let headers: Vec<String> = headers.into_iter().map(Into::into).collect();
-        let mut aligns = vec![Align::Right; headers.len()];
-        if !aligns.is_empty() {
-            aligns[0] = Align::Left;
-        }
-        Table { headers, aligns, rows: Vec::new() }
-    }
-
-    pub fn align(mut self, col: usize, align: Align) -> Self {
-        self.aligns[col] = align;
-        self
+        Table { headers, rows: Vec::new() }
     }
 
     /// Appends a row; must match the header arity.
@@ -62,58 +44,29 @@ impl Table {
             }
             out.push_str("+\n");
         };
-        let emit_row = |out: &mut String, cells: &[String], aligns: &[Align]| {
+        let emit_row = |out: &mut String, cells: &[String], header: bool| {
             for i in 0..ncols {
-                let pad = widths[i] - cells[i].chars().count();
+                let pad = " ".repeat(widths[i] - cells[i].chars().count());
                 out.push_str("| ");
-                match aligns[i] {
-                    Align::Left => {
-                        out.push_str(&cells[i]);
-                        out.push_str(&" ".repeat(pad));
-                    }
-                    Align::Right => {
-                        out.push_str(&" ".repeat(pad));
-                        out.push_str(&cells[i]);
-                    }
+                if header || i == 0 {
+                    out.push_str(&cells[i]);
+                    out.push_str(&pad);
+                } else {
+                    out.push_str(&pad);
+                    out.push_str(&cells[i]);
                 }
                 out.push(' ');
             }
             out.push_str("|\n");
         };
         rule(&mut out);
-        emit_row(&mut out, &self.headers, &vec![Align::Left; ncols]);
+        emit_row(&mut out, &self.headers, true);
         rule(&mut out);
         for row in &self.rows {
-            emit_row(&mut out, row, &self.aligns);
+            emit_row(&mut out, row, false);
         }
         rule(&mut out);
         out
-    }
-
-    /// Renders as CSV (RFC-4180-style quoting where needed).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let emit = |out: &mut String, cells: &[String]| {
-            let line: Vec<String> = cells.iter().map(|c| csv_escape(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        emit(&mut out, &self.headers);
-        for row in &self.rows {
-            emit(&mut out, row);
-        }
-        out
-    }
-}
-
-/// RFC 4180 field escaping: quote any field containing a comma, quote,
-/// or line break (CR as well as LF — bare carriage returns would otherwise
-/// corrupt the row structure for strict readers), doubling embedded quotes.
-fn csv_escape(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
     }
 }
 
@@ -146,32 +99,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_escaping() {
-        assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(csv_escape("a,b"), "\"a,b\"");
-        assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-        assert_eq!(csv_escape("line\nbreak"), "\"line\nbreak\"");
-        assert_eq!(csv_escape("carriage\rreturn"), "\"carriage\rreturn\"");
-        assert_eq!(csv_escape("crlf\r\nrow"), "\"crlf\r\nrow\"");
-    }
-
-    #[test]
-    fn csv_output_shape() {
-        let mut t = Table::new(vec!["x", "y"]);
-        t.row(vec!["1", "2,5"]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "x,y\n1,\"2,5\"\n");
-    }
-
-    #[test]
     fn mean_sd_cell_matches_paper_format() {
         assert_eq!(mean_sd_cell(569.4, 3.2), "569 (3)");
-    }
-
-    #[test]
-    fn left_align_override() {
-        let mut t = Table::new(vec!["k", "v"]).align(1, Align::Left);
-        t.row(vec!["key", "val"]);
-        assert!(t.render().contains("| val |"));
     }
 }

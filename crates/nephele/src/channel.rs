@@ -1,9 +1,10 @@
 //! Channels: the edges of a Nephele job graph.
 //!
 //! As in the paper's framework, "tasks can exchange data through
-//! communication channels" of three kinds — in-memory, TCP network and
-//! file. Records are length-prefixed byte strings packed into blocks of at
-//! most 128 KiB; each block is independently (and, when enabled,
+//! communication channels"; the executor wires every edge as a loopback
+//! TCP connection ([`TcpTransport`]), the network channel the paper
+//! evaluates. Records are length-prefixed byte strings packed into blocks
+//! of at most 128 KiB; each block is independently (and, when enabled,
 //! adaptively) compressed into a self-describing frame before it reaches
 //! the transport. The compression layer is completely transparent to task
 //! code.
@@ -13,7 +14,8 @@
 //! an [`AdaptiveWriter`] whose sink ships every frame with one
 //! [`BlockTransport::send`]; [`RecordReader`] parses records out of an
 //! [`AdaptiveReader`] over the receiving end, a byte stream on every
-//! transport (the in-memory queue reads as one too). The block pool, the
+//! transport (the in-process queue of [`mem_pair`], which the chaos soak
+//! drives, reads as one too). The block pool, the
 //! epoch driver, degrade-to-raw, the checked header parse, magic-scan
 //! resync and truncation handling are theirs. The framer owns the length
 //! prefix, record-aligned block cuts, realignment after a dropped frame
@@ -31,23 +33,9 @@ use adcomp_core::model::{DecisionModel, RateBasedModel, StaticModel};
 use adcomp_core::stream::{AdaptiveReader, AdaptiveWriter};
 use adcomp_metrics::registry::{self, CounterKind};
 use adcomp_trace::TraceHandle;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-
-/// Transport flavour of a channel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChannelType {
-    /// Blocks move through a bounded in-process queue (no compression
-    /// benefit, but supported for symmetry with the paper's engine).
-    InMemory,
-    /// Blocks move over a real loopback TCP connection.
-    Network,
-    /// Blocks are spooled through a file on disk.
-    File,
-}
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// Compression policy of a channel.
 #[derive(Debug, Clone)]
@@ -106,13 +94,15 @@ pub trait BlockTransport: Send {
     fn close(&mut self) -> Result<()>;
 }
 
-/// In-memory transport over a bounded crossbeam queue.
+/// In-memory transport over a bounded queue: `send` blocks while the
+/// queue is full and fails once the [`MemSource`] is gone.
 pub struct MemTransport {
-    tx: Option<Sender<Vec<u8>>>,
+    tx: Option<SyncSender<Vec<u8>>>,
 }
 
 /// Receiving half of [`mem_pair`]: the queued frames, read back to back as
-/// one byte stream.
+/// one byte stream that ends (`read` returns 0) once the queue is drained
+/// and the [`MemTransport`] is closed or dropped.
 pub struct MemSource {
     rx: Receiver<Vec<u8>>,
     frame: Vec<u8>,
@@ -122,7 +112,7 @@ pub struct MemSource {
 /// Creates a connected in-memory transport pair with the given block
 /// capacity (backpressure bound).
 pub fn mem_pair(capacity: usize) -> (MemTransport, MemSource) {
-    let (tx, rx) = bounded(capacity.max(1));
+    let (tx, rx) = sync_channel(capacity.max(1));
     (MemTransport { tx: Some(tx) }, MemSource { rx, frame: Vec::new(), pos: 0 })
 }
 
@@ -177,99 +167,6 @@ impl BlockTransport for TcpTransport {
             s.shutdown(std::net::Shutdown::Write).ok();
         }
         Ok(())
-    }
-}
-
-/// File transport: frames are appended to a spool file; a shared counter +
-/// condvar lets the reader tail the file while the writer is still running.
-pub struct FileTransport {
-    file: std::fs::File,
-    state: Arc<FileState>,
-}
-
-pub struct FileSource {
-    file: std::fs::File,
-    state: Arc<FileState>,
-    read_pos: u64,
-}
-
-struct FileState {
-    written: Mutex<(u64, bool)>, // (bytes durable, writer done)
-    cond: Condvar,
-    path: PathBuf,
-}
-
-impl FileState {
-    /// Each update is one plain store, so the pair is valid at every step:
-    /// a lock poisoned by a panicking task is taken over, not propagated
-    /// (a writer that cannot mark itself done leaves the reader blocked).
-    fn lock(&self) -> MutexGuard<'_, (u64, bool)> {
-        self.written.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl Drop for FileState {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// Creates a connected file-spool transport pair in `dir`.
-pub fn file_pair(dir: &std::path::Path, name: &str) -> Result<(FileTransport, FileSource)> {
-    let path = dir.join(format!("nephele-spool-{name}-{}.bin", std::process::id()));
-    let file = std::fs::File::create(&path)?;
-    let reader = std::fs::File::open(&path)?;
-    let state = Arc::new(FileState {
-        written: Mutex::new((0, false)),
-        cond: Condvar::new(),
-        path,
-    });
-    Ok((
-        FileTransport { file, state: state.clone() },
-        FileSource { file: reader, state, read_pos: 0 },
-    ))
-}
-
-impl Drop for FileTransport {
-    fn drop(&mut self) {
-        // A writer that dies without close() must not leave the reader
-        // blocked on the condvar forever.
-        self.state.lock().1 = true;
-        self.state.cond.notify_all();
-    }
-}
-
-impl BlockTransport for FileTransport {
-    fn send(&mut self, frame: &[u8]) -> Result<()> {
-        self.file.write_all(frame)?;
-        self.file.flush()?;
-        self.state.lock().0 += frame.len() as u64;
-        self.state.cond.notify_all();
-        Ok(())
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.file.flush()?;
-        self.state.lock().1 = true;
-        self.state.cond.notify_all();
-        Ok(())
-    }
-}
-
-/// Tailing read: blocks until the writer has made at least one more byte
-/// durable or is done (then 0, end of stream).
-impl Read for FileSource {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let written = self
-            .state
-            .cond
-            .wait_while(self.state.lock(), |w| w.0 <= self.read_pos && !w.1)
-            .unwrap_or_else(PoisonError::into_inner)
-            .0;
-        let avail = (written - self.read_pos).min(buf.len() as u64) as usize;
-        let n = self.file.read(&mut buf[..avail])?;
-        self.read_pos += n as u64;
-        Ok(n)
     }
 }
 
@@ -560,6 +457,7 @@ impl RecordReader {
 mod tests {
     use super::*;
     use std::net::TcpListener;
+    use std::sync::{Arc, Mutex};
 
     fn read_all(reader: &mut RecordReader) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
@@ -746,52 +644,23 @@ mod tests {
         assert_eq!(read_all(&mut RecordReader::new(Box::new(rx))), records);
     }
 
+    /// The queue's disconnect rules, seen through the transport pair: a
+    /// send with the source gone is a typed error, and the source reads
+    /// every queued frame, then end of stream, once the sender is closed.
     #[test]
-    fn file_transport_roundtrip() {
-        let dir = std::env::temp_dir();
-        let (tx, rx) = file_pair(&dir, "test-rt").unwrap();
-        let path = tx.state.path.clone();
-        let mut w =
-            RecordWriter::new(Box::new(tx), &CompressionMode::Static(2), LevelSet::paper_default(), 2.0);
-        let records: Vec<Vec<u8>> =
-            (0..50).map(|i| format!("file record {i} ").repeat(30).into_bytes()).collect();
-        for r in &records {
-            w.write_record(r).unwrap();
-        }
-        w.finish().unwrap();
-        let mut reader = RecordReader::new(Box::new(rx));
-        assert_eq!(read_all(&mut reader), records);
-        drop(reader);
-        assert!(!path.exists(), "spool file should be cleaned up");
-    }
+    fn mem_pair_disconnects_both_ways() {
+        let (mut tx, rx) = mem_pair(4);
+        drop(rx);
+        assert!(matches!(tx.send(b"orphan"), Err(NepheleError::InvalidGraph(_))));
 
-    #[test]
-    fn file_transport_supports_concurrent_tailing() {
-        let dir = std::env::temp_dir();
-        let (tx, rx) = file_pair(&dir, "test-tail").unwrap();
-        let writer = std::thread::spawn(move || {
-            let mut w = RecordWriter::new(
-                Box::new(tx),
-                &CompressionMode::Off,
-                LevelSet::paper_default(),
-                2.0,
-            );
-            for i in 0..200 {
-                w.write_record(format!("tail {i}").as_bytes()).unwrap();
-                if i % 50 == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                }
-            }
-            w.finish().unwrap()
-        });
-        let mut reader = RecordReader::new(Box::new(rx));
-        let mut n = 0;
-        while let Some(r) = reader.next_record().unwrap() {
-            assert_eq!(r, format!("tail {n}").as_bytes());
-            n += 1;
-        }
-        assert_eq!(n, 200);
-        writer.join().unwrap();
+        let (mut tx, mut rx) = mem_pair(4);
+        tx.send(b"first ").unwrap();
+        tx.send(b"second").unwrap();
+        tx.close().unwrap();
+        let mut out = Vec::new();
+        rx.read_to_end(&mut out).unwrap();
+        assert_eq!(out, b"first second");
+        assert_eq!(rx.read(&mut [0u8; 8]).unwrap(), 0);
     }
 
     #[test]
@@ -978,10 +847,9 @@ mod tests {
         }
     }
 
-    /// The defect of the per-message readers, on an aligned stream with one
-    /// bit of frame 1's magic flipped: the spool-file reader stopped after
-    /// frame 0 with "bad frame magic" whatever the policy. Every transport
-    /// is now the same resyncing byte stream and loses exactly frame 1.
+    /// An aligned stream with one bit of frame 1's magic flipped: every
+    /// transport is the same resyncing byte stream and loses exactly
+    /// frame 1.
     #[test]
     fn damaged_magic_resyncs_on_every_transport() {
         // 12 records of 4 + 156 bytes fill a 2 KiB block: frame 1 holds
@@ -1011,16 +879,13 @@ mod tests {
         let (tx, rx) = mem_pair(64);
         write(Box::new(tx));
         let mem = read(Box::new(rx));
-        let (tx, rx) = file_pair(&std::env::temp_dir(), "test-flip").unwrap();
-        write(Box::new(tx));
-        let file = read(Box::new(rx));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let tcp = std::thread::scope(|s| {
             s.spawn(|| write(Box::new(TcpTransport::new(TcpStream::connect(addr).unwrap()))));
             read(Box::new(listener.accept().unwrap().0))
         });
-        for (transport, (out, rec)) in [("mem", mem), ("file", file), ("tcp", tcp)] {
+        for (transport, (out, rec)) in [("mem", mem), ("tcp", tcp)] {
             assert_eq!(out, expected, "{transport}");
             assert!(rec.corrupt_frames >= 1, "{transport}: {rec:?}");
         }

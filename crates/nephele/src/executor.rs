@@ -1,20 +1,17 @@
 //! Job execution: one worker thread per vertex, channels wired per edge.
 //!
-//! The executor materializes each edge as a real transport (bounded queue,
-//! loopback TCP connection, or spool file), hands every vertex a
-//! [`TaskContext`] with its readers/writers, runs all vertices
-//! concurrently, and reports wall-clock completion time plus per-channel
-//! compression statistics — the measurements behind the paper's Table II.
+//! The executor materializes each edge as a loopback TCP connection, hands
+//! every vertex a [`TaskContext`] with its readers/writers, runs all
+//! vertices concurrently, and reports wall-clock completion time plus
+//! per-channel compression statistics — the measurements behind the
+//! paper's Table II.
 
-use crate::channel::{
-    file_pair, mem_pair, BlockTransport, ChannelStats, ChannelType, RecordReader, RecordWriter,
-    TcpTransport,
-};
+use crate::channel::{ChannelStats, RecordReader, RecordWriter, TcpTransport};
 use crate::error::{NepheleError, Result};
 use crate::graph::JobGraph;
 use crate::task::{Task, TaskContext};
 use adcomp_codecs::LevelSet;
-use std::io::Read;
+use std::net::{TcpListener, TcpStream};
 use std::time::Instant;
 
 /// Per-edge report after completion.
@@ -62,10 +59,6 @@ pub struct Executor {
     pub levels: LevelSet,
     /// Decision epoch for adaptive channels, seconds (paper: 2 s).
     pub epoch_secs: f64,
-    /// Capacity of in-memory channels, in blocks.
-    pub mem_channel_blocks: usize,
-    /// Directory for file-channel spools.
-    pub spool_dir: std::path::PathBuf,
     /// Compression worker threads per output channel (1 = none: blocks are
     /// encoded on the task's own thread, through the same pool calls).
     pub pipeline_workers: usize,
@@ -73,13 +66,7 @@ pub struct Executor {
 
 impl Default for Executor {
     fn default() -> Self {
-        Executor {
-            levels: LevelSet::paper_default(),
-            epoch_secs: 2.0,
-            mem_channel_blocks: 64,
-            spool_dir: std::env::temp_dir(),
-            pipeline_workers: 1,
-        }
+        Executor { levels: LevelSet::paper_default(), epoch_secs: 2.0, pipeline_workers: 1 }
     }
 }
 
@@ -90,38 +77,23 @@ impl Executor {
         let JobGraph { name: job_name, vertices, edges } = graph;
         let nv = vertices.len();
 
-        // Materialize transports per edge.
+        // Materialize one loopback TCP connection per edge.
         let mut writers: Vec<Option<RecordWriter>> = Vec::with_capacity(edges.len());
         let mut readers: Vec<Option<RecordReader>> = Vec::with_capacity(edges.len());
-        for (i, e) in edges.iter().enumerate() {
-            let (transport, source): (Box<dyn BlockTransport>, Box<dyn Read + Send>) =
-                match e.channel {
-                    ChannelType::InMemory => {
-                        let (t, s) = mem_pair(self.mem_channel_blocks);
-                        (Box::new(t), Box::new(s))
-                    }
-                    ChannelType::Network => {
-                        let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-                        let addr = listener.local_addr()?;
-                        let client = std::net::TcpStream::connect(addr)?;
-                        client.set_nodelay(true).ok();
-                        let (server, _) = listener.accept()?;
-                        (Box::new(TcpTransport::new(client)), Box::new(server))
-                    }
-                    ChannelType::File => {
-                        let (t, s) = file_pair(&self.spool_dir, &format!("{job_name}-e{i}"))?;
-                        (Box::new(t), Box::new(s))
-                    }
-                };
+        for e in &edges {
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            let client = TcpStream::connect(listener.local_addr()?)?;
+            client.set_nodelay(true).ok();
+            let (server, _) = listener.accept()?;
             let mut writer = RecordWriter::new(
-                transport,
+                Box::new(TcpTransport::new(client)),
                 &e.compression,
                 self.levels.clone(),
                 self.epoch_secs,
             );
             writer.set_pipeline_workers(self.pipeline_workers);
             writers.push(Some(writer));
-            readers.push(Some(RecordReader::new(source)));
+            readers.push(Some(RecordReader::new(Box::new(server))));
         }
 
         // Group channel endpoints per vertex, in connection order.
@@ -216,10 +188,19 @@ impl Executor {
 mod tests {
     use super::*;
     use crate::channel::CompressionMode;
-    use crate::task::{FnTask, MapTask, SinkTask, SourceTask};
+    use crate::task::{SinkTask, SourceTask};
     use adcomp_corpus::Class;
 
-    fn two_task_job(channel: ChannelType, mode: CompressionMode, mb: u64) -> JobReport {
+    /// Wraps a closure as a task.
+    struct FnTask<F>(F);
+
+    impl<F: FnMut(&mut TaskContext) -> Result<()> + Send + 'static> Task for FnTask<F> {
+        fn run(&mut self, ctx: &mut TaskContext) -> Result<()> {
+            (self.0)(ctx)
+        }
+    }
+
+    fn two_task_job(mode: CompressionMode, mb: u64) -> JobReport {
         let mut g = JobGraph::new("sample-job");
         let src = g.add_vertex(
             "sender",
@@ -231,13 +212,13 @@ mod tests {
             }),
         );
         let dst = g.add_vertex("receiver", Box::new(SinkTask::new()));
-        g.connect(src, dst, channel, mode).unwrap();
+        g.connect(src, dst, mode).unwrap();
         Executor::default().run(g).unwrap()
     }
 
     #[test]
     fn memory_job_moves_all_bytes() {
-        let r = two_task_job(ChannelType::InMemory, CompressionMode::Off, 5);
+        let r = two_task_job(CompressionMode::Off, 5);
         let sink: &SinkTask = r.task("receiver").unwrap();
         assert_eq!(sink.bytes, 5_000_000);
         assert_eq!(r.edges.len(), 1);
@@ -258,7 +239,7 @@ mod tests {
             }),
         );
         let dst = g.add_vertex("receiver", Box::new(SinkTask::new()));
-        g.connect(src, dst, ChannelType::InMemory, CompressionMode::Static(2)).unwrap();
+        g.connect(src, dst, CompressionMode::Static(2)).unwrap();
         let exec = Executor { pipeline_workers: 4, ..Executor::default() };
         let r = exec.run(g).unwrap();
         let sink: &SinkTask = r.task("receiver").unwrap();
@@ -268,7 +249,7 @@ mod tests {
 
     #[test]
     fn network_job_with_static_compression() {
-        let r = two_task_job(ChannelType::Network, CompressionMode::Static(1), 5);
+        let r = two_task_job(CompressionMode::Static(1), 5);
         let sink: &SinkTask = r.task("receiver").unwrap();
         assert_eq!(sink.bytes, 5_000_000);
         assert!(
@@ -279,22 +260,11 @@ mod tests {
     }
 
     #[test]
-    fn file_job_with_adaptive_compression() {
-        let r = two_task_job(
-            ChannelType::File,
-            CompressionMode::Adaptive(Default::default()),
-            5,
-        );
-        let sink: &SinkTask = r.task("receiver").unwrap();
-        assert_eq!(sink.bytes, 5_000_000);
-    }
-
-    #[test]
     fn sink_checksum_matches_source_data() {
         // Two identical jobs must deliver identical payloads end to end,
-        // regardless of channel/compression combination.
-        let a = two_task_job(ChannelType::InMemory, CompressionMode::Off, 2);
-        let b = two_task_job(ChannelType::Network, CompressionMode::Static(3), 2);
+        // regardless of the channel's compression mode.
+        let a = two_task_job(CompressionMode::Off, 2);
+        let b = two_task_job(CompressionMode::Static(3), 2);
         let ca = a.task::<SinkTask>("receiver").unwrap().checksum;
         let cb = b.task::<SinkTask>("receiver").unwrap().checksum;
         assert_eq!(ca, cb);
@@ -312,15 +282,21 @@ mod tests {
                 seed: 7,
             }),
         );
-        let map = g.add_vertex("map", Box::new(MapTask(|mut r: Vec<u8>| {
-            for b in &mut r {
-                *b = b.wrapping_add(1);
-            }
-            r
-        })));
+        let map = g.add_vertex(
+            "map",
+            Box::new(FnTask(|ctx: &mut TaskContext| -> Result<()> {
+                while let Some(mut r) = ctx.read(0)? {
+                    for b in &mut r {
+                        *b = b.wrapping_add(1);
+                    }
+                    ctx.write(0, &r)?;
+                }
+                Ok(())
+            })),
+        );
         let sink = g.add_vertex("sink", Box::new(SinkTask::new()));
-        g.connect(src, map, ChannelType::InMemory, CompressionMode::Static(1)).unwrap();
-        g.connect(map, sink, ChannelType::InMemory, CompressionMode::Static(1)).unwrap();
+        g.connect(src, map, CompressionMode::Static(1)).unwrap();
+        g.connect(map, sink, CompressionMode::Static(1)).unwrap();
         let r = Executor::default().run(g).unwrap();
         let s: &SinkTask = r.task("sink").unwrap();
         assert_eq!(s.bytes, 1_000_000);
@@ -338,7 +314,7 @@ mod tests {
             })),
         );
         let dst = g.add_vertex("sink", Box::new(SinkTask::new()));
-        g.connect(src, dst, ChannelType::InMemory, CompressionMode::Off).unwrap();
+        g.connect(src, dst, CompressionMode::Off).unwrap();
         let err = Executor::default().run(g).unwrap_err();
         assert!(err.to_string().contains("boom"), "{err}");
     }
@@ -364,8 +340,8 @@ mod tests {
         );
         let s1 = g.add_vertex("sink1", Box::new(SinkTask::new()));
         let s2 = g.add_vertex("sink2", Box::new(SinkTask::new()));
-        g.connect(src, s1, ChannelType::InMemory, CompressionMode::Off).unwrap();
-        g.connect(src, s2, ChannelType::InMemory, CompressionMode::Off).unwrap();
+        g.connect(src, s1, CompressionMode::Off).unwrap();
+        g.connect(src, s2, CompressionMode::Off).unwrap();
         let r = Executor::default().run(g).unwrap();
         let a: &SinkTask = r.task("sink1").unwrap();
         let b: &SinkTask = r.task("sink2").unwrap();

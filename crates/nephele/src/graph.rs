@@ -4,7 +4,7 @@
 //! task [...] tasks can exchange data through communication channels which
 //! are modeled as the edges").
 
-use crate::channel::{ChannelType, CompressionMode};
+use crate::channel::CompressionMode;
 use crate::error::{NepheleError, Result};
 use crate::task::Task;
 
@@ -14,11 +14,10 @@ pub struct Vertex {
     pub task: Box<dyn Task>,
 }
 
-/// An edge: a typed channel between two vertices.
+/// An edge: a channel between two vertices.
 pub struct Edge {
     pub from: usize,
     pub to: usize,
-    pub channel: ChannelType,
     pub compression: CompressionMode,
 }
 
@@ -44,13 +43,12 @@ impl JobGraph {
         VertexId(self.vertices.len() - 1)
     }
 
-    /// Connects `from` → `to` with the given channel type and compression
-    /// mode. Input/output indices follow connection order.
+    /// Connects `from` → `to` with the given compression mode.
+    /// Input/output indices follow connection order.
     pub fn connect(
         &mut self,
         from: VertexId,
         to: VertexId,
-        channel: ChannelType,
         compression: CompressionMode,
     ) -> Result<()> {
         if from.0 >= self.vertices.len() || to.0 >= self.vertices.len() {
@@ -59,7 +57,7 @@ impl JobGraph {
         if from == to {
             return Err(NepheleError::InvalidGraph("self-loop".into()));
         }
-        self.edges.push(Edge { from: from.0, to: to.0, channel, compression });
+        self.edges.push(Edge { from: from.0, to: to.0, compression });
         Ok(())
     }
 
@@ -114,8 +112,8 @@ mod tests {
         let a = g.add_vertex("a", noop());
         let b = g.add_vertex("b", noop());
         let c = g.add_vertex("c", noop());
-        g.connect(a, b, ChannelType::InMemory, CompressionMode::Off).unwrap();
-        g.connect(b, c, ChannelType::Network, CompressionMode::Static(1)).unwrap();
+        g.connect(a, b, CompressionMode::Off).unwrap();
+        g.connect(b, c, CompressionMode::Static(1)).unwrap();
         assert_eq!((g.vertices.len(), g.edges.len()), (3, 2));
         g.validate().unwrap();
     }
@@ -124,10 +122,8 @@ mod tests {
     fn rejects_self_loop_and_unknown_vertex() {
         let mut g = JobGraph::new("bad");
         let a = g.add_vertex("a", noop());
-        assert!(g.connect(a, a, ChannelType::InMemory, CompressionMode::Off).is_err());
-        assert!(g
-            .connect(a, VertexId(5), ChannelType::InMemory, CompressionMode::Off)
-            .is_err());
+        assert!(g.connect(a, a, CompressionMode::Off).is_err());
+        assert!(g.connect(a, VertexId(5), CompressionMode::Off).is_err());
     }
 
     #[test]
@@ -136,9 +132,9 @@ mod tests {
         let a = g.add_vertex("a", noop());
         let b = g.add_vertex("b", noop());
         let c = g.add_vertex("c", noop());
-        g.connect(a, b, ChannelType::InMemory, CompressionMode::Off).unwrap();
-        g.connect(b, c, ChannelType::InMemory, CompressionMode::Off).unwrap();
-        g.connect(c, a, ChannelType::InMemory, CompressionMode::Off).unwrap();
+        g.connect(a, b, CompressionMode::Off).unwrap();
+        g.connect(b, c, CompressionMode::Off).unwrap();
+        g.connect(c, a, CompressionMode::Off).unwrap();
         assert!(g.validate().is_err());
     }
 
@@ -154,10 +150,10 @@ mod tests {
         let b = g.add_vertex("b", noop());
         let c = g.add_vertex("c", noop());
         let d = g.add_vertex("d", noop());
-        g.connect(a, b, ChannelType::InMemory, CompressionMode::Off).unwrap();
-        g.connect(a, c, ChannelType::InMemory, CompressionMode::Off).unwrap();
-        g.connect(b, d, ChannelType::InMemory, CompressionMode::Off).unwrap();
-        g.connect(c, d, ChannelType::InMemory, CompressionMode::Off).unwrap();
+        g.connect(a, b, CompressionMode::Off).unwrap();
+        g.connect(a, c, CompressionMode::Off).unwrap();
+        g.connect(b, d, CompressionMode::Off).unwrap();
+        g.connect(c, d, CompressionMode::Off).unwrap();
         g.validate().unwrap();
     }
 }

@@ -6,13 +6,14 @@
 //! crate rebuilds the parts the integration needs:
 //!
 //! * [`graph`] — job DAGs of named task vertices and channel edges;
-//! * [`task`] — the task trait plus ready-made source/sink/map tasks;
-//! * [`channel`] — in-memory, TCP network and file channels; records are
-//!   packed into ≤ 128 KiB blocks, each block independently compressed
-//!   (off / static level / the paper's adaptive scheme) into a
-//!   self-describing frame — completely transparent to task code;
-//! * [`executor`] — one worker thread per vertex, real transports per edge,
-//!   per-channel compression statistics in the final report.
+//! * [`task`] — the task trait plus the paper's source and sink tasks;
+//! * [`channel`] — record channels: records are packed into ≤ 128 KiB
+//!   blocks, each block independently compressed (off / static level /
+//!   the paper's adaptive scheme) into a self-describing frame —
+//!   completely transparent to task code;
+//! * [`executor`] — one worker thread per vertex, a loopback TCP
+//!   connection per edge, per-channel compression statistics in the final
+//!   report.
 //!
 //! ## Example: the paper's sample job
 //!
@@ -25,8 +26,7 @@
 //!     class: Class::High, total_bytes: 1_000_000, record_len: 8192, seed: 1,
 //! }));
 //! let recv = g.add_vertex("receiver", Box::new(SinkTask::new()));
-//! g.connect(send, recv, ChannelType::InMemory,
-//!           CompressionMode::Adaptive(Default::default())).unwrap();
+//! g.connect(send, recv, CompressionMode::Adaptive(Default::default())).unwrap();
 //! let report = Executor::default().run(g).unwrap();
 //! assert_eq!(report.task::<SinkTask>("receiver").unwrap().bytes, 1_000_000);
 //! ```
@@ -37,16 +37,16 @@ pub mod executor;
 pub mod graph;
 pub mod task;
 
-pub use channel::{ChannelStats, ChannelType, CompressionMode, RecordReader, RecordWriter};
+pub use channel::{ChannelStats, CompressionMode, RecordReader, RecordWriter};
 pub use error::{NepheleError, Result};
 pub use executor::{EdgeReport, Executor, JobReport};
 pub use graph::{JobGraph, VertexId};
-pub use task::{FnTask, MapTask, MergeTask, SinkTask, SourceTask, SplitTask, Task, TaskContext};
+pub use task::{SinkTask, SourceTask, Task, TaskContext};
 
 /// Common imports.
 pub mod prelude {
-    pub use crate::channel::{ChannelType, CompressionMode};
+    pub use crate::channel::CompressionMode;
     pub use crate::executor::{Executor, JobReport};
     pub use crate::graph::JobGraph;
-    pub use crate::task::{FnTask, SinkTask, SourceTask, Task, TaskContext};
+    pub use crate::task::{SinkTask, SourceTask, Task, TaskContext};
 }

@@ -1,10 +1,9 @@
 //! The task-programming interface.
 //!
-//! A task sees only record readers and writers; whether a channel crosses a
-//! thread, a socket or a file — and whether its blocks are compressed, and
-//! at which level — is invisible, exactly as the paper requires ("the
-//! implementation is completely transparent to the tasks, so there is no
-//! modification required to their program code").
+//! A task sees only record readers and writers; whether its channels'
+//! blocks are compressed, and at which level, is invisible, exactly as the
+//! paper requires ("the implementation is completely transparent to the
+//! tasks, so there is no modification required to their program code").
 
 use crate::channel::{RecordReader, RecordWriter};
 use crate::error::Result;
@@ -20,14 +19,6 @@ pub struct TaskContext {
 impl TaskContext {
     pub fn vertex_name(&self) -> &str {
         &self.vertex_name
-    }
-
-    pub fn num_inputs(&self) -> usize {
-        self.inputs.len()
-    }
-
-    pub fn num_outputs(&self) -> usize {
-        self.outputs.len()
     }
 
     /// Reads the next record from input `idx` (`None` = end of stream).
@@ -49,15 +40,6 @@ pub trait Task: Send + std::any::Any {
     /// Consumes inputs and produces outputs until done. Outputs are
     /// finished (flushed + closed) by the executor after `run` returns.
     fn run(&mut self, ctx: &mut TaskContext) -> Result<()>;
-}
-
-/// Wraps a closure as a task.
-pub struct FnTask<F: FnMut(&mut TaskContext) -> Result<()> + Send + 'static>(pub F);
-
-impl<F: FnMut(&mut TaskContext) -> Result<()> + Send + 'static> Task for FnTask<F> {
-    fn run(&mut self, ctx: &mut TaskContext) -> Result<()> {
-        (self.0)(ctx)
-    }
 }
 
 /// Generates `total_bytes` of synthetic data of a compressibility class as
@@ -114,69 +96,6 @@ impl Task for SinkTask {
             for &b in &rec {
                 self.checksum = self.checksum.wrapping_mul(31).wrapping_add(b as u64);
             }
-        }
-        Ok(())
-    }
-}
-
-/// Distributes records from input 0 round-robin across all outputs — the
-/// fan-out building block of larger job graphs.
-pub struct SplitTask;
-
-impl Task for SplitTask {
-    fn run(&mut self, ctx: &mut TaskContext) -> Result<()> {
-        let n = ctx.num_outputs();
-        assert!(n > 0, "SplitTask needs at least one output");
-        let mut i = 0usize;
-        while let Some(rec) = ctx.read(0)? {
-            ctx.write(i % n, &rec)?;
-            i += 1;
-        }
-        Ok(())
-    }
-}
-
-/// Interleaves all inputs into output 0, one record per input round-robin
-/// (order within each input is preserved) — the fan-in building block.
-///
-/// Round-robin keeps a split → workers → merge diamond deadlock-free when
-/// the branches carry balanced record counts (which [`SplitTask`]
-/// guarantees). For wildly unbalanced branches, size the channel capacity
-/// to the imbalance or merge from independent sources.
-pub struct MergeTask;
-
-impl Task for MergeTask {
-    fn run(&mut self, ctx: &mut TaskContext) -> Result<()> {
-        let n = ctx.num_inputs();
-        let mut open = vec![true; n];
-        let mut remaining = n;
-        while remaining > 0 {
-            #[allow(clippy::needless_range_loop)] // i also names the input port
-            for i in 0..n {
-                if !open[i] {
-                    continue;
-                }
-                match ctx.read(i)? {
-                    Some(rec) => ctx.write(0, &rec)?,
-                    None => {
-                        open[i] = false;
-                        remaining -= 1;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Applies a byte-level map to every record from input 0 to output 0.
-pub struct MapTask<F: FnMut(Vec<u8>) -> Vec<u8> + Send + 'static>(pub F);
-
-impl<F: FnMut(Vec<u8>) -> Vec<u8> + Send + 'static> Task for MapTask<F> {
-    fn run(&mut self, ctx: &mut TaskContext) -> Result<()> {
-        while let Some(rec) = ctx.read(0)? {
-            let mapped = (self.0)(rec);
-            ctx.write(0, &mapped)?;
         }
         Ok(())
     }

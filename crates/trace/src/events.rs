@@ -1,8 +1,8 @@
 //! Typed trace events — the event taxonomy of the observability layer.
 //!
 //! Every event is `Copy` (fixed-size, `&'static str` names, no heap) so
-//! that emitting one through a sink never allocates and the seqlock ring
-//! buffer can store events by value. All events carry:
+//! that emitting one through a sink never allocates and sinks can store
+//! events by value. All events carry:
 //!
 //! * `epoch` — the controller epoch the event belongs to (epoch-tagged
 //!   sink contract; `u64::MAX` means "outside any epoch");

@@ -1,18 +1,15 @@
 //! JSONL (one JSON object per line) trace writer.
 //!
-//! [`JsonlWriter`] is the low-level serializer over any `io::Write`;
-//! [`JsonlSink`] adapts it to [`TraceSink`] for live emission. Experiment
-//! grids do **not** emit live — they collect per-cell
+//! [`JsonlWriter`] is the serializer over any `io::Write`. Nothing emits
+//! live: traced runs collect per-cell
 //! [`MemorySink`](crate::sink::MemorySink)s and serialize them in cell
 //! order afterwards (see `write_run`), so the file bytes are independent
 //! of `ADCOMP_THREADS`.
 
 use crate::events::{EventCounts, TraceEvent};
 use crate::manifest::RunManifest;
-use crate::sink::TraceSink;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::Mutex;
 
 /// Serializes events (and manifests) as JSONL onto any writer.
 #[derive(Debug)]
@@ -69,51 +66,10 @@ impl<W: Write> JsonlWriter<W> {
         self.counts
     }
 
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-
     /// Flushes and returns the underlying writer.
     pub fn finish(mut self) -> io::Result<W> {
         self.inner.flush()?;
         Ok(self.inner)
-    }
-}
-
-/// A [`TraceSink`] that streams events straight to a JSONL writer.
-///
-/// Live sinks are for interactive use (`adcomp compress --trace`); they
-/// serialize under a mutex, so prefer per-cell `MemorySink` collection in
-/// parallel experiment grids.
-pub struct JsonlSink<W: Write + Send> {
-    w: Mutex<JsonlWriter<W>>,
-}
-
-impl JsonlSink<BufWriter<std::fs::File>> {
-    pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        Ok(JsonlSink { w: Mutex::new(JsonlWriter::create(path)?) })
-    }
-}
-
-impl<W: Write + Send> JsonlSink<W> {
-    pub fn new(inner: W) -> Self {
-        JsonlSink { w: Mutex::new(JsonlWriter::new(inner)) }
-    }
-
-    pub fn counts(&self) -> EventCounts {
-        self.w.lock().unwrap().counts()
-    }
-
-    pub fn flush(&self) -> io::Result<()> {
-        self.w.lock().unwrap().flush()
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonlSink<W> {
-    fn emit(&self, ev: &TraceEvent) {
-        // I/O errors cannot propagate through the sink interface; a trace
-        // is advisory, so a failed write must never abort the traced run.
-        let _ = self.w.lock().unwrap().write_event(ev);
     }
 }
 
@@ -166,14 +122,5 @@ mod tests {
         assert!(first.contains("\"ev\":\"manifest\""), "{first}");
         assert!(first.contains("\"total\":2"), "{first}");
         assert_eq!(text.lines().count(), 3);
-    }
-
-    #[test]
-    fn sink_interface_collects() {
-        let sink = JsonlSink::new(Vec::new());
-        for ev in evs() {
-            sink.emit(&ev);
-        }
-        assert_eq!(sink.counts().total(), 2);
     }
 }

@@ -10,12 +10,10 @@
 //!   [`DecisionEvent`], [`EpochEvent`], [`CodecEvent`], [`SimEvent`],
 //!   [`FaultEvent`], [`PipelineEvent`], [`ServerEvent`];
 //! * [`sink`] — the [`TraceSink`] trait, the statically-disabled
-//!   [`NullSink`], the in-memory [`MemorySink`], the dynamic
-//!   [`TraceHandle`] and [`TeeSink`];
-//! * [`ring`] — a fixed-capacity [`RingSink`] flight recorder with a
-//!   lock-free generation claim;
-//! * [`jsonl`] — JSONL serialization ([`JsonlWriter`]) and the live
-//!   [`JsonlSink`];
+//!   [`NullSink`], the in-memory [`MemorySink`] and the dynamic
+//!   [`TraceHandle`];
+//! * [`jsonl`] — JSONL serialization ([`JsonlWriter`]) of collected
+//!   events;
 //! * [`prom`] — Prometheus-text snapshots ([`PromSnapshot`]) and
 //!   [`render_registry`], the one renderer, for the live `adcomp_metrics`
 //!   registry;
@@ -52,7 +50,6 @@ pub mod jsonl;
 pub mod manifest;
 pub mod prom;
 pub mod promlint;
-pub mod ring;
 pub mod sink;
 pub mod timeline;
 
@@ -62,10 +59,9 @@ pub use events::{
 };
 pub use dash::render_top;
 pub use http::{http_get, MetricsServer};
-pub use jsonl::{JsonlSink, JsonlWriter};
+pub use jsonl::JsonlWriter;
 pub use manifest::RunManifest;
 pub use prom::{render_registry, PromSnapshot};
 pub use promlint::{conformance_lint, parse_samples};
-pub use ring::RingSink;
-pub use sink::{MemorySink, NullSink, TeeSink, TraceHandle, TraceSink};
+pub use sink::{MemorySink, NullSink, TraceHandle, TraceSink};
 pub use timeline::{render_level_timeline, TimelineOptions};

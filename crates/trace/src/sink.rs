@@ -9,8 +9,7 @@
 //!   inlining — disabled tracing compiles to nothing, which is what the
 //!   zero-alloc and bench guards verify.
 //! * [`TraceSink::emit`] takes `&self` and must not block the caller in
-//!   the steady state ([`RingSink`](crate::ring::RingSink) drops on slot
-//!   contention rather than waiting).
+//!   the steady state.
 //!
 //! For dynamic (runtime-chosen) tracing, [`TraceHandle`] wraps an
 //! `Option<Arc<dyn TraceSink>>` and itself implements `TraceSink`, so the
@@ -142,24 +141,6 @@ impl TraceSink for TraceHandle {
     }
 }
 
-/// A sink that forwards to two sinks (e.g. ring buffer + JSONL file).
-pub struct TeeSink<A, B>(pub A, pub B);
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-
-    fn emit(&self, ev: &TraceEvent) {
-        if self.0.enabled() {
-            self.0.emit(ev);
-        }
-        if self.1.enabled() {
-            self.1.emit(ev);
-        }
-    }
-}
-
 impl<S: TraceSink + ?Sized> TraceSink for Arc<S> {
     fn enabled(&self) -> bool {
         (**self).enabled()
@@ -173,7 +154,7 @@ impl<S: TraceSink + ?Sized> TraceSink for Arc<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{EpochEvent, SimEvent};
+    use crate::events::EpochEvent;
 
     fn ev(epoch: u64) -> TraceEvent {
         EpochEvent { epoch, t: epoch as f64, duration: 1.0, bytes: 1, rate: 1.0, level: 0 }
@@ -211,26 +192,5 @@ mod tests {
         assert!(h.enabled());
         h.emit(&ev(1));
         assert_eq!(mem.len(), 1);
-    }
-
-    #[test]
-    fn tee_forwards_to_both() {
-        let a = Arc::new(MemorySink::new());
-        let b = Arc::new(MemorySink::new());
-        let tee = TeeSink(a.clone(), b.clone());
-        assert!(tee.enabled());
-        tee.emit(
-            &SimEvent {
-                epoch: 0,
-                t: 0.0,
-                kind: "bandwidth",
-                flow: SimEvent::NO_FLOW,
-                value: 1.0,
-                aux: 0.0,
-            }
-            .into(),
-        );
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
     }
 }

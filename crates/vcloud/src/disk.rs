@@ -66,12 +66,6 @@ impl VirtualDisk {
         VirtualDisk::write_back(72.0e6, 700.0e6, 8 * 1024 * 1024 * 1024)
     }
 
-    /// Bytes still dirty in the host cache (unsynced data the guest
-    /// believes is written).
-    pub fn dirty_bytes(&self) -> u64 {
-        self.dirty
-    }
-
     pub fn is_write_back(&self) -> bool {
         self.cache_capacity > 0
     }
@@ -135,7 +129,7 @@ mod tests {
         let mut d = VirtualDisk::write_through(80e6);
         let s = d.write_secs(160_000_000, 0.0);
         assert!((s - 2.0).abs() < 1e-9);
-        assert_eq!(d.dirty_bytes(), 0);
+        assert_eq!(d.dirty, 0);
         assert_eq!(d.sync_secs(), 0.0);
     }
 
@@ -145,7 +139,7 @@ mod tests {
         // 100 MB fits well under the 600 MB threshold: absorbed at ~700MB/s.
         let s = d.write_secs(100_000_000, 0.0);
         assert!(s < 0.2, "absorbed write took {s}s");
-        assert!(d.dirty_bytes() > 0);
+        assert!(d.dirty > 0);
     }
 
     #[test]
@@ -180,7 +174,7 @@ mod tests {
             "apparent rate {:.1} MB/s should beat the 72 MB/s disk",
             apparent / 1e6
         );
-        assert!(d.dirty_bytes() > 1_000_000_000, "large residue should remain cached");
+        assert!(d.dirty > 1_000_000_000, "large residue should remain cached");
         assert!(d.sync_secs() > 10.0);
     }
 

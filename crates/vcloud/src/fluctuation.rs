@@ -51,11 +51,6 @@ impl Ar1 {
         assert!(sigma >= 0.0 && step > 0.0);
         Ar1 { rho, sigma, step, state: 0.0, next_t: 0.0, rng: Prng::new(seed ^ 0xA21) }
     }
-
-    /// Stationary standard deviation of the process.
-    pub fn stationary_sd(&self) -> f64 {
-        self.sigma / (1.0 - self.rho * self.rho).sqrt()
-    }
 }
 
 impl Fluctuation for Ar1 {
@@ -108,12 +103,6 @@ impl OnOff {
     pub fn ec2(seed: u64) -> Self {
         OnOff::new(1.0, 0.04, 0.060, 0.025, seed)
     }
-
-    /// Long-run mean factor.
-    pub fn mean_factor(&self) -> f64 {
-        let pg = self.mean_good_s / (self.mean_good_s + self.mean_bad_s);
-        pg * self.good_factor + (1.0 - pg) * self.bad_factor
-    }
 }
 
 impl Fluctuation for OnOff {
@@ -144,10 +133,12 @@ impl Fluctuation for Box<dyn Fluctuation> {
 ///
 /// Unlike [`OnOff`], whose "bad" state still trickles a few percent of
 /// line rate, an outage forces the factor to **exactly zero** — the link
-/// is dead, nothing moves. This models the hard stalls the chaos soak
-/// drives through [`SharedLink`](crate::link::SharedLink): live-migration
+/// is dead, nothing moves. This models hard stalls on a
+/// [`SharedLink`](crate::link::SharedLink) (via
+/// [`with_outages`](crate::link::SharedLink::with_outages)): live-migration
 /// blackouts, ARP storms, or a neighbour VM saturating the host NIC
-/// queue outright. Up/outage sojourns are exponentially distributed from
+/// queue outright. It is kept as an input of the planned seeded
+/// bandwidth trace that drives both the simulator and the real link. Up/outage sojourns are exponentially distributed from
 /// a dedicated seeded stream, so two processes built with the same seed
 /// stall at the same virtual times.
 pub struct Outages<F: Fluctuation> {
@@ -182,11 +173,6 @@ impl<F: Fluctuation> Outages<F> {
     pub fn outages_seen(&self) -> u64 {
         self.outages_seen
     }
-
-    /// Fraction of time the link is expected to be up in the long run.
-    pub fn availability(&self) -> f64 {
-        self.mean_up_s / (self.mean_up_s + self.mean_outage_s)
-    }
 }
 
 impl<F: Fluctuation> Fluctuation for Outages<F> {
@@ -204,25 +190,6 @@ impl<F: Fluctuation> Fluctuation for Outages<F> {
         } else {
             0.0
         }
-    }
-}
-
-/// Scales another process's deviation from 1.0 (used to derive platform
-/// variants from one base process).
-pub struct Scaled<F: Fluctuation> {
-    inner: F,
-    amount: f64,
-}
-
-impl<F: Fluctuation> Scaled<F> {
-    pub fn new(inner: F, amount: f64) -> Self {
-        Scaled { inner, amount }
-    }
-}
-
-impl<F: Fluctuation> Fluctuation for Scaled<F> {
-    fn factor_at(&mut self, t: f64) -> f64 {
-        (1.0 + (self.inner.factor_at(t) - 1.0) * self.amount).max(0.01)
     }
 }
 
@@ -286,7 +253,6 @@ mod tests {
         let frac = good as f64 / n as f64;
         let expect = 0.06 / 0.08;
         assert!((frac - expect).abs() < 0.05, "good fraction {frac} vs {expect}");
-        assert!((p.mean_factor() - expect).abs() < 1e-12);
     }
 
     #[test]
@@ -296,18 +262,6 @@ mod tests {
         let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = xs.iter().cloned().fold(0.0, f64::max);
         assert!(min < 0.1 && max > 0.9, "range [{min}, {max}]");
-    }
-
-    #[test]
-    fn scaled_damps_deviation() {
-        let mut base = OnOff::new(1.0, 0.0, 0.05, 0.05, 2);
-        let mut scaled = Scaled::new(OnOff::new(1.0, 0.0, 0.05, 0.05, 2), 0.1);
-        for i in 0..1000 {
-            let t = i as f64 * 0.01;
-            let b = base.factor_at(t);
-            let s = scaled.factor_at(t);
-            assert!((s - 1.0).abs() <= (b - 1.0).abs() + 1e-12);
-        }
     }
 
     #[test]
@@ -327,8 +281,9 @@ mod tests {
         }
         assert!(zeros > 0 && ones > 0, "zeros {zeros} ones {ones}");
         assert!(p.outages_seen() > 10);
+        // Long-run availability is mean_up / (mean_up + mean_outage).
         let frac_up = ones as f64 / 50_000.0;
-        assert!((frac_up - p.availability()).abs() < 0.08, "up fraction {frac_up}");
+        assert!((frac_up - 0.05 / 0.07).abs() < 0.08, "up fraction {frac_up}");
     }
 
     #[test]

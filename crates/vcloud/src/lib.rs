@@ -38,14 +38,14 @@ pub mod speed;
 pub use cpu::{CpuAccuracyModel, CpuBreakdown};
 pub use disk::VirtualDisk;
 pub use filepipe::{run_file_transfer, FileOutcome, FileTransferConfig};
-pub use fluctuation::{Ar1, Constant, Fluctuation, OnOff, Outages, Scaled};
-pub use link::{FlowChurn, SharedLink};
+pub use fluctuation::{Ar1, Constant, Fluctuation, OnOff, Outages};
+pub use link::SharedLink;
 pub use multiflow::{
-    run_multiflow, run_multiflow_traced, FlowOutcome, FlowSpec, MultiFlowConfig, MultiFlowOutcome,
+    run_multiflow_traced, FlowOutcome, FlowSpec, MultiFlowConfig, MultiFlowOutcome,
 };
 pub use pipeline::{
-    run_repeated, run_transfer, run_transfer_traced, AlternatingClass, ClassSchedule,
-    ConstantClass, TransferConfig, TransferOutcome,
+    run_transfer, run_transfer_traced, AlternatingClass, ClassSchedule, ConstantClass,
+    TransferConfig, TransferOutcome,
 };
 pub use platform::{IoOp, Platform};
 pub use speed::{LevelProfile, SpeedModel};

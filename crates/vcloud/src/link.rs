@@ -16,85 +16,26 @@
 //! for host cycles serving I/O).
 
 use crate::fluctuation::{Fluctuation, Outages};
-use adcomp_corpus::Prng;
 
-/// A seeded birth/death process over the number of co-located background
-/// flows — cloud neighbours come and go.
-///
-/// The count random-walks one step at a time between `min_flows` and
-/// `max_flows` with exponentially distributed sojourns, sampled at
-/// monotone virtual times like a [`Fluctuation`]. Attach to a link with
-/// [`SharedLink::with_flow_churn`]; two walks built from the same seed
-/// produce identical contention histories.
-#[derive(Debug, Clone)]
-pub struct FlowChurn {
-    min_flows: usize,
-    max_flows: usize,
-    mean_sojourn_s: f64,
-    cur: usize,
-    until_t: f64,
-    rng: Prng,
-}
+/// The contention coefficient β, fit to Table II's `NO` rows.
+const CONTENTION_BETA: f64 = 0.65;
 
-impl FlowChurn {
-    pub fn new(min_flows: usize, max_flows: usize, mean_sojourn_s: f64, seed: u64) -> Self {
-        assert!(min_flows <= max_flows && mean_sojourn_s > 0.0);
-        FlowChurn {
-            min_flows,
-            max_flows,
-            mean_sojourn_s,
-            cur: min_flows,
-            until_t: 0.0,
-            rng: Prng::new(seed ^ 0xF10C),
-        }
-    }
-
-    /// Background-flow count at virtual time `t` (non-decreasing `t`).
-    pub fn flows_at(&mut self, t: f64) -> usize {
-        while t >= self.until_t {
-            let up = self.rng.below(2) == 1;
-            self.cur = if up {
-                (self.cur + 1).min(self.max_flows)
-            } else {
-                self.cur.saturating_sub(1).max(self.min_flows)
-            };
-            self.until_t += self.rng.exp(self.mean_sojourn_s);
-        }
-        self.cur
-    }
-}
+/// Consecutive zero-bandwidth virtual time after which
+/// [`SharedLink::transmit_secs`] gives up and reports an infinite transfer
+/// (dead link) instead of spinning.
+const MAX_STALL_SECS: f64 = 86_400.0;
 
 /// A point-to-point link shared with `n` co-located background flows.
 pub struct SharedLink {
     base_bw_bps: f64,
     background_flows: usize,
-    contention_beta: f64,
     fluct: Box<dyn Fluctuation>,
-    churn: Option<FlowChurn>,
-    /// Consecutive zero-bandwidth virtual time after which
-    /// [`transmit_secs`](SharedLink::transmit_secs) gives up and reports
-    /// an infinite transfer (dead link) instead of spinning.
-    max_stall_secs: f64,
 }
 
 impl SharedLink {
     pub fn new(base_bw_bps: f64, background_flows: usize, fluct: Box<dyn Fluctuation>) -> Self {
         assert!(base_bw_bps > 0.0);
-        SharedLink {
-            base_bw_bps,
-            background_flows,
-            contention_beta: 0.65,
-            fluct,
-            churn: None,
-            max_stall_secs: 86_400.0,
-        }
-    }
-
-    /// Overrides the contention coefficient β.
-    pub fn with_beta(mut self, beta: f64) -> Self {
-        assert!(beta >= 0.0);
-        self.contention_beta = beta;
-        self
+        SharedLink { base_bw_bps, background_flows, fluct }
     }
 
     /// Layers deterministic full outages (factor exactly 0.0) over the
@@ -110,28 +51,13 @@ impl SharedLink {
         self
     }
 
-    /// Makes the background-flow count time-varying. `background_flows`
-    /// from the constructor becomes irrelevant; the churn process rules.
-    pub fn with_flow_churn(mut self, churn: FlowChurn) -> Self {
-        self.churn = Some(churn);
-        self
-    }
-
-    /// Caps how long `transmit_secs` waits through consecutive dead-link
-    /// time before declaring the transfer infinite.
-    pub fn with_max_stall_secs(mut self, secs: f64) -> Self {
-        assert!(secs > 0.0);
-        self.max_stall_secs = secs;
-        self
-    }
-
     pub fn background_flows(&self) -> usize {
         self.background_flows
     }
 
     /// Long-run mean share of the foreground flow, ignoring fluctuation.
     pub fn nominal_share_bps(&self) -> f64 {
-        self.base_bw_bps / (1.0 + self.contention_beta * self.background_flows as f64)
+        self.base_bw_bps / (1.0 + CONTENTION_BETA * self.background_flows as f64)
     }
 
     /// Instantaneous foreground bandwidth at virtual time `t` (must be
@@ -143,12 +69,7 @@ impl SharedLink {
     /// [`transmit_secs`](SharedLink::transmit_secs) idles across such
     /// windows instead.
     pub fn bandwidth_at(&mut self, t: f64) -> f64 {
-        let n = match &mut self.churn {
-            Some(c) => c.flows_at(t),
-            None => self.background_flows,
-        };
-        let share = self.base_bw_bps / (1.0 + self.contention_beta * n as f64);
-        (share * self.fluct.factor_at(t)).max(0.0)
+        (self.nominal_share_bps() * self.fluct.factor_at(t)).max(0.0)
     }
 
     /// Time to transmit `bytes` starting at time `t`, integrating the
@@ -159,7 +80,7 @@ impl SharedLink {
     /// step; after ~1 s of continuous silence the probe interval doubles
     /// (capped at 60 s) so an hours-long outage costs thousands of
     /// samples, not millions. If the link stays dead for more than
-    /// `max_stall_secs` of consecutive virtual time the transfer is
+    /// `MAX_STALL_SECS` of consecutive virtual time the transfer is
     /// declared lost and `f64::INFINITY` is returned — the simulation
     /// never hangs on a link that will not come back.
     pub fn transmit_secs(&mut self, bytes: u64, t: f64) -> f64 {
@@ -175,7 +96,7 @@ impl SharedLink {
         while remaining > 0.0 {
             let bw = self.bandwidth_at(now);
             if bw <= 0.0 {
-                if stalled >= self.max_stall_secs {
+                if stalled >= MAX_STALL_SECS {
                     return f64::INFINITY;
                 }
                 // Exponential back-off probing once the outage outlives
@@ -271,12 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn beta_override() {
-        let l = SharedLink::new(100e6, 1, Box::new(Constant)).with_beta(1.0);
-        assert!((l.nominal_share_bps() - 50e6).abs() < 1e-6);
-    }
-
-    #[test]
     fn outages_stall_transfers_deterministically() {
         // 50 % availability on a 50 ms timescale: a multi-second transfer
         // is guaranteed to cross many dead windows.
@@ -314,8 +229,7 @@ mod tests {
                 0.0
             }
         }
-        let mut l =
-            SharedLink::new(100e6, 0, Box::new(Dead)).with_max_stall_secs(30.0);
+        let mut l = SharedLink::new(100e6, 0, Box::new(Dead));
         let secs = l.transmit_secs(1_000, 0.0);
         assert!(secs.is_infinite(), "dead link must not pretend to finish: {secs}");
         // Zero bytes still transmit instantly even on a dead link.
@@ -348,36 +262,5 @@ mod tests {
         let secs = l.transmit_secs(50_000_000, 0.0);
         // 0.1 s of transfer, ~600 s dead, remainder after resume.
         assert!(secs.is_finite() && secs > 599.0 && secs < 700.0, "got {secs}");
-    }
-
-    #[test]
-    fn flow_churn_varies_contention_deterministically() {
-        let mk = || {
-            SharedLink::new(100e6, 0, Box::new(Constant))
-                .with_flow_churn(FlowChurn::new(0, 3, 0.05, 11))
-        };
-        let (mut a, mut b) = (mk(), mk());
-        let mut distinct = std::collections::BTreeSet::new();
-        for i in 0..5_000 {
-            let t = i as f64 * 0.002;
-            let (x, y) = (a.bandwidth_at(t), b.bandwidth_at(t));
-            assert_eq!(x, y);
-            distinct.insert((x / 1e3) as i64);
-        }
-        assert!(distinct.len() >= 3, "churn should visit several contention levels: {distinct:?}");
-        // Churned transfers also stay deterministic end to end.
-        assert_eq!(
-            mk().transmit_secs(20_000_000, 0.0),
-            mk().transmit_secs(20_000_000, 0.0)
-        );
-    }
-
-    #[test]
-    fn flow_churn_walk_respects_bounds() {
-        let mut c = FlowChurn::new(1, 4, 0.01, 3);
-        for i in 0..20_000 {
-            let n = c.flows_at(i as f64 * 0.001);
-            assert!((1..=4).contains(&n), "walk escaped bounds: {n}");
-        }
     }
 }

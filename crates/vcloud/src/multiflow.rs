@@ -124,19 +124,10 @@ struct FlowState {
     level_app_bytes: Vec<u64>,
 }
 
-/// Runs the scenario to completion.
-pub fn run_multiflow(
-    cfg: &MultiFlowConfig,
-    speed: &SpeedModel,
-    flows: Vec<FlowSpec>,
-) -> MultiFlowOutcome {
-    run_multiflow_traced(cfg, speed, flows, TraceHandle::disabled())
-}
-
-/// [`run_multiflow`] with a trace sink: emits `flow_join` / `flow_leave`
-/// lifecycle events per flow and a periodic `link_arbitration` sample
-/// (active-flow count + per-flow share) so the arbitration behaviour that
-/// used to be invisible is reconstructible from the trace. All timestamps
+/// Runs the scenario to completion. An enabled `trace` receives
+/// `flow_join` / `flow_leave` lifecycle events per flow and a periodic
+/// `link_arbitration` sample (active-flow count + per-flow share), so the
+/// arbitration behaviour is reconstructible from the trace. All timestamps
 /// are virtual time.
 pub fn run_multiflow_traced(
     cfg: &MultiFlowConfig,
@@ -338,6 +329,10 @@ mod tests {
         }
     }
 
+    fn untraced(cfg: &MultiFlowConfig, speed: &SpeedModel, flows: Vec<FlowSpec>) -> MultiFlowOutcome {
+        run_multiflow_traced(cfg, speed, flows, TraceHandle::disabled())
+    }
+
     fn det_cfg() -> MultiFlowConfig {
         MultiFlowConfig { deterministic: true, ..Default::default() }
     }
@@ -345,7 +340,7 @@ mod tests {
     #[test]
     fn single_flow_matches_wire_bound_rate() {
         let speed = SpeedModel::paper_fit();
-        let out = run_multiflow(&det_cfg(), &speed, vec![spec("a", Class::High, Some(0), 1)]);
+        let out = untraced(&det_cfg(), &speed, vec![spec("a", Class::High, Some(0), 1)]);
         let rate = out.flows[0].mean_app_rate / 1e6;
         // Solo uncompressed ≈ the platform's ~100 MB/s wire rate.
         assert!((88.0..105.0).contains(&rate), "rate {rate}");
@@ -355,7 +350,7 @@ mod tests {
     #[test]
     fn two_equal_flows_share_fairly() {
         let speed = SpeedModel::paper_fit();
-        let out = run_multiflow(
+        let out = untraced(
             &det_cfg(),
             &speed,
             vec![spec("a", Class::Low, Some(0), 1), spec("b", Class::Low, Some(0), 1)],
@@ -372,14 +367,14 @@ mod tests {
     fn compressing_flow_frees_wire_for_the_other() {
         let speed = SpeedModel::paper_fit();
         // Both uncompressed baseline.
-        let base = run_multiflow(
+        let base = untraced(
             &det_cfg(),
             &speed,
             vec![spec("a", Class::High, Some(0), 1), spec("b", Class::Low, Some(0), 1)],
         );
         // Flow a compresses (LIGHT): its wire demand drops ~10×, so flow b
         // should finish markedly faster too.
-        let adaptive = run_multiflow(
+        let adaptive = untraced(
             &det_cfg(),
             &speed,
             vec![spec("a", Class::High, Some(1), 1), spec("b", Class::Low, Some(0), 1)],
@@ -396,7 +391,7 @@ mod tests {
     fn all_adaptive_beats_all_uncompressed_in_aggregate() {
         let speed = SpeedModel::paper_fit();
         let classes = [Class::High, Class::Moderate, Class::High];
-        let none = run_multiflow(
+        let none = untraced(
             &det_cfg(),
             &speed,
             classes
@@ -405,7 +400,7 @@ mod tests {
                 .map(|(i, &c)| spec(&format!("f{i}"), c, Some(0), 1))
                 .collect(),
         );
-        let all = run_multiflow(
+        let all = untraced(
             &det_cfg(),
             &speed,
             classes
@@ -425,7 +420,7 @@ mod tests {
     #[test]
     fn adaptive_controllers_do_not_starve_each_other() {
         let speed = SpeedModel::paper_fit();
-        let out = run_multiflow(
+        let out = untraced(
             &det_cfg(),
             &speed,
             vec![
@@ -449,7 +444,7 @@ mod tests {
     #[test]
     fn mismatched_volumes_finish_in_order() {
         let speed = SpeedModel::paper_fit();
-        let out = run_multiflow(
+        let out = untraced(
             &det_cfg(),
             &speed,
             vec![spec("small", Class::Low, Some(0), 1), spec("big", Class::Low, Some(0), 3)],
@@ -497,7 +492,7 @@ mod tests {
     fn deterministic_given_seed() {
         let speed = SpeedModel::paper_fit();
         let mk = || {
-            run_multiflow(
+            untraced(
                 &MultiFlowConfig { seed: 7, ..Default::default() },
                 &speed,
                 vec![spec("a", Class::Moderate, None, 1), spec("b", Class::High, Some(0), 1)],

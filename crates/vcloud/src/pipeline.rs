@@ -397,27 +397,6 @@ pub fn run_transfer_traced(
     }
 }
 
-/// Convenience: run the same configuration `reps` times with distinct
-/// seeds; returns completion times in seconds.
-pub fn run_repeated(
-    cfg: &TransferConfig,
-    speed: &SpeedModel,
-    make_schedule: impl Fn() -> Box<dyn ClassSchedule>,
-    make_model: impl Fn() -> Box<dyn DecisionModel>,
-    reps: usize,
-) -> Vec<f64> {
-    (0..reps)
-        .map(|r| {
-            let cfg_r = TransferConfig {
-                seed: cfg.seed.wrapping_add(r as u64 * 7919 + 13),
-                ..cfg.clone()
-            };
-            let mut sched = make_schedule();
-            run_transfer(&cfg_r, speed, sched.as_mut(), make_model()).completion_secs
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,13 +529,14 @@ mod tests {
             ..TransferConfig::paper_default()
         };
         let speed = SpeedModel::paper_fit();
-        let times = run_repeated(
-            &cfg,
-            &speed,
-            || Box::new(ConstantClass(Class::High)),
-            || Box::new(StaticModel::new(1, 4)),
-            5,
-        );
+        let times: Vec<f64> = (0..5u64)
+            .map(|r| {
+                let cfg_r = TransferConfig { seed: cfg.seed + r * 7919 + 13, ..cfg.clone() };
+                let mut sched = ConstantClass(Class::High);
+                run_transfer(&cfg_r, &speed, &mut sched, Box::new(StaticModel::new(1, 4)))
+                    .completion_secs
+            })
+            .collect();
         let mean = times.iter().sum::<f64>() / times.len() as f64;
         for t in &times {
             assert!((t / mean - 1.0).abs() < 0.2, "outlier {t} vs mean {mean}");

@@ -52,11 +52,6 @@ impl Platform {
     pub const ALL: [Platform; 5] =
         [Platform::Native, Platform::KvmFull, Platform::KvmPara, Platform::XenPara, Platform::Ec2];
 
-    /// Platforms that appear in Figure 1 (the native host has no
-    /// guest/host display gap by definition).
-    pub const VIRTUALIZED: [Platform; 4] =
-        [Platform::KvmPara, Platform::KvmFull, Platform::XenPara, Platform::Ec2];
-
     pub fn name(self) -> &'static str {
         match self {
             Platform::Native => "Native",

@@ -21,7 +21,7 @@ fn run(mode: CompressionMode, label: &str, class: Class, mb: u64) -> (f64, Chann
         }),
     );
     let receiver = g.add_vertex("receiver", Box::new(SinkTask::new()));
-    g.connect(sender, receiver, ChannelType::Network, mode).unwrap();
+    g.connect(sender, receiver, mode).unwrap();
 
     let exec = Executor {
         epoch_secs: 0.1, // fast adaptation for the demo

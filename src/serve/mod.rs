@@ -34,7 +34,7 @@ pub use cache::{BlockCache, CacheStats};
 pub use client::{drain, get, put, CappedModel, PutOptions, PutReport};
 pub use netsoak::{run_net_soak, NetSoakConfig, NetSoakSummary};
 pub use proto::{Done, RejectReason, Request, Response, NO_LEVEL_CAP};
-pub use server::{payload_crc, ServeConfig, ServeStats, Server};
+pub use server::{ServeConfig, ServeStats, Server};
 
 /// Test-only I/O wrapper behind the syscall-budget tests: every `read` or
 /// `write` that reaches the wrapped value stands for one syscall on a
@@ -76,6 +76,7 @@ pub(crate) mod testio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adcomp_codecs::crc32::crc32;
     use adcomp_corpus::Prng;
     use std::net::TcpStream;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -107,7 +108,7 @@ mod tests {
         let report = put(server.local_addr(), &data, &opts).unwrap();
         assert_eq!(report.attempts, 1);
         assert!(!report.resumed);
-        assert_eq!(report.crc, payload_crc(&data));
+        assert_eq!(report.crc, crc32(&data));
         assert_eq!(server.payload("t1", 7).unwrap(), data);
         assert!(server.is_completed("t1", 7));
         let stats = server.shutdown();
@@ -120,7 +121,7 @@ mod tests {
         let server = Server::start(test_config()).unwrap();
         let opts = PutOptions { tenant: "t".into(), transfer_id: 1, ..Default::default() };
         let report = put(server.local_addr(), &[], &opts).unwrap();
-        assert_eq!(report.crc, payload_crc(&[]));
+        assert_eq!(report.crc, crc32(&[]));
         assert!(server.is_completed("t", 1));
         server.shutdown();
     }

@@ -44,7 +44,7 @@ use super::proto::{
     read_request, write_done, write_response, Done, GetReply, RejectReason, Request, Response,
     NO_LEVEL_CAP,
 };
-use adcomp_codecs::crc32::{crc32, Hasher};
+use adcomp_codecs::crc32::Hasher;
 use adcomp_codecs::frame::{
     decode_block_with, RecoveryMode, RecoveryPolicy, DEFAULT_MAX_FRAME,
 };
@@ -104,8 +104,7 @@ pub struct ServeConfig {
     pub recovery: RecoveryPolicy,
     /// CPU pressure (0..1) at which the breaker opens.
     pub breaker_threshold: f64,
-    /// Pressure sampler; `None` disables the automatic breaker (the
-    /// manual [`Server::set_breaker`] still works).
+    /// Pressure sampler; `None` disables the automatic breaker.
     pub pressure_probe: Option<Arc<dyn Fn() -> f64 + Send + Sync>>,
     /// How often the breaker samples the probe.
     pub probe_interval: Duration,
@@ -402,7 +401,8 @@ impl Server {
     }
 
     /// Manually trips (or closes) the circuit breaker.
-    pub fn set_breaker(&self, open: bool) {
+    #[cfg(test)]
+    pub(crate) fn set_breaker(&self, open: bool) {
         self.shared.open_breaker(open);
     }
 
@@ -423,7 +423,8 @@ impl Server {
     }
 
     /// Verified prefix length of a transfer, if known.
-    pub fn verified_len(&self, tenant: &str, transfer_id: u64) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn verified_len(&self, tenant: &str, transfer_id: u64) -> Option<u64> {
         let transfers = self.shared.transfers.lock().expect("transfers poisoned");
         transfers.get(&(tenant.to_string(), transfer_id)).map(|t| t.verified)
     }
@@ -444,13 +445,15 @@ impl Server {
     /// Whether a completed transfer holds its compressed wire and block
     /// index (i.e. ranged GETs will be index-served rather than sliced
     /// from a retained decoded payload).
-    pub fn is_sealed(&self, tenant: &str, transfer_id: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_sealed(&self, tenant: &str, transfer_id: u64) -> bool {
         let transfers = self.shared.transfers.lock().expect("transfers poisoned");
         transfers.get(&(tenant.to_string(), transfer_id)).is_some_and(|t| t.sealed.is_some())
     }
 
     /// Whether a transfer has been received completely and CRC-verified.
-    pub fn is_completed(&self, tenant: &str, transfer_id: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_completed(&self, tenant: &str, transfer_id: u64) -> bool {
         let transfers = self.shared.transfers.lock().expect("transfers poisoned");
         transfers.get(&(tenant.to_string(), transfer_id)).is_some_and(|t| t.completed)
     }
@@ -1017,12 +1020,6 @@ fn read_range_sealed(
         ));
     }
     Ok(out)
-}
-
-/// Convenience for tests: CRC-32 of a payload, re-exported so callers
-/// don't need the codecs crate in scope.
-pub fn payload_crc(payload: &[u8]) -> u32 {
-    crc32(payload)
 }
 
 #[cfg(test)]

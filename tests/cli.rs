@@ -53,6 +53,28 @@ fn compress_decompress_file_roundtrip() {
     }
 }
 
+/// Four compress workers write the same bytes as one, and four decode
+/// workers read them back to the source.
+#[test]
+fn worker_count_changes_no_byte() {
+    let input = tmp("j-in.bin");
+    let data = adcomp::corpus::generate(adcomp::corpus::Class::Moderate, 2_000_000, 11);
+    std::fs::write(&input, &data).unwrap();
+    let run = |args: &[&str], from: &std::path::Path, to: &std::path::Path| {
+        let status = Command::new(bin()).args(args).arg(from).arg(to).status().unwrap();
+        assert!(status.success(), "{args:?}");
+        std::fs::read(to).unwrap()
+    };
+    let (one, four) = (tmp("j1.adc"), tmp("j4.adc"));
+    let serial = run(&["compress", "-l", "MEDIUM", "-j", "1"], &input, &one);
+    assert_eq!(run(&["compress", "-l", "MEDIUM", "-j", "4"], &input, &four), serial);
+    let output = tmp("j-out.bin");
+    assert_eq!(run(&["decompress", "-j", "4"], &four, &output), data);
+    for p in [&input, &one, &four, &output] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 #[test]
 fn stdin_stdout_pipeline_roundtrip() {
     let data = adcomp::corpus::generate(adcomp::corpus::Class::High, 1_000_000, 9);

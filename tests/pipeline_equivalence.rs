@@ -108,7 +108,7 @@ proptest! {
         let out = decompress(&piped, RecoveryPolicy::fail_fast(), workers);
         prop_assert_eq!(out.error, None);
         prop_assert_eq!(out.bytes, data);
-        prop_assert!(out.recovery.is_clean());
+        prop_assert_eq!(out.recovery, RecoveryStats::default());
     }
 
     /// Same property under the adaptive model: the level *trajectory* is a

@@ -3,7 +3,7 @@
 //! controller never leaves its level range, and sources conserve bytes.
 
 use adcomp::codecs::frame::{decode_block, encode_block};
-use adcomp::codecs::{codec_for, compress_fresh, decompress_fresh, CodecId};
+use adcomp::codecs::{codec_for, compress_fresh, CodecId, DecodeScratch};
 use adcomp::core::controller::{ControllerConfig, RateController};
 use adcomp::core::model::{EpochObservation, QueueBasedModel, ThresholdSamplingModel, DecisionModel};
 use adcomp::corpus::{ByteSource, CyclicSource, SwitchingSource};
@@ -18,7 +18,7 @@ proptest! {
         let mut wire = Vec::new();
         compress_fresh(codec, &data, &mut wire);
         let mut out = Vec::new();
-        decompress_fresh(codec, &wire, data.len(), &mut out).unwrap();
+        codec.decompress_with(&mut DecodeScratch::new(), &wire, data.len(), &mut out).unwrap();
         prop_assert_eq!(out, data);
     }
 
@@ -28,7 +28,7 @@ proptest! {
         let mut wire = Vec::new();
         compress_fresh(codec, &data, &mut wire);
         let mut out = Vec::new();
-        decompress_fresh(codec, &wire, data.len(), &mut out).unwrap();
+        codec.decompress_with(&mut DecodeScratch::new(), &wire, data.len(), &mut out).unwrap();
         prop_assert_eq!(out, data);
     }
 
@@ -38,7 +38,7 @@ proptest! {
         let mut wire = Vec::new();
         compress_fresh(codec, &data, &mut wire);
         let mut out = Vec::new();
-        decompress_fresh(codec, &wire, data.len(), &mut out).unwrap();
+        codec.decompress_with(&mut DecodeScratch::new(), &wire, data.len(), &mut out).unwrap();
         prop_assert_eq!(out, data);
     }
 
@@ -60,7 +60,7 @@ proptest! {
             let mut wire = Vec::new();
             compress_fresh(codec, &data, &mut wire);
             let mut out = Vec::new();
-            decompress_fresh(codec, &wire, data.len(), &mut out).unwrap();
+            codec.decompress_with(&mut DecodeScratch::new(), &wire, data.len(), &mut out).unwrap();
             prop_assert_eq!(&out, &data, "codec {}", id);
         }
     }
@@ -126,9 +126,15 @@ proptest! {
         let mut q = QueueBasedModel::new(4);
         let mut s = ThresholdSamplingModel::new(4, 7);
         for (r, d) in rates.iter().zip(depths.iter().cycle()) {
-            let mut obs = EpochObservation::rate_only(*r, 2.0);
-            obs.queue_depth = *d;
-            obs.queue_capacity = 16;
+            let obs = EpochObservation {
+                app_rate: *r,
+                epoch_secs: 2.0,
+                queue_depth: *d,
+                queue_capacity: 16,
+                guest: None,
+                observed_ratio: None,
+                data_entropy: None,
+            };
             prop_assert!(q.decide(&obs) < 4);
             prop_assert!(s.decide(&obs) < 4);
         }
