@@ -17,14 +17,19 @@
 //! RLE-over-dictionary: run *values* are dictionary indices, so a column
 //! of long runs over a tiny alphabet pays ~`(w bits + varint)` per run.
 //!
-//! All compressor state lives in stack arrays — the scratch path is
-//! allocation-free by construction. Decoders are bounds-hardened: typed
-//! [`CodecError`]s on damage, never panics, and the independent per-bit
-//! oracle (`tests/reference/mod.rs::columnar_reference`, compiled only under
-//! test) is pinned to identical output and identical errors by the
-//! differential oracle suite.
+//! The encoder finds a block's runs once, a word at a time, into a run list
+//! held by [`Scratch`] (at most `ceil(n/2)` ends: past `n/2` runs only
+//! verbatim and the dictionary can win, and the byte set settles those),
+//! and writes the winner from that list through the token span; steady
+//! state is allocation-free. The byte-at-a-time encoder it replaced is the
+//! test-only oracle `tests/reference/mod.rs::columnar_compress_reference`,
+//! held byte-identical by the differential suite. Decoders are
+//! bounds-hardened: typed [`CodecError`]s on damage, never panics, and the
+//! independent per-bit oracle (`columnar_reference`, also test-only) is
+//! pinned to identical output and identical errors.
 
-use crate::{CodecError, Result};
+use crate::scratch::{ensure_len_uninit, token_span};
+use crate::{CodecError, Result, Scratch};
 
 const SCHEME_VERBATIM: u8 = 0;
 const SCHEME_RLE: u8 = 1;
@@ -43,17 +48,17 @@ fn varint_len(v: u32) -> usize {
     }
 }
 
+/// `v` as a LEB128 varint in the low bytes of a word, and its byte count.
 #[inline]
-fn push_varint(out: &mut Vec<u8>, mut v: u32) {
-    loop {
-        let b = (v & 0x7F) as u8;
+fn varint_word(mut v: u32) -> (u64, usize) {
+    let mut word = 0u64;
+    let mut len = 0;
+    while v >= 0x80 {
+        word |= (u64::from(v as u8) | 0x80) << (8 * len);
         v >>= 7;
-        if v == 0 {
-            out.push(b);
-            break;
-        }
-        out.push(b | 0x80);
+        len += 1;
     }
+    (word | u64::from(v) << (8 * len), len + 1)
 }
 
 /// Reads a LEB128 varint at `pos`; advances `pos`.
@@ -88,60 +93,106 @@ fn index_width(d: usize) -> u32 {
     }
 }
 
-/// One-pass block statistics driving scheme selection.
-struct Stats {
-    /// Number of maximal runs.
-    runs: usize,
-    /// Σ varint_len(run length) over all runs.
-    run_varint_bytes: usize,
-    /// Distinct byte values.
-    distinct: usize,
-    /// Presence per byte value (for the sorted dictionary).
-    present: [bool; 256],
+/// The run ends in `input[i + 1..i + 9]` as a mask of byte top bits:
+/// bytes `i..i + 8` XORed with bytes `i + 1..i + 9` are nonzero at byte `j`
+/// exactly when a run ends at `i + j + 1`, and the low 7 bits of a byte
+/// carry into its top bit (never past it) unless they are zero.
+#[inline(always)]
+fn end_mask(input: &[u8], i: usize) -> u64 {
+    const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
+    let a = u64::from_le_bytes(input[i..i + 8].try_into().unwrap());
+    let b = u64::from_le_bytes(input[i + 1..i + 9].try_into().unwrap());
+    let x = a ^ b;
+    ((x & LOW7).wrapping_add(LOW7) | x) & !LOW7
 }
 
-fn scan(input: &[u8]) -> Stats {
-    let mut present = [false; 256];
-    let mut runs = 0usize;
-    let mut run_varint_bytes = 0usize;
+/// Finds the maximal runs of `input` (non-empty) a word at a time and
+/// writes the end (exclusive) of each into `ends` in order; returns how
+/// many, or `None` once `n / 2` runs have ended before the last one.
+///
+/// A word inside a run costs two loads and a compare; a word with run
+/// ends has its [`end_mask`] walked with `trailing_zeros`.
+///
+/// The stop: `b` known run ends mean at least `b + 1` runs, and from `n / 2`
+/// runs on neither RLE (`1 + runs + Σ varints ≥ 1 + 2·runs ≥ 1 + n`, the
+/// verbatim size, which wins ties) nor the cascade (longer than the
+/// dictionary: its indices alone need `ceil(runs·w/8)` bytes and its
+/// lengths at least `runs`, together more than `ceil(n·w/8)`) can be the
+/// smallest. So `ends` needs `ceil(n/2)` entries and no more.
+fn find_runs(input: &[u8], ends: &mut [u32]) -> Option<usize> {
+    let n = input.len();
+    let stop = n / 2;
+    let mut k = 0usize;
     let mut i = 0usize;
-    while i < input.len() {
-        let v = input[i];
-        present[v as usize] = true;
-        let mut j = i + 1;
-        while j < input.len() && input[j] == v {
-            j += 1;
+    while i + 9 <= n {
+        let mut mask = end_mask(input, i);
+        while mask != 0 {
+            ends[k] = (i + (mask.trailing_zeros() / 8) as usize + 1) as u32;
+            k += 1;
+            if k == stop {
+                return None;
+            }
+            mask &= mask - 1;
         }
-        runs += 1;
-        run_varint_bytes += varint_len((j - i) as u32);
-        i = j;
+        i += 8;
     }
-    let distinct = present.iter().filter(|&&p| p).count();
-    Stats { runs, run_varint_bytes, distinct, present }
+    while i + 1 < n {
+        if input[i] != input[i + 1] {
+            ends[k] = (i + 1) as u32;
+            k += 1;
+            if k == stop {
+                return None;
+            }
+        }
+        i += 1;
+    }
+    ends[k] = n as u32;
+    Some(k + 1)
 }
 
-/// Compresses `input`, appending the scheme byte + payload to `out`.
-/// Pure: the chosen scheme and every output byte are a deterministic
-/// function of `input` alone.
-pub fn compress(input: &[u8], out: &mut Vec<u8>) {
+/// Compresses `input` using reusable working memory, appending the scheme
+/// byte + payload to `out`. Pure: the chosen scheme and every output byte
+/// are a deterministic function of `input` alone.
+///
+/// One pass finds the runs (`find_runs`, into `Scratch::run_ends`); the
+/// stats (runs, their varint bytes, the byte set) come from that list, and
+/// the winner is written from it into the token span (`Scratch::tokens`)
+/// through a cursor and appended to `out` once.
+pub fn compress(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
     let n = input.len();
     if n == 0 {
         out.push(SCHEME_VERBATIM);
         return;
     }
-    let st = scan(input);
-    let w = index_width(st.distinct);
+    debug_assert!(n <= u32::MAX as usize, "run ends are u32");
+    ensure_len_uninit(&mut scratch.run_ends, n.div_ceil(2));
+    let runs = find_runs(input, &mut scratch.run_ends[..n.div_ceil(2)]);
+    let ends = &scratch.run_ends[..runs.unwrap_or(0)];
 
+    let mut present = [false; 256];
+    let mut run_varint_bytes = 0usize;
+    if runs.is_some() {
+        let mut start = 0;
+        for &end in ends {
+            present[input[start] as usize] = true;
+            run_varint_bytes += varint_len(end - start as u32);
+            start = end as usize;
+        }
+    } else {
+        input.iter().for_each(|&b| present[b as usize] = true);
+    }
+    let distinct = present.iter().filter(|&&p| p).count();
+    let w = index_width(distinct);
+
+    // Exact sizes; a scheme that cannot win (RLE and the cascade past the
+    // stop, dict and the cascade over 256 values) is `usize::MAX`.
     let verbatim = 1 + n;
-    let rle = 1 + st.runs + st.run_varint_bytes;
-    let (dict, cascade) = if st.distinct <= 255 {
-        let d = st.distinct;
-        let dict = 2 + d + (n * w as usize).div_ceil(8);
-        let cascade = 2
-            + d
-            + varint_len(st.runs as u32)
-            + (st.runs * w as usize).div_ceil(8)
-            + st.run_varint_bytes;
+    let rle = runs.map_or(usize::MAX, |r| 1 + r + run_varint_bytes);
+    let (dict, cascade) = if distinct <= 255 {
+        let dict = 2 + distinct + (n * w as usize).div_ceil(8);
+        let cascade = runs.map_or(usize::MAX, |r| {
+            2 + distinct + varint_len(r as u32) + (r * w as usize).div_ceil(8) + run_varint_bytes
+        });
         (dict, cascade)
     } else {
         (usize::MAX, usize::MAX)
@@ -151,88 +202,107 @@ pub fn compress(input: &[u8], out: &mut Vec<u8>) {
     if best == verbatim {
         out.push(SCHEME_VERBATIM);
         out.extend_from_slice(input);
-    } else if best == rle {
-        out.push(SCHEME_RLE);
-        emit_runs(input, out, |out, v, len| {
-            out.push(v);
-            push_varint(out, len);
-        });
+        return;
+    }
+    let mut s = Span {
+        span: token_span(&mut scratch.tokens, best + Span::SLACK),
+        pos: 0,
+    };
+    if best == rle {
+        s.byte(SCHEME_RLE);
+        let mut start = 0;
+        for &end in ends {
+            let (len, len_bytes) = varint_word(end - start);
+            s.store(u64::from(input[start as usize]) | len << 8, 1 + len_bytes);
+            start = end;
+        }
     } else if best == dict {
-        out.push(SCHEME_DICT);
-        let rank = emit_dict(&st, out);
-        let mut packer = BitPacker::new();
-        for &b in input {
-            packer.push(out, rank[b as usize] as u32, w);
-        }
-        packer.finish(out);
+        s.byte(SCHEME_DICT);
+        let rank = s.dict(&present, distinct);
+        s.indices(n, |i| input[i], &rank, w);
     } else {
-        out.push(SCHEME_CASCADE);
-        let rank = emit_dict(&st, out);
-        push_varint(out, st.runs as u32);
-        let mut packer = BitPacker::new();
-        emit_runs(input, out, |out, v, _len| {
-            packer.push(out, rank[v as usize] as u32, w);
-        });
-        packer.finish(out);
-        emit_runs(input, out, |out, _v, len| push_varint(out, len));
-    }
-}
-
-/// Walks maximal runs of `input`, invoking `f(out, value, run_len)`.
-#[inline]
-fn emit_runs(input: &[u8], out: &mut Vec<u8>, mut f: impl FnMut(&mut Vec<u8>, u8, u32)) {
-    let mut i = 0usize;
-    while i < input.len() {
-        let v = input[i];
-        let mut j = i + 1;
-        while j < input.len() && input[j] == v {
-            j += 1;
-        }
-        f(out, v, (j - i) as u32);
-        i = j;
-    }
-}
-
-/// Writes `d` + the sorted dictionary, returning the value→rank table.
-fn emit_dict(st: &Stats, out: &mut Vec<u8>) -> [u8; 256] {
-    out.push(st.distinct as u8); // 1..=255 by construction
-    let mut rank = [0u8; 256];
-    let mut next = 0u8;
-    for (v, slot) in rank.iter_mut().enumerate() {
-        if st.present[v] {
-            out.push(v as u8);
-            *slot = next;
-            next = next.wrapping_add(1);
+        s.byte(SCHEME_CASCADE);
+        let rank = s.dict(&present, distinct);
+        s.varint(ends.len() as u32);
+        // Each run's value is the byte that opens it.
+        let value = |run: usize| input[if run == 0 { 0 } else { ends[run - 1] as usize }];
+        s.indices(ends.len(), value, &rank, w);
+        let mut start = 0;
+        for &end in ends {
+            s.varint(end - start);
+            start = end;
         }
     }
-    rank
+    debug_assert_eq!(s.pos, best, "exact size");
+    out.extend_from_slice(&s.span[..s.pos]);
 }
 
-/// LSB-first bit packer appending whole bytes to the output.
-struct BitPacker {
-    acc: u64,
-    nbits: u32,
+/// Writer over the token span (see `crate::scratch`): a cursor, and
+/// stores of a whole word of which only the first bytes count — the rest
+/// lands past the cursor, where the next item overwrites it.
+struct Span<'a> {
+    span: &'a mut [u8],
+    pos: usize,
 }
 
-impl BitPacker {
-    fn new() -> Self {
-        BitPacker { acc: 0, nbits: 0 }
+impl Span<'_> {
+    /// Room past the stream's exact size: each 8-byte store carries at
+    /// least one byte of the stream, so it ends at most 7 bytes past it.
+    const SLACK: usize = 7;
+
+    #[inline]
+    fn byte(&mut self, b: u8) {
+        self.span[self.pos] = b;
+        self.pos += 1;
+    }
+
+    /// Stores `word` and keeps its low `len` bytes (`1..=8`).
+    #[inline]
+    fn store(&mut self, word: u64, len: usize) {
+        self.span[self.pos..self.pos + 8].copy_from_slice(&word.to_le_bytes());
+        self.pos += len;
     }
 
     #[inline]
-    fn push(&mut self, out: &mut Vec<u8>, bits: u32, n: u32) {
-        self.acc |= (bits as u64) << self.nbits;
-        self.nbits += n;
-        while self.nbits >= 8 {
-            out.push(self.acc as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
-        }
+    fn varint(&mut self, v: u32) {
+        let (word, len) = varint_word(v);
+        self.store(word, len);
     }
 
-    fn finish(self, out: &mut Vec<u8>) {
-        if self.nbits > 0 {
-            out.push(self.acc as u8);
+    /// Writes `d` + the sorted dictionary, returning the value→rank table.
+    fn dict(&mut self, present: &[bool; 256], distinct: usize) -> [u8; 256] {
+        self.byte(distinct as u8); // 1..=255 by construction
+        let mut rank = [0u8; 256];
+        let mut next = 0u8;
+        for (v, slot) in rank.iter_mut().enumerate() {
+            if present[v] {
+                self.byte(v as u8);
+                *slot = next;
+                next = next.wrapping_add(1);
+            }
+        }
+        rank
+    }
+
+    /// Packs the `w`-bit ranks of `value(0..count)` LSB-first. Eight
+    /// indices fill exactly `w` bytes, so each group of eight is one store;
+    /// a last, partial group keeps the bytes its bits reach.
+    #[inline]
+    fn indices(&mut self, count: usize, value: impl Fn(usize) -> u8, rank: &[u8; 256], w: u32) {
+        if w == 0 {
+            return;
+        }
+        let group = |from: usize, len: usize| {
+            (0..len).fold(0u64, |acc, j| {
+                acc | u64::from(rank[value(from + j) as usize]) << (j as u32 * w)
+            })
+        };
+        let whole = count / 8 * 8;
+        for from in (0..whole).step_by(8) {
+            self.store(group(from, 8), w as usize);
+        }
+        if count > whole {
+            self.store(group(whole, count - whole), ((count - whole) * w as usize).div_ceil(8));
         }
     }
 }
@@ -388,11 +458,14 @@ pub fn decompress(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::columnar_reference;
+    use crate::reference::{columnar_compress_reference, columnar_reference};
 
     fn roundtrip(data: &[u8]) -> u8 {
         let mut wire = Vec::new();
-        compress(data, &mut wire);
+        compress(&mut Scratch::new(), data, &mut wire);
+        let mut oracle = Vec::new();
+        columnar_compress_reference(data, &mut oracle);
+        assert_eq!(wire, oracle, "encoder and oracle differ");
         let mut out = Vec::new();
         decompress(&wire, data.len(), &mut out).unwrap();
         assert_eq!(out, data);
@@ -437,7 +510,7 @@ mod tests {
     fn ratio_on_run_heavy_blocks() {
         let runs: Vec<u8> = (0..128).flat_map(|i| vec![(i % 5) as u8; 1000]).collect();
         let mut wire = Vec::new();
-        compress(&runs, &mut wire);
+        compress(&mut Scratch::new(), &runs, &mut wire);
         assert!(wire.len() < runs.len() / 50, "{} of {}", wire.len(), runs.len());
     }
 
@@ -445,7 +518,7 @@ mod tests {
     fn damage_yields_typed_errors() {
         let data: Vec<u8> = (0..2000).map(|i| [5u8, 6, 7][i % 3]).collect();
         let mut wire = Vec::new();
-        compress(&data, &mut wire);
+        compress(&mut Scratch::new(), &data, &mut wire);
         for keep in 0..wire.len() {
             let mut out = Vec::new();
             assert!(
@@ -469,14 +542,40 @@ mod tests {
         );
     }
 
+    /// The word-at-a-time finder against the byte loop, at every length
+    /// 0..=40 (every position of a boundary in and after the last word) and
+    /// every run shape a 3-letter alphabet gives, with the run list cut to
+    /// `ceil(n/2)` entries as `compress` cuts it.
+    #[test]
+    fn find_runs_matches_the_byte_loop() {
+        for n in 1..=40usize {
+            for seed in 0..64u32 {
+                let data: Vec<u8> = (0..n as u32)
+                    .map(|i| ((i ^ seed).wrapping_mul(2_654_435_761) >> (seed % 29)) as u8 % 3)
+                    .collect();
+                let mut naive: Vec<u32> =
+                    (1..n).filter(|&i| data[i] != data[i - 1]).map(|i| i as u32).collect();
+                naive.push(n as u32);
+                let mut ends = vec![0u32; n.div_ceil(2)];
+                match find_runs(&data, &mut ends) {
+                    Some(k) => assert_eq!(&ends[..k], &naive[..], "n={n} seed={seed}"),
+                    None => assert!(2 * naive.len() > n, "stopped at {} runs, n={n}", naive.len()),
+                }
+                if 2 * naive.len() > n + 1 {
+                    assert_eq!(find_runs(&data, &mut ends), None, "n={n} seed={seed}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn varint_boundaries() {
         for v in [0u32, 1, 127, 128, 16383, 16384, 1 << 21, u32::MAX] {
-            let mut buf = Vec::new();
-            push_varint(&mut buf, v);
-            assert_eq!(buf.len(), varint_len(v));
+            let (word, len) = varint_word(v);
+            let buf = &word.to_le_bytes()[..len];
+            assert_eq!(len, varint_len(v));
             let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
+            assert_eq!(read_varint(buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());
         }
         // 5-byte varint with illegal high bits → corrupt, not wraparound.

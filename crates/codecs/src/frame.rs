@@ -595,10 +595,6 @@ enum FillOutcome {
 }
 
 impl<R: Read> FrameReader<R> {
-    pub fn new(inner: R) -> Self {
-        FrameReader::with_policy(inner, RecoveryPolicy::default())
-    }
-
     /// A reader with an explicit [`RecoveryPolicy`] (untraced).
     pub fn with_policy(inner: R, policy: RecoveryPolicy) -> Self {
         FrameReader::with_sink(inner, policy, NullSink)
@@ -1186,7 +1182,7 @@ mod tests {
             }
             assert_eq!(w.blocks, 4);
         }
-        let mut r = FrameReader::new(&wire[..]);
+        let mut r = FrameReader::with_policy(&wire[..], RecoveryPolicy::default());
         let mut i = 0;
         loop {
             let mut out = Vec::new();
@@ -1214,7 +1210,7 @@ mod tests {
         assert_eq!(info.codec, CodecId::QlzLight);
         flipped[3] |= FLAG_INDEX;
 
-        let mut r = FrameReader::new(&flipped[..]);
+        let mut r = FrameReader::with_policy(&flipped[..], RecoveryPolicy::default());
         let mut out = Vec::new();
         let err = r.read_block(&mut out).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -1243,7 +1239,7 @@ mod tests {
         let data = b"some data".to_vec();
         let mut wire = Vec::new();
         encode_block(&RawCodec, &data, &mut wire);
-        let mut r = FrameReader::new(&wire[..HEADER_LEN - 3]);
+        let mut r = FrameReader::with_policy(&wire[..HEADER_LEN - 3], RecoveryPolicy::default());
         let mut out = Vec::new();
         assert!(r.read_block(&mut out).is_err());
     }

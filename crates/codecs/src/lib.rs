@@ -323,8 +323,8 @@ impl Codec for ColumnarCodec {
     fn id(&self) -> CodecId {
         CodecId::Columnar
     }
-    fn compress_with(&self, _: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
-        columnar::compress(input, out);
+    fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
+        columnar::compress(scratch, input, out);
     }
     fn decompress_with(
         &self,
@@ -368,13 +368,6 @@ impl LevelSet {
     /// The four levels of the paper's prototype.
     pub fn paper_default() -> Self {
         LevelSet { levels: CodecId::ALL.to_vec() }
-    }
-
-    /// A custom ordering; level 0 must be [`CodecId::Raw`].
-    pub fn new(levels: Vec<CodecId>) -> Self {
-        assert!(!levels.is_empty(), "need at least one level");
-        assert_eq!(levels[0], CodecId::Raw, "level 0 must be no-compression");
-        LevelSet { levels }
     }
 
     pub fn len(&self) -> usize {
@@ -483,12 +476,6 @@ mod tests {
                 assert_eq!(d, d_reused, "decompress {id} len {}", data.len());
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "level 0 must be no-compression")]
-    fn custom_level_set_requires_raw_first() {
-        LevelSet::new(vec![CodecId::QlzLight]);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! never influence the parse. A regression test in `qlz` asserts the
 //! bit-identity.
 //!
-//! **The token span** (`tokens`). The three token encoders (LIGHT, MEDIUM,
-//! HUFF) do not grow `out` per token: each writes its stream into this span
+//! **The token span** (`tokens`). The encoders of LIGHT, MEDIUM, HUFF and
+//! COLUMNAR do not grow `out` per item: each writes its stream into this span
 //! through a cursor and appends `span[..cursor]` to `out` once at the end —
 //! the encode-side mirror of the decoders' window (`crate::window`). The
 //! span is grown to the encoder's worst case for the block (every byte a
@@ -45,8 +45,13 @@ pub struct Scratch {
     pub(crate) heavy: Option<Box<crate::heavy::HeavyScratch>>,
     /// HUFF: single-probe hash table (`1 << 15` entries once used).
     pub(crate) huff_table: Vec<u32>,
-    /// LIGHT, MEDIUM and HUFF: the token span (see the module docs).
+    /// LIGHT, MEDIUM, HUFF and COLUMNAR: the token span (see the module
+    /// docs).
     pub(crate) tokens: Vec<u8>,
+    /// COLUMNAR: the block's run ends, at most `ceil(n/2)` of them (grown
+    /// to the largest block seen; only the entries written for the current
+    /// block are read).
+    pub(crate) run_ends: Vec<u32>,
     /// HEAVY: the last compressed payload size — a capacity hint for the
     /// next block's output (the range coder appends to `out` directly).
     pub(crate) last_out: usize,
@@ -63,6 +68,7 @@ impl Scratch {
             heavy: None,
             huff_table: Vec::new(),
             tokens: Vec::new(),
+            run_ends: Vec::new(),
             last_out: 0,
         }
     }
@@ -95,7 +101,8 @@ impl Scratch {
         (self.light_table.capacity()
             + self.med_long_head.capacity()
             + self.med_short_head.capacity()
-            + self.huff_table.capacity())
+            + self.huff_table.capacity()
+            + self.run_ends.capacity())
             * 4
             + (self.med_long_link.capacity() + self.med_short_link.capacity()) * 2
             + self.tokens.capacity()

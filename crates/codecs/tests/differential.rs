@@ -18,8 +18,8 @@ use proptest::prelude::*;
 #[allow(dead_code)] // every suite uses its own subset of the oracles
 mod reference;
 use reference::{
-    assert_agree, assert_agree_near, columnar_reference, huff_reference, DIST_BASE, DIST_EXTRA,
-    LEN_BASE, LEN_EXTRA,
+    assert_agree, assert_agree_near, columnar_compress_reference, columnar_reference,
+    huff_reference, DIST_BASE, DIST_EXTRA, LEN_BASE, LEN_EXTRA,
 };
 
 fn huff_agree(input: &[u8], expected_len: usize) {
@@ -85,6 +85,45 @@ fn huff_stream(lead: usize, len: usize, dist: usize, tail: usize) -> Vec<u8> {
 
 fn columnar_agree(input: &[u8], expected_len: usize) {
     assert_agree(columnar::decompress, columnar_reference, input, expected_len);
+}
+
+/// `n` bytes of runs: lengths uniform in `1..=max_run`, values uniform in
+/// `0..alphabet` (splitmix64 from `seed`; a value may repeat, merging two
+/// runs).
+fn run_shaped(n: usize, max_run: usize, alphabet: usize, seed: u64) -> Vec<u8> {
+    let mut s = seed;
+    let mut next = move |bound: usize| {
+        s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = s;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % bound as u64) as usize
+    };
+    let mut out = Vec::with_capacity(n);
+    while out.len() < n {
+        let v = next(alphabet) as u8;
+        let len = (1 + next(max_run)).min(n - out.len());
+        out.extend(std::iter::repeat_n(v, len));
+    }
+    out
+}
+
+/// The COLUMNAR encoder against the byte-at-a-time encoder it replaced, on
+/// one block through a fresh scratch and through one a larger block of
+/// another shape has just used (its run list and span hold that block's
+/// bytes).
+fn columnar_encoder_agrees(data: &[u8]) {
+    let mut oracle = Vec::new();
+    columnar_compress_reference(data, &mut oracle);
+    let mut fresh = Vec::new();
+    columnar::compress(&mut Scratch::new(), data, &mut fresh);
+    assert_eq!(fresh, oracle, "fresh scratch, {} bytes", data.len());
+    let mut scratch = Scratch::new();
+    let dirty = run_shaped(128 * 1024 + 1, 40, 7, data.len() as u64);
+    columnar::compress(&mut scratch, &dirty, &mut Vec::new());
+    let mut reused = Vec::new();
+    columnar::compress(&mut scratch, data, &mut reused);
+    assert_eq!(reused, oracle, "reused scratch, {} bytes", data.len());
 }
 
 proptest! {
@@ -161,11 +200,35 @@ proptest! {
         data in proptest::collection::vec(0u8..12, 0..4096),
     ) {
         let mut wire = Vec::new();
-        columnar::compress(&data, &mut wire);
+        columnar::compress(&mut Scratch::new(), &data, &mut wire);
         columnar_agree(&wire, data.len());
         let mut out = Vec::new();
         columnar::decompress(&wire, data.len(), &mut out).unwrap();
         prop_assert_eq!(out, data);
+    }
+
+    /// The encoder is byte-identical to its oracle on run-shaped blocks:
+    /// lengths 0..=300, on both sides of a multiple of 8 (where the word
+    /// loop hands over to its byte tail) and 128 KiB; run lengths up to
+    /// 1..=300, and half the time up to 1..=4, which puts blocks on both
+    /// sides of the `n / 2` runs at which the encoder stops recording them
+    /// (runs of 1..=3 average `n / 2`); alphabets of 1..=256 values.
+    #[test]
+    fn columnar_encoder_matches_its_oracle(
+        len_kind in 0u8..3,
+        short in 0usize..=300,
+        words in 1usize..=64,
+        nudge in 0usize..=2,
+        max_run in prop_oneof![1usize..=300, 1usize..=4],
+        alphabet in 1usize..=256,
+        seed in any::<u64>(),
+    ) {
+        let n = match len_kind {
+            0 => short,
+            1 => 8 * words + nudge - 1,
+            _ => 128 * 1024,
+        };
+        columnar_encoder_agrees(&run_shaped(n, max_run, alphabet, seed));
     }
 
     /// Bit-flipped COLUMNAR streams.
@@ -176,7 +239,7 @@ proptest! {
         xor in 1u8..=255,
     ) {
         let mut wire = Vec::new();
-        columnar::compress(&data, &mut wire);
+        columnar::compress(&mut Scratch::new(), &data, &mut wire);
         let pos = flip.index(wire.len());
         wire[pos] ^= xor;
         columnar_agree(&wire, data.len());
@@ -189,7 +252,7 @@ proptest! {
         cut in any::<prop::sample::Index>(),
     ) {
         let mut wire = Vec::new();
-        columnar::compress(&data, &mut wire);
+        columnar::compress(&mut Scratch::new(), &data, &mut wire);
         let keep = cut.index(wire.len());
         columnar_agree(&wire[..keep], data.len());
     }
@@ -201,7 +264,7 @@ proptest! {
         declared in 0usize..2048,
     ) {
         let mut wire = Vec::new();
-        columnar::compress(&data, &mut wire);
+        columnar::compress(&mut Scratch::new(), &data, &mut wire);
         columnar_agree(&wire, declared);
     }
 
@@ -236,6 +299,26 @@ proptest! {
     }
 }
 
+/// Blocks with one run fewer than the encoder's stop (`n / 2` known run
+/// ends), exactly at it and past it, over a dictionary-sized and a
+/// 256-value alphabet, and 128 KiB of each corpus class.
+#[test]
+fn columnar_encoder_matches_its_oracle_at_the_stop() {
+    for n in [16usize, 17, 4096, 4097, 128 * 1024] {
+        for alphabet in [3usize, 200, 256] {
+            for runs in n / 2 - 1..=n / 2 + 2 {
+                // `runs - 1` one-byte runs whose neighbours differ, then
+                // one run to the end.
+                let data: Vec<u8> = (0..n).map(|i| (i.min(runs - 1) % alphabet) as u8).collect();
+                columnar_encoder_agrees(&data);
+            }
+        }
+    }
+    for class in [Class::High, Class::Moderate, Class::Low] {
+        columnar_encoder_agrees(&generate(class, 128 * 1024, 5));
+    }
+}
+
 /// Real corpus blocks through both decoder pairs, all three classes.
 #[test]
 fn portfolio_decoders_agree_on_corpus_blocks() {
@@ -249,7 +332,7 @@ fn portfolio_decoders_agree_on_corpus_blocks() {
         assert_eq!(out, data, "huff {class:?}");
 
         let mut wire = Vec::new();
-        columnar::compress(&data, &mut wire);
+        columnar::compress(&mut Scratch::new(), &data, &mut wire);
         columnar_agree(&wire, data.len());
         let mut out = Vec::new();
         columnar::decompress(&wire, data.len(), &mut out).unwrap();

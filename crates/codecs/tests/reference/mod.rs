@@ -10,7 +10,8 @@
 //!
 //! The contract, per decoder: **identical output bytes, identical
 //! [`CodecError`] and identical partial output before the error** on every
-//! input — valid, flipped, truncated, wrong declared length.
+//! input — valid, flipped, truncated, wrong declared length. Per encoder
+//! (`columnar_compress_reference`): identical output bytes on every input.
 
 use adcomp_codecs::{CodecError, Result};
 
@@ -227,6 +228,150 @@ pub fn huff_reference(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> R
 }
 
 // --- columnar -------------------------------------------------------------
+
+/// Byte-at-a-time `columnar::compress`, the encoder it replaced: one pass
+/// that walks every run byte by byte for the stats, exact sizes of the four
+/// schemes (ties to the lower id), then the winner written with `push`es —
+/// the runs walked again for RLE, twice more for the cascade.
+pub fn columnar_compress_reference(input: &[u8], out: &mut Vec<u8>) {
+    const SCHEME_VERBATIM: u8 = 0;
+    const SCHEME_RLE: u8 = 1;
+    const SCHEME_DICT: u8 = 2;
+    const SCHEME_CASCADE: u8 = 3;
+
+    fn varint_len(v: u32) -> usize {
+        match v {
+            0..=0x7F => 1,
+            0x80..=0x3FFF => 2,
+            0x4000..=0x1F_FFFF => 3,
+            0x20_0000..=0xFFF_FFFF => 4,
+            _ => 5,
+        }
+    }
+    fn push_varint(out: &mut Vec<u8>, mut v: u32) {
+        loop {
+            let b = (v & 0x7F) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(b);
+                break;
+            }
+            out.push(b | 0x80);
+        }
+    }
+    fn index_width(d: usize) -> u32 {
+        let mut w = 0;
+        while (1usize << w) < d {
+            w += 1;
+        }
+        w
+    }
+    /// Calls `f(value, run_len)` for each maximal run.
+    fn each_run(input: &[u8], mut f: impl FnMut(u8, u32)) {
+        let mut i = 0usize;
+        while i < input.len() {
+            let v = input[i];
+            let mut j = i + 1;
+            while j < input.len() && input[j] == v {
+                j += 1;
+            }
+            f(v, (j - i) as u32);
+            i = j;
+        }
+    }
+    /// LSB-first bit packer appending whole bytes.
+    struct BitPacker {
+        acc: u64,
+        nbits: u32,
+    }
+    impl BitPacker {
+        fn push(&mut self, out: &mut Vec<u8>, bits: u32, n: u32) {
+            self.acc |= (bits as u64) << self.nbits;
+            self.nbits += n;
+            while self.nbits >= 8 {
+                out.push(self.acc as u8);
+                self.acc >>= 8;
+                self.nbits -= 8;
+            }
+        }
+        fn finish(self, out: &mut Vec<u8>) {
+            if self.nbits > 0 {
+                out.push(self.acc as u8);
+            }
+        }
+    }
+
+    let n = input.len();
+    if n == 0 {
+        out.push(SCHEME_VERBATIM);
+        return;
+    }
+    let mut present = [false; 256];
+    let (mut runs, mut run_varint_bytes) = (0usize, 0usize);
+    each_run(input, |v, len| {
+        present[v as usize] = true;
+        runs += 1;
+        run_varint_bytes += varint_len(len);
+    });
+    let distinct = present.iter().filter(|&&p| p).count();
+    let w = index_width(distinct);
+
+    let verbatim = 1 + n;
+    let rle = 1 + runs + run_varint_bytes;
+    let (dict, cascade) = if distinct <= 255 {
+        let dict = 2 + distinct + (n * w as usize).div_ceil(8);
+        let cascade = 2
+            + distinct
+            + varint_len(runs as u32)
+            + (runs * w as usize).div_ceil(8)
+            + run_varint_bytes;
+        (dict, cascade)
+    } else {
+        (usize::MAX, usize::MAX)
+    };
+    // `d` + the sorted dictionary; the value -> rank table.
+    let emit_dict = |out: &mut Vec<u8>| {
+        out.push(distinct as u8);
+        let mut rank = [0u8; 256];
+        let mut next = 0u8;
+        for v in 0..256 {
+            if present[v] {
+                out.push(v as u8);
+                rank[v] = next;
+                next = next.wrapping_add(1);
+            }
+        }
+        rank
+    };
+
+    let best = verbatim.min(rle).min(dict).min(cascade);
+    if best == verbatim {
+        out.push(SCHEME_VERBATIM);
+        out.extend_from_slice(input);
+    } else if best == rle {
+        out.push(SCHEME_RLE);
+        each_run(input, |v, len| {
+            out.push(v);
+            push_varint(out, len);
+        });
+    } else if best == dict {
+        out.push(SCHEME_DICT);
+        let rank = emit_dict(out);
+        let mut packer = BitPacker { acc: 0, nbits: 0 };
+        for &b in input {
+            packer.push(out, rank[b as usize] as u32, w);
+        }
+        packer.finish(out);
+    } else {
+        out.push(SCHEME_CASCADE);
+        let rank = emit_dict(out);
+        push_varint(out, runs as u32);
+        let mut packer = BitPacker { acc: 0, nbits: 0 };
+        each_run(input, |v, _| packer.push(out, rank[v as usize] as u32, w));
+        packer.finish(out);
+        each_run(input, |_, len| push_varint(out, len));
+    }
+}
 
 /// Per-bit `columnar::decompress`: one index bit, one output byte at a
 /// time, with its own varint and dictionary readers.

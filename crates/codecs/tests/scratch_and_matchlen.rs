@@ -86,20 +86,21 @@ fn scratch_reuse_across_classes_and_sizes() {
     }
 }
 
-/// Scratch tables and the token span grow to the high-water mark on a
-/// codec's first full block and stay there — reuse must not shrink or
-/// reallocate when a smaller block follows a larger one.
+/// Scratch tables, the token span and COLUMNAR's run list grow to the
+/// high-water mark on a codec's first full block and stay there — reuse
+/// must not shrink or reallocate when a smaller block follows a larger one.
 #[test]
 fn scratch_tables_reach_steady_state() {
     let big = generate(Class::Moderate, 128 * 1024, 3);
     let small = generate(Class::Moderate, 4 * 1024, 4);
-    for id in [CodecId::QlzLight, CodecId::QlzMedium, CodecId::Huffman] {
+    for id in [CodecId::QlzLight, CodecId::QlzMedium, CodecId::Huffman, CodecId::Columnar] {
         let mut scratch = Scratch::new();
         let codec = codec_for(id);
         let mut out = Vec::new();
         encode_block_with(&mut scratch, codec, &big, &mut out);
         let high_water = scratch.table_bytes();
-        // The span alone is 9/8 of the block; the tables come on top.
+        // The token encoders' span alone is 9/8 of the block, COLUMNAR's
+        // run list twice it; the rest comes on top.
         assert!(high_water > big.len() + big.len() / 8, "{id:?}: {high_water} bytes");
         for _ in 0..4 {
             for block in [&small, &big] {
@@ -109,4 +110,31 @@ fn scratch_tables_reach_steady_state() {
             }
         }
     }
+}
+
+/// What COLUMNAR adds to a scratch that a portfolio pass at 128 KiB blocks
+/// has already grown (LIGHT, MEDIUM and HUFF, every class) is its run list,
+/// `ceil(n/2)` `u32`s: 256 KiB, on blocks of every shape.
+#[test]
+fn columnar_adds_only_its_run_list() {
+    const BLOCK: usize = 128 * 1024;
+    let blocks: Vec<Vec<u8>> = [Class::High, Class::Moderate, Class::Low]
+        .into_iter()
+        .map(|class| generate(class, BLOCK, 9))
+        .chain([vec![7u8; BLOCK], (0..BLOCK).map(|i| (i / 3 % 5) as u8).collect()])
+        .collect();
+    let mut scratch = Scratch::new();
+    let mut out = Vec::new();
+    for id in [CodecId::QlzLight, CodecId::QlzMedium, CodecId::Huffman] {
+        for block in &blocks {
+            out.clear();
+            encode_block_with(&mut scratch, codec_for(id), block, &mut out);
+        }
+    }
+    let before = scratch.table_bytes();
+    for block in &blocks {
+        out.clear();
+        encode_block_with(&mut scratch, codec_for(CodecId::Columnar), block, &mut out);
+    }
+    assert_eq!(scratch.table_bytes() - before, 256 * 1024);
 }

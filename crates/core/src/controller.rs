@@ -40,20 +40,6 @@ impl Default for ControllerConfig {
     }
 }
 
-impl ControllerConfig {
-    /// Hand-rolled JSON serialization (the build is offline; no serde).
-    /// Key order is fixed, so manifests embedding a config are
-    /// byte-deterministic.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut o = adcomp_trace::json::ObjWriter::new();
-        o.f64_field("alpha", self.alpha);
-        o.u64_field("num_levels", self.num_levels as u64);
-        o.u64_field("max_backoff_exp", self.max_backoff_exp as u64);
-        o.finish()
-    }
-}
-
 /// Which branch of Algorithm 1 fired — exposed for traces and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionCase {
@@ -452,12 +438,6 @@ mod tests {
         .map(DecisionCase::name)
         .collect();
         assert_eq!(names, vec!["seed", "stable", "probe", "improved", "degraded"]);
-    }
-
-    #[test]
-    fn config_json_is_deterministic() {
-        let j = ControllerConfig::default().to_json();
-        assert_eq!(j, r#"{"alpha":0.2,"num_levels":4,"max_backoff_exp":16}"#);
     }
 
     #[test]

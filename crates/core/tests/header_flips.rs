@@ -6,15 +6,19 @@
 //! seekable stream (whose index trailer is a frame too), each of the 128
 //! header bits of each frame is flipped on its own and the stream is read
 //! through `AdaptiveReader` at 1 and 2 workers and through
-//! `FrameReader::read_block`, failing fast and skipping. The readers'
-//! bomb guard is lowered to 1 MiB (the blocks here are ≤ 4 KiB), so a
-//! flip to a huge length is refused before its buffer is zero-filled.
+//! `FrameReader::read_block`, failing fast and skipping; the seekable
+//! stream is also read in ranges through `IndexedReader::read_range`. The
+//! readers' bomb guard is lowered to 1 MiB (the blocks here are ≤ 4 KiB),
+//! so a flip to a huge length is refused before its buffer is zero-filled.
 //! Each read must end in one of three ways:
 //!
-//! * the source, byte for byte (a bit no reader acts on);
+//! * the source (or the range of it asked for), byte for byte (a bit no
+//!   reader acts on);
 //! * a typed error (`InvalidData` / `UnexpectedEof`);
-//! * a counted recovery: the source minus the damaged frame's block, with
-//!   at least one incident in the recovery counters.
+//! * a counted recovery: the source minus the damaged frame's block (or
+//!   the range of that), with at least one incident counted — in the
+//!   recovery counters, or for a ranged read in `fallback_scans`, the
+//!   requests on which the index and a block disagreed.
 //!
 //! Anything else — different bytes, or a lost block with clean counters —
 //! is silent data loss and fails the test, except the one case listed in
@@ -26,9 +30,10 @@ use adcomp_codecs::frame::{
 use adcomp_codecs::{codec_for, CodecId, LevelSet};
 use adcomp_core::epoch::ManualClock;
 use adcomp_core::model::StaticModel;
+use adcomp_core::seek::IndexedReader;
 use adcomp_core::stream::{AdaptiveReader, AdaptiveWriter};
 use adcomp_corpus::{generate, Class};
-use std::io::{self, Read, Write};
+use std::io::{self, Cursor, Read, Write};
 use std::ops::Range;
 
 /// `(stream, frame, header bits)` that lose data silently, for want of a
@@ -103,14 +108,20 @@ fn frames(wire: &[u8]) -> Vec<(usize, Option<usize>)> {
     out
 }
 
-type Outcome = (io::Result<Vec<u8>>, RecoveryStats);
+/// A read's result, the incidents its reader counted and how it counted
+/// them (for the report).
+type Outcome = (io::Result<Vec<u8>>, u64, String);
+
+fn with_recovery(res: io::Result<Vec<u8>>, rec: RecoveryStats) -> Outcome {
+    (res, rec.corrupt_frames + rec.truncations, format!("recovery {rec:?}"))
+}
 
 fn read_adaptive(wire: &[u8], policy: RecoveryPolicy, workers: usize) -> Outcome {
     let mut r = AdaptiveReader::with_policy(wire, policy);
     r.set_pipeline_workers(workers);
     let mut out = Vec::new();
     let res = r.read_to_end(&mut out).map(|_| out);
-    (res, r.recovery())
+    with_recovery(res, r.recovery())
 }
 
 fn read_frames(wire: &[u8], policy: RecoveryPolicy) -> Outcome {
@@ -123,11 +134,29 @@ fn read_frames(wire: &[u8], policy: RecoveryPolicy) -> Outcome {
             Err(e) => break Err(e),
         }
     };
-    (res, r.recovery)
+    with_recovery(res, r.recovery)
+}
+
+/// `IndexedReader::read_range` on a reader opened for this read alone.
+fn read_range(wire: &[u8], policy: RecoveryPolicy, range: &Range<usize>) -> Outcome {
+    let mut r = match IndexedReader::with_policy(Cursor::new(wire), policy) {
+        Ok(r) => r,
+        Err(e) => return (Err(e), 0, "open failed".into()),
+    };
+    let mut out = Vec::new();
+    let res = r.read_range(range.start as u64, range.len() as u64, &mut out).map(|_| out);
+    (res, r.fallback_scans, format!("fallback_scans {}", r.fallback_scans))
 }
 
 /// `None` when the outcome is one of the three allowed ones, else why not.
-fn judge(s: &Stream, lost: Option<usize>, (res, rec): Outcome) -> Option<String> {
+/// `range` is the application bytes the read asked for (`0..usize::MAX`
+/// for a whole-stream read).
+fn judge(
+    s: &Stream,
+    lost: Option<usize>,
+    range: &Range<usize>,
+    (res, incidents, how): Outcome,
+) -> Option<String> {
     let out = match res {
         Err(e) if matches!(e.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof) => {
             return None
@@ -135,10 +164,12 @@ fn judge(s: &Stream, lost: Option<usize>, (res, rec): Outcome) -> Option<String>
         Err(e) => return Some(format!("untyped error {:?}: {e}", e.kind())),
         Ok(out) => out,
     };
-    if out == s.blocks.concat() {
+    let window = |bytes: &[u8]| {
+        bytes[range.start.min(bytes.len())..range.end.min(bytes.len())].to_vec()
+    };
+    if out == window(&s.blocks.concat()) {
         return None;
     }
-    let incidents = rec.corrupt_frames + rec.truncations;
     let survivors: Vec<u8> = s
         .blocks
         .iter()
@@ -146,10 +177,10 @@ fn judge(s: &Stream, lost: Option<usize>, (res, rec): Outcome) -> Option<String>
         .filter(|&(i, _)| Some(i) != lost)
         .flat_map(|(_, b)| b.iter().copied())
         .collect();
-    if lost.is_some() && out == survivors && incidents >= 1 {
+    if lost.is_some() && out == window(&survivors) && incidents >= 1 {
         return None;
     }
-    Some(format!("{} bytes out, recovery {rec:?}", out.len()))
+    Some(format!("{} bytes out, {how}", out.len()))
 }
 
 #[test]
@@ -180,7 +211,7 @@ fn every_header_bit_flip_is_caught_or_harmless() {
                     ];
                     for (reader, read) in reads {
                         cases += 1;
-                        match judge(s, lost, read) {
+                        match judge(s, lost, &(0..usize::MAX), read) {
                             Some(why) if !known => violations.push(format!(
                                 "{} frame {frame} bit {bit} {reader} {:?}: {why}",
                                 s.name, policy.mode
@@ -197,6 +228,46 @@ fn every_header_bit_flip_is_caught_or_harmless() {
         }
     }
     assert!(cases > 10_000, "{cases} cases");
+    let n = violations.len();
+    assert!(violations.is_empty(), "{n} of {cases} reads:\n{}", violations.join("\n"));
+}
+
+/// The seekable stream's frames, every header bit flipped, read in ranges
+/// through `IndexedReader::read_range`, failing fast and skipping: the
+/// whole stream, a range inside one block, one across three blocks and
+/// one over the end. A range whose covering blocks pass the index's checks
+/// is served from them; a damaged header disagrees with its index entry
+/// (codec, lengths, CRC, the index flag) or fails to parse, and the
+/// request falls back to decoding the stream from the front under the
+/// reader's policy. A flip in the trailer's header makes the index
+/// unusable (the trailer must parse as an index frame), so every request
+/// streams.
+#[test]
+fn every_header_bit_flip_through_ranged_reads() {
+    let s = adaptive_stream("seekable", false, true);
+    let total = s.blocks.concat().len();
+    let ranges = [0..total + 1, 5000..5100, 4000..12_300, total - 10..total + 90];
+    let mut violations = Vec::new();
+    let mut cases = 0;
+    for (frame, (at, lost)) in frames(&s.wire).into_iter().enumerate() {
+        for bit in 0..HEADER_LEN * 8 {
+            let mut wire = s.wire.clone();
+            wire[at + bit / 8] ^= 1 << (bit % 8);
+            for mode in [RecoveryPolicy::fail_fast(), RecoveryPolicy::skip_and_count()] {
+                let policy = RecoveryPolicy { max_frame: MAX_FRAME, ..mode };
+                for range in &ranges {
+                    cases += 1;
+                    if let Some(why) = judge(&s, lost, range, read_range(&wire, policy, range)) {
+                        violations.push(format!(
+                            "frame {frame} bit {bit} range {range:?} {:?}: {why}",
+                            policy.mode
+                        ));
+                    }
+                }
+            }
+        }
+    }
+    assert!(cases > 4_000, "{cases} cases");
     let n = violations.len();
     assert!(violations.is_empty(), "{n} of {cases} reads:\n{}", violations.join("\n"));
 }
