@@ -11,7 +11,10 @@
 //! completed transfer byte-identical to the input by construction — the
 //! property the socket soak asserts over hundreds of hostile runs.
 //!
-//! Every request is a fresh connection. What the client reads back goes
+//! A connection carries many requests. After a GET reply or a PUT's
+//! successful `done`, [`put`] and [`get`] keep the socket in a small
+//! process-wide pool and send their next request to the same address on
+//! it instead of connecting again. What the client reads back goes
 //! through a small buffered reader, so an accept or `done` frame costs one
 //! `read`, and a GET's body and trailer arrive in one `read_exact`.
 
@@ -19,6 +22,7 @@ use super::proto::{
     read_done, read_get_payload, read_response, write_request, RejectReason, Request, Response,
     NO_LEVEL_CAP,
 };
+use super::server::HANDLER_LINGER;
 use adcomp_codecs::crc32::crc32;
 use adcomp_codecs::LevelSet;
 use adcomp_core::model::{DecisionModel, EpochObservation, RateBasedModel, StaticModel};
@@ -26,9 +30,10 @@ use adcomp_core::stream::AdaptiveWriter;
 use adcomp_core::{Backoff, WallClock};
 use adcomp_metrics::registry::{self, CounterKind};
 use adcomp_trace::{TraceHandle, TraceSink};
-use std::io::{self, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::time::Duration;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Capacity of the reader the client parses control frames through: room
 /// for the longest one (a 17-byte receipt) and little else, so an accept
@@ -38,6 +43,90 @@ const CONTROL_BUF: usize = 64;
 
 fn control_reader<R: Read>(r: R) -> BufReader<R> {
     BufReader::with_capacity(CONTROL_BUF, r)
+}
+
+/// Most idle sockets the pool holds, over all addresses; the oldest goes
+/// first. A client talks to one daemon or a few, and a daemon restarted on
+/// a new port leaves a dead entry behind.
+const POOL_MAX: usize = 16;
+/// A pooled socket idle this long is closed, not reused: half the
+/// server's linger, so a request sent on it arrives well before the
+/// server gives up waiting and closes its end.
+const POOL_IDLE: Duration = Duration::from_millis(HANDLER_LINGER.as_millis() as u64 / 2);
+
+/// Idle kept-alive sockets with the daemon each leads to and when it was
+/// last used, oldest first; at most one per address.
+static POOL: Mutex<Vec<(SocketAddr, TcpStream, Instant)>> = Mutex::new(Vec::new());
+
+/// Every entry leaves the pool whole, so a panic elsewhere while it was
+/// locked leaves nothing half-updated.
+fn pool() -> std::sync::MutexGuard<'static, Vec<(SocketAddr, TcpStream, Instant)>> {
+    POOL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Closes every idle pooled socket (the net soak calls this before it
+/// counts file descriptors).
+pub(crate) fn close_idle() {
+    pool().clear();
+}
+
+/// One connection to a daemon: the socket behind the reader that replies
+/// are parsed through. Requests and PUT frames are written on the socket
+/// itself (`&TcpStream` is `Write`).
+struct Conn(BufReader<TcpStream>);
+
+impl Conn {
+    /// Sends `req` to `addr` and waits for the first byte of the reply.
+    /// Reuses the pooled socket to `addr` when there is one; if that
+    /// socket fails before any reply byte, the server closed it while it
+    /// was idle, and the request goes once more on a fresh connection.
+    fn send(addr: SocketAddr, req: &Request, io_timeout: Duration) -> io::Result<Conn> {
+        let pooled = {
+            let mut idle = pool();
+            let at = idle.iter().position(|(a, ..)| *a == addr);
+            at.map(|at| idle.remove(at))
+        };
+        if let Some((_, sock, since)) = pooled {
+            if since.elapsed() < POOL_IDLE {
+                if let Ok(conn) = Conn::send_on(sock, req, io_timeout) {
+                    return Ok(conn);
+                }
+            }
+        }
+        let sock = TcpStream::connect_timeout(&addr, io_timeout)?;
+        let _ = sock.set_nodelay(true);
+        Conn::send_on(sock, req, io_timeout)
+    }
+
+    fn send_on(sock: TcpStream, req: &Request, io_timeout: Duration) -> io::Result<Conn> {
+        sock.set_read_timeout(Some(io_timeout))?;
+        sock.set_write_timeout(Some(io_timeout))?;
+        write_request(&mut &sock, req)?;
+        let mut conn = Conn(control_reader(sock));
+        if conn.0.fill_buf()?.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "connection closed before the reply",
+            ));
+        }
+        Ok(conn)
+    }
+
+    /// Returns the socket to the pool once its reply has been read to the
+    /// last byte, so the next request to `addr` can go on it. It replaces
+    /// an older idle socket to the same address; sockets too old to reuse
+    /// are closed on the way.
+    fn release(self, addr: SocketAddr) {
+        if !self.0.buffer().is_empty() {
+            return;
+        }
+        let mut idle = pool();
+        idle.retain(|(a, _, since)| *a != addr && since.elapsed() < POOL_IDLE);
+        if idle.len() >= POOL_MAX {
+            idle.remove(0);
+        }
+        idle.push((addr, self.0.into_inner(), Instant::now()));
+    }
 }
 
 /// Wraps any [`DecisionModel`] and clamps its choices to the server's
@@ -193,21 +282,13 @@ fn attempt(
     bytes_sent: &mut u64,
 ) -> Result<super::proto::Done, AttemptError> {
     let transient = AttemptError::Transient;
-    let sock = TcpStream::connect_timeout(&addr, opts.io_timeout).map_err(transient)?;
-    let _ = sock.set_nodelay(true);
-    sock.set_read_timeout(Some(opts.io_timeout)).map_err(transient)?;
-    sock.set_write_timeout(Some(opts.io_timeout)).map_err(transient)?;
-    write_request(
-        &mut &sock,
-        &Request::Put {
-            tenant: opts.tenant.clone(),
-            transfer_id: opts.transfer_id,
-            total_len: payload.len() as u64,
-        },
-    )
-    .map_err(transient)?;
-    let mut control = control_reader(&sock);
-    let (start, level_cap) = match read_response(&mut control).map_err(transient)? {
+    let req = Request::Put {
+        tenant: opts.tenant.clone(),
+        transfer_id: opts.transfer_id,
+        total_len: payload.len() as u64,
+    };
+    let mut conn = Conn::send(addr, &req, opts.io_timeout).map_err(transient)?;
+    let (start, level_cap) = match read_response(&mut conn.0).map_err(transient)? {
         Response::Accept { start_offset, level_cap } => (start_offset, level_cap),
         Response::Reject { reason } => {
             let e = io::Error::new(
@@ -241,9 +322,8 @@ fn attempt(
     };
     let cap = if level_cap == NO_LEVEL_CAP { levels.len() - 1 } else { level_cap as usize };
     let model = Box::new(CappedModel::new(base, cap));
-    let write_sock = sock.try_clone().map_err(transient)?;
     let mut writer = AdaptiveWriter::with_params(
-        write_sock,
+        conn.0.get_ref(),
         levels,
         model,
         opts.block_len,
@@ -271,18 +351,19 @@ fn attempt(
         AttemptError::Transient(e)
     })?;
     *bytes_sent += sent_this_attempt;
-    // Half-close: our frame stream is done, the receipt comes back on the
-    // same socket.
-    sock.shutdown(Shutdown::Write).map_err(transient)?;
-    let done = read_done(&mut control).map_err(transient)?;
+    // No half-close: the server ends the stream at the declared length,
+    // and the receipt comes back on the same socket.
+    let done = read_done(&mut conn.0).map_err(transient)?;
     if !done.ok {
-        // Clean close but incomplete (e.g. the wire ate the tail after the
-        // last verified frame): reconnect and resume.
+        // Incomplete (e.g. the wire ate the tail after the last verified
+        // frame), and the server has ended the connection: reconnect and
+        // resume.
         return Err(AttemptError::Transient(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             format!("server verified only {} bytes", done.verified),
         )));
     }
+    conn.release(addr);
     Ok(done)
 }
 
@@ -298,23 +379,18 @@ pub fn get(
     len: u64,
     io_timeout: Duration,
 ) -> io::Result<Vec<u8>> {
-    let sock = TcpStream::connect_timeout(&addr, io_timeout)?;
-    let _ = sock.set_nodelay(true);
-    sock.set_read_timeout(Some(io_timeout))?;
-    sock.set_write_timeout(Some(io_timeout))?;
-    write_request(
-        &mut &sock,
-        &Request::Get { tenant: tenant.to_string(), transfer_id, offset, len },
-    )?;
-    read_get_reply(&sock, len)
+    let req = Request::Get { tenant: tenant.to_string(), transfer_id, offset, len };
+    let mut conn = Conn::send(addr, &req, io_timeout)?;
+    let body = read_get_reply(&mut conn.0, len)?;
+    conn.release(addr);
+    Ok(body)
 }
 
-/// Reads a GET reply off `r`: the verdict through the control reader,
-/// then body and trailer in one `read_exact`. `len` is what was asked
-/// for; a server announcing more is refused before anything is allocated.
-fn read_get_reply(r: impl Read, len: u64) -> io::Result<Vec<u8>> {
-    let mut r = control_reader(r);
-    match read_response(&mut r)? {
+/// Reads a GET reply off the control reader `r`: the verdict, then body
+/// and trailer in one `read_exact`. `len` is what was asked for; a server
+/// announcing more is refused before anything is allocated.
+fn read_get_reply<R: Read>(r: &mut BufReader<R>, len: u64) -> io::Result<Vec<u8>> {
+    match read_response(r)? {
         Response::Accept { start_offset: n, .. } => {
             if n > len {
                 return Err(io::Error::new(
@@ -322,7 +398,7 @@ fn read_get_reply(r: impl Read, len: u64) -> io::Result<Vec<u8>> {
                     "server announced more bytes than requested",
                 ));
             }
-            read_get_payload(&mut r, n)
+            read_get_payload(r, n)
         }
         Response::Reject { reason } => Err(io::Error::new(
             io::ErrorKind::ConnectionRefused,
@@ -379,20 +455,22 @@ mod tests {
         let mut reply = GetReply::with_capacity(body.len());
         reply.extend_from_slice(&body);
         let wire = reply.finish();
-        let mut r = Counting::new(&wire[..]);
+        let mut r = control_reader(Counting::new(&wire[..]));
         assert_eq!(read_get_reply(&mut r, body.len() as u64).unwrap(), body);
         // One read fills the control buffer (verdict + the body's first
         // bytes); the rest of body + trailer lands in the caller's buffer
         // with one more.
-        assert_eq!(r.calls, 2);
+        assert_eq!(r.get_ref().calls, 2);
         // A reply that fits the control buffer is a single read.
         let mut reply = GetReply::with_capacity(3);
         reply.extend_from_slice(b"abc");
         let wire = reply.finish();
-        let mut r = Counting::new(&wire[..]);
+        let mut r = control_reader(Counting::new(&wire[..]));
         assert_eq!(read_get_reply(&mut r, 3).unwrap(), b"abc");
-        assert_eq!(r.calls, 1);
+        assert_eq!(r.get_ref().calls, 1);
+        // The reply was read to its last byte: the socket can be reused.
+        assert!(r.buffer().is_empty());
         // A server announcing more than was asked for is refused.
-        assert!(read_get_reply(&wire[..], 2).is_err());
+        assert!(read_get_reply(&mut control_reader(&wire[..]), 2).is_err());
     }
 }

@@ -1,8 +1,8 @@
 //! `adcomp serve` — the overload-resilient multi-tenant compression
 //! daemon, its client, and the socket-level chaos soak.
 //!
-//! This module is the network face of the adaptive stream: every accepted
-//! TCP connection decodes one adaptive frame stream through its own
+//! This module is the network face of the adaptive stream: every PUT
+//! decodes its adaptive frame stream through its own
 //! [`AdaptiveReader`](adcomp_core::stream::AdaptiveReader), and every
 //! robustness mechanism the paper's shared-cloud setting demands —
 //! admission control, load shedding, deadlines, a CPU-pressure circuit
@@ -11,13 +11,14 @@
 //! * [`proto`] — the tiny length-prefixed handshake (request / verdict /
 //!   receipt) around the self-describing frame stream;
 //! * [`server`] — [`Server`] / [`ServeConfig`]: one-handler-per-connection
-//!   daemon (handlers park and are reused, so a request does not pay a
-//!   thread spawn) with per-tenant quotas, typed [`RejectReason`]
-//!   shedding, idle + wall deadlines, verified-prefix transfer table, and
-//!   drain;
+//!   daemon (a connection carries many requests, and handlers park and
+//!   are reused, so a request pays neither a connect nor a thread spawn)
+//!   with per-tenant quotas, typed [`RejectReason`] shedding, idle + wall
+//!   deadlines, verified-prefix transfer table, and drain;
 //! * [`client`] — [`put`] / [`PutOptions`]: bounded-retry exponential
 //!   backoff uploads that resume from the server's last verified byte,
-//!   and [`get`]: CRC-verified ranged reads of completed transfers;
+//!   and [`get`]: CRC-verified ranged reads of completed transfers; both
+//!   reuse an idle kept-alive connection when they have one;
 //! * [`cache`] — [`BlockCache`]: the sharded, CRC-keyed, byte-budgeted
 //!   LRU of decoded blocks behind ranged GETs — a hot block is decoded
 //!   once, then served from memory;

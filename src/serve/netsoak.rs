@@ -4,8 +4,10 @@
 //! Each *run* is one transfer pushed by a real [`put`] client
 //! through the fault-injecting proxy into a live [`Server`]. Runs execute
 //! in batches of `concurrency` against a fresh server + proxy pair, so a
-//! damaged wire in one batch cannot leak state into the next. The
-//! contract asserted over every run, hostile or not:
+//! damaged wire in one batch cannot leak state into the next. A client
+//! retrying inside a batch may pick up a connection another run kept
+//! alive, so proxy faults also land on the second and later requests of a
+//! connection. The contract asserted over every run, hostile or not:
 //!
 //! * **zero panics** — every client executes under `catch_unwind`;
 //! * **byte-accurate survivors** — a transfer the server reports complete
@@ -23,7 +25,7 @@
 //! `adcomp chaos --net --runs 256` drives this from the CLI; CI runs it
 //! as the network half of the chaos gauntlet.
 
-use super::client::{put, PutOptions};
+use super::client::{self, put, PutOptions};
 use super::server::{ServeConfig, Server};
 use adcomp_codecs::frame::RecoveryPolicy;
 use adcomp_corpus::Prng;
@@ -150,6 +152,9 @@ pub fn run_net_soak(
     cfg: &NetSoakConfig,
     mut progress: Option<&mut dyn FnMut(u32, u32)>,
 ) -> NetSoakSummary {
+    // The client keeps idle connections open for reuse; the census counts
+    // none of them, before or after.
+    client::close_idle();
     let baseline_threads = soak_threads();
     let baseline_fds = proc_fds();
     let mut summary = NetSoakSummary { runs: cfg.runs, ..Default::default() };
@@ -265,7 +270,13 @@ pub fn run_net_soak(
         summary.leaked_threads = settle(alive, 0);
     }
     if let (Some(before), Some(_)) = (baseline_fds, proc_fds()) {
-        summary.leaked_fds = settle(proc_fds, before);
+        // Emptied on every sample: a sibling in this process (a test
+        // harness's other tests) may pool a socket meanwhile.
+        let fds = || {
+            client::close_idle();
+            proc_fds()
+        };
+        summary.leaked_fds = settle(fds, before);
     }
     summary
 }

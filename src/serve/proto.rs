@@ -4,10 +4,15 @@
 //! ```text
 //! client → server   request   "ACSV" ver kind [tenant_len tenant id total]
 //! server → client   response  status [start_offset level_cap]
-//! client → server   adaptive frame stream of payload[start_offset..], then
-//!                   TCP half-close (shutdown write)
+//! client → server   adaptive frame stream of payload[start_offset..total]
 //! server → client   done      status verified crc32
 //! ```
+//!
+//! A connection carries requests one after another. The server reads a
+//! PUT's frames until `total` application bytes have arrived, not until
+//! EOF, so the next request can follow the last frame; it is served after
+//! a GET reply or a successful `done`. A reject, a drain, an incomplete
+//! `done` or any error ends the connection.
 //!
 //! Everything is little-endian and length-prefixed; the handshake carries
 //! no compression parameters because frames are self-describing — the only

@@ -3,11 +3,19 @@
 //! accepted stream is decoded through its own [`AdaptiveReader`] — with
 //! robustness as the design center.
 //!
+//! A connection carries a sequence of requests. After a GET reply or a
+//! PUT's successful `DONE` the handler waits a short linger for the first
+//! byte of the next request on the same socket; silence, EOF or a reset
+//! before that byte is a clean close. A refusal, a drain, an incomplete
+//! PUT or any error ends the connection. A PUT ends at its declared
+//! length, not at EOF, so whatever follows its last frame is the next
+//! request.
+//!
 //! What a connection does not get is a thread *spawn* of its own. A
 //! handler that finishes its connection parks on a condition variable for
 //! a short linger; the accept loop hands the next socket to a parked
 //! handler when there is one and spawns only when there is none. So
-//! back-to-back requests are served by one long-lived thread, a burst
+//! back-to-back connections are served by one long-lived thread, a burst
 //! still gets one handler per connection (nobody queues behind a slow
 //! `put`), and handlers left over from a burst exit after the linger.
 //! Control frames cross the socket in one syscall each way: a request is
@@ -24,7 +32,8 @@
 //!   (accepted-but-unadmitted connections), the accept loop drops new
 //!   sockets outright rather than spawning unbounded threads.
 //! * **Deadlines** — every socket read/write carries `io_timeout` (which
-//!   doubles as the idle timeout: a silent client trips it), and each
+//!   doubles as the idle timeout inside a request: a silent client trips
+//!   it; between requests the linger is the wait instead), and each
 //!   stream has an overall `max_stream_secs` wall budget against
 //!   slow-drip senders.
 //! * **Circuit breaker** — under shared CPU pressure (a pluggable probe,
@@ -61,14 +70,15 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How long a handler that finished its connection stays parked waiting
-/// for the next one before it exits. Long enough that back-to-back
-/// requests never pay a thread spawn, short enough that a burst's
+/// How long a kept-alive connection waits for its next request, and how
+/// long a handler that finished its connection stays parked waiting for
+/// the next one before it exits. Long enough that back-to-back requests
+/// pay neither a connect nor a thread spawn, short enough that a burst's
 /// handlers (and the allocator arenas behind them) are gone soon after it.
-const HANDLER_LINGER: Duration = Duration::from_millis(500);
+pub(crate) const HANDLER_LINGER: Duration = Duration::from_millis(500);
 
 /// Tuning for one daemon instance.
 #[derive(Clone)]
@@ -81,7 +91,8 @@ pub struct ServeConfig {
     pub per_tenant_streams: usize,
     /// Largest accepted transfer, application bytes.
     pub max_transfer_bytes: u64,
-    /// Per-read/write socket deadline; also the idle timeout.
+    /// Per-read/write socket deadline; also the idle timeout inside a
+    /// request.
     pub io_timeout: Duration,
     /// Overall wall budget per stream (slow-drip guard).
     pub max_stream_secs: f64,
@@ -147,8 +158,11 @@ pub struct ServeStats {
     pub drained_transfers: u64,
     pub breaker_trips: u64,
     /// Handler threads ever spawned. Far below the connection count when
-    /// requests arrive back to back: parked handlers are reused.
+    /// connections arrive back to back: parked handlers are reused.
     pub handler_spawns: u64,
+    /// Sockets the accept loop took and handed to a handler. Far below the
+    /// request count when a client keeps its connection alive.
+    pub connections: u64,
 }
 
 #[derive(Default)]
@@ -162,6 +176,7 @@ struct Counters {
     drained_transfers: AtomicU64,
     breaker_trips: AtomicU64,
     handler_spawns: AtomicU64,
+    connections: AtomicU64,
 }
 
 /// State of one transfer `(tenant, transfer_id)`: the verified prefix.
@@ -208,6 +223,11 @@ struct Shared {
     /// `handoff` lock, which is what keeps it comparable to the queue
     /// length; an atomic so a drop guard can restore it.
     idle_handlers: AtomicU64,
+    /// Kept-alive connections waiting for their next request, so
+    /// `stop_and_join` can shut them down instead of waiting out the
+    /// linger. A handler registers only under this lock and after reading
+    /// `stop` as false there.
+    idle_conns: Mutex<Vec<Arc<TcpStream>>>,
     tenant_active: Mutex<HashMap<String, u64>>,
     tenant_throttles: Mutex<HashMap<String, SharedThrottle>>,
     transfers: Mutex<HashMap<(String, u64), Transfer>>,
@@ -298,6 +318,7 @@ impl Server {
             handoff: Mutex::default(),
             handoff_wake: Condvar::new(),
             idle_handlers: AtomicU64::new(0),
+            idle_conns: Mutex::default(),
             tenant_active: Mutex::default(),
             tenant_throttles: Mutex::default(),
             transfers: Mutex::default(),
@@ -349,6 +370,7 @@ impl Server {
                         continue;
                     }
                     s.live_conns.fetch_add(1, Ordering::AcqRel);
+                    s.counters.connections.fetch_add(1, Ordering::Relaxed);
                     // Hand the socket to a parked handler when one is free;
                     // otherwise spawn, so concurrency stays unbounded up to
                     // the flood cap and a slow stream never queues anyone
@@ -419,6 +441,7 @@ impl Server {
             drained_transfers: c.drained_transfers.load(Ordering::Relaxed),
             breaker_trips: c.breaker_trips.load(Ordering::Relaxed),
             handler_spawns: c.handler_spawns.load(Ordering::Relaxed),
+            connections: c.connections.load(Ordering::Relaxed),
         }
     }
 
@@ -483,9 +506,10 @@ impl Server {
     }
 
     /// Stops the accept loop, tears everything down and joins all threads.
-    /// Call [`Server::drain_and_wait`] first for a graceful exit; without
-    /// it, in-flight streams are aborted (their verified prefixes are
-    /// kept, so resume still works).
+    /// Kept-alive connections waiting for a next request are closed at
+    /// once. Call [`Server::drain_and_wait`] first for a graceful exit;
+    /// without it, in-flight streams are aborted (their verified prefixes
+    /// are kept, so resume still works).
     pub fn shutdown(mut self) -> ServeStats {
         self.stop_and_join();
         self.stats()
@@ -502,6 +526,12 @@ impl Server {
         {
             let _queue = self.shared.handoff.lock().expect("handoff poisoned");
             self.shared.handoff_wake.notify_all();
+        }
+        // Wake handlers waiting on kept-alive connections: their wait for
+        // a next request ends at EOF. A handler not yet registered reads
+        // `stop` under this lock before it would wait.
+        for sock in self.shared.idle_conns.lock().unwrap_or_else(PoisonError::into_inner).iter() {
+            let _ = sock.shutdown(Shutdown::Both);
         }
         let _ = TcpStream::connect(self.local_addr);
         if let Some(t) = self.accept.take() {
@@ -591,10 +621,20 @@ impl Drop for StreamGuard<'_> {
     }
 }
 
-fn handle_conn(shared: &Arc<Shared>, mut sock: TcpStream) {
+/// Serves the requests of one connection, in order, until one of them
+/// ends it or no next request arrives.
+fn handle_conn(shared: &Arc<Shared>, sock: TcpStream) {
     let _ = sock.set_nodelay(true);
     let _ = sock.set_read_timeout(Some(shared.cfg.io_timeout));
     let _ = sock.set_write_timeout(Some(shared.cfg.io_timeout));
+    // Shared with `idle_conns` while the connection waits between requests.
+    let sock = Arc::new(sock);
+    while serve_request(shared, &sock) && next_request_arrives(shared, &sock) {}
+}
+
+/// Reads and serves one request. True when the connection stays open for
+/// the next: after a GET reply and after a PUT's successful `DONE`.
+fn serve_request(shared: &Arc<Shared>, mut sock: &TcpStream) -> bool {
     let req = match read_request(&mut sock) {
         Ok(r) => r,
         Err(_) => {
@@ -610,7 +650,7 @@ fn handle_conn(shared: &Arc<Shared>, mut sock: TcpStream) {
             let _ = sock.shutdown(Shutdown::Write);
             let mut scratch = [0u8; 1024];
             while matches!(sock.read(&mut scratch), Ok(n) if n > 0) {}
-            return;
+            return false;
         }
     };
     match req {
@@ -624,28 +664,56 @@ fn handle_conn(shared: &Arc<Shared>, mut sock: TcpStream) {
                 &mut sock,
                 &Response::Accept { start_offset: active, level_cap: 0 },
             );
+            false
         }
         Request::Put { tenant, transfer_id, total_len } => {
-            handle_put(shared, sock, tenant, transfer_id, total_len);
+            handle_put(shared, sock, tenant, transfer_id, total_len)
         }
         Request::Get { tenant, transfer_id, offset, len } => {
-            handle_get(shared, &mut sock, &tenant, transfer_id, offset, len);
-            let _ = sock.shutdown(Shutdown::Write);
+            let served = handle_get(shared, &mut sock, &tenant, transfer_id, offset, len);
+            if !served {
+                let _ = sock.shutdown(Shutdown::Write);
+            }
+            served
         }
     }
 }
 
+/// Waits up to [`HANDLER_LINGER`] for the first byte of the next request
+/// on a kept-alive connection, without consuming it. EOF, a timeout, a
+/// reset or a stopping server before that byte is a clean close: nothing
+/// is shed or counted. Once the byte is there, the request is read under
+/// `io_timeout` like the first one.
+fn next_request_arrives(shared: &Shared, sock: &Arc<TcpStream>) -> bool {
+    {
+        let mut idle = shared.idle_conns.lock().expect("idle conns poisoned");
+        if shared.stop.load(Ordering::Acquire) {
+            return false;
+        }
+        idle.push(Arc::clone(sock));
+    }
+    let _ = sock.set_read_timeout(Some(HANDLER_LINGER));
+    let arrived = matches!(sock.peek(&mut [0u8]), Ok(1));
+    shared.idle_conns.lock().expect("idle conns poisoned").retain(|s| !Arc::ptr_eq(s, sock));
+    let _ = sock.set_read_timeout(Some(shared.cfg.io_timeout));
+    arrived && !shared.stop.load(Ordering::Acquire)
+}
+
+/// Serves one PUT. True when the transfer completed and its `DONE` went
+/// out, so the connection can carry a next request; every other ending
+/// closes it.
 fn handle_put(
     shared: &Arc<Shared>,
-    mut sock: TcpStream,
+    mut sock: &TcpStream,
     tenant: String,
     transfer_id: u64,
     total_len: u64,
-) {
+) -> bool {
     let tenant_id = ServerEvent::tenant_id(&tenant);
-    let reject = |reason: RejectReason, mut sock: TcpStream| {
+    let reject = |reason: RejectReason, mut sock: &TcpStream| {
         shared.shed(reason, tenant_id);
         let _ = write_response(&mut sock, &Response::Reject { reason });
+        false
     };
     if shared.draining.load(Ordering::Acquire) {
         return reject(RejectReason::Draining, sock);
@@ -714,29 +782,22 @@ fn handle_put(
         if shared.breaker_open.load(Ordering::Acquire) { 0 } else { NO_LEVEL_CAP };
     if write_response(&mut sock, &Response::Accept { start_offset: start, level_cap }).is_err() {
         shared.counters.aborts.fetch_add(1, Ordering::Relaxed);
-        return; // guard rolls back
+        return false; // guard rolls back
     }
 
     // Ingest loop: decode the adaptive stream, folding each verified chunk
     // into the transfer record immediately so an abort anywhere still
     // leaves a resumable, CRC-clean prefix.
-    let read_sock = match sock.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            shared.counters.aborts.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    };
-    let throttled: Box<dyn Read + Send> = match shared.cfg.tenant_rate_bps {
+    let throttled: Box<dyn Read + Send + '_> = match shared.cfg.tenant_rate_bps {
         Some(bps) => {
             let throttle = {
                 let mut throttles =
                     shared.tenant_throttles.lock().expect("throttles poisoned");
                 throttles.entry(tenant.clone()).or_insert_with(|| SharedThrottle::new(bps)).clone()
             };
-            Box::new(ThrottledReader::new(read_sock, throttle))
+            Box::new(ThrottledReader::new(sock, throttle))
         }
-        None => Box::new(read_sock),
+        None => Box::new(sock),
     };
     let mut reader = AdaptiveReader::with_policy(
         CaptureReader { inner: throttled, captured: Vec::new(), enabled: capture },
@@ -748,12 +809,20 @@ fn handle_put(
     let mut overflowed = false;
     let mut delivered = 0u64;
     enum StreamEnd {
-        Eof,
+        /// The declared length arrived, or the client closed the
+        /// connection at a frame boundary short of it.
+        Clean,
         Stop,
         Timeout,
         Damage,
     }
     let end = loop {
+        // The declared length ends the stream, not EOF: what follows on
+        // the socket is the next request, so no further frame may be read.
+        // The inline reader reads none ahead of the block it serves.
+        if start + delivered == total_len {
+            break StreamEnd::Clean;
+        }
         if shared.stop.load(Ordering::Acquire) {
             break StreamEnd::Stop;
         }
@@ -762,7 +831,7 @@ fn handle_put(
             break StreamEnd::Timeout;
         }
         match reader.read(&mut buf) {
-            Ok(0) => break StreamEnd::Eof,
+            Ok(0) => break StreamEnd::Clean,
             Ok(n) => {
                 delivered += n as u64;
                 let mut transfers = shared.transfers.lock().expect("transfers poisoned");
@@ -822,28 +891,28 @@ fn handle_put(
         }
     }
     match end {
-        StreamEnd::Eof => {}
+        StreamEnd::Clean => {}
         StreamEnd::Stop => {
             shared.counters.aborts.fetch_add(1, Ordering::Relaxed);
             shared.event("abort", tenant_id, 0, transfer_id);
-            return;
+            return false;
         }
         StreamEnd::Timeout => {
             shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
             shared.metric(|m| m.counter_add(CounterKind::ServeTimeouts, 1));
             shared.event("timeout", tenant_id, 0, transfer_id);
-            return;
+            return false;
         }
         StreamEnd::Damage => {
             shared.counters.aborts.fetch_add(1, Ordering::Relaxed);
             shared.metric(|m| m.counter_add(CounterKind::ServeAborts, 1));
             shared.event("abort", tenant_id, 0, transfer_id);
-            return;
+            return false;
         }
     }
 
-    // Clean EOF. Complete only when the whole declared length is verified;
-    // a short-but-clean close keeps the prefix for a later resume.
+    // Complete only when the whole declared length is verified; a
+    // short-but-clean close keeps the prefix for a later resume.
     let (verified, crc, complete) = {
         let mut transfers = shared.transfers.lock().expect("transfers poisoned");
         let t = transfers.get_mut(&key).expect("busy transfer vanished");
@@ -867,8 +936,10 @@ fn handle_put(
         }
         (t.verified, t.crc.finish(), complete)
     };
-    let _ = write_done(&mut sock, &Done { ok: complete, verified, crc });
-    let _ = sock.shutdown(Shutdown::Write);
+    let sent = write_done(&mut sock, &Done { ok: complete, verified, crc }).is_ok();
+    if !complete {
+        let _ = sock.shutdown(Shutdown::Write);
+    }
     if complete {
         shared.counters.completed.fetch_add(1, Ordering::Relaxed);
         shared.metric(|m| m.counter_add(CounterKind::ServeCompleted, 1));
@@ -879,6 +950,7 @@ fn handle_put(
         }
     }
     drop(guard);
+    complete && sent
 }
 
 /// Tees every byte read from the socket into `captured`, so a completed
@@ -888,13 +960,13 @@ fn handle_put(
 /// frame only once its block has decoded and been released, so truncating
 /// the capture to the reader's `wire_bytes()` yields only whole, valid,
 /// decodable frames.
-struct CaptureReader {
-    inner: Box<dyn Read + Send>,
+struct CaptureReader<'a> {
+    inner: Box<dyn Read + Send + 'a>,
     captured: Vec<u8>,
     enabled: bool,
 }
 
-impl Read for CaptureReader {
+impl Read for CaptureReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = self.inner.read(buf)?;
         if self.enabled {
@@ -909,7 +981,8 @@ impl Read for CaptureReader {
 /// cache, so a hot block is decoded once and then served from memory;
 /// unsealed-but-retained ones fall back to slicing the decoded payload.
 /// Either way the reply — accept frame, body, CRC trailer — is assembled
-/// in one buffer and leaves in one write.
+/// in one buffer and leaves in one write. True when the reply went out; a
+/// refusal is false.
 fn handle_get<W: Write>(
     shared: &Shared,
     out: &mut W,
@@ -917,11 +990,12 @@ fn handle_get<W: Write>(
     transfer_id: u64,
     offset: u64,
     len: u64,
-) {
+) -> bool {
     let tenant_id = ServerEvent::tenant_id(tenant);
     let reject = |out: &mut W| {
         shared.shed(RejectReason::BadRequest, tenant_id);
         let _ = write_response(out, &Response::Reject { reason: RejectReason::BadRequest });
+        false
     };
     enum Source {
         Sealed(Arc<SealedObject>),
@@ -968,7 +1042,7 @@ fn handle_get<W: Write>(
     };
     drop(span);
     shared.event("get", tenant_id, reply.body_len() as u64, transfer_id);
-    let _ = out.write_all(&reply.finish());
+    out.write_all(&reply.finish()).is_ok()
 }
 
 /// Decodes `[offset, offset + len)` (clamped) out of a sealed object
@@ -1024,12 +1098,22 @@ fn read_range_sealed(
 
 #[cfg(test)]
 mod tests {
-    use super::super::client::{get, put, PutOptions};
+    use super::super::client::{self, get, put, PutOptions};
     use super::super::netsoak::{settle, soak_threads};
-    use super::super::proto::{read_response, write_get_payload, write_request};
+    use super::super::proto::{
+        read_done, read_get_payload, read_response, write_get_payload, write_request,
+    };
     use super::super::testio::Counting;
     use super::*;
+    use adcomp_codecs::crc32::crc32;
+    use adcomp_codecs::frame::{RecoveryPolicy, HEADER_LEN};
+    use adcomp_codecs::LevelSet;
+    use adcomp_core::model::StaticModel;
+    use adcomp_core::stream::AdaptiveWriter;
+    use adcomp_core::{Backoff, WallClock};
+    use adcomp_corpus::{generate, Class};
     use std::collections::HashSet;
+    use std::io;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     const IO: Duration = Duration::from_secs(2);
@@ -1040,6 +1124,37 @@ mod tests {
 
     fn body(len: usize) -> Vec<u8> {
         (0..len).map(|i| (i / 3) as u8 ^ (i as u8).rotate_left(3)).collect()
+    }
+
+    /// The LIGHT frame stream of `data` in 4 KiB blocks.
+    fn frames_of(data: &[u8]) -> Vec<u8> {
+        let levels = LevelSet::paper_default();
+        let n = levels.len();
+        let model = Box::new(StaticModel::new(1, n));
+        let clock = Box::new(WallClock::new());
+        let mut w = AdaptiveWriter::with_params(Vec::new(), levels, model, 4096, 2.0, clock);
+        w.write_all(data).unwrap();
+        w.finish().unwrap().0
+    }
+
+    /// A PUT of `t`/`id` declaring `total_len` bytes, its `frames` written
+    /// by hand on `sock`; returns the receipt.
+    fn put_on(mut sock: &TcpStream, id: u64, total_len: u64, frames: &[u8]) -> Done {
+        let req = Request::Put { tenant: "t".into(), transfer_id: id, total_len };
+        write_request(&mut sock, &req).unwrap();
+        assert!(matches!(read_response(&mut sock).unwrap(), Response::Accept { .. }));
+        sock.write_all(frames).unwrap();
+        read_done(&mut sock).unwrap()
+    }
+
+    /// A ranged GET of `t`/`id` on `sock`.
+    fn get_on(mut sock: &TcpStream, id: u64, offset: u64, len: u64) -> io::Result<Vec<u8>> {
+        let req = Request::Get { tenant: "t".into(), transfer_id: id, offset, len };
+        write_request(&mut sock, &req)?;
+        match read_response(&mut sock)? {
+            Response::Accept { start_offset, .. } => read_get_payload(&mut sock, start_offset),
+            Response::Reject { reason } => Err(io::Error::other(reason.as_str())),
+        }
     }
 
     /// Spins until `cond` holds; panics with `what` after 5 s.
@@ -1124,10 +1239,8 @@ mod tests {
         let data = body(100_000);
         let opts = |id| PutOptions { tenant: "t".into(), transfer_id: id, ..Default::default() };
         put(addr, &data, &opts(1)).unwrap();
-        // Each request waits for the previous handler to park, which is
-        // what makes the spawn count exact rather than a race.
+        // Back-to-back requests ride the client's kept-alive connection.
         for i in 0..250u64 {
-            wait_for("a parked handler", || idle(&server) >= 1);
             if i % 5 == 0 {
                 put(addr, &data[..2000], &opts(2 + i)).unwrap();
             } else {
@@ -1135,11 +1248,29 @@ mod tests {
                 assert_eq!(get(addr, "t", 1, at, 512, IO).unwrap(), &data[at as usize..][..512]);
             }
         }
+        // Not exactly one: a net-soak test running beside this one empties
+        // the process-wide idle pool, and a stalled host lets an idle
+        // socket age past reuse.
+        let kept = server.stats();
+        assert!(kept.connections <= 25, "{} connections for 251 requests", kept.connections);
+        assert!(kept.handler_spawns <= kept.connections);
+
+        // Connections that close after one request each are handed to the
+        // handler parked by the one before: no spawn. Each waits for that
+        // handler to park, which is what makes the count exact.
+        client::close_idle();
+        let spawned = server.stats().handler_spawns;
+        for i in 0..20u64 {
+            wait_for("a parked handler", || idle(&server) >= 1 && live(&server) == 0);
+            let sock = TcpStream::connect(addr).unwrap();
+            assert_eq!(get_on(&sock, 1, i * 7, 64).unwrap(), &data[i as usize * 7..][..64]);
+        }
         let sequential = server.stats().handler_spawns;
-        assert!(sequential <= 2, "{sequential} handlers spawned for sequential requests");
+        assert_eq!(sequential, spawned, "a closed-after-use connection spawned a handler");
 
         // Eight connections stuck mid-handshake each hold a handler of
         // their own…
+        wait_for("the last handler to park", || live(&server) == 0);
         let mut held: Vec<TcpStream> =
             (0..8).map(|_| TcpStream::connect(addr).unwrap()).collect();
         wait_for("eight concurrent handlers", || live(&server) == 8 && idle(&server) == 0);
@@ -1166,11 +1297,15 @@ mod tests {
         let before = soak_threads();
         let server = start();
         let addr = server.local_addr();
-        // Three handlers at once, then all three parked.
+        // A kept-alive connection whose handler waits for a next request…
+        let kept = TcpStream::connect(addr).unwrap();
+        assert!(put_on(&kept, 1, 0, &[]).ok);
+        // …then three handlers at once, and all three parked.
         let held: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(addr).unwrap()).collect();
-        wait_for("three handlers", || live(&server) == 3);
+        wait_for("three more handlers", || live(&server) == 4);
         drop(held);
-        wait_for("three parked handlers", || idle(&server) == 3);
+        wait_for("three parked handlers", || idle(&server) == 3 && live(&server) == 1);
+        wait_for("the kept-alive wait", || !server.shared.idle_conns.lock().unwrap().is_empty());
         let ours = soak_threads();
         let t0 = Instant::now();
         server.shutdown();
@@ -1178,16 +1313,203 @@ mod tests {
         // Below the linger, or the handlers merely timing out would pass.
         let bound = Duration::from_millis(250);
         assert!(bound < HANDLER_LINGER);
-        assert!(took < bound, "shutdown took {took:?} with parked handlers");
+        assert!(took < bound, "shutdown took {took:?} with parked and kept-alive handlers");
         // Census as in the net soak: daemon threads born since the
         // baseline and seen while this server ran must be gone (a sibling
         // test's threads, told apart only by living on, settle too).
         if let (Some(before), Some(ours)) = (before, ours) {
             let born: HashSet<_> = ours.difference(&before).cloned().collect();
-            assert!(born.len() >= 4, "accept + three handlers expected, saw {}", born.len());
+            assert!(born.len() >= 5, "accept + four handlers expected, saw {}", born.len());
             let alive = || soak_threads().map(|now| now.intersection(&born).count() as u64);
             assert_eq!(settle(alive, 0), 0, "daemon threads outlived shutdown");
         }
+    }
+
+    #[test]
+    fn one_connection_carries_put_get_get_put_get() {
+        let server = start();
+        let sock = TcpStream::connect(server.local_addr()).unwrap();
+        sock.set_read_timeout(Some(IO)).unwrap();
+        let (a, b) = (body(20_000), body(9_000));
+        assert_eq!(put_on(&sock, 1, 20_000, &frames_of(&a)), Done {
+            ok: true,
+            verified: 20_000,
+            crc: crc32(&a)
+        });
+        assert_eq!(get_on(&sock, 1, 0, 20_000).unwrap(), a);
+        assert_eq!(get_on(&sock, 1, 4095, 10).unwrap(), &a[4095..4105]);
+        assert!(put_on(&sock, 2, 9_000, &frames_of(&b)).ok);
+        assert_eq!(get_on(&sock, 2, 8000, 5000).unwrap(), &b[8000..]);
+        drop(sock);
+        let s = server.shutdown();
+        assert_eq!((s.connections, s.handler_spawns, s.completed, s.shed), (1, 1, 2, 0));
+    }
+
+    #[test]
+    fn idle_connection_closes_cleanly_and_a_stale_one_is_retried_at_once() {
+        let server = start();
+        let addr = server.local_addr();
+        let data = body(5_000);
+        // A put that slept one backoff step would take a second.
+        let step = Duration::from_secs(1);
+        let opts = |transfer_id| PutOptions {
+            tenant: "t".into(),
+            transfer_id,
+            backoff: Backoff::new(step.as_secs_f64(), 2.0, 2.0, 3),
+            ..Default::default()
+        };
+        put(addr, &data, &opts(1)).unwrap();
+        // Past the linger the server closes the idle connection: not a
+        // shed, a timeout or an abort.
+        std::thread::sleep(HANDLER_LINGER + Duration::from_millis(100));
+        wait_for("the idle connection to close", || live(&server) == 0);
+        let s = server.stats();
+        assert_eq!((s.shed, s.timeouts, s.aborts), (0, 0, 0));
+        let t0 = Instant::now();
+        assert_eq!(put(addr, &data, &opts(2)).unwrap().attempts, 1);
+        assert!(t0.elapsed() < step);
+        // The server closes a connection the client still counts as fresh:
+        // the next put fails on it before any reply byte and goes again on
+        // a new connection, in the same attempt and without a sleep.
+        wait_for("a kept-alive wait", || !server.shared.idle_conns.lock().unwrap().is_empty());
+        for sock in server.shared.idle_conns.lock().unwrap().iter() {
+            let _ = sock.shutdown(Shutdown::Both);
+        }
+        let t0 = Instant::now();
+        assert_eq!(put(addr, &data, &opts(3)).unwrap().attempts, 1);
+        assert!(t0.elapsed() < step);
+        let s = server.shutdown();
+        assert_eq!((s.completed, s.connections), (3, 3));
+        assert_eq!((s.shed, s.timeouts, s.aborts), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_put_longer_than_declared_seals_the_declared_bytes_and_its_excess_is_a_bad_request() {
+        let server = start();
+        let data = body(3 * 4096);
+        let declared = 2 * 4096;
+        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+        sock.set_read_timeout(Some(IO)).unwrap();
+        let done = put_on(&sock, 1, declared as u64, &frames_of(&data));
+        let want = Done { ok: true, verified: declared as u64, crc: crc32(&data[..declared]) };
+        assert_eq!(done, want);
+        // The third frame is read as the next request.
+        let refused = Response::Reject { reason: RejectReason::BadRequest };
+        assert_eq!(read_response(&mut sock).unwrap(), refused);
+        drop(sock);
+        let sealed = get(server.local_addr(), "t", 1, 0, data.len() as u64, IO).unwrap();
+        assert_eq!(sealed, &data[..declared]);
+        let s = server.shutdown();
+        assert_eq!((s.completed, s.shed, s.aborts), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_rejected_get_ends_its_connection() {
+        let server = start();
+        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+        sock.set_read_timeout(Some(IO)).unwrap();
+        let err = get_on(&sock, 7, 0, 1).unwrap_err();
+        assert!(err.to_string().contains("bad_request"), "unexpected error: {err}");
+        // A next request on the socket is never answered.
+        let _ = get_on(&sock, 7, 0, 1);
+        assert_eq!(sock.read(&mut [0u8; 1]).unwrap_or(0), 0);
+        let s = server.shutdown();
+        assert_eq!((s.connections, s.shed), (1, 1));
+    }
+
+    /// ROADMAP item 1(b), the `serve` PUT row: every header bit of every
+    /// frame of a small PUT, flipped on its own, on a connection that
+    /// already served a request and asks for one more right behind the
+    /// frames. The PUT must end in `DONE{ok}` with the source's CRC and
+    /// sealed bytes, or fail with nothing sealed; and the connection must
+    /// serve the request behind it only after a complete PUT, so it never
+    /// answers out of a stream it lost its place in.
+    #[test]
+    fn every_header_bit_flip_of_a_kept_alive_put_is_caught_or_harmless() {
+        let server = Server::start(ServeConfig {
+            io_timeout: IO,
+            // A flip to a huge length is refused before its buffer fills.
+            recovery: RecoveryPolicy { max_frame: 1 << 20, ..RecoveryPolicy::fail_fast() },
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let source: Vec<u8> = [
+            generate(Class::Moderate, 4096, 1),
+            generate(Class::High, 4096, 2),
+            generate(Class::Low, 3000, 3),
+        ]
+        .concat();
+        let total = source.len() as u64;
+        let wire = frames_of(&source);
+        let mut frames = Vec::new();
+        let mut at = 0;
+        while at < wire.len() {
+            frames.push(at);
+            let payload = u32::from_le_bytes(wire[at + 8..at + 12].try_into().unwrap());
+            at += HEADER_LEN + payload as usize;
+        }
+        assert_eq!(frames.len(), 3);
+        let first = TcpStream::connect(server.local_addr()).unwrap();
+        assert!(put_on(&first, 0, total, &wire).ok);
+        drop(first);
+
+        let (mut harmless, mut caught) = (0, 0);
+        for (f, &frame) in frames.iter().enumerate() {
+            for bit in 0..HEADER_LEN * 8 {
+                let id = 1 + (f * HEADER_LEN * 8 + bit) as u64;
+                let mut hurt = wire.clone();
+                hurt[frame + bit / 8] ^= 1 << (bit % 8);
+                let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+                sock.set_read_timeout(Some(IO)).unwrap();
+                assert_eq!(get_on(&sock, 0, 100, 50).unwrap(), &source[100..150]);
+                let put = Request::Put { tenant: "t".into(), transfer_id: id, total_len: total };
+                write_request(&mut sock, &put).unwrap();
+                assert!(matches!(read_response(&mut sock).unwrap(), Response::Accept { .. }));
+                // The server may hang up before it has read all of this.
+                let mut tail = hurt;
+                let next =
+                    Request::Get { tenant: "t".into(), transfer_id: id, offset: 0, len: total };
+                write_request(&mut tail, &next).unwrap();
+                let _ = sock.write_all(&tail);
+                let _ = sock.shutdown(Shutdown::Write);
+                let mut back = Vec::new();
+                let _ = sock.read_to_end(&mut back);
+
+                let case = format!("frame {f} bit {bit}");
+                let mut rest = &back[..];
+                match read_done(&mut rest) {
+                    Ok(done) if done.ok => {
+                        assert_eq!((done.verified, done.crc), (total, crc32(&source)), "{case}");
+                        // What follows is the reply to the next request,
+                        // served from the sealed bytes, and nothing else.
+                        let got = match read_response(&mut rest) {
+                            Ok(Response::Accept { start_offset, .. }) => {
+                                read_get_payload(&mut rest, start_offset).ok()
+                            }
+                            _ => None,
+                        };
+                        assert_eq!(got.as_deref(), Some(&source[..]), "{case}");
+                        assert!(rest.is_empty(), "{case}: bytes after the reply");
+                        harmless += 1;
+                    }
+                    // Nothing, or an incomplete receipt alone: the
+                    // request behind the PUT is never answered.
+                    Ok(done) => {
+                        assert!(done.verified < total && rest.is_empty(), "{case}: {done:?}");
+                        assert!(!server.is_completed("t", id), "{case}: sealed after a failure");
+                        caught += 1;
+                    }
+                    Err(_) => {
+                        assert!(back.is_empty(), "{case}: {} unexpected bytes", back.len());
+                        assert!(!server.is_completed("t", id), "{case}: sealed after a failure");
+                        caught += 1;
+                    }
+                }
+            }
+        }
+        assert!(harmless > 0 && caught > 0, "{harmless} harmless, {caught} caught");
+        let s = server.shutdown();
+        assert_eq!(s.shed, 0, "a flipped PUT desynchronised its connection");
     }
 
     #[test]
