@@ -5,7 +5,7 @@
 //! (`adcomp_trace::json::validate_line`), plus structural rules:
 //!
 //! * every line is a single valid JSON object whose first key is `ev`;
-//! * `ev` is one of `manifest | decision | epoch | codec | sim | fault | pipeline | server`;
+//! * `ev` is one of `manifest | decision | epoch | codec | sim | fault | pipeline`;
 //! * each stream contains at least one manifest, and manifests precede the
 //!   events they describe;
 //! * per-kind event counts match what each manifest declared.
@@ -19,8 +19,7 @@ use adcomp_trace::json::validate_line;
 use std::io::{BufRead, BufReader};
 use std::process::ExitCode;
 
-const KINDS: [&str; 8] =
-    ["manifest", "decision", "epoch", "codec", "sim", "fault", "pipeline", "server"];
+const KINDS: [&str; 7] = ["manifest", "decision", "epoch", "codec", "sim", "fault", "pipeline"];
 
 /// Extracts the string value of a top-level `"key":"value"` pair. The trace
 /// format is machine-generated with a fixed key order, so plain scanning is
@@ -52,12 +51,12 @@ fn lint_file(path: &str) -> std::io::Result<FileReport> {
     let mut report = FileReport { lines: 0, manifests: 0, events: 0, errors: 0 };
     // Event counts for the most recent manifest, checked when the next
     // manifest (or EOF) closes its section.
-    // decision, epoch, codec, sim, fault, pipeline, server
-    let mut declared: Option<[u64; 7]> = None;
-    let mut seen = [0u64; 7];
+    // decision, epoch, codec, sim, fault, pipeline
+    let mut declared: Option<[u64; 6]> = None;
+    let mut seen = [0u64; 6];
     let mut manifest_line = 0usize;
-    let check_section = |declared: &mut Option<[u64; 7]>,
-                            seen: &mut [u64; 7],
+    let check_section = |declared: &mut Option<[u64; 6]>,
+                            seen: &mut [u64; 6],
                             at: usize,
                             errors: &mut usize| {
         if let Some(d) = declared.take() {
@@ -68,7 +67,7 @@ fn lint_file(path: &str) -> std::io::Result<FileReport> {
                 *errors += 1;
             }
         }
-        *seen = [0; 7];
+        *seen = [0; 6];
     };
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
@@ -108,7 +107,6 @@ fn lint_file(path: &str) -> std::io::Result<FileReport> {
                 u64_value(&line, "sim").unwrap_or(0),
                 u64_value(&line, "fault").unwrap_or(0),
                 u64_value(&line, "pipeline").unwrap_or(0),
-                u64_value(&line, "server").unwrap_or(0),
             ]);
         } else {
             report.events += 1;

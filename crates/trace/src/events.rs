@@ -160,44 +160,6 @@ pub struct PipelineEvent {
     pub workers: u32,
 }
 
-/// One serve-daemon lifecycle incident: admission, shedding, timeouts,
-/// drain progress, breaker transitions.
-///
-/// Tenant names are dynamic strings, but events must stay `Copy`, so the
-/// tenant is carried as a stable 64-bit FNV-1a hash ([`ServerEvent::tenant_id`])
-/// — enough to correlate one tenant's events within a trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[must_use = "trace events do nothing unless emitted to a sink"]
-pub struct ServerEvent {
-    pub epoch: u64,
-    pub t: f64,
-    /// What happened: `"accept"`, `"reject"`, `"resume"`, `"done"`,
-    /// `"timeout"`, `"abort"`, `"drain_begin"`, `"drain_done"`,
-    /// `"breaker_open"`, `"breaker_close"`.
-    pub kind: &'static str,
-    /// FNV-1a hash of the tenant name (0 when not tenant-scoped).
-    pub tenant: u64,
-    /// Bytes involved (verified payload bytes; kind-dependent, 0 if n/a).
-    pub bytes: u64,
-    /// Ordinal detail: transfer id, reject reason code, active
-    /// connections at drain — kind-dependent.
-    pub detail: u64,
-}
-
-impl ServerEvent {
-    /// Stable FNV-1a 64-bit hash of a tenant name, used as the `tenant`
-    /// field so events stay `Copy`.
-    #[must_use]
-    pub fn tenant_id(name: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in name.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        h
-    }
-}
-
 /// The sum type every sink consumes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[must_use = "trace events do nothing unless emitted to a sink"]
@@ -208,7 +170,6 @@ pub enum TraceEvent {
     Sim(SimEvent),
     Fault(FaultEvent),
     Pipeline(PipelineEvent),
-    Server(ServerEvent),
 }
 
 impl TraceEvent {
@@ -221,7 +182,6 @@ impl TraceEvent {
             TraceEvent::Sim(_) => "sim",
             TraceEvent::Fault(_) => "fault",
             TraceEvent::Pipeline(_) => "pipeline",
-            TraceEvent::Server(_) => "server",
         }
     }
 
@@ -234,7 +194,6 @@ impl TraceEvent {
             TraceEvent::Sim(e) => e.epoch,
             TraceEvent::Fault(e) => e.epoch,
             TraceEvent::Pipeline(e) => e.epoch,
-            TraceEvent::Server(e) => e.epoch,
         }
     }
 
@@ -298,14 +257,6 @@ impl TraceEvent {
                 o.u64_field("reorder_depth", e.reorder_depth as u64);
                 o.u64_field("workers", e.workers as u64);
             }
-            TraceEvent::Server(e) => {
-                o.u64_field("epoch", e.epoch);
-                o.f64_field("t", e.t);
-                o.str_field("kind", e.kind);
-                o.u64_field("tenant", e.tenant);
-                o.u64_field("bytes", e.bytes);
-                o.u64_field("detail", e.detail);
-            }
         }
         o.finish()
     }
@@ -341,11 +292,6 @@ impl From<PipelineEvent> for TraceEvent {
         TraceEvent::Pipeline(e)
     }
 }
-impl From<ServerEvent> for TraceEvent {
-    fn from(e: ServerEvent) -> Self {
-        TraceEvent::Server(e)
-    }
-}
 
 /// Per-kind event counts — the manifest's summary of a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -356,7 +302,6 @@ pub struct EventCounts {
     pub sim: u64,
     pub fault: u64,
     pub pipeline: u64,
-    pub server: u64,
 }
 
 impl EventCounts {
@@ -368,7 +313,6 @@ impl EventCounts {
             TraceEvent::Sim(_) => self.sim += 1,
             TraceEvent::Fault(_) => self.fault += 1,
             TraceEvent::Pipeline(_) => self.pipeline += 1,
-            TraceEvent::Server(_) => self.server += 1,
         }
     }
 
@@ -381,8 +325,7 @@ impl EventCounts {
     }
 
     pub fn total(&self) -> u64 {
-        self.decision + self.epoch + self.codec + self.sim + self.fault
-            + self.pipeline + self.server
+        self.decision + self.epoch + self.codec + self.sim + self.fault + self.pipeline
     }
 
     /// Serializes as a JSON object fragment.
@@ -395,7 +338,6 @@ impl EventCounts {
         o.u64_field("sim", self.sim);
         o.u64_field("fault", self.fault);
         o.u64_field("pipeline", self.pipeline);
-        o.u64_field("server", self.server);
         o.u64_field("total", self.total());
         o.finish()
     }

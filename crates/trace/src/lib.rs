@@ -8,7 +8,7 @@
 //!
 //! * [`events`] — the typed, `Copy`, epoch-tagged event taxonomy:
 //!   [`DecisionEvent`], [`EpochEvent`], [`CodecEvent`], [`SimEvent`],
-//!   [`FaultEvent`], [`PipelineEvent`], [`ServerEvent`];
+//!   [`FaultEvent`], [`PipelineEvent`];
 //! * [`sink`] — the [`TraceSink`] trait, the statically-disabled
 //!   [`NullSink`], the in-memory [`MemorySink`] and the dynamic
 //!   [`TraceHandle`];
@@ -54,8 +54,8 @@ pub mod sink;
 pub mod timeline;
 
 pub use events::{
-    CodecEvent, DecisionEvent, EpochEvent, EventCounts, FaultEvent, PipelineEvent, ServerEvent,
-    SimEvent, TraceEvent, MAX_LEVELS, NO_EPOCH,
+    CodecEvent, DecisionEvent, EpochEvent, EventCounts, FaultEvent, PipelineEvent, SimEvent,
+    TraceEvent, MAX_LEVELS, NO_EPOCH,
 };
 pub use dash::render_top;
 pub use http::{http_get, MetricsServer};

@@ -29,7 +29,6 @@ use adcomp_core::model::{DecisionModel, EpochObservation, RateBasedModel, Static
 use adcomp_core::stream::AdaptiveWriter;
 use adcomp_core::{Backoff, WallClock};
 use adcomp_metrics::registry::{self, CounterKind};
-use adcomp_trace::{TraceHandle, TraceSink};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, PoisonError};
@@ -184,8 +183,6 @@ pub struct PutOptions {
     pub level: Option<usize>,
     /// Per-block content-aware codec selection (portfolio mode).
     pub portfolio: bool,
-    /// Trace sink handed to the writer's epoch driver.
-    pub trace: TraceHandle,
 }
 
 impl Default for PutOptions {
@@ -200,7 +197,6 @@ impl Default for PutOptions {
             workers: 1,
             level: None,
             portfolio: false,
-            trace: TraceHandle::disabled(),
         }
     }
 }
@@ -333,9 +329,6 @@ fn attempt(
     writer.set_pipeline_workers(opts.workers);
     if opts.portfolio {
         writer.set_portfolio(true);
-    }
-    if opts.trace.enabled() {
-        writer.set_trace(opts.trace.clone());
     }
     let rest = &payload[start as usize..];
     let mut sent_this_attempt = 0u64;

@@ -11,10 +11,11 @@
 //! * [`proto`] — the tiny length-prefixed handshake (request / verdict /
 //!   receipt) around the self-describing frame stream;
 //! * [`server`] — [`Server`] / [`ServeConfig`]: one-handler-per-connection
-//!   daemon (a connection carries many requests, and handlers park and
-//!   are reused, so a request pays neither a connect nor a thread spawn)
-//!   with per-tenant quotas, typed [`RejectReason`] shedding, idle + wall
-//!   deadlines, verified-prefix transfer table, and drain;
+//!   daemon (a connection carries many requests, so all but the first pay
+//!   neither a connect nor a thread spawn) with per-tenant quotas, typed
+//!   [`RejectReason`] shedding, idle + wall deadlines, a verified-prefix
+//!   transfer table whose completed transfers serve ranged GETs from their
+//!   stored wire, and drain;
 //! * [`client`] — [`put`] / [`PutOptions`]: bounded-retry exponential
 //!   backoff uploads that resume from the server's last verified byte,
 //!   and [`get`]: CRC-verified ranged reads of completed transfers; both
@@ -628,24 +629,6 @@ mod tests {
         let err = get(server.local_addr(), "t", 1, 0, 10, io).unwrap_err();
         assert!(err.to_string().contains("bad_request"), "unexpected error: {err}");
         drop(held);
-        server.shutdown();
-    }
-
-    #[test]
-    fn get_falls_back_to_retained_payload_when_wire_storage_is_off() {
-        let mut cfg = test_config(); // keep_payloads: true
-        cfg.store_wire = false;
-        let server = Server::start(cfg).unwrap();
-        let data = payload(14, 120_000);
-        let opts = PutOptions { tenant: "t".into(), transfer_id: 1, ..Default::default() };
-        put(server.local_addr(), &data, &opts).unwrap();
-        assert!(!server.is_sealed("t", 1));
-        let got = get(server.local_addr(), "t", 1, 50_000, 10_000, Duration::from_secs(2))
-            .unwrap();
-        assert_eq!(got, &data[50_000..60_000]);
-        // The fallback path never touches the block cache.
-        let s = server.cache_stats();
-        assert_eq!((s.hits, s.misses), (0, 0));
         server.shutdown();
     }
 

@@ -27,7 +27,6 @@
 
 use super::client::{self, put, PutOptions};
 use super::server::{ServeConfig, Server};
-use adcomp_codecs::frame::RecoveryPolicy;
 use adcomp_corpus::Prng;
 use adcomp_core::Backoff;
 use adcomp_faults::net::{ChaosProxy, NetFaultSpec};
@@ -167,7 +166,6 @@ pub fn run_net_soak(
             io_timeout: Duration::from_secs(1),
             max_streams: batch as usize + 2,
             per_tenant_streams: 2,
-            recovery: RecoveryPolicy::fail_fast(),
             ..ServeConfig::default()
         })
         .expect("soak server failed to bind");

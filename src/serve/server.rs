@@ -1,23 +1,18 @@
-//! The `adcomp serve` daemon: a TCP server with thread-per-connection
-//! semantics — every connection has a handler thread to itself, every
-//! accepted stream is decoded through its own [`AdaptiveReader`] — with
-//! robustness as the design center.
+//! The `adcomp serve` daemon: a TCP server with one handler thread per
+//! connection — the accept loop spawns it, it serves the connection's
+//! requests and exits when the connection ends, and every accepted stream
+//! is decoded through its own [`AdaptiveReader`] — with robustness as the
+//! design center.
 //!
-//! A connection carries a sequence of requests. After a GET reply or a
+//! A connection carries a sequence of requests, which is what keeps the
+//! thread spawn off all but the first of them. After a GET reply or a
 //! PUT's successful `DONE` the handler waits a short linger for the first
 //! byte of the next request on the same socket; silence, EOF or a reset
 //! before that byte is a clean close. A refusal, a drain, an incomplete
 //! PUT or any error ends the connection. A PUT ends at its declared
 //! length, not at EOF, so whatever follows its last frame is the next
-//! request.
-//!
-//! What a connection does not get is a thread *spawn* of its own. A
-//! handler that finishes its connection parks on a condition variable for
-//! a short linger; the accept loop hands the next socket to a parked
-//! handler when there is one and spawns only when there is none. So
-//! back-to-back connections are served by one long-lived thread, a burst
-//! still gets one handler per connection (nobody queues behind a slow
-//! `put`), and handlers left over from a burst exit after the linger.
+//! request. A burst of connections gets a handler each, so nobody queues
+//! behind a slow `put`.
 //! Control frames cross the socket in one syscall each way: a request is
 //! two exact-length reads, a GET reply is one write of accept frame, body
 //! and trailer assembled in the buffer the block reads fill.
@@ -54,9 +49,7 @@ use super::proto::{
     NO_LEVEL_CAP,
 };
 use adcomp_codecs::crc32::Hasher;
-use adcomp_codecs::frame::{
-    decode_block_with, RecoveryMode, RecoveryPolicy, DEFAULT_MAX_FRAME,
-};
+use adcomp_codecs::frame::{decode_block_with, RecoveryPolicy, DEFAULT_MAX_FRAME};
 use adcomp_codecs::seek::StreamIndex;
 use adcomp_codecs::DecodeScratch;
 use adcomp_core::stream::AdaptiveReader;
@@ -64,19 +57,16 @@ use adcomp_core::{SharedThrottle, ThrottledReader};
 use adcomp_metrics::registry::{
     self, CounterKind, GaugeKind, LabelFamily, MetricsRegistry, SpanKind,
 };
-use adcomp_trace::events::{ServerEvent, NO_EPOCH};
-use adcomp_trace::{TraceEvent, TraceHandle, TraceSink};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How long a kept-alive connection waits for its next request, and how
-/// long a handler that finished its connection stays parked waiting for
-/// the next one before it exits. Long enough that back-to-back requests
-/// pay neither a connect nor a thread spawn, short enough that a burst's
+/// How long a kept-alive connection waits for its next request before its
+/// handler closes it and exits. Long enough that back-to-back requests pay
+/// neither a connect nor a thread spawn, short enough that a burst's
 /// handlers (and the allocator arenas behind them) are gone soon after it.
 pub(crate) const HANDLER_LINGER: Duration = Duration::from_millis(500);
 
@@ -98,29 +88,18 @@ pub struct ServeConfig {
     pub max_stream_secs: f64,
     /// Per-tenant ingest bandwidth cap, bytes/s (`None` = uncapped).
     pub tenant_rate_bps: Option<f64>,
-    /// Retain received payloads in memory (tests / verification).
+    /// Retain received payloads in memory (tests / verification). GETs are
+    /// served from the stored wire either way.
     pub keep_payloads: bool,
-    /// Retain the *compressed* wire bytes of each transfer, frame-aligned
-    /// and CRC-verified, so completed transfers can serve ranged GETs
-    /// through the block index without holding decoded payloads. Only
-    /// effective under a fail-fast [`RecoveryPolicy`] (a skipping reader
-    /// would leave holes the wire copy cannot represent).
-    pub store_wire: bool,
     /// Byte budget for the hot-object block cache serving ranged GETs
     /// (0 disables caching; GETs then decode every covering block).
     pub cache_bytes: u64,
-    /// Frame-stream recovery policy for the per-connection reader.
-    /// Fail-fast is the correct default here: the verified prefix must
-    /// stay gap-free for resume to be byte-accurate.
-    pub recovery: RecoveryPolicy,
     /// CPU pressure (0..1) at which the breaker opens.
     pub breaker_threshold: f64,
     /// Pressure sampler; `None` disables the automatic breaker.
     pub pressure_probe: Option<Arc<dyn Fn() -> f64 + Send + Sync>>,
     /// How often the breaker samples the probe.
     pub probe_interval: Duration,
-    /// Trace sink for `server` events (disabled by default).
-    pub trace: TraceHandle,
 }
 
 impl Default for ServeConfig {
@@ -134,13 +113,10 @@ impl Default for ServeConfig {
             max_stream_secs: 600.0,
             tenant_rate_bps: None,
             keep_payloads: false,
-            store_wire: true,
             cache_bytes: 64 << 20,
-            recovery: RecoveryPolicy::fail_fast(),
             breaker_threshold: 0.9,
             pressure_probe: None,
             probe_interval: Duration::from_millis(250),
-            trace: TraceHandle::disabled(),
         }
     }
 }
@@ -157,11 +133,9 @@ pub struct ServeStats {
     pub aborts: u64,
     pub drained_transfers: u64,
     pub breaker_trips: u64,
-    /// Handler threads ever spawned. Far below the connection count when
-    /// connections arrive back to back: parked handlers are reused.
-    pub handler_spawns: u64,
-    /// Sockets the accept loop took and handed to a handler. Far below the
-    /// request count when a client keeps its connection alive.
+    /// Sockets the accept loop took, each with a handler thread of its own.
+    /// Far below the request count when a client keeps its connection
+    /// alive.
     pub connections: u64,
 }
 
@@ -175,7 +149,6 @@ struct Counters {
     aborts: AtomicU64,
     drained_transfers: AtomicU64,
     breaker_trips: AtomicU64,
-    handler_spawns: AtomicU64,
     connections: AtomicU64,
 }
 
@@ -191,8 +164,8 @@ struct Transfer {
     busy: bool,
     /// Frame-aligned compressed wire bytes covering exactly `verified`
     /// application bytes, accumulated across resumed connections. `None`
-    /// when wire storage is off or was invalidated by a protocol
-    /// violation.
+    /// once a protocol violation invalidated it: the transfer can still
+    /// complete, but it has nothing to serve GETs from.
     wire: Option<Vec<u8>>,
     /// Set at completion: the wire plus its scanned block index, shared
     /// with GET handlers outside the transfer lock.
@@ -211,18 +184,9 @@ struct Shared {
     stop: AtomicBool,
     draining: AtomicBool,
     active_streams: AtomicU64,
-    /// Accepted connections not yet finished: queued for a handler or
-    /// inside one. The accept loop's flood cap reads it.
+    /// Accepted connections whose handler has not finished. The accept
+    /// loop's flood cap reads it.
     live_conns: AtomicU64,
-    /// Accepted sockets handed to parked handlers. Never longer than
-    /// `idle_handlers`: the accept loop queues a socket only for a handler
-    /// that is parked and not yet spoken for, and spawns otherwise.
-    handoff: Mutex<VecDeque<TcpStream>>,
-    handoff_wake: Condvar,
-    /// Handlers parked in [`next_conn`]. Changed only while holding the
-    /// `handoff` lock, which is what keeps it comparable to the queue
-    /// length; an atomic so a drop guard can restore it.
-    idle_handlers: AtomicU64,
     /// Kept-alive connections waiting for their next request, so
     /// `stop_and_join` can shut them down instead of waiting out the
     /// linger. A handler registers only under this lock and after reading
@@ -234,7 +198,6 @@ struct Shared {
     breaker_open: AtomicBool,
     counters: Counters,
     cache: BlockCache,
-    start: Instant,
 }
 
 impl Shared {
@@ -244,23 +207,9 @@ impl Shared {
         }
     }
 
-    fn event(&self, kind: &'static str, tenant: u64, bytes: u64, detail: u64) {
-        if self.cfg.trace.enabled() {
-            self.cfg.trace.emit(&TraceEvent::Server(ServerEvent {
-                epoch: NO_EPOCH,
-                t: self.start.elapsed().as_secs_f64(),
-                kind,
-                tenant,
-                bytes,
-                detail,
-            }));
-        }
-    }
-
-    fn shed(&self, reason: RejectReason, tenant: u64) {
+    fn shed(&self, reason: RejectReason) {
         self.counters.shed.fetch_add(1, Ordering::Relaxed);
         self.metric(|m| m.label_count(LabelFamily::ShedReason, reason.as_str(), 1));
-        self.event("reject", tenant, 0, reason as u64);
     }
 
     /// Gives back one admitted stream's global and per-tenant slot. A
@@ -285,10 +234,8 @@ impl Shared {
                 m.counter_add(CounterKind::BreakerTrips, 1);
                 m.gauge_set(GaugeKind::BreakerOpen, 1);
             });
-            self.event("breaker_open", 0, 0, 0);
         } else if !open && was {
             self.metric(|m| m.gauge_set(GaugeKind::BreakerOpen, 0));
-            self.event("breaker_close", 0, 0, 0);
         }
     }
 }
@@ -315,9 +262,6 @@ impl Server {
             draining: AtomicBool::new(false),
             active_streams: AtomicU64::new(0),
             live_conns: AtomicU64::new(0),
-            handoff: Mutex::default(),
-            handoff_wake: Condvar::new(),
-            idle_handlers: AtomicU64::new(0),
             idle_conns: Mutex::default(),
             tenant_active: Mutex::default(),
             tenant_throttles: Mutex::default(),
@@ -325,7 +269,6 @@ impl Server {
             breaker_open: AtomicBool::new(false),
             counters: Counters::default(),
             cache,
-            start: Instant::now(),
         });
         let handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
 
@@ -365,30 +308,26 @@ impl Server {
                     // able to read a request from — shed at the door.
                     let flood_cap = (s.cfg.max_streams as u64) * 2 + 16;
                     if s.live_conns.load(Ordering::Acquire) >= flood_cap {
-                        s.shed(RejectReason::Capacity, 0);
+                        s.shed(RejectReason::Capacity);
                         drop(sock);
                         continue;
                     }
                     s.live_conns.fetch_add(1, Ordering::AcqRel);
                     s.counters.connections.fetch_add(1, Ordering::Relaxed);
-                    // Hand the socket to a parked handler when one is free;
-                    // otherwise spawn, so concurrency stays unbounded up to
-                    // the flood cap and a slow stream never queues anyone
-                    // behind it.
-                    let mut queue = s.handoff.lock().expect("handoff poisoned");
-                    if s.idle_handlers.load(Ordering::Acquire) > queue.len() as u64 {
-                        queue.push_back(sock);
-                        s.handoff_wake.notify_one();
-                        continue;
-                    }
-                    drop(queue);
+                    // A handler per connection: concurrency stays unbounded
+                    // up to the flood cap, and a slow stream never queues
+                    // anyone behind it.
                     let sh = Arc::clone(&s);
-                    match std::thread::Builder::new()
-                        .name("adcomp-serve-conn".into())
-                        .spawn(move || handler_loop(&sh, sock))
-                    {
+                    match std::thread::Builder::new().name("adcomp-serve-conn".into()).spawn(
+                        move || {
+                            // The accept loop took the slot; it goes back
+                            // even if the handler panics, or the flood cap
+                            // would shrink for good.
+                            let _slot = Release(&sh.live_conns);
+                            handle_conn(&sh, sock);
+                        },
+                    ) {
                         Ok(h) => {
-                            s.counters.handler_spawns.fetch_add(1, Ordering::Relaxed);
                             let mut v = hs.lock().expect("handlers poisoned");
                             // Reap finished handlers so the vector stays
                             // bounded over a long-lived daemon.
@@ -440,7 +379,6 @@ impl Server {
             aborts: c.aborts.load(Ordering::Relaxed),
             drained_transfers: c.drained_transfers.load(Ordering::Relaxed),
             breaker_trips: c.breaker_trips.load(Ordering::Relaxed),
-            handler_spawns: c.handler_spawns.load(Ordering::Relaxed),
             connections: c.connections.load(Ordering::Relaxed),
         }
     }
@@ -486,7 +424,6 @@ impl Server {
     pub fn begin_drain(&self) {
         if !self.shared.draining.swap(true, Ordering::AcqRel) {
             self.shared.metric(|m| m.counter_add(CounterKind::ServeDrains, 1));
-            self.shared.event("drain_begin", 0, 0, self.active());
         }
     }
 
@@ -501,7 +438,6 @@ impl Server {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-        self.shared.event("drain_done", 0, 0, 0);
         true
     }
 
@@ -520,13 +456,6 @@ impl Server {
             return;
         }
         self.shared.stop.store(true, Ordering::Release);
-        // Wake parked handlers at once. Notifying under the queue lock
-        // closes the window in which a handler has read `stop` as false
-        // but not yet started to wait.
-        {
-            let _queue = self.shared.handoff.lock().expect("handoff poisoned");
-            self.shared.handoff_wake.notify_all();
-        }
         // Wake handlers waiting on kept-alive connections: their wait for
         // a next request ends at EOF. A handler not yet registered reads
         // `stop` under this lock before it would wait.
@@ -564,44 +493,6 @@ impl Drop for Release<'_> {
     }
 }
 
-/// Body of an `adcomp-serve-conn` thread: serve the connection it was
-/// spawned for, then every connection the accept loop hands over while it
-/// is parked, and exit once none arrives within [`HANDLER_LINGER`].
-fn handler_loop(shared: &Arc<Shared>, first: TcpStream) {
-    let mut next = Some(first);
-    while let Some(sock) = next {
-        {
-            // The accept loop took the slot; it goes back even if the
-            // handler panics, or the flood cap would shrink for good.
-            let _slot = Release(&shared.live_conns);
-            handle_conn(shared, sock);
-        }
-        next = next_conn(shared);
-    }
-}
-
-/// Parks the calling handler until the accept loop hands it a socket.
-/// `None` tells it to exit: the linger ran out or the server is stopping.
-fn next_conn(shared: &Shared) -> Option<TcpStream> {
-    let deadline = Instant::now() + HANDLER_LINGER;
-    // Declared before the idle guard, so the count drops back while the
-    // lock is still held and the accept loop never sees a handler that is
-    // already leaving.
-    let mut queue = shared.handoff.lock().expect("handoff poisoned");
-    shared.idle_handlers.fetch_add(1, Ordering::AcqRel);
-    let _idle = Release(&shared.idle_handlers);
-    loop {
-        if let Some(sock) = queue.pop_front() {
-            return Some(sock);
-        }
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() || shared.stop.load(Ordering::Acquire) {
-            return None;
-        }
-        queue = shared.handoff_wake.wait_timeout(queue, left).expect("handoff poisoned").0;
-    }
-}
-
 /// Undoes one stream admission on every exit path (including panics in
 /// the handler body).
 struct StreamGuard<'a> {
@@ -621,8 +512,9 @@ impl Drop for StreamGuard<'_> {
     }
 }
 
-/// Serves the requests of one connection, in order, until one of them
-/// ends it or no next request arrives.
+/// Body of an `adcomp-serve-conn` thread: serves the requests of its
+/// connection, in order, until one of them ends it or no next request
+/// arrives.
 fn handle_conn(shared: &Arc<Shared>, sock: TcpStream) {
     let _ = sock.set_nodelay(true);
     let _ = sock.set_read_timeout(Some(shared.cfg.io_timeout));
@@ -640,7 +532,7 @@ fn serve_request(shared: &Arc<Shared>, mut sock: &TcpStream) -> bool {
         Err(_) => {
             // Malformed, stalled, or not our protocol: one typed reject,
             // then the door.
-            shared.shed(RejectReason::BadRequest, 0);
+            shared.shed(RejectReason::BadRequest);
             let _ =
                 write_response(&mut sock, &Response::Reject { reason: RejectReason::BadRequest });
             // Drain whatever else the client sent before closing: closing
@@ -658,7 +550,6 @@ fn serve_request(shared: &Arc<Shared>, mut sock: &TcpStream) -> bool {
             let active = shared.active_streams.load(Ordering::Acquire);
             if !shared.draining.swap(true, Ordering::AcqRel) {
                 shared.metric(|m| m.counter_add(CounterKind::ServeDrains, 1));
-                shared.event("drain_begin", 0, 0, active);
             }
             let _ = write_response(
                 &mut sock,
@@ -709,9 +600,8 @@ fn handle_put(
     transfer_id: u64,
     total_len: u64,
 ) -> bool {
-    let tenant_id = ServerEvent::tenant_id(&tenant);
     let reject = |reason: RejectReason, mut sock: &TcpStream| {
-        shared.shed(reason, tenant_id);
+        shared.shed(reason);
         let _ = write_response(&mut sock, &Response::Reject { reason });
         false
     };
@@ -740,11 +630,7 @@ fn handle_put(
     }
     // Transfer table: find the verified prefix; refuse concurrent writers
     // on the same transfer (the prefix must stay single-writer).
-    // Wire storage needs a fail-fast reader: a skipping policy would
-    // deliver app bytes the stored wire cannot reproduce.
-    let store_wire =
-        shared.cfg.store_wire && shared.cfg.recovery.mode == RecoveryMode::FailFast;
-    let (start, capture) = {
+    let start = {
         let mut transfers = shared.transfers.lock().expect("transfers poisoned");
         let t = transfers.entry((tenant.clone(), transfer_id)).or_insert_with(|| Transfer {
             verified: 0,
@@ -753,7 +639,7 @@ fn handle_put(
             data: shared.cfg.keep_payloads.then(Vec::new),
             completed: false,
             busy: false,
-            wire: store_wire.then(Vec::new),
+            wire: Some(Vec::new()),
             sealed: None,
         });
         if t.busy || t.total != total_len {
@@ -762,7 +648,7 @@ fn handle_put(
             return reject(RejectReason::TenantQuota, sock);
         }
         t.busy = true;
-        (t.verified, t.wire.is_some())
+        t.verified
     };
     // From here on the guard owns the rollback of all three reservations.
     let guard = StreamGuard { shared, tenant: tenant.clone(), transfer_id };
@@ -775,9 +661,7 @@ fn handle_put(
     if start > 0 && start < total_len {
         shared.counters.resumed.fetch_add(1, Ordering::Relaxed);
         shared.metric(|m| m.counter_add(CounterKind::ServeResumes, 1));
-        shared.event("resume", tenant_id, start, transfer_id);
     }
-    shared.event("accept", tenant_id, total_len, transfer_id);
     let level_cap =
         if shared.breaker_open.load(Ordering::Acquire) { 0 } else { NO_LEVEL_CAP };
     if write_response(&mut sock, &Response::Accept { start_offset: start, level_cap }).is_err() {
@@ -799,9 +683,12 @@ fn handle_put(
         }
         None => Box::new(sock),
     };
+    // Fail fast: a skipping reader would leave gaps in the verified prefix
+    // (resume would no longer be byte-accurate) and deliver bytes the
+    // stored wire cannot reproduce.
     let mut reader = AdaptiveReader::with_policy(
-        CaptureReader { inner: throttled, captured: Vec::new(), enabled: capture },
-        shared.cfg.recovery,
+        CaptureReader { inner: throttled, captured: Vec::new() },
+        RecoveryPolicy::fail_fast(),
     );
     let deadline = Instant::now() + Duration::from_secs_f64(shared.cfg.max_stream_secs);
     let mut buf = [0u8; 16 * 1024];
@@ -861,7 +748,7 @@ fn handle_put(
         }
     };
     // Surface the frame layer's recovery counters however the stream
-    // ended — with a skip-and-count policy they record survived faults.
+    // ended: the damage that aborted it is counted there.
     let rec = reader.recovery();
     shared.metric(|m| {
         m.counter_add(CounterKind::RecoveryCorruptFrames, rec.corrupt_frames);
@@ -877,10 +764,10 @@ fn handle_put(
     // decoded frames outran delivery and no frame-aligned prefix matches
     // `verified` — the wire store for this transfer is dropped rather
     // than left lying.
-    if capture {
-        let decoded = reader.app_bytes();
-        let wire_used = reader.wire_bytes() as usize;
-        let captured = reader.into_inner().captured;
+    let decoded = reader.app_bytes();
+    let wire_used = reader.wire_bytes() as usize;
+    let captured = reader.into_inner().captured;
+    {
         let mut transfers = shared.transfers.lock().expect("transfers poisoned");
         if let Some(t) = transfers.get_mut(&key) {
             if overflowed || decoded != delivered {
@@ -894,19 +781,16 @@ fn handle_put(
         StreamEnd::Clean => {}
         StreamEnd::Stop => {
             shared.counters.aborts.fetch_add(1, Ordering::Relaxed);
-            shared.event("abort", tenant_id, 0, transfer_id);
             return false;
         }
         StreamEnd::Timeout => {
             shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
             shared.metric(|m| m.counter_add(CounterKind::ServeTimeouts, 1));
-            shared.event("timeout", tenant_id, 0, transfer_id);
             return false;
         }
         StreamEnd::Damage => {
             shared.counters.aborts.fetch_add(1, Ordering::Relaxed);
             shared.metric(|m| m.counter_add(CounterKind::ServeAborts, 1));
-            shared.event("abort", tenant_id, 0, transfer_id);
             return false;
         }
     }
@@ -943,7 +827,6 @@ fn handle_put(
     if complete {
         shared.counters.completed.fetch_add(1, Ordering::Relaxed);
         shared.metric(|m| m.counter_add(CounterKind::ServeCompleted, 1));
-        shared.event("done", tenant_id, verified, transfer_id);
         if shared.draining.load(Ordering::Acquire) {
             shared.counters.drained_transfers.fetch_add(1, Ordering::Relaxed);
             shared.metric(|m| m.counter_add(CounterKind::ServeDrainedTransfers, 1));
@@ -963,26 +846,21 @@ fn handle_put(
 struct CaptureReader<'a> {
     inner: Box<dyn Read + Send + 'a>,
     captured: Vec<u8>,
-    enabled: bool,
 }
 
 impl Read for CaptureReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         let n = self.inner.read(buf)?;
-        if self.enabled {
-            self.captured.extend_from_slice(&buf[..n]);
-        }
+        self.captured.extend_from_slice(&buf[..n]);
         Ok(n)
     }
 }
 
-/// Serves a ranged GET of a completed transfer. Sealed transfers decode
-/// only the covering blocks out of the stored wire — through the block
-/// cache, so a hot block is decoded once and then served from memory;
-/// unsealed-but-retained ones fall back to slicing the decoded payload.
-/// Either way the reply — accept frame, body, CRC trailer — is assembled
-/// in one buffer and leaves in one write. True when the reply went out; a
-/// refusal is false.
+/// Serves a ranged GET of a completed transfer by decoding only the
+/// covering blocks out of its sealed wire — through the block cache, so a
+/// hot block is decoded once and then served from memory. The reply —
+/// accept frame, body, CRC trailer — is assembled in one buffer and leaves
+/// in one write. True when the reply went out; a refusal is false.
 fn handle_get<W: Write>(
     shared: &Shared,
     out: &mut W,
@@ -991,57 +869,29 @@ fn handle_get<W: Write>(
     offset: u64,
     len: u64,
 ) -> bool {
-    let tenant_id = ServerEvent::tenant_id(tenant);
     let reject = |out: &mut W| {
-        shared.shed(RejectReason::BadRequest, tenant_id);
+        shared.shed(RejectReason::BadRequest);
         let _ = write_response(out, &Response::Reject { reason: RejectReason::BadRequest });
         false
     };
-    enum Source {
-        Sealed(Arc<SealedObject>),
-        Plain(GetReply),
-    }
-    let source = {
+    // Only a completed transfer is sealed. One whose stored wire was
+    // invalidated mid-transfer completes unsealed and has nothing to
+    // serve from.
+    let sealed = {
         let transfers = shared.transfers.lock().expect("transfers poisoned");
-        match transfers.get(&(tenant.to_string(), transfer_id)) {
-            Some(t) if t.completed => match (&t.sealed, &t.data) {
-                (Some(s), _) => Some(Source::Sealed(Arc::clone(s))),
-                // No stored wire (storage off, or invalidated
-                // mid-transfer): slice the retained decoded payload,
-                // copying only the asked-for range while the table is
-                // locked.
-                (None, Some(data)) => {
-                    let lo = (offset as usize).min(data.len());
-                    let hi = offset.saturating_add(len).min(data.len() as u64) as usize;
-                    let mut reply = GetReply::with_capacity(hi - lo);
-                    reply.extend_from_slice(&data[lo..hi]);
-                    Some(Source::Plain(reply))
-                }
-                (None, None) => None,
-            },
-            _ => None,
-        }
+        transfers.get(&(tenant.to_string(), transfer_id)).and_then(|t| t.sealed.clone())
     };
-    let Some(source) = source else {
+    let Some(sealed) = sealed else {
         return reject(out);
     };
     let span = registry::span(SpanKind::RangedRead);
     shared.metric(|m| m.counter_add(CounterKind::RangedReads, 1));
-    let reply = match source {
-        Source::Plain(reply) => {
-            // Counted as a fallback — the index never served this read.
-            shared.metric(|m| m.counter_add(CounterKind::IndexFallbacks, 1));
-            reply
-        }
-        Source::Sealed(sealed) => match read_range_sealed(shared, &sealed, offset, len) {
-            Ok(reply) => reply,
-            // The server's own wire failed to decode — nothing sane to
-            // serve; shed rather than ship wrong bytes.
-            Err(_) => return reject(out),
-        },
+    let Ok(reply) = read_range_sealed(shared, &sealed, offset, len) else {
+        // The server's own wire failed to decode — nothing sane to serve;
+        // shed rather than ship wrong bytes.
+        return reject(out);
     };
     drop(span);
-    shared.event("get", tenant_id, reply.body_len() as u64, transfer_id);
     out.write_all(&reply.finish()).is_ok()
 }
 
@@ -1106,13 +956,14 @@ mod tests {
     use super::super::testio::Counting;
     use super::*;
     use adcomp_codecs::crc32::crc32;
-    use adcomp_codecs::frame::{RecoveryPolicy, HEADER_LEN};
+    use adcomp_codecs::frame::HEADER_LEN;
     use adcomp_codecs::LevelSet;
     use adcomp_core::model::StaticModel;
     use adcomp_core::stream::AdaptiveWriter;
     use adcomp_core::{Backoff, WallClock};
     use adcomp_corpus::{generate, Class};
     use std::collections::HashSet;
+    use std::ffi::OsString;
     use std::io;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -1166,10 +1017,6 @@ mod tests {
         }
     }
 
-    fn idle(server: &Server) -> u64 {
-        server.shared.idle_handlers.load(Ordering::Acquire)
-    }
-
     fn live(server: &Server) -> u64 {
         server.shared.live_conns.load(Ordering::Acquire)
     }
@@ -1200,7 +1047,6 @@ mod tests {
             assert!(get(server.local_addr(), "t", 1, 0, 1, IO).is_err());
         }
         wait_for("panicked handlers to give their slots back", || live(&server) == 0);
-        assert_eq!(idle(&server), 0, "a dead handler still counts as parked");
         server.shutdown();
     }
 
@@ -1232,8 +1078,17 @@ mod tests {
         server.shutdown();
     }
 
+    /// Daemon threads in `seen` but not in `before` that are still alive
+    /// once they had time to exit (0 on a platform without the census). A
+    /// sibling test's threads, told apart only by living on, settle too.
+    fn outlived(before: &Option<HashSet<OsString>>, seen: &HashSet<OsString>) -> u64 {
+        let Some(before) = before else { return 0 };
+        let born: HashSet<_> = seen.difference(before).cloned().collect();
+        settle(|| soak_threads().map(|now| now.intersection(&born).count() as u64), 0)
+    }
+
     #[test]
-    fn back_to_back_requests_reuse_a_parked_handler_and_bursts_still_fan_out() {
+    fn back_to_back_requests_share_a_connection_and_bursts_still_fan_out() {
         let server = start();
         let addr = server.local_addr();
         let data = body(100_000);
@@ -1253,28 +1108,26 @@ mod tests {
         // socket age past reuse.
         let kept = server.stats();
         assert!(kept.connections <= 25, "{} connections for 251 requests", kept.connections);
-        assert!(kept.handler_spawns <= kept.connections);
 
-        // Connections that close after one request each are handed to the
-        // handler parked by the one before: no spawn. Each waits for that
-        // handler to park, which is what makes the count exact.
+        // Connections that close after one request each: every one gets a
+        // handler, and no handler outlives its connection.
         client::close_idle();
-        let spawned = server.stats().handler_spawns;
+        wait_for("the kept-alive connection to close", || live(&server) == 0);
+        let before = soak_threads();
+        let mut seen = HashSet::new();
         for i in 0..20u64 {
-            wait_for("a parked handler", || idle(&server) >= 1 && live(&server) == 0);
             let sock = TcpStream::connect(addr).unwrap();
             assert_eq!(get_on(&sock, 1, i * 7, 64).unwrap(), &data[i as usize * 7..][..64]);
+            seen.extend(soak_threads().unwrap_or_default());
         }
-        let sequential = server.stats().handler_spawns;
-        assert_eq!(sequential, spawned, "a closed-after-use connection spawned a handler");
+        wait_for("every handler to finish", || live(&server) == 0);
+        assert_eq!(outlived(&before, &seen), 0, "a handler outlived its connection");
 
         // Eight connections stuck mid-handshake each hold a handler of
         // their own…
-        wait_for("the last handler to park", || live(&server) == 0);
         let mut held: Vec<TcpStream> =
             (0..8).map(|_| TcpStream::connect(addr).unwrap()).collect();
-        wait_for("eight concurrent handlers", || live(&server) == 8 && idle(&server) == 0);
-        assert!(server.shared.handoff.lock().unwrap().is_empty(), "a connection is queued");
+        wait_for("eight concurrent handlers", || live(&server) == 8);
         // …a ninth request is answered meanwhile…
         assert_eq!(get(addr, "t", 1, 7, 100, IO).unwrap(), &data[7..107]);
         // …and so is each of the eight, last opened first.
@@ -1285,44 +1138,31 @@ mod tests {
             assert_eq!(read_response(&mut sock).unwrap(), refused);
         }
         let stats = server.shutdown();
-        assert!(
-            (8..=sequential + 9).contains(&stats.handler_spawns),
-            "{} handlers spawned in all",
-            stats.handler_spawns
-        );
+        assert_eq!(stats.connections, kept.connections + 20 + 9);
     }
 
     #[test]
-    fn shutdown_wakes_parked_handlers_at_once_and_leaves_no_thread() {
+    fn shutdown_wakes_kept_alive_handlers_at_once_and_leaves_no_thread() {
         let before = soak_threads();
         let server = start();
-        let addr = server.local_addr();
-        // A kept-alive connection whose handler waits for a next request…
-        let kept = TcpStream::connect(addr).unwrap();
+        // A kept-alive connection whose handler waits for a next request.
+        let kept = TcpStream::connect(server.local_addr()).unwrap();
         assert!(put_on(&kept, 1, 0, &[]).ok);
-        // …then three handlers at once, and all three parked.
-        let held: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(addr).unwrap()).collect();
-        wait_for("three more handlers", || live(&server) == 4);
-        drop(held);
-        wait_for("three parked handlers", || idle(&server) == 3 && live(&server) == 1);
         wait_for("the kept-alive wait", || !server.shared.idle_conns.lock().unwrap().is_empty());
-        let ours = soak_threads();
+        let ours = soak_threads().unwrap_or_default();
         let t0 = Instant::now();
         server.shutdown();
         let took = t0.elapsed();
-        // Below the linger, or the handlers merely timing out would pass.
+        // Below the linger, or the handler merely timing out would pass.
         let bound = Duration::from_millis(250);
         assert!(bound < HANDLER_LINGER);
-        assert!(took < bound, "shutdown took {took:?} with parked and kept-alive handlers");
-        // Census as in the net soak: daemon threads born since the
-        // baseline and seen while this server ran must be gone (a sibling
-        // test's threads, told apart only by living on, settle too).
-        if let (Some(before), Some(ours)) = (before, ours) {
-            let born: HashSet<_> = ours.difference(&before).cloned().collect();
-            assert!(born.len() >= 5, "accept + four handlers expected, saw {}", born.len());
-            let alive = || soak_threads().map(|now| now.intersection(&born).count() as u64);
-            assert_eq!(settle(alive, 0), 0, "daemon threads outlived shutdown");
+        assert!(took < bound, "shutdown took {took:?} with a kept-alive handler");
+        if let Some(before) = &before {
+            let born = ours.difference(before).count();
+            assert!(born >= 2, "accept + one handler expected, saw {born}");
         }
+        assert_eq!(outlived(&before, &ours), 0, "daemon threads outlived shutdown");
+        drop(kept);
     }
 
     #[test]
@@ -1342,7 +1182,7 @@ mod tests {
         assert_eq!(get_on(&sock, 2, 8000, 5000).unwrap(), &b[8000..]);
         drop(sock);
         let s = server.shutdown();
-        assert_eq!((s.connections, s.handler_spawns, s.completed, s.shed), (1, 1, 2, 0));
+        assert_eq!((s.connections, s.completed, s.shed), (1, 2, 0));
     }
 
     #[test]
@@ -1426,13 +1266,7 @@ mod tests {
     /// answers out of a stream it lost its place in.
     #[test]
     fn every_header_bit_flip_of_a_kept_alive_put_is_caught_or_harmless() {
-        let server = Server::start(ServeConfig {
-            io_timeout: IO,
-            // A flip to a huge length is refused before its buffer fills.
-            recovery: RecoveryPolicy { max_frame: 1 << 20, ..RecoveryPolicy::fail_fast() },
-            ..ServeConfig::default()
-        })
-        .unwrap();
+        let server = start();
         let source: Vec<u8> = [
             generate(Class::Moderate, 4096, 1),
             generate(Class::High, 4096, 2),
@@ -1512,42 +1346,71 @@ mod tests {
         assert_eq!(s.shed, 0, "a flipped PUT desynchronised its connection");
     }
 
+    /// A transfer whose stored wire was invalidated — here by a first
+    /// attempt whose first block is longer than the declared length — still
+    /// completes on a correct retry and holds the bytes, but has nothing to
+    /// serve a GET from: the GET is a typed refusal, never bytes from
+    /// anywhere else.
+    #[test]
+    fn an_invalidated_wire_still_completes_and_its_get_is_a_bad_request() {
+        let server = Server::start(ServeConfig {
+            keep_payloads: true,
+            io_timeout: IO,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = server.local_addr();
+        let data = body(4096);
+        let declared = 3000;
+        let mut sock = TcpStream::connect(addr).unwrap();
+        sock.set_read_timeout(Some(IO)).unwrap();
+        let req = Request::Put { tenant: "t".into(), transfer_id: 1, total_len: declared };
+        write_request(&mut sock, &req).unwrap();
+        assert!(matches!(read_response(&mut sock).unwrap(), Response::Accept { .. }));
+        let _ = sock.write_all(&frames_of(&data));
+        // An overflow abort: the connection ends with no receipt.
+        let mut back = Vec::new();
+        let _ = sock.read_to_end(&mut back);
+        assert!(back.is_empty(), "{} bytes after an overflow", back.len());
+        wait_for("the aborted stream to be reaped", || server.active() == 0);
+        assert_eq!(server.verified_len("t", 1), Some(0));
+
+        let opts = PutOptions { tenant: "t".into(), transfer_id: 1, ..Default::default() };
+        let want = &data[..declared as usize];
+        assert_eq!(put(addr, want, &opts).unwrap().crc, crc32(want));
+        assert!(server.is_completed("t", 1) && !server.is_sealed("t", 1));
+        assert_eq!(server.payload("t", 1).as_deref(), Some(want));
+        let err = get(addr, "t", 1, 0, declared, IO).unwrap_err();
+        assert!(err.to_string().contains("bad_request"), "unexpected error: {err}");
+        let s = server.shutdown();
+        assert_eq!((s.aborts, s.completed, s.shed), (1, 1, 1));
+    }
+
     #[test]
     fn get_reply_leaves_in_one_write_identical_to_the_two_frame_form() {
-        // Both sources: sealed wire through the index, retained payload.
-        for store_wire in [true, false] {
-            let server = Server::start(ServeConfig {
-                keep_payloads: !store_wire,
-                store_wire,
-                io_timeout: IO,
-                ..ServeConfig::default()
-            })
-            .unwrap();
-            let data = body(300_000);
-            let opts = PutOptions {
-                tenant: "t".into(),
-                transfer_id: 1,
-                block_len: 8 * 1024,
-                ..Default::default()
-            };
-            put(server.local_addr(), &data, &opts).unwrap();
-            assert_eq!(server.is_sealed("t", 1), store_wire);
-            for (offset, len) in [(0u64, 0u64), (5, 1), (8000, 64 * 1024), (299_990, 100)] {
-                let mut out = Counting::new(Vec::new());
-                handle_get(&server.shared, &mut out, "t", 1, offset, len);
-                assert_eq!(out.calls, 1, "reply to ({offset}, {len}) took {} writes", out.calls);
-                let lo = offset as usize;
-                let slice = &data[lo..(lo + len as usize).min(data.len())];
-                let mut want = Vec::new();
-                let accept = Response::Accept {
-                    start_offset: slice.len() as u64,
-                    level_cap: NO_LEVEL_CAP,
-                };
-                write_response(&mut want, &accept).unwrap();
-                write_get_payload(&mut want, slice).unwrap();
-                assert_eq!(out.inner, want, "reply to ({offset}, {len})");
-            }
-            server.shutdown();
+        let server = start();
+        let data = body(300_000);
+        let opts = PutOptions {
+            tenant: "t".into(),
+            transfer_id: 1,
+            block_len: 8 * 1024,
+            ..Default::default()
+        };
+        put(server.local_addr(), &data, &opts).unwrap();
+        assert!(server.is_sealed("t", 1));
+        for (offset, len) in [(0u64, 0u64), (5, 1), (8000, 64 * 1024), (299_990, 100)] {
+            let mut out = Counting::new(Vec::new());
+            handle_get(&server.shared, &mut out, "t", 1, offset, len);
+            assert_eq!(out.calls, 1, "reply to ({offset}, {len}) took {} writes", out.calls);
+            let lo = offset as usize;
+            let slice = &data[lo..(lo + len as usize).min(data.len())];
+            let mut want = Vec::new();
+            let accept =
+                Response::Accept { start_offset: slice.len() as u64, level_cap: NO_LEVEL_CAP };
+            write_response(&mut want, &accept).unwrap();
+            write_get_payload(&mut want, slice).unwrap();
+            assert_eq!(out.inner, want, "reply to ({offset}, {len})");
         }
+        server.shutdown();
     }
 }
