@@ -1,10 +1,9 @@
 //! CHAOS SOAK — the repo's standing fault-injection gauntlet.
 //!
-//! Fans a seeded grid of chaos cases (frame-layer and record-layer
-//! channels × all four compression levels × corruption rates from quiet
-//! to 20 % × transient-I/O and truncation variants) across the
-//! deterministic experiment runner, and holds every case to the soak
-//! contract:
+//! Fans a seeded grid of chaos cases (frame, record, indexed and
+//! portfolio layers × all four compression levels × corruption rates from
+//! quiet to 20 % × truncation variants) across the deterministic
+//! experiment runner, and holds every case to the soak contract:
 //!
 //! 1. **no panic, no hang** — every run terminates through `Ok` or a
 //!    typed error;
@@ -12,8 +11,8 @@
 //!    byte-identical to the one that was written (items embed their index
 //!    and are regenerated from the pure generator for comparison);
 //! 3. **order preserved** — survivors appear in write order;
-//! 4. anything the faults destroyed is *accounted for* in
-//!    `InjectStats`/`RecoveryStats`, not quietly absorbed.
+//! 4. what the faults did is *accounted for* in `InjectStats`, and the
+//!    incident that stopped a reader in `RecoveryStats`.
 //!
 //! The summary JSON on stdout is a commutative fold over per-case
 //! results, so it is **bit-identical for any `ADCOMP_THREADS` setting**
@@ -100,7 +99,7 @@ fn main() -> ExitCode {
     eprintln!(
         "chaos_soak: {} runs (seed {:#x}) on {} worker(s) in {:.2} s: \
          {} recovered, {} typed errors, {} panics; \
-         {}/{} items intact, {} corrupt frames, {} resyncs, {} frames dropped on the wire{}",
+         {}/{} items intact, {} corrupt frames, {} truncations, {} frames dropped on the wire{}",
         summary.runs,
         seed,
         runner::threads(),
@@ -111,7 +110,7 @@ fn main() -> ExitCode {
         summary.items_recovered,
         summary.items_written,
         summary.recovery.corrupt_frames,
-        summary.recovery.resyncs,
+        summary.recovery.truncations,
         summary.injected.drops,
         if summary.all_ok() { "" } else { " — CONTRACT BROKEN" },
     );

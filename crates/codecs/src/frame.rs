@@ -13,7 +13,8 @@
 //! 1   u8  magic1 = 0xC2
 //! 2   u8  codec id           (CodecId on the wire; Raw if fallback hit)
 //! 3   u8  flags              (bit 0: raw fallback — compression expanded;
-//!                             bit 1: record-aligned; bit 2: index trailer)
+//!                             bit 1: reserved, set by older record-aligned
+//!                             writers and ignored; bit 2: index trailer)
 //! 4   u32 uncompressed length
 //! 8   u32 payload length
 //! 12  u32 CRC-32 of payload
@@ -23,7 +24,7 @@
 use crate::crc32::crc32;
 use crate::{codec_for, Codec, CodecError, CodecId, DecodeScratch, Result, Scratch};
 use adcomp_metrics::registry::{self, CounterKind, LabelFamily, MetricsRegistry, SpanKind};
-use adcomp_trace::{CodecEvent, FaultEvent, NullSink, TraceEvent, TraceSink, NO_EPOCH};
+use adcomp_trace::{CodecEvent, NullSink, TraceEvent, TraceSink, NO_EPOCH};
 use std::io::{self, Read, Write};
 
 /// Frame magic bytes.
@@ -34,10 +35,6 @@ pub const HEADER_LEN: usize = 16;
 pub const DEFAULT_BLOCK_LEN: usize = 128 * 1024;
 /// Flag: payload stored raw because compression expanded the block.
 pub const FLAG_RAW_FALLBACK: u8 = 0b0000_0001;
-/// Flag: the first application byte of this block is a record boundary.
-/// Set by record-aligned writers so a reader that dropped a corrupt block
-/// can resynchronize its record framing at the next aligned block.
-pub const FLAG_RECORD_ALIGNED: u8 = 0b0000_0010;
 /// Flag: metadata frame carrying the seekable-stream block index (see
 /// [`crate::seek`]). Index frames declare `uncompressed_len = 0` and
 /// contribute no application bytes; streaming readers CRC-validate and
@@ -56,10 +53,6 @@ pub struct FrameHeader {
     pub codec: CodecId,
     /// The fallback flag: the *requested* codec expanded the data.
     pub raw_fallback: bool,
-    /// The block's first application byte is a record boundary
-    /// ([`FLAG_RECORD_ALIGNED`]). Always `false` unless a record-aligned
-    /// writer produced the stream.
-    pub record_aligned: bool,
     /// Metadata frame carrying the stream's block index ([`FLAG_INDEX`]);
     /// carries no application bytes.
     pub index: bool,
@@ -76,7 +69,6 @@ impl FrameHeader {
         b[1] = MAGIC[1];
         b[2] = self.codec as u8;
         b[3] = if self.raw_fallback { FLAG_RAW_FALLBACK } else { 0 }
-            | if self.record_aligned { FLAG_RECORD_ALIGNED } else { 0 }
             | if self.index { FLAG_INDEX } else { 0 };
         b[4..8].copy_from_slice(&self.uncompressed_len.to_le_bytes());
         b[8..12].copy_from_slice(&self.payload_len.to_le_bytes());
@@ -92,7 +84,6 @@ impl FrameHeader {
         Ok(FrameHeader {
             codec: CodecId::from_u8(b[2])?,
             raw_fallback: b[3] & FLAG_RAW_FALLBACK != 0,
-            record_aligned: b[3] & FLAG_RECORD_ALIGNED != 0,
             index: b[3] & FLAG_INDEX != 0,
             uncompressed_len: u32::from_le_bytes(b[4..8].try_into().unwrap()),
             payload_len: u32::from_le_bytes(b[8..12].try_into().unwrap()),
@@ -164,19 +155,6 @@ pub fn encode_block_with(
     input: &[u8],
     out: &mut Vec<u8>,
 ) -> BlockInfo {
-    encode_block_flags(scratch, codec, input, out, 0)
-}
-
-/// [`encode_block_with`] with extra header flags (e.g.
-/// [`FLAG_RECORD_ALIGNED`]); with `extra_flags == 0` the output is
-/// bit-identical to [`encode_block_with`].
-pub fn encode_block_flags(
-    scratch: &mut Scratch,
-    codec: &dyn Codec,
-    input: &[u8],
-    out: &mut Vec<u8>,
-    extra_flags: u8,
-) -> BlockInfo {
     // Hard limit: the frame header stores lengths as u32. Blocks in this
     // workspace are <= 128 KiB; this protects external callers in release.
     assert!(input.len() <= u32::MAX as usize, "block exceeds frame length field");
@@ -200,7 +178,6 @@ pub fn encode_block_flags(
     let header = FrameHeader {
         codec: effective,
         raw_fallback,
-        record_aligned: extra_flags & FLAG_RECORD_ALIGNED != 0,
         index: false,
         uncompressed_len: input.len() as u32,
         payload_len: payload_len as u32,
@@ -270,13 +247,6 @@ pub fn decode_block_with(
         return Err(e);
     }
     Ok((header, total))
-}
-
-/// Scans `buf` for the next frame [`MAGIC`] pair, returning its offset.
-/// The resync primitive: after corruption, discard bytes up to the returned
-/// offset and try to parse a header there.
-pub fn find_magic(buf: &[u8]) -> Option<usize> {
-    buf.windows(2).position(|w| w == MAGIC)
 }
 
 /// Streaming frame writer over any [`Write`].
@@ -455,87 +425,15 @@ impl<W: Write, S: TraceSink> FrameWriter<W, S> {
     }
 }
 
-/// How a frame reader reacts to corruption in the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryMode {
-    /// First bad byte aborts the transfer with a typed error (default —
-    /// the pre-fault-model behavior, and the zero-overhead fast path).
-    FailFast,
-    /// Corrupt frames are dropped: the reader scans forward to the next
-    /// frame magic, counts the incident, and keeps going. Surviving frames
-    /// decode byte-identically.
-    SkipAndCount,
-}
-
-/// Recovery policy for [`FrameReader`] and the layers built on it.
-///
-/// Three presets cover the taxonomy from the fault model: fail-fast
-/// ([`RecoveryPolicy::fail_fast`]), skip-and-count
-/// ([`RecoveryPolicy::skip_and_count`]) and bounded retry with exponential
-/// backoff for transient I/O errors ([`RecoveryPolicy::bounded_retry`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Corruption handling.
-    pub mode: RecoveryMode,
-    /// Bounded retries for *transient* I/O errors (`WouldBlock`,
-    /// `TimedOut`). `Interrupted` is always retried, as `std` does.
-    pub max_retries: u32,
-    /// Backoff before retry `k` is `backoff_base_us << (k-1)` microseconds
-    /// (capped at 2^10×). 0 disables sleeping (pure spin — what the
-    /// deterministic tests use).
-    pub backoff_base_us: u64,
-    /// Decompression-bomb cap applied to both header length fields before
-    /// any allocation.
-    pub max_frame: u32,
-    /// Upper bound on bytes scanned forward during a single resync before
-    /// the reader gives up with a typed error (guards against pathological
-    /// streams turning recovery into an unbounded scan).
-    pub max_resync_scan: u64,
-}
-
-impl RecoveryPolicy {
-    /// Abort on the first fault. The default; the fault-free fast path.
-    pub fn fail_fast() -> Self {
-        RecoveryPolicy {
-            mode: RecoveryMode::FailFast,
-            max_retries: 0,
-            backoff_base_us: 0,
-            max_frame: DEFAULT_MAX_FRAME,
-            max_resync_scan: 64 * 1024 * 1024,
-        }
-    }
-
-    /// Drop corrupt frames, resync, and keep counters.
-    pub fn skip_and_count() -> Self {
-        RecoveryPolicy { mode: RecoveryMode::SkipAndCount, ..RecoveryPolicy::fail_fast() }
-    }
-
-    /// Skip-and-count plus up to `max_retries` retries with exponential
-    /// backoff for transient I/O errors.
-    pub fn bounded_retry(max_retries: u32, backoff_base_us: u64) -> Self {
-        RecoveryPolicy { max_retries, backoff_base_us, ..RecoveryPolicy::skip_and_count() }
-    }
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy::fail_fast()
-    }
-}
-
-/// Counters kept by the recovery machinery — surfaced through
-/// `StreamStats`, trace events and the Prometheus snapshot.
+/// Counters a frame reader keeps of the incidents that ended its stream —
+/// surfaced through `StreamStats` and the registry. All zero while the
+/// stream is clean; a reader stops at its first incident, so a stream
+/// counts at most one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Frames dropped because of bad magic/codec id, length-cap violations,
-    /// CRC mismatch or decode failure.
+    /// Frames refused for bad magic/codec id, length-cap violations, CRC
+    /// mismatch or decode failure.
     pub corrupt_frames: u64,
-    /// Successful forward scans to a new frame magic.
-    pub resyncs: u64,
-    /// Transient-I/O retries performed.
-    pub retries: u64,
-    /// Wire bytes discarded while resyncing.
-    pub skipped_bytes: u64,
     /// Mid-frame end-of-stream incidents (header or payload cut short).
     pub truncations: u64,
 }
@@ -544,39 +442,25 @@ impl RecoveryStats {
     /// Accumulates `other` into `self`.
     pub fn merge(&mut self, other: &RecoveryStats) {
         self.corrupt_frames += other.corrupt_frames;
-        self.resyncs += other.resyncs;
-        self.retries += other.retries;
-        self.skipped_bytes += other.skipped_bytes;
         self.truncations += other.truncations;
     }
 }
 
-/// Streaming frame reader over any [`Read`], hardened against corruption.
-///
-/// By default ([`RecoveryPolicy::fail_fast`]) behaves exactly like the
-/// historical reader: the first bad byte is a typed error, and the hot path
-/// adds only a carry-buffer emptiness check. Under
-/// [`RecoveryMode::SkipAndCount`] the reader drops corrupt frames, scans
-/// forward to the next frame [`MAGIC`] (including *inside* suspect bytes,
-/// so a forged length field cannot swallow later good frames), and keeps
-/// [`RecoveryStats`]. The optional trace sink receives one
-/// [`FaultEvent`] per incident.
-pub struct FrameReader<R: Read, S: TraceSink = NullSink> {
+/// Streaming frame reader over any [`Read`]; it fails fast. Every frame is
+/// checked before a byte of it is handed on — magic, codec table, bomb
+/// guard ([`DEFAULT_MAX_FRAME`]), payload CRC, the decoder's own length
+/// checks — and the first one that does not check out ends the stream in
+/// a typed error (`InvalidData`, or `UnexpectedEof` naming the offset and
+/// block of a cut), counted in [`RecoveryStats`] and in the registry's
+/// fault-kind family.
+pub struct FrameReader<R: Read> {
     inner: R,
     payload_buf: Vec<u8>,
     /// Reusable decode working memory — steady-state decode is zero-alloc.
     decode_scratch: DecodeScratch,
-    /// Bytes returned to the stream for re-scanning (recovery only; empty
-    /// on the fault-free path).
-    carry: Vec<u8>,
-    carry_pos: usize,
-    policy: RecoveryPolicy,
-    sink: S,
-    trace_epoch: u64,
-    trace_t: f64,
     /// Offset of the next unconsumed byte in the wire stream.
     stream_offset: u64,
-    /// Recovery counters (all zero while the stream is clean).
+    /// Incident counters (all zero while the stream is clean).
     pub recovery: RecoveryStats,
     /// Totals for reporting.
     pub app_bytes: u64,
@@ -584,37 +468,12 @@ pub struct FrameReader<R: Read, S: TraceSink = NullSink> {
     pub blocks: u64,
 }
 
-/// Outcome of an exact-read attempt against the carry + inner stream.
-#[derive(Clone, Copy)]
-enum FillOutcome {
-    Full,
-    /// End of stream after `0 < n < requested` bytes.
-    Partial(usize),
-    /// End of stream before any byte.
-    Eof,
-}
-
 impl<R: Read> FrameReader<R> {
-    /// A reader with an explicit [`RecoveryPolicy`] (untraced).
-    pub fn with_policy(inner: R, policy: RecoveryPolicy) -> Self {
-        FrameReader::with_sink(inner, policy, NullSink)
-    }
-}
-
-impl<R: Read, S: TraceSink> FrameReader<R, S> {
-    /// A reader emitting one [`FaultEvent`] per fault/recovery incident
-    /// into `sink`.
-    pub fn with_sink(inner: R, policy: RecoveryPolicy, sink: S) -> Self {
+    pub fn new(inner: R) -> Self {
         FrameReader {
             inner,
             payload_buf: Vec::new(),
             decode_scratch: DecodeScratch::new(),
-            carry: Vec::new(),
-            carry_pos: 0,
-            policy,
-            sink,
-            trace_epoch: NO_EPOCH,
-            trace_t: 0.0,
             stream_offset: 0,
             recovery: RecoveryStats::default(),
             app_bytes: 0,
@@ -623,284 +482,70 @@ impl<R: Read, S: TraceSink> FrameReader<R, S> {
         }
     }
 
-    /// The active recovery policy.
-    pub fn policy(&self) -> RecoveryPolicy {
-        self.policy
-    }
-
-    /// Sets the epoch tag and timestamp stamped onto subsequent
-    /// [`FaultEvent`]s (mirrors [`FrameWriter::set_trace_mark`]).
-    pub fn set_trace_mark(&mut self, epoch: u64, t: f64) {
-        self.trace_epoch = epoch;
-        self.trace_t = t;
-    }
-
-    fn emit_fault(&self, kind: &'static str, bytes: u64, attempt: u64) {
-        if self.sink.enabled() {
-            self.sink.emit(&TraceEvent::Fault(FaultEvent {
-                epoch: self.trace_epoch,
-                t: self.trace_t,
-                kind,
-                bytes,
-                attempt,
-            }));
-        }
-        if let Some(m) = registry::global() {
-            m.label_count(LabelFamily::FaultKind, kind, 1);
-        }
-    }
-
-    /// One `read` against the inner stream with the policy's transient
-    /// retry/backoff loop. `Interrupted` is always retried.
-    fn read_inner_retry(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let mut attempt = 0u32;
-        loop {
-            match self.inner.read(buf) {
-                Ok(n) => return Ok(n),
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) && attempt < self.policy.max_retries =>
-                {
-                    attempt += 1;
-                    self.recovery.retries += 1;
-                    self.emit_fault("retry", 0, attempt as u64);
-                    if self.policy.backoff_base_us > 0 {
-                        let shift = (attempt - 1).min(10);
-                        std::thread::sleep(std::time::Duration::from_micros(
-                            self.policy.backoff_base_us << shift,
-                        ));
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Fills `buf` exactly, consuming the carry first, then the inner
-    /// stream. Advances `stream_offset` by every byte consumed.
-    fn fill(&mut self, buf: &mut [u8]) -> io::Result<FillOutcome> {
-        let mut filled = 0;
-        if self.carry_pos < self.carry.len() {
-            let n = (self.carry.len() - self.carry_pos).min(buf.len());
-            buf[..n].copy_from_slice(&self.carry[self.carry_pos..self.carry_pos + n]);
-            self.carry_pos += n;
-            filled = n;
-            if self.carry_pos == self.carry.len() {
-                self.carry.clear();
-                self.carry_pos = 0;
-            }
-        }
-        while filled < buf.len() {
-            let n = self.read_inner_retry(&mut buf[filled..])?;
-            if n == 0 {
-                self.stream_offset += filled as u64;
-                return Ok(if filled == 0 { FillOutcome::Eof } else { FillOutcome::Partial(filled) });
-            }
-            filled += n;
-        }
-        self.stream_offset += filled as u64;
-        Ok(FillOutcome::Full)
-    }
-
-    /// Returns `head ++ tail` to the front of the stream for re-scanning.
-    fn unread2(&mut self, head: &[u8], tail: &[u8]) {
-        let returned = head.len() + tail.len();
-        if returned == 0 {
-            return;
-        }
-        let mut nc = Vec::with_capacity(returned + self.carry.len() - self.carry_pos);
-        nc.extend_from_slice(head);
-        nc.extend_from_slice(tail);
-        nc.extend_from_slice(&self.carry[self.carry_pos..]);
-        self.carry = nc;
-        self.carry_pos = 0;
-        self.stream_offset -= returned as u64;
-    }
-
-    /// Scans forward (carry first, then the inner stream) for the next
-    /// frame magic. Returns `Ok(true)` when positioned at a magic,
-    /// `Ok(false)` on end of stream. Discarded bytes are counted.
-    fn resync(&mut self) -> io::Result<bool> {
-        const CHUNK: usize = 4096;
-        let mut skipped: u64 = 0;
-        let found = loop {
-            if let Some(i) = find_magic(&self.carry[self.carry_pos..]) {
-                self.carry_pos += i;
-                skipped += i as u64;
-                self.stream_offset += i as u64;
-                break true;
-            }
-            // No magic: everything but a possible trailing MAGIC[0] byte is
-            // dead. Keep that byte — the pair may span the chunk boundary.
-            let keep = usize::from(self.carry[self.carry_pos..].last() == Some(&MAGIC[0]));
-            let dead = self.carry.len() - self.carry_pos - keep;
-            skipped += dead as u64;
-            self.stream_offset += dead as u64;
-            if skipped > self.policy.max_resync_scan {
-                self.recovery.skipped_bytes += skipped;
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "resync scan exceeded {} bytes at stream offset {}",
-                        self.policy.max_resync_scan, self.stream_offset
-                    ),
-                ));
-            }
-            if keep == 1 {
-                let b = *self.carry.last().unwrap();
-                self.carry.clear();
-                self.carry.push(b);
-            } else {
-                self.carry.clear();
-            }
-            self.carry_pos = 0;
-            let old_len = self.carry.len();
-            self.carry.resize(old_len + CHUNK, 0);
-            let mut tmp = std::mem::take(&mut self.carry);
-            let r = self.read_inner_retry(&mut tmp[old_len..]);
-            self.carry = tmp;
-            match r {
-                Ok(0) => {
-                    // Stream over; the kept half-magic byte is dead too.
-                    skipped += old_len as u64;
-                    self.stream_offset += old_len as u64;
-                    self.carry.clear();
-                    self.carry_pos = 0;
-                    break false;
-                }
-                Ok(n) => self.carry.truncate(old_len + n),
-                Err(e) => {
-                    self.carry.truncate(old_len);
-                    return Err(e);
-                }
-            }
-        };
-        self.recovery.skipped_bytes += skipped;
-        if found {
-            self.recovery.resyncs += 1;
-        }
-        self.emit_fault("resync", skipped, u64::from(found));
-        Ok(found)
-    }
-
-    /// Handles a corrupt frame according to the policy: in skip mode,
-    /// returns the suspect bytes (minus the first, so progress is
-    /// guaranteed) to the stream and resyncs. `Ok(true)` means "retry the
-    /// read loop", `Ok(false)` means clean end of stream.
-    fn recover_corrupt(
-        &mut self,
-        err: CodecError,
-        header_bytes: &[u8; HEADER_LEN],
-        payload_len: usize,
-    ) -> io::Result<bool> {
+    /// Counts a frame that failed a check and returns its typed error.
+    fn corrupt(&mut self, err: CodecError) -> io::Error {
         self.recovery.corrupt_frames += 1;
-        let kind = match err {
+        count_fault(match err {
             CodecError::FrameTooLarge { .. } => "frame_too_large",
             _ => "corrupt_frame",
-        };
-        self.emit_fault(kind, (HEADER_LEN + payload_len) as u64, self.blocks);
-        if self.policy.mode == RecoveryMode::FailFast {
-            return Err(to_io(err));
-        }
-        let payload = std::mem::take(&mut self.payload_buf);
-        self.unread2(&header_bytes[1..], &payload[..payload_len.min(payload.len())]);
-        self.payload_buf = payload;
-        self.resync()
+        });
+        to_io(err)
     }
 
-    /// Handles a mid-frame end of stream: in skip mode the partial bytes
-    /// are re-scanned (a forged length may have swallowed good frames) and
-    /// the incident is counted; in fail-fast mode it is a typed error
-    /// naming the truncation site, stream offset and block index.
-    fn recover_truncated(
-        &mut self,
-        site: &str,
-        got: usize,
-        want: usize,
-        at: u64,
-        partial: &[u8],
-    ) -> io::Result<bool> {
+    /// Counts a mid-frame end of stream and returns its typed error, which
+    /// names what was cut, where, and the block index.
+    fn truncated(&mut self, what: std::fmt::Arguments) -> io::Error {
         self.recovery.truncations += 1;
-        self.emit_fault("truncated", got as u64, self.blocks);
-        if self.policy.mode == RecoveryMode::FailFast {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!(
-                    "truncated frame {site}: got {got} of {want} bytes at stream offset {at}, \
-                     block {}",
-                    self.blocks
-                ),
-            ));
-        }
-        // Drop the first partial byte (progress), re-scan the rest: a
-        // forged length field may have swallowed whole good frames.
-        let head: &[u8] = if partial.is_empty() { &[] } else { &partial[1..] };
-        self.unread2(head, &[]);
-        self.resync()
+        count_fault("truncated");
+        let why = format!("truncated frame {what}, block {}", self.blocks);
+        io::Error::new(io::ErrorKind::UnexpectedEof, why)
     }
-}
 
-impl<R: Read, S: TraceSink> FrameReader<R, S> {
     /// Reads and decodes the next frame, appending application bytes to
     /// `out`: [`FrameReader::read_frame`]'s validated frame, then the
-    /// decode, on this thread. Returns `Ok(None)` on a clean end of stream
-    /// — and, under [`RecoveryMode::SkipAndCount`], after dropping any
-    /// trailing corrupt/truncated bytes (check [`FrameReader::recovery`] to
-    /// tell the two apart). A CRC-valid payload that fails to decode is
-    /// handled like any other corrupt frame: counted and, in skip mode,
-    /// re-scanned for embedded frames.
+    /// decode, on this thread. Returns `Ok(None)` on a clean end of stream.
     pub fn read_block(&mut self, out: &mut Vec<u8>) -> io::Result<Option<FrameHeader>> {
         let metrics = registry::global();
         let timed = metrics.is_some_and(MetricsRegistry::wall_spans);
-        loop {
-            let Some((header, header_bytes)) = self.next_frame()? else {
-                return Ok(None);
-            };
-            let out_start = out.len();
-            let start = timed.then(std::time::Instant::now);
-            if let Err(e) = codec_for(header.codec).decompress_with(
-                &mut self.decode_scratch,
-                &self.payload_buf,
-                header.uncompressed_len as usize,
-                out,
-            ) {
-                out.truncate(out_start);
-                let plen = header.payload_len as usize;
-                if self.recover_corrupt(e, &header_bytes, plen)? {
-                    continue;
-                }
-                return Ok(None);
-            }
-            if let Some(m) = metrics {
-                if let Some(s) = start {
-                    m.span_ns(SpanKind::Decompress, s.elapsed().as_nanos() as u64);
-                }
-                m.counter_add(CounterKind::BlocksDecompressed, 1);
-            }
-            self.wire_bytes += wire_in(&header);
-            self.app_bytes += header.uncompressed_len as u64;
-            self.blocks += 1;
-            return Ok(Some(header));
+        let Some(header) = self.next_frame()? else {
+            return Ok(None);
+        };
+        let out_start = out.len();
+        let start = timed.then(std::time::Instant::now);
+        if let Err(e) = codec_for(header.codec).decompress_with(
+            &mut self.decode_scratch,
+            &self.payload_buf,
+            header.uncompressed_len as usize,
+            out,
+        ) {
+            out.truncate(out_start);
+            return Err(self.corrupt(e));
         }
+        if let Some(m) = metrics {
+            if let Some(s) = start {
+                m.span_ns(SpanKind::Decompress, s.elapsed().as_nanos() as u64);
+            }
+            m.counter_add(CounterKind::BlocksDecompressed, 1);
+        }
+        self.wire_bytes += wire_in(&header);
+        self.app_bytes += header.uncompressed_len as u64;
+        self.blocks += 1;
+        Ok(Some(header))
     }
 
     /// Reads the next CRC-valid frame *without* decompressing it: the
     /// payload is read straight into `payload` (the caller's buffer stands
     /// in as the reader's own for this one frame — no copy, no second
-    /// buffer) and the parsed header is returned. All header/length/CRC
-    /// validation and the full recovery machinery (retry, resync,
-    /// truncation handling) have run; only the decompression is left to the
-    /// caller, on this thread or a pool's. The frame is the caller's to
-    /// account once its block is delivered: `wire_bytes`, `blocks` and
-    /// `app_bytes` are not touched here.
+    /// buffer) and the parsed header is returned. Every header, length and
+    /// CRC check has run; only the decompression is left to the caller, on
+    /// this thread or a pool's. The frame is the caller's to account once
+    /// its block is delivered: `wire_bytes`, `blocks` and `app_bytes` are
+    /// not touched here.
     pub fn read_frame(&mut self, payload: &mut Vec<u8>) -> io::Result<Option<FrameHeader>> {
         std::mem::swap(&mut self.payload_buf, payload);
         let frame = self.next_frame();
         std::mem::swap(&mut self.payload_buf, payload);
-        let Some((header, _)) = frame? else {
+        let Some(header) = frame? else {
             return Ok(None);
         };
         wire_in(&header);
@@ -912,10 +557,8 @@ impl<R: Read, S: TraceSink> FrameReader<R, S> {
     /// payload in `self.payload_buf`. Index trailers (CRC-validated, no
     /// application bytes) are counted and consumed here. A frame flagged as
     /// one that is not one — the flag bit flipped on a data frame, which no
-    /// CRC covers — is a damaged frame and takes the rule for a CRC-valid
-    /// frame that fails to decode: counted; a typed `InvalidData` when
-    /// failing fast; otherwise dropped whole into `skipped_bytes`.
-    fn next_frame(&mut self) -> io::Result<Option<(FrameHeader, [u8; HEADER_LEN])>> {
+    /// CRC covers — is a damaged frame: counted, and a typed `InvalidData`.
+    fn next_frame(&mut self) -> io::Result<Option<FrameHeader>> {
         let metrics = registry::global();
         loop {
             let start = metrics
@@ -926,18 +569,9 @@ impl<R: Read, S: TraceSink> FrameReader<R, S> {
                 m.span_ns(SpanKind::FrameRead, s.elapsed().as_nanos() as u64);
             }
             match frame {
-                Some((header, _)) if header.index => {
-                    let frame_len = wire_in(&header);
-                    let Err(e) = check_index_trailer(&header, &self.payload_buf) else {
-                        self.wire_bytes += frame_len;
-                        continue;
-                    };
-                    self.recovery.corrupt_frames += 1;
-                    self.emit_fault("corrupt_frame", frame_len, self.blocks);
-                    if self.policy.mode == RecoveryMode::FailFast {
-                        return Err(to_io(e));
-                    }
-                    self.recovery.skipped_bytes += frame_len;
+                Some(header) if header.index => {
+                    check_index_trailer(&header, &self.payload_buf).map_err(|e| self.corrupt(e))?;
+                    self.wire_bytes += wire_in(&header);
                 }
                 other => return Ok(other),
             }
@@ -946,86 +580,86 @@ impl<R: Read, S: TraceSink> FrameReader<R, S> {
 
     /// Next frame whose header parses, passes the length caps and whose
     /// payload matches its CRC. On return the payload sits in
-    /// `self.payload_buf`. Recovery per the policy; `Ok(None)` on (possibly
-    /// recovered-to) end of stream.
-    fn read_valid_frame(&mut self) -> io::Result<Option<(FrameHeader, [u8; HEADER_LEN])>> {
-        loop {
-            let header_off = self.stream_offset;
-            let mut header_bytes = [0u8; HEADER_LEN];
-            match self.fill(&mut header_bytes)? {
-                FillOutcome::Eof => return Ok(None),
-                FillOutcome::Partial(n) => {
-                    let h = header_bytes;
-                    if self.recover_truncated("header", n, HEADER_LEN, header_off, &h[..n])? {
-                        continue;
-                    }
-                    return Ok(None);
-                }
-                FillOutcome::Full => {}
+    /// `self.payload_buf`. `Ok(None)` on a clean end of stream.
+    fn read_valid_frame(&mut self) -> io::Result<Option<FrameHeader>> {
+        let header_off = self.stream_offset;
+        let mut header_bytes = [0u8; HEADER_LEN];
+        let got = read_full(&mut self.inner, &mut header_bytes)?;
+        self.stream_offset += got as u64;
+        match got {
+            0 => return Ok(None),
+            HEADER_LEN => {}
+            n => {
+                let at = header_off;
+                return Err(self.truncated(format_args!(
+                    "header: got {n} of {HEADER_LEN} bytes at stream offset {at}"
+                )));
             }
-            let header = match FrameHeader::parse(&header_bytes, self.policy.max_frame) {
-                Ok(h) => h,
-                Err(e) => {
-                    if self.recover_corrupt(e, &header_bytes, 0)? {
-                        continue;
-                    }
-                    return Ok(None);
-                }
-            };
-            let payload_off = self.stream_offset;
-            self.payload_buf.clear();
-            self.payload_buf.resize(header.payload_len as usize, 0);
-            let mut payload = std::mem::take(&mut self.payload_buf);
-            let outcome = self.fill(&mut payload);
-            self.payload_buf = payload;
-            let outcome = outcome?;
-            match outcome {
-                FillOutcome::Eof | FillOutcome::Partial(_) => {
-                    let got = match outcome {
-                        FillOutcome::Partial(n) => n,
-                        _ => 0,
-                    };
-                    let want = header.payload_len as usize;
-                    self.recovery.truncations += 1;
-                    self.emit_fault("truncated", got as u64, self.blocks);
-                    if self.policy.mode == RecoveryMode::FailFast {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            format!(
-                                "truncated frame payload: got {got} of {want} bytes at stream \
-                                 offset {payload_off} (header at {header_off}), block {}",
-                                self.blocks
-                            ),
-                        ));
-                    }
-                    // The partial payload may contain whole good frames a
-                    // forged length field tried to swallow: re-scan it.
-                    let payload = std::mem::take(&mut self.payload_buf);
-                    let head: &[u8] = if got == 0 { &[] } else { &payload[1..got] };
-                    self.unread2(head, &[]);
-                    self.payload_buf = payload;
-                    if self.resync()? {
-                        continue;
-                    }
-                    return Ok(None);
-                }
-                FillOutcome::Full => {}
-            }
-            let actual_crc = crc32(&self.payload_buf);
-            if actual_crc != header.crc {
-                let e = CodecError::ChecksumMismatch { expected: header.crc, actual: actual_crc };
-                let plen = header.payload_len as usize;
-                if self.recover_corrupt(e, &header_bytes, plen)? {
-                    continue;
-                }
-                return Ok(None);
-            }
-            return Ok(Some((header, header_bytes)));
         }
+        let header =
+            FrameHeader::parse(&header_bytes, DEFAULT_MAX_FRAME).map_err(|e| self.corrupt(e))?;
+        let payload_off = self.stream_offset;
+        let want = header.payload_len as usize;
+        let got = read_payload(&mut self.inner, &mut self.payload_buf, want)?;
+        self.stream_offset += got as u64;
+        if got < want {
+            return Err(self.truncated(format_args!(
+                "payload: got {got} of {want} bytes at stream offset {payload_off} \
+                 (header at {header_off})"
+            )));
+        }
+        let actual_crc = crc32(&self.payload_buf);
+        if actual_crc != header.crc {
+            let e = CodecError::ChecksumMismatch { expected: header.crc, actual: actual_crc };
+            return Err(self.corrupt(e));
+        }
+        Ok(Some(header))
     }
 
     pub fn into_inner(self) -> R {
         self.inner
+    }
+}
+
+/// Fills `buf` from `inner` until it is full or the stream ends, retrying
+/// `Interrupted` as `std` does; returns the bytes read.
+fn read_full(inner: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match inner.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(filled)
+}
+
+/// Reads up to `want` payload bytes into `buf`, replacing its contents;
+/// returns how many arrived. The buffer grows with what arrives — by at
+/// most a block, or double what is already in — never by what the header
+/// claims, so a forged `payload_len` costs only the bytes actually sent.
+/// An honest frame that fits the capacity the buffer already has is one
+/// fill, without an allocation.
+fn read_payload(inner: &mut impl Read, buf: &mut Vec<u8>, want: usize) -> io::Result<usize> {
+    buf.clear();
+    while buf.len() < want {
+        let filled = buf.len();
+        let room = want.min(buf.capacity().max(2 * filled).max(DEFAULT_BLOCK_LEN));
+        buf.resize(room, 0);
+        let n = read_full(inner, &mut buf[filled..])?;
+        buf.truncate(filled + n);
+        if filled + n < room {
+            break;
+        }
+    }
+    Ok(buf.len())
+}
+
+fn count_fault(kind: &'static str) {
+    if let Some(m) = registry::global() {
+        m.label_count(LabelFamily::FaultKind, kind, 1);
     }
 }
 
@@ -1063,13 +697,16 @@ mod tests {
         let h = FrameHeader {
             codec: CodecId::QlzMedium,
             raw_fallback: false,
-            record_aligned: true,
             index: false,
             uncompressed_len: 131072,
             payload_len: 4242,
             crc: 0xDEADBEEF,
         };
-        assert_eq!(FrameHeader::from_bytes(&h.to_bytes()).unwrap(), h);
+        let mut b = h.to_bytes();
+        assert_eq!(FrameHeader::from_bytes(&b).unwrap(), h);
+        // Bit 1 is reserved: older record-aligned writers set it.
+        b[3] |= 0b10;
+        assert_eq!(FrameHeader::from_bytes(&b).unwrap(), h);
     }
 
     #[test]
@@ -1077,7 +714,6 @@ mod tests {
         let mut b = FrameHeader {
             codec: CodecId::Raw,
             raw_fallback: false,
-            record_aligned: false,
             index: false,
             uncompressed_len: 0,
             payload_len: 0,
@@ -1182,7 +818,7 @@ mod tests {
             }
             assert_eq!(w.blocks, 4);
         }
-        let mut r = FrameReader::with_policy(&wire[..], RecoveryPolicy::default());
+        let mut r = FrameReader::new(&wire[..]);
         let mut i = 0;
         loop {
             let mut out = Vec::new();
@@ -1199,39 +835,29 @@ mod tests {
     }
 
     /// A LIGHT data frame with `FLAG_INDEX` (bit 2 of byte 3) set is a
-    /// damaged data frame, not an index trailer to skip: a typed error when
-    /// failing fast, one counted corrupt frame dropped whole when skipping
-    /// — and the frame after it still decodes.
+    /// damaged data frame, not an index trailer to skip: one counted
+    /// corrupt frame and a typed error, through either read — even with a
+    /// good frame behind it.
     #[test]
     fn index_flag_on_a_data_frame_is_a_corrupt_frame() {
         let data = b"a data frame is never an index trailer. ".repeat(64);
-        let mut flipped = Vec::new();
-        let info = encode_block(&QlzLightCodec, &data, &mut flipped);
+        let mut wire = Vec::new();
+        let info = encode_block(&QlzLightCodec, &data, &mut wire);
         assert_eq!(info.codec, CodecId::QlzLight);
-        flipped[3] |= FLAG_INDEX;
+        wire[3] |= FLAG_INDEX;
+        encode_block(&QlzLightCodec, &data, &mut wire);
 
-        let mut r = FrameReader::with_policy(&flipped[..], RecoveryPolicy::default());
+        let mut r = FrameReader::new(&wire[..]);
         let mut out = Vec::new();
         let err = r.read_block(&mut out).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(r.recovery.corrupt_frames, 1);
+        assert_eq!(r.recovery, RecoveryStats { corrupt_frames: 1, truncations: 0 });
         assert!(out.is_empty());
 
-        let mut wire = flipped.clone();
-        encode_block(&QlzLightCodec, &data, &mut wire);
-        let mut r = FrameReader::with_policy(&wire[..], RecoveryPolicy::skip_and_count());
-        let mut payload = Vec::new();
-        let header = r.read_frame(&mut payload).unwrap().expect("the good frame");
-        assert_eq!(header.uncompressed_len as usize, data.len());
-        assert!(r.read_frame(&mut payload).unwrap().is_none());
-        assert_eq!(
-            r.recovery,
-            RecoveryStats {
-                corrupt_frames: 1,
-                skipped_bytes: flipped.len() as u64,
-                ..RecoveryStats::default()
-            }
-        );
+        let mut r = FrameReader::new(&wire[..]);
+        let err = r.read_frame(&mut out).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(r.recovery.corrupt_frames, 1);
     }
 
     #[test]
@@ -1239,7 +865,7 @@ mod tests {
         let data = b"some data".to_vec();
         let mut wire = Vec::new();
         encode_block(&RawCodec, &data, &mut wire);
-        let mut r = FrameReader::with_policy(&wire[..HEADER_LEN - 3], RecoveryPolicy::default());
+        let mut r = FrameReader::new(&wire[..HEADER_LEN - 3]);
         let mut out = Vec::new();
         assert!(r.read_block(&mut out).is_err());
     }

@@ -273,7 +273,6 @@ pub fn encode_index_trailer(index: &StreamIndex, out: &mut Vec<u8>) {
     let header = FrameHeader {
         codec: CodecId::Raw,
         raw_fallback: false,
-        record_aligned: false,
         index: true,
         uncompressed_len: 0,
         payload_len: payload_len as u32,
@@ -341,7 +340,7 @@ pub fn footer_trailer_len(tail: &[u8]) -> Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{FrameReader, FrameWriter, RecoveryPolicy};
+    use crate::frame::{FrameReader, FrameWriter};
     use crate::{Codec, HeavyCodec, QlzLightCodec, QlzMediumCodec};
 
     fn sample_stream(blocks: &[&[u8]]) -> (Vec<u8>, StreamIndex) {
@@ -488,7 +487,7 @@ mod tests {
         let b1 = b"stream-compat block one. ".repeat(80);
         let b2 = b"stream-compat block two! ".repeat(60);
         let (wire, _) = sample_stream(&[&b1, &b2]);
-        let mut r = FrameReader::with_policy(&wire[..], RecoveryPolicy::default());
+        let mut r = FrameReader::new(&wire[..]);
         let mut out = Vec::new();
         while r.read_block(&mut out).unwrap().is_some() {}
         let mut expect = b1.clone();

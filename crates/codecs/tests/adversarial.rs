@@ -2,7 +2,7 @@
 //! repetition structures, maximum-distance matches, and hostile frame
 //! streams.
 
-use adcomp_codecs::frame::{decode_block, encode_block, FrameReader, RecoveryPolicy, HEADER_LEN};
+use adcomp_codecs::frame::{decode_block, encode_block, FrameReader, HEADER_LEN};
 use adcomp_codecs::{codec_for, compress_fresh, CodecError, CodecId, DecodeScratch};
 
 fn roundtrip_all(data: &[u8]) {
@@ -103,7 +103,7 @@ fn frame_stream_with_mixed_codecs_and_hostile_sizes() {
         encode_block(codec, &data, &mut wire);
         expect.push(data);
     }
-    let mut r = FrameReader::with_policy(&wire[..], RecoveryPolicy::default());
+    let mut r = FrameReader::new(&wire[..]);
     for e in &expect {
         let mut out = Vec::new();
         let h = r.read_block(&mut out).unwrap().expect("block present");

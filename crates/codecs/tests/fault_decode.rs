@@ -9,13 +9,9 @@
 //! * **never lie** — a payload-region bit flip is *always* caught by the
 //!   CRC (CRC-32 detects all single-bit errors);
 //! * **never bloat** — forged giant length fields are rejected by the
-//!   pre-allocation cap, not by the allocator;
-//! * **resync** — a skip-mode [`FrameReader`] walks over inter-frame
-//!   garbage to the next magic and keeps decoding.
+//!   pre-allocation cap, not by the allocator.
 
-use adcomp_codecs::frame::{
-    decode_block_limited, encode_block, FrameReader, RecoveryPolicy, HEADER_LEN,
-};
+use adcomp_codecs::frame::{decode_block_limited, encode_block, HEADER_LEN};
 use adcomp_codecs::{codec_for, compress_fresh, CodecId, DecodeScratch};
 use proptest::prelude::*;
 
@@ -153,40 +149,4 @@ proptest! {
             prop_assert_eq!(out.len(), data.len());
         }
     }
-}
-
-/// A skip-mode reader walks over inter-frame garbage to the next magic:
-/// frames after the junk decode intact and the resync is counted.
-#[test]
-fn skip_reader_resyncs_over_interframe_garbage() {
-    let blocks: Vec<Vec<u8>> =
-        (0u8..3).map(|i| vec![i.wrapping_mul(37); 700 + i as usize * 100]).collect();
-    let mut wire = encode(CodecId::QlzLight, &blocks[0]);
-    wire.extend(std::iter::repeat_n(0x55u8, 337)); // junk, no magic pair
-    wire.extend(encode(CodecId::Heavy, &blocks[1]));
-    wire.extend(encode(CodecId::Raw, &blocks[2]));
-
-    let mut reader = FrameReader::with_policy(&wire[..], RecoveryPolicy::skip_and_count());
-    let mut got = Vec::new();
-    loop {
-        let mut out = Vec::new();
-        if reader.read_block(&mut out).expect("skip mode never errors here").is_none() {
-            break;
-        }
-        got.push(out);
-    }
-    assert_eq!(got, blocks, "frames around the junk must decode byte-identically");
-    assert!(reader.recovery.resyncs >= 1, "{:?}", reader.recovery);
-    // ~337 junk bytes are accounted between the corrupt-frame attempt and
-    // the resync scan (the exact split depends on where the bad header
-    // read stopped).
-    assert!(reader.recovery.skipped_bytes >= 330, "{:?}", reader.recovery);
-
-    // Fail-fast on the same wire refuses at the junk instead.
-    let mut strict = FrameReader::with_policy(&wire[..], RecoveryPolicy::fail_fast());
-    let mut first = Vec::new();
-    strict.read_block(&mut first).unwrap();
-    assert_eq!(first, blocks[0]);
-    let mut scratch = Vec::new();
-    assert!(strict.read_block(&mut scratch).is_err());
 }

@@ -13,7 +13,7 @@
 //! intentionally contains a single `#[test]` so no concurrent test can
 //! disturb the allocation counter or install the registry early.
 
-use adcomp_codecs::frame::{FrameReader, FrameWriter, RecoveryPolicy};
+use adcomp_codecs::frame::{FrameReader, FrameWriter};
 use adcomp_codecs::{codec_for, CodecId};
 use adcomp_corpus::{generate, Class};
 use adcomp_metrics::registry::{self, RegistryMode};
@@ -94,7 +94,7 @@ fn steady_state_allocs(phase: &str) -> u64 {
     }
     let warm_frames = WARM_ROUNDS * codecs.len() * blocks.len();
     let steady_frames = STEADY_ROUNDS * codecs.len() * blocks.len();
-    let mut reader = FrameReader::with_policy(stream.as_slice(), RecoveryPolicy::default());
+    let mut reader = FrameReader::new(stream.as_slice());
     let mut out = Vec::new();
     for _ in 0..warm_frames {
         out.clear();

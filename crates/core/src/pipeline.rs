@@ -41,8 +41,8 @@
 //!   than the rate of filling an unbounded queue.
 //! * **Determinism**: the level for each block is chosen by the caller at
 //!   submission time and travels with the job; lanes only run
-//!   `encode_block_flags`, which is a pure function of
-//!   `(codec, input, flags)`. Scheduling therefore cannot change a single
+//!   `encode_block_with`, which is a pure function of
+//!   `(codec, input)`. Scheduling therefore cannot change a single
 //!   output byte, and the inline lane is byte-identical to any worker count
 //!   by construction: it *is* the worker function.
 //!
@@ -51,7 +51,7 @@
 //! completion is flagged so the caller can force the controller to level 0.
 //! This is the one `catch_unwind` of the write side, on every lane.
 
-use adcomp_codecs::frame::{encode_block_flags, BlockInfo};
+use adcomp_codecs::frame::{encode_block_with, BlockInfo};
 use adcomp_codecs::{codec_for, CodecError, CodecId, DecodeScratch, Scratch};
 use adcomp_metrics::registry::{self, CounterKind, GaugeKind, HistKind, SpanKind};
 use adcomp_trace::{PipelineEvent, TraceEvent, TraceHandle, TraceSink as _, NO_EPOCH};
@@ -283,7 +283,6 @@ impl<L: Lane> Drop for Ordered<L> {
 struct Job {
     level: usize,
     codec: CodecId,
-    extra_flags: u8,
     data: Vec<u8>,
     /// Recycled frame buffer (capacity retained from an earlier block, see
     /// [`CompressPool::recycle`]).
@@ -339,13 +338,7 @@ impl Lane for EncodeLane {
             if job.bomb {
                 panic!("injected codec bomb");
             }
-            encode_block_flags(
-                &mut self.scratch,
-                codec_for(job.codec),
-                &job.data,
-                &mut frame,
-                job.extra_flags,
-            )
+            encode_block_with(&mut self.scratch, codec_for(job.codec), &job.data, &mut frame)
         }));
         let (info, degraded) = match attempt {
             Ok(info) => (info, false),
@@ -355,12 +348,11 @@ impl Lane for EncodeLane {
                 // copy cannot fail — so the stream survives.
                 self.scratch = Scratch::new();
                 frame.clear();
-                let info = encode_block_flags(
+                let info = encode_block_with(
                     &mut self.scratch,
                     codec_for(CodecId::Raw),
                     &job.data,
                     &mut frame,
-                    job.extra_flags,
                 );
                 (info, true)
             }
@@ -489,18 +481,10 @@ impl CompressPool {
     /// `codec`, and appends every frame that is now releasable in order to
     /// `out` (on the inline lane: exactly this block's). Blocks
     /// (backpressure) while the pipeline is at capacity.
-    pub fn submit(
-        &mut self,
-        level: usize,
-        codec: CodecId,
-        extra_flags: u8,
-        data: Vec<u8>,
-        out: &mut Vec<Completion>,
-    ) {
+    pub fn submit(&mut self, level: usize, codec: CodecId, data: Vec<u8>, out: &mut Vec<Completion>) {
         let job = Job {
             level,
             codec,
-            extra_flags,
             data,
             frame: self.spare_frames.pop().unwrap_or_default(),
             #[cfg(test)]
@@ -710,7 +694,7 @@ mod tests {
         let mut wire = Vec::new();
         let mut ready = Vec::new();
         for b in blocks {
-            pool.submit(1, codec, 0, b.clone(), &mut ready);
+            pool.submit(1, codec, b.clone(), &mut ready);
         }
         pool.drain(&mut ready);
         assert_eq!(ready.len(), blocks.len());
@@ -742,7 +726,7 @@ mod tests {
         let mut ready = Vec::new();
         for b in &blocks {
             assert!(pool.core.in_flight <= 2);
-            pool.submit(0, CodecId::Raw, 0, b.clone(), &mut ready);
+            pool.submit(0, CodecId::Raw, b.clone(), &mut ready);
         }
         pool.drain(&mut ready);
         assert_eq!(pool.core.in_flight, 0);
@@ -761,7 +745,7 @@ mod tests {
             let mut pool = CompressPool::new(workers);
             let mut all = Vec::new();
             pool.bomb_next_block();
-            pool.submit(3, CodecId::Heavy, 0, data.clone(), &mut all);
+            pool.submit(3, CodecId::Heavy, data.clone(), &mut all);
             pool.drain(&mut all);
             runs.push((workers, all));
         }
@@ -842,7 +826,7 @@ mod tests {
             let mut pool = CompressPool::new(4);
             let mut ready = Vec::new();
             for _ in 0..8 {
-                pool.submit(3, CodecId::Heavy, 0, data.clone(), &mut ready);
+                pool.submit(3, CodecId::Heavy, data.clone(), &mut ready);
             }
             assert!(pool.core.in_flight > 0);
             drop(pool);

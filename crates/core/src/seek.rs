@@ -26,9 +26,7 @@
 
 use crate::pipeline::{Decoded, DecodePool};
 use adcomp_codecs::crc32::crc32;
-use adcomp_codecs::frame::{
-    FrameHeader, FrameReader, RecoveryPolicy, DEFAULT_MAX_FRAME, HEADER_LEN,
-};
+use adcomp_codecs::frame::{FrameHeader, FrameReader, DEFAULT_MAX_FRAME, HEADER_LEN};
 use adcomp_codecs::seek::{
     footer_trailer_len, parse_index_trailer, IndexEntry, StreamIndex, INDEX_FOOTER_LEN,
 };
@@ -52,8 +50,6 @@ pub struct IndexedReader<R: Read + Seek> {
     ready: Vec<Decoded>,
     /// Reused block buffer of the streaming fallback.
     range_buf: Vec<u8>,
-    /// Recovery policy applied by the streaming fallback.
-    policy: RecoveryPolicy,
     /// Logical (application-byte) position for the `Read`/`Seek` impls.
     pos: u64,
     /// Cached total application length (lazy in fallback mode).
@@ -66,14 +62,7 @@ impl<R: Read + Seek> IndexedReader<R> {
     /// Opens `inner`, attempting to load the index trailer from the tail.
     /// A stream without a (valid) trailer opens fine — it just serves every
     /// request through the streaming fallback.
-    pub fn open(inner: R) -> io::Result<Self> {
-        IndexedReader::with_policy(inner, RecoveryPolicy::default())
-    }
-
-    /// [`IndexedReader::open`] with an explicit [`RecoveryPolicy`] for the
-    /// streaming-fallback path (e.g. [`RecoveryPolicy::skip_and_count`] to
-    /// ride over damaged blocks).
-    pub fn with_policy(mut inner: R, policy: RecoveryPolicy) -> io::Result<Self> {
+    pub fn open(mut inner: R) -> io::Result<Self> {
         let stream_len = inner.seek(SeekFrom::End(0))?;
         let index = load_index(&mut inner, stream_len)?;
         let total_cache = index.as_ref().map(StreamIndex::total_uncompressed);
@@ -84,7 +73,6 @@ impl<R: Read + Seek> IndexedReader<R> {
             pool: DecodePool::new(1),
             ready: Vec::new(),
             range_buf: Vec::new(),
-            policy,
             pos: 0,
             total_cache,
             fallback_scans: 0,
@@ -160,8 +148,7 @@ impl<R: Read + Seek> IndexedReader<R> {
     /// clamped to the stream end; returns the byte count (0 when `start`
     /// is at or past the end). Indexed streams decode only the covering
     /// blocks, through the decode pool, and any index/block disagreement
-    /// falls back to front-to-back streaming decode under the reader's
-    /// [`RecoveryPolicy`].
+    /// falls back to front-to-back streaming decode, which fails fast.
     pub fn read_range(&mut self, start: u64, len: u64, out: &mut Vec<u8>) -> io::Result<usize> {
         let metrics = registry::global();
         let span = registry::span(SpanKind::RangedRead);
@@ -263,8 +250,8 @@ impl<R: Read + Seek> IndexedReader<R> {
         }
     }
 
-    /// Trust-nothing path: decode the stream front to back under the
-    /// recovery policy, keeping only `[start, start + len)`.
+    /// Trust-nothing path: decode the stream front to back, failing fast,
+    /// keeping only `[start, start + len)`.
     fn read_range_streaming(
         &mut self,
         start: u64,
@@ -272,7 +259,7 @@ impl<R: Read + Seek> IndexedReader<R> {
         out: &mut Vec<u8>,
     ) -> io::Result<usize> {
         self.inner.seek(SeekFrom::Start(0))?;
-        let mut frames = FrameReader::with_policy(&mut self.inner, self.policy);
+        let mut frames = FrameReader::new(&mut self.inner);
         let mut block = std::mem::take(&mut self.range_buf);
         let mut app_off = 0u64;
         let mut taken = 0u64;
@@ -628,39 +615,24 @@ mod tests {
         let victim = entries[entries.len() / 2];
         // Damage the middle block's payload; the index still points at it.
         wire[victim.frame_offset as usize + HEADER_LEN + 3] ^= 0x01;
-        let mut r = IndexedReader::with_policy(
-            Cursor::new(&wire),
-            RecoveryPolicy::skip_and_count(),
-        )
-        .unwrap();
-        assert!(r.is_indexed());
-        // A range inside an undamaged block still uses the index.
-        let mut out = Vec::new();
-        r.read_range(0, 1000, &mut out).unwrap();
-        assert_eq!(out, &data[..1000]);
-        assert_eq!(r.fallback_scans, 0);
-        // A range covering the damaged block falls back to streaming
-        // decode, which (skip policy) drops the damaged block — later
-        // blocks compact over the hole, so the range fills with the bytes
-        // that originally followed the victim.
+        // A range covering the damaged block falls back to streaming decode,
+        // which fails fast at the damaged block with a typed error; pooled
+        // reads take the same fallback to the same error. A range inside an
+        // undamaged block still uses the index.
         let s = victim.uncompressed_offset;
-        let mut out = Vec::new();
-        let n = r.read_range(s, u64::from(victim.uncompressed_len), &mut out).unwrap();
-        assert_eq!(r.fallback_scans, 1);
-        assert_eq!(n as u32, victim.uncompressed_len);
-        let shifted = (s + u64::from(victim.uncompressed_len)) as usize;
-        assert_eq!(out, &data[shifted..shifted + n]);
-        // Pooled reads take the same fallback, byte-identically.
-        let mut rp = IndexedReader::with_policy(
-            Cursor::new(&wire),
-            RecoveryPolicy::skip_and_count(),
-        )
-        .unwrap();
-        rp.set_pipeline_workers(4);
-        let mut outp = Vec::new();
-        let np = rp.read_range(s, u64::from(victim.uncompressed_len), &mut outp).unwrap();
-        assert_eq!(rp.fallback_scans, 1);
-        assert_eq!((np, outp), (n, out));
+        for workers in [1usize, 4] {
+            let mut r = IndexedReader::open(Cursor::new(&wire)).unwrap();
+            r.set_pipeline_workers(workers);
+            assert!(r.is_indexed());
+            let mut out = Vec::new();
+            r.read_range(0, 1000, &mut out).unwrap();
+            assert_eq!(out, &data[..1000]);
+            assert_eq!(r.fallback_scans, 0);
+            let mut out = Vec::new();
+            let err = r.read_range(s, u64::from(victim.uncompressed_len), &mut out).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "workers={workers}");
+            assert_eq!(r.fallback_scans, 1);
+        }
     }
 
     #[test]
@@ -669,9 +641,7 @@ mod tests {
         let wire = seekable_wire(&data, 1, 4096, 1);
         // Cut the stream mid-trailer: the index is gone.
         let cut = &wire[..wire.len() - 10];
-        let mut r =
-            IndexedReader::with_policy(Cursor::new(cut), RecoveryPolicy::skip_and_count())
-                .unwrap();
+        let mut r = IndexedReader::open(Cursor::new(cut)).unwrap();
         assert!(!r.is_indexed());
         let mut out = Vec::new();
         let n = r.read_range(0, 4096, &mut out).unwrap();

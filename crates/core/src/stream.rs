@@ -20,8 +20,8 @@
 //!
 //! Record framers (nephele's channels) are a layer above, not a second
 //! stack: they write and read through these two types and use one hook
-//! each — [`AdaptiveWriter::flush_block`] to cut and flag a block at a
-//! record boundary, [`AdaptiveReader::read_block`] to see those flags.
+//! each — [`AdaptiveWriter::flush_block`] to cut a block where they choose,
+//! [`AdaptiveReader::read_block`] to take whole blocks without a copy.
 //!
 //! These wrappers run on real I/O (sockets, files, pipes) under a wall
 //! clock; the simulator reuses the same controller under virtual time.
@@ -29,14 +29,10 @@
 use crate::epoch::{Clock, EpochContext, EpochDriver, WallClock};
 use crate::model::DecisionModel;
 use crate::pipeline::{Completion, CompressPool, DecodePool, Decoded};
-use adcomp_codecs::frame::{
-    FrameReader, FrameWriter, RecoveryMode, RecoveryPolicy, RecoveryStats, DEFAULT_BLOCK_LEN,
-    HEADER_LEN,
-};
+use adcomp_codecs::frame::{FrameReader, FrameWriter, RecoveryStats, DEFAULT_BLOCK_LEN, HEADER_LEN};
 use adcomp_codecs::{CodecId, LevelSet};
 use adcomp_metrics::registry;
 use adcomp_trace::{FaultEvent, TraceEvent, TraceHandle, TraceSink as _};
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
 /// Aggregate statistics of an adaptive stream, for reporting.
@@ -57,9 +53,8 @@ pub struct StreamStats {
     pub raw_fallbacks: u64,
     /// Completed decision epochs.
     pub epochs: u64,
-    /// Fault-recovery counters (`corrupt_frames`, `resyncs`, `retries`, …).
-    /// All zero on a clean stream; populated by the reader side under a
-    /// non-default [`RecoveryPolicy`].
+    /// The incident that ended a reader's stream, if any (`corrupt_frames`,
+    /// `truncations`). All zero on a clean stream and on the writer.
     pub recovery: RecoveryStats,
     /// Writer-side codec failures that forced a degrade to level NONE
     /// until the next epoch decision.
@@ -98,9 +93,6 @@ pub struct AdaptiveWriter<W: Write> {
     /// Content-aware portfolio mode: each block's codec family is chosen
     /// by [`crate::portfolio::select`] over the controller's level.
     portfolio: bool,
-    /// Header flags of the block being filled (see
-    /// [`AdaptiveWriter::flush_block`]); 0 unless a framer stamped it.
-    block_flags: u8,
 }
 
 impl<W: Write> AdaptiveWriter<W> {
@@ -142,7 +134,6 @@ impl<W: Write> AdaptiveWriter<W> {
             pool: CompressPool::new(1),
             ready: Vec::new(),
             portfolio: false,
-            block_flags: 0,
         }
     }
 
@@ -236,22 +227,15 @@ impl<W: Write> AdaptiveWriter<W> {
         self.buf.len()
     }
 
-    /// The aligned-flush hook for record framers: emits the buffered partial
-    /// block now (nothing if the buffer is empty) and stamps the next block's
-    /// frame header with `flags` (e.g. `FLAG_RECORD_ALIGNED`). A block is
-    /// stamped only this way, so a stream that never calls it is unchanged.
-    pub fn flush_block(&mut self, flags: u8) -> io::Result<()> {
-        self.emit_block()?;
-        self.block_flags = flags;
-        Ok(())
-    }
-
-    /// The one block path: the level is captured *now* (submission order ==
-    /// decision order), the block goes to the pool, and whatever frames the
-    /// pool releases are written in sequence. `driver.record` runs at
-    /// submission with this block's `(bytes, now)`, so the level trajectory
-    /// — and therefore the wire bytes — cannot depend on the worker count.
-    fn emit_block(&mut self) -> io::Result<()> {
+    /// The one block path, and the block-cut hook for record framers: emits
+    /// the buffered (possibly partial) block now — nothing if the buffer is
+    /// empty — without flushing the pool or the underlying writer. The
+    /// level is captured *now* (submission order == decision order), the
+    /// block goes to the pool, and whatever frames the pool releases are
+    /// written in sequence. `driver.record` runs at submission with this
+    /// block's `(bytes, now)`, so the level trajectory — and therefore the
+    /// wire bytes — cannot depend on the worker count.
+    pub fn flush_block(&mut self) -> io::Result<()> {
         if self.buf.is_empty() {
             return Ok(());
         }
@@ -270,8 +254,7 @@ impl<W: Write> AdaptiveWriter<W> {
         if self.driver.trace().enabled() {
             self.pool.set_trace_mark(self.driver.epochs(), now);
         }
-        let flags = std::mem::take(&mut self.block_flags);
-        self.pool.submit(level, codec_id, flags, data, &mut self.ready);
+        self.pool.submit(level, codec_id, data, &mut self.ready);
         self.write_completions(now)?;
         // Without threads the block just written is this one, so the model
         // sees its own ratio; with threads it sees the last drained one.
@@ -347,7 +330,7 @@ impl<W: Write> AdaptiveWriter<W> {
     /// Flushes buffered data as a (possibly short) block and flushes the
     /// underlying writer. Call before dropping to avoid losing the tail.
     pub fn finish(mut self) -> io::Result<(W, StreamStats)> {
-        self.emit_block()?;
+        self.flush_block()?;
         self.drain_pipeline()?;
         self.frames.finish_index()?;
         self.frames.flush()?;
@@ -365,14 +348,14 @@ impl<W: Write> Write for AdaptiveWriter<W> {
             self.buf.extend_from_slice(&data[consumed..consumed + take]);
             consumed += take;
             if self.buf.len() == self.block_len {
-                self.emit_block()?;
+                self.flush_block()?;
             }
         }
         Ok(consumed)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.emit_block()?;
+        self.flush_block()?;
         self.drain_pipeline()?;
         self.frames.flush()
     }
@@ -381,9 +364,11 @@ impl<W: Write> Write for AdaptiveWriter<W> {
 /// Decompressing reader for streams produced by [`AdaptiveWriter`].
 ///
 /// One block path, the mirror of the writer's: `FrameReader::read_frame`
-/// validates the next frame on the caller's thread (header, caps, CRC,
-/// recovery), the payload is submitted to the [`DecodePool`], and bytes are
-/// served straight out of the block the pool releases.
+/// validates the next frame on the caller's thread (header, caps, CRC), the
+/// payload is submitted to the [`DecodePool`], and bytes are served
+/// straight out of the block the pool releases. The reader fails fast: the
+/// first frame that fails a check ends the stream in a typed error, after
+/// every block before it has been served.
 pub struct AdaptiveReader<R: Read> {
     frames: FrameReader<R>,
     /// Every block is decoded here: on the caller's thread by default, on
@@ -395,10 +380,6 @@ pub struct AdaptiveReader<R: Read> {
     /// The block being served, and how much of it has been.
     block: Option<Decoded>,
     pos: usize,
-    /// `FLAG_RECORD_ALIGNED` of every frame submitted and not yet released,
-    /// in wire order, and of the block being served.
-    aligned: VecDeque<bool>,
-    block_aligned: bool,
     eof: bool,
     /// A frame-layer error met while reading ahead. It surfaces once every
     /// block before it has been served, as it would without read-ahead.
@@ -407,33 +388,23 @@ pub struct AdaptiveReader<R: Read> {
 
 impl<R: Read> AdaptiveReader<R> {
     pub fn new(inner: R) -> Self {
-        AdaptiveReader::with_policy(inner, RecoveryPolicy::default())
-    }
-
-    /// A reader with an explicit [`RecoveryPolicy`] — e.g.
-    /// [`RecoveryPolicy::skip_and_count`] to drop corrupt frames and keep
-    /// decoding, or [`RecoveryPolicy::bounded_retry`] to ride out
-    /// transient I/O errors.
-    pub fn with_policy(inner: R, policy: RecoveryPolicy) -> Self {
         AdaptiveReader {
-            frames: FrameReader::with_policy(inner, policy),
+            frames: FrameReader::new(inner),
             pool: DecodePool::new(1),
             ready: Vec::new(),
             block: None,
             pos: 0,
-            aligned: VecDeque::new(),
-            block_aligned: false,
             eof: false,
             failed: None,
         }
     }
 
     /// Decodes blocks on `workers` pool threads (`workers <= 1`: on the
-    /// caller's thread, the default). Decoded bytes, recovery statistics
-    /// and the byte/block counters are identical for any worker count, on
-    /// clean and on damaged streams: validation and recovery never leave
-    /// the caller's thread, and a frame is counted when its block is
-    /// released in wire order. Call before reading any data.
+    /// caller's thread, the default). Decoded bytes, the error a damaged
+    /// stream ends in, its incident counters and the byte/block counters
+    /// are identical for any worker count: validation never leaves the
+    /// caller's thread, and a frame is counted when its block is released
+    /// in wire order. Call before reading any data.
     pub fn set_pipeline_workers(&mut self, workers: usize) {
         assert!(
             self.frames.wire_bytes == 0,
@@ -447,12 +418,7 @@ impl<R: Read> AdaptiveReader<R> {
         self.pool.workers()
     }
 
-    /// The active recovery policy.
-    pub fn policy(&self) -> RecoveryPolicy {
-        self.frames.policy()
-    }
-
-    /// Fault-recovery counters (all zero on a clean stream).
+    /// Incident counters (all zero on a clean stream).
     pub fn recovery(&self) -> RecoveryStats {
         self.frames.recovery
     }
@@ -479,7 +445,7 @@ impl<R: Read> AdaptiveReader<R> {
     }
 
     /// Wire bytes of the frames whose blocks have been released so far
-    /// (plus any index trailer skipped): frames read ahead or dropped as
+    /// (plus any index trailer skipped): frames read ahead or refused as
     /// damaged are not in it.
     pub fn wire_bytes(&self) -> u64 {
         self.frames.wire_bytes
@@ -507,7 +473,6 @@ impl<R: Read> AdaptiveReader<R> {
             let mut payload = self.pool.wire_buf();
             match self.frames.read_frame(&mut payload) {
                 Ok(Some(h)) => {
-                    self.aligned.push_back(h.record_aligned);
                     let len = h.uncompressed_len as usize;
                     self.pool.submit(h.codec, len, payload, 0, &mut self.ready)
                 }
@@ -518,27 +483,19 @@ impl<R: Read> AdaptiveReader<R> {
     }
 
     /// Accounts for a released block. The frame passed its CRC, so a decode
-    /// failure means a damaged header field or a checksum collision: the
-    /// bytes are one payload with nothing to re-scan, and the whole frame is
-    /// dropped and counted — the same rule at every worker count.
+    /// failure means a damaged header field or a checksum collision: a
+    /// counted corrupt frame and a typed error — the same rule at every
+    /// worker count.
     fn accept(&mut self, mut d: Decoded) -> io::Result<()> {
-        self.block_aligned = self.aligned.pop_front().unwrap_or(false);
-        // `refill` submits the bare payload, so the frame is that + header.
-        let frame_len = (HEADER_LEN + d.wire.len()) as u64;
-        match d.err.take() {
-            None => {
-                self.frames.app_bytes += d.bytes.len() as u64;
-                self.frames.wire_bytes += frame_len;
-                self.frames.blocks += 1;
-            }
-            Some(e) => {
-                self.frames.recovery.corrupt_frames += 1;
-                if self.frames.policy().mode == RecoveryMode::FailFast {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, e));
-                }
-                self.frames.recovery.skipped_bytes += frame_len;
-            }
+        if let Some(e) = d.err.take() {
+            self.frames.recovery.corrupt_frames += 1;
+            self.pool.recycle(d);
+            return Err(io::Error::new(io::ErrorKind::InvalidData, e));
         }
+        // `refill` submits the bare payload, so the frame is that + header.
+        self.frames.app_bytes += d.bytes.len() as u64;
+        self.frames.wire_bytes += (HEADER_LEN + d.wire.len()) as u64;
+        self.frames.blocks += 1;
         self.block = Some(d);
         self.pos = 0;
         Ok(())
@@ -568,20 +525,16 @@ impl<R: Read> AdaptiveReader<R> {
         Ok(true)
     }
 
-    /// The realign hook for record framers, and the block-granular read
-    /// under [`Read::read`]: the unserved rest of the current block, or the
-    /// next released block whole, with whether those bytes start a block
-    /// flagged `FLAG_RECORD_ALIGNED`; `None` at end of stream. A frame
-    /// dropped in between shows as [`AdaptiveReader::recovery`] moving
-    /// between two calls — at the block it preceded on the inline lane,
-    /// which reads no frame ahead.
-    pub fn read_block(&mut self) -> io::Result<Option<(&[u8], bool)>> {
+    /// The block-granular read for record framers: the unserved rest of the
+    /// current block, or the next released block whole; `None` at end of
+    /// stream.
+    pub fn read_block(&mut self) -> io::Result<Option<&[u8]>> {
         if !self.fill_block()? {
             return Ok(None);
         }
         let start = self.pos;
         self.pos = self.block_bytes().len();
-        Ok(Some((&self.block_bytes()[start..], self.block_aligned && start == 0)))
+        Ok(Some(&self.block_bytes()[start..]))
     }
 }
 
@@ -769,48 +722,6 @@ mod tests {
         let mut out = Vec::new();
         AdaptiveReader::new(&wire[..]).read_to_end(&mut out).unwrap();
         assert_eq!(out, data);
-    }
-
-    #[test]
-    fn skip_policy_reader_survives_mid_stream_corruption() {
-        use adcomp_codecs::frame::{RecoveryPolicy, HEADER_LEN};
-        let data = b"corruptible stream payload, repeated. ".repeat(2000);
-        let mut w = AdaptiveWriter::with_params(
-            Vec::new(),
-            levels(),
-            Box::new(StaticModel::new(1, 4)),
-            4096,
-            2.0,
-            Box::new(ManualClock::new()),
-        );
-        w.write_all(&data).unwrap();
-        let (mut wire, stats) = w.finish().unwrap();
-        assert!(stats.blocks_per_level[1] > 4);
-        // Flip a byte in the payload of the second frame (first frame's
-        // header declares its payload length).
-        let first_payload =
-            u32::from_le_bytes(wire[8..12].try_into().unwrap()) as usize;
-        let second = HEADER_LEN + first_payload;
-        wire[second + HEADER_LEN + 10] ^= 0x01;
-
-        // Fail-fast: typed error.
-        let mut out = Vec::new();
-        assert!(AdaptiveReader::new(&wire[..]).read_to_end(&mut out).is_err());
-
-        // Skip-and-count: stream decodes to a strict subsequence of the
-        // original with exactly one counted corrupt frame.
-        let mut r = AdaptiveReader::with_policy(&wire[..], RecoveryPolicy::skip_and_count());
-        let mut out = Vec::new();
-        r.read_to_end(&mut out).unwrap();
-        let rec = r.recovery();
-        assert_eq!(rec.corrupt_frames, 1);
-        assert_eq!(rec.resyncs, 1);
-        assert!(out.len() < data.len());
-        // Recovered bytes = original minus exactly the damaged 4096-byte
-        // block; the tail after the hole matches the original tail.
-        assert_eq!(&out[..4096], &data[..4096]);
-        assert_eq!(&out[4096..], &data[2 * 4096..]);
-        assert!(r.stats().recovery.corrupt_frames == 1);
     }
 
     #[test]
@@ -1281,26 +1192,6 @@ mod tests {
         let mut out = Vec::new();
         AdaptiveReader::new(&wire[..]).read_to_end(&mut out).unwrap();
         assert_eq!(out, data);
-    }
-
-    #[test]
-    fn pipelined_skip_policy_survives_corruption() {
-        use adcomp_codecs::frame::{RecoveryPolicy, HEADER_LEN};
-        let data = b"pipelined corruptible payload, repeated. ".repeat(2000);
-        let mut wire = serial_wire(&data, 1, 4096);
-        let first_payload = u32::from_le_bytes(wire[8..12].try_into().unwrap()) as usize;
-        let second = HEADER_LEN + first_payload;
-        wire[second + HEADER_LEN + 10] ^= 0x01;
-
-        let mut r = AdaptiveReader::with_policy(&wire[..], RecoveryPolicy::skip_and_count());
-        r.set_pipeline_workers(4);
-        let mut out = Vec::new();
-        r.read_to_end(&mut out).unwrap();
-        let rec = r.recovery();
-        assert_eq!(rec.corrupt_frames, 1);
-        assert_eq!(rec.resyncs, 1);
-        assert_eq!(&out[..4096], &data[..4096]);
-        assert_eq!(&out[4096..], &data[2 * 4096..]);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The decompression-bomb guard as a test: **a forged `uncompressed_len`
-//! costs a typed error, not memory.**
+//! costs a typed error, not memory** — and a forged `payload_len` costs
+//! only the bytes that arrive.
 //!
 //! No CRC covers a frame header, so `uncompressed_len` is whatever the wire
 //! says, up to the reader's cap (`DEFAULT_MAX_FRAME`, 64 MiB). The payload,
@@ -18,7 +19,10 @@
 //! `AdaptiveReader`: the result must be a typed error (never a panic),
 //! `out` must be back at its prior length, and the peak must stay within
 //! 1 MiB of what a decode of an honest small HEAVY block needs (the
-//! probability model and HEAVY's eager 256 KiB reservation).
+//! probability model and HEAVY's eager 256 KiB reservation). A header that
+//! claims a 60 MiB payload and is followed by 100 bytes goes through
+//! `AdaptiveReader` under the same bound: the reader grows its payload
+//! buffer by what is received, so the cut is a typed truncation error.
 //!
 //! This file intentionally contains a single `#[test]` so no concurrent
 //! test can disturb the allocation counters.
@@ -80,7 +84,6 @@ fn forged_frame(codec: CodecId, payload: &[u8]) -> Vec<u8> {
     let header = FrameHeader {
         codec,
         raw_fallback: false,
-        record_aligned: false,
         index: false,
         uncompressed_len: DEFAULT_MAX_FRAME,
         payload_len: payload.len() as u32,
@@ -161,4 +164,17 @@ fn forged_uncompressed_len_costs_an_error_not_memory() {
             assert!(peak <= budget, "{codec} payload {which}: AdaptiveReader peaked at {peak} B");
         }
     }
+
+    // A forged `payload_len`: the header claims 60 MiB, 100 bytes follow.
+    let mut frame = forged_frame(CodecId::Raw, &[0x5A; 100]);
+    frame[4..8].copy_from_slice(&100u32.to_le_bytes());
+    frame[8..12].copy_from_slice(&(60u32 << 20).to_le_bytes());
+    let (peak, result) = peak_during(|| {
+        let mut sink = Vec::new();
+        AdaptiveReader::new(&frame[..]).read_to_end(&mut sink).map(|_| sink)
+    });
+    let err = result.expect_err("AdaptiveReader accepted a cut frame");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+    assert!(err.to_string().contains("got 100 of 62914560 bytes"), "{err}");
+    assert!(peak <= budget, "forged payload_len: AdaptiveReader peaked at {peak} B");
 }

@@ -6,27 +6,22 @@
 //! seekable stream (whose index trailer is a frame too), each of the 128
 //! header bits of each frame is flipped on its own and the stream is read
 //! through `AdaptiveReader` at 1 and 2 workers and through
-//! `FrameReader::read_block`, failing fast and skipping; the seekable
-//! stream is also read in ranges through `IndexedReader::read_range`. The
-//! readers' bomb guard is lowered to 1 MiB (the blocks here are ≤ 4 KiB),
-//! so a flip to a huge length is refused before its buffer is zero-filled.
-//! Each read must end in one of three ways:
+//! `FrameReader::read_block`; the seekable stream is also read in ranges
+//! through `IndexedReader::read_range`. The readers run as shipped, with
+//! the default bomb guard: a flip to a huge payload length costs the bytes
+//! that arrive, not what the header claims. Readers fail fast, so each
+//! read must end in one of two ways:
 //!
-//! * the source (or the range of it asked for), byte for byte (a bit no
-//!   reader acts on);
-//! * a typed error (`InvalidData` / `UnexpectedEof`);
-//! * a counted recovery: the source minus the damaged frame's block (or
-//!   the range of that), with at least one incident counted — in the
-//!   recovery counters, or for a ranged read in `fallback_scans`, the
-//!   requests on which the index and a block disagreed.
+//! * the source (or the range of it asked for), byte for byte — a bit no
+//!   reader acts on, such as the reserved flag bit 1 that older
+//!   record-aligned writers set;
+//! * a typed error (`InvalidData` / `UnexpectedEof`).
 //!
-//! Anything else — different bytes, or a lost block with clean counters —
-//! is silent data loss and fails the test, except the one case listed in
+//! Anything else — different bytes, or a lost block — is silent data loss
+//! and fails the test, except the one case listed in
 //! [`SILENT_LENGTH_FLIPS`] (see DESIGN.md §"Fault model").
 
-use adcomp_codecs::frame::{
-    FrameReader, FrameWriter, RecoveryPolicy, RecoveryStats, FLAG_INDEX, HEADER_LEN,
-};
+use adcomp_codecs::frame::{FrameReader, FrameWriter, HEADER_LEN};
 use adcomp_codecs::{codec_for, CodecId, LevelSet};
 use adcomp_core::epoch::ManualClock;
 use adcomp_core::model::StaticModel;
@@ -39,12 +34,12 @@ use std::ops::Range;
 /// `(stream, frame, header bits)` that lose data silently, for want of a
 /// wire change: the portfolio stream's frame 3 is a block of zeros, which
 /// COLUMNAR stores as a one-symbol dictionary. That payload holds no
-/// length of its own, so every `uncompressed_len` the bomb guard lets
-/// through (bits 32..52) decodes to that many zeros with clean counters.
-const SILENT_LENGTH_FLIPS: &[(&str, usize, Range<usize>)] = &[("portfolio", 3, 32..52)];
+/// length of its own, so every `uncompressed_len` the 64 MiB bomb guard
+/// lets through (bits 32..58) decodes to that many zeros with clean
+/// counters.
+const SILENT_LENGTH_FLIPS: &[(&str, usize, Range<usize>)] = &[("portfolio", 3, 32..58)];
 
 const BLOCK: usize = 4096;
-const MAX_FRAME: u32 = 1 << 20;
 
 struct Stream {
     name: String,
@@ -91,96 +86,52 @@ fn adaptive_stream(name: &str, portfolio: bool, seekable: bool) -> Stream {
     Stream { name: name.to_string(), wire, blocks }
 }
 
-/// `(offset, index)` of each frame: `index` is the data block it carries,
-/// `None` for an index trailer.
-fn frames(wire: &[u8]) -> Vec<(usize, Option<usize>)> {
-    let (mut at, mut block, mut out) = (0, 0, Vec::new());
+/// The offset of each frame, data frames and index trailer alike.
+fn frames(wire: &[u8]) -> Vec<usize> {
+    let (mut at, mut out) = (0, Vec::new());
     while at < wire.len() {
-        let payload_len = u32::from_le_bytes(wire[at + 8..at + 12].try_into().unwrap()) as usize;
-        if wire[at + 3] & FLAG_INDEX != 0 {
-            out.push((at, None));
-        } else {
-            out.push((at, Some(block)));
-            block += 1;
-        }
-        at += HEADER_LEN + payload_len;
+        out.push(at);
+        at += HEADER_LEN + u32::from_le_bytes(wire[at + 8..at + 12].try_into().unwrap()) as usize;
     }
     out
 }
 
-/// A read's result, the incidents its reader counted and how it counted
-/// them (for the report).
-type Outcome = (io::Result<Vec<u8>>, u64, String);
-
-fn with_recovery(res: io::Result<Vec<u8>>, rec: RecoveryStats) -> Outcome {
-    (res, rec.corrupt_frames + rec.truncations, format!("recovery {rec:?}"))
-}
-
-fn read_adaptive(wire: &[u8], policy: RecoveryPolicy, workers: usize) -> Outcome {
-    let mut r = AdaptiveReader::with_policy(wire, policy);
+fn read_adaptive(wire: &[u8], workers: usize) -> io::Result<Vec<u8>> {
+    let mut r = AdaptiveReader::new(wire);
     r.set_pipeline_workers(workers);
     let mut out = Vec::new();
-    let res = r.read_to_end(&mut out).map(|_| out);
-    with_recovery(res, r.recovery())
+    r.read_to_end(&mut out).map(|_| out)
 }
 
-fn read_frames(wire: &[u8], policy: RecoveryPolicy) -> Outcome {
-    let mut r = FrameReader::with_policy(wire, policy);
+fn read_frames(wire: &[u8]) -> io::Result<Vec<u8>> {
+    let mut r = FrameReader::new(wire);
     let mut out = Vec::new();
-    let res = loop {
-        match r.read_block(&mut out) {
-            Ok(Some(_)) => {}
-            Ok(None) => break Ok(out),
-            Err(e) => break Err(e),
-        }
-    };
-    with_recovery(res, r.recovery)
+    while r.read_block(&mut out)?.is_some() {}
+    Ok(out)
 }
 
 /// `IndexedReader::read_range` on a reader opened for this read alone.
-fn read_range(wire: &[u8], policy: RecoveryPolicy, range: &Range<usize>) -> Outcome {
-    let mut r = match IndexedReader::with_policy(Cursor::new(wire), policy) {
-        Ok(r) => r,
-        Err(e) => return (Err(e), 0, "open failed".into()),
-    };
+fn read_range(wire: &[u8], range: &Range<usize>) -> io::Result<Vec<u8>> {
+    let mut r = IndexedReader::open(Cursor::new(wire))?;
     let mut out = Vec::new();
-    let res = r.read_range(range.start as u64, range.len() as u64, &mut out).map(|_| out);
-    (res, r.fallback_scans, format!("fallback_scans {}", r.fallback_scans))
+    r.read_range(range.start as u64, range.len() as u64, &mut out).map(|_| out)
 }
 
-/// `None` when the outcome is one of the three allowed ones, else why not.
-/// `range` is the application bytes the read asked for (`0..usize::MAX`
-/// for a whole-stream read).
-fn judge(
-    s: &Stream,
-    lost: Option<usize>,
-    range: &Range<usize>,
-    (res, incidents, how): Outcome,
-) -> Option<String> {
-    let out = match res {
+/// `None` when the read ended in one of the two allowed ways, else why
+/// not. `range` is the application bytes the read asked for
+/// (`0..usize::MAX` for a whole-stream read).
+fn judge(s: &Stream, range: &Range<usize>, read: io::Result<Vec<u8>>) -> Option<String> {
+    match read {
         Err(e) if matches!(e.kind(), io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof) => {
-            return None
+            None
         }
-        Err(e) => return Some(format!("untyped error {:?}: {e}", e.kind())),
-        Ok(out) => out,
-    };
-    let window = |bytes: &[u8]| {
-        bytes[range.start.min(bytes.len())..range.end.min(bytes.len())].to_vec()
-    };
-    if out == window(&s.blocks.concat()) {
-        return None;
+        Err(e) => Some(format!("untyped error {:?}: {e}", e.kind())),
+        Ok(out) => {
+            let source = s.blocks.concat();
+            let window = &source[range.start.min(source.len())..range.end.min(source.len())];
+            (out != window).then(|| format!("{} bytes out, {} expected", out.len(), window.len()))
+        }
     }
-    let survivors: Vec<u8> = s
-        .blocks
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| Some(i) != lost)
-        .flat_map(|(_, b)| b.iter().copied())
-        .collect();
-    if lost.is_some() && out == window(&survivors) && incidents >= 1 {
-        return None;
-    }
-    Some(format!("{} bytes out, {how}", out.len()))
 }
 
 #[test]
@@ -192,7 +143,7 @@ fn every_header_bit_flip_is_caught_or_harmless() {
     let mut violations = Vec::new();
     let mut cases = 0;
     for s in &streams {
-        for (frame, (at, lost)) in frames(&s.wire).into_iter().enumerate() {
+        for (frame, at) in frames(&s.wire).into_iter().enumerate() {
             for bit in 0..HEADER_LEN * 8 {
                 let mut wire = s.wire.clone();
                 wire[at + bit / 8] ^= 1 << (bit % 8);
@@ -202,26 +153,21 @@ fn every_header_bit_flip_is_caught_or_harmless() {
                 if known {
                     assert_eq!(wire[at + 2], CodecId::Columnar as u8, "{} frame {frame}", s.name);
                 }
-                for mode in [RecoveryPolicy::fail_fast(), RecoveryPolicy::skip_and_count()] {
-                    let policy = RecoveryPolicy { max_frame: MAX_FRAME, ..mode };
-                    let reads = [
-                        ("adaptive/1", read_adaptive(&wire, policy, 1)),
-                        ("adaptive/2", read_adaptive(&wire, policy, 2)),
-                        ("read_block", read_frames(&wire, policy)),
-                    ];
-                    for (reader, read) in reads {
-                        cases += 1;
-                        match judge(s, lost, &(0..usize::MAX), read) {
-                            Some(why) if !known => violations.push(format!(
-                                "{} frame {frame} bit {bit} {reader} {:?}: {why}",
-                                s.name, policy.mode
-                            )),
-                            None if known => violations.push(format!(
-                                "{} frame {frame} bit {bit} {reader}: listed as silent but caught",
-                                s.name
-                            )),
-                            _ => {}
-                        }
+                let reads = [
+                    ("adaptive/1", read_adaptive(&wire, 1)),
+                    ("adaptive/2", read_adaptive(&wire, 2)),
+                    ("read_block", read_frames(&wire)),
+                ];
+                for (reader, read) in reads {
+                    cases += 1;
+                    match judge(s, &(0..usize::MAX), read) {
+                        Some(why) if !known => violations
+                            .push(format!("{} frame {frame} bit {bit} {reader}: {why}", s.name)),
+                        None if known => violations.push(format!(
+                            "{} frame {frame} bit {bit} {reader}: listed as silent but caught",
+                            s.name
+                        )),
+                        _ => {}
                     }
                 }
             }
@@ -233,15 +179,14 @@ fn every_header_bit_flip_is_caught_or_harmless() {
 }
 
 /// The seekable stream's frames, every header bit flipped, read in ranges
-/// through `IndexedReader::read_range`, failing fast and skipping: the
-/// whole stream, a range inside one block, one across three blocks and
-/// one over the end. A range whose covering blocks pass the index's checks
-/// is served from them; a damaged header disagrees with its index entry
-/// (codec, lengths, CRC, the index flag) or fails to parse, and the
-/// request falls back to decoding the stream from the front under the
-/// reader's policy. A flip in the trailer's header makes the index
-/// unusable (the trailer must parse as an index frame), so every request
-/// streams.
+/// through `IndexedReader::read_range`: the whole stream, a range inside
+/// one block, one across three blocks and one over the end. A range whose
+/// covering blocks pass the index's checks is served from them; a damaged
+/// header disagrees with its index entry (codec, lengths, CRC, the index
+/// flag) or fails to parse, and the request falls back to decoding the
+/// stream from the front, failing fast. A flip in the trailer's header
+/// makes the index unusable (the trailer must parse as an index frame), so
+/// every request streams.
 #[test]
 fn every_header_bit_flip_through_ranged_reads() {
     let s = adaptive_stream("seekable", false, true);
@@ -249,25 +194,19 @@ fn every_header_bit_flip_through_ranged_reads() {
     let ranges = [0..total + 1, 5000..5100, 4000..12_300, total - 10..total + 90];
     let mut violations = Vec::new();
     let mut cases = 0;
-    for (frame, (at, lost)) in frames(&s.wire).into_iter().enumerate() {
+    for (frame, at) in frames(&s.wire).into_iter().enumerate() {
         for bit in 0..HEADER_LEN * 8 {
             let mut wire = s.wire.clone();
             wire[at + bit / 8] ^= 1 << (bit % 8);
-            for mode in [RecoveryPolicy::fail_fast(), RecoveryPolicy::skip_and_count()] {
-                let policy = RecoveryPolicy { max_frame: MAX_FRAME, ..mode };
-                for range in &ranges {
-                    cases += 1;
-                    if let Some(why) = judge(&s, lost, range, read_range(&wire, policy, range)) {
-                        violations.push(format!(
-                            "frame {frame} bit {bit} range {range:?} {:?}: {why}",
-                            policy.mode
-                        ));
-                    }
+            for range in &ranges {
+                cases += 1;
+                if let Some(why) = judge(&s, range, read_range(&wire, range)) {
+                    violations.push(format!("frame {frame} bit {bit} range {range:?}: {why}"));
                 }
             }
         }
     }
-    assert!(cases > 4_000, "{cases} cases");
+    assert!(cases > 2_000, "{cases} cases");
     let n = violations.len();
     assert!(violations.is_empty(), "{n} of {cases} reads:\n{}", violations.join("\n"));
 }

@@ -1,22 +1,16 @@
-//! Composable `Read`/`Write` fault-injection adapters.
-//!
-//! Each adapter wraps an inner stream and applies the deterministic
-//! decisions of a [`FaultPlan`]:
-//!
-//! * [`CorruptingWriter`] — frame-granular bit flips, frame drops and
-//!   mid-frame cuts (each `write` call is treated as one frame, which is
-//!   exactly how `FrameWriter`/`BlockTransport` emit);
-//! * [`FlakyReader`] — transient `WouldBlock`-style errors in
-//!   deterministic bounded bursts, exercising the bounded-retry recovery
-//!   path.
+//! The `std::io` fault-injection adapter: [`CorruptingWriter`] wraps an
+//! inner stream and applies the deterministic decisions of a
+//! [`FaultPlan`] — frame-granular bit flips, frame drops and mid-frame cuts
+//! (each `write` call is treated as one frame, which is exactly how
+//! `FrameWriter`/`BlockTransport` emit).
 //!
 //! Injection events are mirrored into an optional trace sink as
-//! [`FaultEvent`]s (`inject_flip` / `inject_drop` / `inject_cut` /
-//! `inject_transient`), so a trace shows cause and response interleaved.
+//! [`FaultEvent`]s (`inject_flip` / `inject_drop` / `inject_cut`), so a
+//! trace shows cause and response interleaved.
 
 use crate::plan::{FaultAction, FaultPlan, InjectStats};
 use adcomp_trace::{FaultEvent, NullSink, TraceEvent, TraceSink, NO_EPOCH};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 fn emit<S: TraceSink>(sink: &S, kind: &'static str, bytes: u64, attempt: u64) {
     if sink.enabled() {
@@ -101,52 +95,6 @@ impl<W: Write, S: TraceSink> Write for CorruptingWriter<W, S> {
     }
 }
 
-/// Injects deterministic bounded bursts of transient errors before reads.
-pub struct FlakyReader<R: Read, S: TraceSink = NullSink> {
-    inner: R,
-    plan: FaultPlan,
-    sink: S,
-    burst_left: u32,
-    stats: InjectStats,
-}
-
-impl<R: Read> FlakyReader<R> {
-    pub fn new(inner: R, plan: FaultPlan) -> Self {
-        FlakyReader::with_sink(inner, plan, NullSink)
-    }
-}
-
-impl<R: Read, S: TraceSink> FlakyReader<R, S> {
-    pub fn with_sink(inner: R, plan: FaultPlan, sink: S) -> Self {
-        FlakyReader { inner, plan, sink, burst_left: 0, stats: InjectStats::default() }
-    }
-
-    pub fn stats(&self) -> InjectStats {
-        self.stats
-    }
-
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
-}
-
-impl<R: Read, S: TraceSink> Read for FlakyReader<R, S> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.burst_left == 0 {
-            self.burst_left = self.plan.next_transient_burst();
-        }
-        if self.burst_left > 0 {
-            self.burst_left -= 1;
-            self.stats.transients += 1;
-            emit(&self.sink, "inject_transient", 0, self.stats.transients);
-            return Err(io::Error::new(io::ErrorKind::WouldBlock, "injected transient stall"));
-        }
-        let n = self.inner.read(buf)?;
-        self.stats.bytes_out += n as u64;
-        Ok(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,7 +102,7 @@ mod tests {
 
     #[test]
     fn quiet_corrupting_writer_is_transparent() {
-        let mut w = CorruptingWriter::new(Vec::new(), FaultPlan::new(FaultSpec::quiet(3)));
+        let mut w = CorruptingWriter::new(Vec::new(), FaultPlan::new(FaultSpec::from_rate(3, 0.0)));
         w.write_all(b"frame one").unwrap();
         w.write_all(b"frame two").unwrap();
         assert_eq!(w.stats().flips + w.stats().drops + w.stats().cuts, 0);
@@ -177,25 +125,5 @@ mod tests {
         assert_eq!(b1, b2);
         assert!(s1.flips + s1.drops + s1.cuts > 0, "{s1:?}");
         assert!(b1.len() < 50 * 64, "drops/cuts should shrink the stream");
-    }
-
-    #[test]
-    fn flaky_reader_errors_then_recovers() {
-        let data = vec![7u8; 4096];
-        let mut r = FlakyReader::new(&data[..], FaultPlan::new(FaultSpec::from_rate(5, 0.4)));
-        let mut out = Vec::new();
-        let mut buf = [0u8; 257];
-        let mut transients = 0;
-        loop {
-            match r.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => out.extend_from_slice(&buf[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => transients += 1,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        assert_eq!(out, data, "transient errors must not lose bytes");
-        assert!(transients > 0);
-        assert_eq!(r.stats().transients, transients);
     }
 }

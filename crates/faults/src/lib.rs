@@ -3,20 +3,18 @@
 //! This crate is the robustness counterpart to the rest of the
 //! adaptive-compression workspace: it produces *reproducible* hostility.
 //! A [`FaultSpec`] `(seed, rate)` pins a complete schedule of bit flips,
-//! frame drops, mid-frame cuts and transient I/O stalls; the adapters in
+//! frame drops and mid-frame cuts; the adapters in
 //! [`io`] and [`transport`] apply that schedule to any `Read`/`Write`
 //! pair or nephele [`BlockTransport`](adcomp_nephele::channel::BlockTransport);
 //! and the [`soak`] engine drives whole encode → corrupt → recover → verify
-//! round trips, asserting that the stack either recovers the surviving
-//! records byte-identically or fails with a typed error — never a panic,
-//! hang, or silent corruption.
+//! round trips, asserting that the stack either reads to the end, every
+//! item it hands back byte-identical, or stops at a typed error — never a
+//! panic, hang, or silent corruption.
 //!
 //! Layout:
 //! - [`plan`] — `FaultSpec` / `FaultPlan` / `FaultAction`: the seeded
-//!   decision stream (two independent PRNG sub-streams: per-frame faults
-//!   and per-operation transients).
-//! - [`io`] — composable `std::io` adapters: [`CorruptingWriter`] and
-//!   [`FlakyReader`].
+//!   per-frame decision stream.
+//! - [`io`] — the `std::io` adapter [`CorruptingWriter`].
 //! - [`transport`] — [`FaultingTransport`], the same fault taxonomy at
 //!   the nephele block-transport layer.
 //! - [`net`] — [`ChaosProxy`], the socket-level counterpart: a seeded
@@ -36,7 +34,7 @@ pub mod plan;
 pub mod soak;
 pub mod transport;
 
-pub use io::{CorruptingWriter, FlakyReader};
+pub use io::CorruptingWriter;
 pub use net::{ChaosProxy, Direction, NetAction, NetFaultSpec, NetPlan, ProxyStats};
 pub use plan::{FaultAction, FaultPlan, FaultSpec, InjectStats};
 pub use soak::{run_case, CaseResult, SoakCase, SoakLayer};

@@ -2,7 +2,7 @@
 //!
 //! A [`FaultSpec`] is a declarative `(seed, rates)` description of how
 //! hostile a link is; a [`FaultPlan`] turns it into a deterministic stream
-//! of per-frame [`FaultAction`]s and per-operation transient decisions.
+//! of per-frame [`FaultAction`]s.
 //! Two plans built from equal specs make identical decisions on every
 //! platform (the PRNG is the workspace's fixed xoshiro256++), which is what
 //! lets the chaos soak assert byte-identical summaries for a fixed seed.
@@ -12,8 +12,7 @@ use adcomp_corpus::Prng;
 /// Declarative description of an injected fault workload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
-    /// Master seed. Sub-streams (frame faults vs transient errors) are
-    /// derived from it, so one seed pins the whole schedule.
+    /// Master seed: it pins the whole schedule.
     pub seed: u64,
     /// Probability that a frame gets a single bit flip.
     pub flip_rate: f64,
@@ -22,40 +21,15 @@ pub struct FaultSpec {
     /// Probability that a frame is cut mid-way (stream truncation /
     /// mid-frame cut; everything after the cut in that frame is lost).
     pub cut_rate: f64,
-    /// Probability that a read/write operation first fails with a
-    /// transient (`WouldBlock`-style) error.
-    pub transient_rate: f64,
-    /// Maximum consecutive transient failures per operation (a stalled
-    /// link eventually yields; keeps retry loops bounded by construction).
-    pub max_transient_burst: u32,
 }
 
 impl FaultSpec {
-    /// The ISSUE's `(seed, rate)` form: one knob split across the fault
-    /// taxonomy — mostly bit flips, some drops and cuts, plus transient
-    /// errors at the same order of magnitude.
+    /// The `(seed, rate)` form: one knob split across the fault taxonomy —
+    /// half bit flips, a quarter drops, a quarter cuts. Rate 0 makes the
+    /// adapters transparent pass-throughs.
     pub fn from_rate(seed: u64, rate: f64) -> Self {
         let rate = rate.clamp(0.0, 1.0);
-        FaultSpec {
-            seed,
-            flip_rate: rate * 0.5,
-            drop_rate: rate * 0.25,
-            cut_rate: rate * 0.25,
-            transient_rate: rate,
-            max_transient_burst: 3,
-        }
-    }
-
-    /// No faults at all (adapters become transparent pass-throughs).
-    pub fn quiet(seed: u64) -> Self {
-        FaultSpec {
-            seed,
-            flip_rate: 0.0,
-            drop_rate: 0.0,
-            cut_rate: 0.0,
-            transient_rate: 0.0,
-            max_transient_burst: 0,
-        }
+        FaultSpec { seed, flip_rate: rate * 0.5, drop_rate: rate * 0.25, cut_rate: rate * 0.25 }
     }
 }
 
@@ -73,31 +47,16 @@ pub enum FaultAction {
 }
 
 /// Deterministic decision stream for one adapter.
-///
-/// Frame decisions and transient decisions come from independent PRNG
-/// sub-streams so that, e.g., adding reads does not perturb the frame
-/// fault schedule.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     spec: FaultSpec,
     frames: Prng,
-    transients: Prng,
 }
 
 impl FaultPlan {
     pub fn new(spec: FaultSpec) -> Self {
-        // Derive independent sub-seeds; xor constants keep the streams
-        // distinct even for seed 0.
-        FaultPlan {
-            spec,
-            frames: Prng::new(spec.seed ^ 0xF0A7_11E5_0000_0001),
-            transients: Prng::new(spec.seed ^ 0xF0A7_11E5_0000_0002),
-        }
-    }
-
-    /// The spec this plan was built from.
-    pub fn spec(&self) -> FaultSpec {
-        self.spec
+        // The xor constant keeps the stream distinct from the seed's own.
+        FaultPlan { spec, frames: Prng::new(spec.seed ^ 0xF0A7_11E5_0000_0001) }
     }
 
     /// Decides the fate of the next frame of `frame_len` bytes.
@@ -130,21 +89,6 @@ impl FaultPlan {
             FaultAction::Pass
         }
     }
-
-    /// How many transient failures the next operation suffers before
-    /// succeeding (0 = clean).
-    pub fn next_transient_burst(&mut self) -> u32 {
-        if self.spec.transient_rate <= 0.0 || self.spec.max_transient_burst == 0 {
-            // Still burn a draw for schedule stability across specs.
-            let _ = self.transients.next_f64();
-            return 0;
-        }
-        if self.transients.next_f64() < self.spec.transient_rate {
-            1 + (self.transients.next_u32() % self.spec.max_transient_burst)
-        } else {
-            0
-        }
-    }
 }
 
 /// Counters an injecting adapter keeps about what it actually did.
@@ -154,7 +98,6 @@ pub struct InjectStats {
     pub flips: u64,
     pub drops: u64,
     pub cuts: u64,
-    pub transients: u64,
     pub bytes_in: u64,
     pub bytes_out: u64,
 }
@@ -170,16 +113,14 @@ mod tests {
         let mut b = FaultPlan::new(spec);
         for len in [16usize, 1000, 77, 131072, 5] {
             assert_eq!(a.next_frame_action(len), b.next_frame_action(len));
-            assert_eq!(a.next_transient_burst(), b.next_transient_burst());
         }
     }
 
     #[test]
     fn quiet_spec_always_passes() {
-        let mut p = FaultPlan::new(FaultSpec::quiet(7));
+        let mut p = FaultPlan::new(FaultSpec::from_rate(7, 0.0));
         for _ in 0..100 {
             assert_eq!(p.next_frame_action(64), FaultAction::Pass);
-            assert_eq!(p.next_transient_burst(), 0);
         }
     }
 
@@ -195,20 +136,5 @@ mod tests {
         }
         let frac = faults as f64 / N as f64;
         assert!((0.15..0.25).contains(&frac), "fault fraction {frac}");
-    }
-
-    #[test]
-    fn frame_decisions_do_not_consume_transient_stream() {
-        let spec = FaultSpec::from_rate(9, 0.3);
-        let mut a = FaultPlan::new(spec);
-        let mut b = FaultPlan::new(spec);
-        // a interleaves frame decisions; b does not. Transient stream must
-        // be unaffected.
-        for _ in 0..10 {
-            let _ = a.next_frame_action(100);
-        }
-        for _ in 0..20 {
-            assert_eq!(a.next_transient_burst(), b.next_transient_burst());
-        }
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! Each [`SoakCase`] is a pure function of its fields (seed, fault rate,
 //! compression level, layer, …): [`run_case`] builds the payloads, runs
-//! them through a faulted transport, recovers with the configured
-//! [`RecoveryPolicy`] and verifies every recovered item byte-for-byte
+//! them through a faulted transport, reads them back with the stack's
+//! fail-fast readers and verifies every item handed back byte-for-byte
 //! against its regenerated original. The contract asserted per case:
 //!
 //! 1. **no panic, no hang** — the whole case runs under `catch_unwind`
@@ -15,16 +15,20 @@
 //! 3. **order preserved** — surviving items arrive in their original
 //!    relative order;
 //! 4. otherwise the run must end in a **typed error**, which is a legal
-//!    outcome (e.g. fail-fast mode on a damaged stream).
+//!    outcome: every damaged frame a reader can see ends its stream in one.
+//!
+//! A whole frame lost on the wire is not something a reader can see yet
+//! (the stream's index trailer would be the check), so a case may read to
+//! the end with items missing — never with an item altered.
 //!
 //! Aggregation ([`summarize`]) is a commutative sum over case results, so
 //! the summary JSON is bit-identical for any `ADCOMP_THREADS` worker
 //! count — the property the CI chaos-smoke step diffs.
 
-use crate::io::{CorruptingWriter, FlakyReader};
+use crate::io::CorruptingWriter;
 use crate::plan::{FaultPlan, FaultSpec, InjectStats};
 use crate::transport::FaultingTransport;
-use adcomp_codecs::frame::{FrameReader, FrameWriter, RecoveryPolicy, RecoveryStats};
+use adcomp_codecs::frame::{FrameReader, FrameWriter, RecoveryStats};
 use adcomp_codecs::{codec_for, LevelSet};
 use adcomp_core::model::StaticModel;
 use adcomp_core::portfolio;
@@ -33,14 +37,16 @@ use adcomp_core::{IndexedReader, ManualClock};
 use adcomp_corpus::Prng;
 use adcomp_nephele::channel::{mem_pair, CompressionMode, RecordReader, RecordWriter};
 use adcomp_trace::json::ObjWriter;
-use std::io::{Cursor, Read, Write};
+use std::io::{Cursor, Write};
 
 /// Which layer of the stack a case attacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SoakLayer {
     /// `FrameWriter` → corrupting byte stream → `FrameReader`.
     Frame,
-    /// `RecordWriter` → faulting block transport → `RecordReader`.
+    /// `RecordWriter` → faulting block transport → `RecordReader`. Bit
+    /// flips only: records span frames, so a dropped or cut frame would
+    /// garble the record across it without a check that could see it.
     Record,
     /// Seekable `AdaptiveWriter` (index trailer) → corrupting byte stream
     /// → offset-addressed ranged reads through `IndexedReader`.
@@ -79,24 +85,17 @@ pub struct SoakCase {
     /// Base item length in bytes (each item's exact length is a
     /// deterministic function of seed and index around this base).
     pub item_len: usize,
-    /// Frame layer only: wrap the reader in a [`FlakyReader`] and use a
-    /// bounded-retry policy, exercising transient-error recovery.
-    pub transient: bool,
     /// Keep only this many permille of the wire stream (1000 = no cut);
     /// exercises the mid-stream truncation paths.
     pub truncate_permille: u16,
-    /// Use the fail-fast policy: a damaged stream must end in a typed
-    /// error, a clean one must decode fully.
-    pub fail_fast: bool,
 }
 
 /// How a case ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
-    /// The reader reached end of stream; recovered items were verified.
+    /// The reader read to the end; the items it handed back were verified.
     Recovered,
-    /// The reader returned a typed error (legal under fail-fast, or when
-    /// recovery bounds were exceeded).
+    /// The reader stopped at a typed error.
     TypedError,
     /// The case panicked — always a harness/stack bug, never legal.
     Panicked,
@@ -132,6 +131,8 @@ pub struct CaseResult {
     pub order_violations: u64,
     pub injected: InjectStats,
     pub recovery: RecoveryStats,
+    /// Indexed layer: ranged reads that fell back to streaming decode.
+    pub index_fallbacks: u64,
 }
 
 impl CaseResult {
@@ -161,9 +162,8 @@ impl CaseResult {
         o.u64_field("drops", self.injected.drops);
         o.u64_field("cuts", self.injected.cuts);
         o.u64_field("corrupt_frames", self.recovery.corrupt_frames);
-        o.u64_field("resyncs", self.recovery.resyncs);
-        o.u64_field("retries", self.recovery.retries);
         o.u64_field("truncations", self.recovery.truncations);
+        o.u64_field("index_fallbacks", self.index_fallbacks);
         if !self.error.is_empty() {
             o.str_field("error", &self.error);
         }
@@ -204,8 +204,8 @@ pub fn gen_item(seed: u64, index: u64, base_len: usize) -> Vec<u8> {
     v
 }
 
-/// The standard case grid: cycles levels, layers, rates and scenario
-/// flags so `runs` cases cover the full taxonomy. Seeds are splitmix-mixed
+/// The standard case grid: cycles levels, layers, rates and truncation so
+/// `runs` cases cover the full taxonomy. Seeds are splitmix-mixed
 /// from `base_seed`, so the grid is a pure function of `(base_seed, runs)`.
 pub fn grid(base_seed: u64, runs: usize) -> Vec<SoakCase> {
     fn splitmix(mut z: u64) -> u64 {
@@ -239,13 +239,11 @@ pub fn grid(base_seed: u64, runs: usize) -> Vec<SoakCase> {
                     SoakLayer::Record => 280,
                     SoakLayer::Indexed => 1600,
                 },
-                transient: layer == SoakLayer::Frame && i % 3 == 0,
                 truncate_permille: if layer != SoakLayer::Record && i % 5 == 0 && rate > 0.0 {
                     700
                 } else {
                     1000
                 },
-                fail_fast: i % 16 == 15,
             }
         })
         .collect()
@@ -282,6 +280,7 @@ pub fn run_case(case: &SoakCase) -> CaseResult {
                 order_violations: 0,
                 injected: InjectStats::default(),
                 recovery: RecoveryStats::default(),
+                index_fallbacks: 0,
             }
         }
     }
@@ -299,7 +298,7 @@ fn verify_items<E: std::fmt::Display>(
     let mut order_violations = 0u64;
     let mut last_idx: Option<u64> = None;
     // Bounded: a reader may never yield more items than were written plus
-    // slack; more means a resync invented frames (harness failure).
+    // slack; more means the reader invented items (harness failure).
     let cap = case.items as u64 * 2 + 16;
     loop {
         match next() {
@@ -334,16 +333,6 @@ fn verify_items<E: std::fmt::Display>(
     }
 }
 
-fn frame_policy(case: &SoakCase) -> RecoveryPolicy {
-    if case.fail_fast {
-        RecoveryPolicy::fail_fast()
-    } else if case.transient {
-        RecoveryPolicy::bounded_retry(8, 0)
-    } else {
-        RecoveryPolicy::skip_and_count()
-    }
-}
-
 fn run_frame_case(case: &SoakCase) -> CaseResult {
     let levels = LevelSet::paper_default();
     let plan = FaultPlan::new(FaultSpec::from_rate(case.seed, case.rate));
@@ -355,36 +344,23 @@ fn run_frame_case(case: &SoakCase) -> CaseResult {
             fw.write_block(levels.codec(case.level), &item).expect("Vec write cannot fail");
         }
     }
-    let mut injected = cw.stats();
+    frame_case_result(case, cw)
+}
+
+/// Cuts the corrupted wire to `truncate_permille`, reads it back through a
+/// `FrameReader` and verifies every block it hands back.
+fn frame_case_result(case: &SoakCase, cw: CorruptingWriter<Vec<u8>>) -> CaseResult {
+    let injected = cw.stats();
     let mut wire = cw.into_inner();
     if case.truncate_permille < 1000 {
         let keep = wire.len() * case.truncate_permille as usize / 1000;
         wire.truncate(keep);
     }
-    let policy = frame_policy(case);
-    let (recovered, verify_failures, order_violations, error, recovery) = if case.transient {
-        // Transients only (rate-derived); frame damage already happened on
-        // the write side.
-        let trate = if case.rate > 0.0 { case.rate } else { 0.15 };
-        let tspec = FaultSpec {
-            transient_rate: trate,
-            max_transient_burst: 3,
-            ..FaultSpec::quiet(case.seed ^ 0x007A_5E17)
-        };
-        let flaky = FlakyReader::new(&wire[..], FaultPlan::new(tspec));
-        let mut reader = FrameReader::with_policy(flaky, policy);
-        let (recovered, vf, ov, error) = verify_items(case, || {
-            let mut out = Vec::new();
-            reader.read_block(&mut out).map(|h| h.map(|_| out))
-        });
-        let recovery = reader.recovery;
-        // The flaky reader is the only party that saw the WouldBlock
-        // storms — fold its count into the injection ledger.
-        injected.transients += reader.into_inner().stats().transients;
-        (recovered, vf, ov, error, recovery)
-    } else {
-        read_frames(case, &wire[..], policy)
-    };
+    let mut reader = FrameReader::new(&wire[..]);
+    let (recovered, verify_failures, order_violations, error) = verify_items(case, || {
+        let mut out = Vec::new();
+        reader.read_block(&mut out).map(|h| h.map(|_| out))
+    });
     CaseResult {
         seed: case.seed,
         layer: case.layer,
@@ -397,31 +373,19 @@ fn run_frame_case(case: &SoakCase) -> CaseResult {
         verify_failures,
         order_violations,
         injected,
-        recovery,
+        recovery: reader.recovery,
+        index_fallbacks: 0,
     }
-}
-
-fn read_frames<R: Read>(
-    case: &SoakCase,
-    inner: R,
-    policy: RecoveryPolicy,
-) -> (u64, u64, u64, Option<String>, RecoveryStats) {
-    let mut reader = FrameReader::with_policy(inner, policy);
-    let (recovered, vf, ov, error) = verify_items(case, || {
-        let mut out = Vec::new();
-        reader.read_block(&mut out).map(|h| h.map(|_| out))
-    });
-    (recovered, vf, ov, error, reader.recovery)
 }
 
 /// Portfolio layer: every block's codec family comes from the content
 /// probe, so a single stream interleaves COLUMNAR, HUFF and the ladder
 /// codecs (the three `gen_item` shapes — text, runs, noise — pull the
 /// nomination in different directions). The corrupting byte stream then
-/// attacks the mixed-codec wire: survivors must be byte-accurate and
-/// in order, damage must surface as skip-counted corruption or a typed
-/// error, never a panic — the same contract as the frame layer, now
-/// across codec families.
+/// attacks the mixed-codec wire: every block handed back must be
+/// byte-accurate and in order, and damage must surface as a typed error,
+/// never a panic — the same contract as the frame layer, now across codec
+/// families.
 fn run_portfolio_case(case: &SoakCase) -> CaseResult {
     let plan = FaultPlan::new(FaultSpec::from_rate(case.seed, case.rate));
     let mut cw = CorruptingWriter::new(Vec::new(), plan);
@@ -433,32 +397,13 @@ fn run_portfolio_case(case: &SoakCase) -> CaseResult {
             fw.write_block(codec, &item).expect("Vec write cannot fail");
         }
     }
-    let injected = cw.stats();
-    let mut wire = cw.into_inner();
-    if case.truncate_permille < 1000 {
-        let keep = wire.len() * case.truncate_permille as usize / 1000;
-        wire.truncate(keep);
-    }
-    let (recovered, verify_failures, order_violations, error, recovery) =
-        read_frames(case, &wire[..], frame_policy(case));
-    CaseResult {
-        seed: case.seed,
-        layer: case.layer,
-        level: case.level,
-        rate: case.rate,
-        outcome: if error.is_some() { Outcome::TypedError } else { Outcome::Recovered },
-        error: error.unwrap_or_default(),
-        items_written: case.items as u64,
-        items_recovered: recovered,
-        verify_failures,
-        order_violations,
-        injected,
-        recovery,
-    }
+    frame_case_result(case, cw)
 }
 
 fn run_record_case(case: &SoakCase) -> CaseResult {
-    let plan = FaultPlan::new(FaultSpec::from_rate(case.seed, case.rate));
+    let spec =
+        FaultSpec { drop_rate: 0.0, cut_rate: 0.0, ..FaultSpec::from_rate(case.seed, case.rate) };
+    let plan = FaultPlan::new(spec);
     let (tx, rx) = mem_pair(1 << 15);
     let ft = FaultingTransport::new(tx, plan);
     let inj_handle = ft.stats_handle();
@@ -469,7 +414,6 @@ fn run_record_case(case: &SoakCase) -> CaseResult {
         3600.0,
     );
     w.set_block_len(2048);
-    w.set_record_aligned(true);
     for i in 0..case.items {
         w.write_record(&gen_item(case.seed, i as u64, case.item_len))
             .expect("mem transport send cannot fail");
@@ -477,12 +421,7 @@ fn run_record_case(case: &SoakCase) -> CaseResult {
     w.finish().expect("mem transport close cannot fail");
     let injected = *inj_handle.lock().unwrap();
 
-    let policy = if case.fail_fast {
-        RecoveryPolicy::fail_fast()
-    } else {
-        RecoveryPolicy::skip_and_count()
-    };
-    let mut reader = RecordReader::with_policy(Box::new(rx), policy);
+    let mut reader = RecordReader::new(Box::new(rx));
     let (recovered, verify_failures, order_violations, error) =
         verify_items(case, || reader.next_record());
     let recovery = reader.stats().recovery;
@@ -499,6 +438,7 @@ fn run_record_case(case: &SoakCase) -> CaseResult {
         order_violations,
         injected,
         recovery,
+        index_fallbacks: 0,
     }
 }
 
@@ -511,14 +451,13 @@ fn run_record_case(case: &SoakCase) -> CaseResult {
 /// The fault plan keeps flips and cuts but disables whole-frame drops: a
 /// cleanly excised frame leaves a valid-but-shifted stream that no
 /// offset-addressed reader can distinguish from intended content (the
-/// index is advisory and its fallback is plain streaming decode); drop
-/// recovery belongs to the record layer, which frames every item.
+/// index is advisory and its fallback is plain streaming decode).
 ///
 /// Contract: every ranged read returns bytes identical to the regenerated
 /// item (per-block CRC on the indexed path, fail-fast streaming decode on
 /// fallback), stops at the truncated tail, or ends in a typed error —
 /// never a panic, never silent corruption. Streaming fallbacks taken are
-/// surfaced in `recovery.resyncs`.
+/// counted in `index_fallbacks`.
 fn run_indexed_case(case: &SoakCase) -> CaseResult {
     let spec = FaultSpec { drop_rate: 0.0, ..FaultSpec::from_rate(case.seed, case.rate) };
     let cw = CorruptingWriter::new(Vec::new(), FaultPlan::new(spec));
@@ -547,8 +486,8 @@ fn run_indexed_case(case: &SoakCase) -> CaseResult {
     let mut recovered = 0u64;
     let mut verify_failures = 0u64;
     let mut error: Option<String> = None;
-    let mut recovery = RecoveryStats::default();
-    match IndexedReader::with_policy(Cursor::new(&wire[..]), RecoveryPolicy::fail_fast()) {
+    let mut index_fallbacks = 0;
+    match IndexedReader::open(Cursor::new(&wire[..])) {
         Ok(mut reader) => {
             let mut off = 0u64;
             let mut out = Vec::new();
@@ -572,7 +511,7 @@ fn run_indexed_case(case: &SoakCase) -> CaseResult {
                 }
                 off += item.len() as u64;
             }
-            recovery.resyncs = reader.fallback_scans;
+            index_fallbacks = reader.fallback_scans;
         }
         Err(e) => error = Some(e.to_string()),
     }
@@ -588,7 +527,8 @@ fn run_indexed_case(case: &SoakCase) -> CaseResult {
         verify_failures,
         order_violations: 0,
         injected,
-        recovery,
+        recovery: RecoveryStats::default(),
+        index_fallbacks,
     }
 }
 
@@ -607,6 +547,7 @@ pub struct SoakSummary {
     pub items_recovered: u64,
     pub injected: InjectStats,
     pub recovery: RecoveryStats,
+    pub index_fallbacks: u64,
     /// Items recovered per compression level (paper levels 0..4).
     pub recovered_per_level: [u64; 4],
 }
@@ -620,7 +561,7 @@ impl SoakSummary {
     /// The deterministic summary JSON the CI chaos-smoke step diffs.
     pub fn to_json(&self) -> String {
         let mut o = ObjWriter::new();
-        o.str_field("v", "chaos-soak-1");
+        o.str_field("v", "chaos-soak-2");
         o.u64_field("runs", self.runs);
         o.u64_field("ok_runs", self.ok_runs);
         o.bool_field("all_ok", self.all_ok());
@@ -635,12 +576,9 @@ impl SoakSummary {
         o.u64_field("inject_flips", self.injected.flips);
         o.u64_field("inject_drops", self.injected.drops);
         o.u64_field("inject_cuts", self.injected.cuts);
-        o.u64_field("inject_transients", self.injected.transients);
         o.u64_field("corrupt_frames", self.recovery.corrupt_frames);
-        o.u64_field("resyncs", self.recovery.resyncs);
-        o.u64_field("retries", self.recovery.retries);
         o.u64_field("truncations", self.recovery.truncations);
-        o.u64_field("skipped_bytes", self.recovery.skipped_bytes);
+        o.u64_field("index_fallbacks", self.index_fallbacks);
         let per_level: Vec<u32> =
             self.recovered_per_level.iter().map(|&v| v.min(u32::MAX as u64) as u32).collect();
         o.u32_array_field("recovered_per_level", &per_level);
@@ -669,10 +607,10 @@ pub fn summarize(results: &[CaseResult]) -> SoakSummary {
         s.injected.flips += r.injected.flips;
         s.injected.drops += r.injected.drops;
         s.injected.cuts += r.injected.cuts;
-        s.injected.transients += r.injected.transients;
         s.injected.bytes_in += r.injected.bytes_in;
         s.injected.bytes_out += r.injected.bytes_out;
         s.recovery.merge(&r.recovery);
+        s.index_fallbacks += r.index_fallbacks;
         if r.level < 4 {
             s.recovered_per_level[r.level] += r.items_recovered;
         }
@@ -697,15 +635,14 @@ mod tests {
                     layer,
                     items: 24,
                     item_len: 600,
-                    transient: false,
                     truncate_permille: 1000,
-                    fail_fast: true,
                 };
                 let r = run_case(&case);
                 assert_eq!(r.outcome, Outcome::Recovered, "{layer:?} L{level}: {}", r.error);
                 assert_eq!(r.items_recovered, 24);
                 assert_eq!(r.verify_failures, 0);
                 assert_eq!(r.recovery, RecoveryStats::default());
+                assert_eq!(r.index_fallbacks, 0);
                 assert!(r.ok());
             }
         }
@@ -718,32 +655,6 @@ mod tests {
             assert!(r.ok(), "case {case:?} violated the contract: {}", r.to_json());
             assert_ne!(r.outcome, Outcome::Panicked);
         }
-    }
-
-    #[test]
-    fn skip_mode_recovers_most_items_under_moderate_fire() {
-        let case = SoakCase {
-            seed: 42,
-            rate: 0.05,
-            level: 1,
-            layer: SoakLayer::Frame,
-            items: 64,
-            item_len: 1500,
-            transient: false,
-            truncate_permille: 1000,
-            fail_fast: false,
-        };
-        let r = run_case(&case);
-        assert_eq!(r.outcome, Outcome::Recovered, "{}", r.error);
-        assert_eq!(r.verify_failures, 0);
-        // At 5% frame fault rate the vast majority of frames survive.
-        assert!(r.items_recovered >= 48, "only {} of 64 recovered", r.items_recovered);
-        assert_eq!(
-            r.items_recovered + r.injected.drops + r.recovery.corrupt_frames
-                + r.recovery.truncations,
-            64,
-            "every frame accounted for: {r:?}"
-        );
     }
 
     #[test]
@@ -773,14 +684,12 @@ mod tests {
                 layer: SoakLayer::Indexed,
                 items: 32,
                 item_len: 1200,
-                transient: false,
-                truncate_permille: if i % 4 == 0 { 600 } else { 1000 },
-                fail_fast: true,
-            };
+                    truncate_permille: if i % 4 == 0 { 600 } else { 1000 },
+                };
             let r = run_case(&case);
             assert!(r.ok(), "indexed case violated the contract: {}", r.to_json());
             assert_ne!(r.outcome, Outcome::Panicked);
-            fallbacks += r.recovery.resyncs;
+            fallbacks += r.index_fallbacks;
             if r.outcome == Outcome::TypedError {
                 typed += 1;
             }
@@ -800,9 +709,7 @@ mod tests {
             layer: SoakLayer::Indexed,
             items: 32,
             item_len: 1200,
-            transient: false,
             truncate_permille: 500,
-            fail_fast: true,
         };
         let r = run_case(&case);
         assert!(r.ok(), "{}", r.to_json());
@@ -810,7 +717,7 @@ mod tests {
         assert!(r.items_recovered > 0, "prefix items must still read: {}", r.to_json());
         // The trailer is gone, so the stream opens as non-indexed and
         // streaming is its normal path — not counted as an index fallback.
-        assert_eq!(r.recovery.resyncs, 0, "{}", r.to_json());
+        assert_eq!(r.index_fallbacks, 0, "{}", r.to_json());
     }
 
     #[test]
@@ -827,8 +734,9 @@ mod tests {
                 .collect();
             assert!(ids.len() >= want, "level {level}: portfolio picked only {ids:?}");
         }
-        // Under moderate fire the mixed-codec stream recovers most items
-        // byte-accurately, like the single-codec frame layer.
+        // Under moderate fire the mixed-codec stream hands back its blocks
+        // byte-accurately and in order until the first damaged frame ends
+        // it, like the single-codec frame layer.
         let case = SoakCase {
             seed: 43,
             rate: 0.05,
@@ -836,15 +744,13 @@ mod tests {
             layer: SoakLayer::Portfolio,
             items: 64,
             item_len: 1500,
-            transient: false,
             truncate_permille: 1000,
-            fail_fast: false,
         };
         let r = run_case(&case);
-        assert_eq!(r.outcome, Outcome::Recovered, "{}", r.error);
+        assert!(r.ok(), "{}", r.to_json());
         assert_eq!(r.verify_failures, 0);
         assert_eq!(r.order_violations, 0);
-        assert!(r.items_recovered >= 48, "only {} of 64 recovered", r.items_recovered);
+        assert!(r.items_recovered > 0, "{}", r.to_json());
     }
 
     #[test]

@@ -125,7 +125,7 @@ mod tests {
     #[test]
     fn quiet_transport_is_transparent() {
         let (tx, mut rx) = mem_pair(16);
-        let mut t = FaultingTransport::new(tx, FaultPlan::new(FaultSpec::quiet(1)));
+        let mut t = FaultingTransport::new(tx, FaultPlan::new(FaultSpec::from_rate(1, 0.0)));
         t.send(b"frame a").unwrap();
         t.send(b"frame b").unwrap();
         t.close().unwrap();

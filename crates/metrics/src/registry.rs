@@ -168,11 +168,7 @@ kinds! {
         ServeDrains => ("adcomp_serve_drains_total", "Graceful drain requests received."),
         ServeDrainedTransfers => ("adcomp_serve_drained_transfers_total", "In-flight transfers completed during a drain."),
         ClientRetries => ("adcomp_client_retries_total", "Client reconnect attempts after transport failures."),
-        BreakerTrips => ("adcomp_breaker_trips_total", "Circuit-breaker openings under CPU pressure."),
-        RecoveryCorruptFrames => ("adcomp_recovery_corrupt_frames_total", "Frames dropped on CRC mismatch or malformed headers."),
-        RecoveryResyncs => ("adcomp_recovery_resyncs_total", "Successful forward scans to the next frame magic."),
-        RecoveryRetries => ("adcomp_recovery_retries_total", "Transient-I/O retries performed by frame readers."),
-        RecoverySkippedBytes => ("adcomp_recovery_skipped_bytes_total", "Wire bytes discarded while resyncing."),
+        RecoveryCorruptFrames => ("adcomp_recovery_corrupt_frames_total", "Frames refused on CRC mismatch or malformed headers."),
         RecoveryTruncations => ("adcomp_recovery_truncations_total", "Mid-frame end-of-stream incidents."),
         RangedReads => ("adcomp_ranged_reads_total", "Ranged reads served via the seekable block index."),
         IndexFallbacks => ("adcomp_index_fallbacks_total", "Ranged reads that fell back to front-to-back streaming decode."),
@@ -194,7 +190,6 @@ kinds! {
         ReorderDepthMax => ("adcomp_reorder_depth_max", "High-water mark of the order-restoring buffer (max)."),
         ServeActiveConns => ("adcomp_serve_active_conns", "Connections currently inside the serve daemon (add/sub)."),
         ServeActiveConnsMax => ("adcomp_serve_active_conns_max", "High-water mark of concurrent serve connections (max)."),
-        BreakerOpen => ("adcomp_breaker_open", "1 while the CPU-pressure circuit breaker is open (set)."),
         CacheResidentBytes => ("adcomp_cache_resident_bytes", "Decoded bytes resident in the block cache (add/sub)."),
     }
 }
@@ -227,7 +222,7 @@ kinds! {
     /// strings registered on first use, rendered in sorted order).
     pub enum LabelFamily {
         DecisionCase => ("adcomp_decisions_total", "Algorithm-1 decision branches taken."),
-        FaultKind => ("adcomp_frame_faults_total", "Frame faults and recovery actions by kind."),
+        FaultKind => ("adcomp_frame_faults_total", "Frame faults by kind."),
         ShedReason => ("adcomp_serve_shed_total", "Connections shed at admission by reason."),
     }
 }

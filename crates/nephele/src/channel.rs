@@ -15,17 +15,18 @@
 //! [`BlockTransport::send`]; [`RecordReader`] parses records out of an
 //! [`AdaptiveReader`] over the receiving end, a byte stream on every
 //! transport (the in-process queue of [`mem_pair`], which the chaos soak
-//! drives, reads as one too). The block pool, the
-//! epoch driver, degrade-to-raw, the checked header parse, magic-scan
-//! resync and truncation handling are theirs. The framer owns the length
-//! prefix, record-aligned block cuts, realignment after a dropped frame
-//! and the record count.
+//! drives, reads as one too). The block pool, the epoch driver,
+//! degrade-to-raw, the checked header parse and truncation handling are
+//! theirs. The framer owns the length prefix, the block cuts and the
+//! record count.
+//!
+//! A channel relies on its transport (TCP, [`mem_pair`]) to deliver every
+//! frame, in order: records span blocks, so a lost frame would garble the
+//! record across it. Every damaged frame the reader can see ends the
+//! channel in a typed error.
 
 use crate::error::{NepheleError, Result};
-use adcomp_codecs::frame::{
-    RecoveryMode, RecoveryPolicy, RecoveryStats, DEFAULT_BLOCK_LEN, FLAG_RECORD_ALIGNED,
-    HEADER_LEN,
-};
+use adcomp_codecs::frame::{RecoveryStats, DEFAULT_BLOCK_LEN, DEFAULT_MAX_FRAME, HEADER_LEN};
 use adcomp_codecs::LevelSet;
 use adcomp_core::controller::ControllerConfig;
 use adcomp_core::epoch::WallClock;
@@ -66,9 +67,8 @@ pub struct ChannelStats {
     pub records: u64,
     pub blocks_per_level: Vec<u64>,
     pub epochs: u64,
-    /// Fault-recovery counters of [`RecordReader`], the stream's plus the
-    /// record layer's own (all zero on a clean channel and on the writer
-    /// side).
+    /// Incident counters of [`RecordReader`]'s stream (all zero on a clean
+    /// channel and on the writer side).
     pub recovery: RecoveryStats,
 }
 
@@ -204,8 +204,6 @@ pub struct RecordWriter {
     stream: AdaptiveWriter<TransportSink>,
     /// Blocks are cut after this many application bytes.
     block_len: usize,
-    /// See [`RecordWriter::set_record_aligned`].
-    aligned: bool,
     records: u64,
 }
 
@@ -220,7 +218,7 @@ impl RecordWriter {
         let clock = Box::new(WallClock::new());
         let stream =
             AdaptiveWriter::with_params(sink, levels, model, DEFAULT_BLOCK_LEN, epoch_secs, clock);
-        RecordWriter { stream, block_len: DEFAULT_BLOCK_LEN, aligned: false, records: 0 }
+        RecordWriter { stream, block_len: DEFAULT_BLOCK_LEN, records: 0 }
     }
 
     /// Encodes blocks on a bounded pool of `workers` threads (`workers <= 1`:
@@ -229,17 +227,6 @@ impl RecordWriter {
     /// byte-identical for any worker count. Panics after the first block.
     pub fn set_pipeline_workers(&mut self, workers: usize) {
         self.stream.set_pipeline_workers(workers);
-    }
-
-    /// Enables record-aligned block emission: a record that would span the
-    /// current block forces a flush first, and every block whose first
-    /// application byte is a record boundary carries
-    /// [`FLAG_RECORD_ALIGNED`]. Off by default (the wire stream is then
-    /// bit-identical to the pre-fault-model writer); records larger than a
-    /// block still span, and the spanned continuation blocks are simply
-    /// left unflagged.
-    pub fn set_record_aligned(&mut self, on: bool) {
-        self.aligned = on;
     }
 
     /// Lowers the block size from [`DEFAULT_BLOCK_LEN`]. Must be called
@@ -259,12 +246,6 @@ impl RecordWriter {
 
     /// Writes one record (any byte payload; may span blocks).
     pub fn write_record(&mut self, record: &[u8]) -> Result<()> {
-        let buffered = self.stream.buffered();
-        if self.aligned && (buffered == 0 || buffered + 4 + record.len() > self.block_len) {
-            // This record starts a fresh, flagged block instead of
-            // spanning the current one.
-            self.stream.flush_block(FLAG_RECORD_ALIGNED)?;
-        }
         self.push(&(record.len() as u32).to_le_bytes())?;
         self.push(record)?;
         self.records += 1;
@@ -283,7 +264,7 @@ impl RecordWriter {
             self.stream.write_all(&data[..take])?;
             data = &data[take..];
             if self.stream.buffered() == self.block_len {
-                self.stream.flush_block(0)?;
+                self.stream.flush_block()?;
             }
         }
         Ok(())
@@ -304,49 +285,26 @@ impl RecordWriter {
     }
 }
 
-/// Reads length-prefixed records from compressed blocks.
-///
-/// With the default fail-fast [`RecoveryPolicy`] any damaged frame aborts
-/// the transfer with a typed error. Under [`RecoveryMode::SkipAndCount`]
-/// the stream drops damaged frames and resyncs at the next frame magic, on
-/// every transport, and the incidents are counted in
-/// [`ChannelStats::recovery`]. On streams produced by a record-aligned
-/// writer ([`RecordWriter::set_record_aligned`]) the reader realigns its
-/// record framing at the next [`FLAG_RECORD_ALIGNED`] block, so every
-/// record that did not share bytes with a damaged or lost block is
-/// recovered byte-identically.
+/// Reads length-prefixed records from compressed blocks. It fails fast: a
+/// damaged frame, an implausible record length or a stream that ends
+/// inside a record is a typed error.
 pub struct RecordReader {
     /// Decodes on the caller's thread: the inline lane reads no frame
-    /// ahead, so a dropped frame shows at the block it preceded.
+    /// ahead, so a reader that stops early has taken nothing past it.
     stream: AdaptiveReader<Box<dyn Read + Send>>,
     /// Decoded bytes; the unparsed ones start at `pos`.
     buf: Vec<u8>,
     pos: usize,
     stats: ChannelStats,
-    /// Record-layer recovery counts, added to the stream's in `stats`.
-    own: RecoveryStats,
-    /// The stream's recovery counters as of the last block.
-    seen: RecoveryStats,
-    /// Set after a dropped frame or a record-framing desync: blocks are
-    /// discarded until one flagged [`FLAG_RECORD_ALIGNED`] arrives.
-    realign: bool,
 }
 
 impl RecordReader {
     pub fn new(source: Box<dyn Read + Send>) -> Self {
-        RecordReader::with_policy(source, RecoveryPolicy::default())
-    }
-
-    /// A reader with an explicit [`RecoveryPolicy`].
-    pub fn with_policy(source: Box<dyn Read + Send>, policy: RecoveryPolicy) -> Self {
         RecordReader {
-            stream: AdaptiveReader::with_policy(source, policy),
+            stream: AdaptiveReader::new(source),
             buf: Vec::new(),
             pos: 0,
             stats: ChannelStats::default(),
-            own: RecoveryStats::default(),
-            seen: RecoveryStats::default(),
-            realign: false,
         }
     }
 
@@ -355,96 +313,50 @@ impl RecordReader {
         while self.buf.len() - self.pos < needed {
             self.buf.drain(..self.pos);
             self.pos = 0;
-            let Some((block, aligned)) = self.stream.read_block()? else {
+            let Some(block) = self.stream.read_block()? else {
                 return Ok(false);
             };
-            let start = self.buf.len();
             self.buf.extend_from_slice(block);
-            let frames = self.stream.recovery();
-            // Retries lose nothing; any other counter that moved since the
-            // last block means a frame was dropped just before this one,
-            // and with it maybe the rest of the record the held bytes began.
-            if (RecoveryStats { retries: self.seen.retries, ..frames }) != self.seen {
-                self.skip_to(start);
-            }
-            self.seen = frames;
-            if self.realign && !aligned {
-                // Still desynced: this block's bytes cannot be framed.
-                self.skip_to(self.buf.len());
-            } else {
-                self.realign = false;
-            }
         }
         Ok(true)
     }
 
-    /// Discards the unparsed bytes before `to`; parsing resumes at the next
-    /// aligned block.
-    fn skip_to(&mut self, to: usize) {
-        self.own.skipped_bytes += (to - self.pos) as u64;
-        self.pos = to;
-        self.realign = true;
-    }
-
     /// Next record, or `None` at a clean end of stream.
-    ///
-    /// In skip-and-count mode an implausible record length (a silent
-    /// desync from a dropped block on a non-aligned stream) and a trailing
-    /// partial record are recovered from rather than fatal; see
-    /// [`ChannelStats::recovery`] for what happened.
     pub fn next_record(&mut self) -> Result<Option<Vec<u8>>> {
         let next = self.parse();
         self.stats.app_bytes = self.stream.app_bytes();
         self.stats.wire_bytes = self.stream.wire_bytes();
         self.stats.recovery = self.stream.recovery();
-        self.stats.recovery.merge(&self.own);
         next
     }
 
     fn parse(&mut self) -> Result<Option<Vec<u8>>> {
-        let policy = self.stream.policy();
-        loop {
-            // Peek the length; only consume once the whole record is here,
-            // so recovery never leaves a half-parsed record behind.
-            if !self.ensure(4)? {
-                return self.end(policy);
-            }
-            let len =
-                u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize;
-            if len as u64 > policy.max_frame as u64 {
-                if policy.mode == RecoveryMode::FailFast {
-                    let why = format!("implausible record length {len}: record framing desynced");
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, why).into());
-                }
-                // Record framing desynced (e.g. a dropped block on a stream
-                // without alignment flags): realign at the next aligned block.
-                self.own.corrupt_frames += 1;
-                self.skip_to(self.buf.len());
-                continue;
-            }
-            if !self.ensure(4 + len)? {
-                return self.end(policy);
-            }
-            let rec = self.buf[self.pos + 4..self.pos + 4 + len].to_vec();
-            self.pos += 4 + len;
-            self.stats.records += 1;
-            return Ok(Some(rec));
+        // Peek the length; only consume once the whole record is here.
+        if !self.ensure(4)? {
+            return self.end();
         }
+        let len = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize;
+        if len > DEFAULT_MAX_FRAME as usize {
+            let why = format!("implausible record length {len}: record framing desynced");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, why).into());
+        }
+        if !self.ensure(4 + len)? {
+            return self.end();
+        }
+        let rec = self.buf[self.pos + 4..self.pos + 4 + len].to_vec();
+        self.pos += 4 + len;
+        self.stats.records += 1;
+        Ok(Some(rec))
     }
 
     /// End of stream: clean if nothing is left unparsed, else a truncated
-    /// record — counted in skip mode, an error in fail-fast mode.
-    fn end(&mut self, policy: RecoveryPolicy) -> Result<Option<Vec<u8>>> {
+    /// record.
+    fn end(&self) -> Result<Option<Vec<u8>>> {
         if self.pos == self.buf.len() {
             return Ok(None);
         }
-        if policy.mode == RecoveryMode::FailFast {
-            let why = "stream ended inside a record";
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, why).into());
-        }
-        self.own.truncations += 1;
-        self.skip_to(self.buf.len());
-        Ok(None)
+        let why = "stream ended inside a record";
+        Err(io::Error::new(io::ErrorKind::UnexpectedEof, why).into())
     }
 
     /// Reader-side statistics.
@@ -537,36 +449,7 @@ mod tests {
         }
     }
 
-    /// Flips `mask` into byte `byte` of frame number `frame` on its way.
-    struct FlipOne {
-        inner: Box<dyn BlockTransport>,
-        frame: usize,
-        byte: usize,
-        mask: u8,
-        sent: usize,
-    }
-
-    impl FlipOne {
-        fn new(inner: Box<dyn BlockTransport>, frame: usize, byte: usize, mask: u8) -> Self {
-            FlipOne { inner, frame, byte, mask, sent: 0 }
-        }
-    }
-
-    impl BlockTransport for FlipOne {
-        fn send(&mut self, frame: &[u8]) -> Result<()> {
-            let mut frame = frame.to_vec();
-            if self.sent == self.frame {
-                frame[self.byte] ^= self.mask;
-            }
-            self.sent += 1;
-            self.inner.send(&frame)
-        }
-        fn close(&mut self) -> Result<()> {
-            self.inner.close()
-        }
-    }
-
-    fn captured_wire(workers: usize, aligned: bool, records: &[Vec<u8>]) -> (Vec<u8>, ChannelStats) {
+    fn captured_wire(workers: usize, records: &[Vec<u8>]) -> (Vec<u8>, ChannelStats) {
         let wire = Arc::new(Mutex::new(Vec::new()));
         let mut w = RecordWriter::new(
             Box::new(CaptureTransport(wire.clone())),
@@ -575,7 +458,6 @@ mod tests {
             2.0,
         );
         w.set_block_len(4096);
-        w.set_record_aligned(aligned);
         if workers > 1 {
             w.set_pipeline_workers(workers);
         }
@@ -592,18 +474,13 @@ mod tests {
         let records: Vec<Vec<u8>> = (0..400)
             .map(|i| format!("record {i}: channel pipelining payload payload ").into_bytes())
             .collect();
-        for aligned in [false, true] {
-            let (reference, ref_stats) = captured_wire(1, aligned, &records);
-            for workers in [2usize, 4] {
-                let (wire, stats) = captured_wire(workers, aligned, &records);
-                assert_eq!(
-                    wire, reference,
-                    "aligned={aligned} workers={workers}: pipelined wire differs"
-                );
-                assert_eq!(stats.app_bytes, ref_stats.app_bytes);
-                assert_eq!(stats.wire_bytes, ref_stats.wire_bytes);
-                assert_eq!(stats.blocks_per_level, ref_stats.blocks_per_level);
-            }
+        let (reference, ref_stats) = captured_wire(1, &records);
+        for workers in [2usize, 4] {
+            let (wire, stats) = captured_wire(workers, &records);
+            assert_eq!(wire, reference, "workers={workers}: pipelined wire differs");
+            assert_eq!(stats.app_bytes, ref_stats.app_bytes);
+            assert_eq!(stats.wire_bytes, ref_stats.wire_bytes);
+            assert_eq!(stats.blocks_per_level, ref_stats.blocks_per_level);
         }
     }
 
@@ -791,103 +668,6 @@ mod tests {
         for c in &codec {
             assert_eq!(c.level, "LIGHT");
             assert!(c.in_bytes > 0);
-        }
-    }
-
-    #[test]
-    fn aligned_writer_flags_blocks_and_roundtrips() {
-        let (tx, rx) = mem_pair(1024);
-        let mut w = RecordWriter::new(
-            Box::new(tx),
-            &CompressionMode::Static(1),
-            LevelSet::paper_default(),
-            2.0,
-        );
-        w.set_record_aligned(true);
-        let records: Vec<Vec<u8>> =
-            (0..300).map(|i| format!("aligned record {i} ").repeat(40).into_bytes()).collect();
-        for r in &records {
-            w.write_record(r).unwrap();
-        }
-        w.finish().unwrap();
-        assert_eq!(read_all(&mut RecordReader::new(Box::new(rx))), records);
-    }
-
-    #[test]
-    fn skip_mode_drops_corrupt_block_and_recovers_aligned_records() {
-        // An aligned stream with a payload byte of the second frame flipped.
-        let (tx, rx) = mem_pair(4096);
-        let mut w = RecordWriter::new(
-            Box::new(FlipOne::new(Box::new(tx), 1, HEADER_LEN + 3, 0x40)),
-            &CompressionMode::Static(1),
-            LevelSet::paper_default(),
-            2.0,
-        );
-        w.set_record_aligned(true);
-        let records: Vec<Vec<u8>> =
-            (0..1200).map(|i| format!("rec {i} ").repeat(60).into_bytes()).collect();
-        for r in &records {
-            w.write_record(r).unwrap();
-        }
-        let wstats = w.finish().unwrap();
-        let blocks: u64 = wstats.blocks_per_level.iter().sum();
-        assert!(blocks >= 3, "need several blocks, got {blocks}");
-
-        let mut reader =
-            RecordReader::with_policy(Box::new(rx), RecoveryPolicy::skip_and_count());
-        let out = read_all(&mut reader);
-        let rec = reader.stats().recovery;
-        assert_eq!(rec.corrupt_frames, 1);
-        assert_eq!(rec.resyncs, 1);
-        assert!(out.len() < records.len(), "some records must be lost");
-        // Every surviving record is byte-identical to an original, in order.
-        let mut it = records.iter();
-        for r in &out {
-            assert!(it.any(|orig| orig == r), "recovered record not in original order");
-        }
-    }
-
-    /// An aligned stream with one bit of frame 1's magic flipped: every
-    /// transport is the same resyncing byte stream and loses exactly
-    /// frame 1.
-    #[test]
-    fn damaged_magic_resyncs_on_every_transport() {
-        // 12 records of 4 + 156 bytes fill a 2 KiB block: frame 1 holds
-        // records 12..24.
-        let records: Vec<Vec<u8>> =
-            (0..200).map(|i| format!("{i:05} ").repeat(26).into_bytes()).collect();
-        let expected: Vec<Vec<u8>> = records[..12].iter().chain(&records[24..]).cloned().collect();
-        let write = |transport: Box<dyn BlockTransport>| {
-            let mut w = RecordWriter::new(
-                Box::new(FlipOne::new(transport, 1, 0, 0x01)),
-                &CompressionMode::Static(1),
-                LevelSet::paper_default(),
-                2.0,
-            );
-            w.set_block_len(2048);
-            w.set_record_aligned(true);
-            for r in &records {
-                w.write_record(r).unwrap();
-            }
-            w.finish().unwrap();
-        };
-        let read = |source: Box<dyn Read + Send>| {
-            let mut reader = RecordReader::with_policy(source, RecoveryPolicy::skip_and_count());
-            (read_all(&mut reader), reader.stats().recovery)
-        };
-
-        let (tx, rx) = mem_pair(64);
-        write(Box::new(tx));
-        let mem = read(Box::new(rx));
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let tcp = std::thread::scope(|s| {
-            s.spawn(|| write(Box::new(TcpTransport::new(TcpStream::connect(addr).unwrap()))));
-            read(Box::new(listener.accept().unwrap().0))
-        });
-        for (transport, (out, rec)) in [("mem", mem), ("tcp", tcp)] {
-            assert_eq!(out, expected, "{transport}");
-            assert!(rec.corrupt_frames >= 1, "{transport}: {rec:?}");
         }
     }
 

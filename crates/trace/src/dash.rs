@@ -213,26 +213,15 @@ pub fn render_top(exposition: &str) -> String {
                 shed.iter().map(|(r, n)| format!("{r} {n:.0}")).collect();
             let _ = writeln!(out, "shed      : {}", parts.join(" · "));
         }
-        let breaker = v.value("adcomp_breaker_open").unwrap_or(0.0);
-        let trips = v.value("adcomp_breaker_trips_total").unwrap_or(0.0);
         let drains = v.value("adcomp_serve_drains_total").unwrap_or(0.0);
         let drained = v.value("adcomp_serve_drained_transfers_total").unwrap_or(0.0);
         let _ = writeln!(
             out,
-            "breaker   : {} (trips {trips:.0}) · drains {drains:.0} ({drained:.0} transfers finished draining)",
-            if breaker > 0.0 { "OPEN" } else { "closed" }
+            "drain     : drains {drains:.0} ({drained:.0} transfers finished draining)"
         );
         let rec_corrupt = v.value("adcomp_recovery_corrupt_frames_total").unwrap_or(0.0);
-        let rec_resync = v.value("adcomp_recovery_resyncs_total").unwrap_or(0.0);
-        let rec_retry = v.value("adcomp_recovery_retries_total").unwrap_or(0.0);
-        let rec_skip = v.value("adcomp_recovery_skipped_bytes_total").unwrap_or(0.0);
         let rec_trunc = v.value("adcomp_recovery_truncations_total").unwrap_or(0.0);
-        let _ = writeln!(
-            out,
-            "recovery  : corrupt {rec_corrupt:.0} · resyncs {rec_resync:.0} · retries {rec_retry:.0} · \
-             skipped {} · truncations {rec_trunc:.0}",
-            fmt_bytes(rec_skip)
-        );
+        let _ = writeln!(out, "recovery  : corrupt {rec_corrupt:.0} · truncations {rec_trunc:.0}");
     }
 
     // Seekable-read panel: ranged reads through the block index and the
@@ -349,12 +338,10 @@ adcomp_serve_aborts_total 1
 adcomp_client_retries_total 9
 adcomp_serve_shed_total{reason=\"capacity\"} 4
 adcomp_serve_shed_total{reason=\"tenant_quota\"} 2
-adcomp_breaker_open 1
-adcomp_breaker_trips_total 3
 adcomp_serve_drains_total 1
 adcomp_serve_drained_transfers_total 6
 adcomp_recovery_corrupt_frames_total 8
-adcomp_recovery_skipped_bytes_total 4096
+adcomp_recovery_truncations_total 2
 ";
         let top = render_top(scrape);
         assert!(top.contains("active 3 (max 12)"), "{top}");
@@ -362,10 +349,8 @@ adcomp_recovery_skipped_bytes_total 4096
         assert!(top.contains("resumed 5"), "{top}");
         assert!(top.contains("timeouts 2"), "{top}");
         assert!(top.contains("capacity 4 · tenant_quota 2"), "{top}");
-        assert!(top.contains("breaker   : OPEN (trips 3)"), "{top}");
-        assert!(top.contains("drains 1 (6 transfers finished draining)"), "{top}");
-        assert!(top.contains("corrupt 8"), "{top}");
-        assert!(top.contains("skipped 4.1 kB"), "{top}");
+        assert!(top.contains("drain     : drains 1 (6 transfers finished draining)"), "{top}");
+        assert!(top.contains("recovery  : corrupt 8 · truncations 2"), "{top}");
         // No serve metrics in the scrape → no serve panel.
         assert!(!render_top(SCRAPE).contains("serve     :"), "sim scrape grew a serve panel");
     }

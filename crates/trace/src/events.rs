@@ -111,25 +111,24 @@ impl SimEvent {
     pub const NO_FLOW: u32 = u32::MAX;
 }
 
-/// One fault-or-recovery incident on the transport path.
+/// One fault incident on the transport path.
 ///
-/// Emitted by the hardened readers/writers when corruption, truncation or
-/// transient I/O errors are detected — and when the recovery machinery
-/// responds (resync scans, bounded retries, graceful degradation). The
-/// fault-injection layer (`adcomp-faults`) emits the injection side with
-/// the same event kind, so a trace shows cause and response interleaved.
+/// Emitted by the adaptive writer when a codec failure degrades a block to
+/// RAW. The fault-injection layer (`adcomp-faults`) emits the injection
+/// side with the same event kind, so a trace shows cause and response
+/// interleaved. (Readers fail fast and count their incidents in the
+/// registry's fault-kind family.)
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[must_use = "trace events do nothing unless emitted to a sink"]
 pub struct FaultEvent {
     pub epoch: u64,
     pub t: f64,
-    /// What happened: `"corrupt_frame"`, `"truncated"`, `"frame_too_large"`,
-    /// `"resync"`, `"retry"`, `"skip"`, `"degrade"`, `"inject_flip"`,
-    /// `"inject_drop"`, `"inject_cut"`, `"inject_transient"`.
+    /// What happened: `"degrade"`, `"inject_flip"`, `"inject_drop"`,
+    /// `"inject_cut"`.
     pub kind: &'static str,
-    /// Bytes involved (skipped, lost, scanned — kind-dependent; 0 if n/a).
+    /// Bytes involved (degraded, lost — kind-dependent; 0 if n/a).
     pub bytes: u64,
-    /// Ordinal detail: retry attempt, block index, … (kind-dependent).
+    /// Ordinal detail: level, frame index, … (kind-dependent).
     pub attempt: u64,
 }
 

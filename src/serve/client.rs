@@ -129,8 +129,9 @@ impl Conn {
 }
 
 /// Wraps any [`DecisionModel`] and clamps its choices to the server's
-/// `level_cap` — the circuit breaker's degrade signal. With cap 0 the
-/// adaptive model keeps observing but every block ships RAW.
+/// `level_cap`. The daemon always sends [`NO_LEVEL_CAP`]; the client still
+/// honours a cap, and with cap 0 the adaptive model keeps observing but
+/// every block ships RAW.
 pub struct CappedModel {
     inner: Box<dyn DecisionModel>,
     cap: usize,

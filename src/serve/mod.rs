@@ -5,8 +5,8 @@
 //! decodes its adaptive frame stream through its own
 //! [`AdaptiveReader`](adcomp_core::stream::AdaptiveReader), and every
 //! robustness mechanism the paper's shared-cloud setting demands —
-//! admission control, load shedding, deadlines, a CPU-pressure circuit
-//! breaker, graceful drain, and reconnect-with-resume — lives here:
+//! admission control, load shedding, deadlines, graceful drain, and
+//! reconnect-with-resume — lives here:
 //!
 //! * [`proto`] — the tiny length-prefixed handshake (request / verdict /
 //!   receipt) around the self-describing frame stream;
@@ -81,8 +81,6 @@ mod tests {
     use adcomp_codecs::crc32::crc32;
     use adcomp_corpus::Prng;
     use std::net::TcpStream;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
     use std::time::Duration;
 
     fn test_config() -> ServeConfig {
@@ -222,53 +220,6 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.timeouts, 1);
         assert_eq!(stats.completed, 0);
-    }
-
-    #[test]
-    fn breaker_caps_levels_to_raw() {
-        let server = Server::start(test_config()).unwrap();
-        server.set_breaker(true);
-        assert!(server.breaker_open());
-        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
-        proto::write_request(
-            &mut sock,
-            &Request::Put { tenant: "t".into(), transfer_id: 1, total_len: 10 },
-        )
-        .unwrap();
-        match proto::read_response(&mut sock).unwrap() {
-            Response::Accept { level_cap, .. } => assert_eq!(level_cap, 0),
-            other => panic!("expected accept, got {other:?}"),
-        }
-        drop(sock);
-        server.set_breaker(false);
-        assert!(!server.breaker_open());
-        let stats = server.shutdown();
-        assert_eq!(stats.breaker_trips, 1);
-    }
-
-    #[test]
-    fn pressure_probe_trips_breaker_with_hysteresis() {
-        let hot = Arc::new(AtomicBool::new(true));
-        let probe = {
-            let hot = Arc::clone(&hot);
-            Arc::new(move || if hot.load(Ordering::Relaxed) { 0.95 } else { 0.1 })
-                as Arc<dyn Fn() -> f64 + Send + Sync>
-        };
-        let mut cfg = test_config();
-        cfg.pressure_probe = Some(probe);
-        cfg.probe_interval = Duration::from_millis(10);
-        let server = Server::start(cfg).unwrap();
-        let wait = |want: bool| {
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while server.breaker_open() != want {
-                assert!(std::time::Instant::now() < deadline, "breaker never reached {want}");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        };
-        wait(true);
-        hot.store(false, Ordering::Relaxed);
-        wait(false);
-        server.shutdown();
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! `done` or any error ends the connection.
 //!
 //! Everything is little-endian and length-prefixed; the handshake carries
-//! no compression parameters because frames are self-describing — the only
-//! negotiated value is `level_cap`, the circuit-breaker's degrade signal.
+//! no compression parameters because frames are self-describing. The one
+//! negotiable value, `level_cap`, is always [`NO_LEVEL_CAP`] from this
+//! daemon; the byte stays on the wire and clients still honour it.
 //! `start_offset` is the server's count of *verified* application bytes
 //! for `(tenant, transfer_id)`, which is what makes reconnect-and-resume
 //! safe: a retrying client always continues from a clean, CRC-checked
@@ -44,7 +45,7 @@ use std::io::{self, Read, Write};
 pub const MAGIC: [u8; 4] = *b"ACSV";
 /// Protocol version.
 pub const VERSION: u8 = 1;
-/// `level_cap` value meaning "no cap" (breaker closed).
+/// `level_cap` value meaning "no cap".
 pub const NO_LEVEL_CAP: u8 = u8::MAX;
 /// Longest accepted tenant name, bytes.
 pub const MAX_TENANT: usize = 64;

@@ -31,10 +31,6 @@
 //!   it; between requests the linger is the wait instead), and each
 //!   stream has an overall `max_stream_secs` wall budget against
 //!   slow-drip senders.
-//! * **Circuit breaker** — under shared CPU pressure (a pluggable probe,
-//!   or a manual trip) admissions carry `level_cap = 0`, degrading
-//!   tenants to RAW so the codec workers stop competing for the starved
-//!   CPU. Hysteresis keeps it from flapping.
 //! * **Graceful drain** — a drain request stops admissions (new PUTs get
 //!   [`RejectReason::Draining`]) while in-flight streams run to
 //!   completion; nothing accepted is ever truncated by shutdown.
@@ -49,7 +45,7 @@ use super::proto::{
     NO_LEVEL_CAP,
 };
 use adcomp_codecs::crc32::Hasher;
-use adcomp_codecs::frame::{decode_block_with, RecoveryPolicy, DEFAULT_MAX_FRAME};
+use adcomp_codecs::frame::{decode_block_with, DEFAULT_MAX_FRAME};
 use adcomp_codecs::seek::StreamIndex;
 use adcomp_codecs::DecodeScratch;
 use adcomp_core::stream::AdaptiveReader;
@@ -94,12 +90,6 @@ pub struct ServeConfig {
     /// Byte budget for the hot-object block cache serving ranged GETs
     /// (0 disables caching; GETs then decode every covering block).
     pub cache_bytes: u64,
-    /// CPU pressure (0..1) at which the breaker opens.
-    pub breaker_threshold: f64,
-    /// Pressure sampler; `None` disables the automatic breaker.
-    pub pressure_probe: Option<Arc<dyn Fn() -> f64 + Send + Sync>>,
-    /// How often the breaker samples the probe.
-    pub probe_interval: Duration,
 }
 
 impl Default for ServeConfig {
@@ -114,9 +104,6 @@ impl Default for ServeConfig {
             tenant_rate_bps: None,
             keep_payloads: false,
             cache_bytes: 64 << 20,
-            breaker_threshold: 0.9,
-            pressure_probe: None,
-            probe_interval: Duration::from_millis(250),
         }
     }
 }
@@ -132,7 +119,6 @@ pub struct ServeStats {
     pub timeouts: u64,
     pub aborts: u64,
     pub drained_transfers: u64,
-    pub breaker_trips: u64,
     /// Sockets the accept loop took, each with a handler thread of its own.
     /// Far below the request count when a client keeps its connection
     /// alive.
@@ -148,7 +134,6 @@ struct Counters {
     timeouts: AtomicU64,
     aborts: AtomicU64,
     drained_transfers: AtomicU64,
-    breaker_trips: AtomicU64,
     connections: AtomicU64,
 }
 
@@ -195,7 +180,6 @@ struct Shared {
     tenant_active: Mutex<HashMap<String, u64>>,
     tenant_throttles: Mutex<HashMap<String, SharedThrottle>>,
     transfers: Mutex<HashMap<(String, u64), Transfer>>,
-    breaker_open: AtomicBool,
     counters: Counters,
     cache: BlockCache,
 }
@@ -225,19 +209,6 @@ impl Shared {
             }
         }
     }
-
-    fn open_breaker(&self, open: bool) {
-        let was = self.breaker_open.swap(open, Ordering::AcqRel);
-        if open && !was {
-            self.counters.breaker_trips.fetch_add(1, Ordering::Relaxed);
-            self.metric(|m| {
-                m.counter_add(CounterKind::BreakerTrips, 1);
-                m.gauge_set(GaugeKind::BreakerOpen, 1);
-            });
-        } else if !open && was {
-            self.metric(|m| m.gauge_set(GaugeKind::BreakerOpen, 0));
-        }
-    }
 }
 
 /// A running daemon. [`Server::shutdown`] (or drop) stops the accept loop
@@ -247,7 +218,6 @@ pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     accept: Option<std::thread::JoinHandle<()>>,
-    breaker: Option<std::thread::JoinHandle<()>>,
     handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 }
 
@@ -266,33 +236,10 @@ impl Server {
             tenant_active: Mutex::default(),
             tenant_throttles: Mutex::default(),
             transfers: Mutex::default(),
-            breaker_open: AtomicBool::new(false),
             counters: Counters::default(),
             cache,
         });
         let handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
-
-        let breaker = match shared.cfg.pressure_probe.clone() {
-            None => None,
-            Some(probe) => {
-                let s = Arc::clone(&shared);
-                Some(std::thread::Builder::new().name("adcomp-serve-breaker".into()).spawn(
-                    move || {
-                        while !s.stop.load(Ordering::Acquire) {
-                            let pressure = probe();
-                            if pressure >= s.cfg.breaker_threshold {
-                                s.open_breaker(true);
-                            } else if pressure < s.cfg.breaker_threshold * 0.8 {
-                                // Hysteresis: close only well below the trip
-                                // point so a noisy probe cannot flap it.
-                                s.open_breaker(false);
-                            }
-                            std::thread::sleep(s.cfg.probe_interval);
-                        }
-                    },
-                )?)
-            }
-        };
 
         let (s, hs) = (Arc::clone(&shared), Arc::clone(&handlers));
         let accept = std::thread::Builder::new().name("adcomp-serve-accept".into()).spawn(
@@ -341,7 +288,7 @@ impl Server {
                 }
             },
         )?;
-        Ok(Server { shared, local_addr, accept: Some(accept), breaker, handlers })
+        Ok(Server { shared, local_addr, accept: Some(accept), handlers })
     }
 
     pub fn local_addr(&self) -> SocketAddr {
@@ -357,16 +304,6 @@ impl Server {
         self.shared.draining.load(Ordering::Acquire)
     }
 
-    pub fn breaker_open(&self) -> bool {
-        self.shared.breaker_open.load(Ordering::Acquire)
-    }
-
-    /// Manually trips (or closes) the circuit breaker.
-    #[cfg(test)]
-    pub(crate) fn set_breaker(&self, open: bool) {
-        self.shared.open_breaker(open);
-    }
-
     /// Server-local robustness counters.
     pub fn stats(&self) -> ServeStats {
         let c = &self.shared.counters;
@@ -378,7 +315,6 @@ impl Server {
             timeouts: c.timeouts.load(Ordering::Relaxed),
             aborts: c.aborts.load(Ordering::Relaxed),
             drained_transfers: c.drained_transfers.load(Ordering::Relaxed),
-            breaker_trips: c.breaker_trips.load(Ordering::Relaxed),
             connections: c.connections.load(Ordering::Relaxed),
         }
     }
@@ -462,13 +398,24 @@ impl Server {
         for sock in self.shared.idle_conns.lock().unwrap_or_else(PoisonError::into_inner).iter() {
             let _ = sock.shutdown(Shutdown::Both);
         }
+        // Handlers end before the accept loop is woken, so the threads
+        // always exit in the same order. glibc gives a new thread the
+        // malloc arena of the thread that exited last, so the next daemon
+        // in this process hands its accept loop this accept loop's arena
+        // and its first handler this handler's, where the freed store can
+        // be reused. Left to the scheduler, the order sometimes flips, the
+        // next store lands on fresh pages, and peak memory grows by a
+        // whole store.
+        self.join_handlers();
         let _ = TcpStream::connect(self.local_addr);
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
-        if let Some(t) = self.breaker.take() {
-            let _ = t.join();
-        }
+        // A connection accepted as `stop` was set may have a handler too.
+        self.join_handlers();
+    }
+
+    fn join_handlers(&self) {
         let handles = std::mem::take(&mut *self.handlers.lock().expect("handlers poisoned"));
         for h in handles {
             let _ = h.join();
@@ -662,9 +609,8 @@ fn handle_put(
         shared.counters.resumed.fetch_add(1, Ordering::Relaxed);
         shared.metric(|m| m.counter_add(CounterKind::ServeResumes, 1));
     }
-    let level_cap =
-        if shared.breaker_open.load(Ordering::Acquire) { 0 } else { NO_LEVEL_CAP };
-    if write_response(&mut sock, &Response::Accept { start_offset: start, level_cap }).is_err() {
+    let accept = Response::Accept { start_offset: start, level_cap: NO_LEVEL_CAP };
+    if write_response(&mut sock, &accept).is_err() {
         shared.counters.aborts.fetch_add(1, Ordering::Relaxed);
         return false; // guard rolls back
     }
@@ -683,13 +629,9 @@ fn handle_put(
         }
         None => Box::new(sock),
     };
-    // Fail fast: a skipping reader would leave gaps in the verified prefix
-    // (resume would no longer be byte-accurate) and deliver bytes the
-    // stored wire cannot reproduce.
-    let mut reader = AdaptiveReader::with_policy(
-        CaptureReader { inner: throttled, captured: Vec::new() },
-        RecoveryPolicy::fail_fast(),
-    );
+    // The reader fails fast, which resume depends on: the verified prefix
+    // has no gaps, and the stored wire reproduces every delivered byte.
+    let mut reader = AdaptiveReader::new(CaptureReader { inner: throttled, captured: Vec::new() });
     let deadline = Instant::now() + Duration::from_secs_f64(shared.cfg.max_stream_secs);
     let mut buf = [0u8; 16 * 1024];
     let key = (tenant.clone(), transfer_id);
@@ -752,9 +694,6 @@ fn handle_put(
     let rec = reader.recovery();
     shared.metric(|m| {
         m.counter_add(CounterKind::RecoveryCorruptFrames, rec.corrupt_frames);
-        m.counter_add(CounterKind::RecoveryResyncs, rec.resyncs);
-        m.counter_add(CounterKind::RecoveryRetries, rec.retries);
-        m.counter_add(CounterKind::RecoverySkippedBytes, rec.skipped_bytes);
         m.counter_add(CounterKind::RecoveryTruncations, rec.truncations);
     });
     // Fold the captured wire into the transfer before branching on how the

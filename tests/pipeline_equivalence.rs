@@ -1,20 +1,20 @@
 //! Worker-count-equivalence harness for the compression engine.
 //!
-//! The contract under test: for every codec level, every block size, every
-//! worker count and every recovery policy — including streams damaged by
-//! the seeded fault injectors — a writer with worker threads produces
-//! output **byte-identical** to one without, and a reader with worker
-//! threads delivers the same bytes and reports the same recovery statistics
-//! and byte/block counters as one without (each side has a single block
-//! path; only the thread count behind it varies).
+//! The contract under test: for every codec level, every block size and
+//! every worker count — including streams damaged by the seeded fault
+//! injectors — a writer with worker threads produces output
+//! **byte-identical** to one without, and a reader with worker threads
+//! delivers the same bytes, ends in the same error and reports the same
+//! incident and byte/block counters as one without (each side has a single
+//! block path; only the thread count behind it varies).
 
-use adcomp::codecs::frame::{RecoveryPolicy, RecoveryStats};
+use adcomp::codecs::frame::RecoveryStats;
 use adcomp::codecs::LevelSet;
 use adcomp::core::model::{DecisionModel, RateBasedModel, StaticModel};
 use adcomp::core::stream::{AdaptiveReader, AdaptiveWriter};
 use adcomp::core::ManualClock;
 use adcomp::corpus::{self, Class};
-use adcomp_faults::{CorruptingWriter, FaultPlan, FaultSpec, FlakyReader};
+use adcomp_faults::{CorruptingWriter, FaultPlan, FaultSpec};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 
@@ -71,9 +71,9 @@ struct Decompressed {
     error: Option<(std::io::ErrorKind, String)>,
 }
 
-/// Decompresses `wire` with the given policy and worker count.
-fn decompress(wire: &[u8], policy: RecoveryPolicy, workers: usize) -> Decompressed {
-    let mut r = AdaptiveReader::with_policy(wire, policy);
+/// Decompresses `wire` with the given worker count.
+fn decompress(wire: &[u8], workers: usize) -> Decompressed {
+    let mut r = AdaptiveReader::new(wire);
     r.set_pipeline_workers(workers);
     let mut bytes = Vec::new();
     let error = r.read_to_end(&mut bytes).err().map(|e| (e.kind(), e.to_string()));
@@ -105,7 +105,7 @@ proptest! {
         let piped = compress(&data, Box::new(StaticModel::new(level, 4)), block, workers);
         prop_assert_eq!(&serial, &piped);
         // And both decode back, serially or pipelined.
-        let out = decompress(&piped, RecoveryPolicy::fail_fast(), workers);
+        let out = decompress(&piped, workers);
         prop_assert_eq!(out.error, None);
         prop_assert_eq!(out.bytes, data);
         prop_assert_eq!(out.recovery, RecoveryStats::default());
@@ -126,8 +126,8 @@ proptest! {
         prop_assert_eq!(serial, piped);
     }
 
-    /// Seeded frame damage: the pipelined skip-and-count reader recovers
-    /// the same byte stream and reports the same counters as the serial
+    /// Seeded frame damage: the pipelined reader delivers the same bytes,
+    /// ends in the same error and reports the same counters as the serial
     /// reader, for any worker count.
     #[test]
     fn damaged_streams_equivalent(
@@ -139,7 +139,7 @@ proptest! {
         let clean = compress(&data, Box::new(StaticModel::new(2, 4)), 2048, 1);
         // Re-frame the clean wire through the corrupting writer so damage
         // lands on frame boundaries deterministically.
-        let plan = FaultPlan::new(FaultSpec { transient_rate: 0.0, ..FaultSpec::from_rate(seed, rate) });
+        let plan = FaultPlan::new(FaultSpec::from_rate(seed, rate));
         let mut cw = CorruptingWriter::new(Vec::new(), plan);
         for frame in split_frames(&clean) {
             cw.write_all(frame).unwrap();
@@ -147,11 +147,7 @@ proptest! {
         cw.flush().unwrap();
         let wire = cw.into_inner();
 
-        for policy in [RecoveryPolicy::skip_and_count(), RecoveryPolicy::fail_fast()] {
-            let serial = decompress(&wire, policy, 1);
-            let piped = decompress(&wire, policy, workers);
-            prop_assert_eq!(serial, piped);
-        }
+        prop_assert_eq!(decompress(&wire, 1), decompress(&wire, workers));
     }
 }
 
@@ -161,12 +157,8 @@ proptest! {
 #[test]
 fn per_frame_damage_through_pipelined_writer_roundtrips() {
     let data = corpus::generate(Class::Moderate, 60_000, 0xFEED);
-    let plan = FaultPlan::new(FaultSpec {
-        transient_rate: 0.0,
-        drop_rate: 0.0,
-        cut_rate: 0.0,
-        ..FaultSpec::from_rate(21, 0.15)
-    });
+    let plan =
+        FaultPlan::new(FaultSpec { drop_rate: 0.0, cut_rate: 0.0, ..FaultSpec::from_rate(21, 0.15) });
     let mut w = AdaptiveWriter::with_params(
         CorruptingWriter::new(Vec::new(), plan),
         LevelSet::paper_default(),
@@ -183,101 +175,52 @@ fn per_frame_damage_through_pipelined_writer_roundtrips() {
     assert!(injected.flips > 0, "expected bit flips, got {injected:?}");
     let wire = cw.into_inner();
 
-    let out = decompress(&wire, RecoveryPolicy::skip_and_count(), 4);
-    assert_eq!(out.error, None);
-    assert!(out.recovery.corrupt_frames >= injected.flips, "every flipped frame must be counted");
-    assert!(out.bytes.len() < data.len(), "flipped blocks must be dropped");
+    let out = decompress(&wire, 4);
+    assert_eq!(out.error.as_ref().map(|e| e.0), Some(std::io::ErrorKind::InvalidData));
+    assert_eq!(out.recovery, RecoveryStats { corrupt_frames: 1, truncations: 0 });
+    assert!(out.bytes.len() < data.len(), "the first flipped frame must end the stream");
+    assert_eq!(out.bytes, data[..out.bytes.len()], "blocks before the damage come back intact");
     // The reader without threads agrees on the damaged stream.
-    assert_eq!(decompress(&wire, RecoveryPolicy::skip_and_count(), 1), out);
+    assert_eq!(decompress(&wire, 1), out);
 }
 
-/// Bounded-retry exhaustion: a transient burst longer than `max_retries`
-/// must surface as a typed I/O error through the *pipelined* reader, not
-/// hang or silently drop data.
+/// Damage with frames flowing through the parallel reorder buffer: drop +
+/// flip + cut faults on a long stream. At 1, 2, 4 and 8 workers the reader
+/// hands back the same output prefix — blocks of the source, in order — and
+/// stops at the same typed error with the same counters.
 #[test]
-fn retry_exhaustion_errors_through_pipelined_reader() {
-    let data = corpus::generate(Class::Moderate, 40_000, 3);
-    let wire = compress(&data, Box::new(StaticModel::new(1, 4)), 2048, 1);
-    // Every read hits a burst of 1..=6 transients; allow only 1 retry so
-    // exhaustion is guaranteed quickly.
-    let spec = FaultSpec {
-        flip_rate: 0.0,
-        drop_rate: 0.0,
-        cut_rate: 0.0,
-        transient_rate: 1.0,
-        max_transient_burst: 6,
-        seed: 11,
-    };
-    let flaky = FlakyReader::new(&wire[..], FaultPlan::new(spec));
-    let mut r = AdaptiveReader::with_policy(
-        flaky,
-        RecoveryPolicy::bounded_retry(1, 0),
-    );
-    r.set_pipeline_workers(4);
-    let mut out = Vec::new();
-    let err = r.read_to_end(&mut out).expect_err("burst > max_retries must fail");
-    assert!(
-        matches!(err.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
-        "typed transient error expected, got {err:?}"
-    );
-}
-
-/// The retry budget covers the worst burst: the pipelined reader recovers
-/// the full stream and counts the retries it performed.
-#[test]
-fn retries_within_budget_recover_everything_pipelined() {
-    let data = corpus::generate(Class::High, 60_000, 4);
-    let wire = compress(&data, Box::new(StaticModel::new(2, 4)), 2048, 1);
-    let spec = FaultSpec {
-        flip_rate: 0.0,
-        drop_rate: 0.0,
-        cut_rate: 0.0,
-        transient_rate: 0.5,
-        max_transient_burst: 3,
-        seed: 12,
-    };
-    let flaky = FlakyReader::new(&wire[..], FaultPlan::new(spec));
-    // Bursts can chain (a fresh burst may start right after one ends), so
-    // the budget is sized well above max_transient_burst.
-    let mut r = AdaptiveReader::with_policy(flaky, RecoveryPolicy::bounded_retry(64, 0));
-    r.set_pipeline_workers(4);
-    let mut out = Vec::new();
-    r.read_to_end(&mut out).unwrap();
-    assert_eq!(out, data);
-    assert!(r.recovery().retries > 0, "transients must have been retried");
-    assert_eq!(r.recovery().corrupt_frames, 0);
-}
-
-/// Resync after damage with frames flowing through the parallel reorder
-/// buffer: drop + flip faults on a long stream; pipelined and serial
-/// readers agree on recovered bytes and on every recovery counter.
-#[test]
-fn resync_after_damage_matches_serial_across_worker_counts() {
+fn damage_gives_same_prefix_and_error_at_every_worker_count() {
     let data = corpus::generate(Class::Moderate, 200_000, 0xA11CE);
     let clean = compress(&data, Box::new(StaticModel::new(1, 4)), 2048, 1);
-    let plan = FaultPlan::new(FaultSpec {
-        transient_rate: 0.0,
-        ..FaultSpec::from_rate(77, 0.12)
-    });
+    let plan = FaultPlan::new(FaultSpec::from_rate(77, 0.12));
     let mut cw = CorruptingWriter::new(Vec::new(), plan);
     for frame in split_frames(&clean) {
         cw.write_all(frame).unwrap();
     }
     let wire = cw.into_inner();
 
-    let serial = decompress(&wire, RecoveryPolicy::skip_and_count(), 1);
-    assert!(serial.recovery.corrupt_frames > 0, "fault plan should have damaged a frame");
+    let serial = decompress(&wire, 1);
+    assert!(serial.error.is_some(), "fault plan should have damaged a frame: {serial:?}");
+    assert_eq!(serial.recovery.corrupt_frames + serial.recovery.truncations, 1);
+    // Every block delivered is a source block, in order (a frame dropped on
+    // the wire leaves a hole no reader can see yet).
+    let mut next = 0;
+    for block in serial.bytes.chunks(2048) {
+        let k = (next..data.len().div_ceil(2048))
+            .find(|&k| data[k * 2048..].starts_with(block))
+            .expect("a delivered block is not a source block, or out of order");
+        next = k + 1;
+    }
     for workers in [2usize, 4, 8] {
-        let piped = decompress(&wire, RecoveryPolicy::skip_and_count(), workers);
-        assert_eq!(serial, piped, "workers {workers}");
+        assert_eq!(decompress(&wire, workers), serial, "workers {workers}");
     }
 }
 
 /// Frame headers are not CRC-covered: one flipped bit in `uncompressed_len`
 /// leaves a CRC-valid frame that cannot decode. One rule for every worker
-/// count — the whole frame is dropped and counted, nothing is re-scanned (the
-/// CRC proves the bytes are one payload), and the byte/block counters count
-/// only the frames whose blocks were delivered.
+/// count — every block before it is delivered, the frame is counted and the
+/// stream ends in a typed error, and the byte/block counters count only the
+/// frames whose blocks were delivered.
 #[test]
 fn crc_valid_undecodable_frame_is_handled_alike_for_any_worker_count() {
     const BLOCK: usize = 2048;
@@ -287,28 +230,14 @@ fn crc_valid_undecodable_frame_is_handled_alike_for_any_worker_count() {
     assert_eq!(frames.len(), 64);
     let victim: usize = frames[..10].iter().sum();
     wire[victim + 4] ^= 1;
-    let survivors = [&data[..10 * BLOCK], &data[11 * BLOCK..]].concat();
 
-    let skip = decompress(&wire, RecoveryPolicy::skip_and_count(), 1);
-    assert_eq!(skip.error, None);
-    assert_eq!(skip.bytes, survivors);
-    let dropped = RecoveryStats {
-        corrupt_frames: 1,
-        skipped_bytes: frames[10] as u64,
-        ..RecoveryStats::default()
-    };
-    assert_eq!(skip.recovery, dropped);
-    assert_eq!(skip.wire_bytes, (wire.len() - frames[10]) as u64);
-    assert_eq!((skip.blocks, skip.app_bytes), (63, survivors.len() as u64));
-
-    let strict = decompress(&wire, RecoveryPolicy::fail_fast(), 1);
+    let strict = decompress(&wire, 1);
     assert_eq!(strict.bytes, &data[..10 * BLOCK], "every block before the fault is delivered");
     assert_eq!(strict.error.as_ref().map(|e| e.0), Some(std::io::ErrorKind::InvalidData));
     assert_eq!(strict.recovery, RecoveryStats { corrupt_frames: 1, ..RecoveryStats::default() });
     assert_eq!((strict.wire_bytes, strict.blocks), (victim as u64, 10));
 
     for workers in [2usize, 4, 7] {
-        assert_eq!(decompress(&wire, RecoveryPolicy::skip_and_count(), workers), skip, "{workers}");
-        assert_eq!(decompress(&wire, RecoveryPolicy::fail_fast(), workers), strict, "{workers}");
+        assert_eq!(decompress(&wire, workers), strict, "{workers}");
     }
 }

@@ -13,7 +13,7 @@
 //! silent skip. The same property is exercised forward: today's reader
 //! refuses ids *it* does not know the same way.
 
-use adcomp::codecs::frame::{decode_block_limited, FrameReader, RecoveryPolicy, HEADER_LEN};
+use adcomp::codecs::frame::{decode_block_limited, FrameReader, HEADER_LEN};
 use adcomp::codecs::{CodecError, CodecId};
 use adcomp::prelude::*;
 use std::io::{Read, Write};
@@ -167,7 +167,7 @@ fn pre_portfolio_reader_rejects_new_codec_ids_with_typed_error() {
 
     // A fail-fast FrameReader surfaces the same error (as an
     // `io::Error` whose source is the typed variant) instead of skipping.
-    let mut reader = FrameReader::with_policy(&forged[..], RecoveryPolicy::fail_fast());
+    let mut reader = FrameReader::new(&forged[..]);
     let mut block = Vec::new();
     let err = reader.read_block(&mut block).expect_err("forged id must not decode");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
