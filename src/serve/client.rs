@@ -419,7 +419,7 @@ pub fn drain(addr: SocketAddr, io_timeout: Duration) -> io::Result<u64> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::proto::{write_done, write_response, Done, GetReply};
+    use super::super::proto::{write_done, write_get_payload, write_response, Done, NO_LEVEL_CAP};
     use super::super::testio::Counting;
     use super::*;
 
@@ -443,12 +443,19 @@ mod tests {
         assert_eq!(r.get_ref().calls, 1, "done frame read");
     }
 
+    /// A GET reply as the server sends it: accept frame, body, trailer.
+    fn get_reply(body: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        let accept = Response::Accept { start_offset: body.len() as u64, level_cap: NO_LEVEL_CAP };
+        write_response(&mut wire, &accept).unwrap();
+        write_get_payload(&mut wire, body).unwrap();
+        wire
+    }
+
     #[test]
     fn get_reply_is_read_in_a_verdict_read_plus_one_body_read() {
         let body: Vec<u8> = (0..64 * 1024).map(|i| (i * 31) as u8).collect();
-        let mut reply = GetReply::with_capacity(body.len());
-        reply.extend_from_slice(&body);
-        let wire = reply.finish();
+        let wire = get_reply(&body);
         let mut r = control_reader(Counting::new(&wire[..]));
         assert_eq!(read_get_reply(&mut r, body.len() as u64).unwrap(), body);
         // One read fills the control buffer (verdict + the body's first
@@ -456,9 +463,7 @@ mod tests {
         // with one more.
         assert_eq!(r.get_ref().calls, 2);
         // A reply that fits the control buffer is a single read.
-        let mut reply = GetReply::with_capacity(3);
-        reply.extend_from_slice(b"abc");
-        let wire = reply.finish();
+        let wire = get_reply(b"abc");
         let mut r = control_reader(Counting::new(&wire[..]));
         assert_eq!(read_get_reply(&mut r, 3).unwrap(), b"abc");
         assert_eq!(r.get_ref().calls, 1);

@@ -38,12 +38,12 @@ pub use netsoak::{run_net_soak, NetSoakConfig, NetSoakSummary};
 pub use proto::{Done, RejectReason, Request, Response, NO_LEVEL_CAP};
 pub use server::{ServeConfig, ServeStats, Server};
 
-/// Test-only I/O wrapper behind the syscall-budget tests: every `read` or
-/// `write` that reaches the wrapped value stands for one syscall on a
-/// socket.
+/// Test-only I/O wrapper behind the syscall-budget tests: every `read`,
+/// `write` or `write_vectored` that reaches the wrapped value stands for
+/// one syscall on a socket.
 #[cfg(test)]
 pub(crate) mod testio {
-    use std::io::{Read, Result, Write};
+    use std::io::{IoSlice, Read, Result, Write};
 
     pub(crate) struct Counting<T> {
         pub inner: T,
@@ -67,6 +67,11 @@ pub(crate) mod testio {
         fn write(&mut self, buf: &[u8]) -> Result<usize> {
             self.calls += 1;
             self.inner.write(buf)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> Result<usize> {
+            self.calls += 1;
+            self.inner.write_vectored(bufs)
         }
 
         fn flush(&mut self) -> Result<()> {

@@ -36,10 +36,11 @@
 //! frame in at most two exact-length reads — a fixed head, then what the
 //! head announces — never a byte past its trailer, so whatever follows on
 //! the socket (a PUT's frame stream) is left for its own reader.
-//! The server's GET reply is the one-write form of accept frame + payload.
+//! The server's GET reply is the one-write form of accept frame + payload
+//! (`write_get_reply`): a vectored write straight from the cached blocks.
 
-use adcomp_codecs::crc32::crc32;
-use std::io::{self, Read, Write};
+use adcomp_codecs::crc32::{crc32, Hasher};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Request magic: "adcomp serve" v1.
 pub const MAGIC: [u8; 4] = *b"ACSV";
@@ -269,40 +270,39 @@ pub fn read_get_payload(r: &mut impl Read, n: u64) -> io::Result<Vec<u8>> {
     Ok(bytes)
 }
 
-/// A whole GET reply — accept frame, body, CRC trailer — built in one
-/// buffer so it crosses the socket in a single write. Byte for byte what
-/// [`write_response`] followed by [`write_get_payload`] put on the wire.
-pub(crate) struct GetReply(Vec<u8>);
-
-impl GetReply {
-    /// An empty reply with room for `body_len` body bytes; the accept
-    /// frame's place is reserved and filled in by [`GetReply::finish`].
-    pub(crate) fn with_capacity(body_len: usize) -> GetReply {
-        let mut buf = Vec::with_capacity(ACCEPT_FRAME + body_len + 4);
-        buf.resize(ACCEPT_FRAME, 0);
-        GetReply(buf)
+/// Writes a whole GET reply — accept frame, body, CRC trailer — with the
+/// body taken from `parts` where they lie: one CRC pass over the parts,
+/// then one vectored write (more only when the writer takes part of it).
+/// Byte for byte what [`write_response`] followed by [`write_get_payload`]
+/// put on the wire.
+pub(crate) fn write_get_reply(w: &mut impl Write, parts: &[&[u8]]) -> io::Result<()> {
+    let mut crc = Hasher::new();
+    for part in parts {
+        crc.update(part);
     }
+    let body_len = parts.iter().map(|part| part.len() as u64).sum();
+    let head = accept_frame(body_len, NO_LEVEL_CAP);
+    let trailer = crc.finish().to_le_bytes();
+    let mut slices = Vec::with_capacity(parts.len() + 2);
+    slices.push(IoSlice::new(&head));
+    slices.extend(parts.iter().map(|part| IoSlice::new(part)));
+    slices.push(IoSlice::new(&trailer));
+    write_all_vectored(w, &mut slices)
+}
 
-    /// Appends body bytes.
-    pub(crate) fn extend_from_slice(&mut self, bytes: &[u8]) {
-        self.0.extend_from_slice(bytes);
+/// `Write::write_all_vectored`, which is unstable in std: writes every
+/// byte of `bufs`, resuming after a partial write.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "failed to write reply")),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-
-    /// Body bytes appended so far.
-    pub(crate) fn body_len(&self) -> usize {
-        self.0.len() - ACCEPT_FRAME
-    }
-
-    /// Announces the body length in the accept frame, appends the body's
-    /// CRC trailer and returns the wire bytes.
-    pub(crate) fn finish(self) -> Vec<u8> {
-        let mut buf = self.0;
-        let (head, body) = buf.split_at_mut(ACCEPT_FRAME);
-        head.copy_from_slice(&accept_frame(body.len() as u64, NO_LEVEL_CAP));
-        let crc = crc32(body);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        buf
-    }
+    Ok(())
 }
 
 /// Wire size of an accept frame (status, offset, cap, trailer) and of a
@@ -492,11 +492,12 @@ mod tests {
         frames.push(std::mem::take(&mut wire));
         write_done(&mut wire, &Done { ok: true, verified: 4716, crc: 0x1234_5678 }).unwrap();
         frames.push(std::mem::take(&mut wire));
-        // The one-write GET reply: accept frame, body and trailer together.
+        // A GET reply: accept frame, body and trailer together.
         let body = b"coalesced ranged get body";
-        let mut reply = GetReply::with_capacity(body.len());
-        reply.extend_from_slice(body);
-        frames.push(reply.finish());
+        let accept = Response::Accept { start_offset: body.len() as u64, level_cap: NO_LEVEL_CAP };
+        write_response(&mut wire, &accept).unwrap();
+        write_get_payload(&mut wire, body).unwrap();
+        frames.push(std::mem::take(&mut wire));
         let read_reply = |r: &mut &[u8]| match read_response(r)? {
             Response::Accept { start_offset, .. } => read_get_payload(r, start_offset),
             Response::Reject { .. } => Err(bad("reject")),

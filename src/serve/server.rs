@@ -41,8 +41,8 @@
 
 use super::cache::{BlockCache, CacheStats};
 use super::proto::{
-    read_request, write_done, write_response, Done, GetReply, RejectReason, Request, Response,
-    NO_LEVEL_CAP,
+    read_request, write_done, write_get_reply, write_response, Done, RejectReason, Request,
+    Response, NO_LEVEL_CAP,
 };
 use adcomp_codecs::crc32::Hasher;
 use adcomp_codecs::frame::{decode_block_with, DEFAULT_MAX_FRAME};
@@ -56,6 +56,7 @@ use adcomp_metrics::registry::{
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -798,8 +799,8 @@ impl Read for CaptureReader<'_> {
 /// Serves a ranged GET of a completed transfer by decoding only the
 /// covering blocks out of its sealed wire — through the block cache, so a
 /// hot block is decoded once and then served from memory. The reply —
-/// accept frame, body, CRC trailer — is assembled in one buffer and leaves
-/// in one write. True when the reply went out; a refusal is false.
+/// accept frame, body, CRC trailer — leaves in one vectored write straight
+/// from the blocks. True when the reply went out; a refusal is false.
 fn handle_get<W: Write>(
     shared: &Shared,
     out: &mut W,
@@ -825,32 +826,37 @@ fn handle_get<W: Write>(
     };
     let span = registry::span(SpanKind::RangedRead);
     shared.metric(|m| m.counter_add(CounterKind::RangedReads, 1));
-    let Ok(reply) = read_range_sealed(shared, &sealed, offset, len) else {
+    let Ok(blocks) = read_range_sealed(shared, &sealed, offset, len) else {
         // The server's own wire failed to decode — nothing sane to serve;
         // shed rather than ship wrong bytes.
         return reject(out);
     };
     drop(span);
-    out.write_all(&reply.finish()).is_ok()
+    let parts: Vec<&[u8]> = blocks.iter().map(|(block, range)| &block[range.clone()]).collect();
+    write_get_reply(out, &parts).is_ok()
 }
 
-/// Decodes `[offset, offset + len)` (clamped) out of a sealed object
-/// straight into the reply buffer, serving every covering block from the
-/// cache when it can. A cache hit never touches the decoder.
+/// A decoded block and the part of it a ranged GET asked for.
+type Part = (Arc<Vec<u8>>, Range<usize>);
+
+/// The blocks covering `[offset, offset + len)` (clamped) of a sealed
+/// object, each with the part of it the range asked for. A cached block is
+/// used as it lies; a miss is decoded and cached. Nothing is copied.
 fn read_range_sealed(
     shared: &Shared,
     sealed: &SealedObject,
     offset: u64,
     len: u64,
-) -> std::io::Result<GetReply> {
+) -> std::io::Result<Vec<Part>> {
     let index = &sealed.index;
     let total = index.total_uncompressed();
     if offset >= total || len == 0 {
-        return Ok(GetReply::with_capacity(0));
+        return Ok(Vec::new());
     }
     let take = len.min(total - offset) as usize;
     let end = offset + take as u64;
-    let mut out = GetReply::with_capacity(take);
+    let mut parts = Vec::new();
+    let mut got = 0;
     let mut scratch = DecodeScratch::new();
     for i in index.blocks_covering(offset, len) {
         let e = index.entries[i];
@@ -871,18 +877,21 @@ fn read_range_sealed(
                 bytes
             }
         };
-        // Copy only the part of this block the range asked for.
+        // Only the part of this block the range asked for.
         let lo = offset.saturating_sub(e.uncompressed_offset) as usize;
         let hi = end.saturating_sub(e.uncompressed_offset).min(bytes.len() as u64) as usize;
-        out.extend_from_slice(bytes.get(lo..hi).unwrap_or_default());
+        if lo < hi {
+            got += hi - lo;
+            parts.push((bytes, lo..hi));
+        }
     }
-    if out.body_len() != take {
+    if got != take {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             "covering blocks shorter than the index promised",
         ));
     }
-    Ok(out)
+    Ok(parts)
 }
 
 #[cfg(test)]
@@ -1325,31 +1334,129 @@ mod tests {
         assert_eq!((s.aborts, s.completed, s.shed), (1, 1, 1));
     }
 
+    /// A started server holding `data` as `t`/1, put in `block_len` blocks.
+    fn sealed_object(data: &[u8], block_len: usize) -> Server {
+        let server = start();
+        let opts =
+            PutOptions { tenant: "t".into(), transfer_id: 1, block_len, ..Default::default() };
+        put(server.local_addr(), data, &opts).unwrap();
+        assert!(server.is_sealed("t", 1));
+        server
+    }
+
+    /// The reply to a GET of `[offset, offset + len)` of `data` in its
+    /// two-frame form: [`write_response`], then [`write_get_payload`].
+    fn two_frame_reply(data: &[u8], offset: u64, len: u64) -> Vec<u8> {
+        let lo = (offset as usize).min(data.len());
+        let slice = &data[lo..(lo + len as usize).min(data.len())];
+        let mut want = Vec::new();
+        let accept = Response::Accept { start_offset: slice.len() as u64, level_cap: NO_LEVEL_CAP };
+        write_response(&mut want, &accept).unwrap();
+        write_get_payload(&mut want, slice).unwrap();
+        want
+    }
+
+    /// A socket that takes at most 1 000 bytes per call, so a reply needs
+    /// many `write_vectored` calls and most of them end inside a slice.
+    struct Trickle {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[io::IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = 1000;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.out.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(1000 - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn get_reply_leaves_in_one_write_identical_to_the_two_frame_form() {
-        let server = start();
         let data = body(300_000);
-        let opts = PutOptions {
-            tenant: "t".into(),
-            transfer_id: 1,
-            block_len: 8 * 1024,
-            ..Default::default()
-        };
-        put(server.local_addr(), &data, &opts).unwrap();
-        assert!(server.is_sealed("t", 1));
+        let server = sealed_object(&data, 8 * 1024);
         for (offset, len) in [(0u64, 0u64), (5, 1), (8000, 64 * 1024), (299_990, 100)] {
             let mut out = Counting::new(Vec::new());
             handle_get(&server.shared, &mut out, "t", 1, offset, len);
             assert_eq!(out.calls, 1, "reply to ({offset}, {len}) took {} writes", out.calls);
-            let lo = offset as usize;
-            let slice = &data[lo..(lo + len as usize).min(data.len())];
-            let mut want = Vec::new();
-            let accept =
-                Response::Accept { start_offset: slice.len() as u64, level_cap: NO_LEVEL_CAP };
-            write_response(&mut want, &accept).unwrap();
-            write_get_payload(&mut want, slice).unwrap();
-            assert_eq!(out.inner, want, "reply to ({offset}, {len})");
+            assert_eq!(out.inner, two_frame_reply(&data, offset, len), "({offset}, {len})");
         }
+        server.shutdown();
+    }
+
+    /// One GET whose body comes from a cached block, a block decoded for
+    /// it and the object's short last block, sent whole and through a
+    /// socket that takes 1 000 bytes a call.
+    #[test]
+    fn get_reply_over_a_hit_a_miss_and_a_partial_tail_is_the_two_frame_form() {
+        // 8 KiB blocks: block 34 starts at 278 528, the last (block 36,
+        // 5 088 bytes) at 294 912.
+        let data = body(300_000);
+        let server = sealed_object(&data, 8 * 1024);
+        let (offset, len) = (34 * 8192 + 100, 30_000);
+        let mut warm = Vec::new();
+        handle_get(&server.shared, &mut warm, "t", 1, offset, 10);
+        let before = server.cache_stats();
+        let mut out = Counting::new(Vec::new());
+        handle_get(&server.shared, &mut out, "t", 1, offset, len);
+        let after = server.cache_stats();
+        assert_eq!((after.hits - before.hits, after.misses - before.misses), (1, 2));
+        assert_eq!(out.calls, 1);
+        assert_eq!(out.inner, two_frame_reply(&data, offset, len));
+
+        let mut slow = Trickle { out: Vec::new(), calls: 0 };
+        assert!(handle_get(&server.shared, &mut slow, "t", 1, offset, len));
+        assert_eq!(slow.calls, out.inner.len().div_ceil(1000));
+        assert_eq!(slow.out, out.inner);
+        server.shutdown();
+    }
+
+    #[test]
+    fn empty_and_past_the_end_gets_reply_with_an_empty_body() {
+        let data = body(10_000);
+        let server = sealed_object(&data, 4 * 1024);
+        for (offset, len) in [(0, 0), (9_999, 0), (10_000, 5), (1 << 40, 64 * 1024)] {
+            let mut out = Counting::new(Vec::new());
+            assert!(handle_get(&server.shared, &mut out, "t", 1, offset, len));
+            assert_eq!(out.calls, 1);
+            assert_eq!(out.inner, two_frame_reply(&data, offset, len), "({offset}, {len})");
+            assert_eq!(get(server.local_addr(), "t", 1, offset, len, IO).unwrap(), b"");
+        }
+        server.shutdown();
+    }
+
+    /// A whole GET of an object in more 1 KiB blocks than one `writev`
+    /// takes (IOV_MAX, 1 024 on Linux): the reply still leaves whole.
+    #[test]
+    fn get_reply_with_more_parts_than_iov_max_is_the_two_frame_form() {
+        let data = body(1100 * 1024 + 300);
+        let server = sealed_object(&data, 1024);
+        let blocks = {
+            let transfers = server.shared.transfers.lock().unwrap();
+            let sealed = transfers[&("t".to_string(), 1)].sealed.clone().unwrap();
+            sealed.index.entries.iter().filter(|e| e.uncompressed_len > 0).count()
+        };
+        assert_eq!(blocks, 1101);
+        let len = data.len() as u64;
+        let mut out = Vec::new();
+        assert!(handle_get(&server.shared, &mut out, "t", 1, 0, len));
+        assert_eq!(out, two_frame_reply(&data, 0, len));
+        // Over a socket: a cold pass, then a hot one.
+        assert_eq!(get(server.local_addr(), "t", 1, 0, len, IO).unwrap(), data);
+        assert_eq!(get(server.local_addr(), "t", 1, 0, len, IO).unwrap(), data);
         server.shutdown();
     }
 }
