@@ -149,6 +149,12 @@ pub fn encode_block(codec: &dyn Codec, input: &[u8], out: &mut Vec<u8>) -> Block
 /// [`encode_block`] with reusable codec working memory: zero per-block heap
 /// allocation in steady state. Output frames are bit-identical to
 /// [`encode_block`]'s.
+///
+/// The codec runs through [`Codec::compress_within`] with the input's
+/// length as its limit: a stream of `input.len()` bytes or more is never
+/// appended, and the block goes out raw. The frame is the one the full
+/// [`Codec::compress_with`] stream followed by the raw rule would give,
+/// byte for byte.
 pub fn encode_block_with(
     scratch: &mut Scratch,
     codec: &dyn Codec,
@@ -164,9 +170,10 @@ pub fn encode_block_with(
     let mut effective = codec.id();
     let mut raw_fallback = false;
     if codec.id() != CodecId::Raw {
-        codec.compress_with(scratch, input, out);
-        if out.len() - payload_pos >= input.len() {
-            out.truncate(payload_pos);
+        // The raw rule — a payload as long as the input is stored raw — as
+        // the codec's limit, so a stream that cannot beat it is never
+        // finished or copied.
+        if !codec.compress_within(scratch, input, out, input.len()) {
             out.extend_from_slice(input);
             effective = CodecId::Raw;
             raw_fallback = true;

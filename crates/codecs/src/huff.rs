@@ -274,9 +274,13 @@ impl<'a> BitWriter<'a> {
 }
 
 #[inline]
+fn read_u32(bytes: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap())
+}
+
+#[inline]
 fn hash4(bytes: &[u8], i: usize) -> usize {
-    let v = u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap());
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+    (read_u32(bytes, i).wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
 /// Compresses `input`, appending the HUFF bitstream to `out`, allocating
@@ -305,12 +309,13 @@ pub fn compress_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
             if cand != u32::MAX {
                 let cand = cand as usize;
                 let d = i - cand;
-                if d <= WINDOW {
-                    let len = match_len(input, cand, i, MAX_MATCH.min(n - i));
-                    if len >= MIN_MATCH {
-                        matched = len;
-                        dist = d;
-                    }
+                // A candidate that differs in its first four bytes cannot
+                // reach `MIN_MATCH`; one that agrees is extended past them.
+                if d <= WINDOW && read_u32(input, cand) == read_u32(input, i) {
+                    let max_len = MAX_MATCH.min(n - i);
+                    matched = MIN_MATCH
+                        + match_len(input, cand + MIN_MATCH, i + MIN_MATCH, max_len - MIN_MATCH);
+                    dist = d;
                 }
             }
         }
@@ -332,7 +337,7 @@ pub fn compress_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
         // Seed the table part-way into the match so the next block of
         // similar content still finds it; skipping every interior position
         // keeps the encoder O(n).
-        if matched > 2 && i + matched + MIN_MATCH <= n {
+        if i + matched + MIN_MATCH <= n {
             let mid = i + matched / 2;
             table[hash4(input, mid)] = mid as u32;
         }

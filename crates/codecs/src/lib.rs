@@ -177,10 +177,27 @@ impl fmt::Display for CodecId {
 pub trait Codec: Send + Sync {
     fn id(&self) -> CodecId;
 
-    /// Compresses `input`, appending to `out`, reusing the working memory
-    /// in `scratch` so steady-state block encoding is allocation-free.
-    /// Codecs without working memory ignore `scratch`.
-    fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>);
+    /// Compresses `input`, appending the stream to `out` only if it comes
+    /// out shorter than `limit` bytes, and returns whether it did. On
+    /// `false`, `out` is exactly as it was. Working memory is reused from
+    /// `scratch`, so steady-state block encoding is allocation-free; codecs
+    /// without working memory ignore it. The stream, when written, is the
+    /// one [`Codec::compress_with`] writes: the limit only decides whether
+    /// it is written, and lets LIGHT and MEDIUM skip their final literal
+    /// run when the length it would bring is already out of bounds.
+    fn compress_within(
+        &self,
+        scratch: &mut Scratch,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> bool;
+
+    /// Compresses `input`, appending the whole stream to `out` whatever its
+    /// length: [`Codec::compress_within`] with no limit.
+    fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
+        self.compress_within(scratch, input, out, usize::MAX);
+    }
 
     /// Decompresses `input` (exactly `expected_len` output bytes), appending
     /// to `out`, reusing the working memory in `scratch` so steady-state
@@ -201,6 +218,17 @@ pub fn compress_fresh(codec: &dyn Codec, input: &[u8], out: &mut Vec<u8>) {
     codec.compress_with(&mut Scratch::new(), input, out);
 }
 
+/// The end-of-stream comparison of the codecs that cannot stop early: keeps
+/// the stream written to `out[start..]` if it is shorter than `limit`, else
+/// truncates `out` back to `start`.
+fn keep_within(out: &mut Vec<u8>, start: usize, limit: usize) -> bool {
+    let kept = out.len() - start < limit;
+    if !kept {
+        out.truncate(start);
+    }
+    kept
+}
+
 /// Level 0: stored.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RawCodec;
@@ -209,8 +237,18 @@ impl Codec for RawCodec {
     fn id(&self) -> CodecId {
         CodecId::Raw
     }
-    fn compress_with(&self, _: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
-        out.extend_from_slice(input);
+    fn compress_within(
+        &self,
+        _: &mut Scratch,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> bool {
+        let kept = input.len() < limit;
+        if kept {
+            out.extend_from_slice(input);
+        }
+        kept
     }
     fn decompress_with(
         &self,
@@ -235,6 +273,17 @@ impl Codec for QlzLightCodec {
     fn id(&self) -> CodecId {
         CodecId::QlzLight
     }
+    fn compress_within(
+        &self,
+        scratch: &mut Scratch,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> bool {
+        qlz::compress_light_within(scratch, input, out, limit)
+    }
+    /// Through the module's full-stream entry point, the one the encoder
+    /// pins hold: the same body as `compress_within`, with no limit.
     fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
         qlz::compress_light_with(scratch, input, out);
     }
@@ -257,6 +306,17 @@ impl Codec for QlzMediumCodec {
     fn id(&self) -> CodecId {
         CodecId::QlzMedium
     }
+    fn compress_within(
+        &self,
+        scratch: &mut Scratch,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> bool {
+        qlz::compress_medium_within(scratch, input, out, limit)
+    }
+    /// Through the module's full-stream entry point, the one the encoder
+    /// pins hold: the same body as `compress_within`, with no limit.
     fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
         qlz::compress_medium_with(scratch, input, out);
     }
@@ -279,8 +339,16 @@ impl Codec for HeavyCodec {
     fn id(&self) -> CodecId {
         CodecId::Heavy
     }
-    fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
+    fn compress_within(
+        &self,
+        scratch: &mut Scratch,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> bool {
+        let start = out.len();
         heavy::compress_with(scratch, input, out);
+        keep_within(out, start, limit)
     }
     fn decompress_with(
         &self,
@@ -301,8 +369,16 @@ impl Codec for HuffCodec {
     fn id(&self) -> CodecId {
         CodecId::Huffman
     }
-    fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
+    fn compress_within(
+        &self,
+        scratch: &mut Scratch,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> bool {
+        let start = out.len();
         huff::compress_with(scratch, input, out);
+        keep_within(out, start, limit)
     }
     fn decompress_with(
         &self,
@@ -323,8 +399,16 @@ impl Codec for ColumnarCodec {
     fn id(&self) -> CodecId {
         CodecId::Columnar
     }
-    fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
+    fn compress_within(
+        &self,
+        scratch: &mut Scratch,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> bool {
+        let start = out.len();
         columnar::compress(scratch, input, out);
+        keep_within(out, start, limit)
     }
     fn decompress_with(
         &self,

@@ -33,7 +33,12 @@
 //! Both settings share one encoder-side writer with the same shape: it
 //! writes into a pre-sized span (`Scratch::tokens`) through a cursor, the
 //! parse hands it whole literal runs — written a group's rest at a time as
-//! one 8-byte store — and a match is one 3-byte store.
+//! one 8-byte store — and a match is one 3-byte store. The block's last
+//! literal run is the one item whose cost is known before it is written,
+//! so the writer checks the stream's final length against the caller's
+//! limit there and stops without writing it when the stream cannot come
+//! out shorter (`compress_{light,medium}_within`; the frame layer's limit
+//! is the block's length, past which the block goes out raw).
 
 use crate::scratch::{ensure_len_uninit, reset_table, token_span};
 use crate::{window, CodecError, Result, Scratch};
@@ -211,25 +216,50 @@ impl<'a> TokenWriter<'a> {
         self.pos += 3;
     }
 
-    /// Closes the last group and appends the stream to `out`.
-    fn finish(self, out: &mut Vec<u8>) {
+    /// Writes the final literal run `input[lit..]`, closes the last group
+    /// and appends the stream to `out`, if the stream comes out shorter
+    /// than `limit`; returns whether it did. Its length is known before the
+    /// run is written — the cursor, a byte per literal, and a control byte
+    /// per group the literals past the open group's rest open — so a stream
+    /// that cannot fit skips the run's writes and the copy-out, and `out`
+    /// is left as it was.
+    fn finish(mut self, input: &[u8], lit: usize, limit: usize, out: &mut Vec<u8>) -> bool {
+        let run = input.len() - lit;
+        let len = self.pos + run + run.saturating_sub(8 - self.nbits).div_ceil(8);
+        if len >= limit {
+            return false;
+        }
+        self.literals(input, lit, input.len());
+        debug_assert_eq!(self.pos, len);
         self.span[self.ctrl_pos] = self.ctrl;
-        out.extend_from_slice(&self.span[..self.pos]);
+        out.extend_from_slice(&self.span[..len]);
+        true
     }
 }
 
-/// Greedy single-probe compression using reusable working memory. In steady
-/// state (same-size blocks) this performs no heap allocation. A miss only
-/// moves `i`: the literal run since the last match, `input[lit..i]`, is
-/// written when the next match is taken and at the end of the block.
+/// [`compress_light_within`] with no limit: the whole LIGHT stream.
 pub fn compress_light_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
+    compress_light_within(scratch, input, out, usize::MAX);
+}
+
+/// Greedy single-probe compression using reusable working memory, appending
+/// the stream to `out` only if it is shorter than `limit` bytes (see
+/// `Codec::compress_within`); returns whether it did. In steady state
+/// (same-size blocks) this performs no heap allocation. A miss only moves
+/// `i`: the literal run since the last match, `input[lit..i]`, is written
+/// when the next match is taken and at the end of the block, where a stream
+/// that cannot beat `limit` stops before writing it.
+pub fn compress_light_within(
+    scratch: &mut Scratch,
+    input: &[u8],
+    out: &mut Vec<u8>,
+    limit: usize,
+) -> bool {
     const HASH_BITS: u32 = 14;
     let n = input.len();
     let mut w = TokenWriter::new(token_span(&mut scratch.tokens, TokenWriter::span_len(n)));
     if n < MIN_MATCH {
-        w.literals(input, 0, n);
-        w.finish(out);
-        return;
+        return w.finish(input, 0, limit, out);
     }
     reset_table(&mut scratch.light_table, 1 << HASH_BITS);
     let table = &mut scratch.light_table[..];
@@ -245,16 +275,17 @@ pub fn compress_light_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8
             && i - cand <= MAX_OFFSET
             && read_u32(input, cand) == v;
         if found {
-            let limit = (n - i).min(MAX_MATCH);
-            let len = match_len(input, cand, i, limit);
+            // The four bytes at `cand` were just compared whole (and the
+            // loop bound leaves at least four to match): extend past them.
+            let max_len = (n - i).min(MAX_MATCH);
+            let len =
+                MIN_MATCH + match_len(input, cand + MIN_MATCH, i + MIN_MATCH, max_len - MIN_MATCH);
             w.literals(input, lit, i);
             w.match_token(len, i - cand);
             // Seed one hash inside the match so runs keep chaining.
             if i + len + MIN_MATCH <= n {
                 let j = i + len - 1;
-                if j + MIN_MATCH <= n {
-                    table[hash4(input, j, HASH_BITS)] = j as u32;
-                }
+                table[hash4(input, j, HASH_BITS)] = j as u32;
             }
             i += len;
             lit = i;
@@ -266,27 +297,35 @@ pub fn compress_light_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8
             misses += 1;
         }
     }
-    w.literals(input, lit, n);
-    w.finish(out);
+    w.finish(input, lit, limit, out)
 }
 
-/// Two-chain lazy compression using reusable working memory. In steady
-/// state (same-size blocks) this performs no heap allocation: the link
-/// arrays are only grown, never cleared — stale entries are unreachable
-/// because chains start at heads reset for every block and each
-/// `link[pos]` is written before a head can point at `pos`. Literal runs
-/// are deferred as in [`compress_light_with`]: a miss and a lost lazy step
-/// only move `i`.
+/// [`compress_medium_within`] with no limit: the whole MEDIUM stream.
 pub fn compress_medium_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
+    compress_medium_within(scratch, input, out, usize::MAX);
+}
+
+/// Two-chain lazy compression using reusable working memory, appending the
+/// stream to `out` only if it is shorter than `limit` bytes; returns
+/// whether it did. In steady state (same-size blocks) this performs no heap
+/// allocation: the link arrays are only grown, never cleared — stale
+/// entries are unreachable because chains start at heads reset for every
+/// block and each `link[pos]` is written before a head can point at `pos`.
+/// Literal runs are deferred, and the final one capped by `limit`, as in
+/// [`compress_light_within`]: a miss and a lost lazy step only move `i`.
+pub fn compress_medium_within(
+    scratch: &mut Scratch,
+    input: &[u8],
+    out: &mut Vec<u8>,
+    limit: usize,
+) -> bool {
     /// Inputs shorter than this go out as literals (the finder reads 8-byte
     /// keys; nothing that small is worth a table reset).
     const SHORT_INPUT: usize = 16;
     let n = input.len();
     let mut w = TokenWriter::new(token_span(&mut scratch.tokens, TokenWriter::span_len(n)));
     if n < SHORT_INPUT {
-        w.literals(input, 0, n);
-        w.finish(out);
-        return;
+        return w.finish(input, 0, limit, out);
     }
     reset_table(&mut scratch.med_long_head, 1 << MediumFinder::HASH_BITS);
     reset_table(&mut scratch.med_short_head, 1 << MediumFinder::HASH_BITS);
@@ -339,8 +378,7 @@ pub fn compress_medium_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u
             f.insert(pos);
         }
     }
-    w.literals(input, lit, n);
-    w.finish(out);
+    w.finish(input, lit, limit, out)
 }
 
 #[cfg(test)]

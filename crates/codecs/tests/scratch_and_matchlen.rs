@@ -2,7 +2,11 @@
 //!
 //! * the word-oriented `match_len` is a drop-in replacement for the
 //!   byte-wise reference (differential testing across generated inputs,
-//!   including matches that run into the end of the buffer), and
+//!   including matches that run into the end of the buffer),
+//! * extending a match past four bytes already compared whole gives the
+//!   length `match_len` gives from byte 0 (the identity LIGHT and HUFF
+//!   rely on, and the one that lets HUFF drop a candidate that fails the
+//!   four-byte check), and
 //! * a `Scratch` reused across blocks of different sizes and corpus
 //!   classes produces bit-identical frames to fresh-allocation compression.
 
@@ -53,6 +57,68 @@ proptest! {
             match_len(&data, 0, b, limit),
             match_len_naive(&data, 0, b, limit)
         );
+    }
+}
+
+/// The shift identity over every limit 0..=259 that fits after `b`: where
+/// the four bytes at `a` and `b` agree and `limit >= 4`,
+/// `4 + match_len(a + 4, b + 4, limit - 4) == match_len(a, b, limit)`;
+/// where they do not, no match reaches four bytes.
+fn check_shift(data: &[u8], a: usize, b: usize) {
+    let agree = b + 4 <= data.len() && data[a..a + 4] == data[b..b + 4];
+    for limit in 0..=259.min(data.len() - b) {
+        let full = match_len(data, a, b, limit);
+        if limit < 4 {
+            continue;
+        }
+        if agree {
+            prop_assert_eq!(4 + match_len(data, a + 4, b + 4, limit - 4), full, "limit {}", limit);
+        } else {
+            prop_assert!(full < 4, "limit {}: {} bytes without the first four", limit, full);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The shift identity on the small-alphabet inputs above. Four equal
+    /// bytes are rare there, so `agree` forces them on half the cases: the
+    /// four bytes at `a` copied forward to `b` one at a time, the way an
+    /// overlapping match repeats them.
+    #[test]
+    fn match_len_shift_by_verified_prefix(
+        mut data in proptest::collection::vec(0u8..4, 2..600),
+        bi in any::<prop::sample::Index>(),
+        ai in any::<prop::sample::Index>(),
+        agree in any::<bool>(),
+    ) {
+        let n = data.len();
+        let b = 1 + bi.index(n - 1);
+        let a = ai.index(b);
+        if agree && b + 4 <= n {
+            for k in 0..4 {
+                data[b + k] = data[a + k];
+            }
+        }
+        check_shift(&data, a, b);
+    }
+
+    /// Same, on the full-alphabet inputs, against `a = 0`.
+    #[test]
+    fn match_len_shift_by_verified_prefix_full_alphabet(
+        mut data in proptest::collection::vec(any::<u8>(), 2..300),
+        bi in any::<prop::sample::Index>(),
+        agree in any::<bool>(),
+    ) {
+        let n = data.len();
+        let b = 1 + bi.index(n - 1);
+        if agree && b + 4 <= n {
+            for k in 0..4 {
+                data[b + k] = data[k];
+            }
+        }
+        check_shift(&data, 0, b);
     }
 }
 
