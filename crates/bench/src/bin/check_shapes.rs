@@ -13,14 +13,13 @@ use adcomp_bench::{quick_mode, runner, speed_model, trace_path, write_run_trace}
 use adcomp_core::model::{DecisionModel, RateBasedModel, StaticModel};
 use adcomp_corpus::Class;
 use adcomp_metrics::Table;
-use adcomp_trace::{MemorySink, RunManifest, TraceHandle};
+use adcomp_trace::{RunManifest, TraceHandle};
 use adcomp_vcloud::experiments::{fig1_cpu_accuracy, fig2_net_throughput, fig3_file_write};
 use adcomp_vcloud::platform::IoOp;
 use adcomp_vcloud::{
     run_transfer, run_transfer_traced, AlternatingClass, ConstantClass, Platform, SpeedModel,
     TransferConfig,
 };
-use std::sync::Arc;
 
 const GB: u64 = 1_000_000_000;
 const NFLOWS: usize = 4;
@@ -250,7 +249,7 @@ fn main() -> std::process::ExitCode {
     // Table-2 cell (DYNAMIC, HIGH, 2 connections, deterministic) — the CI
     // smoke step lints this JSONL against the event schema.
     if let Some(path) = trace_path() {
-        let sink = Arc::new(MemorySink::new());
+        let trace = TraceHandle::collecting();
         let cfg = TransferConfig {
             total_bytes: gb(2),
             background_flows: 2,
@@ -263,7 +262,7 @@ fn main() -> std::process::ExitCode {
             &speed,
             &mut ConstantClass(Class::High),
             Box::new(RateBasedModel::paper_default()),
-            TraceHandle::new(sink.clone()),
+            trace.clone(),
         );
         let manifest = RunManifest::new("check_shapes_cell", cfg.seed)
             .coord("scheme", "DYNAMIC")
@@ -271,7 +270,7 @@ fn main() -> std::process::ExitCode {
             .coord("flows", cfg.background_flows)
             .cfg("deterministic", true)
             .volume(cfg.total_bytes);
-        write_run_trace(&path, &manifest, &sink.take());
+        write_run_trace(&path, &manifest, &trace.take());
         eprintln!(
             "CHECK: traced cell completed in {:.0} s over {} epochs",
             out.completion_secs, out.epochs

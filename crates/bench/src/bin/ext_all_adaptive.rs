@@ -17,9 +17,8 @@ use adcomp_bench::{experiment_bytes, runner, speed_model, trace_path};
 use adcomp_core::model::{RateBasedModel, StaticModel};
 use adcomp_corpus::Class;
 use adcomp_metrics::Table;
-use adcomp_trace::{JsonlWriter, MemorySink, RunManifest, TraceHandle};
+use adcomp_trace::{JsonlWriter, RunManifest, TraceHandle};
 use adcomp_vcloud::{run_multiflow_traced, FlowSpec, MultiFlowConfig};
-use std::sync::Arc;
 
 fn flows(classes: &[Class], adaptive: &[bool], bytes: u64) -> Vec<FlowSpec> {
     classes
@@ -66,11 +65,9 @@ fn main() {
         let (title, classes) = CORPORA[ti];
         let (label, mask) = DEPLOYMENTS[di];
         let cfg = MultiFlowConfig { seed: 61, ..Default::default() };
-        let sink = if want_trace { Some(Arc::new(MemorySink::new())) } else { None };
-        let handle = sink
-            .as_ref()
-            .map_or_else(TraceHandle::disabled, |s| TraceHandle::new(s.clone()));
-        let out = run_multiflow_traced(&cfg, &speed, flows(&classes, &mask, bytes), handle);
+        let handle = if want_trace { TraceHandle::collecting() } else { TraceHandle::disabled() };
+        let out =
+            run_multiflow_traced(&cfg, &speed, flows(&classes, &mask, bytes), handle.clone());
         let rates: Vec<String> =
             out.flows.iter().map(|f| format!("{:.0}", f.mean_app_rate / 1e6)).collect();
         let row = vec![
@@ -80,13 +77,13 @@ fn main() {
             format!("{:.3}", out.jain_fairness()),
             rates.join(" / "),
         ];
-        let cell_trace = sink.map(|s| {
+        let cell_trace = want_trace.then(|| {
             let manifest = RunManifest::new("ext_all_adaptive_cell", cfg.seed)
                 .coord("corpus", title)
                 .coord("deployment", label)
                 .cfg("flows", classes.len())
                 .volume(bytes * classes.len() as u64);
-            (manifest, s.take())
+            (manifest, handle.take())
         });
         (row, cell_trace)
     });

@@ -12,9 +12,8 @@ use adcomp_bench::{
 };
 use adcomp_core::model::RateBasedModel;
 use adcomp_corpus::Class;
-use adcomp_trace::{MemorySink, RunManifest, TraceHandle};
+use adcomp_trace::{RunManifest, TraceHandle};
 use adcomp_vcloud::{run_transfer_traced, ConstantClass, SpeedModel, TransferConfig};
-use std::sync::Arc;
 
 fn main() {
     let total = experiment_bytes();
@@ -26,24 +25,21 @@ fn main() {
     };
     let speed = SpeedModel::paper_fit();
     let trace = trace_path();
-    let sink = trace.as_ref().map(|_| Arc::new(MemorySink::new()));
-    let handle = sink
-        .as_ref()
-        .map_or_else(TraceHandle::disabled, |s| TraceHandle::new(s.clone()));
+    let handle = if trace.is_some() { TraceHandle::collecting() } else { TraceHandle::disabled() };
     let out = run_transfer_traced(
         &cfg,
         &speed,
         &mut ConstantClass(Class::High),
         Box::new(RateBasedModel::paper_default()),
-        handle,
+        handle.clone(),
     );
-    if let (Some(path), Some(sink)) = (trace, sink) {
+    if let Some(path) = trace {
         let manifest = RunManifest::new("fig4_timeseries", cfg.seed)
             .coord("class", Class::High.name())
             .coord("flows", cfg.background_flows)
             .cfg("model", "rate_based")
             .volume(total);
-        write_run_trace(&path, &manifest, &sink.take());
+        write_run_trace(&path, &manifest, &handle.take());
     }
 
     println!(

@@ -13,9 +13,8 @@
 use adcomp_bench::{experiment_bytes, render_timeseries, trace_path, write_run_trace};
 use adcomp_core::model::RateBasedModel;
 use adcomp_corpus::Class;
-use adcomp_trace::{MemorySink, RunManifest, TraceHandle};
+use adcomp_trace::{RunManifest, TraceHandle};
 use adcomp_vcloud::{run_transfer_traced, AlternatingClass, SpeedModel, TransferConfig};
-use std::sync::Arc;
 
 fn main() {
     // Phases must span dozens of epochs for the adaptation dynamics to show
@@ -32,25 +31,22 @@ fn main() {
     let mut schedule =
         AlternatingClass { classes: vec![Class::High, Class::Low], period_bytes: period };
     let trace = trace_path();
-    let sink = trace.as_ref().map(|_| Arc::new(MemorySink::new()));
-    let handle = sink
-        .as_ref()
-        .map_or_else(TraceHandle::disabled, |s| TraceHandle::new(s.clone()));
+    let handle = if trace.is_some() { TraceHandle::collecting() } else { TraceHandle::disabled() };
     let out = run_transfer_traced(
         &cfg,
         &speed,
         &mut schedule,
         Box::new(RateBasedModel::paper_default()),
-        handle,
+        handle.clone(),
     );
-    if let (Some(path), Some(sink)) = (trace, sink) {
+    if let Some(path) = trace {
         let manifest = RunManifest::new("fig6_switching", cfg.seed)
             .coord("classes", "HIGH/LOW")
             .coord("flows", cfg.background_flows)
             .cfg("model", "rate_based")
             .cfg("period_bytes", period)
             .volume(total);
-        write_run_trace(&path, &manifest, &sink.take());
+        write_run_trace(&path, &manifest, &handle.take());
     }
 
     println!(

@@ -7,10 +7,9 @@ use crate::runner::run_cells_on;
 use crate::{make_model, schemes, to_paper_scale};
 use adcomp_corpus::Class;
 use adcomp_metrics::OnlineStats;
-use adcomp_trace::{JsonlWriter, MemorySink, RunManifest, TraceEvent, TraceHandle};
+use adcomp_trace::{JsonlWriter, RunManifest, TraceEvent, TraceHandle};
 use adcomp_vcloud::{run_transfer_traced, ConstantClass, SpeedModel, TransferConfig};
 use std::io::Write;
-use std::sync::Arc;
 
 /// Number of contention settings (0..=3 concurrent TCP connections).
 pub const FLOW_SETTINGS: usize = 4;
@@ -55,7 +54,7 @@ pub fn compute_grid(total: u64, reps: usize, speed: &SpeedModel, workers: usize)
 }
 
 /// [`compute_grid`] with per-cell structured traces: every cell collects
-/// its events in a private [`MemorySink`] during the parallel phase, and
+/// its events in a private [`TraceHandle`] during the parallel phase, and
 /// the traces come back **in cell order**, so the serialized JSONL is
 /// byte-identical for any `workers` (all events carry virtual time only).
 pub fn compute_grid_traced(
@@ -82,10 +81,7 @@ fn compute_grid_impl(
         let (flows, si, ci) = coords(idx, schemes.len(), nclasses);
         let (name, level) = schemes[si];
         let class = Class::ALL[ci];
-        let sink = if traced { Some(Arc::new(MemorySink::new())) } else { None };
-        let trace = sink
-            .as_ref()
-            .map_or_else(TraceHandle::disabled, |s| TraceHandle::new(s.clone()));
+        let trace = if traced { TraceHandle::collecting() } else { TraceHandle::disabled() };
         let mut stats = OnlineStats::new();
         let base_seed = 1000 + flows as u64 * 31 + ci as u64;
         for rep in 0..reps {
@@ -105,7 +101,7 @@ fn compute_grid_impl(
             stats.push(to_paper_scale(out.completion_secs));
         }
         let cell = Tab2Cell { flows, scheme: si, class: ci, mean: stats.mean(), sd: stats.std_dev() };
-        let trace = sink.map(|s| CellTrace {
+        let cell_trace = traced.then(|| CellTrace {
             manifest: RunManifest::new("table2_cell", base_seed)
                 .coord("flows", flows)
                 .coord("scheme", name)
@@ -114,9 +110,9 @@ fn compute_grid_impl(
                 .cfg("epoch_secs", 2.0)
                 .cfg("block_len", 128 * 1024)
                 .volume(total),
-            events: s.take(),
+            events: trace.take(),
         });
-        (cell, trace)
+        (cell, cell_trace)
     });
     results.into_iter().unzip()
 }

@@ -24,7 +24,7 @@
 use crate::crc32::crc32;
 use crate::{codec_for, Codec, CodecError, CodecId, DecodeScratch, Result, Scratch};
 use adcomp_metrics::registry::{self, CounterKind, LabelFamily, MetricsRegistry, SpanKind};
-use adcomp_trace::{CodecEvent, NullSink, TraceEvent, TraceSink, NO_EPOCH};
+use adcomp_trace::{CodecEvent, TraceEvent, TraceHandle, NO_EPOCH};
 use std::io::{self, Read, Write};
 
 /// Frame magic bytes.
@@ -262,17 +262,15 @@ pub fn decode_block_with(
 /// ([`Scratch`]), so steady-state block writing performs no heap
 /// allocation.
 ///
-/// The second type parameter is the trace sink (defaulting to the
-/// statically-disabled [`NullSink`]); with the default, every trace branch
-/// is dead code after monomorphization and the write path is bit- and
-/// allocation-identical to the untraced writer. An enabled sink receives
-/// one [`CodecEvent`] per block, tagged with the epoch/time mark last set
-/// via [`FrameWriter::set_trace_mark`].
-pub struct FrameWriter<W: Write, S: TraceSink = NullSink> {
+/// Every block written is one [`CodecEvent`] observed through the
+/// writer's [`TraceHandle`] (disabled by default), tagged with the
+/// epoch/time mark last set via [`FrameWriter::set_trace_mark`]: that one
+/// call feeds the trace and the registry's codec families.
+pub struct FrameWriter<W: Write> {
     inner: W,
     wire_buf: Vec<u8>,
     codec_scratch: Scratch,
-    sink: S,
+    trace: TraceHandle,
     trace_epoch: u64,
     trace_t: f64,
     /// When collecting (seekable mode), one entry per block written.
@@ -285,18 +283,11 @@ pub struct FrameWriter<W: Write, S: TraceSink = NullSink> {
 
 impl<W: Write> FrameWriter<W> {
     pub fn new(inner: W) -> Self {
-        FrameWriter::with_sink(inner, NullSink)
-    }
-}
-
-impl<W: Write, S: TraceSink> FrameWriter<W, S> {
-    /// A frame writer emitting one [`CodecEvent`] per block into `sink`.
-    pub fn with_sink(inner: W, sink: S) -> Self {
         FrameWriter {
             inner,
             wire_buf: Vec::new(),
             codec_scratch: Scratch::new(),
-            sink,
+            trace: TraceHandle::disabled(),
             trace_epoch: NO_EPOCH,
             trace_t: 0.0,
             index: None,
@@ -306,9 +297,9 @@ impl<W: Write, S: TraceSink> FrameWriter<W, S> {
         }
     }
 
-    /// Replaces the trace sink (same sink type), keeping stream state.
-    pub fn set_sink(&mut self, sink: S) {
-        self.sink = sink;
+    /// Attaches a trace handle, keeping stream state.
+    pub fn set_trace(&mut self, trace: TraceHandle) {
+        self.trace = trace;
     }
 
     /// Starts collecting one [`crate::seek::IndexEntry`] per block written,
@@ -367,9 +358,10 @@ impl<W: Write, S: TraceSink> FrameWriter<W, S> {
     pub fn write_block(&mut self, codec: &dyn Codec, data: &[u8]) -> io::Result<BlockInfo> {
         let mut frame = std::mem::take(&mut self.wire_buf);
         frame.clear();
-        // Timestamping is trace/metrics-only work; with `NullSink` and no
-        // registry installed this reduces to one relaxed load.
-        let timed = self.sink.enabled()
+        // Timestamping is trace/metrics-only work; with a disabled handle
+        // and no registry installed this is one `None` test and one
+        // relaxed load.
+        let timed = self.trace.enabled()
             || registry::global().is_some_and(MetricsRegistry::wall_spans);
         let start = timed.then(std::time::Instant::now);
         let info = encode_block_with(&mut self.codec_scratch, codec, data, &mut frame);
@@ -380,8 +372,8 @@ impl<W: Write, S: TraceSink> FrameWriter<W, S> {
     }
 
     /// Writes one encoded frame (from [`FrameWriter::write_block`] or from
-    /// a compress pool), updating the totals, the index and the registry
-    /// and emitting the block's [`CodecEvent`]. `requested` is the codec the
+    /// a compress pool), updating the totals and the index and observing
+    /// the block's [`CodecEvent`]. `requested` is the codec the
     /// caller asked for (the event's level name — `info.codec` may be `Raw`
     /// after fallback), `compress_ns` the caller-measured encode time.
     pub fn write_frame(
@@ -391,26 +383,15 @@ impl<W: Write, S: TraceSink> FrameWriter<W, S> {
         info: BlockInfo,
         compress_ns: u64,
     ) -> io::Result<()> {
-        if self.sink.enabled() {
-            self.sink.emit(&TraceEvent::Codec(CodecEvent {
-                epoch: self.trace_epoch,
-                t: self.trace_t,
-                level: requested.level_name(),
-                in_bytes: info.uncompressed_len as u64,
-                out_bytes: info.frame_len as u64,
-                compress_ns,
-                raw_fallback: info.raw_fallback,
-            }));
-        }
-        if let Some(m) = registry::global() {
-            m.span_ns(SpanKind::Compress, compress_ns);
-            m.counter_add(CounterKind::BlocksCompressed, 1);
-            m.counter_add(CounterKind::CodecInBytes, info.uncompressed_len as u64);
-            m.counter_add(CounterKind::CodecOutBytes, info.frame_len as u64);
-            if info.raw_fallback {
-                m.counter_add(CounterKind::RawFallbacks, 1);
-            }
-        }
+        self.trace.observe(TraceEvent::Codec(CodecEvent {
+            epoch: self.trace_epoch,
+            t: self.trace_t,
+            level: requested.level_name(),
+            in_bytes: info.uncompressed_len as u64,
+            out_bytes: info.frame_len as u64,
+            compress_ns,
+            raw_fallback: info.raw_fallback,
+        }));
         self.inner.write_all(frame)?;
         self.record_index_entry(frame, &info);
         self.app_bytes += info.uncompressed_len as u64;
@@ -879,15 +860,14 @@ mod tests {
 
     #[test]
     fn traced_writer_emits_one_codec_event_per_block() {
-        use adcomp_trace::{MemorySink, TraceEvent};
-        use std::sync::Arc;
-        let sink = Arc::new(MemorySink::new());
-        let mut w = FrameWriter::with_sink(Vec::new(), Arc::clone(&sink));
+        let trace = TraceHandle::collecting();
+        let mut w = FrameWriter::new(Vec::new());
+        w.set_trace(trace.clone());
         w.set_trace_mark(7, 14.5);
         let data = b"traced block data, repeated for compression. ".repeat(50);
         w.write_block(&QlzLightCodec, &data).unwrap();
         w.write_block(&RawCodec, &data).unwrap();
-        let events = sink.snapshot();
+        let events = trace.take();
         assert_eq!(events.len(), 2);
         let TraceEvent::Codec(first) = events[0] else { panic!("expected codec event") };
         assert_eq!(first.epoch, 7);

@@ -1,8 +1,8 @@
 //! Verifies the tracing layer's **zero-cost-when-disabled contract** at the
-//! allocator level: a [`FrameWriter`] carrying the default [`NullSink`] —
-//! and one carrying a *disabled* [`TraceHandle`] (the adaptive writer's
-//! configuration) — must perform **zero heap allocations** per block in
-//! steady state, exactly like the untraced scratch path.
+//! allocator level: a [`FrameWriter`] carrying a *disabled*
+//! [`TraceHandle`] (the default, and the adaptive writer's configuration)
+//! must perform **zero heap allocations** per block in steady state,
+//! exactly like the untraced scratch path.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc`. After a
 //! warm-up that grows scratch tables and the wire buffer to their
@@ -15,7 +15,7 @@
 use adcomp_codecs::frame::FrameWriter;
 use adcomp_codecs::{codec_for, CodecId};
 use adcomp_corpus::{generate, Class};
-use adcomp_trace::{NullSink, TraceHandle};
+use adcomp_trace::TraceHandle;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -47,10 +47,7 @@ const CODECS: [CodecId; 4] = [CodecId::QlzLight, CodecId::QlzMedium, CodecId::He
 
 /// Runs warm-up + steady-state rounds through `writer`, returning the
 /// number of heap allocations observed during steady state.
-fn steady_state_allocs<S: adcomp_trace::TraceSink>(
-    writer: &mut FrameWriter<std::io::Sink, S>,
-    blocks: &[Vec<u8>],
-) -> u64 {
+fn steady_state_allocs(writer: &mut FrameWriter<std::io::Sink>, blocks: &[Vec<u8>]) -> u64 {
     // Warm-up: two rounds over every (codec, class) pair grow every
     // scratch table and the wire buffer to their high-water marks.
     for _ in 0..2 {
@@ -81,24 +78,15 @@ fn disabled_tracing_adds_zero_allocations_to_frame_writer() {
         .map(|(i, class)| generate(class, BLOCK_LEN, 11 + i as u64))
         .collect();
 
-    // The statically-disabled default: trace branches are dead code.
-    let mut null_writer = FrameWriter::with_sink(std::io::sink(), NullSink);
-    let null_allocs = steady_state_allocs(&mut null_writer, &blocks);
-    assert_eq!(
-        null_allocs, 0,
-        "NullSink steady state performed {null_allocs} heap allocation(s)"
-    );
-    assert!(null_writer.blocks > 0 && null_writer.wire_bytes > 0);
-
-    // The runtime-disabled handle the adaptive writer carries: same
-    // contract, checked through the dynamic `enabled()` gate.
-    let mut handle_writer = FrameWriter::with_sink(std::io::sink(), TraceHandle::disabled());
+    // The disabled handle the adaptive writer carries: every block is
+    // observed, and with no registry installed that is one relaxed load
+    // and one `None` test.
+    let mut handle_writer = FrameWriter::new(std::io::sink());
+    handle_writer.set_trace(TraceHandle::disabled());
     let handle_allocs = steady_state_allocs(&mut handle_writer, &blocks);
     assert_eq!(
         handle_allocs, 0,
         "disabled TraceHandle steady state performed {handle_allocs} heap allocation(s)"
     );
-    // Both writers saw identical inputs and must produce identical wire
-    // byte counts — the disabled trace path may not perturb encoding.
-    assert_eq!(null_writer.wire_bytes, handle_writer.wire_bytes);
+    assert!(handle_writer.blocks > 0 && handle_writer.wire_bytes > 0);
 }

@@ -10,9 +10,7 @@
 use crate::controller::DecisionCase;
 use crate::model::{DecisionModel, EpochObservation, GuestMetrics};
 use adcomp_metrics::{RateMeter, TimeSeries};
-use adcomp_trace::{
-    DecisionEvent, EpochEvent, TraceHandle, TraceSink as _, MAX_LEVELS,
-};
+use adcomp_trace::{DecisionEvent, EpochEvent, TraceHandle, MAX_LEVELS};
 use std::time::Instant;
 
 /// A monotonically nondecreasing time source in seconds.
@@ -169,8 +167,9 @@ impl EpochDriver {
         }
     }
 
-    /// Attaches a trace sink; every completed epoch then emits an
-    /// [`EpochEvent`] followed by a [`DecisionEvent`].
+    /// Attaches a trace handle. Every completed epoch is observed as an
+    /// [`EpochEvent`] followed by a [`DecisionEvent`], collected or not;
+    /// those two calls also feed the registry's epoch families.
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
     }
@@ -260,7 +259,7 @@ impl EpochDriver {
         let decide_start = metrics
             .is_some_and(adcomp_metrics::MetricsRegistry::wall_spans)
             .then(std::time::Instant::now);
-        let decision = self.model.decide_detailed(&obs);
+        let decision = self.model.decide(&obs);
         if let (Some(m), Some(s)) = (metrics, decide_start) {
             m.span_ns(adcomp_metrics::SpanKind::EpochDecision, s.elapsed().as_nanos() as u64);
         }
@@ -285,24 +284,8 @@ impl EpochDriver {
             self.level = decision.level;
             self.level_trace.push(now, decision.level as f64);
         }
-        if self.trace.enabled() {
-            self.trace.emit(&step.epoch_event().into());
-            self.trace.emit(&step.decision_event().into());
-        }
-        if let Some(m) = metrics {
-            use adcomp_metrics::registry::{CounterKind, GaugeKind, HistKind, LabelFamily};
-            m.counter_add(CounterKind::Epochs, 1);
-            m.level_epoch(step.level);
-            if let Some(case) = step.case {
-                m.label_count(LabelFamily::DecisionCase, case.name(), 1);
-            }
-            if step.rate.is_finite() && step.rate >= 0.0 {
-                m.observe(HistKind::EpochRate, step.rate as u64);
-            }
-            // Last-write-wins: dropped by virtual-mode registries, where
-            // parallel sim cells would race on it.
-            m.gauge_set(GaugeKind::CurrentLevel, step.level as i64);
-        }
+        self.trace.observe(step.epoch_event().into());
+        self.trace.observe(step.decision_event().into());
         step
     }
 
@@ -397,15 +380,14 @@ mod tests {
 
     #[test]
     fn traced_driver_emits_epoch_then_decision_events() {
-        use adcomp_trace::{MemorySink, TraceEvent};
-        use std::sync::Arc;
+        use adcomp_trace::TraceEvent;
 
-        let sink = Arc::new(MemorySink::new());
+        let trace = TraceHandle::collecting();
         let mut d = EpochDriver::new(Box::new(RateBasedModel::paper_default()), 1.0, 0.0);
-        d.set_trace(TraceHandle::new(sink.clone()));
+        d.set_trace(trace.clone());
         d.record(1000, 1.5, &EpochContext::default());
         d.record(1000, 2.5, &EpochContext::default());
-        let events = sink.snapshot();
+        let events = trace.take();
         assert_eq!(events.len(), 4, "one epoch + one decision event per epoch");
         assert!(matches!(events[0], TraceEvent::Epoch(_)));
         assert!(matches!(events[1], TraceEvent::Decision(_)));

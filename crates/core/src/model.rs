@@ -97,17 +97,10 @@ pub trait DecisionModel: Send {
         0
     }
 
-    /// Returns the level to apply for the next epoch.
-    fn decide(&mut self, obs: &EpochObservation) -> usize;
-
-    /// Like [`DecisionModel::decide`], but also surfaces the decision
-    /// detail (case, pdr, backoff snapshot) instead of dropping it. The
-    /// default adapts `decide` for models without such state; rate-based
-    /// models override it. Callers wanting traces must use this entry
-    /// point — calling both methods would advance the model twice.
-    fn decide_detailed(&mut self, obs: &EpochObservation) -> ModelDecision {
-        ModelDecision::bare(self.decide(obs), obs.app_rate)
-    }
+    /// Decides the level to apply for the next epoch, with whatever detail
+    /// (case, pdr, backoff snapshot) the model keeps; models without
+    /// Algorithm-1 state return [`ModelDecision::bare`].
+    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision;
 
     /// Resets internal state for a fresh stream.
     fn reset(&mut self) {}
@@ -137,11 +130,7 @@ impl DecisionModel for RateBasedModel {
         self.ctl.config().num_levels
     }
 
-    fn decide(&mut self, obs: &EpochObservation) -> usize {
-        self.decide_detailed(obs).level
-    }
-
-    fn decide_detailed(&mut self, obs: &EpochObservation) -> ModelDecision {
+    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision {
         let d = self.ctl.observe(obs.app_rate);
         ModelDecision::from_controller(d, &self.ctl)
     }
@@ -193,11 +182,7 @@ impl DecisionModel for EntropyGuidedModel {
         self.ctl.config().num_levels
     }
 
-    fn decide(&mut self, obs: &EpochObservation) -> usize {
-        self.decide_detailed(obs).level
-    }
-
-    fn decide_detailed(&mut self, obs: &EpochObservation) -> ModelDecision {
+    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision {
         if let Some(h) = obs.data_entropy {
             if let Some(prev) = self.last_entropy {
                 if (h - prev).abs() > self.entropy_threshold {
@@ -248,8 +233,8 @@ impl DecisionModel for StaticModel {
         self.level
     }
 
-    fn decide(&mut self, _obs: &EpochObservation) -> usize {
-        self.level
+    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision {
+        ModelDecision::bare(self.level, obs.app_rate)
     }
 }
 
@@ -284,7 +269,7 @@ impl DecisionModel for QueueBasedModel {
         self.num_levels
     }
 
-    fn decide(&mut self, obs: &EpochObservation) -> usize {
+    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision {
         if let Some(prev) = self.prev_depth {
             let depth = obs.queue_depth;
             if depth > prev + self.hysteresis || depth == obs.queue_capacity.max(1) {
@@ -296,7 +281,7 @@ impl DecisionModel for QueueBasedModel {
             }
         }
         self.prev_depth = Some(obs.queue_depth);
-        self.level
+        ModelDecision::bare(self.level, obs.app_rate)
     }
 
     fn reset(&mut self) {
@@ -356,22 +341,21 @@ impl DecisionModel for MetricBasedModel {
         self.trained.len()
     }
 
-    fn decide(&mut self, obs: &EpochObservation) -> usize {
-        let Some(guest) = obs.guest else {
-            // No metrics displayed at all: keep the current level.
-            return self.level;
-        };
-        let mut best = 0usize;
-        let mut best_rate = f64::NEG_INFINITY;
-        for l in 0..self.trained.len() {
-            let r = self.predict(l, &guest);
-            if r > best_rate {
-                best_rate = r;
-                best = l;
+    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision {
+        // No metrics displayed at all: keep the current level.
+        if let Some(guest) = obs.guest {
+            let mut best = 0usize;
+            let mut best_rate = f64::NEG_INFINITY;
+            for l in 0..self.trained.len() {
+                let r = self.predict(l, &guest);
+                if r > best_rate {
+                    best_rate = r;
+                    best = l;
+                }
             }
+            self.level = best;
         }
-        self.level = best;
-        best
+        ModelDecision::bare(self.level, obs.app_rate)
     }
 
     fn reset(&mut self) {
@@ -423,22 +407,21 @@ impl DecisionModel for SensorThresholdModel {
         self.num_levels
     }
 
-    fn decide(&mut self, obs: &EpochObservation) -> usize {
-        let Some(guest) = obs.guest else {
-            return self.level;
-        };
-        if guest.cpu_idle_frac < self.load_veto_idle {
-            self.level = 0;
-            return 0;
-        }
-        let mut level = 0usize;
-        for (i, &t) in self.bw_thresholds.iter().enumerate() {
-            if guest.net_bandwidth < t {
-                level = i + 1;
+    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision {
+        if let Some(guest) = obs.guest {
+            if guest.cpu_idle_frac < self.load_veto_idle {
+                self.level = 0;
+            } else {
+                let mut level = 0usize;
+                for (i, &t) in self.bw_thresholds.iter().enumerate() {
+                    if guest.net_bandwidth < t {
+                        level = i + 1;
+                    }
+                }
+                self.level = level.min(self.num_levels - 1);
             }
         }
-        self.level = level.min(self.num_levels - 1);
-        self.level
+        ModelDecision::bare(self.level, obs.app_rate)
     }
 
     fn reset(&mut self) {
@@ -488,7 +471,7 @@ impl DecisionModel for ThresholdSamplingModel {
         self.num_levels
     }
 
-    fn decide(&mut self, obs: &EpochObservation) -> usize {
+    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision {
         match self.state {
             SamplingState::Sampling(i) => {
                 self.sampled_rates[i] = obs.app_rate;
@@ -518,7 +501,7 @@ impl DecisionModel for ThresholdSamplingModel {
                 }
             }
         }
-        self.level
+        ModelDecision::bare(self.level, obs.app_rate)
     }
 
     fn reset(&mut self) {
@@ -550,7 +533,7 @@ mod tests {
         let mut m = StaticModel::new(2, 4);
         assert_eq!(m.name(), "MEDIUM");
         for r in [10.0, 1000.0, 0.0] {
-            assert_eq!(m.decide(&obs(r)), 2);
+            assert_eq!(m.decide(&obs(r)).level, 2);
         }
     }
 
@@ -565,7 +548,7 @@ mod tests {
     fn rate_based_delegates_to_controller() {
         let mut m = RateBasedModel::paper_default();
         assert_eq!(m.name(), "DYNAMIC");
-        let l = m.decide(&obs(100.0));
+        let l = m.decide(&obs(100.0)).level;
         assert_eq!(l, 1, "first epoch probes up, like the raw controller");
     }
 
@@ -575,11 +558,11 @@ mod tests {
         let mut o = obs(100.0);
         o.queue_capacity = 16;
         o.queue_depth = 2;
-        assert_eq!(m.decide(&o), 0, "first call only records state");
+        assert_eq!(m.decide(&o).level, 0, "first call only records state");
         o.queue_depth = 8;
-        assert_eq!(m.decide(&o), 1);
+        assert_eq!(m.decide(&o).level, 1);
         o.queue_depth = 14;
-        assert_eq!(m.decide(&o), 2);
+        assert_eq!(m.decide(&o).level, 2);
     }
 
     #[test]
@@ -588,13 +571,13 @@ mod tests {
         let mut o = obs(100.0);
         o.queue_capacity = 16;
         o.queue_depth = 10;
-        m.decide(&o);
+        let _ = m.decide(&o);
         o.queue_depth = 12;
-        m.decide(&o); // -> 1
+        let _ = m.decide(&o); // -> 1
         o.queue_depth = 3;
-        assert_eq!(m.decide(&o), 0);
+        assert_eq!(m.decide(&o).level, 0);
         o.queue_depth = 0;
-        assert_eq!(m.decide(&o), 0, "saturates at zero");
+        assert_eq!(m.decide(&o).level, 0, "saturates at zero");
     }
 
     #[test]
@@ -604,11 +587,11 @@ mod tests {
         let mut o = obs(100.0);
         o.queue_capacity = 16;
         o.queue_depth = 8;
-        m.decide(&o);
+        let _ = m.decide(&o);
         o.queue_depth = 9; // within hysteresis
-        assert_eq!(m.decide(&o), 0);
+        assert_eq!(m.decide(&o).level, 0);
         o.queue_depth = 7; // within hysteresis
-        assert_eq!(m.decide(&o), 0);
+        assert_eq!(m.decide(&o).level, 0);
     }
 
     #[test]
@@ -625,7 +608,7 @@ mod tests {
         // min(200, 100) = 100 beats raw (50) and level 2 (min(60,125)=60).
         let mut o = obs(0.0);
         o.guest = Some(GuestMetrics { cpu_idle_frac: 1.0, net_bandwidth: 50e6 });
-        assert_eq!(m.decide(&o), 1);
+        assert_eq!(m.decide(&o).level, 1);
     }
 
     #[test]
@@ -642,7 +625,7 @@ mod tests {
         // LIGHT would roughly double goodput.
         let mut o = obs(0.0);
         o.guest = Some(GuestMetrics { cpu_idle_frac: 0.95, net_bandwidth: 800e6 });
-        assert_eq!(m.decide(&o), 0, "distorted metrics keep it uncompressed");
+        assert_eq!(m.decide(&o).level, 0, "distorted metrics keep it uncompressed");
     }
 
     #[test]
@@ -654,25 +637,25 @@ mod tests {
         let mut m = MetricBasedModel::new(trained);
         let mut o = obs(0.0);
         o.guest = Some(GuestMetrics { cpu_idle_frac: 1.0, net_bandwidth: 10e6 });
-        let l = m.decide(&o);
+        let l = m.decide(&o).level;
         let o2 = obs(0.0);
-        assert_eq!(m.decide(&o2), l);
+        assert_eq!(m.decide(&o2).level, l);
     }
 
     #[test]
     fn sampling_model_cycles_then_commits() {
         let mut m = ThresholdSamplingModel::new(3, 5);
         // Sampling phase: level sequence 0 -> 1 -> 2 while recording rates.
-        assert_eq!(m.decide(&obs(50.0)), 1); // sampled level 0 at 50
-        assert_eq!(m.decide(&obs(90.0)), 2); // sampled level 1 at 90
-        let committed = m.decide(&obs(60.0)); // sampled level 2 at 60 -> commit
+        assert_eq!(m.decide(&obs(50.0)).level, 1); // sampled level 0 at 50
+        assert_eq!(m.decide(&obs(90.0)).level, 2); // sampled level 1 at 90
+        let committed = m.decide(&obs(60.0)).level; // sampled level 2 at 60 -> commit
         assert_eq!(committed, 1, "level 1 had the best sampled rate");
         // Holds for hold_epochs.
         for _ in 0..5 {
-            assert_eq!(m.decide(&obs(90.0)), 1);
+            assert_eq!(m.decide(&obs(90.0)).level, 1);
         }
         // Then resamples from level 0.
-        assert_eq!(m.decide(&obs(90.0)), 0);
+        assert_eq!(m.decide(&obs(90.0)).level, 0);
     }
 
     #[test]
@@ -682,7 +665,7 @@ mod tests {
         for rate in [100.0, 180.0, 180.0, 150.0, 200.0, 200.0, 90.0] {
             let mut o = obs(rate);
             o.data_entropy = Some(2.0);
-            assert_eq!(a.decide(&obs(rate)), b.decide(&o));
+            assert_eq!(a.decide(&obs(rate)).level, b.decide(&o).level);
         }
     }
 
@@ -704,7 +687,7 @@ mod tests {
             for _ in 0..150 {
                 let mut o = obs(low_rates[level]);
                 o.data_entropy = Some(7.9);
-                level = if guided { ent.decide(&o) } else { plain.decide(&o) };
+                level = if guided { ent.decide(&o).level } else { plain.decide(&o).level };
             }
             assert_eq!(level, 0, "phase 1 must settle at level 0");
             // Phase 2 (HIGH data): entropy drops; level-0 rate is identical,
@@ -714,7 +697,7 @@ mod tests {
             for epoch in 0..300 {
                 let mut o = obs(high_rates[level]);
                 o.data_entropy = Some(1.4);
-                let new = if guided { ent.decide(&o) } else { plain.decide(&o) };
+                let new = if guided { ent.decide(&o).level } else { plain.decide(&o).level };
                 if new != 0 {
                     return epoch;
                 }
@@ -737,13 +720,13 @@ mod tests {
         let mut m = SensorThresholdModel::paper_scale();
         let mut o = obs(0.0);
         o.guest = Some(GuestMetrics { cpu_idle_frac: 0.9, net_bandwidth: 100e6 });
-        assert_eq!(m.decide(&o), 0, "plentiful bandwidth: no compression");
+        assert_eq!(m.decide(&o).level, 0, "plentiful bandwidth: no compression");
         o.guest = Some(GuestMetrics { cpu_idle_frac: 0.9, net_bandwidth: 60e6 });
-        assert_eq!(m.decide(&o), 1);
+        assert_eq!(m.decide(&o).level, 1);
         o.guest = Some(GuestMetrics { cpu_idle_frac: 0.9, net_bandwidth: 20e6 });
-        assert_eq!(m.decide(&o), 2);
+        assert_eq!(m.decide(&o).level, 2);
         o.guest = Some(GuestMetrics { cpu_idle_frac: 0.9, net_bandwidth: 5e6 });
-        assert_eq!(m.decide(&o), 3);
+        assert_eq!(m.decide(&o).level, 3);
     }
 
     #[test]
@@ -751,7 +734,7 @@ mod tests {
         let mut m = SensorThresholdModel::paper_scale();
         let mut o = obs(0.0);
         o.guest = Some(GuestMetrics { cpu_idle_frac: 0.05, net_bandwidth: 5e6 });
-        assert_eq!(m.decide(&o), 0, "high displayed load vetoes compression");
+        assert_eq!(m.decide(&o).level, 0, "high displayed load vetoes compression");
     }
 
     #[test]
@@ -762,7 +745,7 @@ mod tests {
         let mut m = SensorThresholdModel::paper_scale();
         let mut o = obs(0.0);
         o.guest = Some(GuestMetrics { cpu_idle_frac: 0.95, net_bandwidth: 100e6 });
-        assert_eq!(m.decide(&o), 0);
+        assert_eq!(m.decide(&o).level, 0);
     }
 
     #[test]
@@ -774,13 +757,13 @@ mod tests {
     #[test]
     fn decide_detailed_surfaces_algorithm_state() {
         let mut m = RateBasedModel::paper_default();
-        let d = m.decide_detailed(&obs(100.0));
+        let d = m.decide(&obs(100.0));
         assert_eq!(d.level, 1);
         assert_eq!(d.case, Some(DecisionCase::Seed));
         assert_eq!(d.pdr, None);
         let bck = d.backoffs.expect("rate model snapshots backoffs");
         assert_eq!(&bck[..4], &[0, 0, 0, 0]);
-        let d2 = m.decide_detailed(&obs(220.0));
+        let d2 = m.decide(&obs(220.0));
         assert_eq!(d2.case, Some(DecisionCase::Improved));
         assert_eq!(d2.pdr, Some(100.0));
         assert_eq!(d2.backoffs.unwrap()[1], 1, "reward went to level 1");
@@ -789,20 +772,11 @@ mod tests {
     #[test]
     fn decide_detailed_default_is_bare_for_simple_models() {
         let mut s = StaticModel::new(2, 4);
-        let d = s.decide_detailed(&obs(50.0));
+        let d = s.decide(&obs(50.0));
         assert_eq!(d.level, 2);
         assert_eq!(d.case, None);
         assert_eq!(d.cdr, 50.0);
         assert_eq!(d.backoffs, None);
-    }
-
-    #[test]
-    fn decide_and_decide_detailed_agree_on_rate_model() {
-        let mut a = RateBasedModel::paper_default();
-        let mut b = RateBasedModel::paper_default();
-        for rate in [100.0, 180.0, 180.0, 150.0, 60.0, 200.0] {
-            assert_eq!(a.decide(&obs(rate)), b.decide_detailed(&obs(rate)).level);
-        }
     }
 
     #[test]
@@ -811,16 +785,16 @@ mod tests {
         let mut o = obs(1.0);
         o.queue_capacity = 8;
         o.queue_depth = 1;
-        q.decide(&o);
+        let _ = q.decide(&o);
         o.queue_depth = 6;
-        q.decide(&o);
+        let _ = q.decide(&o);
         q.reset();
         o.queue_depth = 0;
-        assert_eq!(q.decide(&o), 0);
+        assert_eq!(q.decide(&o).level, 0);
 
         let mut s = ThresholdSamplingModel::new(3, 2);
-        s.decide(&obs(1.0));
+        let _ = s.decide(&obs(1.0));
         s.reset();
-        assert_eq!(s.decide(&obs(1.0)), 1, "restarts sampling cycle");
+        assert_eq!(s.decide(&obs(1.0)).level, 1, "restarts sampling cycle");
     }
 }

@@ -54,7 +54,7 @@
 use adcomp_codecs::frame::{encode_block_with, BlockInfo};
 use adcomp_codecs::{codec_for, CodecError, CodecId, DecodeScratch, Scratch};
 use adcomp_metrics::registry::{self, CounterKind, GaugeKind, HistKind, SpanKind};
-use adcomp_trace::{PipelineEvent, TraceEvent, TraceHandle, TraceSink as _, NO_EPOCH};
+use adcomp_trace::{PipelineEvent, TraceEvent, TraceHandle, NO_EPOCH};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -406,7 +406,7 @@ impl CompressPool {
         }
     }
 
-    /// Attaches a trace sink receiving one `PipelineEvent` per
+    /// Attaches a trace handle collecting one `PipelineEvent` per
     /// submit/stall/drain (thread lanes only).
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.trace = trace;
@@ -423,7 +423,7 @@ impl CompressPool {
         self.core.nworkers
     }
 
-    /// Rebuilds the pool with `workers` threads, keeping the trace sink.
+    /// Rebuilds the pool with `workers` threads, keeping the trace handle.
     /// Only before the first block: a pool swapped out with blocks in
     /// flight would drop them silently, so that is refused loudly.
     pub fn set_workers(&mut self, workers: usize) {
@@ -453,7 +453,7 @@ impl CompressPool {
     /// The inline lane has no queue to report on, so it emits nothing.
     fn emit_event(&self, kind: &'static str, seq: u64) {
         if self.core.threaded() && self.trace.enabled() {
-            self.trace.emit(&TraceEvent::Pipeline(PipelineEvent {
+            self.trace.observe(TraceEvent::Pipeline(PipelineEvent {
                 epoch: self.trace_epoch,
                 t: self.trace_t,
                 kind,

@@ -32,7 +32,7 @@ use crate::pipeline::{Completion, CompressPool, DecodePool, Decoded};
 use adcomp_codecs::frame::{FrameReader, FrameWriter, RecoveryStats, DEFAULT_BLOCK_LEN, HEADER_LEN};
 use adcomp_codecs::{CodecId, LevelSet};
 use adcomp_metrics::registry;
-use adcomp_trace::{FaultEvent, TraceEvent, TraceHandle, TraceSink as _};
+use adcomp_trace::{FaultEvent, TraceEvent, TraceHandle};
 use std::io::{self, Read, Write};
 
 /// Aggregate statistics of an adaptive stream, for reporting.
@@ -74,7 +74,7 @@ impl StreamStats {
 
 /// Adaptive compressing writer.
 pub struct AdaptiveWriter<W: Write> {
-    frames: FrameWriter<W, TraceHandle>,
+    frames: FrameWriter<W>,
     levels: LevelSet,
     driver: EpochDriver,
     clock: Box<dyn Clock>,
@@ -120,7 +120,7 @@ impl<W: Write> AdaptiveWriter<W> {
         let now = clock.now();
         let nlevels = levels.len();
         AdaptiveWriter {
-            frames: FrameWriter::with_sink(inner, TraceHandle::disabled()),
+            frames: FrameWriter::new(inner),
             levels,
             driver: EpochDriver::new(model, epoch_secs, now),
             clock,
@@ -188,13 +188,14 @@ impl<W: Write> AdaptiveWriter<W> {
         }
     }
 
-    /// Attaches a trace sink: the epoch driver emits epoch/decision events
-    /// and the frame writer emits per-block codec events tagged with the
-    /// epoch in force when the block was compressed.
+    /// Attaches a trace handle: it collects the epoch driver's
+    /// epoch/decision events and the frame writer's per-block codec
+    /// events, tagged with the epoch in force when the block was
+    /// compressed.
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.driver.set_trace(trace.clone());
         self.pool.set_trace(trace.clone());
-        self.frames.set_sink(trace);
+        self.frames.set_trace(trace);
     }
 
     /// Currently applied compression level.
@@ -284,7 +285,7 @@ impl<W: Write> AdaptiveWriter<W> {
         if c.degraded {
             self.degraded_blocks += 1;
             if traced {
-                self.driver.trace().emit(&TraceEvent::Fault(FaultEvent {
+                self.driver.trace().observe(TraceEvent::Fault(FaultEvent {
                     epoch: self.driver.epochs(),
                     t: now,
                     kind: "degrade",
@@ -670,10 +671,9 @@ mod tests {
 
     #[test]
     fn traced_stream_emits_codec_and_decision_events() {
-        use adcomp_trace::{MemorySink, TraceEvent, TraceHandle};
-        use std::sync::Arc;
+        use adcomp_trace::{TraceEvent, TraceHandle};
 
-        let sink = Arc::new(MemorySink::new());
+        let trace = TraceHandle::collecting();
         let clock = ManualClock::new();
         let mut w = AdaptiveWriter::with_params(
             Vec::new(),
@@ -683,7 +683,7 @@ mod tests {
             0.05,
             Box::new(clock.clone()),
         );
-        w.set_trace(TraceHandle::new(sink.clone()));
+        w.set_trace(trace.clone());
         assert_eq!(w.pipeline_workers(), 1);
         let data = b"traced stream payload with repetition repetition ".repeat(400);
         for (i, chunk) in data.chunks(1024).enumerate() {
@@ -692,7 +692,7 @@ mod tests {
         }
         let (wire, stats) = w.finish().unwrap();
         assert!(stats.epochs > 2);
-        let events = sink.snapshot();
+        let events = trace.take();
         let codecs = events
             .iter()
             .filter(|e| matches!(e, TraceEvent::Codec(_)))
@@ -1196,10 +1196,9 @@ mod tests {
 
     #[test]
     fn pipelined_traced_stream_emits_pipeline_events() {
-        use adcomp_trace::{MemorySink, TraceEvent, TraceHandle};
-        use std::sync::Arc;
+        use adcomp_trace::{TraceEvent, TraceHandle};
 
-        let sink = Arc::new(MemorySink::new());
+        let trace = TraceHandle::collecting();
         let mut w = AdaptiveWriter::with_params(
             Vec::new(),
             levels(),
@@ -1208,12 +1207,12 @@ mod tests {
             1.0,
             Box::new(ManualClock::new()),
         );
-        w.set_trace(TraceHandle::new(sink.clone()));
+        w.set_trace(trace.clone());
         w.set_pipeline_workers(2);
         let data = b"traced pipelined payload with repetition repetition ".repeat(600);
         w.write_all(&data).unwrap();
         let (wire, stats) = w.finish().unwrap();
-        let events = sink.snapshot();
+        let events = trace.take();
         let submits = events
             .iter()
             .filter(|e| matches!(e, TraceEvent::Pipeline(p) if p.kind == "submit"))

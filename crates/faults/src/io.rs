@@ -4,47 +4,26 @@
 //! (each `write` call is treated as one frame, which is exactly how
 //! `FrameWriter`/`BlockTransport` emit).
 //!
-//! Injection events are mirrored into an optional trace sink as
-//! [`FaultEvent`]s (`inject_flip` / `inject_drop` / `inject_cut`), so a
-//! trace shows cause and response interleaved.
+//! What was injected is counted in [`InjectStats`]; the adapter emits no
+//! trace events.
 
 use crate::plan::{FaultAction, FaultPlan, InjectStats};
-use adcomp_trace::{FaultEvent, NullSink, TraceEvent, TraceSink, NO_EPOCH};
 use std::io::{self, Write};
-
-fn emit<S: TraceSink>(sink: &S, kind: &'static str, bytes: u64, attempt: u64) {
-    if sink.enabled() {
-        sink.emit(&TraceEvent::Fault(FaultEvent {
-            epoch: NO_EPOCH,
-            t: 0.0,
-            kind,
-            bytes,
-            attempt,
-        }));
-    }
-}
 
 /// Frame-granular corrupting writer: every `write` call is one frame and
 /// may be passed through, bit-flipped, dropped, or cut short. The caller
 /// always observes full acceptance (`Ok(buf.len())`), as a faulty network
 /// would — the damage is only visible at the receiver.
-pub struct CorruptingWriter<W: Write, S: TraceSink = NullSink> {
+pub struct CorruptingWriter<W: Write> {
     inner: W,
     plan: FaultPlan,
-    sink: S,
     scratch: Vec<u8>,
     stats: InjectStats,
 }
 
 impl<W: Write> CorruptingWriter<W> {
     pub fn new(inner: W, plan: FaultPlan) -> Self {
-        CorruptingWriter::with_sink(inner, plan, NullSink)
-    }
-}
-
-impl<W: Write, S: TraceSink> CorruptingWriter<W, S> {
-    pub fn with_sink(inner: W, plan: FaultPlan, sink: S) -> Self {
-        CorruptingWriter { inner, plan, sink, scratch: Vec::new(), stats: InjectStats::default() }
+        CorruptingWriter { inner, plan, scratch: Vec::new(), stats: InjectStats::default() }
     }
 
     pub fn stats(&self) -> InjectStats {
@@ -56,7 +35,7 @@ impl<W: Write, S: TraceSink> CorruptingWriter<W, S> {
     }
 }
 
-impl<W: Write, S: TraceSink> Write for CorruptingWriter<W, S> {
+impl<W: Write> Write for CorruptingWriter<W> {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.stats.frames += 1;
         self.stats.bytes_in += buf.len() as u64;
@@ -73,18 +52,15 @@ impl<W: Write, S: TraceSink> Write for CorruptingWriter<W, S> {
                 self.inner.write_all(&self.scratch)?;
                 self.stats.flips += 1;
                 self.stats.bytes_out += buf.len() as u64;
-                emit(&self.sink, "inject_flip", buf.len() as u64, idx as u64);
             }
             FaultAction::Drop => {
                 self.stats.drops += 1;
-                emit(&self.sink, "inject_drop", buf.len() as u64, self.stats.frames);
             }
             FaultAction::Cut { keep_permille } => {
                 let keep = (buf.len() as u64 * keep_permille as u64 / 1000) as usize;
                 self.inner.write_all(&buf[..keep])?;
                 self.stats.cuts += 1;
                 self.stats.bytes_out += keep as u64;
-                emit(&self.sink, "inject_cut", (buf.len() - keep) as u64, keep as u64);
             }
         }
         Ok(buf.len())

@@ -4,8 +4,9 @@
 //! adaptive-compression workspace: it produces *reproducible* hostility.
 //! A [`FaultSpec`] `(seed, rate)` pins a complete schedule of bit flips,
 //! frame drops and mid-frame cuts; the adapters in
-//! [`io`] and [`transport`] apply that schedule to any `Read`/`Write`
-//! pair or nephele [`BlockTransport`](adcomp_nephele::channel::BlockTransport);
+//! [`io`] and [`transport`] apply that schedule to any `Write` or nephele
+//! [`BlockTransport`](adcomp_nephele::channel::BlockTransport), counting
+//! what they did in [`InjectStats`] (they emit no trace events);
 //! and the [`soak`] engine drives whole encode → corrupt → recover → verify
 //! round trips, asserting that the stack either reads to the end, every
 //! item it hands back byte-identical, or stops at a typed error — never a

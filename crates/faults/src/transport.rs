@@ -5,12 +5,12 @@
 //! but at the granularity the record layer actually ships: one `send` is
 //! one self-describing frame. This is the adapter the chaos soak uses to
 //! attack a whole `RecordWriter → transport → RecordReader` channel
-//! without either endpoint knowing.
+//! without either endpoint knowing. What was injected is counted in
+//! [`InjectStats`]; the adapter emits no trace events.
 
 use crate::plan::{FaultAction, FaultPlan, InjectStats};
 use adcomp_nephele::channel::BlockTransport;
 use adcomp_nephele::error::Result;
-use adcomp_trace::{FaultEvent, NullSink, TraceEvent, TraceSink, NO_EPOCH};
 use std::sync::{Arc, Mutex};
 
 /// A [`BlockTransport`] decorator that deterministically corrupts, drops
@@ -21,26 +21,18 @@ use std::sync::{Arc, Mutex};
 /// typically swallowed by a `Box<dyn BlockTransport>` (e.g. handed to a
 /// `RecordWriter`), yet the harness still needs to know what was done to
 /// the stream afterwards.
-pub struct FaultingTransport<T: BlockTransport, S: TraceSink + Send = NullSink> {
+pub struct FaultingTransport<T: BlockTransport> {
     inner: T,
     plan: FaultPlan,
-    sink: S,
     scratch: Vec<u8>,
     stats: Arc<Mutex<InjectStats>>,
 }
 
 impl<T: BlockTransport> FaultingTransport<T> {
     pub fn new(inner: T, plan: FaultPlan) -> Self {
-        FaultingTransport::with_sink(inner, plan, NullSink)
-    }
-}
-
-impl<T: BlockTransport, S: TraceSink + Send> FaultingTransport<T, S> {
-    pub fn with_sink(inner: T, plan: FaultPlan, sink: S) -> Self {
         FaultingTransport {
             inner,
             plan,
-            sink,
             scratch: Vec::new(),
             stats: Arc::new(Mutex::new(InjectStats::default())),
         }
@@ -60,21 +52,9 @@ impl<T: BlockTransport, S: TraceSink + Send> FaultingTransport<T, S> {
     pub fn into_inner(self) -> T {
         self.inner
     }
-
-    fn emit(&self, kind: &'static str, bytes: u64, attempt: u64) {
-        if self.sink.enabled() {
-            self.sink.emit(&TraceEvent::Fault(FaultEvent {
-                epoch: NO_EPOCH,
-                t: 0.0,
-                kind,
-                bytes,
-                attempt,
-            }));
-        }
-    }
 }
 
-impl<T: BlockTransport, S: TraceSink + Send> BlockTransport for FaultingTransport<T, S> {
+impl<T: BlockTransport> BlockTransport for FaultingTransport<T> {
     fn send(&mut self, frame: &[u8]) -> Result<()> {
         let mut stats = *self.stats.lock().unwrap();
         stats.frames += 1;
@@ -92,18 +72,15 @@ impl<T: BlockTransport, S: TraceSink + Send> BlockTransport for FaultingTranspor
                 self.inner.send(&self.scratch)?;
                 stats.flips += 1;
                 stats.bytes_out += frame.len() as u64;
-                self.emit("inject_flip", frame.len() as u64, idx as u64);
             }
             FaultAction::Drop => {
                 stats.drops += 1;
-                self.emit("inject_drop", frame.len() as u64, stats.frames);
             }
             FaultAction::Cut { keep_permille } => {
                 let keep = (frame.len() as u64 * keep_permille as u64 / 1000) as usize;
                 self.inner.send(&frame[..keep])?;
                 stats.cuts += 1;
                 stats.bytes_out += keep as u64;
-                self.emit("inject_cut", (frame.len() - keep) as u64, keep as u64);
             }
         }
         *self.stats.lock().unwrap() = stats;

@@ -238,8 +238,8 @@ impl RecordWriter {
         self.block_len = len;
     }
 
-    /// Attaches a trace sink to the stream: epoch/decision events and one
-    /// codec event per block.
+    /// Attaches a trace handle to the stream: epoch/decision events and
+    /// one codec event per block.
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.stream.set_trace(trace);
     }
@@ -634,9 +634,9 @@ mod tests {
 
     #[test]
     fn traced_channel_emits_block_flush_and_stall_events() {
-        use adcomp_trace::{MemorySink, TraceEvent};
+        use adcomp_trace::TraceEvent;
 
-        let sink = Arc::new(MemorySink::new());
+        let trace = TraceHandle::collecting();
         let (tx, rx) = mem_pair(1024);
         let mut w = RecordWriter::new(
             Box::new(tx),
@@ -644,7 +644,7 @@ mod tests {
             LevelSet::paper_default(),
             2.0,
         );
-        w.set_trace(TraceHandle::new(sink.clone()));
+        w.set_trace(trace.clone());
         let records: Vec<Vec<u8>> = (0..200)
             .map(|_| b"channel trace payload, repetitive. ".repeat(40).to_vec())
             .collect();
@@ -656,8 +656,8 @@ mod tests {
 
         // Channel blocks are traced where every stream's are: one codec
         // event per block, from the writer's stream.
-        let codec: Vec<_> = sink
-            .snapshot()
+        let codec: Vec<_> = trace
+            .take()
             .into_iter()
             .filter_map(|e| match e {
                 TraceEvent::Codec(c) => Some(c),

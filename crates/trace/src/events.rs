@@ -1,11 +1,11 @@
 //! Typed trace events — the event taxonomy of the observability layer.
 //!
 //! Every event is `Copy` (fixed-size, `&'static str` names, no heap) so
-//! that emitting one through a sink never allocates and sinks can store
+//! that building one never allocates and a collecting handle stores
 //! events by value. All events carry:
 //!
 //! * `epoch` — the controller epoch the event belongs to (epoch-tagged
-//!   sink contract; `u64::MAX` means "outside any epoch");
+//!   contract; `u64::MAX` means "outside any epoch");
 //! * `t` — seconds. Virtual time in the simulators, wall-clock seconds
 //!   since stream start elsewhere. Never a raw system timestamp, so traces
 //!   of deterministic runs are bit-identical.
@@ -26,7 +26,7 @@ pub const NO_EPOCH: u64 = u64::MAX;
 /// One Algorithm-1 decision: what the controller observed and which branch
 /// it took. Emitted once per epoch by rate-based models.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[must_use = "trace events do nothing unless emitted to a sink"]
+#[must_use = "trace events do nothing unless observed"]
 pub struct DecisionEvent {
     /// Epoch index (0-based) that just closed.
     pub epoch: u64,
@@ -53,7 +53,7 @@ pub struct DecisionEvent {
 
 /// One epoch boundary: the rate meter's aggregate for the epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[must_use = "trace events do nothing unless emitted to a sink"]
+#[must_use = "trace events do nothing unless observed"]
 pub struct EpochEvent {
     pub epoch: u64,
     /// Time at the epoch boundary (seconds).
@@ -70,7 +70,7 @@ pub struct EpochEvent {
 
 /// One block-frame encode on the wire path.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[must_use = "trace events do nothing unless emitted to a sink"]
+#[must_use = "trace events do nothing unless observed"]
 pub struct CodecEvent {
     pub epoch: u64,
     pub t: f64,
@@ -89,7 +89,7 @@ pub struct CodecEvent {
 /// One simulator event: link arbitration, flow lifecycle, bandwidth
 /// fluctuation. Emitted in virtual time only.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[must_use = "trace events do nothing unless emitted to a sink"]
+#[must_use = "trace events do nothing unless observed"]
 pub struct SimEvent {
     pub epoch: u64,
     /// Virtual time (seconds).
@@ -114,17 +114,15 @@ impl SimEvent {
 /// One fault incident on the transport path.
 ///
 /// Emitted by the adaptive writer when a codec failure degrades a block to
-/// RAW. The fault-injection layer (`adcomp-faults`) emits the injection
-/// side with the same event kind, so a trace shows cause and response
-/// interleaved. (Readers fail fast and count their incidents in the
-/// registry's fault-kind family.)
+/// RAW. (The fault injectors of `adcomp-faults` count what they do in
+/// their own stats and emit nothing; readers fail fast and count their
+/// incidents in the registry's fault-kind family.)
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[must_use = "trace events do nothing unless emitted to a sink"]
+#[must_use = "trace events do nothing unless observed"]
 pub struct FaultEvent {
     pub epoch: u64,
     pub t: f64,
-    /// What happened: `"degrade"`, `"inject_flip"`, `"inject_drop"`,
-    /// `"inject_cut"`.
+    /// What happened: `"degrade"`.
     pub kind: &'static str,
     /// Bytes involved (degraded, lost — kind-dependent; 0 if n/a).
     pub bytes: u64,
@@ -140,7 +138,7 @@ pub struct FaultEvent {
 /// these on the worker threads themselves — only the caller thread does —
 /// so event order in a trace is the submission/drain order.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[must_use = "trace events do nothing unless emitted to a sink"]
+#[must_use = "trace events do nothing unless observed"]
 pub struct PipelineEvent {
     pub epoch: u64,
     pub t: f64,
@@ -159,9 +157,9 @@ pub struct PipelineEvent {
     pub workers: u32,
 }
 
-/// The sum type every sink consumes.
+/// The sum type a [`crate::TraceHandle`] observes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[must_use = "trace events do nothing unless emitted to a sink"]
+#[must_use = "trace events do nothing unless observed"]
 pub enum TraceEvent {
     Decision(DecisionEvent),
     Epoch(EpochEvent),

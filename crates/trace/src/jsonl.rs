@@ -1,8 +1,8 @@
 //! JSONL (one JSON object per line) trace writer.
 //!
 //! [`JsonlWriter`] is the serializer over any `io::Write`. Nothing emits
-//! live: traced runs collect per-cell
-//! [`MemorySink`](crate::sink::MemorySink)s and serialize them in cell
+//! live: traced runs collect into per-cell collecting
+//! [`TraceHandle`](crate::sink::TraceHandle)s and serialize them in cell
 //! order afterwards (see `write_run`), so the file bytes are independent
 //! of `ADCOMP_THREADS`.
 

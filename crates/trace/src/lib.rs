@@ -9,9 +9,9 @@
 //! * [`events`] — the typed, `Copy`, epoch-tagged event taxonomy:
 //!   [`DecisionEvent`], [`EpochEvent`], [`CodecEvent`], [`SimEvent`],
 //!   [`FaultEvent`], [`PipelineEvent`];
-//! * [`sink`] — the [`TraceSink`] trait, the statically-disabled
-//!   [`NullSink`], the in-memory [`MemorySink`] and the dynamic
-//!   [`TraceHandle`];
+//! * [`sink`] — [`TraceHandle`], the one trace type: disabled or
+//!   collecting in memory, and the one place an event feeds the metrics
+//!   registry;
 //! * [`jsonl`] — JSONL serialization ([`JsonlWriter`]) of collected
 //!   events;
 //! * [`prom`] — Prometheus-text snapshots ([`PromSnapshot`]) and
@@ -33,13 +33,13 @@
 //!
 //! ## Overhead contract
 //!
-//! Instrumentation points are generic over `S: TraceSink` (default
-//! [`NullSink`]) or take a [`TraceHandle`]. All trace-only work —
-//! timestamping, event construction, emission — must be gated on
-//! `sink.enabled()`. `NullSink::enabled()` is a constant `false`, so
-//! disabled tracing monomorphizes to the untraced code: the codecs
-//! zero-alloc test and the `compress_scratch` bench guard hold with
-//! tracing compiled in.
+//! Instrumentation points hold a [`TraceHandle`]. A written block and a
+//! closed epoch make one [`TraceHandle::observe`] call each, which feeds
+//! both the trace and the registry, so the two records cannot disagree.
+//! Work done only for the trace is gated on [`TraceHandle::enabled`]. A
+//! disabled handle with no registry installed costs one relaxed load and
+//! one `None` test per event and never allocates: the codecs zero-alloc
+//! tests hold with tracing compiled in.
 
 pub mod dash;
 pub mod diag;
@@ -63,5 +63,5 @@ pub use jsonl::JsonlWriter;
 pub use manifest::RunManifest;
 pub use prom::{render_registry, PromSnapshot};
 pub use promlint::{conformance_lint, parse_samples};
-pub use sink::{MemorySink, NullSink, TraceHandle, TraceSink};
+pub use sink::TraceHandle;
 pub use timeline::{render_level_timeline, TimelineOptions};

@@ -1,160 +1,125 @@
-//! Sink trait and the standard sinks.
+//! The trace handle, and the one place an event reaches the registry.
 //!
 //! The overhead contract:
 //!
-//! * [`TraceSink::enabled`] is the *gate*. Instrumented code must wrap any
-//!   work done purely for tracing (timestamping, event construction) in
-//!   `if sink.enabled() { … }`. For the monomorphized [`NullSink`] the
-//!   method is a constant `false`, so the whole branch is dead code after
-//!   inlining — disabled tracing compiles to nothing, which is what the
-//!   zero-alloc and bench guards verify.
-//! * [`TraceSink::emit`] takes `&self` and must not block the caller in
-//!   the steady state.
-//!
-//! For dynamic (runtime-chosen) tracing, [`TraceHandle`] wraps an
-//! `Option<Arc<dyn TraceSink>>` and itself implements `TraceSink`, so the
-//! same generic instrumentation points accept either the static `NullSink`
-//! or a runtime handle.
+//! * [`TraceHandle::enabled`] is the *gate* for trace-only work. Code
+//!   that builds an event only for the trace (simulator samples, pipeline
+//!   snapshots, the degrade incident) wraps it in `if trace.enabled()`.
+//! * [`TraceHandle::observe`] is the one call per occurrence that both
+//!   records keep: a written block ([`CodecEvent`]) or a closed epoch
+//!   ([`EpochEvent`], [`DecisionEvent`]). It folds the event into the
+//!   installed metrics registry, if any, and appends it to the handle's
+//!   events, if collecting. With tracing disabled and no registry it costs
+//!   one relaxed load and one `None` test, and never allocates.
 
-use crate::events::TraceEvent;
-use std::sync::{Arc, Mutex};
+use crate::events::{CodecEvent, DecisionEvent, EpochEvent, TraceEvent};
+use adcomp_metrics::registry::{
+    self, CounterKind, GaugeKind, HistKind, LabelFamily, MetricsRegistry, SpanKind,
+};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// A consumer of trace events.
-pub trait TraceSink: Send + Sync {
-    /// Whether events are currently being consumed. Instrumentation must
-    /// gate all trace-only work on this.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Consumes one event. Must be cheap and non-blocking.
-    fn emit(&self, ev: &TraceEvent);
-}
-
-/// The zero-cost disabled sink: `enabled()` is statically `false` and
-/// `emit` is empty, so instrumented hot paths compile to the untraced
-/// code exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn emit(&self, _ev: &TraceEvent) {}
-}
-
-/// Collects every event in memory, in emission order. The per-cell sink
-/// of the experiment runner: each cell gets its own `MemorySink`, and the
-/// grid serializes them in *cell order* after the parallel phase, which is
-/// what makes JSONL traces bit-identical across `ADCOMP_THREADS`.
-#[derive(Debug, Default)]
-pub struct MemorySink {
-    events: Mutex<Vec<TraceEvent>>,
-}
-
-impl MemorySink {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of events collected so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().unwrap().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Copies out the collected events.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.lock().unwrap().clone()
-    }
-
-    /// Drains the collected events.
-    #[must_use]
-    pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock().unwrap())
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn emit(&self, ev: &TraceEvent) {
-        self.events.lock().unwrap().push(*ev);
-    }
-}
-
-/// Cheap, clonable handle to an optional dynamic sink.
+/// Cheap, clonable trace handle: disabled (the default) or collecting
+/// every event in memory, in observation order, shared by its clones.
 ///
-/// `TraceHandle::disabled()` behaves exactly like [`NullSink`] (one
-/// branch on an always-`None` option); `TraceHandle::new(sink)` forwards
-/// to the shared sink. This is the plumbing type threaded through
-/// `EpochDriver`, the simulators and the record channel, where the sink
-/// is chosen at runtime by a `--trace` flag.
+/// Each cell of the experiment runner gets its own collecting handle, and
+/// the grid serializes them in *cell order* after the parallel phase,
+/// which is what makes JSONL traces bit-identical across `ADCOMP_THREADS`.
 #[derive(Clone, Default)]
-pub struct TraceHandle(Option<Arc<dyn TraceSink>>);
+pub struct TraceHandle(Option<Arc<Mutex<Vec<TraceEvent>>>>);
 
 impl TraceHandle {
-    /// A handle that consumes nothing.
+    /// A handle that keeps nothing.
     pub fn disabled() -> Self {
         TraceHandle(None)
     }
 
-    /// A handle forwarding to `sink`.
-    pub fn new(sink: Arc<dyn TraceSink>) -> Self {
-        TraceHandle(Some(sink))
+    /// A handle that collects every observed event until [`TraceHandle::take`].
+    pub fn collecting() -> Self {
+        TraceHandle(Some(Arc::default()))
     }
 
-    /// The inner sink, if any.
-    pub fn sink(&self) -> Option<&Arc<dyn TraceSink>> {
-        self.0.as_ref()
+    /// Whether events are being collected. Trace-only work is gated on it.
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.0.is_some()
     }
+
+    /// Records one event: the registry families it stands for, when a
+    /// registry is installed, and the event itself, when collecting.
+    #[inline]
+    pub fn observe(&self, ev: TraceEvent) {
+        let metrics = registry::global();
+        if metrics.is_some() || self.0.is_some() {
+            self.record(metrics, ev);
+        }
+    }
+
+    #[inline(never)]
+    fn record(&self, metrics: Option<&MetricsRegistry>, ev: TraceEvent) {
+        if let Some(m) = metrics {
+            fold(m, &ev);
+        }
+        if let Some(events) = &self.0 {
+            lock(events).push(ev);
+        }
+    }
+
+    /// Drains the events collected so far (empty when disabled).
+    #[must_use]
+    pub fn take(&self) -> Vec<TraceEvent> {
+        self.0.as_ref().map_or_else(Vec::new, |events| std::mem::take(&mut *lock(events)))
+    }
+}
+
+/// Every update is one `push` or one `take`, so the events stay valid
+/// even if a panic poisoned the lock.
+fn lock(events: &Mutex<Vec<TraceEvent>>) -> MutexGuard<'_, Vec<TraceEvent>> {
+    events.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl std::fmt::Debug for TraceHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("TraceHandle")
-            .field(&self.0.as_ref().map(|s| s.enabled()))
-            .finish()
+        f.debug_tuple("TraceHandle").field(&self.enabled()).finish()
     }
 }
 
-impl TraceSink for TraceHandle {
-    #[inline]
-    fn enabled(&self) -> bool {
-        match &self.0 {
-            Some(s) => s.enabled(),
-            None => false,
+/// The event-to-metric mapping. Only written blocks and closed epochs
+/// have registry families; the other kinds are trace-only.
+fn fold(m: &MetricsRegistry, ev: &TraceEvent) {
+    match *ev {
+        TraceEvent::Codec(CodecEvent { in_bytes, out_bytes, compress_ns, raw_fallback, .. }) => {
+            m.span_ns(SpanKind::Compress, compress_ns);
+            m.counter_add(CounterKind::BlocksCompressed, 1);
+            m.counter_add(CounterKind::CodecInBytes, in_bytes);
+            m.counter_add(CounterKind::CodecOutBytes, out_bytes);
+            if raw_fallback {
+                m.counter_add(CounterKind::RawFallbacks, 1);
+            }
         }
-    }
-
-    #[inline]
-    fn emit(&self, ev: &TraceEvent) {
-        if let Some(s) = &self.0 {
-            s.emit(ev);
+        TraceEvent::Epoch(EpochEvent { rate, .. }) => {
+            m.counter_add(CounterKind::Epochs, 1);
+            if rate.is_finite() && rate >= 0.0 {
+                m.observe(HistKind::EpochRate, rate as u64);
+            }
         }
-    }
-}
-
-impl<S: TraceSink + ?Sized> TraceSink for Arc<S> {
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-
-    fn emit(&self, ev: &TraceEvent) {
-        (**self).emit(ev)
+        // `ccl` is the level just chosen; `"static"` models have no
+        // Algorithm-1 branch to count.
+        TraceEvent::Decision(DecisionEvent { ccl, case, .. }) => {
+            m.level_epoch(ccl as usize);
+            if case != "static" {
+                m.label_count(LabelFamily::DecisionCase, case, 1);
+            }
+            // Last-write-wins: dropped by virtual-mode registries, where
+            // parallel sim cells would race on it.
+            m.gauge_set(GaugeKind::CurrentLevel, i64::from(ccl));
+        }
+        TraceEvent::Sim(_) | TraceEvent::Fault(_) | TraceEvent::Pipeline(_) => {}
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::EpochEvent;
 
     fn ev(epoch: u64) -> TraceEvent {
         EpochEvent { epoch, t: epoch as f64, duration: 1.0, bytes: 1, rate: 1.0, level: 0 }
@@ -162,35 +127,28 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_is_disabled() {
-        let s = NullSink;
-        assert!(!s.enabled());
-        s.emit(&ev(0)); // no-op, no panic
+    fn handle_disabled_and_enabled() {
+        let h = TraceHandle::disabled();
+        assert!(!h.enabled());
+        h.observe(ev(0));
+        assert!(h.take().is_empty());
+
+        let h = TraceHandle::collecting();
+        assert!(h.enabled());
+        h.observe(ev(1));
+        assert_eq!(h.take().len(), 1);
     }
 
     #[test]
     fn memory_sink_preserves_order() {
-        let s = MemorySink::new();
+        let h = TraceHandle::collecting();
+        let clone = h.clone();
         for i in 0..10 {
-            s.emit(&ev(i));
+            clone.observe(ev(i));
         }
-        let evs = s.snapshot();
+        let evs = h.take();
         assert_eq!(evs.len(), 10);
         assert!(evs.iter().enumerate().all(|(i, e)| e.epoch() == i as u64));
-        assert_eq!(s.take().len(), 10);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn handle_disabled_and_enabled() {
-        let h = TraceHandle::disabled();
-        assert!(!h.enabled());
-        h.emit(&ev(0));
-
-        let mem = Arc::new(MemorySink::new());
-        let h = TraceHandle::new(mem.clone());
-        assert!(h.enabled());
-        h.emit(&ev(1));
-        assert_eq!(mem.len(), 1);
+        assert!(h.take().is_empty(), "take drains what every clone collected");
     }
 }

@@ -22,7 +22,7 @@ use crate::speed::SpeedModel;
 use adcomp_core::epoch::{EpochContext, EpochDriver};
 use adcomp_core::model::DecisionModel;
 use adcomp_corpus::Class;
-use adcomp_trace::{SimEvent, TraceHandle, TraceSink as _};
+use adcomp_trace::{SimEvent, TraceHandle};
 
 /// One sender in the shared-link scenario.
 pub struct FlowSpec {
@@ -173,8 +173,8 @@ pub fn run_multiflow_traced(
 
     if trace.enabled() {
         for (i, s) in states.iter().enumerate() {
-            trace.emit(
-                &SimEvent {
+            trace.observe(
+                SimEvent {
                     epoch: 0,
                     t: 0.0,
                     kind: "flow_join",
@@ -233,8 +233,8 @@ pub fn run_multiflow_traced(
             if trace.enabled() && t >= next_arb_emit {
                 // Sampled once per epoch interval so trace volume tracks
                 // epochs, not fluid quanta.
-                trace.emit(
-                    &SimEvent {
+                trace.observe(
+                    SimEvent {
                         epoch: (t / cfg.epoch_secs) as u64,
                         t,
                         kind: "link_arbitration",
@@ -254,8 +254,8 @@ pub fn run_multiflow_traced(
                         s.queue_bytes = 0.0;
                         let leave_t = *s.done_at.get_or_insert(t + dt);
                         if trace.enabled() {
-                            trace.emit(
-                                &SimEvent {
+                            trace.observe(
+                                SimEvent {
                                     epoch: (leave_t / cfg.epoch_secs) as u64,
                                     t: leave_t,
                                     kind: "flow_leave",
@@ -455,18 +455,17 @@ mod tests {
 
     #[test]
     fn traced_multiflow_emits_lifecycle_and_arbitration_events() {
-        use adcomp_trace::{MemorySink, TraceEvent};
-        use std::sync::Arc;
+        use adcomp_trace::TraceEvent;
 
         let speed = SpeedModel::paper_fit();
-        let sink = Arc::new(MemorySink::new());
+        let trace = TraceHandle::collecting();
         let out = run_multiflow_traced(
             &det_cfg(),
             &speed,
             vec![spec("a", Class::High, Some(1), 1), spec("b", Class::Low, Some(0), 1)],
-            TraceHandle::new(sink.clone()),
+            trace.clone(),
         );
-        let events = sink.snapshot();
+        let events = trace.take();
         let kinds: Vec<&str> = events
             .iter()
             .filter_map(|e| match e {

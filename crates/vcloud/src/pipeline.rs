@@ -39,7 +39,7 @@ use adcomp_core::model::{DecisionModel, GuestMetrics};
 use adcomp_corpus::{Class, Prng};
 use adcomp_metrics::registry::{self, CounterKind, SpanKind};
 use adcomp_metrics::TimeSeries;
-use adcomp_trace::{SimEvent, TraceHandle, TraceSink as _};
+use adcomp_trace::{SimEvent, TraceHandle};
 use std::collections::VecDeque;
 
 /// Assigns a compressibility class to every byte offset of the stream.
@@ -162,7 +162,7 @@ pub fn run_transfer(
     run_transfer_traced(cfg, speed, schedule, model, TraceHandle::disabled())
 }
 
-/// [`run_transfer`] with a trace sink attached: the epoch driver emits
+/// [`run_transfer`] with a trace handle attached: the epoch driver emits
 /// epoch/decision events and the simulator emits [`SimEvent`]s — transfer
 /// lifecycle, per-epoch contended-bandwidth samples and wire-rate samples —
 /// all under **virtual time**, so traces are bit-identical across hosts and
@@ -189,8 +189,8 @@ pub fn run_transfer_traced(
     let mut driver = EpochDriver::new(model, cfg.epoch_secs, 0.0);
     driver.set_trace(trace.clone());
     if trace.enabled() {
-        trace.emit(
-            &SimEvent {
+        trace.observe(
+            SimEvent {
                 epoch: 0,
                 t: 0.0,
                 kind: "transfer_start",
@@ -340,8 +340,8 @@ pub fn run_transfer_traced(
                 // epoch keeps trace volume proportional to epochs, not
                 // blocks.
                 let epoch = driver.epochs() - 1;
-                trace.emit(
-                    &SimEvent {
+                trace.observe(
+                    SimEvent {
                         epoch,
                         t: emit_t,
                         kind: "bandwidth",
@@ -351,8 +351,8 @@ pub fn run_transfer_traced(
                     }
                     .into(),
                 );
-                trace.emit(
-                    &SimEvent {
+                trace.observe(
+                    SimEvent {
                         epoch,
                         t: emit_t,
                         kind: "sample",
@@ -371,8 +371,8 @@ pub fn run_transfer_traced(
     }
 
     if trace.enabled() {
-        trace.emit(
-            &SimEvent {
+        trace.observe(
+            SimEvent {
                 epoch: driver.epochs(),
                 t: rx_free,
                 kind: "transfer_done",
@@ -545,20 +545,19 @@ mod tests {
 
     #[test]
     fn traced_transfer_emits_virtual_time_events() {
-        use adcomp_trace::{MemorySink, TraceEvent};
-        use std::sync::Arc;
+        use adcomp_trace::TraceEvent;
 
         let cfg = small_cfg(200, 1);
         let speed = SpeedModel::paper_fit();
-        let sink = Arc::new(MemorySink::new());
+        let trace = TraceHandle::collecting();
         let out = run_transfer_traced(
             &cfg,
             &speed,
             &mut ConstantClass(Class::High),
             Box::new(RateBasedModel::paper_default()),
-            TraceHandle::new(sink.clone()),
+            trace.clone(),
         );
-        let events = sink.snapshot();
+        let events = trace.take();
         let decisions = events
             .iter()
             .filter(|e| matches!(e, TraceEvent::Decision(_)))
@@ -576,20 +575,20 @@ mod tests {
         assert!(sims.iter().filter(|s| s.kind == "bandwidth").count() as u64 <= out.epochs);
         assert!(sims.iter().any(|s| s.kind == "sample"));
         // Virtual-time determinism: a second traced run is event-identical.
-        let sink2 = Arc::new(MemorySink::new());
+        let trace2 = TraceHandle::collecting();
         run_transfer_traced(
             &cfg,
             &speed,
             &mut ConstantClass(Class::High),
             Box::new(RateBasedModel::paper_default()),
-            TraceHandle::new(sink2.clone()),
+            trace2.clone(),
         );
         // Compare via JSON: NaN fields (seed-epoch pdr) serialize to null,
         // while NaN != NaN would fail a direct PartialEq comparison.
         let json = |evs: Vec<TraceEvent>| -> Vec<String> {
             evs.iter().map(|e| e.to_json()).collect()
         };
-        assert_eq!(json(sink.snapshot()), json(sink2.snapshot()));
+        assert_eq!(json(events), json(trace2.take()));
     }
 
     #[test]

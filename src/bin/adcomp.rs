@@ -549,11 +549,10 @@ fn cmd_probe(opts: Options) -> io::Result<()> {
 fn cmd_trace(opts: Options) -> io::Result<()> {
     use adcomp::metrics::registry::{self, RegistryMode};
     use adcomp::trace::{
-        render_level_timeline, render_registry, JsonlWriter, MemorySink, RunManifest,
-        TimelineOptions, TraceHandle,
+        render_level_timeline, render_registry, JsonlWriter, RunManifest, TimelineOptions,
+        TraceHandle,
     };
     use adcomp::vcloud::{run_transfer_traced, ConstantClass, SpeedModel, TransferConfig};
-    use std::sync::Arc;
 
     let scheme = match opts.level {
         Some(l) => ["NO", "LIGHT", "MEDIUM", "HEAVY"][l.min(3)],
@@ -572,7 +571,7 @@ fn cmd_trace(opts: Options) -> io::Result<()> {
         Some(l) => Box::new(StaticModel::new(l, 4)),
         None => Box::new(RateBasedModel::paper_default()),
     };
-    let sink = Arc::new(MemorySink::new());
+    let trace = TraceHandle::collecting();
     let speed =
         if opts.portfolio { SpeedModel::portfolio_fit() } else { SpeedModel::paper_fit() };
     let reg = registry::install(RegistryMode::Virtual);
@@ -581,9 +580,9 @@ fn cmd_trace(opts: Options) -> io::Result<()> {
         &speed,
         &mut ConstantClass(opts.class),
         model,
-        TraceHandle::new(sink.clone()),
+        trace.clone(),
     );
-    let events = sink.take();
+    let events = trace.take();
 
     // JSONL export — manifest line first, then every event, stdout or file.
     let manifest = RunManifest::new("adcomp_trace", cfg.seed)

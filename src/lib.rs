@@ -60,6 +60,6 @@ pub mod prelude {
     pub use adcomp_core::stream::{AdaptiveReader, AdaptiveWriter, StreamStats};
     pub use adcomp_corpus::{Class, CyclicSource, SourceReader};
     pub use adcomp_nephele::prelude::*;
-    pub use adcomp_trace::{JsonlWriter, MemorySink, RunManifest, TraceHandle, TraceSink};
+    pub use adcomp_trace::{JsonlWriter, RunManifest, TraceHandle};
     pub use adcomp_vcloud::{Platform, SpeedModel, TransferConfig};
 }

@@ -20,12 +20,11 @@
 
 use super::proto::{
     read_done, read_get_payload, read_response, write_request, RejectReason, Request, Response,
-    NO_LEVEL_CAP,
 };
 use super::server::HANDLER_LINGER;
 use adcomp_codecs::crc32::crc32;
 use adcomp_codecs::LevelSet;
-use adcomp_core::model::{DecisionModel, EpochObservation, RateBasedModel, StaticModel};
+use adcomp_core::model::{DecisionModel, RateBasedModel, StaticModel};
 use adcomp_core::stream::AdaptiveWriter;
 use adcomp_core::{Backoff, WallClock};
 use adcomp_metrics::registry::{self, CounterKind};
@@ -125,43 +124,6 @@ impl Conn {
             idle.remove(0);
         }
         idle.push((addr, self.0.into_inner(), Instant::now()));
-    }
-}
-
-/// Wraps any [`DecisionModel`] and clamps its choices to the server's
-/// `level_cap`. The daemon always sends [`NO_LEVEL_CAP`]; the client still
-/// honours a cap, and with cap 0 the adaptive model keeps observing but
-/// every block ships RAW.
-pub struct CappedModel {
-    inner: Box<dyn DecisionModel>,
-    cap: usize,
-}
-
-impl CappedModel {
-    pub fn new(inner: Box<dyn DecisionModel>, cap: usize) -> Self {
-        CappedModel { inner, cap }
-    }
-}
-
-impl DecisionModel for CappedModel {
-    fn name(&self) -> String {
-        format!("capped({},{})", self.inner.name(), self.cap)
-    }
-
-    fn num_levels(&self) -> usize {
-        self.inner.num_levels()
-    }
-
-    fn initial_level(&self) -> usize {
-        self.inner.initial_level().min(self.cap)
-    }
-
-    fn decide(&mut self, obs: &EpochObservation) -> usize {
-        self.inner.decide(obs).min(self.cap)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
     }
 }
 
@@ -285,8 +247,9 @@ fn attempt(
         total_len: payload.len() as u64,
     };
     let mut conn = Conn::send(addr, &req, opts.io_timeout).map_err(transient)?;
-    let (start, level_cap) = match read_response(&mut conn.0).map_err(transient)? {
-        Response::Accept { start_offset, level_cap } => (start_offset, level_cap),
+    // `level_cap` is reserved: the daemon always sends `NO_LEVEL_CAP`.
+    let start = match read_response(&mut conn.0).map_err(transient)? {
+        Response::Accept { start_offset, .. } => start_offset,
         Response::Reject { reason } => {
             let e = io::Error::new(
                 io::ErrorKind::ConnectionRefused,
@@ -313,12 +276,10 @@ fn attempt(
 
     // Stream payload[start..] through an adaptive writer over the socket.
     let levels = LevelSet::paper_default();
-    let base: Box<dyn DecisionModel> = match opts.level {
+    let model: Box<dyn DecisionModel> = match opts.level {
         Some(level) => Box::new(StaticModel::new(level.min(levels.len() - 1), levels.len())),
         None => Box::new(RateBasedModel::paper_default()),
     };
-    let cap = if level_cap == NO_LEVEL_CAP { levels.len() - 1 } else { level_cap as usize };
-    let model = Box::new(CappedModel::new(base, cap));
     let mut writer = AdaptiveWriter::with_params(
         conn.0.get_ref(),
         levels,

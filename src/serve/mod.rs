@@ -33,7 +33,7 @@ pub mod proto;
 pub mod server;
 
 pub use cache::{BlockCache, CacheStats};
-pub use client::{drain, get, put, CappedModel, PutOptions, PutReport};
+pub use client::{drain, get, put, PutOptions, PutReport};
 pub use netsoak::{run_net_soak, NetSoakConfig, NetSoakSummary};
 pub use proto::{Done, RejectReason, Request, Response, NO_LEVEL_CAP};
 pub use server::{ServeConfig, ServeStats, Server};

@@ -15,9 +15,10 @@
 //! `done` or any error ends the connection.
 //!
 //! Everything is little-endian and length-prefixed; the handshake carries
-//! no compression parameters because frames are self-describing. The one
-//! negotiable value, `level_cap`, is always [`NO_LEVEL_CAP`] from this
-//! daemon; the byte stays on the wire and clients still honour it.
+//! no compression parameters because frames are self-describing. The
+//! accept frame's `level_cap` byte is reserved: this daemon always sends
+//! [`NO_LEVEL_CAP`] in a PUT accept, and the client ignores it; the byte
+//! stays on the wire so the frame layout does not move.
 //! `start_offset` is the server's count of *verified* application bytes
 //! for `(tenant, transfer_id)`, which is what makes reconnect-and-resume
 //! safe: a retrying client always continues from a clean, CRC-checked
@@ -46,7 +47,7 @@ use std::io::{self, IoSlice, Read, Write};
 pub const MAGIC: [u8; 4] = *b"ACSV";
 /// Protocol version.
 pub const VERSION: u8 = 1;
-/// `level_cap` value meaning "no cap".
+/// The value a PUT accept carries in its reserved `level_cap` byte.
 pub const NO_LEVEL_CAP: u8 = u8::MAX;
 /// Longest accepted tenant name, bytes.
 pub const MAX_TENANT: usize = 64;
@@ -119,10 +120,10 @@ impl RejectReason {
 /// The server's admission verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Response {
-    /// Admitted: stream from `start_offset`; keep the compression level at
-    /// or below `level_cap` ([`NO_LEVEL_CAP`] = uncapped). For a
-    /// [`Request::Drain`], `start_offset` carries the number of transfers
-    /// still in flight.
+    /// Admitted: stream from `start_offset`. `level_cap` is a reserved
+    /// byte, [`NO_LEVEL_CAP`] in every PUT accept and ignored by the
+    /// client. For a [`Request::Drain`], `start_offset` carries the number
+    /// of transfers still in flight.
     Accept { start_offset: u64, level_cap: u8 },
     /// Refused, with the reason; the connection is then closed.
     Reject { reason: RejectReason },

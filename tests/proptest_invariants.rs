@@ -135,8 +135,8 @@ proptest! {
                 observed_ratio: None,
                 data_entropy: None,
             };
-            prop_assert!(q.decide(&obs) < 4);
-            prop_assert!(s.decide(&obs) < 4);
+            prop_assert!(q.decide(&obs).level < 4);
+            prop_assert!(s.decide(&obs).level < 4);
         }
     }
 
