@@ -163,7 +163,7 @@ kinds! {
         ServeAccepted => ("adcomp_serve_accepted_total", "Transfers admitted by the serve daemon."),
         ServeCompleted => ("adcomp_serve_completed_total", "Transfers fully received and CRC-verified."),
         ServeTimeouts => ("adcomp_serve_timeouts_total", "Connections aborted on read/write/idle deadlines."),
-        ServeAborts => ("adcomp_serve_aborts_total", "Connections aborted on stream damage or protocol errors."),
+        ServeAborts => ("adcomp_serve_aborts_total", "PUT streams aborted on damage, a protocol error, a failed accept write or a stopping server."),
         ServeResumes => ("adcomp_serve_resumes_total", "Transfers resumed from a verified prefix."),
         ServeDrains => ("adcomp_serve_drains_total", "Graceful drain requests received."),
         ServeDrainedTransfers => ("adcomp_serve_drained_transfers_total", "In-flight transfers completed during a drain."),

@@ -43,7 +43,18 @@ pub use server::{ServeConfig, ServeStats, Server};
 /// one syscall on a socket.
 #[cfg(test)]
 pub(crate) mod testio {
+    use adcomp_codecs::LevelSet;
+    use adcomp_core::model::StaticModel;
+    use adcomp_core::stream::AdaptiveWriter;
+    use adcomp_core::WallClock;
     use std::io::{IoSlice, Read, Result, Write};
+
+    /// An adaptive writer at static `level` in `block`-byte blocks.
+    pub(crate) fn writer<W: Write>(out: W, level: usize, block: usize) -> AdaptiveWriter<W> {
+        let levels = LevelSet::paper_default();
+        let model = Box::new(StaticModel::new(level, levels.len()));
+        AdaptiveWriter::with_params(out, levels, model, block, 2.0, Box::new(WallClock::new()))
+    }
 
     pub(crate) struct Counting<T> {
         pub inner: T,
@@ -83,15 +94,18 @@ pub(crate) mod testio {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use super::testio::writer;
     use adcomp_codecs::crc32::crc32;
     use adcomp_corpus::Prng;
-    use std::net::TcpStream;
-    use std::time::Duration;
+    use std::io::Write;
+    use std::net::{SocketAddr, TcpStream};
+    use std::time::{Duration, Instant};
+
+    const IO: Duration = Duration::from_secs(2);
 
     fn test_config() -> ServeConfig {
         ServeConfig {
-            keep_payloads: true,
-            io_timeout: Duration::from_secs(2),
+            io_timeout: IO,
             ..ServeConfig::default()
         }
     }
@@ -105,6 +119,32 @@ mod tests {
             .collect()
     }
 
+    /// A fresh PUT of `tenant`/`id` declaring `total_len` bytes, accepted;
+    /// the socket is the caller's to feed.
+    fn accepted_put(addr: SocketAddr, tenant: &str, id: u64, total_len: u64) -> TcpStream {
+        let mut sock = TcpStream::connect(addr).unwrap();
+        let req = Request::Put { tenant: tenant.into(), transfer_id: id, total_len };
+        proto::write_request(&mut sock, &req).unwrap();
+        match proto::read_response(&mut sock).unwrap() {
+            Response::Accept { start_offset: 0, .. } => sock,
+            other => panic!("expected a fresh accept, got {other:?}"),
+        }
+    }
+
+    /// Options for a `put` of `tenant`/`id` in 8 KiB blocks.
+    fn in_8k_blocks(tenant: &str, transfer_id: u64) -> PutOptions {
+        PutOptions { tenant: tenant.into(), transfer_id, block_len: 8 * 1024, ..Default::default() }
+    }
+
+    /// Waits until no admitted stream is in flight.
+    fn wait_reaped(server: &Server) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.active() > 0 {
+            assert!(Instant::now() < deadline, "an admitted stream was never reaped");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
     #[test]
     fn put_roundtrips_byte_identical() {
         let server = Server::start(test_config()).unwrap();
@@ -114,8 +154,8 @@ mod tests {
         assert_eq!(report.attempts, 1);
         assert!(!report.resumed);
         assert_eq!(report.crc, crc32(&data));
-        assert_eq!(server.payload("t1", 7).unwrap(), data);
-        assert!(server.is_completed("t1", 7));
+        assert_eq!(get(server.local_addr(), "t1", 7, 0, u64::MAX, IO).unwrap(), data);
+        assert!(server.is_sealed("t1", 7));
         let stats = server.shutdown();
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.aborts, 0);
@@ -127,7 +167,8 @@ mod tests {
         let opts = PutOptions { tenant: "t".into(), transfer_id: 1, ..Default::default() };
         let report = put(server.local_addr(), &[], &opts).unwrap();
         assert_eq!(report.crc, crc32(&[]));
-        assert!(server.is_completed("t", 1));
+        assert!(server.is_sealed("t", 1));
+        assert_eq!(get(server.local_addr(), "t", 1, 0, u64::MAX, IO).unwrap(), b"");
         server.shutdown();
     }
 
@@ -234,46 +275,12 @@ mod tests {
         // Attempt 1: stream roughly half the payload through a raw writer,
         // then cut the connection. Small blocks so several frames land and
         // get verified before the cut.
-        {
-            let mut sock = TcpStream::connect(server.local_addr()).unwrap();
-            proto::write_request(
-                &mut sock,
-                &Request::Put {
-                    tenant: "t".into(),
-                    transfer_id: 9,
-                    total_len: data.len() as u64,
-                },
-            )
-            .unwrap();
-            match proto::read_response(&mut sock).unwrap() {
-                Response::Accept { start_offset: 0, .. } => {}
-                other => panic!("expected fresh accept, got {other:?}"),
-            }
-            use adcomp_codecs::LevelSet;
-            use adcomp_core::model::StaticModel;
-            use adcomp_core::stream::AdaptiveWriter;
-            use std::io::Write;
-            let levels = LevelSet::paper_default();
-            let n = levels.len();
-            let mut w = AdaptiveWriter::with_params(
-                sock.try_clone().unwrap(),
-                levels,
-                Box::new(StaticModel::new(0, n)),
-                8 * 1024,
-                2.0,
-                Box::new(adcomp_core::WallClock::new()),
-            );
-            w.write_all(&data[..150_000]).unwrap();
-            let (inner, _) = w.finish().unwrap();
-            drop(inner);
-            drop(sock); // abrupt close, no Done exchange
-        }
+        let sock = accepted_put(server.local_addr(), "t", 9, data.len() as u64);
+        let mut w = writer(sock, 0, 8 * 1024);
+        w.write_all(&data[..150_000]).unwrap();
+        drop(w.finish().unwrap()); // abrupt close, no Done exchange
         // Wait until the server notices the cut and frees the slot.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while server.active() > 0 {
-            assert!(std::time::Instant::now() < deadline, "cut stream never reaped");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        wait_reaped(&server);
         let verified = server.verified_len("t", 9).unwrap();
         assert!(verified > 0 && verified <= 150_000, "verified {verified}");
         // Attempt 2: the real client resumes and completes.
@@ -281,7 +288,7 @@ mod tests {
         let report = put(server.local_addr(), &data, &opts).unwrap();
         assert!(report.resumed);
         assert!(report.bytes_sent < data.len() as u64 + 1);
-        assert_eq!(server.payload("t", 9).unwrap(), data);
+        assert_eq!(get(server.local_addr(), "t", 9, 0, u64::MAX, IO).unwrap(), data);
         let stats = server.shutdown();
         assert_eq!(stats.resumed, 1);
         assert_eq!(stats.completed, 1);
@@ -294,35 +301,9 @@ mod tests {
         // Start a slow PUT on its own thread: handshake, then trickle.
         let addr = server.local_addr();
         let data_cl = data.clone();
-        let writer = std::thread::spawn(move || {
-            let mut sock = TcpStream::connect(addr).unwrap();
-            proto::write_request(
-                &mut sock,
-                &Request::Put {
-                    tenant: "slow".into(),
-                    transfer_id: 1,
-                    total_len: data_cl.len() as u64,
-                },
-            )
-            .unwrap();
-            match proto::read_response(&mut sock).unwrap() {
-                Response::Accept { .. } => {}
-                other => panic!("expected accept, got {other:?}"),
-            }
-            use adcomp_codecs::LevelSet;
-            use adcomp_core::model::StaticModel;
-            use adcomp_core::stream::AdaptiveWriter;
-            use std::io::Write;
-            let levels = LevelSet::paper_default();
-            let n = levels.len();
-            let mut w = AdaptiveWriter::with_params(
-                sock.try_clone().unwrap(),
-                levels,
-                Box::new(StaticModel::new(1, n)),
-                8 * 1024,
-                2.0,
-                Box::new(adcomp_core::WallClock::new()),
-            );
+        let trickle = std::thread::spawn(move || {
+            let mut sock = accepted_put(addr, "slow", 1, data_cl.len() as u64);
+            let mut w = writer(sock.try_clone().unwrap(), 1, 8 * 1024);
             for chunk in data_cl.chunks(8 * 1024) {
                 w.write_all(chunk).unwrap();
                 std::thread::sleep(Duration::from_millis(15));
@@ -332,9 +313,9 @@ mod tests {
             proto::read_done(&mut sock).unwrap()
         });
         // Give the handshake a moment, then drain mid-stream.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let deadline = Instant::now() + Duration::from_secs(5);
         while server.active() == 0 {
-            assert!(std::time::Instant::now() < deadline, "stream never admitted");
+            assert!(Instant::now() < deadline, "stream never admitted");
             std::thread::sleep(Duration::from_millis(5));
         }
         server.begin_drain();
@@ -342,10 +323,10 @@ mod tests {
         let opts = PutOptions { tenant: "new".into(), transfer_id: 1, ..Default::default() };
         assert!(put(addr, b"nope", &opts).is_err());
         assert!(server.drain_and_wait(Duration::from_secs(30)), "drain timed out");
-        let done = writer.join().unwrap();
+        let done = trickle.join().unwrap();
         assert!(done.ok, "drained stream was truncated: {done:?}");
         assert_eq!(done.verified, data.len() as u64);
-        assert_eq!(server.payload("slow", 1).unwrap(), data);
+        assert_eq!(get(addr, "slow", 1, 0, u64::MAX, IO).unwrap(), data);
         let stats = server.shutdown();
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.drained_transfers, 1);
@@ -353,23 +334,13 @@ mod tests {
 
     #[test]
     fn ranged_get_serves_sealed_wire_without_decoded_payloads() {
-        // keep_payloads OFF: the server holds only compressed wire + the
-        // block index, and every GET decodes (or cache-serves) blocks.
-        let mut cfg = test_config();
-        cfg.keep_payloads = false;
-        let server = Server::start(cfg).unwrap();
+        // The server holds only compressed wire + the block index, and
+        // every GET decodes (or cache-serves) blocks.
+        let server = Server::start(test_config()).unwrap();
         let data = payload(10, 300_000);
-        let opts = PutOptions {
-            tenant: "t".into(),
-            transfer_id: 1,
-            block_len: 8 * 1024,
-            ..Default::default()
-        };
-        put(server.local_addr(), &data, &opts).unwrap();
+        put(server.local_addr(), &data, &in_8k_blocks("t", 1)).unwrap();
         assert!(server.is_sealed("t", 1), "completed transfer was not sealed");
-        assert!(server.payload("t", 1).is_none(), "payload retained despite keep_payloads=false");
         let addr = server.local_addr();
-        let io = Duration::from_secs(2);
         for (offset, len) in [
             (0u64, 100u64),
             (5000, 8 * 1024),
@@ -377,7 +348,7 @@ mod tests {
             (data.len() as u64 - 100, 1000),
             (data.len() as u64 + 5, 10),
         ] {
-            let got = get(addr, "t", 1, offset, len, io).unwrap();
+            let got = get(addr, "t", 1, offset, len, IO).unwrap();
             let lo = (offset as usize).min(data.len());
             let hi = (offset + len).min(data.len() as u64) as usize;
             assert_eq!(got, &data[lo..hi], "offset={offset} len={len}");
@@ -387,29 +358,20 @@ mod tests {
 
     #[test]
     fn hot_object_gets_hit_cache_without_invoking_decoder() {
-        let mut cfg = test_config();
-        cfg.keep_payloads = false;
-        let server = Server::start(cfg).unwrap();
+        let server = Server::start(test_config()).unwrap();
         let data = payload(11, 200_000);
-        let opts = PutOptions {
-            tenant: "hot".into(),
-            transfer_id: 3,
-            block_len: 8 * 1024,
-            ..Default::default()
-        };
-        put(server.local_addr(), &data, &opts).unwrap();
+        put(server.local_addr(), &data, &in_8k_blocks("hot", 3)).unwrap();
         let addr = server.local_addr();
-        let io = Duration::from_secs(2);
         // Warm the covering blocks once (these are the only misses).
         let (offset, len) = (40_000u64, 30_000u64);
         let want = &data[40_000..70_000];
-        assert_eq!(get(addr, "hot", 3, offset, len, io).unwrap(), want);
+        assert_eq!(get(addr, "hot", 3, offset, len, IO).unwrap(), want);
         let warm = server.cache_stats();
         assert!(warm.misses > 0, "warm-up decoded no blocks?");
         // Hot loop: every covering block is cached, so the decoder —
         // reachable only through the miss path — must not run again.
         for _ in 0..19 {
-            assert_eq!(get(addr, "hot", 3, offset, len, io).unwrap(), want);
+            assert_eq!(get(addr, "hot", 3, offset, len, IO).unwrap(), want);
         }
         let hot = server.cache_stats();
         assert_eq!(
@@ -431,22 +393,14 @@ mod tests {
     #[test]
     fn cache_eviction_keeps_resident_bytes_under_budget() {
         let mut cfg = test_config();
-        cfg.keep_payloads = false;
         cfg.cache_bytes = 64 * 1024; // tiny: a handful of 8 KiB blocks
         let server = Server::start(cfg).unwrap();
         let data = payload(12, 400_000);
-        let opts = PutOptions {
-            tenant: "t".into(),
-            transfer_id: 1,
-            block_len: 8 * 1024,
-            ..Default::default()
-        };
-        put(server.local_addr(), &data, &opts).unwrap();
+        put(server.local_addr(), &data, &in_8k_blocks("t", 1)).unwrap();
         let addr = server.local_addr();
-        let io = Duration::from_secs(2);
         // Sweep the whole object so far more blocks are decoded than fit.
         for start in (0..data.len() as u64).step_by(32 * 1024) {
-            let got = get(addr, "t", 1, start, 32 * 1024, io).unwrap();
+            let got = get(addr, "t", 1, start, 32 * 1024, IO).unwrap();
             let hi = (start + 32 * 1024).min(data.len() as u64) as usize;
             assert_eq!(got, &data[start as usize..hi]);
         }
@@ -465,30 +419,8 @@ mod tests {
     /// that wire, then an abrupt close with no `Done` exchange. Returns
     /// once the server has reaped the connection.
     fn cut_first_attempt(server: &Server, data: &[u8], damage: impl FnOnce(&mut [u8])) {
-        use adcomp_codecs::LevelSet;
-        use adcomp_core::model::StaticModel;
-        use adcomp_core::stream::AdaptiveWriter;
-        use std::io::Write;
-        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
-        proto::write_request(
-            &mut sock,
-            &Request::Put { tenant: "t".into(), transfer_id: 9, total_len: data.len() as u64 },
-        )
-        .unwrap();
-        match proto::read_response(&mut sock).unwrap() {
-            Response::Accept { start_offset: 0, .. } => {}
-            other => panic!("expected fresh accept, got {other:?}"),
-        }
-        let levels = LevelSet::paper_default();
-        let n = levels.len();
-        let mut w = AdaptiveWriter::with_params(
-            Vec::new(),
-            levels,
-            Box::new(StaticModel::new(1, n)),
-            8 * 1024,
-            2.0,
-            Box::new(adcomp_core::WallClock::new()),
-        );
+        let mut sock = accepted_put(server.local_addr(), "t", 9, data.len() as u64);
+        let mut w = writer(Vec::new(), 1, 8 * 1024);
         w.write_all(&data[..150_000]).unwrap();
         let (mut wire, _) = w.finish().unwrap();
         damage(&mut wire);
@@ -496,26 +428,15 @@ mod tests {
         // written; what it verified is asserted by the callers.
         let _ = sock.write_all(&wire);
         drop(sock);
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while server.active() > 0 {
-            assert!(std::time::Instant::now() < deadline, "cut stream never reaped");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        wait_reaped(server);
     }
 
     /// Second attempt: the real client resumes `t`/9 to completion; blocks
     /// from BOTH connections must then be index-addressable.
     fn resume_seals_and_serves_ranged_gets(server: &Server, data: &[u8]) {
-        let opts = PutOptions {
-            tenant: "t".into(),
-            transfer_id: 9,
-            block_len: 8 * 1024,
-            ..Default::default()
-        };
-        let report = put(server.local_addr(), data, &opts).unwrap();
+        let report = put(server.local_addr(), data, &in_8k_blocks("t", 9)).unwrap();
         assert!(report.resumed);
         assert!(server.is_sealed("t", 9), "resumed transfer was not sealed");
-        let io = Duration::from_secs(2);
         // Ranges straddling the resume seam, both halves, and the whole.
         for (offset, len) in [
             (0u64, data.len() as u64),
@@ -524,7 +445,7 @@ mod tests {
             (10_000, 5000),
             (200_000, 50_000),
         ] {
-            let got = get(server.local_addr(), "t", 9, offset, len, io).unwrap();
+            let got = get(server.local_addr(), "t", 9, offset, len, IO).unwrap();
             let hi = (offset + len).min(data.len() as u64) as usize;
             assert_eq!(got, &data[offset as usize..hi], "offset={offset} len={len}");
         }
@@ -532,9 +453,7 @@ mod tests {
 
     #[test]
     fn resumed_transfer_still_seals_and_serves_ranged_gets() {
-        let mut cfg = test_config();
-        cfg.keep_payloads = false;
-        let server = Server::start(cfg).unwrap();
+        let server = Server::start(test_config()).unwrap();
         let data = payload(13, 300_000);
         // Stream half, then cut — the captured wire must stay frame-aligned.
         cut_first_attempt(&server, &data, |_| {});
@@ -548,9 +467,7 @@ mod tests {
     /// in `uncompressed_len` gives a CRC-valid frame that cannot decode.
     #[test]
     fn undecodable_frame_aborts_the_put_and_is_never_retained() {
-        let mut cfg = test_config();
-        cfg.keep_payloads = false;
-        let server = Server::start(cfg).unwrap();
+        let server = Server::start(test_config()).unwrap();
         let data = payload(13, 300_000);
         cut_first_attempt(&server, &data, |wire| {
             let mut at = 0;
@@ -595,14 +512,14 @@ mod tests {
         let server = Server::start(cfg).unwrap();
         let data = payload(4, 100_000);
         let opts = PutOptions { tenant: "capped".into(), transfer_id: 1, ..Default::default() };
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         put(server.local_addr(), &data, &opts).unwrap();
         let elapsed = t0.elapsed().as_secs_f64();
         // 100 kB at 200 kB/s is >= 0.5 s of pacing debt; allow generous
         // slack below that to stay robust on loaded CI machines, while
         // still proving the throttle engaged at all.
         assert!(elapsed > 0.2, "rate cap did not pace ingest ({elapsed:.3}s)");
-        assert_eq!(server.payload("capped", 1).unwrap(), data);
+        assert_eq!(get(server.local_addr(), "capped", 1, 0, u64::MAX, IO).unwrap(), data);
         server.shutdown();
     }
 }

@@ -10,11 +10,14 @@
 //! connection. The contract asserted over every run, hostile or not:
 //!
 //! * **zero panics** — every client executes under `catch_unwind`;
-//! * **byte-accurate survivors** — a transfer the server reports complete
-//!   must be byte-identical to the client's input;
+//! * **byte-accurate survivors** — a transfer the server reports complete,
+//!   read back with a whole-object [`get`] straight from the daemon, must
+//!   be byte-identical to the client's input;
 //! * **clean prefixes** — a transfer that dies mid-wire must leave the
 //!   server holding an exact prefix of the input (that is what makes the
-//!   next resume sound);
+//!   next resume sound). A clean [`put`] straight to the daemon resumes
+//!   from that prefix, its receipt's CRC check fails on a dirty one, and
+//!   the object it completes is read back like a survivor;
 //! * **graceful teardown** — every batch drains and shuts down, and on
 //!   Linux the harness checks that no daemon or proxy thread born during
 //!   the soak outlives it (a census of the `adcomp-serve*`/`adcomp-chaos*`
@@ -25,7 +28,7 @@
 //! `adcomp chaos --net --runs 256` drives this from the CLI; CI runs it
 //! as the network half of the chaos gauntlet.
 
-use super::client::{self, put, PutOptions};
+use super::client::{self, get, put, PutOptions};
 use super::server::{ServeConfig, Server};
 use adcomp_corpus::Prng;
 use adcomp_core::Backoff;
@@ -162,7 +165,6 @@ pub fn run_net_soak(
     while run < cfg.runs {
         let batch = concurrency.min(cfg.runs - run);
         let server = Server::start(ServeConfig {
-            keep_payloads: true,
             io_timeout: Duration::from_secs(1),
             max_streams: batch as usize + 2,
             per_tenant_streams: 2,
@@ -195,14 +197,18 @@ pub fn run_net_soak(
             let handle = std::thread::spawn(move || {
                 let result =
                     catch_unwind(AssertUnwindSafe(|| put(proxy_addr, &data_cl, &opts)));
-                (result, opts.tenant, opts.transfer_id)
+                (result, opts)
             });
             clients.push((handle, data));
         }
+        let mut outcomes = Vec::new();
         for (handle, data) in clients {
-            let (result, tenant, transfer_id) = handle.join().expect("client thread died");
-            match result {
-                Err(_) => summary.panics += 1,
+            let (result, opts) = handle.join().expect("client thread died");
+            let completed = match result {
+                Err(_) => {
+                    summary.panics += 1;
+                    continue;
+                }
                 Ok(Ok(report)) => {
                     summary.completed += 1;
                     summary.retries += (report.attempts - 1) as u64;
@@ -210,36 +216,31 @@ pub fn run_net_soak(
                         summary.resumed += 1;
                     }
                     summary.bytes_completed += data.len() as u64;
-                    // Byte-accurate survivor: what the server holds must be
-                    // exactly what the client sent.
-                    let held = server.payload(&tenant, transfer_id);
-                    if held.as_deref() != Some(&data[..]) {
-                        summary.mismatches += 1;
-                        eprintln!(
-                            "net soak MISMATCH (completed): {tenant}/{transfer_id} sent {} held {:?} diverges at {:?}",
-                            data.len(),
-                            held.as_ref().map(Vec::len),
-                            held.as_deref()
-                                .map(|h| h.iter().zip(&data).position(|(a, b)| a != b)),
-                        );
-                    }
+                    true
                 }
                 Ok(Err(_)) => {
                     summary.failed += 1;
-                    // Clean prefix: whatever the server verified before the
-                    // wire died must be an exact prefix of the input.
-                    if let Some(prefix) = server.payload(&tenant, transfer_id) {
-                        if prefix.len() > data.len() || prefix[..] != data[..prefix.len()] {
-                            summary.mismatches += 1;
-                            eprintln!(
-                                "net soak MISMATCH (prefix): {tenant}/{transfer_id} sent {} held {} diverges at {:?}",
-                                data.len(),
-                                prefix.len(),
-                                prefix.iter().zip(&data).position(|(a, b)| a != b),
-                            );
-                        }
-                    }
+                    false
                 }
+            };
+            outcomes.push((opts, data, completed));
+        }
+        // Every stream the proxy carried ends first (a stalled one at its
+        // idle timeout), so no clean resume finds its transfer busy.
+        settle(|| Some(server.active()), 0);
+        let addr = server.local_addr();
+        for (opts, data, completed) in outcomes {
+            // A failed transfer is finished first by a clean `put`, which
+            // resumes from the verified prefix and fails its receipt check
+            // on a dirty one. Then the whole object must read back.
+            let finished = if completed { Ok(()) } else { put(addr, &data, &opts).map(drop) };
+            let (tenant, id) = (&opts.tenant, opts.transfer_id);
+            let held = finished.and_then(|()| get(addr, tenant, id, 0, u64::MAX, opts.io_timeout));
+            if !matches!(&held, Ok(held) if *held == data) {
+                summary.mismatches += 1;
+                let kind = if completed { "completed" } else { "prefix" };
+                let held = held.map(|h| h.len());
+                eprintln!("net soak MISMATCH ({kind}): {tenant}/{id} sent {} read back {held:?}", data.len());
             }
         }
         if !server.drain_and_wait(Duration::from_secs(30)) {

@@ -58,7 +58,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long a kept-alive connection waits for its next request before its
@@ -85,9 +85,6 @@ pub struct ServeConfig {
     pub max_stream_secs: f64,
     /// Per-tenant ingest bandwidth cap, bytes/s (`None` = uncapped).
     pub tenant_rate_bps: Option<f64>,
-    /// Retain received payloads in memory (tests / verification). GETs are
-    /// served from the stored wire either way.
-    pub keep_payloads: bool,
     /// Byte budget for the hot-object block cache serving ranged GETs
     /// (0 disables caching; GETs then decode every covering block).
     pub cache_bytes: u64,
@@ -103,7 +100,6 @@ impl Default for ServeConfig {
             io_timeout: Duration::from_secs(5),
             max_stream_secs: 600.0,
             tenant_rate_bps: None,
-            keep_payloads: false,
             cache_bytes: 64 << 20,
         }
     }
@@ -126,35 +122,40 @@ pub struct ServeStats {
     pub connections: u64,
 }
 
-#[derive(Default)]
-struct Counters {
-    accepted: AtomicU64,
-    completed: AtomicU64,
-    resumed: AtomicU64,
-    shed: AtomicU64,
-    timeouts: AtomicU64,
-    aborts: AtomicU64,
-    drained_transfers: AtomicU64,
-    connections: AtomicU64,
+/// A daemon event: one [`ServeStats`] field, which [`Shared::count`]
+/// bumps together with the event's registry family.
+#[derive(Clone, Copy)]
+enum Event {
+    Accepted,
+    Completed,
+    Resumed,
+    /// Counted per reason in the registry, by [`Shared::shed`].
+    Shed,
+    Timeout,
+    /// A PUT stream ended by damage, a protocol error, a failed accept
+    /// write or a stopping server.
+    Abort,
+    DrainedTransfer,
+    /// A socket the accept loop took; it has no registry family.
+    Connection,
 }
 
 /// State of one transfer `(tenant, transfer_id)`: the verified prefix.
+/// It is complete once `verified == total`.
+#[derive(Default)]
 struct Transfer {
     verified: u64,
     total: u64,
     crc: Hasher,
-    data: Option<Vec<u8>>,
-    completed: bool,
     /// A connection is currently streaming this transfer; a duplicate
     /// gets rejected instead of corrupting the prefix.
     busy: bool,
     /// Frame-aligned compressed wire bytes covering exactly `verified`
-    /// application bytes, accumulated across resumed connections. `None`
-    /// once a protocol violation invalidated it: the transfer can still
-    /// complete, but it has nothing to serve GETs from.
-    wire: Option<Vec<u8>>,
+    /// application bytes, accumulated across resumed connections; held by
+    /// the stream's [`StreamGuard`] while `busy`, empty once sealed.
+    wire: Vec<u8>,
     /// Set at completion: the wire plus its scanned block index, shared
-    /// with GET handlers outside the transfer lock.
+    /// with GET handlers outside the state lock.
     sealed: Option<Arc<SealedObject>>,
 }
 
@@ -165,11 +166,22 @@ struct SealedObject {
     index: StreamIndex,
 }
 
+/// Admission and transfer state, behind [`Shared::state`]. Its critical
+/// sections only look up entries and write fields: no payload byte is
+/// hashed, copied, scanned or decoded under the lock.
+#[derive(Default)]
+struct State {
+    /// Admitted streams in flight.
+    active: u64,
+    /// Admitted streams in flight per tenant; a tenant at zero leaves.
+    tenants: HashMap<String, u64>,
+    transfers: HashMap<(String, u64), Transfer>,
+}
+
 struct Shared {
     cfg: ServeConfig,
     stop: AtomicBool,
     draining: AtomicBool,
-    active_streams: AtomicU64,
     /// Accepted connections whose handler has not finished. The accept
     /// loop's flood cap reads it.
     live_conns: AtomicU64,
@@ -178,10 +190,10 @@ struct Shared {
     /// linger. A handler registers only under this lock and after reading
     /// `stop` as false there.
     idle_conns: Mutex<Vec<Arc<TcpStream>>>,
-    tenant_active: Mutex<HashMap<String, u64>>,
     tenant_throttles: Mutex<HashMap<String, SharedThrottle>>,
-    transfers: Mutex<HashMap<(String, u64), Transfer>>,
-    counters: Counters,
+    state: Mutex<State>,
+    /// One count per [`Event`], indexed by it.
+    counters: [AtomicU64; Event::Connection as usize + 1],
     cache: BlockCache,
 }
 
@@ -192,23 +204,72 @@ impl Shared {
         }
     }
 
+    /// The state lock, on every path but [`StreamGuard`]'s release.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("state poisoned")
+    }
+
     fn shed(&self, reason: RejectReason) {
-        self.counters.shed.fetch_add(1, Ordering::Relaxed);
+        self.count(Event::Shed);
         self.metric(|m| m.label_count(LabelFamily::ShedReason, reason.as_str(), 1));
     }
 
-    /// Gives back one admitted stream's global and per-tenant slot. A
-    /// tenant whose count reaches zero leaves the table, so it holds only
-    /// tenants with streams in flight.
-    fn release_stream_slot(&self, tenant: &str) {
-        self.active_streams.fetch_sub(1, Ordering::AcqRel);
-        let mut tenants = self.tenant_active.lock().expect("tenants poisoned");
-        if let Some(n) = tenants.get_mut(tenant) {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                tenants.remove(tenant);
-            }
+    fn begin_drain(&self) {
+        if !self.draining.swap(true, Ordering::AcqRel) {
+            self.metric(|m| m.counter_add(CounterKind::ServeDrains, 1));
         }
+    }
+
+    fn count(&self, event: Event) {
+        self.counters[event as usize].fetch_add(1, Ordering::Relaxed);
+        let kind = match event {
+            Event::Accepted => CounterKind::ServeAccepted,
+            Event::Completed => CounterKind::ServeCompleted,
+            Event::Resumed => CounterKind::ServeResumes,
+            Event::Timeout => CounterKind::ServeTimeouts,
+            Event::Abort => CounterKind::ServeAborts,
+            Event::DrainedTransfer => CounterKind::ServeDrainedTransfers,
+            Event::Shed | Event::Connection => return,
+        };
+        self.metric(|m| m.counter_add(kind, 1));
+    }
+
+    /// Admits a stream of `key` declaring `total_len` bytes in one critical
+    /// section: the global cap, the tenant's count, then a busy or length
+    /// conflict on the transfer. The three reservations are taken together
+    /// or not at all; the returned guard gives them back. Also returns the
+    /// verified prefix the stream starts from and its CRC state.
+    fn admit(
+        &self,
+        key: (String, u64),
+        total_len: u64,
+    ) -> Result<(StreamGuard<'_>, u64, Hasher), RejectReason> {
+        let (start, crc, wire, active) = {
+            let mut state = self.lock();
+            let State { active, tenants, transfers } = &mut *state;
+            if *active >= self.cfg.max_streams as u64 {
+                return Err(RejectReason::Capacity);
+            }
+            if tenants.get(&key.0).copied().unwrap_or(0) >= self.cfg.per_tenant_streams as u64 {
+                return Err(RejectReason::TenantQuota);
+            }
+            let t = transfers
+                .entry(key.clone())
+                .or_insert_with(|| Transfer { total: total_len, ..Transfer::default() });
+            if t.busy || t.total != total_len {
+                return Err(RejectReason::TenantQuota);
+            }
+            t.busy = true;
+            *active += 1;
+            *tenants.entry(key.0.clone()).or_insert(0) += 1;
+            (t.verified, t.crc.clone(), std::mem::take(&mut t.wire), *active)
+        };
+        self.count(Event::Accepted);
+        self.metric(|m| {
+            m.gauge_add(GaugeKind::ServeActiveConns, 1);
+            m.gauge_max(GaugeKind::ServeActiveConnsMax, active as i64);
+        });
+        Ok((StreamGuard { shared: self, key, wire }, start, crc))
     }
 }
 
@@ -231,13 +292,11 @@ impl Server {
             cfg,
             stop: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            active_streams: AtomicU64::new(0),
             live_conns: AtomicU64::new(0),
             idle_conns: Mutex::default(),
-            tenant_active: Mutex::default(),
             tenant_throttles: Mutex::default(),
-            transfers: Mutex::default(),
-            counters: Counters::default(),
+            state: Mutex::default(),
+            counters: Default::default(),
             cache,
         });
         let handlers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
@@ -261,7 +320,7 @@ impl Server {
                         continue;
                     }
                     s.live_conns.fetch_add(1, Ordering::AcqRel);
-                    s.counters.connections.fetch_add(1, Ordering::Relaxed);
+                    s.count(Event::Connection);
                     // A handler per connection: concurrency stays unbounded
                     // up to the flood cap, and a slow stream never queues
                     // anyone behind it.
@@ -298,7 +357,7 @@ impl Server {
 
     /// Admitted streams currently in flight.
     pub fn active(&self) -> u64 {
-        self.shared.active_streams.load(Ordering::Acquire)
+        self.shared.lock().active
     }
 
     pub fn draining(&self) -> bool {
@@ -307,31 +366,23 @@ impl Server {
 
     /// Server-local robustness counters.
     pub fn stats(&self) -> ServeStats {
-        let c = &self.shared.counters;
+        let c = |event: Event| self.shared.counters[event as usize].load(Ordering::Relaxed);
         ServeStats {
-            accepted: c.accepted.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            resumed: c.resumed.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            timeouts: c.timeouts.load(Ordering::Relaxed),
-            aborts: c.aborts.load(Ordering::Relaxed),
-            drained_transfers: c.drained_transfers.load(Ordering::Relaxed),
-            connections: c.connections.load(Ordering::Relaxed),
+            accepted: c(Event::Accepted),
+            completed: c(Event::Completed),
+            resumed: c(Event::Resumed),
+            shed: c(Event::Shed),
+            timeouts: c(Event::Timeout),
+            aborts: c(Event::Abort),
+            drained_transfers: c(Event::DrainedTransfer),
+            connections: c(Event::Connection),
         }
     }
 
     /// Verified prefix length of a transfer, if known.
     #[cfg(test)]
     pub(crate) fn verified_len(&self, tenant: &str, transfer_id: u64) -> Option<u64> {
-        let transfers = self.shared.transfers.lock().expect("transfers poisoned");
-        transfers.get(&(tenant.to_string(), transfer_id)).map(|t| t.verified)
-    }
-
-    /// The received payload of a transfer (only with
-    /// [`ServeConfig::keep_payloads`]).
-    pub fn payload(&self, tenant: &str, transfer_id: u64) -> Option<Vec<u8>> {
-        let transfers = self.shared.transfers.lock().expect("transfers poisoned");
-        transfers.get(&(tenant.to_string(), transfer_id)).and_then(|t| t.data.clone())
+        self.shared.lock().transfers.get(&(tenant.to_string(), transfer_id)).map(|t| t.verified)
     }
 
     /// Hot-object block-cache counters (hits, misses, evictions,
@@ -340,28 +391,17 @@ impl Server {
         self.shared.cache.stats()
     }
 
-    /// Whether a completed transfer holds its compressed wire and block
-    /// index (i.e. ranged GETs will be index-served rather than sliced
-    /// from a retained decoded payload).
+    /// Whether a transfer is sealed: complete, with its wire and block index.
     #[cfg(test)]
     pub(crate) fn is_sealed(&self, tenant: &str, transfer_id: u64) -> bool {
-        let transfers = self.shared.transfers.lock().expect("transfers poisoned");
-        transfers.get(&(tenant.to_string(), transfer_id)).is_some_and(|t| t.sealed.is_some())
-    }
-
-    /// Whether a transfer has been received completely and CRC-verified.
-    #[cfg(test)]
-    pub(crate) fn is_completed(&self, tenant: &str, transfer_id: u64) -> bool {
-        let transfers = self.shared.transfers.lock().expect("transfers poisoned");
-        transfers.get(&(tenant.to_string(), transfer_id)).is_some_and(|t| t.completed)
+        let state = self.shared.lock();
+        state.transfers.get(&(tenant.to_string(), transfer_id)).is_some_and(|t| t.sealed.is_some())
     }
 
     /// Starts a graceful drain: new PUTs are rejected with
     /// [`RejectReason::Draining`]; in-flight streams keep running.
     pub fn begin_drain(&self) {
-        if !self.shared.draining.swap(true, Ordering::AcqRel) {
-            self.shared.metric(|m| m.counter_add(CounterKind::ServeDrains, 1));
-        }
+        self.shared.begin_drain();
     }
 
     /// Waits until every in-flight stream finished, or `deadline` passes.
@@ -441,22 +481,35 @@ impl Drop for Release<'_> {
     }
 }
 
-/// Undoes one stream admission on every exit path (including panics in
-/// the handler body).
+/// Undoes one stream admission on every exit path, a panicking handler
+/// included, and puts the transfer's wire back, in one critical section
+/// that takes a poisoned lock over: a panic here, during an unwind, would
+/// abort the daemon, and no panic leaves a count or a flag half written.
 struct StreamGuard<'a> {
     shared: &'a Shared,
-    tenant: String,
-    transfer_id: u64,
+    key: (String, u64),
+    /// The transfer's wire while the stream runs: taken at admission,
+    /// extended by the handler outside the lock, stored back at release.
+    wire: Vec<u8>,
 }
 
 impl Drop for StreamGuard<'_> {
     fn drop(&mut self) {
-        self.shared.release_stream_slot(&self.tenant);
-        self.shared.metric(|m| m.gauge_add(GaugeKind::ServeActiveConns, -1));
-        let mut transfers = self.shared.transfers.lock().expect("transfers poisoned");
-        if let Some(t) = transfers.get_mut(&(self.tenant.clone(), self.transfer_id)) {
-            t.busy = false;
+        {
+            let mut state = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
+            state.active = state.active.saturating_sub(1);
+            if let Some(n) = state.tenants.get_mut(&self.key.0) {
+                *n = n.saturating_sub(1);
+                if *n == 0 {
+                    state.tenants.remove(&self.key.0);
+                }
+            }
+            if let Some(t) = state.transfers.get_mut(&self.key) {
+                t.busy = false;
+                t.wire = std::mem::take(&mut self.wire);
+            }
         }
+        self.shared.metric(|m| m.gauge_add(GaugeKind::ServeActiveConns, -1));
     }
 }
 
@@ -495,10 +548,8 @@ fn serve_request(shared: &Arc<Shared>, mut sock: &TcpStream) -> bool {
     };
     match req {
         Request::Drain => {
-            let active = shared.active_streams.load(Ordering::Acquire);
-            if !shared.draining.swap(true, Ordering::AcqRel) {
-                shared.metric(|m| m.counter_add(CounterKind::ServeDrains, 1));
-            }
+            let active = shared.lock().active;
+            shared.begin_drain();
             let _ = write_response(
                 &mut sock,
                 &Response::Accept { start_offset: active, level_cap: 0 },
@@ -559,74 +610,28 @@ fn handle_put(
     if total_len > shared.cfg.max_transfer_bytes {
         return reject(RejectReason::TooLarge, sock);
     }
-    // Global budget: reserve optimistically, roll back on refusal so the
-    // check-and-increment is race-free.
-    let prev = shared.active_streams.fetch_add(1, Ordering::AcqRel);
-    if prev >= shared.cfg.max_streams as u64 {
-        shared.active_streams.fetch_sub(1, Ordering::AcqRel);
-        return reject(RejectReason::Capacity, sock);
-    }
-    {
-        let mut tenants = shared.tenant_active.lock().expect("tenants poisoned");
-        let n = tenants.entry(tenant.clone()).or_insert(0);
-        if *n >= shared.cfg.per_tenant_streams as u64 {
-            drop(tenants);
-            shared.active_streams.fetch_sub(1, Ordering::AcqRel);
-            return reject(RejectReason::TenantQuota, sock);
-        }
-        *n += 1;
-    }
-    // Transfer table: find the verified prefix; refuse concurrent writers
-    // on the same transfer (the prefix must stay single-writer).
-    let start = {
-        let mut transfers = shared.transfers.lock().expect("transfers poisoned");
-        let t = transfers.entry((tenant.clone(), transfer_id)).or_insert_with(|| Transfer {
-            verified: 0,
-            total: total_len,
-            crc: Hasher::new(),
-            data: shared.cfg.keep_payloads.then(Vec::new),
-            completed: false,
-            busy: false,
-            wire: Some(Vec::new()),
-            sealed: None,
-        });
-        if t.busy || t.total != total_len {
-            drop(transfers);
-            shared.release_stream_slot(&tenant);
-            return reject(RejectReason::TenantQuota, sock);
-        }
-        t.busy = true;
-        t.verified
+    let (mut guard, start, mut crc) = match shared.admit((tenant, transfer_id), total_len) {
+        Ok(admitted) => admitted,
+        Err(reason) => return reject(reason, sock),
     };
-    // From here on the guard owns the rollback of all three reservations.
-    let guard = StreamGuard { shared, tenant: tenant.clone(), transfer_id };
-    shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-    shared.metric(|m| {
-        m.counter_add(CounterKind::ServeAccepted, 1);
-        m.gauge_add(GaugeKind::ServeActiveConns, 1);
-        m.gauge_max(GaugeKind::ServeActiveConnsMax, shared.active_streams.load(Ordering::Acquire) as i64);
-    });
     if start > 0 && start < total_len {
-        shared.counters.resumed.fetch_add(1, Ordering::Relaxed);
-        shared.metric(|m| m.counter_add(CounterKind::ServeResumes, 1));
+        shared.count(Event::Resumed);
     }
     let accept = Response::Accept { start_offset: start, level_cap: NO_LEVEL_CAP };
     if write_response(&mut sock, &accept).is_err() {
-        shared.counters.aborts.fetch_add(1, Ordering::Relaxed);
-        return false; // guard rolls back
+        shared.count(Event::Abort);
+        return false; // the guard puts the wire back
     }
 
-    // Ingest loop: decode the adaptive stream, folding each verified chunk
-    // into the transfer record immediately so an abort anywhere still
-    // leaves a resumable, CRC-clean prefix.
+    // Ingest loop: decode the adaptive stream a block at a time, CRC each
+    // block outside the lock and publish the longer verified prefix, so an
+    // abort anywhere still leaves a resumable, CRC-clean prefix.
     let throttled: Box<dyn Read + Send + '_> = match shared.cfg.tenant_rate_bps {
         Some(bps) => {
-            let throttle = {
-                let mut throttles =
-                    shared.tenant_throttles.lock().expect("throttles poisoned");
-                throttles.entry(tenant.clone()).or_insert_with(|| SharedThrottle::new(bps)).clone()
-            };
-            Box::new(ThrottledReader::new(sock, throttle))
+            let mut throttles = shared.tenant_throttles.lock().expect("throttles poisoned");
+            let tenant = guard.key.0.clone();
+            let throttle = throttles.entry(tenant).or_insert_with(|| SharedThrottle::new(bps));
+            Box::new(ThrottledReader::new(sock, throttle.clone()))
         }
         None => Box::new(sock),
     };
@@ -634,61 +639,51 @@ fn handle_put(
     // has no gaps, and the stored wire reproduces every delivered byte.
     let mut reader = AdaptiveReader::new(CaptureReader { inner: throttled, captured: Vec::new() });
     let deadline = Instant::now() + Duration::from_secs_f64(shared.cfg.max_stream_secs);
-    let mut buf = [0u8; 16 * 1024];
-    let key = (tenant.clone(), transfer_id);
-    let mut overflowed = false;
-    let mut delivered = 0u64;
-    enum StreamEnd {
-        /// The declared length arrived, or the client closed the
-        /// connection at a frame boundary short of it.
-        Clean,
-        Stop,
-        Timeout,
-        Damage,
-    }
+    let mut verified = start;
+    let mut verified_wire = 0; // where the capture is cut, however the stream ends
+    // The loop ends with `None` when the declared length arrived or the
+    // client closed the connection at a frame boundary short of it, and
+    // otherwise with the event that ended the stream.
     let end = loop {
         // The declared length ends the stream, not EOF: what follows on
         // the socket is the next request, so no further frame may be read.
         // The inline reader reads none ahead of the block it serves.
-        if start + delivered == total_len {
-            break StreamEnd::Clean;
+        if verified == total_len {
+            break None;
         }
         if shared.stop.load(Ordering::Acquire) {
-            break StreamEnd::Stop;
+            break Some(Event::Abort);
         }
         if Instant::now() >= deadline {
             // Wall budget exhausted: slow-drip guard.
-            break StreamEnd::Timeout;
+            break Some(Event::Timeout);
         }
-        match reader.read(&mut buf) {
-            Ok(0) => break StreamEnd::Clean,
-            Ok(n) => {
-                delivered += n as u64;
-                let mut transfers = shared.transfers.lock().expect("transfers poisoned");
-                let t = transfers.get_mut(&key).expect("busy transfer vanished");
-                if t.verified + n as u64 > total_len {
-                    // More bytes than declared: protocol violation. The
-                    // captured wire no longer matches `verified`, so the
-                    // wire store for this transfer must be dropped too.
-                    overflowed = true;
-                    break StreamEnd::Damage;
-                }
-                t.crc.update(&buf[..n]);
-                t.verified += n as u64;
-                if let Some(data) = t.data.as_mut() {
-                    data.extend_from_slice(&buf[..n]);
-                }
+        match reader.read_block() {
+            Ok(None) => break None,
+            // More bytes than declared: a protocol violation. The block is
+            // not folded in, so its frame is not kept either.
+            Ok(Some(block)) if block.len() as u64 > total_len - verified => {
+                break Some(Event::Abort)
+            }
+            Ok(Some(block)) => {
+                crc.update(block);
+                verified += block.len() as u64;
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
                 // Idle timeout: the socket went silent for io_timeout.
-                break StreamEnd::Timeout;
+                break Some(Event::Timeout);
             }
             // Stream damage (corrupt frame under fail-fast, reset, …).
-            Err(_) => break StreamEnd::Damage,
+            Err(_) => break Some(Event::Abort),
         }
+        verified_wire = reader.wire_bytes() as usize;
+        let mut state = shared.lock();
+        let t = state.transfers.get_mut(&guard.key).expect("busy transfer vanished");
+        t.verified = verified;
+        t.crc = crc.clone();
     };
     // Surface the frame layer's recovery counters however the stream
     // ended: the damage that aborted it is counted there.
@@ -697,80 +692,50 @@ fn handle_put(
         m.counter_add(CounterKind::RecoveryCorruptFrames, rec.corrupt_frames);
         m.counter_add(CounterKind::RecoveryTruncations, rec.truncations);
     });
-    // Fold the captured wire into the transfer before branching on how the
-    // stream ended: on every exit path `wire` must cover exactly
-    // `verified` app bytes for resume + GET to stay coherent. When the
-    // stream ended mid-block (wall-budget timeout between partial reads),
-    // decoded frames outran delivery and no frame-aligned prefix matches
-    // `verified` — the wire store for this transfer is dropped rather
-    // than left lying.
-    let decoded = reader.app_bytes();
-    let wire_used = reader.wire_bytes() as usize;
-    let captured = reader.into_inner().captured;
-    {
-        let mut transfers = shared.transfers.lock().expect("transfers poisoned");
-        if let Some(t) = transfers.get_mut(&key) {
-            if overflowed || decoded != delivered {
-                t.wire = None;
-            } else if let Some(w) = t.wire.as_mut() {
-                w.extend_from_slice(&captured[..wire_used.min(captured.len())]);
-            }
-        }
+    // The stored wire is the transfer's earlier wire, then the capture cut
+    // to the frames verified here, so it covers exactly `verified` on
+    // every exit. A fresh capture is stored as it is, shrunk: its
+    // grow-by-doubling slack would stay resident with the object.
+    let mut captured = reader.into_inner().captured;
+    captured.truncate(verified_wire);
+    if guard.wire.is_empty() {
+        captured.shrink_to_fit();
+        guard.wire = captured;
+    } else {
+        guard.wire.reserve_exact(captured.len());
+        guard.wire.extend_from_slice(&captured);
     }
-    match end {
-        StreamEnd::Clean => {}
-        StreamEnd::Stop => {
-            shared.counters.aborts.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        StreamEnd::Timeout => {
-            shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-            shared.metric(|m| m.counter_add(CounterKind::ServeTimeouts, 1));
-            return false;
-        }
-        StreamEnd::Damage => {
-            shared.counters.aborts.fetch_add(1, Ordering::Relaxed);
-            shared.metric(|m| m.counter_add(CounterKind::ServeAborts, 1));
-            return false;
-        }
+    if let Some(event) = end {
+        shared.count(event);
+        return false;
     }
 
     // Complete only when the whole declared length is verified; a
     // short-but-clean close keeps the prefix for a later resume.
-    let (verified, crc, complete) = {
-        let mut transfers = shared.transfers.lock().expect("transfers poisoned");
-        let t = transfers.get_mut(&key).expect("busy transfer vanished");
-        let complete = t.verified == total_len;
-        if complete {
-            t.completed = true;
-            // Seal: scan the stored wire into a block index (headers
-            // only, no decompression) so ranged GETs can seek. A scan
-            // disagreeing with the verified length means the wire copy
-            // cannot be trusted — drop it instead of serving from it.
-            if t.sealed.is_none() {
-                if let Some(w) = t.wire.take() {
-                    match StreamIndex::scan(&w) {
-                        Ok(index) if index.total_uncompressed() == total_len => {
-                            t.sealed = Some(Arc::new(SealedObject { wire: w, index }));
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        (t.verified, t.crc.finish(), complete)
-    };
-    let sent = write_done(&mut sock, &Done { ok: complete, verified, crc }).is_ok();
-    if !complete {
-        let _ = sock.shutdown(Shutdown::Write);
-    }
+    let complete = verified == total_len;
     if complete {
-        shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-        shared.metric(|m| m.counter_add(CounterKind::ServeCompleted, 1));
-        if shared.draining.load(Ordering::Acquire) {
-            shared.counters.drained_transfers.fetch_add(1, Ordering::Relaxed);
-            shared.metric(|m| m.counter_add(CounterKind::ServeDrainedTransfers, 1));
+        // Seal: scan the stored wire into a block index (headers only, no
+        // decompression) so ranged GETs can seek, then install it. A scan
+        // disagreeing with the verified length means the wire cannot be
+        // trusted: the transfer completes unsealed and its GETs are refused.
+        match StreamIndex::scan(&guard.wire) {
+            Ok(index) if index.total_uncompressed() == total_len => {
+                let sealed = SealedObject { wire: std::mem::take(&mut guard.wire), index };
+                let mut state = shared.lock();
+                let t = state.transfers.get_mut(&guard.key).expect("busy transfer vanished");
+                t.sealed = Some(Arc::new(sealed));
+            }
+            _ => {}
         }
+    }
+    let sent = write_done(&mut sock, &Done { ok: complete, verified, crc: crc.finish() }).is_ok();
+    if complete {
+        shared.count(Event::Completed);
+        if shared.draining.load(Ordering::Acquire) {
+            shared.count(Event::DrainedTransfer);
+        }
+    } else {
+        let _ = sock.shutdown(Shutdown::Write);
     }
     drop(guard);
     complete && sent
@@ -814,13 +779,11 @@ fn handle_get<W: Write>(
         let _ = write_response(out, &Response::Reject { reason: RejectReason::BadRequest });
         false
     };
-    // Only a completed transfer is sealed. One whose stored wire was
-    // invalidated mid-transfer completes unsealed and has nothing to
+    // Only a completed transfer is sealed. One whose seal scan disagreed
+    // with its verified length completes unsealed and has nothing to
     // serve from.
-    let sealed = {
-        let transfers = shared.transfers.lock().expect("transfers poisoned");
-        transfers.get(&(tenant.to_string(), transfer_id)).and_then(|t| t.sealed.clone())
-    };
+    let key = (tenant.to_string(), transfer_id);
+    let sealed = shared.lock().transfers.get(&key).and_then(|t| t.sealed.clone());
     let Some(sealed) = sealed else {
         return reject(out);
     };
@@ -901,14 +864,11 @@ mod tests {
     use super::super::proto::{
         read_done, read_get_payload, read_response, write_get_payload, write_request,
     };
-    use super::super::testio::Counting;
+    use super::super::testio::{writer, Counting};
     use super::*;
     use adcomp_codecs::crc32::crc32;
     use adcomp_codecs::frame::HEADER_LEN;
-    use adcomp_codecs::LevelSet;
-    use adcomp_core::model::StaticModel;
-    use adcomp_core::stream::AdaptiveWriter;
-    use adcomp_core::{Backoff, WallClock};
+    use adcomp_core::Backoff;
     use adcomp_corpus::{generate, Class};
     use std::collections::HashSet;
     use std::ffi::OsString;
@@ -927,11 +887,7 @@ mod tests {
 
     /// The LIGHT frame stream of `data` in 4 KiB blocks.
     fn frames_of(data: &[u8]) -> Vec<u8> {
-        let levels = LevelSet::paper_default();
-        let n = levels.len();
-        let model = Box::new(StaticModel::new(1, n));
-        let clock = Box::new(WallClock::new());
-        let mut w = AdaptiveWriter::with_params(Vec::new(), levels, model, 4096, 2.0, clock);
+        let mut w = writer(Vec::new(), 1, 4096);
         w.write_all(data).unwrap();
         w.finish().unwrap().0
     }
@@ -983,17 +939,30 @@ mod tests {
     #[test]
     fn panicking_handler_does_not_leak_its_connection_slot() {
         let server = start();
-        // Poison the transfer table: every GET handler now panics on its
-        // `expect`, the way a bug in a handler would.
+        // A PUT mid-stream: one block verified, the next still to come.
+        let wire = frames_of(&body(2 * 4096));
+        let first = HEADER_LEN + u32::from_le_bytes(wire[8..12].try_into().unwrap()) as usize;
+        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+        let req = Request::Put { tenant: "t".into(), transfer_id: 1, total_len: 2 * 4096 };
+        write_request(&mut sock, &req).unwrap();
+        assert!(matches!(read_response(&mut sock).unwrap(), Response::Accept { .. }));
+        sock.write_all(&wire[..first]).unwrap();
+        wait_for("the first block", || server.verified_len("t", 1) == Some(4096));
+        // Poison the state lock: every GET handler now panics on its
+        // `expect`, the way a bug in a handler would…
         let shared = Arc::clone(&server.shared);
         let _ = std::thread::spawn(move || {
-            let _held = shared.transfers.lock().unwrap();
-            panic!("poison the transfer table");
+            let _held = shared.state.lock().unwrap();
+            panic!("poison the state lock");
         })
         .join();
         for _ in 0..3 {
             assert!(get(server.local_addr(), "t", 1, 0, 1, IO).is_err());
         }
+        // …and so does the PUT handler as it publishes its next block. Its
+        // stream guard's release takes the lock over instead of panicking
+        // again during the unwind, which would abort the process.
+        sock.write_all(&wire[first..]).unwrap();
         wait_for("panicked handlers to give their slots back", || live(&server) == 0);
         server.shutdown();
     }
@@ -1013,16 +982,19 @@ mod tests {
         write_request(&mut dup, &req(1000)).unwrap();
         let refused = Response::Reject { reason: RejectReason::TenantQuota };
         assert_eq!(read_response(&mut dup).unwrap(), refused);
-        assert_eq!(server.shared.tenant_active.lock().unwrap().get("t"), Some(&1));
+        let counts = || {
+            let state = server.shared.lock();
+            (state.active, state.tenants.get("t").copied(), state.transfers.len())
+        };
+        assert_eq!(counts(), (1, Some(1), 1));
         drop(held);
         wait_for("the cut stream to be reaped", || server.active() == 0);
-        // Same transfer, different declared length: refused after the
-        // tenant slot was already taken — the rollback must drop the entry.
+        // Same transfer, different declared length: refused in the same
+        // critical section that would have taken the slots, so none is.
         let mut other = TcpStream::connect(addr).unwrap();
         write_request(&mut other, &req(999)).unwrap();
         assert_eq!(read_response(&mut other).unwrap(), refused);
-        assert_eq!(server.active(), 0);
-        assert!(server.shared.tenant_active.lock().unwrap().is_empty());
+        assert_eq!(counts(), (0, None, 1));
         server.shutdown();
     }
 
@@ -1235,6 +1207,7 @@ mod tests {
         assert!(put_on(&first, 0, total, &wire).ok);
         drop(first);
 
+        let completed = |id| server.verified_len("t", id) == Some(total);
         let (mut harmless, mut caught) = (0, 0);
         for (f, &frame) in frames.iter().enumerate() {
             for bit in 0..HEADER_LEN * 8 {
@@ -1278,12 +1251,12 @@ mod tests {
                     // request behind the PUT is never answered.
                     Ok(done) => {
                         assert!(done.verified < total && rest.is_empty(), "{case}: {done:?}");
-                        assert!(!server.is_completed("t", id), "{case}: sealed after a failure");
+                        assert!(!completed(id), "{case}: sealed after a failure");
                         caught += 1;
                     }
                     Err(_) => {
                         assert!(back.is_empty(), "{case}: {} unexpected bytes", back.len());
-                        assert!(!server.is_completed("t", id), "{case}: sealed after a failure");
+                        assert!(!completed(id), "{case}: sealed after a failure");
                         caught += 1;
                     }
                 }
@@ -1294,19 +1267,12 @@ mod tests {
         assert_eq!(s.shed, 0, "a flipped PUT desynchronised its connection");
     }
 
-    /// A transfer whose stored wire was invalidated — here by a first
-    /// attempt whose first block is longer than the declared length — still
-    /// completes on a correct retry and holds the bytes, but has nothing to
-    /// serve a GET from: the GET is a typed refusal, never bytes from
-    /// anywhere else.
+    /// A first attempt whose first block is longer than the declared
+    /// length aborts with nothing verified and no frame kept, so a correct
+    /// retry completes sealed and its GET returns the declared bytes.
     #[test]
-    fn an_invalidated_wire_still_completes_and_its_get_is_a_bad_request() {
-        let server = Server::start(ServeConfig {
-            keep_payloads: true,
-            io_timeout: IO,
-            ..ServeConfig::default()
-        })
-        .unwrap();
+    fn a_retry_after_an_overrun_seals_and_serves_the_declared_bytes() {
+        let server = start();
         let addr = server.local_addr();
         let data = body(4096);
         let declared = 3000;
@@ -1326,12 +1292,10 @@ mod tests {
         let opts = PutOptions { tenant: "t".into(), transfer_id: 1, ..Default::default() };
         let want = &data[..declared as usize];
         assert_eq!(put(addr, want, &opts).unwrap().crc, crc32(want));
-        assert!(server.is_completed("t", 1) && !server.is_sealed("t", 1));
-        assert_eq!(server.payload("t", 1).as_deref(), Some(want));
-        let err = get(addr, "t", 1, 0, declared, IO).unwrap_err();
-        assert!(err.to_string().contains("bad_request"), "unexpected error: {err}");
+        assert!(server.is_sealed("t", 1));
+        assert_eq!(get(addr, "t", 1, 0, u64::MAX, IO).unwrap(), want);
         let s = server.shutdown();
-        assert_eq!((s.aborts, s.completed, s.shed), (1, 1, 1));
+        assert_eq!((s.aborts, s.completed, s.shed), (1, 1, 0));
     }
 
     /// A started server holding `data` as `t`/1, put in `block_len` blocks.
@@ -1445,8 +1409,8 @@ mod tests {
         let data = body(1100 * 1024 + 300);
         let server = sealed_object(&data, 1024);
         let blocks = {
-            let transfers = server.shared.transfers.lock().unwrap();
-            let sealed = transfers[&("t".to_string(), 1)].sealed.clone().unwrap();
+            let state = server.shared.lock();
+            let sealed = state.transfers[&("t".to_string(), 1)].sealed.clone().unwrap();
             sealed.index.entries.iter().filter(|e| e.uncompressed_len > 0).count()
         };
         assert_eq!(blocks, 1101);
