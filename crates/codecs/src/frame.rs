@@ -108,6 +108,20 @@ impl FrameHeader {
         }
         Ok(header)
     }
+
+    /// Whether this header heads an index trailer: `false` for a data
+    /// frame, `true` for [`FLAG_INDEX`] on a header with no application
+    /// bytes and a RAW payload. The flag on any other header is a bit
+    /// flipped on a data frame, which no CRC covers: `Corrupt`.
+    pub(crate) fn is_index_trailer(&self) -> Result<bool> {
+        if !self.index {
+            return Ok(false);
+        }
+        if self.uncompressed_len != 0 || self.codec != CodecId::Raw {
+            return Err(CodecError::Corrupt("index flag on a data frame"));
+        }
+        Ok(true)
+    }
 }
 
 /// Outcome of encoding one block — what the adaptive layer feeds its
@@ -659,9 +673,7 @@ fn to_io(e: CodecError) -> io::Error {
 /// no application bytes, a RAW payload, and a payload the index parser
 /// accepts.
 fn check_index_trailer(header: &FrameHeader, payload: &[u8]) -> Result<()> {
-    if header.uncompressed_len != 0 || header.codec != CodecId::Raw {
-        return Err(CodecError::Corrupt("index flag on a data frame"));
-    }
+    header.is_index_trailer()?;
     crate::seek::StreamIndex::parse_payload(payload).map(drop)
 }
 

@@ -43,10 +43,18 @@
 //! * Streaming readers ([`crate::frame::FrameReader`] and the adaptive
 //!   reader above it) skip [`crate::frame::FLAG_INDEX`] frames after CRC
 //!   validation: they contribute zero application bytes.
-//! * The index is **advisory**. Every block fetched through it is still
-//!   validated against its own frame header and payload CRC; a reader that
-//!   finds the trailer missing, truncated or lying falls back to
-//!   front-to-back streaming decode.
+//! * A stream without a usable trailer is indexed by
+//!   [`StreamIndex::walk`], the one frame-header walker: 16 bytes per
+//!   frame, no payload read, no decompression. [`StreamIndex::scan`] is
+//!   that walk over bytes in memory.
+//! * An index, from the trailer or from the walk, says where blocks are;
+//!   it does not vouch for them. Every block fetched through it is still
+//!   checked against its own frame header and payload CRC, and a block
+//!   that disagrees is an error, not a reason to read around it.
+//! * The trailer's entry table carries its own CRC; a walked index rests
+//!   on header lengths nothing checks until the blocks decode. So a reader
+//!   serves a walked offset only once every block before it has decoded
+//!   ([`StreamIndex::shares_from`]).
 
 use crate::crc32::crc32;
 use crate::frame::{FrameHeader, DEFAULT_MAX_FRAME, HEADER_LEN};
@@ -92,19 +100,23 @@ impl IndexEntry {
         out.extend_from_slice(&[0u8; 3]);
     }
 
-    fn decode(b: &[u8]) -> Result<IndexEntry> {
-        if b.len() < INDEX_ENTRY_LEN {
-            return Err(CodecError::Truncated);
-        }
+    fn decode(mut b: &[u8]) -> Result<IndexEntry> {
         Ok(IndexEntry {
-            frame_offset: u64::from_le_bytes(b[0..8].try_into().unwrap()),
-            uncompressed_offset: u64::from_le_bytes(b[8..16].try_into().unwrap()),
-            frame_len: u32::from_le_bytes(b[16..20].try_into().unwrap()),
-            uncompressed_len: u32::from_le_bytes(b[20..24].try_into().unwrap()),
-            crc: u32::from_le_bytes(b[24..28].try_into().unwrap()),
-            codec: CodecId::from_u8(b[28])?,
+            frame_offset: u64::from_le_bytes(take(&mut b)?),
+            uncompressed_offset: u64::from_le_bytes(take(&mut b)?),
+            frame_len: u32::from_le_bytes(take(&mut b)?),
+            uncompressed_len: u32::from_le_bytes(take(&mut b)?),
+            crc: u32::from_le_bytes(take(&mut b)?),
+            codec: CodecId::from_u8(take::<1>(&mut b)?[0])?,
         })
     }
+}
+
+/// Takes the next `N` bytes off the front of `b`.
+fn take<const N: usize>(b: &mut &[u8]) -> Result<[u8; N]> {
+    let (head, rest) = b.split_first_chunk::<N>().ok_or(CodecError::Truncated)?;
+    *b = rest;
+    Ok(*head)
 }
 
 /// The parsed block index of a seekable stream.
@@ -156,6 +168,49 @@ impl StreamIndex {
         first..last + 1
     }
 
+    /// The blocks covering `[start, start + len)`, clamped to the stream,
+    /// each with its share: the part of its application bytes the range
+    /// takes, as `lo..hi` within the block. Zero-length entries are
+    /// skipped, so every share is non-empty. A ranged reader slices each
+    /// decoded block by its share, after checking that the block is at
+    /// least `hi` bytes long.
+    pub fn shares(
+        &self,
+        start: u64,
+        len: u64,
+    ) -> impl Iterator<Item = (IndexEntry, std::ops::Range<usize>)> + Clone + '_ {
+        self.shares_from(usize::MAX, start, len).1.filter(|(e, _)| e.uncompressed_len > 0)
+    }
+
+    /// [`StreamIndex::shares`] for a reader that must decode every block a
+    /// read's answer rests on: the entries from `from`, when it comes
+    /// before the first covering block, through the last covering block
+    /// or, for a range the stream's end clamps, through the last entry,
+    /// since where the stream ends rests on every block's length.
+    /// Zero-length entries are included, and an entry the range does not
+    /// reach gets the empty share at its end: it is decoded and checked
+    /// but adds nothing. Also returns where that span ends.
+    pub fn shares_from(
+        &self,
+        from: usize,
+        start: u64,
+        len: u64,
+    ) -> (usize, impl Iterator<Item = (IndexEntry, std::ops::Range<usize>)> + Clone + '_) {
+        let covering = self.blocks_covering(start, len);
+        let total = self.total_uncompressed();
+        let clamped = len > 0 && start.saturating_add(len) > total;
+        let through = if clamped { self.entries.len() } else { covering.end };
+        let from = if covering.is_empty() { from } else { from.min(covering.start) };
+        let end = start.saturating_add(len).min(total);
+        let shares = self.entries[from.min(through)..through].iter().map(move |e| {
+            let within = |at: u64| {
+                at.saturating_sub(e.uncompressed_offset).min(u64::from(e.uncompressed_len)) as usize
+            };
+            (*e, within(start)..within(end))
+        });
+        (through, shares)
+    }
+
     /// Serializes entries + footer (the index frame's payload).
     pub fn encode_payload(&self, out: &mut Vec<u8>) {
         let start = out.len();
@@ -173,38 +228,7 @@ impl StreamIndex {
     /// [`StreamIndex::encode_payload`], validating the footer magic,
     /// version, entry CRC and offset monotonicity.
     pub fn parse_payload(payload: &[u8]) -> Result<StreamIndex> {
-        if payload.len() < INDEX_FOOTER_LEN {
-            return Err(CodecError::Truncated);
-        }
-        let footer = &payload[payload.len() - INDEX_FOOTER_LEN..];
-        if footer[0..4] != INDEX_MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let version = u32::from_le_bytes(footer[4..8].try_into().unwrap());
-        if version != INDEX_VERSION {
-            return Err(CodecError::Corrupt("unsupported index version"));
-        }
-        let count = u32::from_le_bytes(footer[8..12].try_into().unwrap());
-        if count > MAX_INDEX_ENTRIES {
-            return Err(CodecError::Corrupt("index entry count exceeds cap"));
-        }
-        let entries_len = count as usize * INDEX_ENTRY_LEN;
-        if payload.len() != entries_len + INDEX_FOOTER_LEN {
-            return Err(CodecError::Corrupt("index payload length mismatch"));
-        }
-        let entries_crc = u32::from_le_bytes(footer[12..16].try_into().unwrap());
-        let entry_bytes = &payload[..entries_len];
-        let actual = crc32(entry_bytes);
-        if actual != entries_crc {
-            return Err(CodecError::ChecksumMismatch { expected: entries_crc, actual });
-        }
-        let mut entries = Vec::with_capacity(count as usize);
-        for chunk in entry_bytes.chunks_exact(INDEX_ENTRY_LEN) {
-            entries.push(IndexEntry::decode(chunk)?);
-        }
-        let index = StreamIndex { entries };
-        index.validate_monotone()?;
-        Ok(index)
+        IndexFooter::parse(payload)?.entries(payload)
     }
 
     /// Entries must advance through the stream: strictly increasing frame
@@ -225,28 +249,43 @@ impl StreamIndex {
         Ok(())
     }
 
-    /// Rebuilds an index by walking the frame headers of `wire` front to
-    /// back (no decompression). Index frames are excluded. This is the
-    /// trust-nothing path: it reads only what the stream itself says, so a
-    /// missing or lying trailer never matters. Payload CRCs are *not*
-    /// verified here — fetching a block always re-validates them.
-    pub fn scan(wire: &[u8]) -> Result<StreamIndex> {
+    /// The one frame-header walker: indexes the data frames of a
+    /// `stream_len`-byte stream from their headers alone, `header_at(off)`
+    /// giving the header at wire offset `off` (no payload is read, no CRC
+    /// checked), stepping over index trailers. It stops at a header that
+    /// does not parse, the index flag on a data frame (which would drop the
+    /// block from the index) or a frame the stream cuts short, and returns
+    /// that error (`None` at the end) beside the frames before it. Only
+    /// `header_at`'s own errors fail the walk.
+    ///
+    /// No CRC covers a header, so an entry's application offset is only
+    /// as good as the `uncompressed_len` of every block before it: a
+    /// reader that has not decoded those blocks cannot trust it.
+    pub fn walk<E>(
+        stream_len: u64,
+        mut header_at: impl FnMut(u64) -> std::result::Result<[u8; HEADER_LEN], E>,
+    ) -> std::result::Result<(StreamIndex, Option<CodecError>), E> {
         let mut entries = Vec::new();
-        let mut off = 0usize;
-        let mut app = 0u64;
-        while off < wire.len() {
-            if wire.len() - off < HEADER_LEN {
-                return Err(CodecError::Truncated);
+        let (mut off, mut app) = (0u64, 0u64);
+        let stopped = loop {
+            if off == stream_len {
+                break None;
             }
-            let hb: &[u8; HEADER_LEN] = wire[off..off + HEADER_LEN].try_into().unwrap();
-            let header = FrameHeader::parse(hb, DEFAULT_MAX_FRAME)?;
-            let frame_len = HEADER_LEN + header.payload_len as usize;
-            if wire.len() - off < frame_len {
-                return Err(CodecError::Truncated);
+            if stream_len - off < HEADER_LEN as u64 {
+                break Some(CodecError::Truncated);
             }
-            if !header.index {
+            let parsed = FrameHeader::parse(&header_at(off)?, DEFAULT_MAX_FRAME);
+            let (header, trailer) = match parsed.and_then(|h| Ok((h, h.is_index_trailer()?))) {
+                Ok(walked) => walked,
+                Err(e) => break Some(e),
+            };
+            let frame_len = HEADER_LEN as u64 + u64::from(header.payload_len);
+            if stream_len - off < frame_len {
+                break Some(CodecError::Truncated);
+            }
+            if !trailer {
                 entries.push(IndexEntry {
-                    frame_offset: off as u64,
+                    frame_offset: off,
                     uncompressed_offset: app,
                     frame_len: frame_len as u32,
                     uncompressed_len: header.uncompressed_len,
@@ -256,8 +295,95 @@ impl StreamIndex {
                 app += u64::from(header.uncompressed_len);
             }
             off += frame_len;
+        };
+        Ok((StreamIndex { entries }, stopped))
+    }
+
+    /// [`StreamIndex::walk`] over a whole stream in memory; a walk that
+    /// stops short of the end is that error. This reads only what the
+    /// stream itself says, so a missing or lying trailer never matters.
+    pub fn scan(wire: &[u8]) -> Result<StreamIndex> {
+        let (index, stopped) = StreamIndex::walk(wire.len() as u64, |off| {
+            wire[off as usize..].first_chunk().copied().ok_or(CodecError::Truncated)
+        })?;
+        stopped.map_or(Ok(index), Err)
+    }
+}
+
+/// The footer that ends every index payload, parsed once: a reader learns
+/// the trailer's length from it, then checks the trailer against it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexFooter {
+    /// Entries the index declares, at most [`MAX_INDEX_ENTRIES`].
+    count: u32,
+    /// CRC-32 of the entry table.
+    entries_crc: u32,
+}
+
+impl IndexFooter {
+    /// Parses the footer in the last [`INDEX_FOOTER_LEN`] bytes of `tail`,
+    /// checking its magic, version and entry-count cap.
+    pub fn parse(tail: &[u8]) -> Result<IndexFooter> {
+        let mut f: &[u8] = tail.last_chunk::<INDEX_FOOTER_LEN>().ok_or(CodecError::Truncated)?;
+        if take(&mut f)? != INDEX_MAGIC {
+            return Err(CodecError::BadMagic);
         }
-        Ok(StreamIndex { entries })
+        if u32::from_le_bytes(take(&mut f)?) != INDEX_VERSION {
+            return Err(CodecError::Corrupt("unsupported index version"));
+        }
+        let count = u32::from_le_bytes(take(&mut f)?);
+        if count > MAX_INDEX_ENTRIES {
+            return Err(CodecError::Corrupt("index entry count exceeds cap"));
+        }
+        Ok(IndexFooter { count, entries_crc: u32::from_le_bytes(take(&mut f)?) })
+    }
+
+    /// Length of the trailer frame this footer ends (header + entries +
+    /// footer): how many tail bytes [`IndexFooter::parse_trailer`] needs.
+    pub fn trailer_len(&self) -> usize {
+        HEADER_LEN + self.count as usize * INDEX_ENTRY_LEN + INDEX_FOOTER_LEN
+    }
+
+    /// Parses the trailer frame in the last [`IndexFooter::trailer_len`]
+    /// bytes of `tail`, a stream tail this footer ends. Validates the
+    /// trailer frame header (magic, [`crate::frame::FLAG_INDEX`], lengths,
+    /// payload CRC) and the entry table.
+    pub fn parse_trailer(&self, tail: &[u8]) -> Result<StreamIndex> {
+        let at = tail.len().checked_sub(self.trailer_len()).ok_or(CodecError::Truncated)?;
+        let (hb, payload) =
+            tail[at..].split_first_chunk::<HEADER_LEN>().ok_or(CodecError::Truncated)?;
+        let header = FrameHeader::parse(hb, DEFAULT_MAX_FRAME)?;
+        if !header.index || header.uncompressed_len != 0 {
+            return Err(CodecError::Corrupt("trailer frame is not an index frame"));
+        }
+        if header.payload_len as usize != payload.len() {
+            return Err(CodecError::Corrupt("index trailer length mismatch"));
+        }
+        let actual = crc32(payload);
+        if actual != header.crc {
+            return Err(CodecError::ChecksumMismatch { expected: header.crc, actual });
+        }
+        self.entries(payload)
+    }
+
+    /// The entry table of `payload`, an index payload this footer ends.
+    fn entries(&self, payload: &[u8]) -> Result<StreamIndex> {
+        let entries_len = self.count as usize * INDEX_ENTRY_LEN;
+        if payload.len() != entries_len + INDEX_FOOTER_LEN {
+            return Err(CodecError::Corrupt("index payload length mismatch"));
+        }
+        let entry_bytes = &payload[..entries_len];
+        let actual = crc32(entry_bytes);
+        if actual != self.entries_crc {
+            return Err(CodecError::ChecksumMismatch { expected: self.entries_crc, actual });
+        }
+        let entries = entry_bytes
+            .chunks_exact(INDEX_ENTRY_LEN)
+            .map(IndexEntry::decode)
+            .collect::<Result<Vec<_>>>()?;
+        let index = StreamIndex { entries };
+        index.validate_monotone()?;
+        Ok(index)
     }
 }
 
@@ -281,62 +407,6 @@ pub fn encode_index_trailer(index: &StreamIndex, out: &mut Vec<u8>) {
     out[header_pos..header_pos + HEADER_LEN].copy_from_slice(&header.to_bytes());
 }
 
-/// The trailer length for an `n`-entry index (header + entries + footer).
-pub fn index_trailer_len(n: usize) -> usize {
-    HEADER_LEN + n * INDEX_ENTRY_LEN + INDEX_FOOTER_LEN
-}
-
-/// Parses the index from the tail of a seekable stream. `tail` must be the
-/// last `n` bytes of the stream with `n >=` the full trailer; callers that
-/// only have the 16-byte footer use [`footer_trailer_len`] first to learn
-/// how much tail to fetch. Validates the trailer frame header (magic,
-/// [`crate::frame::FLAG_INDEX`], lengths, payload CRC) and the index
-/// payload itself.
-pub fn parse_index_trailer(tail: &[u8]) -> Result<StreamIndex> {
-    let trailer_len = footer_trailer_len(tail)?;
-    if tail.len() < trailer_len {
-        return Err(CodecError::Truncated);
-    }
-    let frame = &tail[tail.len() - trailer_len..];
-    let hb: &[u8; HEADER_LEN] = frame[..HEADER_LEN].try_into().unwrap();
-    let header = FrameHeader::parse(hb, DEFAULT_MAX_FRAME)?;
-    if !header.index || header.uncompressed_len != 0 {
-        return Err(CodecError::Corrupt("trailer frame is not an index frame"));
-    }
-    let payload = &frame[HEADER_LEN..];
-    if header.payload_len as usize != payload.len() {
-        return Err(CodecError::Corrupt("index trailer length mismatch"));
-    }
-    let actual = crc32(payload);
-    if actual != header.crc {
-        return Err(CodecError::ChecksumMismatch { expected: header.crc, actual });
-    }
-    StreamIndex::parse_payload(payload)
-}
-
-/// Reads the footer at the end of `tail` (which must be at least
-/// [`INDEX_FOOTER_LEN`] bytes of stream tail) and returns the full trailer
-/// frame length, so the caller knows how many tail bytes to fetch for
-/// [`parse_index_trailer`].
-pub fn footer_trailer_len(tail: &[u8]) -> Result<usize> {
-    if tail.len() < INDEX_FOOTER_LEN {
-        return Err(CodecError::Truncated);
-    }
-    let footer = &tail[tail.len() - INDEX_FOOTER_LEN..];
-    if footer[0..4] != INDEX_MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u32::from_le_bytes(footer[4..8].try_into().unwrap());
-    if version != INDEX_VERSION {
-        return Err(CodecError::Corrupt("unsupported index version"));
-    }
-    let count = u32::from_le_bytes(footer[8..12].try_into().unwrap());
-    if count > MAX_INDEX_ENTRIES {
-        return Err(CodecError::Corrupt("index entry count exceeds cap"));
-    }
-    Ok(index_trailer_len(count as usize))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,6 +428,12 @@ mod tests {
         let mut wire = w.into_inner();
         encode_index_trailer(&index, &mut wire);
         (wire, index)
+    }
+
+    /// Footer first, then the trailer it ends, as a reader holding the
+    /// whole tail does it.
+    fn parse_index_trailer(tail: &[u8]) -> Result<StreamIndex> {
+        IndexFooter::parse(tail)?.parse_trailer(tail)
     }
 
     #[test]
@@ -386,11 +462,13 @@ mod tests {
         // Full-tail parse recovers the identical index.
         let parsed = parse_index_trailer(&wire).unwrap();
         assert_eq!(parsed, index);
-        // Footer-first two-step parse: learn trailer length, then parse.
-        let tl = footer_trailer_len(&wire[wire.len() - INDEX_FOOTER_LEN..]).unwrap();
-        assert_eq!(tl, index_trailer_len(2));
-        let parsed2 = parse_index_trailer(&wire[wire.len() - tl..]).unwrap();
-        assert_eq!(parsed2, index);
+        // Two tail reads: the footer gives the trailer length, and the
+        // trailer alone parses against that footer.
+        let footer = IndexFooter::parse(&wire[wire.len() - INDEX_FOOTER_LEN..]).unwrap();
+        let tl = footer.trailer_len();
+        assert_eq!(tl, HEADER_LEN + 2 * INDEX_ENTRY_LEN + INDEX_FOOTER_LEN);
+        assert_eq!(footer.parse_trailer(&wire[wire.len() - tl..]).unwrap(), index);
+        assert_eq!(footer.parse_trailer(&wire[wire.len() - tl + 1..]), Err(CodecError::Truncated));
     }
 
     #[test]
@@ -402,6 +480,30 @@ mod tests {
         let (wire, index) = sample_stream(&refs);
         let scanned = StreamIndex::scan(&wire).unwrap();
         assert_eq!(scanned, index);
+    }
+
+    #[test]
+    fn walk_keeps_the_frames_before_the_error_that_stopped_it() {
+        let blocks: Vec<Vec<u8>> =
+            (0..3).map(|i| format!("walk block {i} ").repeat(300).into_bytes()).collect();
+        let (wire, index) = sample_stream(&blocks.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        let at = |i: usize| index.entries[i].frame_offset as usize;
+        let mut bad_magic = wire.clone();
+        bad_magic[at(1)] ^= 0xFF;
+        // A cut inside a frame, a header that does not parse, and a cut at
+        // a frame boundary, which is a clean, shorter stream.
+        for (wire, kept, stopped) in [
+            (&wire[..at(2) + HEADER_LEN + 5], 2, Some(CodecError::Truncated)),
+            (&bad_magic[..], 1, Some(CodecError::BadMagic)),
+            (&wire[..at(2)], 2, None),
+        ] {
+            let walk = StreamIndex::walk(wire.len() as u64, |off| {
+                wire[off as usize..].first_chunk().copied().ok_or(())
+            });
+            let entries = index.entries[..kept].to_vec();
+            assert_eq!(walk, Ok((StreamIndex { entries }, stopped.clone())));
+            assert_eq!(StreamIndex::scan(wire).err(), stopped);
+        }
     }
 
     #[test]
@@ -422,6 +524,35 @@ mod tests {
         assert_eq!(index.blocks_covering(4000, 10), 0..0);
         // Huge lengths clamp to the stream end.
         assert_eq!(index.blocks_covering(2500, u64::MAX), 2..4);
+        let shares = |start, len| -> Vec<_> {
+            index.shares(start, len).map(|(e, share)| (e.uncompressed_offset, share)).collect()
+        };
+        assert_eq!(shares(500, 1000), [(0, 500..1000), (1000, 0..500)]);
+        assert_eq!(shares(2500, u64::MAX), [(2000, 500..1000), (3000, 0..1000)]);
+        assert_eq!(shares(3999, 0), []);
+        // A zero-length entry inside the range gets no share.
+        let mut gap = index.clone();
+        let mut empty = gap.entries[1];
+        empty.uncompressed_offset += 1000;
+        empty.uncompressed_len = 0;
+        gap.entries.insert(2, empty);
+        assert_eq!(gap.shares(500, 2000).count(), 3);
+        // Decoding from an earlier entry: the blocks before the range get
+        // the empty share at their end, a zero-length entry is kept, and a
+        // range the end clamps reaches the last entry.
+        let from = |ix: &StreamIndex, from, start, len| -> (usize, Vec<_>) {
+            let (through, shares) = ix.shares_from(from, start, len);
+            (through, shares.map(|(e, share)| (e.uncompressed_offset, share)).collect())
+        };
+        let before = vec![(0, 1000..1000), (1000, 1000..1000), (2000, 0..0), (2000, 500..600)];
+        assert_eq!(from(&gap, 0, 2500, 100), (4, before));
+        assert_eq!(from(&gap, 3, 1500, 100), (2, vec![(1000, 500..600)]));
+        gap.entries.push(IndexEntry { uncompressed_offset: 4000, ..empty });
+        let tail = vec![(3000, 500..1000), (4000, 0..0)];
+        assert_eq!(from(&gap, 5, 3500, 1000), (6, tail));
+        let past_end = vec![(2000, 0..0), (2000, 1000..1000), (3000, 1000..1000), (4000, 0..0)];
+        assert_eq!(from(&gap, 2, 4000, 1), (6, past_end));
+        assert_eq!(from(&gap, 2, 4000, 0), (0, vec![]));
     }
 
     #[test]
@@ -431,7 +562,7 @@ mod tests {
         let n = wire.len();
         wire[n - INDEX_FOOTER_LEN] ^= 0xFF;
         assert!(parse_index_trailer(&wire).is_err());
-        assert!(footer_trailer_len(&wire).is_err());
+        assert_eq!(IndexFooter::parse(&wire), Err(CodecError::BadMagic));
     }
 
     #[test]
@@ -452,7 +583,7 @@ mod tests {
         let b = b"truncation target ".repeat(100);
         let (wire, _) = sample_stream(&[&b]);
         assert!(parse_index_trailer(&wire[..wire.len() - 3]).is_err());
-        assert!(footer_trailer_len(&wire[..INDEX_FOOTER_LEN - 1]).is_err());
+        assert_eq!(IndexFooter::parse(&wire[..INDEX_FOOTER_LEN - 1]), Err(CodecError::Truncated));
     }
 
     #[test]
@@ -466,7 +597,7 @@ mod tests {
             StreamIndex::parse_payload(&payload),
             Err(CodecError::Corrupt("index entry count exceeds cap"))
         ));
-        assert!(footer_trailer_len(&payload).is_err());
+        assert!(IndexFooter::parse(&payload).is_err());
     }
 
     #[test]
@@ -505,7 +636,7 @@ mod tests {
         let index = StreamIndex::default();
         let mut wire = Vec::new();
         encode_index_trailer(&index, &mut wire);
-        assert_eq!(wire.len(), index_trailer_len(0));
+        assert_eq!(wire.len(), HEADER_LEN + INDEX_FOOTER_LEN);
         let parsed = parse_index_trailer(&wire).unwrap();
         assert!(parsed.entries.is_empty());
         assert_eq!(parsed.total_uncompressed(), 0);

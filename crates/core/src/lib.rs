@@ -22,10 +22,11 @@
 //!   the caller's thread by default and on a bounded set of worker threads
 //!   on request, with byte-identical output because both run the same
 //!   function.
-//! * [`seek`] — [`IndexedReader`]: O(block) random access over seekable
-//!   streams (written with [`AdaptiveWriter::set_seekable`]), with ranged
-//!   reads decoded through the decode pool and a streaming fallback when
-//!   the index is missing or lies.
+//! * [`seek`] — [`IndexedReader`]: random access over any stream,
+//!   indexed once at open by its trailer (written with
+//!   [`AdaptiveWriter::set_seekable`]; O(block) per request) or by a walk
+//!   of its frame headers (the first request also decodes the blocks
+//!   before its range), with ranged reads decoded through the decode pool.
 //!
 //! ## Quick start
 //!

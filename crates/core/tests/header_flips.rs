@@ -183,10 +183,10 @@ fn every_header_bit_flip_is_caught_or_harmless() {
 /// one block, one across three blocks and one over the end. A range whose
 /// covering blocks pass the index's checks is served from them; a damaged
 /// header disagrees with its index entry (codec, lengths, CRC, the index
-/// flag) or fails to parse, and the request falls back to decoding the
-/// stream from the front, failing fast. A flip in the trailer's header
-/// makes the index unusable (the trailer must parse as an index frame), so
-/// every request streams.
+/// flag) or fails to parse, and a request that covers it fails. A flip in
+/// the trailer's header makes the trailer unusable (it must parse as an
+/// index frame), so the reader indexes the stream by walking its frame
+/// headers instead.
 #[test]
 fn every_header_bit_flip_through_ranged_reads() {
     let s = adaptive_stream("seekable", false, true);

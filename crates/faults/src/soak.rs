@@ -131,8 +131,6 @@ pub struct CaseResult {
     pub order_violations: u64,
     pub injected: InjectStats,
     pub recovery: RecoveryStats,
-    /// Indexed layer: ranged reads that fell back to streaming decode.
-    pub index_fallbacks: u64,
 }
 
 impl CaseResult {
@@ -163,7 +161,6 @@ impl CaseResult {
         o.u64_field("cuts", self.injected.cuts);
         o.u64_field("corrupt_frames", self.recovery.corrupt_frames);
         o.u64_field("truncations", self.recovery.truncations);
-        o.u64_field("index_fallbacks", self.index_fallbacks);
         if !self.error.is_empty() {
             o.str_field("error", &self.error);
         }
@@ -280,7 +277,6 @@ pub fn run_case(case: &SoakCase) -> CaseResult {
                 order_violations: 0,
                 injected: InjectStats::default(),
                 recovery: RecoveryStats::default(),
-                index_fallbacks: 0,
             }
         }
     }
@@ -374,7 +370,6 @@ fn frame_case_result(case: &SoakCase, cw: CorruptingWriter<Vec<u8>>) -> CaseResu
         order_violations,
         injected,
         recovery: reader.recovery,
-        index_fallbacks: 0,
     }
 }
 
@@ -438,7 +433,6 @@ fn run_record_case(case: &SoakCase) -> CaseResult {
         order_violations,
         injected,
         recovery,
-        index_fallbacks: 0,
     }
 }
 
@@ -450,14 +444,13 @@ fn run_record_case(case: &SoakCase) -> CaseResult {
 ///
 /// The fault plan keeps flips and cuts but disables whole-frame drops: a
 /// cleanly excised frame leaves a valid-but-shifted stream that no
-/// offset-addressed reader can distinguish from intended content (the
-/// index is advisory and its fallback is plain streaming decode).
+/// offset-addressed reader can distinguish from intended content (without
+/// a usable trailer, the index is a walk of the frames that are there).
 ///
 /// Contract: every ranged read returns bytes identical to the regenerated
-/// item (per-block CRC on the indexed path, fail-fast streaming decode on
-/// fallback), stops at the truncated tail, or ends in a typed error —
-/// never a panic, never silent corruption. Streaming fallbacks taken are
-/// counted in `index_fallbacks`.
+/// item (each covering block checked against its entry and its CRC),
+/// stops at the truncated tail, or ends in a typed error — never a panic,
+/// never silent corruption.
 fn run_indexed_case(case: &SoakCase) -> CaseResult {
     let spec = FaultSpec { drop_rate: 0.0, ..FaultSpec::from_rate(case.seed, case.rate) };
     let cw = CorruptingWriter::new(Vec::new(), FaultPlan::new(spec));
@@ -486,7 +479,6 @@ fn run_indexed_case(case: &SoakCase) -> CaseResult {
     let mut recovered = 0u64;
     let mut verify_failures = 0u64;
     let mut error: Option<String> = None;
-    let mut index_fallbacks = 0;
     match IndexedReader::open(Cursor::new(&wire[..])) {
         Ok(mut reader) => {
             let mut off = 0u64;
@@ -511,7 +503,6 @@ fn run_indexed_case(case: &SoakCase) -> CaseResult {
                 }
                 off += item.len() as u64;
             }
-            index_fallbacks = reader.fallback_scans;
         }
         Err(e) => error = Some(e.to_string()),
     }
@@ -528,7 +519,6 @@ fn run_indexed_case(case: &SoakCase) -> CaseResult {
         order_violations: 0,
         injected,
         recovery: RecoveryStats::default(),
-        index_fallbacks,
     }
 }
 
@@ -547,7 +537,6 @@ pub struct SoakSummary {
     pub items_recovered: u64,
     pub injected: InjectStats,
     pub recovery: RecoveryStats,
-    pub index_fallbacks: u64,
     /// Items recovered per compression level (paper levels 0..4).
     pub recovered_per_level: [u64; 4],
 }
@@ -578,7 +567,6 @@ impl SoakSummary {
         o.u64_field("inject_cuts", self.injected.cuts);
         o.u64_field("corrupt_frames", self.recovery.corrupt_frames);
         o.u64_field("truncations", self.recovery.truncations);
-        o.u64_field("index_fallbacks", self.index_fallbacks);
         let per_level: Vec<u32> =
             self.recovered_per_level.iter().map(|&v| v.min(u32::MAX as u64) as u32).collect();
         o.u32_array_field("recovered_per_level", &per_level);
@@ -610,7 +598,6 @@ pub fn summarize(results: &[CaseResult]) -> SoakSummary {
         s.injected.bytes_in += r.injected.bytes_in;
         s.injected.bytes_out += r.injected.bytes_out;
         s.recovery.merge(&r.recovery);
-        s.index_fallbacks += r.index_fallbacks;
         if r.level < 4 {
             s.recovered_per_level[r.level] += r.items_recovered;
         }
@@ -642,7 +629,6 @@ mod tests {
                 assert_eq!(r.items_recovered, 24);
                 assert_eq!(r.verify_failures, 0);
                 assert_eq!(r.recovery, RecoveryStats::default());
-                assert_eq!(r.index_fallbacks, 0);
                 assert!(r.ok());
             }
         }
@@ -673,7 +659,6 @@ mod tests {
 
     #[test]
     fn indexed_layer_survives_trailer_and_block_damage() {
-        let mut fallbacks = 0u64;
         let mut typed = 0u64;
         let mut recovered_items = 0u64;
         for i in 0..12u64 {
@@ -689,7 +674,6 @@ mod tests {
             let r = run_case(&case);
             assert!(r.ok(), "indexed case violated the contract: {}", r.to_json());
             assert_ne!(r.outcome, Outcome::Panicked);
-            fallbacks += r.index_fallbacks;
             if r.outcome == Outcome::TypedError {
                 typed += 1;
             }
@@ -697,11 +681,10 @@ mod tests {
         }
         assert!(recovered_items > 0, "no item ever survived");
         assert!(typed > 0, "damage at 10% never surfaced");
-        assert!(fallbacks > 0, "index fallback path never exercised");
 
         // Pure truncation, no corruption: the index trailer is cut off,
-        // every read below the cut still decodes via the streaming
-        // fallback, and the cut itself surfaces as a typed error.
+        // every read below the cut still decodes through the header walk's
+        // index, and the cut itself surfaces as a typed error.
         let case = SoakCase {
             seed: 0xC07,
             rate: 0.0,
@@ -715,9 +698,6 @@ mod tests {
         assert!(r.ok(), "{}", r.to_json());
         assert_eq!(r.outcome, Outcome::TypedError, "the cut must surface: {}", r.to_json());
         assert!(r.items_recovered > 0, "prefix items must still read: {}", r.to_json());
-        // The trailer is gone, so the stream opens as non-indexed and
-        // streaming is its normal path — not counted as an index fallback.
-        assert_eq!(r.index_fallbacks, 0, "{}", r.to_json());
     }
 
     #[test]

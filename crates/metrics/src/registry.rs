@@ -171,7 +171,6 @@ kinds! {
         RecoveryCorruptFrames => ("adcomp_recovery_corrupt_frames_total", "Frames refused on CRC mismatch or malformed headers."),
         RecoveryTruncations => ("adcomp_recovery_truncations_total", "Mid-frame end-of-stream incidents."),
         RangedReads => ("adcomp_ranged_reads_total", "Ranged reads served via the seekable block index."),
-        IndexFallbacks => ("adcomp_index_fallbacks_total", "Ranged reads that fell back to front-to-back streaming decode."),
         CacheHits => ("adcomp_cache_hits_total", "Block-cache lookups served without invoking a decoder."),
         CacheMisses => ("adcomp_cache_misses_total", "Block-cache lookups that had to decode the block."),
         CacheEvictions => ("adcomp_cache_evictions_total", "Blocks evicted from the block cache to stay under budget."),

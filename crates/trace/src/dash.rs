@@ -237,17 +237,13 @@ pub fn render_top(exposition: &str) -> String {
         let resident = v.value("adcomp_cache_resident_bytes").unwrap_or(0.0);
         let evictions = v.value("adcomp_cache_evictions_total").unwrap_or(0.0);
         let ranged = v.value("adcomp_ranged_reads_total").unwrap_or(0.0);
-        let fallbacks = v.value("adcomp_index_fallbacks_total").unwrap_or(0.0);
         let _ = writeln!(out);
         let _ = writeln!(
             out,
             "cache     : hit {ratio:.1}% ({hits:.0}/{lookups:.0}) · resident {} · evictions {evictions:.0}",
             fmt_bytes(resident)
         );
-        let _ = writeln!(
-            out,
-            "ranged    : reads {ranged:.0} · streaming fallbacks {fallbacks:.0}"
-        );
+        let _ = writeln!(out, "ranged    : reads {ranged:.0}");
     }
 
     // Span latency table: every span label present in the scrape.
@@ -360,7 +356,6 @@ adcomp_recovery_truncations_total 2
         let scrape = "\
 adcomp_registry_info{mode=\"wall\"} 1
 adcomp_ranged_reads_total 40
-adcomp_index_fallbacks_total 2
 adcomp_cache_hits_total 90
 adcomp_cache_misses_total 10
 adcomp_cache_evictions_total 4
@@ -370,7 +365,7 @@ adcomp_cache_resident_bytes 524288
         assert!(top.contains("cache     : hit 90.0% (90/100)"), "{top}");
         assert!(top.contains("resident 524.3 kB"), "{top}");
         assert!(top.contains("evictions 4"), "{top}");
-        assert!(top.contains("ranged    : reads 40 · streaming fallbacks 2"), "{top}");
+        assert!(top.contains("ranged    : reads 40\n"), "{top}");
         // No cache metrics in the scrape → no cache panel.
         assert!(!render_top(SCRAPE).contains("cache     :"), "sim scrape grew a cache panel");
     }

@@ -100,7 +100,7 @@ fn usage() -> ! {
          --pipeline-workers W (compress/decompress/trace): compression worker\n\
          \x20    threads; 1 = serial (default, or $ADCOMP_THREADS), 0 = auto\n\
          --seekable (compress): append a block index trailer so `adcomp range`\n\
-         \x20    (and served ranged GETs) can decode any byte range in isolation\n\
+         \x20    finds the covering blocks without walking the frame headers\n\
          --portfolio (compress/put/trace): per-block content probes pick the codec\n\
          \x20    family (HUFF, COLUMNAR, ladder) backing each compression level"
     );
@@ -419,10 +419,13 @@ fn cmd_compress(opts: Options) -> io::Result<()> {
     Ok(())
 }
 
-/// Decodes one byte range out of a seekable stream without touching the
-/// rest: `--offset`/`--len` select the application bytes, the block index
-/// trailer selects the covering frames. Non-indexed inputs still work via
-/// the front-to-back streaming fallback (reported on stderr).
+/// Decodes one byte range out of a stream without touching the rest:
+/// `--offset`/`--len` select the application bytes, the block index
+/// selects the covering frames. The index is the trailer of a `--seekable`
+/// stream, or a walk of the frame headers of any other, where the blocks
+/// before the range are decoded too, to check the lengths that place it.
+/// A range that reaches a cut mid-frame is an error, and so is a missing
+/// `--len` on such a stream.
 fn cmd_range(opts: Options) -> io::Result<()> {
     use adcomp::core::IndexedReader;
 
@@ -432,20 +435,22 @@ fn cmd_range(opts: Options) -> io::Result<()> {
     };
     let mut reader = IndexedReader::open(std::fs::File::open(path)?)?;
     reader.set_pipeline_workers(opts.pipeline_workers);
-    let total = reader.total_uncompressed()?;
-    let len = opts.len.unwrap_or_else(|| total.saturating_sub(opts.offset));
+    let len = match opts.len {
+        Some(len) => len,
+        None => reader.total_uncompressed()?.saturating_sub(opts.offset),
+    };
     let mut out = Vec::new();
     let n = reader.read_range(opts.offset, len, &mut out)?;
     let mut sink = open_output(&opts.output)?;
     sink.write_all(&out)?;
     sink.flush()?;
+    let index = reader.index();
     eprintln!(
-        "adcomp range: [{}, {}) of {} bytes via {}{}",
+        "adcomp range: [{}, {}) of {} indexed bytes via a block index of {} frames",
         opts.offset,
         opts.offset + n as u64,
-        total,
-        if reader.is_indexed() { "block index" } else { "streaming decode" },
-        if reader.fallback_scans > 0 { " (index disagreed; fell back)" } else { "" },
+        index.total_uncompressed(),
+        index.entries.len(),
     );
     Ok(())
 }
@@ -904,11 +909,11 @@ fn top_sim_exposition(opts: &Options, threads: usize) -> String {
             let (wire, _) = w.finish()?;
             let mut r = IndexedReader::open(Cursor::new(wire))?;
             let cache = BlockCache::new(512 * 1024);
-            let n = r.index().map_or(0, |ix| ix.entries.len());
+            let n = r.index().entries.len();
             let mut block = Vec::new();
             for _pass in 0..3 {
                 for i in 0..n {
-                    let e = r.index().expect("index vanished").entries[i];
+                    let e = r.index().entries[i];
                     let key = (e.crc, e.uncompressed_len);
                     if cache.get(key).is_none() {
                         block.clear();

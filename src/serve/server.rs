@@ -803,29 +803,17 @@ fn handle_get<W: Write>(
 type Part = (Arc<Vec<u8>>, Range<usize>);
 
 /// The blocks covering `[offset, offset + len)` (clamped) of a sealed
-/// object, each with the part of it the range asked for. A cached block is
-/// used as it lies; a miss is decoded and cached. Nothing is copied.
+/// object, each with its share of the range. A cached block is used as it
+/// lies; a miss is decoded and cached. Nothing is copied.
 fn read_range_sealed(
     shared: &Shared,
     sealed: &SealedObject,
     offset: u64,
     len: u64,
 ) -> std::io::Result<Vec<Part>> {
-    let index = &sealed.index;
-    let total = index.total_uncompressed();
-    if offset >= total || len == 0 {
-        return Ok(Vec::new());
-    }
-    let take = len.min(total - offset) as usize;
-    let end = offset + take as u64;
     let mut parts = Vec::new();
-    let mut got = 0;
     let mut scratch = DecodeScratch::new();
-    for i in index.blocks_covering(offset, len) {
-        let e = index.entries[i];
-        if e.uncompressed_len == 0 {
-            continue; // flush artifact: a frame with no application bytes
-        }
+    for (e, share) in sealed.index.shares(offset, len) {
         let key = (e.crc, e.uncompressed_len);
         let bytes = match shared.cache.get(key) {
             Some(bytes) => bytes,
@@ -840,19 +828,13 @@ fn read_range_sealed(
                 bytes
             }
         };
-        // Only the part of this block the range asked for.
-        let lo = offset.saturating_sub(e.uncompressed_offset) as usize;
-        let hi = end.saturating_sub(e.uncompressed_offset).min(bytes.len() as u64) as usize;
-        if lo < hi {
-            got += hi - lo;
-            parts.push((bytes, lo..hi));
+        if bytes.len() < share.end {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "decoded block shorter than its share",
+            ));
         }
-    }
-    if got != take {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "covering blocks shorter than the index promised",
-        ));
+        parts.push((bytes, share));
     }
     Ok(parts)
 }
