@@ -138,17 +138,6 @@ pub struct BlockInfo {
     pub raw_fallback: bool,
 }
 
-impl BlockInfo {
-    /// Wire bytes divided by application bytes (≥ a little over 0 for very
-    /// compressible data; slightly above 1.0 for incompressible data).
-    pub fn wire_ratio(&self) -> f64 {
-        if self.uncompressed_len == 0 {
-            return 1.0;
-        }
-        self.frame_len as f64 / self.uncompressed_len as f64
-    }
-}
-
 /// Compresses `input` with `codec` and appends a complete frame to `out`,
 /// allocating fresh codec working memory. Thin wrapper over
 /// [`encode_block_with`]; hot paths should hold a [`Scratch`].
@@ -897,8 +886,7 @@ mod tests {
         let data = vec![0u8; 65536];
         let mut wire = Vec::new();
         let info = encode_block(&QlzLightCodec, &data, &mut wire);
-        assert!(info.wire_ratio() < 0.05);
-        let empty = BlockInfo { uncompressed_len: 0, frame_len: 16, codec: CodecId::Raw, raw_fallback: false };
-        assert_eq!(empty.wire_ratio(), 1.0);
+        assert!(info.frame_len * 20 < info.uncompressed_len, "{info:?}");
+        assert_eq!(info.frame_len, wire.len());
     }
 }

@@ -18,11 +18,16 @@
 //!    change immediately (within one epoch, as the paper emphasizes).
 //!
 //! `ccl`, `inc` and `pdr` are updated outside the core algorithm, exactly
-//! as the paper notes below Algorithm 1.
+//! as the paper notes below Algorithm 1. [`RateBasedModel`] holds that
+//! state and is the paper's [`DecisionModel`].
+
+use crate::epoch::EpochContext;
+use crate::model::{Decision, DecisionModel};
+use adcomp_trace::MAX_LEVELS;
 
 /// Tuning parameters of the decision model.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[must_use = "a config does nothing until a controller is built from it"]
+#[must_use = "a config does nothing until a RateBasedModel is built from it"]
 pub struct ControllerConfig {
     /// Relative dead-band α: rate changes within `α × pdr` count as "no
     /// change". The paper found 0.2 reasonable.
@@ -69,24 +74,10 @@ impl DecisionCase {
     }
 }
 
-/// Outcome of one epoch decision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[must_use = "dropping a Decision loses the DecisionCase the trace layer needs"]
-pub struct Decision {
-    /// Level to apply for the next epoch.
-    pub level: usize,
-    /// Which case fired.
-    pub case: DecisionCase,
-    /// The observed application data rate that drove the decision.
-    pub cdr: f64,
-    /// The previous data rate the decision compared against (`None` on the
-    /// seeding call, where the paper sets `pdr := cdr`).
-    pub pdr: Option<f64>,
-}
-
-/// State of the paper's decision model (Table I variables).
+/// The paper's model (Table II row `DYNAMIC`): Algorithm 1's Table I
+/// state, stepped once per epoch by [`DecisionModel::decide`].
 #[derive(Debug, Clone)]
-pub struct RateController {
+pub struct RateBasedModel {
     cfg: ControllerConfig,
     /// `ccl`: currently applied compression level.
     ccl: usize,
@@ -94,61 +85,51 @@ pub struct RateController {
     c: u64,
     /// `inc`: whether the last level change was an increase.
     inc: bool,
-    /// `bck`: per-level backoff exponents.
-    bck: Vec<u32>,
+    /// `bck`: per-level backoff exponents (first `num_levels` used).
+    bck: [u32; MAX_LEVELS],
     /// `pdr`: application data rate of the previous epoch.
     pdr: Option<f64>,
 }
 
-impl RateController {
+impl RateBasedModel {
     pub fn new(cfg: ControllerConfig) -> Self {
         assert!(cfg.num_levels >= 1, "need at least one level");
+        assert!(cfg.num_levels <= MAX_LEVELS, "at most {MAX_LEVELS} levels");
         assert!(cfg.alpha >= 0.0, "alpha must be non-negative");
-        RateController {
-            ccl: 0,
-            c: 0,
-            inc: true,
-            bck: vec![0; cfg.num_levels],
-            pdr: None,
-            cfg,
-        }
+        RateBasedModel { cfg, ccl: 0, c: 0, inc: true, bck: [0; MAX_LEVELS], pdr: None }
     }
 
     /// Paper defaults: α = 0.2, four levels.
     pub fn paper_default() -> Self {
-        RateController::new(ControllerConfig::default())
+        RateBasedModel::new(ControllerConfig::default())
     }
 
-    /// Current compression level (`ccl`).
-    pub fn level(&self) -> usize {
-        self.ccl
+    /// Forgets all backoff state while keeping the current level —
+    /// optimistic probing resumes at the next stable epoch. Used by the
+    /// entropy-guided extension when the data's compressibility visibly
+    /// changes (the paper notes that accumulated backoff at level 0 delays
+    /// the reaction to such changes).
+    pub(crate) fn forget_backoffs(&mut self) {
+        self.bck.fill(0);
+        self.c = 0;
     }
+}
 
-    /// Current backoff exponents (`bck`), for inspection.
-    pub fn backoffs(&self) -> &[u32] {
-        &self.bck
-    }
-
-    pub fn config(&self) -> &ControllerConfig {
-        &self.cfg
+impl DecisionModel for RateBasedModel {
+    fn num_levels(&self) -> usize {
+        self.cfg.num_levels
     }
 
     /// Feeds one epoch's application data rate (`cdr`, bytes/second) and
-    /// returns the level for the next epoch.
-    ///
-    /// This wraps Algorithm 1 plus the out-of-algorithm updates of `ccl`,
-    /// `inc` and `pdr` described in the paper.
-    pub fn observe(&mut self, cdr: f64) -> Decision {
+    /// returns the level for the next epoch: Algorithm 1 plus the
+    /// out-of-algorithm updates of `ccl`, `inc` and `pdr` described in the
+    /// paper. The context is not read.
+    fn decide(&mut self, cdr: f64, _ctx: &EpochContext) -> Decision {
         let prev_pdr = self.pdr;
-        let pdr = match self.pdr {
-            Some(p) => p,
-            None => {
-                // "On the first call of the decision algorithm, pdr is set
-                // to cdr" — d becomes 0 and the stable case applies, so with
-                // fresh backoffs the first probe happens immediately.
-                cdr
-            }
-        };
+        // "On the first call of the decision algorithm, pdr is set to cdr"
+        // — d becomes 0 and the stable case applies, so with fresh backoffs
+        // the first probe happens immediately.
+        let pdr = self.pdr.unwrap_or(cdr);
 
         let d = cdr - pdr;
         self.c += 1;
@@ -197,26 +178,7 @@ impl RateController {
         }
         self.pdr = Some(cdr);
 
-        Decision { level: self.ccl, case, cdr, pdr: prev_pdr }
-    }
-
-    /// Resets all adaptive state (fresh connection).
-    pub fn reset(&mut self) {
-        self.ccl = 0;
-        self.c = 0;
-        self.inc = true;
-        self.bck.fill(0);
-        self.pdr = None;
-    }
-
-    /// Forgets all backoff state while keeping the current level —
-    /// optimistic probing resumes at the next stable epoch. Used by the
-    /// entropy-guided extension when the data's compressibility visibly
-    /// changes (the paper notes that accumulated backoff at level 0 delays
-    /// the reaction to such changes).
-    pub fn forget_backoffs(&mut self) {
-        self.bck.fill(0);
-        self.c = 0;
+        Decision { level: self.ccl, case: Some(case), pdr: prev_pdr, backoffs: Some(self.bck) }
     }
 }
 
@@ -224,15 +186,19 @@ impl RateController {
 mod tests {
     use super::*;
 
-    fn ctl(levels: usize) -> RateController {
-        RateController::new(ControllerConfig { alpha: 0.2, num_levels: levels, max_backoff_exp: 16 })
+    fn ctl(levels: usize) -> RateBasedModel {
+        RateBasedModel::new(ControllerConfig { alpha: 0.2, num_levels: levels, max_backoff_exp: 16 })
+    }
+
+    fn observe(c: &mut RateBasedModel, cdr: f64) -> Decision {
+        c.decide(cdr, &EpochContext::default())
     }
 
     #[test]
     fn first_epoch_probes_upward() {
         let mut c = ctl(4);
         // First call: pdr = cdr, stable case, backoff 2^0 = 1 expired.
-        let d = c.observe(100.0);
+        let d = observe(&mut c, 100.0);
         assert_eq!(d.level, 1);
         assert!(c.inc);
     }
@@ -240,52 +206,52 @@ mod tests {
     #[test]
     fn improvement_rewards_level_with_backoff() {
         let mut c = ctl(4);
-        let _ = c.observe(100.0); // -> level 1
-        let d = c.observe(200.0); // big improvement at level 1
-        assert_eq!(d.case, DecisionCase::Improved);
+        let _ = observe(&mut c, 100.0); // -> level 1
+        let d = observe(&mut c, 200.0); // big improvement at level 1
+        assert_eq!(d.case, Some(DecisionCase::Improved));
         assert_eq!(d.level, 1, "improvement itself does not switch");
-        assert_eq!(c.backoffs()[1], 1);
+        assert_eq!(c.bck[1], 1);
     }
 
     #[test]
     fn degradation_reverts_within_one_epoch() {
         let mut c = ctl(4);
-        let _ = c.observe(100.0); // 0 -> 1
-        let _ = c.observe(200.0); // improved at 1
+        let _ = observe(&mut c, 100.0); // 0 -> 1
+        let _ = observe(&mut c, 200.0); // improved at 1
         // Stable epochs until probe to level 2 (backoff 2^1 = 2).
-        let _ = c.observe(200.0); // stable, c=1 < 2
-        let d = c.observe(200.0); // c=2 -> probe up to 2
+        let _ = observe(&mut c, 200.0); // stable, c=1 < 2
+        let d = observe(&mut c, 200.0); // c=2 -> probe up to 2
         assert_eq!(d.level, 2);
-        assert_eq!(d.case, DecisionCase::Probe);
+        assert_eq!(d.case, Some(DecisionCase::Probe));
         // Level 2 tanks the rate: revert to 1 immediately.
-        let d = c.observe(50.0);
-        assert_eq!(d.case, DecisionCase::Degraded);
+        let d = observe(&mut c, 50.0);
+        assert_eq!(d.case, Some(DecisionCase::Degraded));
         assert_eq!(d.level, 1);
-        assert_eq!(c.backoffs()[2], 0, "degrading level's backoff reset");
+        assert_eq!(c.bck[2], 0, "degrading level's backoff reset");
     }
 
     #[test]
     fn backoff_grows_probe_intervals_exponentially() {
         let mut c = ctl(4);
-        let _ = c.observe(100.0); // -> 1
-        let _ = c.observe(200.0); // improved, bck[1] = 1
+        let _ = observe(&mut c, 100.0); // -> 1
+        let _ = observe(&mut c, 200.0); // improved, bck[1] = 1
         // From now on the rate is flat at level 1; count epochs between
         // probes. After each probe + revert cycle bck[1] grows again.
         let mut probe_gaps = Vec::new();
         let mut gap = 0;
         for _ in 0..200 {
-            let d = c.observe(200.0);
+            let d = observe(&mut c, 200.0);
             gap += 1;
-            if d.case == DecisionCase::Probe {
+            if d.case == Some(DecisionCase::Probe) {
                 probe_gaps.push(gap);
                 gap = 0;
                 // The probe went to level 0 or 2; pretend it degrades so
                 // we come back to 1 — next epoch rate is lower.
-                let d2 = c.observe(100.0);
+                let d2 = observe(&mut c, 100.0);
                 assert_eq!(d2.level, 1, "revert must come back to 1");
                 // Now rate recovers at level 1 -> Improved -> bck[1]+1.
-                let d3 = c.observe(200.0);
-                assert_eq!(d3.case, DecisionCase::Improved);
+                let d3 = observe(&mut c, 200.0);
+                assert_eq!(d3.case, Some(DecisionCase::Improved));
             }
         }
         assert!(probe_gaps.len() >= 3, "expected several probes, got {probe_gaps:?}");
@@ -303,50 +269,50 @@ mod tests {
     #[test]
     fn probe_reflects_at_bottom_boundary() {
         let mut c = ctl(4);
-        let _ = c.observe(100.0); // 0 -> 1 (probe)
-        let d = c.observe(50.0); // degraded -> revert to 0, inc=false
+        let _ = observe(&mut c, 100.0); // 0 -> 1 (probe)
+        let d = observe(&mut c, 50.0); // degraded -> revert to 0, inc=false
         assert_eq!(d.level, 0);
         assert!(!c.inc);
         // Stable at 0: next probe would go to -1; must reflect to 1.
-        let d = c.observe(50.0);
-        assert_eq!(d.case, DecisionCase::Probe);
+        let d = observe(&mut c, 50.0);
+        assert_eq!(d.case, Some(DecisionCase::Probe));
         assert_eq!(d.level, 1, "probe at bottom must reflect upward");
     }
 
     #[test]
     fn probe_reflects_at_top_boundary() {
         let mut c = ctl(2); // levels {0, 1}
-        let _ = c.observe(100.0); // 0 -> 1
-        let _ = c.observe(100.0); // stable at 1, c=1 >= 2^0 -> probe up, reflect to 0
-        assert_eq!(c.level(), 0);
+        let _ = observe(&mut c, 100.0); // 0 -> 1
+        let _ = observe(&mut c, 100.0); // stable at 1, c=1 >= 2^0 -> probe up, reflect to 0
+        assert_eq!(c.ccl, 0);
     }
 
     #[test]
     fn single_level_never_moves() {
         let mut c = ctl(1);
         for r in [100.0, 200.0, 50.0, 100.0] {
-            assert_eq!(c.observe(r).level, 0);
+            assert_eq!(observe(&mut c, r).level, 0);
         }
     }
 
     #[test]
     fn dead_band_alpha_suppresses_small_changes() {
         let mut c = ctl(4);
-        let _ = c.observe(100.0); // -> 1
+        let _ = observe(&mut c, 100.0); // -> 1
         // +15 % is within alpha = 0.2: stable case, not "improved".
-        let d = c.observe(115.0);
-        assert_ne!(d.case, DecisionCase::Improved);
+        let d = observe(&mut c, 115.0);
+        assert_ne!(d.case, Some(DecisionCase::Improved));
         // A change beyond 20 % counts.
-        let d = c.observe(150.0);
-        assert_eq!(d.case, DecisionCase::Improved);
+        let d = observe(&mut c, 150.0);
+        assert_eq!(d.case, Some(DecisionCase::Improved));
     }
 
     #[test]
     fn zero_rate_handled() {
         let mut c = ctl(4);
-        let _ = c.observe(0.0);
-        let _ = c.observe(0.0);
-        let d = c.observe(0.0);
+        let _ = observe(&mut c, 0.0);
+        let _ = observe(&mut c, 0.0);
+        let d = observe(&mut c, 0.0);
         // Never panics; stays within range.
         assert!(d.level < 4);
     }
@@ -360,7 +326,7 @@ mod tests {
         let mut level = 0usize;
         let mut occupancy = [0u32; 4];
         for _ in 0..300 {
-            let d = c.observe(rates[level]);
+            let d = observe(&mut c, rates[level]);
             level = d.level;
             occupancy[level] += 1;
         }
@@ -379,12 +345,12 @@ mod tests {
         let mut c = ctl(4);
         let mut level = 0usize;
         for _ in 0..100 {
-            level = c.observe(world_a[level]).level;
+            level = observe(&mut c, world_a[level]).level;
         }
         assert_eq!(level, 1);
         let mut back_at_zero = None;
         for i in 0..200 {
-            level = c.observe(world_b[level]).level;
+            level = observe(&mut c, world_b[level]).level;
             if level == 0 && back_at_zero.is_none() {
                 back_at_zero = Some(i);
             }
@@ -392,19 +358,6 @@ mod tests {
         let when = back_at_zero.expect("controller must fall back to level 0");
         assert!(when < 10, "fallback should be fast (one degraded epoch), got {when}");
         assert_eq!(level, 0);
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut c = ctl(4);
-        for r in [100.0, 180.0, 200.0, 210.0] {
-            let _ = c.observe(r);
-        }
-        c.reset();
-        assert_eq!(c.level(), 0);
-        assert!(c.inc);
-        assert!(c.backoffs().iter().all(|&b| b == 0));
-        assert_eq!(c.observe(100.0).level, 1, "behaves like a fresh controller");
     }
 
     #[test]
@@ -416,13 +369,11 @@ mod tests {
     #[test]
     fn decision_surfaces_pdr_and_case() {
         let mut c = ctl(4);
-        let d = c.observe(100.0);
+        let d = observe(&mut c, 100.0);
         assert_eq!(d.pdr, None, "seeding call has no previous rate");
-        assert_eq!(d.case, DecisionCase::Seed);
-        assert_eq!(d.case.name(), "seed");
-        let d2 = c.observe(130.0);
+        assert_eq!(d.case, Some(DecisionCase::Seed));
+        let d2 = observe(&mut c, 130.0);
         assert_eq!(d2.pdr, Some(100.0), "second call compares against the first cdr");
-        assert_eq!(d2.cdr, 130.0);
     }
 
     #[test]
@@ -442,17 +393,17 @@ mod tests {
 
     #[test]
     fn backoff_exponent_capped() {
-        let mut c = RateController::new(ControllerConfig {
+        let mut c = RateBasedModel::new(ControllerConfig {
             alpha: 0.2,
             num_levels: 4,
             max_backoff_exp: 3,
         });
-        let _ = c.observe(100.0); // -> 1
+        let _ = observe(&mut c, 100.0); // -> 1
         let mut rate = 100.0;
         for _ in 0..20 {
             rate *= 1.5; // perpetual improvement at level 1
-            let _ = c.observe(rate);
+            let _ = observe(&mut c, rate);
         }
-        assert_eq!(c.backoffs()[1], 3);
+        assert_eq!(c.bck[1], 3);
     }
 }

@@ -3,13 +3,14 @@
 //!
 //! The paper reconsiders the compression level every `t` seconds (t = 2 s in
 //! all experiments). [`EpochDriver`] owns that loop: it meters application
-//! bytes, detects epoch boundaries from any clock, builds the observation
-//! and records the model's decision together with a level trace for the
-//! time-series figures.
+//! bytes, detects epoch boundaries from any clock, hands the epoch's rate
+//! and the caller's [`EpochContext`] to the model, and turns the one
+//! [`crate::model::Decision`] it returns into the epoch's trace events and
+//! a level trace for the time-series figures.
 
 use crate::controller::DecisionCase;
-use crate::model::{DecisionModel, EpochObservation, GuestMetrics};
-use adcomp_metrics::{RateMeter, TimeSeries};
+use crate::model::{DecisionModel, GuestMetrics};
+use adcomp_metrics::TimeSeries;
 use adcomp_trace::{DecisionEvent, EpochEvent, TraceHandle, MAX_LEVELS};
 use std::time::Instant;
 
@@ -65,83 +66,31 @@ impl Clock for ManualClock {
     }
 }
 
-/// Auxiliary inputs for building the epoch observation; the caller (stream
-/// or simulator) refreshes these as its state changes.
+/// What a model may read besides the epoch's rate; the caller (stream or
+/// simulator) refreshes it as its state changes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EpochContext {
+    /// Blocks waiting in the send queue at epoch end.
     pub queue_depth: usize,
+    /// Send queue capacity in blocks.
     pub queue_capacity: usize,
+    /// Displayed guest metrics, if the platform exposes them.
     pub guest: Option<GuestMetrics>,
-    pub observed_ratio: Option<f64>,
+    /// Order-0 entropy (bits/byte) of a recent data sample, if the channel
+    /// probes it. Cheap to compute and — unlike the application data rate at
+    /// level 0 — it *does* reveal compressibility changes.
     pub data_entropy: Option<f64>,
-}
-
-/// Everything one completed epoch surfaced: the observation, the decision
-/// and — for rate-based models — the full Algorithm-1 detail that used to
-/// be computed and dropped.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[must_use = "an EpochStep carries the DecisionCase callers asked to surface"]
-pub struct EpochStep {
-    /// 0-based index of the epoch that just closed.
-    pub epoch: u64,
-    /// Time at the boundary (seconds).
-    pub t: f64,
-    /// Application data rate over the epoch (bytes/s).
-    pub rate: f64,
-    /// Epoch duration (seconds).
-    pub duration: f64,
-    /// Level in force during the epoch.
-    pub prev_level: usize,
-    /// Level chosen for the next epoch.
-    pub level: usize,
-    /// Algorithm-1 branch, when the model is rate-based.
-    pub case: Option<DecisionCase>,
-    /// The rate the decision consumed.
-    pub cdr: f64,
-    /// The previous rate it compared against, if any.
-    pub pdr: Option<f64>,
-    /// Backoff exponent table snapshot, if the model keeps one.
-    pub backoffs: Option<[u32; MAX_LEVELS]>,
-    /// Application bytes accounted to the epoch.
-    pub bytes: u64,
-    /// Number of levels the model drives.
-    pub num_levels: usize,
-}
-
-impl EpochStep {
-    /// The step as a trace [`EpochEvent`].
-    pub fn epoch_event(&self) -> EpochEvent {
-        EpochEvent {
-            epoch: self.epoch,
-            t: self.t,
-            duration: self.duration,
-            bytes: self.bytes,
-            rate: self.rate,
-            level: self.prev_level as u32,
-        }
-    }
-
-    /// The step as a trace [`DecisionEvent`] (`case` is `"static"` for
-    /// models without Algorithm-1 state).
-    pub fn decision_event(&self) -> DecisionEvent {
-        DecisionEvent {
-            epoch: self.epoch,
-            t: self.t,
-            cdr: self.cdr,
-            pdr: self.pdr.unwrap_or(f64::NAN),
-            ccl: self.level as u32,
-            prev_level: self.prev_level as u32,
-            case: self.case.map_or("static", DecisionCase::name),
-            backoffs: self.backoffs.unwrap_or([0; MAX_LEVELS]),
-            num_levels: self.num_levels.min(MAX_LEVELS) as u32,
-        }
-    }
 }
 
 /// Drives a [`DecisionModel`] from a stream of byte completions.
 pub struct EpochDriver {
-    meter: RateMeter,
     model: Box<dyn DecisionModel>,
+    /// The paper's `t`, seconds.
+    epoch_len: f64,
+    /// Start of the open epoch, seconds.
+    epoch_start: f64,
+    /// Application bytes recorded in the open epoch.
+    epoch_bytes: u64,
     level: usize,
     level_trace: TimeSeries,
     rate_trace: TimeSeries,
@@ -153,12 +102,15 @@ impl EpochDriver {
     /// `epoch_len` is the paper's `t` in seconds; the model starts at its
     /// initial level (0 for fresh models).
     pub fn new(model: Box<dyn DecisionModel>, epoch_len: f64, now: f64) -> Self {
+        assert!(epoch_len > 0.0);
         let level = model.initial_level();
         let mut level_trace = TimeSeries::new();
         level_trace.push(now, level as f64);
         EpochDriver {
-            meter: RateMeter::new(epoch_len, now),
             model,
+            epoch_len,
+            epoch_start: now,
+            epoch_bytes: 0,
             level,
             level_trace,
             rate_trace: TimeSeries::new(),
@@ -199,26 +151,6 @@ impl EpochDriver {
         &self.rate_trace
     }
 
-    /// Records `app_bytes` of application data accepted at time `now`;
-    /// on an epoch boundary, consults the model. Returns the level to use
-    /// for subsequent data.
-    pub fn record(&mut self, app_bytes: u64, now: f64, ctx: &EpochContext) -> usize {
-        let _ = self.record_step(app_bytes, now, ctx);
-        self.level
-    }
-
-    /// Like [`EpochDriver::record`], but surfaces the full [`EpochStep`]
-    /// when an epoch boundary was crossed instead of dropping it.
-    pub fn record_step(
-        &mut self,
-        app_bytes: u64,
-        now: f64,
-        ctx: &EpochContext,
-    ) -> Option<EpochStep> {
-        let epoch = self.meter.record(app_bytes, now)?;
-        Some(self.on_epoch(&epoch, now, ctx))
-    }
-
     /// Forces the applied level outside the epoch cadence — the degrade
     /// path: after a codec failure the writer drops to level 0 (NONE)
     /// immediately and lets the next epoch decision climb back. The change
@@ -231,67 +163,61 @@ impl EpochDriver {
         }
     }
 
-    /// Forces an epoch check without new bytes (e.g. while stalled).
-    pub fn poll(&mut self, now: f64, ctx: &EpochContext) -> usize {
-        let _ = self.poll_step(now, ctx);
-        self.level
-    }
+    /// Records `app_bytes` of application data accepted at time `now` and
+    /// returns the level to use for subsequent data. Once the epoch length
+    /// has elapsed, the epoch closes: its rate is its bytes over its actual
+    /// duration (which may exceed `t` when arrivals straddle the boundary),
+    /// the model decides once, and the epoch is observed as one
+    /// [`EpochEvent`] and one [`DecisionEvent`].
+    pub fn record(&mut self, app_bytes: u64, now: f64, ctx: &EpochContext) -> usize {
+        self.epoch_bytes += app_bytes;
+        let duration = now - self.epoch_start;
+        if duration < self.epoch_len {
+            return self.level;
+        }
+        let bytes = std::mem::take(&mut self.epoch_bytes);
+        let rate = bytes as f64 / duration;
+        self.epoch_start = now;
 
-    /// Like [`EpochDriver::poll`], but surfaces the full [`EpochStep`].
-    pub fn poll_step(&mut self, now: f64, ctx: &EpochContext) -> Option<EpochStep> {
-        let epoch = self.meter.poll(now)?;
-        Some(self.on_epoch(&epoch, now, ctx))
-    }
-
-    fn on_epoch(&mut self, epoch: &adcomp_metrics::EpochRate, now: f64, ctx: &EpochContext) -> EpochStep {
-        let obs = EpochObservation {
-            app_rate: epoch.rate,
-            epoch_secs: epoch.duration,
-            queue_depth: ctx.queue_depth,
-            queue_capacity: ctx.queue_capacity,
-            guest: ctx.guest,
-            observed_ratio: ctx.observed_ratio,
-            data_entropy: ctx.data_entropy,
-        };
         let metrics = adcomp_metrics::registry::global();
         // Wall-timing the decision is skipped in virtual-mode registries
         // (sim cells feed this same code path; see registry docs).
         let decide_start = metrics
             .is_some_and(adcomp_metrics::MetricsRegistry::wall_spans)
             .then(std::time::Instant::now);
-        let decision = self.model.decide(&obs);
+        let decision = self.model.decide(rate, ctx);
         if let (Some(m), Some(s)) = (metrics, decide_start) {
             m.span_ns(adcomp_metrics::SpanKind::EpochDecision, s.elapsed().as_nanos() as u64);
         }
-        debug_assert!(decision.level < self.model.num_levels());
-        let step = EpochStep {
-            epoch: self.epochs,
-            t: now,
-            rate: epoch.rate,
-            duration: epoch.duration,
-            prev_level: self.level,
-            level: decision.level,
-            case: decision.case,
-            cdr: decision.cdr,
-            pdr: decision.pdr,
-            backoffs: decision.backoffs,
-            bytes: epoch.bytes,
-            num_levels: self.model.num_levels(),
-        };
+        let num_levels = self.model.num_levels();
+        debug_assert!(decision.level < num_levels);
+
+        let (epoch, prev_level) = (self.epochs, self.level);
         self.epochs += 1;
-        self.rate_trace.push(now, epoch.rate);
-        if decision.level != self.level {
+        self.rate_trace.push(now, rate);
+        if decision.level != prev_level {
             self.level = decision.level;
             self.level_trace.push(now, decision.level as f64);
         }
-        self.trace.observe(step.epoch_event().into());
-        self.trace.observe(step.decision_event().into());
-        step
-    }
-
-    /// Total application bytes metered.
-    pub fn total_bytes(&self) -> u64 {
-        self.meter.total_bytes()
+        self.trace.observe(
+            EpochEvent { epoch, t: now, duration, bytes, rate, level: prev_level as u32 }.into(),
+        );
+        self.trace.observe(
+            DecisionEvent {
+                epoch,
+                t: now,
+                cdr: rate,
+                pdr: decision.pdr.unwrap_or(f64::NAN),
+                ccl: decision.level as u32,
+                prev_level: prev_level as u32,
+                // Models without Algorithm-1 state report "static".
+                case: decision.case.map_or("static", DecisionCase::name),
+                backoffs: decision.backoffs.unwrap_or([0; MAX_LEVELS]),
+                num_levels: num_levels.min(MAX_LEVELS) as u32,
+            }
+            .into(),
+        );
+        self.level
     }
 }
 
@@ -299,6 +225,26 @@ impl EpochDriver {
 mod tests {
     use super::*;
     use crate::model::{RateBasedModel, StaticModel};
+    use adcomp_trace::TraceEvent;
+
+    /// A driver over `model` whose trace collects every event.
+    fn traced(model: Box<dyn DecisionModel>, epoch_len: f64) -> (EpochDriver, TraceHandle) {
+        let trace = TraceHandle::collecting();
+        let mut d = EpochDriver::new(model, epoch_len, 0.0);
+        d.set_trace(trace.clone());
+        (d, trace)
+    }
+
+    fn epoch_events(trace: &TraceHandle) -> Vec<EpochEvent> {
+        trace
+            .take()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Epoch(ev) => Some(ev),
+                _ => None,
+            })
+            .collect()
+    }
 
     #[test]
     fn wall_clock_is_monotone() {
@@ -329,6 +275,40 @@ mod tests {
     }
 
     #[test]
+    fn no_epoch_before_boundary() {
+        let (mut d, trace) = traced(Box::new(RateBasedModel::paper_default()), 2.0);
+        d.record(100, 0.5, &EpochContext::default());
+        d.record(100, 1.9, &EpochContext::default());
+        assert!(trace.take().is_empty());
+        assert_eq!(d.epochs(), 0);
+    }
+
+    #[test]
+    fn epoch_rate_computed_over_actual_duration() {
+        let (mut d, trace) = traced(Box::new(RateBasedModel::paper_default()), 2.0);
+        d.record(1000, 1.0, &EpochContext::default());
+        d.record(1000, 2.5, &EpochContext::default());
+        let e = epoch_events(&trace);
+        assert_eq!(e.len(), 1);
+        assert_eq!(e[0].bytes, 2000);
+        assert!((e[0].duration - 2.5).abs() < 1e-12);
+        assert!((e[0].rate - 800.0).abs() < 1e-9);
+        assert_eq!(e[0].t - e[0].duration, 0.0, "the epoch started at 0");
+    }
+
+    #[test]
+    fn epochs_reset_cleanly() {
+        let (mut d, trace) = traced(Box::new(RateBasedModel::paper_default()), 1.0);
+        d.record(500, 1.0, &EpochContext::default());
+        d.record(300, 2.0, &EpochContext::default());
+        let e = epoch_events(&trace);
+        assert_eq!(e.len(), 2);
+        assert_eq!(e[0].bytes, 500);
+        assert_eq!(e[1].bytes, 300);
+        assert_eq!(e[1].t - e[1].duration, 1.0, "the second epoch starts where the first ended");
+    }
+
+    #[test]
     fn driver_traces_levels_and_rates() {
         let mut d = EpochDriver::new(Box::new(RateBasedModel::paper_default()), 1.0, 0.0);
         d.record(1_000, 1.0, &EpochContext::default());
@@ -336,7 +316,6 @@ mod tests {
         d.record(5_000, 3.0, &EpochContext::default());
         assert_eq!(d.rate_trace().len(), 3);
         assert!(d.level_trace().len() >= 2, "initial point plus the first probe");
-        assert_eq!(d.total_bytes(), 11_000);
     }
 
     #[test]
@@ -349,42 +328,43 @@ mod tests {
     }
 
     #[test]
-    fn record_step_surfaces_algorithm_state() {
-        let mut d = EpochDriver::new(Box::new(RateBasedModel::paper_default()), 2.0, 0.0);
-        assert!(d.record_step(1000, 0.5, &EpochContext::default()).is_none());
-        let step = d
-            .record_step(1000, 2.1, &EpochContext::default())
-            .expect("epoch boundary crossed");
-        assert_eq!(step.epoch, 0);
-        assert_eq!(step.prev_level, 0);
-        assert_eq!(step.level, 1, "first decision probes to level 1");
-        assert_eq!(step.case, Some(DecisionCase::Seed));
-        assert!(step.pdr.is_none(), "seeding epoch has no previous rate");
-        assert!(step.backoffs.is_some());
-        assert_eq!(step.bytes, 2000);
-        assert_eq!(step.num_levels, 4);
-        let ev = step.decision_event();
+    fn epoch_events_surface_algorithm_state() {
+        let (mut d, trace) = traced(Box::new(RateBasedModel::paper_default()), 2.0);
+        d.record(1000, 0.5, &EpochContext::default());
+        assert!(trace.take().is_empty(), "no epoch closed yet");
+        assert_eq!(d.record(1000, 2.1, &EpochContext::default()), 1);
+        let events = trace.take();
+        let [TraceEvent::Epoch(ep), TraceEvent::Decision(ev)] = &events[..] else {
+            panic!("expected one epoch and one decision event: {events:?}");
+        };
+        assert_eq!((ep.epoch, ep.level, ep.bytes), (0, 0, 2000));
+        assert_eq!(ev.epoch, 0);
+        assert_eq!(ev.prev_level, 0);
+        assert_eq!(ev.ccl, 1, "first decision probes to level 1");
         assert_eq!(ev.case, "seed");
-        assert!(ev.pdr.is_nan());
-        assert_eq!(ev.ccl, 1);
+        assert!(ev.pdr.is_nan(), "seeding epoch has no previous rate");
+        assert_eq!(ev.cdr, ep.rate);
+        assert_eq!(ev.backoffs, [0; MAX_LEVELS]);
+        assert_eq!(ev.num_levels, 4);
     }
 
     #[test]
     fn static_model_step_reports_static_case() {
-        let mut d = EpochDriver::new(Box::new(StaticModel::new(2, 4)), 1.0, 0.0);
-        let step = d.poll_step(1.5, &EpochContext::default()).unwrap();
-        assert_eq!(step.case, None);
-        assert_eq!(step.decision_event().case, "static");
-        assert_eq!(step.level, 2);
+        // An epoch closes on time alone: no bytes is a zero-rate epoch.
+        let (mut d, trace) = traced(Box::new(StaticModel::new(2, 4)), 1.0);
+        assert_eq!(d.record(0, 1.5, &EpochContext::default()), 2);
+        let events = trace.take();
+        let [TraceEvent::Epoch(ep), TraceEvent::Decision(ev)] = &events[..] else {
+            panic!("expected one epoch and one decision event: {events:?}");
+        };
+        assert_eq!((ep.bytes, ep.rate), (0, 0.0));
+        assert_eq!(ev.case, "static");
+        assert_eq!(ev.ccl, 2);
     }
 
     #[test]
     fn traced_driver_emits_epoch_then_decision_events() {
-        use adcomp_trace::TraceEvent;
-
-        let trace = TraceHandle::collecting();
-        let mut d = EpochDriver::new(Box::new(RateBasedModel::paper_default()), 1.0, 0.0);
-        d.set_trace(trace.clone());
+        let (mut d, trace) = traced(Box::new(RateBasedModel::paper_default()), 1.0);
         d.record(1000, 1.5, &EpochContext::default());
         d.record(1000, 2.5, &EpochContext::default());
         let events = trace.take();
@@ -399,13 +379,5 @@ mod tests {
             assert_eq!(ev.epoch, 1);
             assert_ne!(ev.case, "seed");
         }
-    }
-
-    #[test]
-    fn poll_advances_epochs_without_bytes() {
-        let mut d = EpochDriver::new(Box::new(RateBasedModel::paper_default()), 1.0, 0.0);
-        d.poll(1.5, &EpochContext::default());
-        assert_eq!(d.epochs(), 1);
-        assert_eq!(d.rate_trace().points()[0].1, 0.0);
     }
 }

@@ -4,14 +4,16 @@
 //! Compression to Mitigate the Effects of Shared I/O in Clouds"* (IPDPS'11)
 //! and the transparent stream layer around it:
 //!
-//! * [`controller`] — Algorithm 1: the rate-based controller with
-//!   exponential backoff. No training phase, no CPU/bandwidth metrics; only
-//!   the application data rate.
-//! * [`model`] — the [`DecisionModel`] abstraction,
-//!   the paper's model ([`model::RateBasedModel`]) and reimplementations of
+//! * [`controller`] — Algorithm 1: [`RateBasedModel`], the paper's model,
+//!   with exponential backoff. No training phase, no CPU/bandwidth metrics;
+//!   only the application data rate.
+//! * [`model`] — the [`DecisionModel`] trait (the epoch's rate plus one
+//!   [`EpochContext`] in, one [`Decision`] out) and reimplementations of
 //!   the related-work baselines (static, FIFO-queue, metric-based with
-//!   offline training, threshold sampling).
-//! * [`epoch`] — clock abstraction and the per-`t`-seconds decision loop.
+//!   offline training, sensor thresholds, threshold sampling).
+//! * [`epoch`] — clock abstraction and [`EpochDriver`], the
+//!   per-`t`-seconds loop: it meters the epoch's rate, asks the model once
+//!   and records the decision as one epoch and one decision trace event.
 //! * [`stream`] — [`AdaptiveWriter`] /
 //!   [`AdaptiveReader`]: drop-in `Write`/`Read`
 //!   wrappers that make the whole scheme transparent to the application,
@@ -46,6 +48,8 @@
 //! assert_eq!(&out[..], b"hello adaptive world, hello again!" as &[u8]);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod controller;
 pub mod epoch;
 pub mod model;
@@ -56,13 +60,13 @@ pub mod seek;
 pub mod stream;
 pub mod throttle;
 
-pub use controller::{ControllerConfig, Decision, DecisionCase, RateController};
+pub use controller::{ControllerConfig, DecisionCase, RateBasedModel};
 pub use epoch::{Clock, EpochContext, EpochDriver, ManualClock, WallClock};
 pub use retry::Backoff;
 pub use throttle::{SharedThrottle, ThrottledReader, ThrottledWriter, TokenBucket};
 pub use model::{
-    DecisionModel, EntropyGuidedModel, EpochObservation, GuestMetrics, MetricBasedModel, QueueBasedModel,
-    RateBasedModel, SensorThresholdModel, StaticModel, ThresholdSamplingModel, TrainedLevel,
+    Decision, DecisionModel, EntropyGuidedModel, GuestMetrics, MetricBasedModel, QueueBasedModel,
+    SensorThresholdModel, StaticModel, ThresholdSamplingModel, TrainedLevel,
 };
 pub use pipeline::{Completion, CompressPool, Decoded, DecodePool};
 pub use seek::IndexedReader;
@@ -70,7 +74,7 @@ pub use stream::{AdaptiveReader, AdaptiveWriter, StreamStats};
 
 /// Common imports for downstream users.
 pub mod prelude {
-    pub use crate::controller::{ControllerConfig, RateController};
+    pub use crate::controller::ControllerConfig;
     pub use crate::epoch::{Clock, ManualClock, WallClock};
     pub use crate::model::{DecisionModel, RateBasedModel, StaticModel};
     pub use crate::stream::{AdaptiveReader, AdaptiveWriter, StreamStats};

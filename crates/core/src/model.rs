@@ -1,13 +1,16 @@
 //! Decision models: the paper's rate-based scheme plus reimplementations of
 //! the related-work schemes it argues against.
 //!
-//! All models see the same [`EpochObservation`] each epoch and return the
-//! compression level for the next epoch. Only the rate-based model restricts
-//! itself to the application data rate; the baselines consume queue state or
-//! (possibly distorted) guest metrics, which is exactly what makes them
-//! fragile in virtualized environments (paper §II).
+//! Every epoch, each model reads the epoch's application data rate and one
+//! [`EpochContext`], and returns one [`Decision`]: the compression level for
+//! the next epoch. Only the rate-based model restricts itself to the rate;
+//! the baselines consume queue state or (possibly distorted) guest metrics,
+//! which is exactly what makes them fragile in virtualized environments
+//! (paper §II).
 
-use crate::controller::{ControllerConfig, Decision, DecisionCase, RateController};
+use crate::controller::DecisionCase;
+pub use crate::controller::RateBasedModel;
+use crate::epoch::EpochContext;
 use adcomp_trace::MAX_LEVELS;
 
 /// Guest-visible system metrics, as a VM's `/proc` would display them.
@@ -20,74 +23,30 @@ pub struct GuestMetrics {
     pub net_bandwidth: f64,
 }
 
-/// Everything a decision model may look at for one epoch.
-#[derive(Debug, Clone, Copy)]
-pub struct EpochObservation {
-    /// Application data rate over the epoch (bytes/second) — the paper's
-    /// `cdr`, the only field the rate-based model reads.
-    pub app_rate: f64,
-    /// Epoch length in seconds.
-    pub epoch_secs: f64,
-    /// Blocks waiting in the send queue at epoch end.
-    pub queue_depth: usize,
-    /// Send queue capacity in blocks.
-    pub queue_capacity: usize,
-    /// Displayed guest metrics, if the platform exposes them.
-    pub guest: Option<GuestMetrics>,
-    /// Measured wire/app ratio of blocks compressed this epoch, if any.
-    pub observed_ratio: Option<f64>,
-    /// Order-0 entropy (bits/byte) of a recent data sample, if the channel
-    /// probes it. Cheap to compute and — unlike the application data rate at
-    /// level 0 — it *does* reveal compressibility changes.
-    pub data_entropy: Option<f64>,
-}
-
-/// A fully-detailed model decision: the level plus everything the trace
-/// layer wants to know about *why*. Models that are not rate-based leave
-/// the optional fields `None`.
+/// One epoch decision: the level plus Algorithm 1's detail about *why*.
+/// Each detail field is `None` for models without that state.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[must_use = "dropping a ModelDecision loses the decision detail the trace layer needs"]
-pub struct ModelDecision {
+#[must_use = "dropping a Decision loses the level the model chose"]
+pub struct Decision {
     /// Level to apply for the next epoch.
     pub level: usize,
-    /// Algorithm-1 branch, for rate-based models.
+    /// Algorithm-1 branch that fired.
     pub case: Option<DecisionCase>,
-    /// The rate the decision consumed (`cdr`).
-    pub cdr: f64,
-    /// The previous rate it compared against, if the model keeps one.
+    /// The previous rate the decision compared against (`None` also on
+    /// Algorithm 1's seeding call, where the paper sets `pdr := cdr`).
     pub pdr: Option<f64>,
-    /// Snapshot of the per-level backoff exponent table, if the model
-    /// keeps one (first `num_levels` entries are meaningful).
+    /// Snapshot of the per-level backoff exponent table (first
+    /// `num_levels` entries are meaningful).
     pub backoffs: Option<[u32; MAX_LEVELS]>,
 }
 
-impl ModelDecision {
-    /// A detail-free decision (for models without Algorithm-1 state).
-    pub fn bare(level: usize, cdr: f64) -> Self {
-        ModelDecision { level, case: None, cdr, pdr: None, backoffs: None }
-    }
-
-    /// Builds the detailed decision from a [`RateController`] outcome.
-    fn from_controller(d: Decision, ctl: &RateController) -> Self {
-        let mut backoffs = [0u32; MAX_LEVELS];
-        for (slot, &b) in backoffs.iter_mut().zip(ctl.backoffs()) {
-            *slot = b;
-        }
-        ModelDecision {
-            level: d.level,
-            case: Some(d.case),
-            cdr: d.cdr,
-            pdr: d.pdr,
-            backoffs: Some(backoffs),
-        }
-    }
+/// A decision with no Algorithm-1 detail.
+fn level_only(level: usize) -> Decision {
+    Decision { level, case: None, pdr: None, backoffs: None }
 }
 
 /// A compression-level decision policy, evaluated once per epoch.
 pub trait DecisionModel: Send {
-    /// Short identifier used in tables (e.g. `DYNAMIC`, `NO`, `QUEUE`).
-    fn name(&self) -> String;
-
     /// Number of levels this model chooses between.
     fn num_levels(&self) -> usize;
 
@@ -97,48 +56,13 @@ pub trait DecisionModel: Send {
         0
     }
 
-    /// Decides the level to apply for the next epoch, with whatever detail
-    /// (case, pdr, backoff snapshot) the model keeps; models without
-    /// Algorithm-1 state return [`ModelDecision::bare`].
-    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision;
-
-    /// Resets internal state for a fresh stream.
-    fn reset(&mut self) {}
+    /// Decides the level for the next epoch from the epoch's application
+    /// data rate (`cdr`, bytes/second) and the context the caller keeps.
+    fn decide(&mut self, rate: f64, ctx: &EpochContext) -> Decision;
 }
 
-/// The paper's model (Table II row `DYNAMIC`): wraps [`RateController`].
-pub struct RateBasedModel {
-    ctl: RateController,
-}
-
-impl RateBasedModel {
-    pub fn new(cfg: ControllerConfig) -> Self {
-        RateBasedModel { ctl: RateController::new(cfg) }
-    }
-
-    pub fn paper_default() -> Self {
-        RateBasedModel { ctl: RateController::paper_default() }
-    }
-}
-
-impl DecisionModel for RateBasedModel {
-    fn name(&self) -> String {
-        "DYNAMIC".to_string()
-    }
-
-    fn num_levels(&self) -> usize {
-        self.ctl.config().num_levels
-    }
-
-    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision {
-        let d = self.ctl.observe(obs.app_rate);
-        ModelDecision::from_controller(d, &self.ctl)
-    }
-
-    fn reset(&mut self) {
-        self.ctl.reset();
-    }
-}
+/// Entropy delta (bits/byte) that counts as a compressibility change.
+const ENTROPY_SHIFT: f64 = 1.0;
 
 /// Entropy-guided extension of the paper's model.
 ///
@@ -148,56 +72,38 @@ impl DecisionModel for RateBasedModel {
 /// an incompressible phase delays the switch back to compression when the
 /// data becomes compressible again (Fig. 6 discussion).
 ///
-/// This variant runs the identical [`RateController`] but additionally
+/// This variant runs the identical [`RateBasedModel`] but additionally
 /// watches a *cheap, direct* signal — the order-0 entropy of a small data
-/// sample per epoch. When the entropy moves by more than
-/// `entropy_threshold` bits/byte, the accumulated backoff is forgotten so
-/// optimistic probing resumes immediately. The decision itself is still
-/// purely rate-based; the entropy only re-arms the probe timer, so the
-/// scheme keeps the paper's "no training phase, no system metrics"
-/// properties (the sample comes from the application's own data).
+/// sample per epoch. When the entropy moves by more than one bit/byte, the
+/// accumulated backoff is forgotten so optimistic probing resumes
+/// immediately. The decision itself is still purely rate-based; the
+/// entropy only re-arms the probe timer, so the scheme keeps the paper's
+/// "no training phase, no system metrics" properties (the sample comes from
+/// the application's own data).
 pub struct EntropyGuidedModel {
-    ctl: RateController,
-    /// Entropy delta (bits/byte) that counts as a compressibility change.
-    pub entropy_threshold: f64,
+    rate: RateBasedModel,
     last_entropy: Option<f64>,
 }
 
 impl EntropyGuidedModel {
-    pub fn new(cfg: ControllerConfig) -> Self {
-        EntropyGuidedModel { ctl: RateController::new(cfg), entropy_threshold: 1.0, last_entropy: None }
-    }
-
     pub fn paper_default() -> Self {
-        EntropyGuidedModel::new(ControllerConfig::default())
+        EntropyGuidedModel { rate: RateBasedModel::paper_default(), last_entropy: None }
     }
 }
 
 impl DecisionModel for EntropyGuidedModel {
-    fn name(&self) -> String {
-        "ENTROPY-GUIDED".to_string()
-    }
-
     fn num_levels(&self) -> usize {
-        self.ctl.config().num_levels
+        self.rate.num_levels()
     }
 
-    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision {
-        if let Some(h) = obs.data_entropy {
-            if let Some(prev) = self.last_entropy {
-                if (h - prev).abs() > self.entropy_threshold {
-                    self.ctl.forget_backoffs();
-                }
+    fn decide(&mut self, rate: f64, ctx: &EpochContext) -> Decision {
+        if let Some(h) = ctx.data_entropy {
+            if self.last_entropy.is_some_and(|prev| (h - prev).abs() > ENTROPY_SHIFT) {
+                self.rate.forget_backoffs();
             }
             self.last_entropy = Some(h);
         }
-        let d = self.ctl.observe(obs.app_rate);
-        ModelDecision::from_controller(d, &self.ctl)
-    }
-
-    fn reset(&mut self) {
-        self.ctl.reset();
-        self.last_entropy = None;
+        self.rate.decide(rate, ctx)
     }
 }
 
@@ -215,16 +121,6 @@ impl StaticModel {
 }
 
 impl DecisionModel for StaticModel {
-    fn name(&self) -> String {
-        match self.level {
-            0 => "NO".to_string(),
-            1 => "LIGHT".to_string(),
-            2 => "MEDIUM".to_string(),
-            3 => "HEAVY".to_string(),
-            n => format!("STATIC{n}"),
-        }
-    }
-
     fn num_levels(&self) -> usize {
         self.num_levels
     }
@@ -233,10 +129,13 @@ impl DecisionModel for StaticModel {
         self.level
     }
 
-    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision {
-        ModelDecision::bare(self.level, obs.app_rate)
+    fn decide(&mut self, _rate: f64, _ctx: &EpochContext) -> Decision {
+        level_only(self.level)
     }
 }
+
+/// Blocks the queue must move by to trigger a change.
+const QUEUE_HYSTERESIS: usize = 1;
 
 /// FIFO-queue-driven model after Jeannot, Knutsson & Björkman (HPDC 2002):
 /// the sender is split into a compression thread and a sending thread with a
@@ -250,43 +149,32 @@ pub struct QueueBasedModel {
     num_levels: usize,
     level: usize,
     prev_depth: Option<usize>,
-    /// Hysteresis: queue must move by this many blocks to trigger a change.
-    pub hysteresis: usize,
 }
 
 impl QueueBasedModel {
     pub fn new(num_levels: usize) -> Self {
-        QueueBasedModel { num_levels, level: 0, prev_depth: None, hysteresis: 1 }
+        QueueBasedModel { num_levels, level: 0, prev_depth: None }
     }
 }
 
 impl DecisionModel for QueueBasedModel {
-    fn name(&self) -> String {
-        "QUEUE".to_string()
-    }
-
     fn num_levels(&self) -> usize {
         self.num_levels
     }
 
-    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision {
+    fn decide(&mut self, _rate: f64, ctx: &EpochContext) -> Decision {
+        let depth = ctx.queue_depth;
         if let Some(prev) = self.prev_depth {
-            let depth = obs.queue_depth;
-            if depth > prev + self.hysteresis || depth == obs.queue_capacity.max(1) {
+            if depth > prev + QUEUE_HYSTERESIS || depth == ctx.queue_capacity.max(1) {
                 // Queue filling: network-bound, raise compression.
                 self.level = (self.level + 1).min(self.num_levels - 1);
-            } else if depth + self.hysteresis < prev || depth == 0 {
+            } else if depth + QUEUE_HYSTERESIS < prev || depth == 0 {
                 // Queue draining: compression-bound, lower compression.
                 self.level = self.level.saturating_sub(1);
             }
         }
-        self.prev_depth = Some(obs.queue_depth);
-        ModelDecision::bare(self.level, obs.app_rate)
-    }
-
-    fn reset(&mut self) {
-        self.level = 0;
-        self.prev_depth = None;
+        self.prev_depth = Some(depth);
+        level_only(self.level)
     }
 }
 
@@ -324,7 +212,7 @@ impl MetricBasedModel {
 
     /// Predicted application throughput for one level under the displayed
     /// metrics.
-    pub fn predict(&self, level: usize, guest: &GuestMetrics) -> f64 {
+    fn predict(&self, level: usize, guest: &GuestMetrics) -> f64 {
         let t = &self.trained[level];
         let cpu_limited = t.compress_bps * guest.cpu_idle_frac.clamp(0.0, 1.0);
         let net_limited = guest.net_bandwidth / t.ratio.max(1e-9);
@@ -333,17 +221,13 @@ impl MetricBasedModel {
 }
 
 impl DecisionModel for MetricBasedModel {
-    fn name(&self) -> String {
-        "METRIC".to_string()
-    }
-
     fn num_levels(&self) -> usize {
         self.trained.len()
     }
 
-    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision {
+    fn decide(&mut self, _rate: f64, ctx: &EpochContext) -> Decision {
         // No metrics displayed at all: keep the current level.
-        if let Some(guest) = obs.guest {
+        if let Some(guest) = ctx.guest {
             let mut best = 0usize;
             let mut best_rate = f64::NEG_INFINITY;
             for l in 0..self.trained.len() {
@@ -355,11 +239,7 @@ impl DecisionModel for MetricBasedModel {
             }
             self.level = best;
         }
-        ModelDecision::bare(self.level, obs.app_rate)
-    }
-
-    fn reset(&mut self) {
-        self.level = 0;
+        level_only(self.level)
     }
 }
 
@@ -375,10 +255,10 @@ impl DecisionModel for MetricBasedModel {
 pub struct SensorThresholdModel {
     /// Descending bandwidth thresholds (bytes/second): displayed bandwidth
     /// below `thresholds[i]` selects at least level `i + 1`.
-    pub bw_thresholds: Vec<f64>,
+    bw_thresholds: Vec<f64>,
     /// Veto: if the displayed idle CPU fraction drops below this, transmit
     /// uncompressed (the "server load" sensor).
-    pub load_veto_idle: f64,
+    load_veto_idle: f64,
     num_levels: usize,
     level: usize,
 }
@@ -399,16 +279,12 @@ impl SensorThresholdModel {
 }
 
 impl DecisionModel for SensorThresholdModel {
-    fn name(&self) -> String {
-        "SENSOR".to_string()
-    }
-
     fn num_levels(&self) -> usize {
         self.num_levels
     }
 
-    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision {
-        if let Some(guest) = obs.guest {
+    fn decide(&mut self, _rate: f64, ctx: &EpochContext) -> Decision {
+        if let Some(guest) = ctx.guest {
             if guest.cpu_idle_frac < self.load_veto_idle {
                 self.level = 0;
             } else {
@@ -421,11 +297,7 @@ impl DecisionModel for SensorThresholdModel {
                 self.level = level.min(self.num_levels - 1);
             }
         }
-        ModelDecision::bare(self.level, obs.app_rate)
-    }
-
-    fn reset(&mut self) {
-        self.level = 0;
+        level_only(self.level)
     }
 }
 
@@ -437,7 +309,7 @@ impl DecisionModel for SensorThresholdModel {
 pub struct ThresholdSamplingModel {
     num_levels: usize,
     /// Epochs to hold the winner before resampling.
-    pub hold_epochs: u32,
+    hold_epochs: u32,
     state: SamplingState,
     sampled_rates: Vec<f64>,
     level: usize,
@@ -463,18 +335,14 @@ impl ThresholdSamplingModel {
 }
 
 impl DecisionModel for ThresholdSamplingModel {
-    fn name(&self) -> String {
-        "SAMPLING".to_string()
-    }
-
     fn num_levels(&self) -> usize {
         self.num_levels
     }
 
-    fn decide(&mut self, obs: &EpochObservation) -> ModelDecision {
+    fn decide(&mut self, rate: f64, _ctx: &EpochContext) -> Decision {
         match self.state {
             SamplingState::Sampling(i) => {
-                self.sampled_rates[i] = obs.app_rate;
+                self.sampled_rates[i] = rate;
                 if i + 1 < self.num_levels {
                     self.state = SamplingState::Sampling(i + 1);
                     self.level = i + 1;
@@ -484,7 +352,7 @@ impl DecisionModel for ThresholdSamplingModel {
                         .sampled_rates
                         .iter()
                         .enumerate()
-                        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                        .max_by(|a, b| a.1.total_cmp(b.1))
                         .map(|(i, _)| i)
                         .unwrap_or(0);
                     self.level = best;
@@ -501,14 +369,7 @@ impl DecisionModel for ThresholdSamplingModel {
                 }
             }
         }
-        ModelDecision::bare(self.level, obs.app_rate)
-    }
-
-    fn reset(&mut self) {
-        self.state = SamplingState::Sampling(0);
-        self.sampled_rates.fill(0.0);
-        self.level = 0;
-        self.epochs_left = 0;
+        level_only(self.level)
     }
 }
 
@@ -516,82 +377,65 @@ impl DecisionModel for ThresholdSamplingModel {
 mod tests {
     use super::*;
 
-    fn obs(app_rate: f64) -> EpochObservation {
-        EpochObservation {
-            app_rate,
-            epoch_secs: 2.0,
-            queue_depth: 0,
-            queue_capacity: 0,
-            guest: None,
-            observed_ratio: None,
-            data_entropy: None,
-        }
-    }
+    const NO_CTX: EpochContext =
+        EpochContext { queue_depth: 0, queue_capacity: 0, guest: None, data_entropy: None };
 
     #[test]
     fn static_model_never_moves() {
         let mut m = StaticModel::new(2, 4);
-        assert_eq!(m.name(), "MEDIUM");
         for r in [10.0, 1000.0, 0.0] {
-            assert_eq!(m.decide(&obs(r)).level, 2);
+            assert_eq!(m.decide(r, &NO_CTX).level, 2);
         }
-    }
-
-    #[test]
-    fn static_model_names() {
-        assert_eq!(StaticModel::new(0, 4).name(), "NO");
-        assert_eq!(StaticModel::new(3, 4).name(), "HEAVY");
-        assert_eq!(StaticModel::new(4, 6).name(), "STATIC4");
     }
 
     #[test]
     fn rate_based_delegates_to_controller() {
         let mut m = RateBasedModel::paper_default();
-        assert_eq!(m.name(), "DYNAMIC");
-        let l = m.decide(&obs(100.0)).level;
-        assert_eq!(l, 1, "first epoch probes up, like the raw controller");
+        let l = m.decide(100.0, &NO_CTX).level;
+        assert_eq!(l, 1, "first epoch probes up");
     }
 
     #[test]
     fn queue_model_raises_when_queue_grows() {
         let mut m = QueueBasedModel::new(4);
-        let mut o = obs(100.0);
+        let mut o = NO_CTX;
         o.queue_capacity = 16;
         o.queue_depth = 2;
-        assert_eq!(m.decide(&o).level, 0, "first call only records state");
+        assert_eq!(m.decide(0.0, &o).level, 0, "first call only records state");
         o.queue_depth = 8;
-        assert_eq!(m.decide(&o).level, 1);
+        assert_eq!(m.decide(0.0, &o).level, 1);
         o.queue_depth = 14;
-        assert_eq!(m.decide(&o).level, 2);
+        assert_eq!(m.decide(0.0, &o).level, 2);
     }
 
     #[test]
     fn queue_model_lowers_when_queue_drains() {
         let mut m = QueueBasedModel::new(4);
-        let mut o = obs(100.0);
+        let mut o = NO_CTX;
         o.queue_capacity = 16;
         o.queue_depth = 10;
-        let _ = m.decide(&o);
+        let _ = m.decide(0.0, &o);
         o.queue_depth = 12;
-        let _ = m.decide(&o); // -> 1
+        let _ = m.decide(0.0, &o); // -> 1
         o.queue_depth = 3;
-        assert_eq!(m.decide(&o).level, 0);
+        assert_eq!(m.decide(0.0, &o).level, 0);
         o.queue_depth = 0;
-        assert_eq!(m.decide(&o).level, 0, "saturates at zero");
+        assert_eq!(m.decide(0.0, &o).level, 0, "saturates at zero");
     }
 
     #[test]
     fn queue_model_hysteresis_suppresses_jitter() {
         let mut m = QueueBasedModel::new(4);
-        m.hysteresis = 3;
-        let mut o = obs(100.0);
+        let mut o = NO_CTX;
         o.queue_capacity = 16;
         o.queue_depth = 8;
-        let _ = m.decide(&o);
-        o.queue_depth = 9; // within hysteresis
-        assert_eq!(m.decide(&o).level, 0);
-        o.queue_depth = 7; // within hysteresis
-        assert_eq!(m.decide(&o).level, 0);
+        let _ = m.decide(0.0, &o);
+        o.queue_depth = 10; // +2: beyond the one-block hysteresis
+        assert_eq!(m.decide(0.0, &o).level, 1);
+        o.queue_depth = 11; // +1: within hysteresis
+        assert_eq!(m.decide(0.0, &o).level, 1);
+        o.queue_depth = 10; // -1: within hysteresis
+        assert_eq!(m.decide(0.0, &o).level, 1);
     }
 
     #[test]
@@ -606,9 +450,9 @@ mod tests {
         let mut m = MetricBasedModel::new(trained);
         // Accurate: full CPU idle, 50 MB/s of bandwidth -> level 1 predicted
         // min(200, 100) = 100 beats raw (50) and level 2 (min(60,125)=60).
-        let mut o = obs(0.0);
+        let mut o = NO_CTX;
         o.guest = Some(GuestMetrics { cpu_idle_frac: 1.0, net_bandwidth: 50e6 });
-        assert_eq!(m.decide(&o).level, 1);
+        assert_eq!(m.decide(0.0, &o).level, 1);
     }
 
     #[test]
@@ -623,9 +467,9 @@ mod tests {
         // cannot help (raw "800 MB/s" beats level 1's min(190, 1600) = 190)
         // and stays raw even though the real link is a scarce 30 MB/s where
         // LIGHT would roughly double goodput.
-        let mut o = obs(0.0);
+        let mut o = NO_CTX;
         o.guest = Some(GuestMetrics { cpu_idle_frac: 0.95, net_bandwidth: 800e6 });
-        assert_eq!(m.decide(&o).level, 0, "distorted metrics keep it uncompressed");
+        assert_eq!(m.decide(0.0, &o).level, 0, "distorted metrics keep it uncompressed");
     }
 
     #[test]
@@ -635,27 +479,27 @@ mod tests {
             TrainedLevel { compress_bps: 200e6, ratio: 0.5 },
         ];
         let mut m = MetricBasedModel::new(trained);
-        let mut o = obs(0.0);
+        let mut o = NO_CTX;
         o.guest = Some(GuestMetrics { cpu_idle_frac: 1.0, net_bandwidth: 10e6 });
-        let l = m.decide(&o).level;
-        let o2 = obs(0.0);
-        assert_eq!(m.decide(&o2).level, l);
+        let l = m.decide(0.0, &o).level;
+        let o2 = NO_CTX;
+        assert_eq!(m.decide(0.0, &o2).level, l);
     }
 
     #[test]
     fn sampling_model_cycles_then_commits() {
         let mut m = ThresholdSamplingModel::new(3, 5);
         // Sampling phase: level sequence 0 -> 1 -> 2 while recording rates.
-        assert_eq!(m.decide(&obs(50.0)).level, 1); // sampled level 0 at 50
-        assert_eq!(m.decide(&obs(90.0)).level, 2); // sampled level 1 at 90
-        let committed = m.decide(&obs(60.0)).level; // sampled level 2 at 60 -> commit
+        assert_eq!(m.decide(50.0, &NO_CTX).level, 1); // sampled level 0 at 50
+        assert_eq!(m.decide(90.0, &NO_CTX).level, 2); // sampled level 1 at 90
+        let committed = m.decide(60.0, &NO_CTX).level; // sampled level 2 at 60 -> commit
         assert_eq!(committed, 1, "level 1 had the best sampled rate");
         // Holds for hold_epochs.
         for _ in 0..5 {
-            assert_eq!(m.decide(&obs(90.0)).level, 1);
+            assert_eq!(m.decide(90.0, &NO_CTX).level, 1);
         }
         // Then resamples from level 0.
-        assert_eq!(m.decide(&obs(90.0)).level, 0);
+        assert_eq!(m.decide(90.0, &NO_CTX).level, 0);
     }
 
     #[test]
@@ -663,9 +507,9 @@ mod tests {
         let mut a = RateBasedModel::paper_default();
         let mut b = EntropyGuidedModel::paper_default();
         for rate in [100.0, 180.0, 180.0, 150.0, 200.0, 200.0, 90.0] {
-            let mut o = obs(rate);
+            let mut o = NO_CTX;
             o.data_entropy = Some(2.0);
-            assert_eq!(a.decide(&obs(rate)).level, b.decide(&o).level);
+            assert_eq!(a.decide(rate, &NO_CTX).level, b.decide(rate, &o).level);
         }
     }
 
@@ -685,9 +529,10 @@ mod tests {
             // Phase 1 (LOW data): level 0 is best; backoff builds at 0.
             let low_rates = [90.0, 60.0, 40.0, 5.0];
             for _ in 0..150 {
-                let mut o = obs(low_rates[level]);
+                let rate = low_rates[level];
+                let mut o = NO_CTX;
                 o.data_entropy = Some(7.9);
-                level = if guided { ent.decide(&o).level } else { plain.decide(&o).level };
+                level = if guided { ent.decide(rate, &o).level } else { plain.decide(rate, &o).level };
             }
             assert_eq!(level, 0, "phase 1 must settle at level 0");
             // Phase 2 (HIGH data): entropy drops; level-0 rate is identical,
@@ -695,9 +540,10 @@ mod tests {
             // the first probe away from 0.
             let high_rates = [90.0, 205.0, 145.0, 27.0];
             for epoch in 0..300 {
-                let mut o = obs(high_rates[level]);
+                let rate = high_rates[level];
+                let mut o = NO_CTX;
                 o.data_entropy = Some(1.4);
-                let new = if guided { ent.decide(&o).level } else { plain.decide(&o).level };
+                let new = if guided { ent.decide(rate, &o).level } else { plain.decide(rate, &o).level };
                 if new != 0 {
                     return epoch;
                 }
@@ -718,23 +564,23 @@ mod tests {
     #[test]
     fn sensor_model_follows_bandwidth_thresholds() {
         let mut m = SensorThresholdModel::paper_scale();
-        let mut o = obs(0.0);
+        let mut o = NO_CTX;
         o.guest = Some(GuestMetrics { cpu_idle_frac: 0.9, net_bandwidth: 100e6 });
-        assert_eq!(m.decide(&o).level, 0, "plentiful bandwidth: no compression");
+        assert_eq!(m.decide(0.0, &o).level, 0, "plentiful bandwidth: no compression");
         o.guest = Some(GuestMetrics { cpu_idle_frac: 0.9, net_bandwidth: 60e6 });
-        assert_eq!(m.decide(&o).level, 1);
+        assert_eq!(m.decide(0.0, &o).level, 1);
         o.guest = Some(GuestMetrics { cpu_idle_frac: 0.9, net_bandwidth: 20e6 });
-        assert_eq!(m.decide(&o).level, 2);
+        assert_eq!(m.decide(0.0, &o).level, 2);
         o.guest = Some(GuestMetrics { cpu_idle_frac: 0.9, net_bandwidth: 5e6 });
-        assert_eq!(m.decide(&o).level, 3);
+        assert_eq!(m.decide(0.0, &o).level, 3);
     }
 
     #[test]
     fn sensor_model_load_veto_forces_raw() {
         let mut m = SensorThresholdModel::paper_scale();
-        let mut o = obs(0.0);
+        let mut o = NO_CTX;
         o.guest = Some(GuestMetrics { cpu_idle_frac: 0.05, net_bandwidth: 5e6 });
-        assert_eq!(m.decide(&o).level, 0, "high displayed load vetoes compression");
+        assert_eq!(m.decide(0.0, &o).level, 0, "high displayed load vetoes compression");
     }
 
     #[test]
@@ -743,9 +589,9 @@ mod tests {
         // uncompressed even when the real share is scarce — the paper's
         // criticism of sensor-driven schemes in VMs.
         let mut m = SensorThresholdModel::paper_scale();
-        let mut o = obs(0.0);
+        let mut o = NO_CTX;
         o.guest = Some(GuestMetrics { cpu_idle_frac: 0.95, net_bandwidth: 100e6 });
-        assert_eq!(m.decide(&o).level, 0);
+        assert_eq!(m.decide(0.0, &o).level, 0);
     }
 
     #[test]
@@ -757,13 +603,13 @@ mod tests {
     #[test]
     fn decide_detailed_surfaces_algorithm_state() {
         let mut m = RateBasedModel::paper_default();
-        let d = m.decide(&obs(100.0));
+        let d = m.decide(100.0, &NO_CTX);
         assert_eq!(d.level, 1);
         assert_eq!(d.case, Some(DecisionCase::Seed));
         assert_eq!(d.pdr, None);
         let bck = d.backoffs.expect("rate model snapshots backoffs");
         assert_eq!(&bck[..4], &[0, 0, 0, 0]);
-        let d2 = m.decide(&obs(220.0));
+        let d2 = m.decide(220.0, &NO_CTX);
         assert_eq!(d2.case, Some(DecisionCase::Improved));
         assert_eq!(d2.pdr, Some(100.0));
         assert_eq!(d2.backoffs.unwrap()[1], 1, "reward went to level 1");
@@ -772,29 +618,10 @@ mod tests {
     #[test]
     fn decide_detailed_default_is_bare_for_simple_models() {
         let mut s = StaticModel::new(2, 4);
-        let d = s.decide(&obs(50.0));
+        let d = s.decide(50.0, &NO_CTX);
         assert_eq!(d.level, 2);
         assert_eq!(d.case, None);
-        assert_eq!(d.cdr, 50.0);
+        assert_eq!(d.pdr, None);
         assert_eq!(d.backoffs, None);
-    }
-
-    #[test]
-    fn models_reset_cleanly() {
-        let mut q = QueueBasedModel::new(4);
-        let mut o = obs(1.0);
-        o.queue_capacity = 8;
-        o.queue_depth = 1;
-        let _ = q.decide(&o);
-        o.queue_depth = 6;
-        let _ = q.decide(&o);
-        q.reset();
-        o.queue_depth = 0;
-        assert_eq!(q.decide(&o).level, 0);
-
-        let mut s = ThresholdSamplingModel::new(3, 2);
-        let _ = s.decide(&obs(1.0));
-        s.reset();
-        assert_eq!(s.decide(&obs(1.0)).level, 1, "restarts sampling cycle");
     }
 }

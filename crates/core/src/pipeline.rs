@@ -418,11 +418,6 @@ impl CompressPool {
         self.trace_t = t;
     }
 
-    /// Worker count (1 = the inline lane).
-    pub fn workers(&self) -> usize {
-        self.core.nworkers
-    }
-
     /// Rebuilds the pool with `workers` threads, keeping the trace handle.
     /// Only before the first block: a pool swapped out with blocks in
     /// flight would drop them silently, so that is refused loudly.
@@ -637,11 +632,6 @@ impl DecodePool {
     /// the next frame and [`DecodePool::submit`].
     pub fn wire_buf(&mut self) -> Vec<u8> {
         self.spare_wire.pop().unwrap_or_default()
-    }
-
-    /// Worker count (1 = the inline lane).
-    pub fn workers(&self) -> usize {
-        self.core.nworkers
     }
 
     /// Submits one validated payload (`wire[payload_at..]`) for

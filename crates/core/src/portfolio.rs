@@ -12,7 +12,7 @@
 //!    run-length density, distinct-byte count.
 //! 2. [`nominate`] maps the features to a four-slot candidate ladder
 //!    (slot 0 is always `Raw`, matching the paper's "level 0 stands for
-//!    no compression"). The existing `RateController`/`EpochDriver`
+//!    no compression"). The existing `RateBasedModel`/`EpochDriver`
 //!    still picks the *level*; the portfolio only decides which codec
 //!    family backs each level for this block.
 //! 3. [`select`] composes the two: `nominate(probe(block))[level]`.

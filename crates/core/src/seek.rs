@@ -94,11 +94,6 @@ impl<R: Read + Seek> IndexedReader<R> {
         self.pool = DecodePool::new(workers);
     }
 
-    /// Active pipeline worker count (1 = no threads).
-    pub fn pipeline_workers(&self) -> usize {
-        self.pool.workers()
-    }
-
     /// Total application bytes in the stream, or the error that stopped
     /// the header walk short of its end.
     pub fn total_uncompressed(&self) -> io::Result<u64> {
@@ -358,7 +353,6 @@ mod tests {
         for workers in [0usize, 1, 2, 4, 7] {
             let mut r = IndexedReader::open(Cursor::new(&wire)).unwrap();
             r.set_pipeline_workers(workers);
-            assert_eq!(r.pipeline_workers(), workers.max(1));
             for (s, l) in ranges {
                 let mut out = Vec::new();
                 r.read_range(s as u64, l as u64, &mut out).unwrap();

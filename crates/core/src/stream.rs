@@ -83,7 +83,6 @@ pub struct AdaptiveWriter<W: Write> {
     blocks_per_level: Vec<u64>,
     blocks_per_codec: Vec<u64>,
     raw_fallbacks: u64,
-    last_block_ratio: Option<f64>,
     degraded_blocks: u64,
     /// Every block is encoded here: on the caller's thread by default, on
     /// worker threads after [`AdaptiveWriter::set_pipeline_workers`].
@@ -129,7 +128,6 @@ impl<W: Write> AdaptiveWriter<W> {
             blocks_per_level: vec![0; nlevels],
             blocks_per_codec: vec![0; CodecId::REGISTRY.len()],
             raw_fallbacks: 0,
-            last_block_ratio: None,
             degraded_blocks: 0,
             pool: CompressPool::new(1),
             ready: Vec::new(),
@@ -149,11 +147,6 @@ impl<W: Write> AdaptiveWriter<W> {
         self.pool.set_workers(workers);
     }
 
-    /// Active pipeline worker count (1 = no threads).
-    pub fn pipeline_workers(&self) -> usize {
-        self.pool.workers()
-    }
-
     /// Enables per-block content-aware codec selection: each block is
     /// probed ([`crate::portfolio::probe`]) and the codec family backing
     /// the controller's current level comes from the nominated ladder
@@ -164,11 +157,6 @@ impl<W: Write> AdaptiveWriter<W> {
     /// byte-identical for any worker count.
     pub fn set_portfolio(&mut self, portfolio: bool) {
         self.portfolio = portfolio;
-    }
-
-    /// Whether portfolio selection is active.
-    pub fn portfolio(&self) -> bool {
-        self.portfolio
     }
 
     /// Makes the stream seekable: every emitted frame is recorded in an
@@ -201,11 +189,6 @@ impl<W: Write> AdaptiveWriter<W> {
     /// Currently applied compression level.
     pub fn level(&self) -> usize {
         self.driver.level()
-    }
-
-    /// The level trace `(seconds, level)` for time-series reporting.
-    pub fn level_trace(&self) -> &adcomp_metrics::TimeSeries {
-        self.driver.level_trace()
     }
 
     /// Current statistics snapshot.
@@ -257,13 +240,7 @@ impl<W: Write> AdaptiveWriter<W> {
         }
         self.pool.submit(level, codec_id, data, &mut self.ready);
         self.write_completions(now)?;
-        // Without threads the block just written is this one, so the model
-        // sees its own ratio; with threads it sees the last drained one.
-        let ctx = EpochContext {
-            observed_ratio: self.last_block_ratio,
-            ..EpochContext::default()
-        };
-        self.driver.record(bytes, now, &ctx);
+        self.driver.record(bytes, now, &EpochContext::default());
         Ok(())
     }
 
@@ -310,7 +287,6 @@ impl<W: Write> AdaptiveWriter<W> {
         if c.info.raw_fallback {
             self.raw_fallbacks += 1;
         }
-        self.last_block_ratio = Some(c.info.wire_ratio());
         // Both buffers go round again: the frame's to the pool, the
         // block's to the next fill.
         self.pool.recycle(c.frame);
@@ -412,11 +388,6 @@ impl<R: Read> AdaptiveReader<R> {
             "set_pipeline_workers must be called before the first read"
         );
         self.pool = DecodePool::new(workers);
-    }
-
-    /// Active pipeline worker count (1 = no threads).
-    pub fn pipeline_workers(&self) -> usize {
-        self.pool.workers()
     }
 
     /// Incident counters (all zero on a clean stream).
@@ -684,7 +655,6 @@ mod tests {
             Box::new(clock.clone()),
         );
         w.set_trace(trace.clone());
-        assert_eq!(w.pipeline_workers(), 1);
         let data = b"traced stream payload with repetition repetition ".repeat(400);
         for (i, chunk) in data.chunks(1024).enumerate() {
             clock.set(i as f64 * 0.02);
@@ -865,7 +835,6 @@ mod tests {
         }));
         std::panic::set_hook(prev);
         assert!(refused.is_err(), "mid-stream worker change must be refused");
-        assert_eq!(w.pipeline_workers(), 4);
         w.write_all(&data[32 * 4096..]).unwrap();
         let (wire, stats) = w.finish().unwrap();
         assert_eq!(stats.app_bytes, data.len() as u64);
@@ -921,7 +890,6 @@ mod tests {
                     Box::new(ManualClock::new()),
                 );
                 w.set_pipeline_workers(workers);
-                assert_eq!(w.pipeline_workers(), workers.max(1));
                 w.write_all(&data).unwrap();
                 let (wire, stats) = w.finish().unwrap();
                 assert_eq!(
@@ -1022,7 +990,6 @@ mod tests {
                 Box::new(ManualClock::new()),
             );
             w.set_portfolio(true);
-            assert!(w.portfolio());
             if workers > 1 {
                 w.set_pipeline_workers(workers);
             }
@@ -1096,7 +1063,6 @@ mod tests {
         for workers in [1usize, 2, 4] {
             let mut r = AdaptiveReader::new(&wire[..]);
             r.set_pipeline_workers(workers);
-            assert_eq!(r.pipeline_workers(), workers.max(1));
             let mut out = Vec::new();
             r.read_to_end(&mut out).unwrap();
             assert_eq!(out, data, "workers {workers}");

@@ -4,12 +4,15 @@
 //! paper's decision table — about fifty lines, written independently of
 //! `adcomp_core::controller` and kept deliberately dumb so a reviewer can
 //! check it against the paper line by line. The property tests then assert
-//! that, for arbitrary rate sequences, the production [`RateController`]
-//! and the [`EpochDriver`] stack produce *identical* level trajectories.
+//! that, for arbitrary rate sequences, the production [`RateBasedModel`]
+//! and the [`EpochDriver`] stack produce *identical* level trajectories,
+//! and that every traced decision carries the branch, `pdr` and backoff
+//! table the spec has at that epoch.
 
-use adcomp_core::controller::{ControllerConfig, RateController};
+use adcomp_core::controller::{ControllerConfig, RateBasedModel};
 use adcomp_core::epoch::{EpochContext, EpochDriver};
-use adcomp_core::model::RateBasedModel;
+use adcomp_core::model::DecisionModel;
+use adcomp_trace::{TraceEvent, TraceHandle};
 use proptest::prelude::*;
 
 /// Table I state, named exactly as in the paper.
@@ -33,14 +36,16 @@ impl Spec {
     }
 }
 
-/// One epoch of Algorithm 1: consumes `cdr`, returns the next level.
-fn spec_next(s: &mut Spec, cdr: f64, alpha: f64, max_backoff_exp: u32) -> usize {
+/// One epoch of Algorithm 1: consumes `cdr`, returns the next level and
+/// the name of the branch that fired.
+fn spec_next(s: &mut Spec, cdr: f64, alpha: f64, max_backoff_exp: u32) -> (usize, &'static str) {
     let n = s.bck.len() as i64;
     let pdr = s.pdr.unwrap_or(cdr); // first call: pdr := cdr
     let d = cdr - pdr;
     s.c += 1;
     let mut ncl = s.ccl as i64;
     let mut probed = false;
+    let case;
     if d.abs() <= alpha * pdr {
         // Case 1 — stable: probe once the backoff for ccl has expired.
         if s.c >= 1u64 << s.bck[s.ccl].min(62) {
@@ -48,15 +53,23 @@ fn spec_next(s: &mut Spec, cdr: f64, alpha: f64, max_backoff_exp: u32) -> usize 
             s.c = 0;
             probed = true;
         }
+        // The first call's probe is the seeding one.
+        case = match (probed, s.pdr) {
+            (false, _) => "stable",
+            (true, None) => "seed",
+            (true, Some(_)) => "probe",
+        };
     } else if d > 0.0 {
         // Case 2 — improved: reward ccl with a longer backoff, stay put.
         s.bck[s.ccl] = (s.bck[s.ccl] + 1).min(max_backoff_exp);
         s.c = 0;
+        case = "improved";
     } else {
         // Case 3 — degraded: reset ccl's backoff, revert the last change.
         s.bck[s.ccl] = 0;
         ncl += if s.inc { -1 } else { 1 };
         s.c = 0;
+        case = "degraded";
     }
     // Boundaries: clamp, but let an optimistic probe reflect off the wall.
     if ncl < 0 {
@@ -70,58 +83,73 @@ fn spec_next(s: &mut Spec, cdr: f64, alpha: f64, max_backoff_exp: u32) -> usize 
         s.ccl = ncl as usize;
     }
     s.pdr = Some(cdr);
-    s.ccl
-}
-
-fn spec_trajectory(rates: &[u64], cfg: &ControllerConfig) -> Vec<usize> {
-    let mut s = Spec::new(cfg.num_levels);
-    rates.iter().map(|&r| spec_next(&mut s, r as f64, cfg.alpha, cfg.max_backoff_exp)).collect()
+    (s.ccl, case)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The production controller matches the reference spec decision for
+    /// The production model matches the reference spec decision for
     /// decision on arbitrary rate sequences.
     #[test]
     fn controller_matches_reference_spec(
         rates in proptest::collection::vec(0u64..1_000_000_000, 1..200)
     ) {
         let cfg = ControllerConfig::default();
-        let mut ctl = RateController::new(cfg);
+        let mut model = RateBasedModel::new(cfg);
         let mut s = Spec::new(cfg.num_levels);
         for &r in &rates {
-            let want = spec_next(&mut s, r as f64, cfg.alpha, cfg.max_backoff_exp);
-            let got = ctl.observe(r as f64);
+            let (want, _) = spec_next(&mut s, r as f64, cfg.alpha, cfg.max_backoff_exp);
+            let got = model.decide(r as f64, &EpochContext::default());
             prop_assert_eq!(got.level, want, "diverged at cdr={}", r);
-            prop_assert_eq!(ctl.backoffs(), &s.bck[..]);
+            let backoffs = got.backoffs.expect("Algorithm 1 reports its backoffs");
+            prop_assert_eq!(&backoffs[..cfg.num_levels], &s.bck[..]);
         }
     }
 
     /// Driving the full EpochDriver + RateBasedModel stack — one record per
     /// epoch boundary, bytes chosen so the epoch rate equals the intended
-    /// cdr — yields the reference spec's level trajectory exactly.
+    /// cdr — yields the reference spec's level trajectory exactly, and each
+    /// epoch's traced decision is the spec's: branch, cdr, pdr, the level
+    /// before and after, and the backoff table.
     #[test]
     fn epoch_driver_matches_reference_spec(
         rates in proptest::collection::vec(0u64..1_000_000_000, 1..150)
     ) {
         let cfg = ControllerConfig::default();
+        let trace = TraceHandle::collecting();
         let mut driver =
             EpochDriver::new(Box::new(RateBasedModel::new(cfg)), 1.0, 0.0);
-        let want = spec_trajectory(&rates, &cfg);
+        driver.set_trace(trace.clone());
         let ctx = EpochContext::default();
-        let mut got = Vec::with_capacity(rates.len());
+        let mut s = Spec::new(cfg.num_levels);
         for (k, &bytes) in rates.iter().enumerate() {
+            let (prev_level, pdr) = (s.ccl, s.pdr);
+            let (want, case) = spec_next(&mut s, bytes as f64, cfg.alpha, cfg.max_backoff_exp);
             // Recording exactly at the boundary closes the epoch with
             // duration 1 s, so rate == bytes.
-            got.push(driver.record(bytes, (k + 1) as f64, &ctx));
+            prop_assert_eq!(driver.record(bytes, (k + 1) as f64, &ctx), want);
+            let events = trace.take();
+            let decision = events.iter().find_map(|e| match e {
+                TraceEvent::Decision(d) => Some(d),
+                _ => None,
+            });
+            let Some(ev) = decision else {
+                panic!("epoch {k}: no decision event");
+            };
+            prop_assert_eq!(ev.epoch, k as u64);
+            prop_assert_eq!(ev.case, case, "epoch {}", k);
+            prop_assert_eq!(ev.cdr, bytes as f64);
+            prop_assert_eq!(ev.pdr.to_bits(), pdr.unwrap_or(f64::NAN).to_bits());
+            prop_assert_eq!(ev.prev_level as usize, prev_level);
+            prop_assert_eq!(ev.ccl as usize, want);
+            prop_assert_eq!(&ev.backoffs[..cfg.num_levels], &s.bck[..]);
         }
-        prop_assert_eq!(got, want);
         prop_assert_eq!(driver.epochs(), rates.len() as u64);
     }
 
     /// Spec sanity: trajectories never leave the level range and the
-    /// controller still matches under non-default configs.
+    /// model still matches under non-default configs.
     #[test]
     fn spec_holds_for_other_configs(
         rates in proptest::collection::vec(0u64..10_000_000, 1..100),
@@ -129,12 +157,12 @@ proptest! {
         max_exp in 1u32..8,
     ) {
         let cfg = ControllerConfig { alpha: 0.2, num_levels, max_backoff_exp: max_exp };
-        let mut ctl = RateController::new(cfg);
+        let mut model = RateBasedModel::new(cfg);
         let mut s = Spec::new(num_levels);
         for &r in &rates {
-            let want = spec_next(&mut s, r as f64, cfg.alpha, cfg.max_backoff_exp);
+            let (want, _) = spec_next(&mut s, r as f64, cfg.alpha, cfg.max_backoff_exp);
             prop_assert!(want < num_levels);
-            prop_assert_eq!(ctl.observe(r as f64).level, want);
+            prop_assert_eq!(model.decide(r as f64, &EpochContext::default()).level, want);
         }
     }
 }

@@ -67,7 +67,6 @@ fn steady_state_stream_writing_allocates_nothing() {
         };
         // Room for the whole stream, so the sink itself never grows.
         let mut w = writer(Vec::with_capacity((warm_up + 16) * (BLOCK_LEN + 16)));
-        assert_eq!(w.pipeline_workers(), 1);
         // Warm-up: grows the block buffer, the frame buffer, the codec
         // tables and the completion landing buffer to their high-water
         // marks (one block of every corpus class).
@@ -89,7 +88,6 @@ fn steady_state_stream_writing_allocates_nothing() {
         // Read half: the same stream back through a reader without threads,
         // into a fixed buffer smaller than a block.
         let mut r = AdaptiveReader::new(&wire[..]);
-        assert_eq!(r.pipeline_workers(), 1);
         let mut buf = vec![0u8; 64 * 1024];
         for _ in 0..warm_up * BLOCK_LEN / buf.len() {
             r.read_exact(&mut buf).unwrap();
@@ -115,7 +113,6 @@ fn steady_state_stream_writing_allocates_nothing() {
         }
         let (wire, _) = w.finish().unwrap();
         let mut r = IndexedReader::open(Cursor::new(&wire[..])).unwrap();
-        assert_eq!(r.pipeline_workers(), 1);
         let (start, len) = (BLOCK_LEN as u64 + 1000, 2 * BLOCK_LEN as u64);
         let mut out = Vec::new();
         r.read_range(start, len, &mut out).unwrap();

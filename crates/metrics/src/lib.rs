@@ -2,8 +2,9 @@
 //!
 //! Shared measurement layer for the adaptive-compression workspace:
 //!
-//! * [`rate`] — epoch-based application-data-rate meters (the only input
-//!   the paper's decision model consumes) and time series for the figures;
+//! * [`rate`] — [`TimeSeries`], the `(time, value)` series behind the
+//!   figures (the epoch rate itself is metered by the core crate's
+//!   `EpochDriver`);
 //! * [`registry`] — the live, lock-free sharded [`MetricsRegistry`]
 //!   (atomic counters/gauges, log-linear histograms, span timers) that
 //!   running processes scrape while under load;
@@ -20,7 +21,7 @@ pub mod registry;
 pub mod stats;
 pub mod table;
 
-pub use rate::{EpochRate, RateMeter, TimeSeries};
+pub use rate::TimeSeries;
 pub use registry::{
     HistKind, HistSnapshot, LabelFamily, MetricsRegistry, RegistryMode, RegistrySnapshot,
     SpanKind, SpanTimer,

@@ -211,7 +211,7 @@ kinds! {
 kinds! {
     /// Plain value histograms (unit in the metric name).
     pub enum HistKind {
-        EpochRate => ("adcomp_epoch_rate_bytes_per_second", "Per-epoch application data rate."),
+        AppRate => ("adcomp_epoch_rate_bytes_per_second", "Per-epoch application data rate."),
         QueueDepth => ("adcomp_queue_depth", "Pool occupancy sampled at submit time."),
     }
 }

@@ -254,7 +254,7 @@ mod tests {
         for us in [100u64, 900, 4_000] {
             reg.span_ns(SpanKind::Compress, us * 1_000);
         }
-        reg.observe(HistKind::EpochRate, 12_000_000);
+        reg.observe(HistKind::AppRate, 12_000_000);
         let text = render_registry(&reg.snapshot());
         crate::promlint::conformance_lint(&text).unwrap_or_else(|errs| {
             panic!("registry render violates conformance: {errs:#?}\n{text}")

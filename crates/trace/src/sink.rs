@@ -99,7 +99,7 @@ fn fold(m: &MetricsRegistry, ev: &TraceEvent) {
         TraceEvent::Epoch(EpochEvent { rate, .. }) => {
             m.counter_add(CounterKind::Epochs, 1);
             if rate.is_finite() && rate >= 0.0 {
-                m.observe(HistKind::EpochRate, rate as u64);
+                m.observe(HistKind::AppRate, rate as u64);
             }
         }
         // `ccl` is the level just chosen; `"static"` models have no

@@ -320,7 +320,6 @@ pub fn run_transfer_traced(
                 cpu_idle_frac: (1.0 - true_busy_frac * display_factor).clamp(0.0, 1.0),
                 net_bandwidth: displayed_bw,
             }),
-            observed_ratio: Some(prof.ratio),
             // What an in-channel entropy probe of this class's data reports
             // (order-0 bits/byte, measured once on the generated corpus).
             data_entropy: Some(match class {

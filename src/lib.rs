@@ -55,7 +55,7 @@ pub use adcomp_vcloud as vcloud;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use adcomp_codecs::{CodecId, LevelSet};
-    pub use adcomp_core::controller::{ControllerConfig, RateController};
+    pub use adcomp_core::controller::ControllerConfig;
     pub use adcomp_core::model::{DecisionModel, RateBasedModel, StaticModel};
     pub use adcomp_core::stream::{AdaptiveReader, AdaptiveWriter, StreamStats};
     pub use adcomp_corpus::{Class, CyclicSource, SourceReader};

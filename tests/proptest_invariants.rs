@@ -4,8 +4,9 @@
 
 use adcomp::codecs::frame::{decode_block, encode_block};
 use adcomp::codecs::{codec_for, compress_fresh, CodecId, DecodeScratch};
-use adcomp::core::controller::{ControllerConfig, RateController};
-use adcomp::core::model::{EpochObservation, QueueBasedModel, ThresholdSamplingModel, DecisionModel};
+use adcomp::core::controller::ControllerConfig;
+use adcomp::core::epoch::EpochContext;
+use adcomp::core::model::{DecisionModel, QueueBasedModel, RateBasedModel, ThresholdSamplingModel};
 use adcomp::corpus::{ByteSource, CyclicSource, SwitchingSource};
 use proptest::prelude::*;
 
@@ -96,13 +97,13 @@ proptest! {
         rates in proptest::collection::vec(0.0f64..1e9, 1..300),
         levels in 1usize..8,
     ) {
-        let mut ctl = RateController::new(ControllerConfig {
+        let mut ctl = RateBasedModel::new(ControllerConfig {
             alpha: 0.2,
             num_levels: levels,
             max_backoff_exp: 16,
         });
         for r in rates {
-            let d = ctl.observe(r);
+            let d = ctl.decide(r, &EpochContext::default());
             prop_assert!(d.level < levels, "level {} out of range {}", d.level, levels);
         }
     }
@@ -111,10 +112,11 @@ proptest! {
     fn controller_is_deterministic(
         rates in proptest::collection::vec(0.0f64..1e9, 1..100),
     ) {
-        let mut a = RateController::paper_default();
-        let mut b = RateController::paper_default();
-        for r in &rates {
-            prop_assert_eq!(a.observe(*r).level, b.observe(*r).level);
+        let mut a = RateBasedModel::paper_default();
+        let mut b = RateBasedModel::paper_default();
+        let ctx = EpochContext::default();
+        for &r in &rates {
+            prop_assert_eq!(a.decide(r, &ctx), b.decide(r, &ctx));
         }
     }
 
@@ -126,17 +128,9 @@ proptest! {
         let mut q = QueueBasedModel::new(4);
         let mut s = ThresholdSamplingModel::new(4, 7);
         for (r, d) in rates.iter().zip(depths.iter().cycle()) {
-            let obs = EpochObservation {
-                app_rate: *r,
-                epoch_secs: 2.0,
-                queue_depth: *d,
-                queue_capacity: 16,
-                guest: None,
-                observed_ratio: None,
-                data_entropy: None,
-            };
-            prop_assert!(q.decide(&obs).level < 4);
-            prop_assert!(s.decide(&obs).level < 4);
+            let ctx = EpochContext { queue_depth: *d, queue_capacity: 16, ..EpochContext::default() };
+            prop_assert!(q.decide(*r, &ctx).level < 4);
+            prop_assert!(s.decide(*r, &ctx).level < 4);
         }
     }
 
