@@ -19,9 +19,9 @@
 //! between stages or allocates per block in steady state.
 //!
 //! Record framers (nephele's channels) are a layer above, not a second
-//! stack: they write and read through these two types and use one hook
-//! each — [`AdaptiveWriter::flush_block`] to cut a block where they choose,
-//! [`AdaptiveReader::read_block`] to take whole blocks without a copy.
+//! stack: they write through the writer's `Write`, which cuts blocks at its
+//! own block length, and read through one hook,
+//! [`AdaptiveReader::read_block`], which takes whole blocks without a copy.
 //!
 //! These wrappers run on real I/O (sockets, files, pipes) under a wall
 //! clock; the simulator reuses the same controller under virtual time.
@@ -205,21 +205,14 @@ impl<W: Write> AdaptiveWriter<W> {
         }
     }
 
-    /// Application bytes buffered for the block being filled: what a record
-    /// framer checks to tell whether a record would span blocks.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// The one block path, and the block-cut hook for record framers: emits
-    /// the buffered (possibly partial) block now — nothing if the buffer is
-    /// empty — without flushing the pool or the underlying writer. The
-    /// level is captured *now* (submission order == decision order), the
-    /// block goes to the pool, and whatever frames the pool releases are
-    /// written in sequence. `driver.record` runs at submission with this
-    /// block's `(bytes, now)`, so the level trajectory — and therefore the
-    /// wire bytes — cannot depend on the worker count.
-    pub fn flush_block(&mut self) -> io::Result<()> {
+    /// The one block path: emits the buffered (possibly partial) block now
+    /// — nothing if the buffer is empty — without flushing the pool or the
+    /// underlying writer. The level is captured *now* (submission order ==
+    /// decision order), the block goes to the pool, and whatever frames the
+    /// pool releases are written in sequence. `driver.record` runs at
+    /// submission with this block's `(bytes, now)`, so the level trajectory
+    /// — and therefore the wire bytes — cannot depend on the worker count.
+    fn flush_block(&mut self) -> io::Result<()> {
         if self.buf.is_empty() {
             return Ok(());
         }

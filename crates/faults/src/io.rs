@@ -2,7 +2,7 @@
 //! inner stream and applies the deterministic decisions of a
 //! [`FaultPlan`] — frame-granular bit flips, frame drops and mid-frame cuts
 //! (each `write` call is treated as one frame, which is exactly how
-//! `FrameWriter`/`BlockTransport` emit).
+//! `FrameWriter` emits, under every stream and record channel).
 //!
 //! What was injected is counted in [`InjectStats`]; the adapter emits no
 //! trace events.
@@ -82,6 +82,7 @@ mod tests {
         w.write_all(b"frame one").unwrap();
         w.write_all(b"frame two").unwrap();
         assert_eq!(w.stats().flips + w.stats().drops + w.stats().cuts, 0);
+        assert_eq!(w.stats().bytes_in, w.stats().bytes_out);
         assert_eq!(w.into_inner(), b"frame oneframe two");
     }
 
@@ -99,7 +100,8 @@ mod tests {
         let (s2, b2) = run();
         assert_eq!(s1, s2);
         assert_eq!(b1, b2);
-        assert!(s1.flips + s1.drops + s1.cuts > 0, "{s1:?}");
+        assert!(s1.flips > 0 && s1.drops > 0 && s1.cuts > 0, "{s1:?}");
         assert!(b1.len() < 50 * 64, "drops/cuts should shrink the stream");
+        assert_eq!(b1.len() as u64, s1.bytes_out);
     }
 }

@@ -3,10 +3,10 @@
 //! This crate is the robustness counterpart to the rest of the
 //! adaptive-compression workspace: it produces *reproducible* hostility.
 //! A [`FaultSpec`] `(seed, rate)` pins a complete schedule of bit flips,
-//! frame drops and mid-frame cuts; the adapters in
-//! [`io`] and [`transport`] apply that schedule to any `Write` or nephele
-//! [`BlockTransport`](adcomp_nephele::channel::BlockTransport), counting
-//! what they did in [`InjectStats`] (they emit no trace events);
+//! frame drops and mid-frame cuts; the `std::io` adapter [`CorruptingWriter`]
+//! applies that schedule to any `Write` — a bare frame stream, an adaptive
+//! stream or a nephele record channel alike — counting what it did in
+//! [`InjectStats`] (it emits no trace events);
 //! and the [`soak`] engine drives whole encode → corrupt → recover → verify
 //! round trips, asserting that the stack either reads to the end, every
 //! item it hands back byte-identical, or stops at a typed error — never a
@@ -16,8 +16,6 @@
 //! - [`plan`] — `FaultSpec` / `FaultPlan` / `FaultAction`: the seeded
 //!   per-frame decision stream.
 //! - [`io`] — the `std::io` adapter [`CorruptingWriter`].
-//! - [`transport`] — [`FaultingTransport`], the same fault taxonomy at
-//!   the nephele block-transport layer.
 //! - [`net`] — [`ChaosProxy`], the socket-level counterpart: a seeded
 //!   fault-injecting TCP proxy for client↔server soak runs on loopback.
 //! - [`soak`] — [`SoakCase`] / [`run_case`] /
@@ -33,10 +31,8 @@ pub mod io;
 pub mod net;
 pub mod plan;
 pub mod soak;
-pub mod transport;
 
 pub use io::CorruptingWriter;
 pub use net::{ChaosProxy, Direction, NetAction, NetFaultSpec, NetPlan, ProxyStats};
 pub use plan::{FaultAction, FaultPlan, FaultSpec, InjectStats};
 pub use soak::{run_case, CaseResult, SoakCase, SoakLayer};
-pub use transport::FaultingTransport;

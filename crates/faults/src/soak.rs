@@ -2,8 +2,8 @@
 //! verify round trips.
 //!
 //! Each [`SoakCase`] is a pure function of its fields (seed, fault rate,
-//! compression level, layer, …): [`run_case`] builds the payloads, runs
-//! them through a faulted transport, reads them back with the stack's
+//! compression level, layer, …): [`run_case`] builds the payloads, writes
+//! them through a [`CorruptingWriter`], reads them back with the stack's
 //! fail-fast readers and verifies every item handed back byte-for-byte
 //! against its regenerated original. The contract asserted per case:
 //!
@@ -27,7 +27,6 @@
 
 use crate::io::CorruptingWriter;
 use crate::plan::{FaultPlan, FaultSpec, InjectStats};
-use crate::transport::FaultingTransport;
 use adcomp_codecs::frame::{FrameReader, FrameWriter, RecoveryStats};
 use adcomp_codecs::{codec_for, LevelSet};
 use adcomp_core::model::StaticModel;
@@ -35,7 +34,7 @@ use adcomp_core::portfolio;
 use adcomp_core::stream::AdaptiveWriter;
 use adcomp_core::{IndexedReader, ManualClock};
 use adcomp_corpus::Prng;
-use adcomp_nephele::channel::{mem_pair, CompressionMode, RecordReader, RecordWriter};
+use adcomp_nephele::channel::{RecordReader, RecordWriter};
 use adcomp_trace::json::ObjWriter;
 use std::io::{Cursor, Write};
 
@@ -44,9 +43,9 @@ use std::io::{Cursor, Write};
 pub enum SoakLayer {
     /// `FrameWriter` → corrupting byte stream → `FrameReader`.
     Frame,
-    /// `RecordWriter` → faulting block transport → `RecordReader`. Bit
-    /// flips only: records span frames, so a dropped or cut frame would
-    /// garble the record across it without a check that could see it.
+    /// `RecordWriter` → corrupting byte stream → `RecordReader`. Bit flips
+    /// only: records span frames, so a dropped or cut frame would garble
+    /// the record across it without a check that could see it.
     Record,
     /// Seekable `AdaptiveWriter` (index trailer) → corrupting byte stream
     /// → offset-addressed ranged reads through `IndexedReader`.
@@ -398,25 +397,24 @@ fn run_portfolio_case(case: &SoakCase) -> CaseResult {
 fn run_record_case(case: &SoakCase) -> CaseResult {
     let spec =
         FaultSpec { drop_rate: 0.0, cut_rate: 0.0, ..FaultSpec::from_rate(case.seed, case.rate) };
-    let plan = FaultPlan::new(spec);
-    let (tx, rx) = mem_pair(1 << 15);
-    let ft = FaultingTransport::new(tx, plan);
-    let inj_handle = ft.stats_handle();
-    let mut w = RecordWriter::new(
-        Box::new(ft),
-        &CompressionMode::Static(case.level),
+    let cw = CorruptingWriter::new(Vec::new(), FaultPlan::new(spec));
+    let mut w = RecordWriter::new(AdaptiveWriter::with_params(
+        cw,
         LevelSet::paper_default(),
+        Box::new(StaticModel::new(case.level, 4)),
+        2048,
         3600.0,
-    );
-    w.set_block_len(2048);
+        Box::new(ManualClock::new()),
+    ));
     for i in 0..case.items {
         w.write_record(&gen_item(case.seed, i as u64, case.item_len))
-            .expect("mem transport send cannot fail");
+            .expect("Vec write cannot fail");
     }
-    w.finish().expect("mem transport close cannot fail");
-    let injected = *inj_handle.lock().unwrap();
+    let (cw, _, _) = w.finish().expect("Vec write cannot fail");
+    let injected = cw.stats();
 
-    let mut reader = RecordReader::new(Box::new(rx));
+    let wire = cw.into_inner();
+    let mut reader = RecordReader::new(&wire[..]);
     let (recovered, verify_failures, order_violations, error) =
         verify_items(case, || reader.next_record());
     let recovery = reader.stats().recovery;

@@ -2,252 +2,71 @@
 //!
 //! As in the paper's framework, "tasks can exchange data through
 //! communication channels"; the executor wires every edge as a loopback
-//! TCP connection ([`TcpTransport`]), the network channel the paper
-//! evaluates. Records are length-prefixed byte strings packed into blocks
-//! of at most 128 KiB; each block is independently (and, when enabled,
-//! adaptively) compressed into a self-describing frame before it reaches
-//! the transport. The compression layer is completely transparent to task
-//! code.
+//! TCP connection, the network channel the paper evaluates. Records are
+//! length-prefixed byte strings packed into blocks of at most 128 KiB; each
+//! block is independently (and, when enabled, adaptively) compressed into a
+//! self-describing frame before it reaches the socket. The compression
+//! layer is completely transparent to task code.
 //!
-//! A channel is a record framer over the one stream stack, not a second
-//! one. [`RecordWriter`] writes each record's length prefix and bytes into
-//! an [`AdaptiveWriter`] whose sink ships every frame with one
-//! [`BlockTransport::send`]; [`RecordReader`] parses records out of an
-//! [`AdaptiveReader`] over the receiving end, a byte stream on every
-//! transport (the in-process queue of [`mem_pair`], which the chaos soak
-//! drives, reads as one too). The block pool, the epoch driver,
+//! A channel is a length-prefix framer over the one stream stack, not a
+//! second one. [`RecordWriter`] writes each record's length prefix and
+//! bytes into an [`AdaptiveWriter`] its caller built over any [`Write`],
+//! with the block length, model, workers and trace it wants;
+//! [`RecordReader`] parses records out of an [`AdaptiveReader`] over any
+//! [`Read`]. The block cuts, the block pool, the epoch driver,
 //! degrade-to-raw, the checked header parse and truncation handling are
-//! theirs. The framer owns the length prefix, the block cuts and the
-//! record count.
+//! the stream's. The framer owns the length prefix and the record count.
 //!
-//! A channel relies on its transport (TCP, [`mem_pair`]) to deliver every
-//! frame, in order: records span blocks, so a lost frame would garble the
-//! record across it. Every damaged frame the reader can see ends the
+//! A channel relies on its byte stream (a socket, a buffer) to deliver
+//! every frame, in order: records span blocks, so a lost frame would garble
+//! the record across it. Every damaged frame the reader can see ends the
 //! channel in a typed error.
 
-use crate::error::{NepheleError, Result};
-use adcomp_codecs::frame::{RecoveryStats, DEFAULT_BLOCK_LEN, DEFAULT_MAX_FRAME, HEADER_LEN};
+use crate::error::Result;
+use adcomp_codecs::frame::DEFAULT_MAX_FRAME;
 use adcomp_codecs::LevelSet;
 use adcomp_core::controller::ControllerConfig;
-use adcomp_core::epoch::WallClock;
 use adcomp_core::model::{DecisionModel, RateBasedModel, StaticModel};
-use adcomp_core::stream::{AdaptiveReader, AdaptiveWriter};
+use adcomp_core::stream::{AdaptiveReader, AdaptiveWriter, StreamStats};
 use adcomp_metrics::registry::{self, CounterKind};
-use adcomp_trace::TraceHandle;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 /// Compression policy of a channel.
 #[derive(Debug, Clone)]
 pub enum CompressionMode {
-    /// Pass blocks through uncompressed (still framed, for uniformity).
-    Off,
-    /// A fixed compression level.
+    /// A fixed compression level (`Static(0)`: blocks pass through
+    /// uncompressed, still framed).
     Static(usize),
     /// The paper's rate-based adaptive scheme.
     Adaptive(ControllerConfig),
 }
 
 impl CompressionMode {
-    fn make_model(&self, levels: &LevelSet) -> Box<dyn DecisionModel> {
+    pub(crate) fn make_model(&self, levels: &LevelSet) -> Box<dyn DecisionModel> {
         match self {
-            CompressionMode::Off => Box::new(StaticModel::new(0, levels.len())),
             CompressionMode::Static(l) => Box::new(StaticModel::new(*l, levels.len())),
             CompressionMode::Adaptive(cfg) => Box::new(RateBasedModel::new(*cfg)),
         }
     }
 }
 
-/// Statistics of one channel after job completion.
-#[derive(Debug, Clone, Default)]
-pub struct ChannelStats {
-    pub app_bytes: u64,
-    pub wire_bytes: u64,
-    pub records: u64,
-    pub blocks_per_level: Vec<u64>,
-    pub epochs: u64,
-    /// Incident counters of [`RecordReader`]'s stream (all zero on a clean
-    /// channel and on the writer side).
-    pub recovery: RecoveryStats,
-}
-
-impl ChannelStats {
-    pub fn wire_ratio(&self) -> f64 {
-        if self.app_bytes == 0 {
-            1.0
-        } else {
-            self.wire_bytes as f64 / self.app_bytes as f64
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Block transports
-// ---------------------------------------------------------------------------
-
-/// Moves opaque frame-encoded blocks from a writer to a reader thread. The
-/// receiving half of every transport is a plain byte-stream [`Read`].
-pub trait BlockTransport: Send {
-    fn send(&mut self, frame: &[u8]) -> Result<()>;
-    /// Signals end of stream.
-    fn close(&mut self) -> Result<()>;
-}
-
-/// In-memory transport over a bounded queue: `send` blocks while the
-/// queue is full and fails once the [`MemSource`] is gone.
-pub struct MemTransport {
-    tx: Option<SyncSender<Vec<u8>>>,
-}
-
-/// Receiving half of [`mem_pair`]: the queued frames, read back to back as
-/// one byte stream that ends (`read` returns 0) once the queue is drained
-/// and the [`MemTransport`] is closed or dropped.
-pub struct MemSource {
-    rx: Receiver<Vec<u8>>,
-    frame: Vec<u8>,
-    pos: usize,
-}
-
-/// Creates a connected in-memory transport pair with the given block
-/// capacity (backpressure bound).
-pub fn mem_pair(capacity: usize) -> (MemTransport, MemSource) {
-    let (tx, rx) = sync_channel(capacity.max(1));
-    (MemTransport { tx: Some(tx) }, MemSource { rx, frame: Vec::new(), pos: 0 })
-}
-
-impl BlockTransport for MemTransport {
-    fn send(&mut self, frame: &[u8]) -> Result<()> {
-        self.tx
-            .as_ref()
-            .expect("send after close")
-            .send(frame.to_vec())
-            .map_err(|_| NepheleError::InvalidGraph("receiver dropped".into()))
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.tx = None;
-        Ok(())
-    }
-}
-
-impl Read for MemSource {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        while self.pos == self.frame.len() {
-            let Ok(frame) = self.rx.recv() else { return Ok(0) };
-            self.frame = frame;
-            self.pos = 0;
-        }
-        let n = (&self.frame[self.pos..]).read(buf)?;
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-/// TCP transport: frames stream over a socket; EOF marks the end. The
-/// receiving half is the accepted [`TcpStream`] itself.
-pub struct TcpTransport {
-    stream: Option<TcpStream>,
-}
-
-impl TcpTransport {
-    pub fn new(stream: TcpStream) -> Self {
-        TcpTransport { stream: Some(stream) }
-    }
-}
-
-impl BlockTransport for TcpTransport {
-    fn send(&mut self, frame: &[u8]) -> Result<()> {
-        self.stream.as_mut().expect("send after close").write_all(frame)?;
-        Ok(())
-    }
-
-    fn close(&mut self) -> Result<()> {
-        if let Some(s) = self.stream.take() {
-            s.shutdown(std::net::Shutdown::Write).ok();
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Record writer / reader (the task-facing API)
-// ---------------------------------------------------------------------------
-
-/// The sink under a channel's [`AdaptiveWriter`]: `FrameWriter` hands it
-/// one whole frame per `write_all`, and each is one [`BlockTransport::send`]
-/// — which is what lets a message transport carry the byte stream.
-struct TransportSink(Box<dyn BlockTransport>);
-
-impl Write for TransportSink {
-    fn write(&mut self, frame: &[u8]) -> io::Result<usize> {
-        debug_assert!(
-            frame.len() >= HEADER_LEN
-                && frame.len()
-                    == HEADER_LEN + u32::from_le_bytes(frame[8..12].try_into().unwrap()) as usize,
-            "a sink write must be one whole frame"
-        );
-        self.0.send(frame).map_err(|e| match e {
-            NepheleError::Io(e) => e,
-            other => io::Error::other(other),
-        })?;
-        Ok(frame.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Writes length-prefixed records into adaptively compressed blocks.
-pub struct RecordWriter {
-    stream: AdaptiveWriter<TransportSink>,
-    /// Blocks are cut after this many application bytes.
-    block_len: usize,
+/// Writes length-prefixed records into an adaptively compressed stream.
+pub struct RecordWriter<W: Write> {
+    stream: AdaptiveWriter<W>,
     records: u64,
 }
 
-impl RecordWriter {
-    pub fn new(
-        transport: Box<dyn BlockTransport>,
-        mode: &CompressionMode,
-        levels: LevelSet,
-        epoch_secs: f64,
-    ) -> Self {
-        let (sink, model) = (TransportSink(transport), mode.make_model(&levels));
-        let clock = Box::new(WallClock::new());
-        let stream =
-            AdaptiveWriter::with_params(sink, levels, model, DEFAULT_BLOCK_LEN, epoch_secs, clock);
-        RecordWriter { stream, block_len: DEFAULT_BLOCK_LEN, records: 0 }
-    }
-
-    /// Encodes blocks on a bounded pool of `workers` threads (`workers <= 1`:
-    /// on the caller's thread, the default), as
-    /// [`AdaptiveWriter::set_pipeline_workers`]: the wire stream is
-    /// byte-identical for any worker count. Panics after the first block.
-    pub fn set_pipeline_workers(&mut self, workers: usize) {
-        self.stream.set_pipeline_workers(workers);
-    }
-
-    /// Lowers the block size from [`DEFAULT_BLOCK_LEN`]. Must be called
-    /// before the first record; the fault-injection soak uses small blocks
-    /// to exercise many frames per case cheaply.
-    pub fn set_block_len(&mut self, len: usize) {
-        assert!((16..=DEFAULT_BLOCK_LEN).contains(&len), "block length must be 16..=128 KiB");
-        assert!(self.records == 0, "set_block_len after writing");
-        self.block_len = len;
-    }
-
-    /// Attaches a trace handle to the stream: epoch/decision events and
-    /// one codec event per block.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.stream.set_trace(trace);
+impl<W: Write> RecordWriter<W> {
+    /// Frames records into `stream`, which cuts them into blocks at its own
+    /// block length: set its workers and trace before wrapping it.
+    pub fn new(stream: AdaptiveWriter<W>) -> Self {
+        RecordWriter { stream, records: 0 }
     }
 
     /// Writes one record (any byte payload; may span blocks).
     pub fn write_record(&mut self, record: &[u8]) -> Result<()> {
-        self.push(&(record.len() as u32).to_le_bytes())?;
-        self.push(record)?;
+        self.stream.write_all(&(record.len() as u32).to_le_bytes())?;
+        self.stream.write_all(record)?;
         self.records += 1;
         if let Some(m) = registry::global() {
             m.counter_add(CounterKind::ChannelRecords, 1);
@@ -255,97 +74,63 @@ impl RecordWriter {
         Ok(())
     }
 
-    /// Writes `data` into the stream, cutting a block every `block_len`
-    /// bytes: the stream cuts at its own block length, fixed to
-    /// [`DEFAULT_BLOCK_LEN`] when it is built, before any `set_block_len`.
-    fn push(&mut self, mut data: &[u8]) -> io::Result<()> {
-        while !data.is_empty() {
-            let take = data.len().min(self.block_len - self.stream.buffered());
-            self.stream.write_all(&data[..take])?;
-            data = &data[take..];
-            if self.stream.buffered() == self.block_len {
-                self.stream.flush_block()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Flushes the tail block and closes the channel; returns final stats.
-    pub fn finish(self) -> Result<ChannelStats> {
-        let (mut sink, s) = self.stream.finish()?;
-        sink.0.close()?;
-        Ok(ChannelStats {
-            app_bytes: s.app_bytes,
-            wire_bytes: s.wire_bytes,
-            records: self.records,
-            blocks_per_level: s.blocks_per_level,
-            epochs: s.epochs,
-            recovery: RecoveryStats::default(),
-        })
+    /// Flushes the tail block. Returns the sink (dropping a socket ends the
+    /// peer's stream), the stream's statistics and the record count.
+    pub fn finish(self) -> Result<(W, StreamStats, u64)> {
+        let (sink, stats) = self.stream.finish()?;
+        Ok((sink, stats, self.records))
     }
 }
 
 /// Reads length-prefixed records from compressed blocks. It fails fast: a
 /// damaged frame, an implausible record length or a stream that ends
 /// inside a record is a typed error.
-pub struct RecordReader {
+pub struct RecordReader<R: Read> {
     /// Decodes on the caller's thread: the inline lane reads no frame
     /// ahead, so a reader that stops early has taken nothing past it.
-    stream: AdaptiveReader<Box<dyn Read + Send>>,
+    stream: AdaptiveReader<R>,
     /// Decoded bytes; the unparsed ones start at `pos`.
     buf: Vec<u8>,
     pos: usize,
-    stats: ChannelStats,
 }
 
-impl RecordReader {
-    pub fn new(source: Box<dyn Read + Send>) -> Self {
-        RecordReader {
-            stream: AdaptiveReader::new(source),
-            buf: Vec::new(),
-            pos: 0,
-            stats: ChannelStats::default(),
-        }
+impl<R: Read> RecordReader<R> {
+    pub fn new(source: R) -> Self {
+        RecordReader { stream: AdaptiveReader::new(source), buf: Vec::new(), pos: 0 }
     }
 
-    /// Buffers at least `needed` unparsed bytes; `false` at end of stream.
-    fn ensure(&mut self, needed: usize) -> Result<bool> {
+    /// Buffers at least `needed` unparsed bytes, fewer only at end of
+    /// stream.
+    fn fill(&mut self, needed: usize) -> io::Result<()> {
         while self.buf.len() - self.pos < needed {
             self.buf.drain(..self.pos);
             self.pos = 0;
             let Some(block) = self.stream.read_block()? else {
-                return Ok(false);
+                return Ok(());
             };
             self.buf.extend_from_slice(block);
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Next record, or `None` at a clean end of stream.
     pub fn next_record(&mut self) -> Result<Option<Vec<u8>>> {
-        let next = self.parse();
-        self.stats.app_bytes = self.stream.app_bytes();
-        self.stats.wire_bytes = self.stream.wire_bytes();
-        self.stats.recovery = self.stream.recovery();
-        next
-    }
-
-    fn parse(&mut self) -> Result<Option<Vec<u8>>> {
         // Peek the length; only consume once the whole record is here.
-        if !self.ensure(4)? {
+        self.fill(4)?;
+        let Some(&prefix) = self.buf[self.pos..].first_chunk::<4>() else {
             return self.end();
-        }
-        let len = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize;
+        };
+        let len = u32::from_le_bytes(prefix) as usize;
         if len > DEFAULT_MAX_FRAME as usize {
             let why = format!("implausible record length {len}: record framing desynced");
             return Err(io::Error::new(io::ErrorKind::InvalidData, why).into());
         }
-        if !self.ensure(4 + len)? {
+        self.fill(4 + len)?;
+        let Some(rec) = self.buf.get(self.pos + 4..self.pos + 4 + len) else {
             return self.end();
-        }
-        let rec = self.buf[self.pos + 4..self.pos + 4 + len].to_vec();
+        };
+        let rec = rec.to_vec();
         self.pos += 4 + len;
-        self.stats.records += 1;
         Ok(Some(rec))
     }
 
@@ -359,19 +144,31 @@ impl RecordReader {
         Err(io::Error::new(io::ErrorKind::UnexpectedEof, why).into())
     }
 
-    /// Reader-side statistics.
-    pub fn stats(&self) -> &ChannelStats {
-        &self.stats
+    /// The stream's statistics so far: byte counters and the incident that
+    /// ended it, if any.
+    pub fn stats(&self) -> StreamStats {
+        self.stream.stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
-    use std::sync::{Arc, Mutex};
+    use crate::error::NepheleError;
+    use adcomp_codecs::frame::{DEFAULT_BLOCK_LEN, HEADER_LEN};
+    use adcomp_core::epoch::WallClock;
+    use adcomp_trace::TraceHandle;
+    use std::net::{TcpListener, TcpStream};
 
-    fn read_all(reader: &mut RecordReader) -> Vec<Vec<u8>> {
+    /// The stream a channel of `mode` writes into, with `block_len` blocks.
+    fn stream<W: Write>(sink: W, mode: &CompressionMode, block_len: usize) -> AdaptiveWriter<W> {
+        let levels = LevelSet::paper_default();
+        let model = mode.make_model(&levels);
+        let clock = Box::new(WallClock::new());
+        AdaptiveWriter::with_params(sink, levels, model, block_len, 2.0, clock)
+    }
+
+    fn read_all<R: Read>(reader: &mut RecordReader<R>) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
         while let Some(r) = reader.next_record().unwrap() {
             out.push(r);
@@ -379,31 +176,29 @@ mod tests {
         out
     }
 
-    fn roundtrip(mode: CompressionMode, records: &[Vec<u8>]) -> (Vec<Vec<u8>>, ChannelStats) {
-        let (tx, rx) = mem_pair(1024);
-        let mut w = RecordWriter::new(Box::new(tx), &mode, LevelSet::paper_default(), 2.0);
+    fn roundtrip(mode: CompressionMode, records: &[Vec<u8>]) -> (Vec<Vec<u8>>, StreamStats, u64) {
+        let mut w = RecordWriter::new(stream(Vec::new(), &mode, DEFAULT_BLOCK_LEN));
         for r in records {
             w.write_record(r).unwrap();
         }
-        let stats = w.finish().unwrap();
-        (read_all(&mut RecordReader::new(Box::new(rx))), stats)
+        let (wire, stats, written) = w.finish().unwrap();
+        (read_all(&mut RecordReader::new(&wire[..])), stats, written)
     }
 
     #[test]
     fn mem_channel_roundtrips_records() {
         let records: Vec<Vec<u8>> =
             (0..100).map(|i| format!("record number {i}, payload payload").into_bytes()).collect();
-        let (out, stats) = roundtrip(CompressionMode::Off, &records);
+        let (out, _, written) = roundtrip(CompressionMode::Static(0), &records);
         assert_eq!(out, records);
-        assert_eq!(stats.records, 100);
+        assert_eq!(written, 100);
     }
 
     #[test]
     fn static_compression_reduces_wire_bytes() {
-        let records: Vec<Vec<u8>> = (0..200)
-            .map(|_| b"very repetitive content here. ".repeat(20).to_vec())
-            .collect();
-        let (out, stats) = roundtrip(CompressionMode::Static(1), &records);
+        let records: Vec<Vec<u8>> =
+            (0..200).map(|_| b"very repetitive content here. ".repeat(20).to_vec()).collect();
+        let (out, stats, _) = roundtrip(CompressionMode::Static(1), &records);
         assert_eq!(out.len(), 200);
         assert!(stats.wire_ratio() < 0.3, "ratio {}", stats.wire_ratio());
         assert!(stats.blocks_per_level[1] > 0);
@@ -413,60 +208,38 @@ mod tests {
     fn adaptive_mode_runs_and_roundtrips() {
         let records: Vec<Vec<u8>> =
             (0..500).map(|i| format!("{i} ").repeat(100).into_bytes()).collect();
-        let (out, _stats) =
+        let (out, _, _) =
             roundtrip(CompressionMode::Adaptive(ControllerConfig::default()), &records);
         assert_eq!(out.len(), 500);
     }
 
     #[test]
     fn empty_record_and_empty_stream() {
-        let (out, stats) = roundtrip(CompressionMode::Off, &[Vec::new(), b"x".to_vec()]);
+        let (out, _, written) = roundtrip(CompressionMode::Static(0), &[Vec::new(), b"x".to_vec()]);
         assert_eq!(out, vec![Vec::new(), b"x".to_vec()]);
-        assert_eq!(stats.records, 2);
-        let (out, _) = roundtrip(CompressionMode::Off, &[]);
+        assert_eq!(written, 2);
+        let (out, _, _) = roundtrip(CompressionMode::Static(0), &[]);
         assert!(out.is_empty());
     }
 
     #[test]
     fn large_record_spans_blocks() {
         let big = vec![0xABu8; 500_000]; // ~4 blocks
-        let (out, stats) = roundtrip(CompressionMode::Static(1), std::slice::from_ref(&big));
+        let (out, stats, _) = roundtrip(CompressionMode::Static(1), std::slice::from_ref(&big));
         assert_eq!(out, vec![big]);
         assert!(stats.blocks_per_level.iter().sum::<u64>() >= 4);
     }
 
-    /// Transport that appends every frame to a shared byte vector, so tests
-    /// can compare exact wire output across writer configurations.
-    struct CaptureTransport(Arc<Mutex<Vec<u8>>>);
-
-    impl BlockTransport for CaptureTransport {
-        fn send(&mut self, frame: &[u8]) -> Result<()> {
-            self.0.lock().unwrap().extend_from_slice(frame);
-            Ok(())
-        }
-        fn close(&mut self) -> Result<()> {
-            Ok(())
-        }
-    }
-
-    fn captured_wire(workers: usize, records: &[Vec<u8>]) -> (Vec<u8>, ChannelStats) {
-        let wire = Arc::new(Mutex::new(Vec::new()));
-        let mut w = RecordWriter::new(
-            Box::new(CaptureTransport(wire.clone())),
-            &CompressionMode::Static(2),
-            LevelSet::paper_default(),
-            2.0,
-        );
-        w.set_block_len(4096);
-        if workers > 1 {
-            w.set_pipeline_workers(workers);
-        }
+    /// The wire and stats of 4 KiB blocks at `workers` encode threads.
+    fn captured_wire(workers: usize, records: &[Vec<u8>]) -> (Vec<u8>, StreamStats) {
+        let mut s = stream(Vec::new(), &CompressionMode::Static(2), 4096);
+        s.set_pipeline_workers(workers);
+        let mut w = RecordWriter::new(s);
         for r in records {
             w.write_record(r).unwrap();
         }
-        let stats = w.finish().unwrap();
-        let bytes = wire.lock().unwrap().clone();
-        (bytes, stats)
+        let (wire, stats, _) = w.finish().unwrap();
+        (wire, stats)
     }
 
     #[test]
@@ -485,61 +258,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "set_pipeline_workers must be called before the first write")]
-    fn set_pipeline_workers_after_first_block_panics() {
-        let mut w = RecordWriter::new(
-            Box::new(CaptureTransport(Arc::new(Mutex::new(Vec::new())))),
-            &CompressionMode::Static(3),
-            LevelSet::paper_default(),
-            2.0,
-        );
-        w.set_block_len(4096);
-        w.set_pipeline_workers(4);
-        for _ in 0..32 {
-            w.write_record(&[9u8; 4092]).unwrap();
-        }
-        w.set_pipeline_workers(1);
-    }
-
-    #[test]
     fn pipelined_record_writer_roundtrips_over_mem_channel() {
         let records: Vec<Vec<u8>> =
             (0..600).map(|i| format!("{i} ").repeat(80).into_bytes()).collect();
-        let (tx, rx) = mem_pair(1024);
-        let mut w = RecordWriter::new(
-            Box::new(tx),
-            &CompressionMode::Adaptive(ControllerConfig::default()),
-            LevelSet::paper_default(),
-            2.0,
-        );
-        w.set_pipeline_workers(4);
+        let mode = CompressionMode::Adaptive(ControllerConfig::default());
+        let mut s = stream(Vec::new(), &mode, DEFAULT_BLOCK_LEN);
+        s.set_pipeline_workers(4);
+        let mut w = RecordWriter::new(s);
         for r in &records {
             w.write_record(r).unwrap();
         }
-        let stats = w.finish().unwrap();
-        assert_eq!(stats.records, 600);
-        assert_eq!(read_all(&mut RecordReader::new(Box::new(rx))), records);
+        let (wire, _, written) = w.finish().unwrap();
+        assert_eq!(written, 600);
+        assert_eq!(read_all(&mut RecordReader::new(&wire[..])), records);
     }
 
-    /// The queue's disconnect rules, seen through the transport pair: a
-    /// send with the source gone is a typed error, and the source reads
-    /// every queued frame, then end of stream, once the sender is closed.
-    #[test]
-    fn mem_pair_disconnects_both_ways() {
-        let (mut tx, rx) = mem_pair(4);
-        drop(rx);
-        assert!(matches!(tx.send(b"orphan"), Err(NepheleError::InvalidGraph(_))));
-
-        let (mut tx, mut rx) = mem_pair(4);
-        tx.send(b"first ").unwrap();
-        tx.send(b"second").unwrap();
-        tx.close().unwrap();
-        let mut out = Vec::new();
-        rx.read_to_end(&mut out).unwrap();
-        assert_eq!(out, b"first second");
-        assert_eq!(rx.read(&mut [0u8; 8]).unwrap(), 0);
-    }
-
+    /// Over a bare socket: the writer's stream owns the sending half, and
+    /// dropping it at `finish` ends the reader's stream.
     #[test]
     fn tcp_transport_roundtrip() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -548,22 +283,18 @@ mod tests {
             (0..100).map(|i| format!("tcp record {i} ").repeat(10).into_bytes()).collect();
         let recs = records.clone();
         let sender = std::thread::spawn(move || {
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut w = RecordWriter::new(
-                Box::new(TcpTransport::new(stream)),
-                &CompressionMode::Static(1),
-                LevelSet::paper_default(),
-                2.0,
-            );
+            let socket = TcpStream::connect(addr).unwrap();
+            let mode = CompressionMode::Static(1);
+            let mut w = RecordWriter::new(stream(socket, &mode, DEFAULT_BLOCK_LEN));
             for r in &recs {
                 w.write_record(r).unwrap();
             }
-            w.finish().unwrap()
+            let (_, _, written) = w.finish().unwrap();
+            written
         });
-        let (stream, _) = listener.accept().unwrap();
-        assert_eq!(read_all(&mut RecordReader::new(Box::new(stream))), records);
-        let stats = sender.join().unwrap();
-        assert_eq!(stats.records, 100);
+        let (socket, _) = listener.accept().unwrap();
+        assert_eq!(read_all(&mut RecordReader::new(socket)), records);
+        assert_eq!(sender.join().unwrap(), 100);
     }
 
     /// A `Read` that serves `wire` and then fails the test if asked for
@@ -593,7 +324,7 @@ mod tests {
         let mut forged = good[..HEADER_LEN].to_vec();
         forged[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         let wire = [&good[..], &forged[..]].concat();
-        let assert_refused = |source: Box<dyn Read + Send>| {
+        fn assert_refused(source: impl Read) {
             let mut reader = RecordReader::new(source);
             assert_eq!(reader.next_record().unwrap(), Some(vec![7u8; 4996]));
             match reader.next_record() {
@@ -614,11 +345,11 @@ mod tests {
                 }
                 other => panic!("forged header must be refused, got {other:?}"),
             }
-        };
+        }
 
         // Any `Read`: the ordinary frame's record comes back, the forged
         // header errors without another byte being read.
-        assert_refused(Box::new(NoMoreAfter(io::Cursor::new(wire.clone()))));
+        assert_refused(NoMoreAfter(io::Cursor::new(wire.clone())));
 
         // The same over a real socket whose peer stays open and silent: a
         // reader waiting for the forged payload would block here (the read
@@ -628,7 +359,7 @@ mod tests {
         let socket = listener.accept().unwrap().0;
         socket.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
         peer.write_all(&wire).unwrap();
-        assert_refused(Box::new(socket));
+        assert_refused(socket);
         drop(peer);
     }
 
@@ -637,22 +368,16 @@ mod tests {
         use adcomp_trace::TraceEvent;
 
         let trace = TraceHandle::collecting();
-        let (tx, rx) = mem_pair(1024);
-        let mut w = RecordWriter::new(
-            Box::new(tx),
-            &CompressionMode::Static(1),
-            LevelSet::paper_default(),
-            2.0,
-        );
-        w.set_trace(trace.clone());
-        let records: Vec<Vec<u8>> = (0..200)
-            .map(|_| b"channel trace payload, repetitive. ".repeat(40).to_vec())
-            .collect();
+        let mut s = stream(Vec::new(), &CompressionMode::Static(1), DEFAULT_BLOCK_LEN);
+        s.set_trace(trace.clone());
+        let mut w = RecordWriter::new(s);
+        let records: Vec<Vec<u8>> =
+            (0..200).map(|_| b"channel trace payload, repetitive. ".repeat(40).to_vec()).collect();
         for r in &records {
             w.write_record(r).unwrap();
         }
-        let stats = w.finish().unwrap();
-        assert_eq!(read_all(&mut RecordReader::new(Box::new(rx))).len(), 200);
+        let (wire, stats, _) = w.finish().unwrap();
+        assert_eq!(read_all(&mut RecordReader::new(&wire[..])).len(), 200);
 
         // Channel blocks are traced where every stream's are: one codec
         // event per block, from the writer's stream.
@@ -671,42 +396,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fail_fast_reader_errors_on_corrupt_block() {
-        let (mut tx, rx) = mem_pair(8);
+    /// One RAW frame of `payload`, as a channel's first block.
+    fn raw_frame(payload: &[u8]) -> Vec<u8> {
         let mut wire = Vec::new();
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&4u32.to_le_bytes());
-        payload.extend_from_slice(b"abcd");
         adcomp_codecs::frame::encode_block(
             adcomp_codecs::codec_for(adcomp_codecs::CodecId::Raw),
-            &payload,
+            payload,
             &mut wire,
         );
-        wire[adcomp_codecs::frame::HEADER_LEN] ^= 0xFF; // payload damage
-        tx.send(&wire).unwrap();
-        tx.close().unwrap();
-        let mut reader = RecordReader::new(Box::new(rx));
-        assert!(reader.next_record().is_err());
+        wire
+    }
+
+    #[test]
+    fn fail_fast_reader_errors_on_corrupt_block() {
+        let mut wire = raw_frame(&[&4u32.to_le_bytes()[..], b"abcd"].concat());
+        wire[HEADER_LEN] ^= 0xFF; // payload damage
+        assert!(RecordReader::new(&wire[..]).next_record().is_err());
     }
 
     #[test]
     fn reader_detects_truncated_record() {
-        // Write a block whose record length header promises more bytes than
-        // the stream delivers.
-        let (mut tx, rx) = mem_pair(4);
-        let mut wire = Vec::new();
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&100u32.to_le_bytes());
-        payload.extend_from_slice(b"only ten b");
-        adcomp_codecs::frame::encode_block(
-            adcomp_codecs::codec_for(adcomp_codecs::CodecId::Raw),
-            &payload,
-            &mut wire,
-        );
-        tx.send(&wire).unwrap();
-        tx.close().unwrap();
-        let mut reader = RecordReader::new(Box::new(rx));
-        assert!(reader.next_record().is_err());
+        // A block whose record length header promises more bytes than the
+        // stream delivers.
+        let wire = raw_frame(&[&100u32.to_le_bytes()[..], b"only ten b"].concat());
+        assert!(RecordReader::new(&wire[..]).next_record().is_err());
     }
 }

@@ -6,11 +6,14 @@
 //! per-channel compression statistics — the measurements behind the
 //! paper's Table II.
 
-use crate::channel::{ChannelStats, RecordReader, RecordWriter, TcpTransport};
+use crate::channel::{RecordReader, RecordWriter};
 use crate::error::{NepheleError, Result};
 use crate::graph::JobGraph;
 use crate::task::{Task, TaskContext};
+use adcomp_codecs::frame::DEFAULT_BLOCK_LEN;
 use adcomp_codecs::LevelSet;
+use adcomp_core::epoch::WallClock;
+use adcomp_core::stream::{AdaptiveWriter, StreamStats};
 use std::net::{TcpListener, TcpStream};
 use std::time::Instant;
 
@@ -19,8 +22,14 @@ use std::time::Instant;
 pub struct EdgeReport {
     pub from: String,
     pub to: String,
-    pub stats: ChannelStats,
+    /// The writer's stream statistics.
+    pub stats: StreamStats,
+    /// Records written.
+    pub records: u64,
 }
+
+/// A finished output channel: its stream's statistics and record count.
+type OutputStats = (StreamStats, u64);
 
 /// Result of a completed job.
 pub struct JobReport {
@@ -77,40 +86,37 @@ impl Executor {
         let JobGraph { name: job_name, vertices, edges } = graph;
         let nv = vertices.len();
 
-        // Materialize one loopback TCP connection per edge.
-        let mut writers: Vec<Option<RecordWriter>> = Vec::with_capacity(edges.len());
-        let mut readers: Vec<Option<RecordReader>> = Vec::with_capacity(edges.len());
+        // Materialize one loopback TCP connection per edge and hand its
+        // ends to their vertices, in connection order.
+        let mut contexts: Vec<TaskContext> = vertices
+            .iter()
+            .map(|v| TaskContext {
+                vertex_name: v.name.clone(),
+                inputs: Vec::new(),
+                outputs: Vec::new(),
+            })
+            .collect();
+        // Each edge's index among its source vertex's outputs.
+        let mut out_idx: Vec<usize> = Vec::with_capacity(edges.len());
         for e in &edges {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             let client = TcpStream::connect(listener.local_addr()?)?;
             client.set_nodelay(true).ok();
             let (server, _) = listener.accept()?;
-            let mut writer = RecordWriter::new(
-                Box::new(TcpTransport::new(client)),
-                &e.compression,
+            let model = e.compression.make_model(&self.levels);
+            let clock = Box::new(WallClock::new());
+            let mut stream = AdaptiveWriter::with_params(
+                client,
                 self.levels.clone(),
+                model,
+                DEFAULT_BLOCK_LEN,
                 self.epoch_secs,
+                clock,
             );
-            writer.set_pipeline_workers(self.pipeline_workers);
-            writers.push(Some(writer));
-            readers.push(Some(RecordReader::new(Box::new(server))));
-        }
-
-        // Group channel endpoints per vertex, in connection order.
-        let mut contexts: Vec<TaskContext> = (0..nv)
-            .map(|v| TaskContext {
-                vertex_name: vertices[v].name.clone(),
-                inputs: Vec::new(),
-                outputs: Vec::new(),
-            })
-            .collect();
-        let mut edge_owner: Vec<(usize, usize)> = Vec::with_capacity(edges.len());
-        for (i, e) in edges.iter().enumerate() {
-            let w = writers[i].take().unwrap();
-            let out_idx = contexts[e.from].outputs.len();
-            contexts[e.from].outputs.push(w);
-            contexts[e.to].inputs.push(readers[i].take().unwrap());
-            edge_owner.push((e.from, out_idx));
+            stream.set_pipeline_workers(self.pipeline_workers);
+            out_idx.push(contexts[e.from].outputs.len());
+            contexts[e.from].outputs.push(RecordWriter::new(stream));
+            contexts[e.to].inputs.push(RecordReader::new(server));
         }
 
         // Run: one thread per vertex.
@@ -122,21 +128,23 @@ impl Executor {
             let mut task = vertex.task;
             let vname = vertex.name;
             handles.push(std::thread::spawn(
-                move || -> Result<(Box<dyn Task>, Vec<ChannelStats>)> {
+                move || -> Result<(Box<dyn Task>, Vec<OutputStats>)> {
                     task.run(&mut ctx).map_err(|e| NepheleError::TaskFailed {
                         vertex: vname.clone(),
                         message: e.to_string(),
                     })?;
                     let mut out_stats = Vec::with_capacity(ctx.outputs.len());
                     for w in ctx.outputs.drain(..) {
-                        out_stats.push(w.finish()?);
+                        // Dropping the socket ends the reader's stream.
+                        let (_, stats, records) = w.finish()?;
+                        out_stats.push((stats, records));
                     }
                     Ok((task, out_stats))
                 },
             ));
         }
 
-        let mut per_vertex_out: Vec<Vec<ChannelStats>> = Vec::with_capacity(nv);
+        let mut per_vertex_out: Vec<Vec<OutputStats>> = Vec::with_capacity(nv);
         let mut tasks = Vec::with_capacity(nv);
         let mut first_err: Option<NepheleError> = None;
         for (h, name) in handles.into_iter().zip(names) {
@@ -146,16 +154,10 @@ impl Executor {
                     per_vertex_out.push(stats);
                 }
                 Ok(Err(e)) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                    per_vertex_out.push(Vec::new());
+                    first_err.get_or_insert(e);
                 }
                 Err(_) => {
-                    if first_err.is_none() {
-                        first_err = Some(NepheleError::WorkerPanic(name));
-                    }
-                    per_vertex_out.push(Vec::new());
+                    first_err.get_or_insert(NepheleError::WorkerPanic(name));
                 }
             }
         }
@@ -168,14 +170,13 @@ impl Executor {
             .iter()
             .enumerate()
             .map(|(i, e)| {
-                let (v, out_idx) = edge_owner[i];
+                let (stats, records) =
+                    per_vertex_out[e.from].get(out_idx[i]).cloned().unwrap_or_default();
                 EdgeReport {
                     from: tasks[e.from].0.clone(),
                     to: tasks[e.to].0.clone(),
-                    stats: per_vertex_out[v]
-                        .get(out_idx)
-                        .cloned()
-                        .unwrap_or_default(),
+                    stats,
+                    records,
                 }
             })
             .collect();
@@ -218,7 +219,7 @@ mod tests {
 
     #[test]
     fn memory_job_moves_all_bytes() {
-        let r = two_task_job(CompressionMode::Off, 5);
+        let r = two_task_job(CompressionMode::Static(0), 5);
         let sink: &SinkTask = r.task("receiver").unwrap();
         assert_eq!(sink.bytes, 5_000_000);
         assert_eq!(r.edges.len(), 1);
@@ -263,7 +264,7 @@ mod tests {
     fn sink_checksum_matches_source_data() {
         // Two identical jobs must deliver identical payloads end to end,
         // regardless of the channel's compression mode.
-        let a = two_task_job(CompressionMode::Off, 2);
+        let a = two_task_job(CompressionMode::Static(0), 2);
         let b = two_task_job(CompressionMode::Static(3), 2);
         let ca = a.task::<SinkTask>("receiver").unwrap().checksum;
         let cb = b.task::<SinkTask>("receiver").unwrap().checksum;
@@ -314,7 +315,7 @@ mod tests {
             })),
         );
         let dst = g.add_vertex("sink", Box::new(SinkTask::new()));
-        g.connect(src, dst, CompressionMode::Off).unwrap();
+        g.connect(src, dst, CompressionMode::Static(0)).unwrap();
         let err = Executor::default().run(g).unwrap_err();
         assert!(err.to_string().contains("boom"), "{err}");
     }
@@ -340,8 +341,8 @@ mod tests {
         );
         let s1 = g.add_vertex("sink1", Box::new(SinkTask::new()));
         let s2 = g.add_vertex("sink2", Box::new(SinkTask::new()));
-        g.connect(src, s1, CompressionMode::Off).unwrap();
-        g.connect(src, s2, CompressionMode::Off).unwrap();
+        g.connect(src, s1, CompressionMode::Static(0)).unwrap();
+        g.connect(src, s2, CompressionMode::Static(0)).unwrap();
         let r = Executor::default().run(g).unwrap();
         let a: &SinkTask = r.task("sink1").unwrap();
         let b: &SinkTask = r.task("sink2").unwrap();

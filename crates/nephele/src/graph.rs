@@ -112,7 +112,7 @@ mod tests {
         let a = g.add_vertex("a", noop());
         let b = g.add_vertex("b", noop());
         let c = g.add_vertex("c", noop());
-        g.connect(a, b, CompressionMode::Off).unwrap();
+        g.connect(a, b, CompressionMode::Static(0)).unwrap();
         g.connect(b, c, CompressionMode::Static(1)).unwrap();
         assert_eq!((g.vertices.len(), g.edges.len()), (3, 2));
         g.validate().unwrap();
@@ -122,8 +122,8 @@ mod tests {
     fn rejects_self_loop_and_unknown_vertex() {
         let mut g = JobGraph::new("bad");
         let a = g.add_vertex("a", noop());
-        assert!(g.connect(a, a, CompressionMode::Off).is_err());
-        assert!(g.connect(a, VertexId(5), CompressionMode::Off).is_err());
+        assert!(g.connect(a, a, CompressionMode::Static(0)).is_err());
+        assert!(g.connect(a, VertexId(5), CompressionMode::Static(0)).is_err());
     }
 
     #[test]
@@ -132,9 +132,9 @@ mod tests {
         let a = g.add_vertex("a", noop());
         let b = g.add_vertex("b", noop());
         let c = g.add_vertex("c", noop());
-        g.connect(a, b, CompressionMode::Off).unwrap();
-        g.connect(b, c, CompressionMode::Off).unwrap();
-        g.connect(c, a, CompressionMode::Off).unwrap();
+        g.connect(a, b, CompressionMode::Static(0)).unwrap();
+        g.connect(b, c, CompressionMode::Static(0)).unwrap();
+        g.connect(c, a, CompressionMode::Static(0)).unwrap();
         assert!(g.validate().is_err());
     }
 
@@ -150,10 +150,10 @@ mod tests {
         let b = g.add_vertex("b", noop());
         let c = g.add_vertex("c", noop());
         let d = g.add_vertex("d", noop());
-        g.connect(a, b, CompressionMode::Off).unwrap();
-        g.connect(a, c, CompressionMode::Off).unwrap();
-        g.connect(b, d, CompressionMode::Off).unwrap();
-        g.connect(c, d, CompressionMode::Off).unwrap();
+        g.connect(a, b, CompressionMode::Static(0)).unwrap();
+        g.connect(a, c, CompressionMode::Static(0)).unwrap();
+        g.connect(b, d, CompressionMode::Static(0)).unwrap();
+        g.connect(c, d, CompressionMode::Static(0)).unwrap();
         g.validate().unwrap();
     }
 }

@@ -7,13 +7,14 @@
 //!
 //! * [`graph`] — job DAGs of named task vertices and channel edges;
 //! * [`task`] — the task trait plus the paper's source and sink tasks;
-//! * [`channel`] — record channels: records are packed into ≤ 128 KiB
-//!   blocks, each block independently compressed (off / static level /
-//!   the paper's adaptive scheme) into a self-describing frame —
+//! * [`channel`] — record channels: a length-prefix framer over an
+//!   adaptive stream on any `Write` / `Read`, whose ≤ 128 KiB blocks are
+//!   each independently compressed (a static level, level 0 being none,
+//!   or the paper's adaptive scheme) into a self-describing frame —
 //!   completely transparent to task code;
 //! * [`executor`] — one worker thread per vertex, a loopback TCP
-//!   connection per edge, per-channel compression statistics in the final
-//!   report.
+//!   connection per edge, each channel's stream statistics and record
+//!   count in the final report.
 //!
 //! ## Example: the paper's sample job
 //!
@@ -31,13 +32,15 @@
 //! assert_eq!(report.task::<SinkTask>("receiver").unwrap().bytes, 1_000_000);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod channel;
 pub mod error;
 pub mod executor;
 pub mod graph;
 pub mod task;
 
-pub use channel::{ChannelStats, CompressionMode, RecordReader, RecordWriter};
+pub use channel::{CompressionMode, RecordReader, RecordWriter};
 pub use error::{NepheleError, Result};
 pub use executor::{EdgeReport, Executor, JobReport};
 pub use graph::{JobGraph, VertexId};

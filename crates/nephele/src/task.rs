@@ -7,13 +7,14 @@
 
 use crate::channel::{RecordReader, RecordWriter};
 use crate::error::Result;
+use std::net::TcpStream;
 
 /// Execution context handed to [`Task::run`]: the connected inputs and
 /// outputs, in connection order.
 pub struct TaskContext {
     pub(crate) vertex_name: String,
-    pub(crate) inputs: Vec<RecordReader>,
-    pub(crate) outputs: Vec<RecordWriter>,
+    pub(crate) inputs: Vec<RecordReader<TcpStream>>,
+    pub(crate) outputs: Vec<RecordWriter<TcpStream>>,
 }
 
 impl TaskContext {

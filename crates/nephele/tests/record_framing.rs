@@ -3,22 +3,28 @@
 //! compression modes and block-boundary placements.
 
 use adcomp_codecs::LevelSet;
-use adcomp_nephele::channel::{mem_pair, CompressionMode, RecordReader, RecordWriter};
+use adcomp_core::model::{DecisionModel, RateBasedModel, StaticModel};
+use adcomp_core::stream::AdaptiveWriter;
+use adcomp_nephele::channel::{RecordReader, RecordWriter};
 use proptest::prelude::*;
 
-fn roundtrip(mode: CompressionMode, records: &[Vec<u8>]) -> Vec<Vec<u8>> {
-    let (tx, rx) = mem_pair(4096);
-    let mut w = RecordWriter::new(Box::new(tx), &mode, LevelSet::paper_default(), 2.0);
+fn roundtrip(model: Box<dyn DecisionModel>, records: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let mut w =
+        RecordWriter::new(AdaptiveWriter::new(Vec::new(), LevelSet::paper_default(), model));
     for r in records {
         w.write_record(r).unwrap();
     }
-    w.finish().unwrap();
-    let mut reader = RecordReader::new(Box::new(rx));
+    let (wire, _, _) = w.finish().unwrap();
+    let mut reader = RecordReader::new(&wire[..]);
     let mut out = Vec::new();
     while let Some(r) = reader.next_record().unwrap() {
         out.push(r);
     }
     out
+}
+
+fn fixed(level: usize) -> Box<dyn DecisionModel> {
+    Box::new(StaticModel::new(level, LevelSet::paper_default().len()))
 }
 
 proptest! {
@@ -29,7 +35,7 @@ proptest! {
         records in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..3000), 0..40),
     ) {
-        prop_assert_eq!(roundtrip(CompressionMode::Off, &records), records);
+        prop_assert_eq!(roundtrip(fixed(0), &records), records);
     }
 
     #[test]
@@ -37,7 +43,7 @@ proptest! {
         records in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..3000), 0..40),
     ) {
-        prop_assert_eq!(roundtrip(CompressionMode::Static(1), &records), records);
+        prop_assert_eq!(roundtrip(fixed(1), &records), records);
     }
 
     #[test]
@@ -58,7 +64,7 @@ proptest! {
             .enumerate()
             .map(|(i, &n)| (0..n).map(|j| ((i * 131 + j * 7) % 256) as u8).collect())
             .collect();
-        prop_assert_eq!(roundtrip(CompressionMode::Static(2), &records), records);
+        prop_assert_eq!(roundtrip(fixed(2), &records), records);
     }
 
     #[test]
@@ -79,7 +85,7 @@ proptest! {
             }
         }
         prop_assert_eq!(
-            roundtrip(CompressionMode::Adaptive(Default::default()), &records),
+            roundtrip(Box::new(RateBasedModel::new(Default::default())), &records),
             records
         );
     }

@@ -63,7 +63,7 @@ fn old_aligned_stream(records: &[Vec<u8>]) -> (Vec<u8>, Vec<usize>) {
 
 /// The records read, or the error the read ended in.
 fn read(wire: Vec<u8>) -> Result<Vec<Vec<u8>>, NepheleError> {
-    let mut reader = RecordReader::new(Box::new(Cursor::new(wire)));
+    let mut reader = RecordReader::new(Cursor::new(wire));
     let mut out = Vec::new();
     while let Some(r) = reader.next_record()? {
         out.push(r);

@@ -5,11 +5,12 @@
 //!
 //! Run with: `cargo run --release --example nephele_job`
 
+use adcomp::core::stream::StreamStats;
 use adcomp::corpus::Class;
 use adcomp::nephele::prelude::*;
-use adcomp::nephele::{ChannelStats, SinkTask};
+use adcomp::nephele::SinkTask;
 
-fn run(mode: CompressionMode, label: &str, class: Class, mb: u64) -> (f64, ChannelStats) {
+fn run(mode: CompressionMode, label: &str, class: Class, mb: u64) -> (f64, StreamStats) {
     let mut g = JobGraph::new(format!("sample-job-{label}"));
     let sender = g.add_vertex(
         "sender",
@@ -43,7 +44,7 @@ fn main() {
         println!("== {title} ==");
         println!("{:<10} {:>9} {:>9} {:>8}", "channel", "time [s]", "ratio", "epochs");
         for (mode, label) in [
-            (CompressionMode::Off, "NO"),
+            (CompressionMode::Static(0), "NO"),
             (CompressionMode::Static(1), "LIGHT"),
             (CompressionMode::Adaptive(Default::default()), "DYNAMIC"),
         ] {

@@ -17,6 +17,7 @@ bins=(
   fig4_timeseries fig5_timeseries fig6_switching
   ablation_alpha ablation_epoch ablation_backoff
   baseline_models ext_all_adaptive ext_entropy_guided futurework_file_io
+  chaos_soak
 )
 
 cargo build --release --quiet -p adcomp-bench

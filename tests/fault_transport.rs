@@ -5,12 +5,15 @@
 //! here as a deterministic tier-1 test.
 
 use adcomp::codecs::LevelSet;
+use adcomp::core::model::StaticModel;
+use adcomp::core::stream::AdaptiveWriter;
+use adcomp::core::ManualClock;
 use adcomp::faults::soak::{grid, run_case, summarize};
-use adcomp::faults::{FaultPlan, FaultSpec, FaultingTransport};
-use adcomp::nephele::channel::mem_pair;
-use adcomp::nephele::{CompressionMode, NepheleError, RecordReader, RecordWriter};
+use adcomp::faults::{CorruptingWriter, FaultPlan, FaultSpec};
+use adcomp::nephele::{NepheleError, RecordReader, RecordWriter};
+use std::io::Cursor;
 
-/// A full record channel — `RecordWriter → FaultingTransport → mem pair →
+/// A full record channel — `RecordWriter → CorruptingWriter → buffer →
 /// RecordReader` — under 5 % frame bit flips: every record handed back is
 /// byte-identical to what was written and in order, and the first damaged
 /// frame ends the read in a typed error that the stats count.
@@ -27,24 +30,23 @@ fn record_channel_survives_hostile_transport_end_to_end() {
     // Flips only: the channel relies on its transport to deliver every
     // frame, so whole-frame loss is not part of its fault model.
     let spec = FaultSpec { drop_rate: 0.0, cut_rate: 0.0, ..FaultSpec::from_rate(0xBEEF, 0.10) };
-    let (tx, rx) = mem_pair(1 << 15);
-    let ft = FaultingTransport::new(tx, FaultPlan::new(spec));
-    let inj = ft.stats_handle();
-    let mut w = RecordWriter::new(
-        Box::new(ft),
-        &CompressionMode::Static(2),
+    let cw = CorruptingWriter::new(Vec::new(), FaultPlan::new(spec));
+    let mut w = RecordWriter::new(AdaptiveWriter::with_params(
+        cw,
         LevelSet::paper_default(),
+        Box::new(StaticModel::new(2, 4)),
+        2048,
         3600.0,
-    );
-    w.set_block_len(2048);
+        Box::new(ManualClock::new()),
+    ));
     for r in &records {
         w.write_record(r).unwrap();
     }
-    w.finish().unwrap();
-    let injected = *inj.lock().unwrap();
+    let (cw, _, _) = w.finish().unwrap();
+    let injected = cw.stats();
     assert!(injected.flips > 0, "plan was supposed to be hostile: {injected:?}");
 
-    let mut reader = RecordReader::new(Box::new(rx));
+    let mut reader = RecordReader::new(Cursor::new(cw.into_inner()));
     let mut got = Vec::new();
     let err = loop {
         match reader.next_record() {

@@ -2,9 +2,10 @@
 //! payload integrity and compression effect over the executor's TCP
 //! channels.
 
+use adcomp::core::stream::StreamStats;
 use adcomp::corpus::Class;
 use adcomp::nephele::prelude::*;
-use adcomp::nephele::{ChannelStats, NepheleError, SinkTask};
+use adcomp::nephele::{NepheleError, SinkTask};
 
 /// Wraps a closure as a task.
 struct FnTask<F>(F);
@@ -23,7 +24,7 @@ fn forward(ctx: &mut TaskContext) -> Result<(), NepheleError> {
     Ok(())
 }
 
-fn sample_job(mode: CompressionMode, class: Class, bytes: u64) -> (u64, u64, ChannelStats) {
+fn sample_job(mode: CompressionMode, class: Class, bytes: u64) -> (u64, u64, StreamStats) {
     let mut g = JobGraph::new("it-sample");
     let s = g.add_vertex(
         "sender",
@@ -41,7 +42,7 @@ fn all_channel_and_mode_combinations_preserve_payload() {
     let bytes = 2_000_000u64;
     let mut checksums = Vec::new();
     for mode in [
-        CompressionMode::Off,
+        CompressionMode::Static(0),
         CompressionMode::Static(1),
         CompressionMode::Static(3),
         CompressionMode::Adaptive(Default::default()),
@@ -56,7 +57,7 @@ fn all_channel_and_mode_combinations_preserve_payload() {
 
 #[test]
 fn compression_shrinks_wire_traffic_on_compressible_data() {
-    let (_, _, off) = sample_job(CompressionMode::Off, Class::High, 3_000_000);
+    let (_, _, off) = sample_job(CompressionMode::Static(0), Class::High, 3_000_000);
     let (_, _, light) = sample_job(CompressionMode::Static(1), Class::High, 3_000_000);
     assert!(off.wire_ratio() > 0.99);
     assert!(
@@ -166,11 +167,11 @@ fn split_merge_diamond_preserves_every_record() {
         })),
     );
     let sink = g.add_vertex("sink", Box::new(SinkTask::new()));
-    g.connect(src, split, CompressionMode::Off).unwrap();
+    g.connect(src, split, CompressionMode::Static(0)).unwrap();
     g.connect(split, m1, CompressionMode::Static(1)).unwrap();
     g.connect(split, m2, CompressionMode::Static(1)).unwrap();
-    g.connect(m1, merge, CompressionMode::Off).unwrap();
-    g.connect(m2, merge, CompressionMode::Off).unwrap();
+    g.connect(m1, merge, CompressionMode::Static(0)).unwrap();
+    g.connect(m2, merge, CompressionMode::Static(0)).unwrap();
     g.connect(merge, sink, CompressionMode::Adaptive(Default::default())).unwrap();
     let report = Executor::default().run(g).unwrap();
     let s: &SinkTask = report.task("sink").unwrap();
