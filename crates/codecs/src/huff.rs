@@ -132,6 +132,20 @@ const fn build_dist_lut() -> [u8; 32] {
 
 const DIST_LUT: [u8; 32] = build_dist_lut();
 
+/// Distance symbol (0..=29) → its 5-bit code, already bit-reversed for the
+/// LSB-first writer.
+const fn build_dist_code() -> [u8; 30] {
+    let mut codes = [0u8; 30];
+    let mut s = 0u16;
+    while s < 30 {
+        codes[s as usize] = rev(s, 5) as u8;
+        s += 1;
+    }
+    codes
+}
+
+const DIST_CODE: [u8; 30] = build_dist_code();
+
 /// Length-code bases and extra-bit counts for symbols 257 + i.
 const LEN_BASE: [u16; 29] = [
     3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31, 35, 43, 51, 59, 67, 83, 99, 115,
@@ -331,7 +345,7 @@ pub fn compress_with(scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
         bw.push(LITLEN_CODE[sym] as u32, LITLEN_LEN[sym] as u32);
         bw.push((matched as u32) - LEN_BASE[lc] as u32, LEN_EXTRA[lc] as u32);
         let dc = dist_to_code(dist);
-        bw.push(rev(dc as u16, 5) as u32, 5);
+        bw.push(DIST_CODE[dc] as u32, 5);
         bw.push((dist as u32) - DIST_BASE[dc] as u32, DIST_EXTRA[dc] as u32);
         bw.flush();
         // Seed the table part-way into the match so the next block of
@@ -518,6 +532,12 @@ mod tests {
         assert_eq!(rev(LITLEN_CODE[256], 7), 0);
         assert_eq!(LITLEN_LEN[280], 8);
         assert_eq!(rev(LITLEN_CODE[280], 8), 0b1100_0000);
+        // Distance codes are 5 bits wide; the encoder's table and the
+        // decoder's inverse table agree on every valid symbol.
+        for (sym, &code) in DIST_CODE.iter().enumerate() {
+            assert_eq!(DIST_LUT[code as usize] as usize, sym);
+        }
+        assert_eq!(DIST_CODE[1], 0b10000);
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //! [`crate::model::DecisionModel`].
 //!
 //! The paper reconsiders the compression level every `t` seconds (t = 2 s in
-//! all experiments). [`EpochDriver`] owns that loop: it meters application
-//! bytes, detects epoch boundaries from any clock, hands the epoch's rate
-//! and the caller's [`EpochContext`] to the model, and turns the one
-//! [`crate::model::Decision`] it returns into the epoch's trace events and
-//! a level trace for the time-series figures.
+//! all experiments); here the first, seed epoch is shorter (see
+//! `SEED_EPOCH_DIVISOR`). [`EpochDriver`] owns that loop: it meters
+//! application bytes, detects epoch boundaries from any clock, hands the
+//! epoch's rate and the caller's [`EpochContext`] to the model, and turns
+//! the one [`crate::model::Decision`] it returns into the epoch's trace
+//! events and a level trace for the time-series figures.
 
 use crate::controller::DecisionCase;
 use crate::model::{DecisionModel, GuestMetrics};
@@ -81,6 +82,16 @@ pub struct EpochContext {
     /// level 0 — it *does* reveal compressibility changes.
     pub data_entropy: Option<f64>,
 }
+
+/// The seed epoch, the first one, lasts `t / SEED_EPOCH_DIVISOR`; every
+/// later epoch lasts `t`. Algorithm 1's first call sets `pdr := cdr`, so
+/// with fresh backoffs it probes up whatever the seed epoch measured: a
+/// full `t` there only delays the first decision that compares two rates,
+/// which a short stream pays for at level 0. 16 is the choice of {4, 8,
+/// 16, 32} on the start-up table and the `shared_link` legs: 32 gains at
+/// most 1.8 % there and halves the window that the first probe's `pdr` is
+/// measured over (EXPERIMENTS.md §"Seed epoch").
+const SEED_EPOCH_DIVISOR: f64 = 16.0;
 
 /// Drives a [`DecisionModel`] from a stream of byte completions.
 pub struct EpochDriver {
@@ -165,14 +176,20 @@ impl EpochDriver {
 
     /// Records `app_bytes` of application data accepted at time `now` and
     /// returns the level to use for subsequent data. Once the epoch length
-    /// has elapsed, the epoch closes: its rate is its bytes over its actual
-    /// duration (which may exceed `t` when arrivals straddle the boundary),
-    /// the model decides once, and the epoch is observed as one
+    /// has elapsed (`t / SEED_EPOCH_DIVISOR` for the seed epoch, `t` after
+    /// it), the epoch closes: its rate is its bytes over its actual
+    /// duration (which may exceed the length when arrivals straddle the
+    /// boundary), the model decides once, and the epoch is observed as one
     /// [`EpochEvent`] and one [`DecisionEvent`].
     pub fn record(&mut self, app_bytes: u64, now: f64, ctx: &EpochContext) -> usize {
         self.epoch_bytes += app_bytes;
         let duration = now - self.epoch_start;
-        if duration < self.epoch_len {
+        let len = if self.epochs == 0 {
+            self.epoch_len / SEED_EPOCH_DIVISOR
+        } else {
+            self.epoch_len
+        };
+        if duration < len {
             return self.level;
         }
         let bytes = std::mem::take(&mut self.epoch_bytes);
@@ -267,33 +284,52 @@ mod tests {
     #[test]
     fn driver_consults_model_only_on_epoch_boundaries() {
         let mut d = EpochDriver::new(Box::new(RateBasedModel::paper_default()), 2.0, 0.0);
-        assert_eq!(d.record(1000, 0.5, &EpochContext::default()), 0);
-        assert_eq!(d.record(1000, 1.5, &EpochContext::default()), 0);
-        // Crosses t = 2 s: first decision probes to level 1.
-        assert_eq!(d.record(1000, 2.1, &EpochContext::default()), 1);
+        assert_eq!(d.record(1000, 0.0625, &EpochContext::default()), 0);
+        assert_eq!(d.record(1000, 0.12, &EpochContext::default()), 0);
+        // Crosses t/16 = 0.125 s: the seed decision probes to level 1.
+        assert_eq!(d.record(1000, 0.125, &EpochContext::default()), 1);
         assert_eq!(d.epochs(), 1);
+        // The second epoch closes only after a further t.
+        d.record(1000, 2.0, &EpochContext::default());
+        assert_eq!(d.epochs(), 1);
+        d.record(1000, 2.125, &EpochContext::default());
+        assert_eq!(d.epochs(), 2);
     }
 
     #[test]
     fn no_epoch_before_boundary() {
         let (mut d, trace) = traced(Box::new(RateBasedModel::paper_default()), 2.0);
-        d.record(100, 0.5, &EpochContext::default());
-        d.record(100, 1.9, &EpochContext::default());
+        d.record(100, 0.0625, &EpochContext::default());
+        d.record(100, 0.12, &EpochContext::default());
         assert!(trace.take().is_empty());
         assert_eq!(d.epochs(), 0);
+        d.record(100, 0.125, &EpochContext::default());
+        assert_eq!(trace.take().len(), 2, "the seed epoch closed");
+        d.record(100, 2.12, &EpochContext::default());
+        assert!(trace.take().is_empty(), "the second epoch lasts a full t");
+        assert_eq!(d.epochs(), 1);
     }
 
     #[test]
     fn epoch_rate_computed_over_actual_duration() {
         let (mut d, trace) = traced(Box::new(RateBasedModel::paper_default()), 2.0);
-        d.record(1000, 1.0, &EpochContext::default());
-        d.record(1000, 2.5, &EpochContext::default());
+        d.record(1000, 0.0625, &EpochContext::default());
+        d.record(1000, 0.25, &EpochContext::default());
+        let e = epoch_events(&trace);
+        assert_eq!(e.len(), 1);
+        assert_eq!(e[0].bytes, 2000);
+        assert!((e[0].duration - 0.25).abs() < 1e-12);
+        assert!((e[0].rate - 8000.0).abs() < 1e-9);
+        assert_eq!(e[0].t - e[0].duration, 0.0, "the epoch started at 0");
+        d.record(1000, 2.0, &EpochContext::default());
+        assert!(epoch_events(&trace).is_empty(), "the second epoch lasts a full t");
+        d.record(1000, 2.75, &EpochContext::default());
         let e = epoch_events(&trace);
         assert_eq!(e.len(), 1);
         assert_eq!(e[0].bytes, 2000);
         assert!((e[0].duration - 2.5).abs() < 1e-12);
         assert!((e[0].rate - 800.0).abs() < 1e-9);
-        assert_eq!(e[0].t - e[0].duration, 0.0, "the epoch started at 0");
+        assert_eq!(e[0].t - e[0].duration, 0.25, "it started where the seed epoch ended");
     }
 
     #[test]
@@ -330,9 +366,9 @@ mod tests {
     #[test]
     fn epoch_events_surface_algorithm_state() {
         let (mut d, trace) = traced(Box::new(RateBasedModel::paper_default()), 2.0);
-        d.record(1000, 0.5, &EpochContext::default());
+        d.record(1000, 0.0625, &EpochContext::default());
         assert!(trace.take().is_empty(), "no epoch closed yet");
-        assert_eq!(d.record(1000, 2.1, &EpochContext::default()), 1);
+        assert_eq!(d.record(1000, 0.25, &EpochContext::default()), 1);
         let events = trace.take();
         let [TraceEvent::Epoch(ep), TraceEvent::Decision(ev)] = &events[..] else {
             panic!("expected one epoch and one decision event: {events:?}");
@@ -346,6 +382,15 @@ mod tests {
         assert_eq!(ev.cdr, ep.rate);
         assert_eq!(ev.backoffs, [0; MAX_LEVELS]);
         assert_eq!(ev.num_levels, 4);
+        d.record(1000, 2.2, &EpochContext::default());
+        assert!(trace.take().is_empty(), "the second epoch lasts a full t");
+        d.record(1000, 2.25, &EpochContext::default());
+        let events = trace.take();
+        let [TraceEvent::Epoch(ep), TraceEvent::Decision(ev)] = &events[..] else {
+            panic!("expected one epoch and one decision event: {events:?}");
+        };
+        assert_eq!((ep.epoch, ep.level, ep.bytes), (1, 1, 2000));
+        assert_eq!(ev.pdr, 8000.0, "the seed epoch's rate is the probe's yardstick");
     }
 
     #[test]

@@ -148,6 +148,53 @@ proptest! {
         prop_assert_eq!(driver.epochs(), rates.len() as u64);
     }
 
+    /// Fed a seeded sequence of `record` calls at uneven times, the driver
+    /// returns the levels a bare `RateBasedModel` picks from the driver's
+    /// own per-epoch rates, in the same order, and holds each level until
+    /// the next epoch closes; every epoch after the seed epoch lasts at
+    /// least `t`.
+    #[test]
+    fn epoch_driver_decides_as_bare_model_on_its_epoch_rates(
+        calls in proptest::collection::vec((0u64..10_000_000, 1u32..700), 1..300)
+    ) {
+        const T: f64 = 1.0;
+        let cfg = ControllerConfig::default();
+        let trace = TraceHandle::collecting();
+        let mut driver = EpochDriver::new(Box::new(RateBasedModel::new(cfg)), T, 0.0);
+        driver.set_trace(trace.clone());
+        let mut bare = RateBasedModel::new(cfg);
+        let ctx = EpochContext::default();
+        let (mut now, mut level) = (0.0, 0);
+        let (mut driven, mut reference) = (Vec::new(), Vec::new());
+        for &(bytes, ms) in &calls {
+            now += f64::from(ms) / 1000.0;
+            let got = driver.record(bytes, now, &ctx);
+            let closed: Vec<_> = trace
+                .take()
+                .into_iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Epoch(ep) => Some(ep),
+                    _ => None,
+                })
+                .collect();
+            match &closed[..] {
+                [] => prop_assert_eq!(got, level, "level moved inside an epoch at t={}", now),
+                [ep] => {
+                    if ep.epoch > 0 {
+                        let (k, secs) = (ep.epoch, ep.duration);
+                        prop_assert!(secs >= T, "epoch {} lasted {} s", k, secs);
+                    }
+                    reference.push(bare.decide(ep.rate, &ctx).level);
+                    driven.push(got);
+                    level = got;
+                }
+                _ => panic!("one record closed {} epochs", closed.len()),
+            }
+        }
+        prop_assert_eq!(&driven, &reference);
+        prop_assert_eq!(driver.epochs(), reference.len() as u64);
+    }
+
     /// Spec sanity: trajectories never leave the level range and the
     /// model still matches under non-default configs.
     #[test]

@@ -15,7 +15,7 @@ bin_dir="${CARGO_TARGET_DIR:-target}/release"
 bins=(
   fig1_cpu_accuracy fig2_net_throughput fig3_file_write table2_completion
   fig4_timeseries fig5_timeseries fig6_switching
-  ablation_alpha ablation_epoch ablation_backoff
+  ablation_alpha ablation_epoch ablation_backoff startup_table
   baseline_models ext_all_adaptive ext_entropy_guided futurework_file_io
   chaos_soak
 )
