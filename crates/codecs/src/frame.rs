@@ -224,10 +224,27 @@ pub fn decode_block_limited(
 
 /// [`decode_block_limited`] with reusable decode working memory: zero
 /// per-block heap allocation in steady state, output byte-identical to the
-/// fresh-scratch path.
+/// fresh-scratch path. [`decode_block_within`] with no bound.
 pub fn decode_block_with(
     scratch: &mut DecodeScratch,
     input: &[u8],
+    out: &mut Vec<u8>,
+    max_frame: u32,
+) -> Result<(FrameHeader, usize)> {
+    decode_block_within(scratch, input, usize::MAX, out, max_frame)
+}
+
+/// [`decode_block_with`] of the block's first `want` bytes: the header
+/// checks and the payload CRC — over the *whole* payload — run before any
+/// decode, then [`Codec::decompress_within`] appends exactly
+/// `min(want, uncompressed_len)` bytes. What a bound skips is the decode
+/// of the block's tail, and with it the checks only that decode makes (a
+/// token past the bound, trailing bytes); a frame that fails those is
+/// still refused by a whole decode. On an error `out` is as it was.
+pub fn decode_block_within(
+    scratch: &mut DecodeScratch,
+    input: &[u8],
+    want: usize,
     out: &mut Vec<u8>,
     max_frame: u32,
 ) -> Result<(FrameHeader, usize)> {
@@ -245,10 +262,11 @@ pub fn decode_block_with(
         return Err(CodecError::ChecksumMismatch { expected: header.crc, actual: actual_crc });
     }
     let out_start = out.len();
-    if let Err(e) = codec_for(header.codec).decompress_with(
+    if let Err(e) = codec_for(header.codec).decompress_within(
         scratch,
         payload,
         header.uncompressed_len as usize,
+        want,
         out,
     ) {
         // Decoders may have appended partial output before detecting the

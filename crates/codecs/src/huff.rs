@@ -435,7 +435,7 @@ const MAX_EXPANSION: usize = (8 * MAX_MATCH).div_ceil(8 + 5);
 /// appending to `out`. Bounds-hardened: damage yields a typed error with
 /// whatever prefix was decoded left in `out`, byte for byte what the
 /// bit-at-a-time oracle (`tests/reference/mod.rs::huff_reference`) leaves
-/// and reports.
+/// and reports. [`decompress_within`] with no bound.
 ///
 /// Same shape as `qlz::decompress`: one pre-sized window
 /// (`crate::window`) written through an output cursor, matches through
@@ -443,23 +443,44 @@ const MAX_EXPANSION: usize = (8 * MAX_MATCH).div_ceil(8 + 5);
 /// when fewer than 32 bits — the longest token — are left, every fourth
 /// literal or so: a whole match token decodes from the accumulator.
 pub fn decompress(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
-    let limit = expected_len.min(input.len().saturating_mul(MAX_EXPANSION));
-    window::with(out, limit, |win, d| decompress_into(input, expected_len, win, d))
+    decompress_within(input, expected_len, expected_len, out)
 }
 
-/// The token loop of [`decompress`] over its window; `d` is the output
-/// cursor, left at the bytes produced however the stream ends. `win` holds
-/// at least `min(expected_len, MAX_EXPANSION * input.len())` bytes, which no
+/// [`decompress`] of the block's first `min(want, expected_len)` bytes: the
+/// same loop, which returns once it has produced them, before reading the
+/// next token. A match that crosses the bound is checked as the whole
+/// decode checks it and copied only up to the bound; the end-of-block
+/// symbol is read only on a whole decode. So the bytes appended are the
+/// whole decode's output cut at the bound whenever that decode gets that
+/// far, and its error otherwise.
+pub fn decompress_within(
+    input: &[u8],
+    expected_len: usize,
+    want: usize,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    let bound = want.min(expected_len);
+    let limit = bound.min(input.len().saturating_mul(MAX_EXPANSION));
+    window::with(out, limit, |win, d| decompress_into(input, expected_len, bound, win, d))
+}
+
+/// The token loop of [`decompress_within`] over its window; `d` is the
+/// output cursor, left at the bytes produced however the stream ends. `win`
+/// holds at least `min(bound, MAX_EXPANSION * input.len())` bytes, which no
 /// token sequence that passes the checks below can exceed.
 #[inline]
 fn decompress_into(
     input: &[u8],
     expected_len: usize,
+    bound: usize,
     win: &mut [u8],
     d: &mut usize,
 ) -> Result<()> {
+    // A whole decode runs on to the end-of-block symbol; a bounded one
+    // stops at its bound.
+    let stop = if bound < expected_len { bound } else { usize::MAX };
     let mut br = BitReader::new(input);
-    loop {
+    while *d < stop {
         // After this either a whole token is in the accumulator or the
         // input is spent and `nbits` is all there is: the `Truncated`
         // checks below fire on the bit the oracle runs out at.
@@ -499,9 +520,13 @@ fn decompress_into(
         if *d + len > expected_len {
             return Err(CodecError::Corrupt("match overruns expected length"));
         }
+        // The whole match on a whole decode; up to the bound on a bounded
+        // one (an overlapping copy's prefix is the prefix of the copy).
+        let len = len.min(bound - *d);
         window::copy_match(win, *d, dist, len);
         *d += len;
     }
+    Ok(())
 }
 
 #[cfg(test)]

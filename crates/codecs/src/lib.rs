@@ -199,17 +199,41 @@ pub trait Codec: Send + Sync {
         self.compress_within(scratch, input, out, usize::MAX);
     }
 
+    /// Decodes the first `min(want, expected_len)` bytes of the block
+    /// `input` encodes (`expected_len` bytes in all), appending exactly
+    /// those to `out`, reusing the working memory in `scratch` so
+    /// steady-state block decoding is allocation-free. Codecs without
+    /// decode working memory ignore `scratch`.
+    ///
+    /// A bound below `expected_len` stops LIGHT, MEDIUM and HUFF at it: the
+    /// stream past the last token it needs is not read, so the checks that
+    /// tail would have failed (a truncation, a bad token, trailing bytes)
+    /// are skipped, and a stream whose whole decode fails after producing
+    /// at least `want` bytes yields those bytes. RAW, HEAVY and COLUMNAR
+    /// check or decode the whole block and cut it. At `want >=
+    /// expected_len` this is the whole decode, every check included. On an
+    /// error `out` keeps what the decoder produced before it, as the whole
+    /// decode leaves it.
+    fn decompress_within(
+        &self,
+        scratch: &mut DecodeScratch,
+        input: &[u8],
+        expected_len: usize,
+        want: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<()>;
+
     /// Decompresses `input` (exactly `expected_len` output bytes), appending
-    /// to `out`, reusing the working memory in `scratch` so steady-state
-    /// block decoding is allocation-free. Codecs without decode working
-    /// memory ignore `scratch`.
+    /// to `out`: [`Codec::decompress_within`] with no bound.
     fn decompress_with(
         &self,
         scratch: &mut DecodeScratch,
         input: &[u8],
         expected_len: usize,
         out: &mut Vec<u8>,
-    ) -> Result<()>;
+    ) -> Result<()> {
+        self.decompress_within(scratch, input, expected_len, expected_len, out)
+    }
 }
 
 /// [`Codec::compress_with`] on a fresh [`Scratch`]: for one-off blocks
@@ -227,6 +251,20 @@ fn keep_within(out: &mut Vec<u8>, start: usize, limit: usize) -> bool {
         out.truncate(start);
     }
     kept
+}
+
+/// The bounded decode of the codecs that cannot stop early: `decode`
+/// appends the whole block to `out`, which is then cut to its first
+/// `want` bytes. An error is the whole decode's, its output left as is.
+fn cut_after(
+    out: &mut Vec<u8>,
+    want: usize,
+    decode: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+) -> Result<()> {
+    let start = out.len();
+    decode(out)?;
+    out.truncate(start.saturating_add(want));
+    Ok(())
 }
 
 /// Level 0: stored.
@@ -250,17 +288,18 @@ impl Codec for RawCodec {
         }
         kept
     }
-    fn decompress_with(
+    fn decompress_within(
         &self,
         _: &mut DecodeScratch,
         input: &[u8],
         expected_len: usize,
+        want: usize,
         out: &mut Vec<u8>,
     ) -> Result<()> {
         if input.len() != expected_len {
             return Err(CodecError::Corrupt("raw block length mismatch"));
         }
-        out.extend_from_slice(input);
+        out.extend_from_slice(&input[..want.min(expected_len)]);
         Ok(())
     }
 }
@@ -287,14 +326,15 @@ impl Codec for QlzLightCodec {
     fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
         qlz::compress_light_with(scratch, input, out);
     }
-    fn decompress_with(
+    fn decompress_within(
         &self,
         _: &mut DecodeScratch,
         input: &[u8],
         expected_len: usize,
+        want: usize,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        qlz::decompress(input, expected_len, out)
+        qlz::decompress_within(input, expected_len, want, out)
     }
 }
 
@@ -320,14 +360,15 @@ impl Codec for QlzMediumCodec {
     fn compress_with(&self, scratch: &mut Scratch, input: &[u8], out: &mut Vec<u8>) {
         qlz::compress_medium_with(scratch, input, out);
     }
-    fn decompress_with(
+    fn decompress_within(
         &self,
         _: &mut DecodeScratch,
         input: &[u8],
         expected_len: usize,
+        want: usize,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        qlz::decompress(input, expected_len, out)
+        qlz::decompress_within(input, expected_len, want, out)
     }
 }
 
@@ -350,14 +391,15 @@ impl Codec for HeavyCodec {
         heavy::compress_with(scratch, input, out);
         keep_within(out, start, limit)
     }
-    fn decompress_with(
+    fn decompress_within(
         &self,
         scratch: &mut DecodeScratch,
         input: &[u8],
         expected_len: usize,
+        want: usize,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        heavy::decompress_with(scratch, input, expected_len, out)
+        cut_after(out, want, |out| heavy::decompress_with(scratch, input, expected_len, out))
     }
 }
 
@@ -380,14 +422,15 @@ impl Codec for HuffCodec {
         huff::compress_with(scratch, input, out);
         keep_within(out, start, limit)
     }
-    fn decompress_with(
+    fn decompress_within(
         &self,
         _: &mut DecodeScratch,
         input: &[u8],
         expected_len: usize,
+        want: usize,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        huff::decompress(input, expected_len, out)
+        huff::decompress_within(input, expected_len, want, out)
     }
 }
 
@@ -410,14 +453,15 @@ impl Codec for ColumnarCodec {
         columnar::compress(scratch, input, out);
         keep_within(out, start, limit)
     }
-    fn decompress_with(
+    fn decompress_within(
         &self,
         _: &mut DecodeScratch,
         input: &[u8],
         expected_len: usize,
+        want: usize,
         out: &mut Vec<u8>,
     ) -> Result<()> {
-        columnar::decompress(input, expected_len, out)
+        cut_after(out, want, |out| columnar::decompress(input, expected_len, out))
     }
 }
 

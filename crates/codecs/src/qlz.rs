@@ -514,6 +514,7 @@ const MAX_EXPANSION: usize = (8 * MAX_MATCH).div_ceil(1 + 8 * 3);
 /// Decompresses a token stream produced by either setting, appending to
 /// `out`. `expected_len` is the uncompressed size recorded in the frame
 /// header; on an error `out` keeps the bytes decoded before it.
+/// [`decompress_within`] with no bound.
 ///
 /// The loop writes into a pre-sized window (`crate::window`) with an
 /// output cursor instead of growing `out` per token. Consecutive literal
@@ -527,33 +528,50 @@ const MAX_EXPANSION: usize = (8 * MAX_MATCH).div_ceil(1 + 8 * 3);
 /// (`tests/reference/mod.rs::decompress_reference`); `tests/hot_loops.rs`
 /// holds the two together.
 pub fn decompress(input: &[u8], expected_len: usize, out: &mut Vec<u8>) -> Result<()> {
-    let limit = expected_len.min(input.len().saturating_mul(MAX_EXPANSION));
-    window::with(out, limit, |win, d| decompress_into(input, expected_len, win, d))
+    decompress_within(input, expected_len, expected_len, out)
 }
 
-/// The token loop of [`decompress`] over its window; `d` is the output
-/// cursor, left at the bytes produced however the stream ends. `win` holds
-/// at least `min(expected_len, MAX_EXPANSION * input.len())` bytes, which no
+/// [`decompress`] of the block's first `min(want, expected_len)` bytes: the
+/// same loop, which stops once it has produced them. A match that crosses
+/// the bound is checked as the whole decode checks it and copied only up
+/// to the bound, and the trailing-bytes check runs only on a whole decode.
+/// So the bytes appended are the whole decode's output cut at the bound
+/// whenever that decode gets that far, and its error otherwise.
+pub fn decompress_within(
+    input: &[u8],
+    expected_len: usize,
+    want: usize,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    let bound = want.min(expected_len);
+    let limit = bound.min(input.len().saturating_mul(MAX_EXPANSION));
+    window::with(out, limit, |win, d| decompress_into(input, expected_len, bound, win, d))
+}
+
+/// The token loop of [`decompress_within`] over its window; `d` is the
+/// output cursor, left at the bytes produced however the stream ends. `win`
+/// holds at least `min(bound, MAX_EXPANSION * input.len())` bytes, which no
 /// token sequence that passes the checks below can exceed.
 #[inline]
 fn decompress_into(
     input: &[u8],
     expected_len: usize,
+    bound: usize,
     win: &mut [u8],
     d: &mut usize,
 ) -> Result<()> {
     let mut p = 0usize;
-    while *d < expected_len {
+    while *d < bound {
         let &ctrl = input.get(p).ok_or(CodecError::Truncated)?;
         p += 1;
         // Items left in this group, LSB first, under a sentinel bit that
         // ends it: the group is spent when only the sentinel is left.
         let mut ctrl = ctrl as u32 | 0x100;
-        while ctrl != 1 && *d < expected_len {
+        while ctrl != 1 && *d < bound {
             if ctrl & 1 == 0 {
                 // Literal run: every consecutive zero bit is one literal
                 // byte; the sentinel caps the count at the group's rest.
-                let want = (ctrl.trailing_zeros() as usize).min(expected_len - *d);
+                let want = (ctrl.trailing_zeros() as usize).min(bound - *d);
                 if let (Some(src), Some(dst)) = (input.get(p..p + 8), win.get_mut(*d..*d + 8)) {
                     dst.copy_from_slice(src);
                 } else {
@@ -580,13 +598,17 @@ fn decompress_into(
                 if *d + len > expected_len {
                     return Err(CodecError::Corrupt("match overruns expected length"));
                 }
+                // The whole match on a whole decode; up to the bound on a
+                // bounded one (an overlapping copy's prefix is the prefix
+                // of the copy).
+                let len = len.min(bound - *d);
                 window::copy_match(win, *d, off, len);
                 *d += len;
                 ctrl >>= 1;
             }
         }
     }
-    if p != input.len() {
+    if bound == expected_len && p != input.len() {
         // Only control-byte padding bits may remain; extra payload means
         // a corrupt frame.
         return Err(CodecError::Corrupt("trailing bytes after stream end"));

@@ -6,13 +6,16 @@
 //! `DecodeScratch`'s HEAVY model to their high-water marks), decoding
 //! further blocks — across every codec in the registry (the four levels and
 //! the two portfolio members) and all corpus classes — must not touch the
-//! heap at all. That includes the token decoders' pre-sized window, which
-//! takes its slack from the warmed buffer's capacity.
+//! heap at all, whole or bounded to a prefix. That includes the token
+//! decoders' pre-sized window, which takes its slack from the warmed
+//! buffer's capacity.
 //!
 //! This file intentionally contains a single `#[test]` so no concurrent
 //! test can disturb the allocation counter.
 
-use adcomp_codecs::frame::{decode_block_with, encode_block, DEFAULT_MAX_FRAME};
+use adcomp_codecs::frame::{
+    decode_block_with, decode_block_within, encode_block, DEFAULT_MAX_FRAME,
+};
 use adcomp_codecs::{codec_for, CodecId, DecodeScratch};
 use adcomp_corpus::{generate, Class};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -42,6 +45,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 const BLOCK_LEN: usize = 128 * 1024;
+/// The bound of the bounded decodes: a ranged read ending mid-block.
+const PREFIX_LEN: usize = BLOCK_LEN / 2 + 3;
 
 #[test]
 fn steady_state_block_decoding_allocates_nothing() {
@@ -59,17 +64,20 @@ fn steady_state_block_decoding_allocates_nothing() {
     let mut scratch = DecodeScratch::new();
     let mut out = Vec::new();
 
-    // Warm-up: two rounds over every frame grow the output buffer and the
-    // HEAVY model to their high-water marks.
+    // Warm-up: two rounds over every frame, whole and bounded, grow the
+    // output buffer and the HEAVY model to their high-water marks.
     for _ in 0..2 {
         for wire in &frames {
             out.clear();
             decode_block_with(&mut scratch, wire, &mut out, DEFAULT_MAX_FRAME).unwrap();
+            out.clear();
+            decode_block_within(&mut scratch, wire, PREFIX_LEN, &mut out, DEFAULT_MAX_FRAME)
+                .unwrap();
         }
     }
 
     // Steady state: an adaptive reader sees level and class changes frame
-    // to frame; none of it may allocate.
+    // to frame, and ranged reads stop mid-block; none of it may allocate.
     let before = ALLOCS.load(Ordering::Relaxed);
     let mut app_bytes = 0usize;
     for _ in 0..8 {
@@ -77,10 +85,14 @@ fn steady_state_block_decoding_allocates_nothing() {
             out.clear();
             decode_block_with(&mut scratch, wire, &mut out, DEFAULT_MAX_FRAME).unwrap();
             app_bytes += out.len();
+            out.clear();
+            decode_block_within(&mut scratch, wire, PREFIX_LEN, &mut out, DEFAULT_MAX_FRAME)
+                .unwrap();
+            app_bytes += out.len();
         }
     }
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
-    assert_eq!(app_bytes, 8 * frames.len() * BLOCK_LEN);
+    assert_eq!(app_bytes, 8 * frames.len() * (BLOCK_LEN + PREFIX_LEN));
     assert_eq!(
         delta, 0,
         "steady-state decode path performed {delta} heap allocation(s)"

@@ -1,10 +1,11 @@
-//! The hot-object block cache: decoded blocks of completed transfers,
-//! keyed by the block's frame CRC, bounded by a byte budget.
+//! The hot-object block cache: decoded block prefixes of completed
+//! transfers, keyed by the block's frame CRC, bounded by a byte budget.
 //!
 //! A ranged GET decodes only the blocks covering the requested range
-//! (found through the transfer's [`StreamIndex`](adcomp_codecs::seek::StreamIndex));
-//! this cache makes the *second* request for a hot block free — a hit
-//! returns the decoded bytes without touching the decoder at all.
+//! (found through the transfer's [`StreamIndex`](adcomp_codecs::seek::StreamIndex)),
+//! and each of those only as far as the range reaches into it; this cache
+//! makes the *second* request for a hot block free — a hit returns the
+//! decoded bytes without touching the decoder at all.
 //!
 //! Design:
 //!
@@ -12,11 +13,16 @@
 //!   same pair every frame header and index entry carries. Identical
 //!   blocks uploaded by different tenants deduplicate naturally, and a
 //!   key never names stale bytes: change the block, change the CRC.
+//! * **Prefixes** — an entry is the block's first bytes, as many as the
+//!   read that decoded it needed, up to the whole block. A lookup names
+//!   how many it needs: a shorter entry is a miss ([`Lookup::Short`]),
+//!   and the longer prefix decoded for it replaces the entry.
 //! * **Sharded** — the key space is split across independently locked
-//!   shards so concurrent GET handlers don't serialize on one mutex.
+//!   shards so concurrent GET handlers don't serialize on one mutex. A
+//!   shard whose lock a panicking thread poisoned is cleared and reused.
 //! * **LRU with byte cost** — each shard evicts its least-recently-used
-//!   entries until the *byte* budget holds; a 128 KiB block pays 32× the
-//!   rent of a 4 KiB one.
+//!   entries until the *byte* budget holds; an entry is charged its own
+//!   length, so a 128 KiB block pays 32× the rent of a 4 KiB prefix.
 //! * **Observable** — hits, misses, evictions and resident bytes are
 //!   kept in local atomics (always) and mirrored into the global metrics
 //!   registry (when one is installed) as `adcomp_cache_*`.
@@ -24,7 +30,7 @@
 use adcomp_metrics::registry::{self, CounterKind, GaugeKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Cache key: the block's frame-payload CRC-32 plus its decoded length.
 /// The pair is what [`IndexEntry`](adcomp_codecs::seek::IndexEntry) and
@@ -36,7 +42,8 @@ pub type BlockKey = (u32, u32);
 pub struct CacheStats {
     /// Lookups served from the cache (no decoder involved).
     pub hits: u64,
-    /// Lookups that missed (caller had to decode).
+    /// Lookups that missed, or found fewer bytes than they needed (caller
+    /// had to decode).
     pub misses: u64,
     /// Entries evicted to stay under the byte budget.
     pub evictions: u64,
@@ -56,12 +63,23 @@ impl CacheStats {
     }
 }
 
+/// What [`BlockCache::lookup`] found under a key.
+pub enum Lookup {
+    /// A cached prefix holding at least the bytes asked for.
+    Hit(Arc<Vec<u8>>),
+    /// A cached prefix shorter than asked for: a miss, of a block that was
+    /// read before.
+    Short,
+    /// Nothing cached under the key.
+    Miss,
+}
+
 struct Shard {
-    /// key → (decoded bytes, last-use stamp).
+    /// key → (decoded prefix, last-use stamp).
     map: HashMap<BlockKey, (Arc<Vec<u8>>, u64)>,
     /// Monotonic per-shard use counter; smallest stamp = LRU victim.
     tick: u64,
-    /// Resident bytes in this shard.
+    /// Resident bytes this shard has added to the cache-wide count.
     bytes: u64,
 }
 
@@ -100,78 +118,114 @@ impl BlockCache {
         self.shard_budget > 0
     }
 
-    fn shard(&self, key: BlockKey) -> &Mutex<Shard> {
-        &self.shards[key.0 as usize % SHARDS]
+    /// Locks `key`'s shard. A shard whose lock a panicking thread poisoned
+    /// is cleared and reused: its map is intact, but the panic may have
+    /// cut an insert or an eviction between the map and the byte count.
+    fn shard(&self, key: BlockKey) -> MutexGuard<'_, Shard> {
+        let mutex = &self.shards[key.0 as usize % SHARDS];
+        mutex.lock().unwrap_or_else(|poisoned| {
+            let mut shard = poisoned.into_inner();
+            shard.map.clear();
+            self.set_bytes(&mut shard, 0);
+            mutex.clear_poison();
+            shard
+        })
     }
 
-    /// Looks up a block, refreshing its recency on a hit. Counts the
-    /// lookup either way.
-    pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<u8>>> {
+    /// Sets a locked shard's byte count and moves the cache-wide count and
+    /// the registry gauge by the same amount, so that what a shard added
+    /// is always what its count says.
+    fn set_bytes(&self, shard: &mut Shard, bytes: u64) {
+        let delta = bytes as i64 - shard.bytes as i64;
+        shard.bytes = bytes;
+        if delta >= 0 {
+            self.resident.fetch_add(delta as u64, Ordering::Relaxed);
+        } else {
+            self.resident.fetch_sub(delta.unsigned_abs(), Ordering::Relaxed);
+        }
+        if let Some(m) = registry::global() {
+            m.gauge_add(GaugeKind::CacheResidentBytes, delta);
+        }
+    }
+
+    /// Looks up at least the first `need` bytes of a block, refreshing its
+    /// recency on a hit. Counts the lookup either way: a cached prefix
+    /// shorter than `need` is a miss.
+    pub fn lookup(&self, key: BlockKey, need: usize) -> Lookup {
         let found = if self.enabled() {
-            let mut shard = self.shard(key).lock().expect("cache shard poisoned");
+            let mut shard = self.shard(key);
             shard.tick += 1;
             let tick = shard.tick;
-            shard.map.get_mut(&key).map(|(bytes, stamp)| {
-                *stamp = tick;
-                Arc::clone(bytes)
-            })
+            match shard.map.get_mut(&key) {
+                Some((bytes, stamp)) if bytes.len() >= need => {
+                    *stamp = tick;
+                    Lookup::Hit(Arc::clone(bytes))
+                }
+                Some(_) => Lookup::Short,
+                None => Lookup::Miss,
+            }
         } else {
-            None
+            Lookup::Miss
         };
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = registry::global() {
-                m.counter_add(CounterKind::CacheHits, 1);
-            }
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = registry::global() {
-                m.counter_add(CounterKind::CacheMisses, 1);
-            }
+        let (counter, kind) = match found {
+            Lookup::Hit(_) => (&self.hits, CounterKind::CacheHits),
+            Lookup::Short | Lookup::Miss => (&self.misses, CounterKind::CacheMisses),
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if let Some(m) = registry::global() {
+            m.counter_add(kind, 1);
         }
         found
     }
 
-    /// Inserts a decoded block, evicting LRU entries from its shard until
-    /// the shard's byte budget holds. Blocks larger than a whole shard's
-    /// budget are not cached at all (they would evict everything and then
-    /// still not fit a second one).
+    /// Looks up a whole block: [`BlockCache::lookup`] of all its bytes.
+    pub fn get(&self, key: BlockKey) -> Option<Arc<Vec<u8>>> {
+        match self.lookup(key, key.1 as usize) {
+            Lookup::Hit(bytes) => Some(bytes),
+            Lookup::Short | Lookup::Miss => None,
+        }
+    }
+
+    /// Inserts a decoded block prefix, charged its own length, evicting
+    /// LRU entries from its shard until the shard's byte budget holds. A
+    /// longer prefix replaces a shorter one under the same key; one no
+    /// longer than what is cached only refreshes the entry. Prefixes
+    /// larger than a whole shard's budget are not cached at all (they
+    /// would evict everything and then still not fit a second one).
     pub fn insert(&self, key: BlockKey, bytes: Arc<Vec<u8>>) {
         let cost = bytes.len() as u64;
         if !self.enabled() || cost > self.shard_budget {
             return;
         }
-        let mut freed = 0u64;
-        let mut evicted = 0u64;
-        {
-            let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-            if let Some((old, _)) = shard.map.remove(&key) {
-                // Same CRC + length ⇒ same bytes; replace silently.
-                shard.bytes -= old.len() as u64;
-                freed += old.len() as u64;
+        let mut shard = self.shard(key);
+        shard.tick += 1;
+        let tick = shard.tick;
+        let mut resident = shard.bytes;
+        if let Some((old, stamp)) = shard.map.get_mut(&key) {
+            // Same CRC + length ⇒ same block: the longer prefix holds the
+            // shorter.
+            if old.len() as u64 >= cost {
+                *stamp = tick;
+                return;
             }
-            while shard.bytes + cost > self.shard_budget {
-                let Some((&victim, _)) =
-                    shard.map.iter().min_by_key(|(_, (_, stamp))| *stamp)
-                else {
-                    break;
-                };
-                let (gone, _) = shard.map.remove(&victim).expect("victim vanished");
-                shard.bytes -= gone.len() as u64;
-                freed += gone.len() as u64;
-                evicted += 1;
-            }
-            shard.tick += 1;
-            let tick = shard.tick;
-            shard.bytes += cost;
-            shard.map.insert(key, (bytes, tick));
+            resident -= old.len() as u64;
+            shard.map.remove(&key);
         }
-        self.resident.fetch_add(cost, Ordering::Relaxed);
-        self.resident.fetch_sub(freed, Ordering::Relaxed);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        if let Some(m) = registry::global() {
-            m.gauge_add(GaugeKind::CacheResidentBytes, cost as i64 - freed as i64);
-            if evicted > 0 {
+        let mut evicted = 0u64;
+        while resident + cost > self.shard_budget {
+            let victim = shard.map.iter().min_by_key(|(_, (_, stamp))| *stamp).map(|(&k, _)| k);
+            let Some((gone, _)) = victim.and_then(|k| shard.map.remove(&k)) else {
+                break;
+            };
+            resident -= gone.len() as u64;
+            evicted += 1;
+        }
+        shard.map.insert(key, (bytes, tick));
+        self.set_bytes(&mut shard, resident + cost);
+        drop(shard);
+        if evicted > 0 {
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            if let Some(m) = registry::global() {
                 m.counter_add(CounterKind::CacheEvictions, evicted);
             }
         }
@@ -184,6 +238,20 @@ impl BlockCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             resident_bytes: self.resident.load(Ordering::Relaxed),
+        }
+    }
+}
+
+#[cfg(test)]
+impl BlockCache {
+    /// Poisons every shard's lock, as a thread panicking while it held
+    /// one would.
+    pub(super) fn poison_shards(&self) {
+        for shard in &self.shards {
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _held = shard.lock();
+                panic!("poisoning a cache shard");
+            }));
         }
     }
 }
@@ -266,5 +334,84 @@ mod tests {
         c.insert((8, 100), block(1, 100));
         c.insert((8, 100), block(1, 100));
         assert_eq!(c.stats().resident_bytes, 100);
+    }
+
+    fn hit_len(c: &BlockCache, key: BlockKey, need: usize) -> Option<usize> {
+        match c.lookup(key, need) {
+            Lookup::Hit(bytes) => Some(bytes.len()),
+            Lookup::Short | Lookup::Miss => None,
+        }
+    }
+
+    #[test]
+    fn a_prefix_is_charged_its_own_length_and_a_short_lookup_misses() {
+        let c = BlockCache::new(1 << 20);
+        let key = (8, 4096);
+        c.insert(key, block(1, 1000));
+        assert_eq!(c.stats().resident_bytes, 1000);
+        assert_eq!(hit_len(&c, key, 1000), Some(1000));
+        assert!(matches!(c.lookup(key, 1001), Lookup::Short));
+        assert!(c.get(key).is_none(), "a whole-block lookup found a prefix");
+        assert!(matches!(c.lookup((16, 4096), 1), Lookup::Miss));
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses), (1, 3));
+    }
+
+    #[test]
+    fn a_longer_prefix_replaces_a_short_one_and_a_shorter_does_not() {
+        let c = BlockCache::new(1 << 20);
+        let key = (8, 4096);
+        c.insert(key, block(1, 1000));
+        c.insert(key, block(1, 4096));
+        assert_eq!(c.stats().resident_bytes, 4096);
+        assert_eq!(c.get(key).map(|b| b.len()), Some(4096));
+        c.insert(key, block(1, 10));
+        assert_eq!(c.stats().resident_bytes, 4096);
+        assert_eq!(hit_len(&c, key, 10), Some(4096));
+        assert_eq!(c.stats().evictions, 0);
+    }
+
+    /// A replacement is a use: the replaced key is the most recent, and
+    /// the eviction it is charged for takes the least recent other one.
+    #[test]
+    fn lru_order_holds_across_a_replacement() {
+        // One shard's budget of 10 000 bytes; keys share shard 0.
+        let c = BlockCache::new(8 * 10_000);
+        let (a, b, d) = ((8, 4096), (16, 4096), (24, 4096));
+        c.insert(a, block(1, 2000));
+        c.insert(b, block(2, 4096));
+        c.insert(a, block(1, 4096));
+        assert_eq!(c.stats().resident_bytes, 8192);
+        c.insert(d, block(3, 4096));
+        let s = c.stats();
+        assert_eq!((s.evictions, s.resident_bytes), (1, 8192));
+        assert!(c.get(b).is_none(), "the least recent entry survived");
+        assert!(c.get(a).is_some() && c.get(d).is_some());
+    }
+
+    /// A shard poisoned by a panic under its lock is cleared on its next
+    /// use and serves again; the other shards keep their entries, and the
+    /// resident count loses exactly what the cleared shard held.
+    #[test]
+    fn a_poisoned_shard_is_cleared_and_reused() {
+        let c = BlockCache::new(1 << 20);
+        let (poisoned, other) = ((8, 4096), (9, 4096));
+        c.insert(poisoned, block(1, 4096));
+        c.insert((16, 500), block(1, 500));
+        c.insert(other, block(2, 4096));
+        assert_eq!(c.stats().resident_bytes, 8692);
+        let shard = &c.shards[poisoned.0 as usize % SHARDS];
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = shard.lock();
+            panic!("poisoning a cache shard");
+        }));
+        assert!(shard.is_poisoned());
+        assert!(matches!(c.lookup(poisoned, 1), Lookup::Miss));
+        assert!(!shard.is_poisoned());
+        assert_eq!(c.stats().resident_bytes, 4096);
+        assert!(c.get(other).is_some());
+        c.insert(poisoned, block(1, 4096));
+        assert_eq!(c.get(poisoned).map(|b| b.len()), Some(4096));
+        assert_eq!(c.stats().resident_bytes, 8192);
     }
 }

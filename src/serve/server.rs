@@ -39,13 +39,13 @@
 //!   told where to continue, which is what makes completed transfers
 //!   byte-identical by construction even on a hostile wire.
 
-use super::cache::{BlockCache, CacheStats};
+use super::cache::{BlockCache, CacheStats, Lookup};
 use super::proto::{
     read_request, write_done, write_get_reply, write_response, Done, RejectReason, Request,
     Response, NO_LEVEL_CAP,
 };
 use adcomp_codecs::crc32::Hasher;
-use adcomp_codecs::frame::{decode_block_with, DEFAULT_MAX_FRAME};
+use adcomp_codecs::frame::{decode_block_within, DEFAULT_MAX_FRAME};
 use adcomp_codecs::seek::StreamIndex;
 use adcomp_codecs::DecodeScratch;
 use adcomp_core::stream::AdaptiveReader;
@@ -803,8 +803,11 @@ fn handle_get<W: Write>(
 type Part = (Arc<Vec<u8>>, Range<usize>);
 
 /// The blocks covering `[offset, offset + len)` (clamped) of a sealed
-/// object, each with its share of the range. A cached block is used as it
-/// lies; a miss is decoded and cached. Nothing is copied.
+/// object, each with its share of the range. A block cached at least as
+/// far as its share reaches is used as it lies. A miss decodes the block
+/// only through its share's end and caches that prefix; a block whose
+/// cached prefix falls short of its share is read again, so it is decoded
+/// whole and replaces the prefix. Nothing is copied.
 fn read_range_sealed(
     shared: &Shared,
     sealed: &SealedObject,
@@ -815,25 +818,30 @@ fn read_range_sealed(
     let mut scratch = DecodeScratch::new();
     for (e, share) in sealed.index.shares(offset, len) {
         let key = (e.crc, e.uncompressed_len);
-        let bytes = match shared.cache.get(key) {
-            Some(bytes) => bytes,
-            None => {
-                let frame = &sealed.wire
-                    [e.frame_offset as usize..(e.frame_offset + u64::from(e.frame_len)) as usize];
-                let mut block = Vec::with_capacity(e.uncompressed_len as usize);
-                decode_block_with(&mut scratch, frame, &mut block, DEFAULT_MAX_FRAME)
-                    .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err))?;
-                let bytes = Arc::new(block);
-                shared.cache.insert(key, Arc::clone(&bytes));
-                bytes
+        let want = match shared.cache.lookup(key, share.end) {
+            Lookup::Hit(bytes) => {
+                parts.push((bytes, share));
+                continue;
             }
+            Lookup::Miss => share.end,
+            Lookup::Short => e.uncompressed_len as usize,
         };
-        if bytes.len() < share.end {
+        let frame = &sealed.wire
+            [e.frame_offset as usize..(e.frame_offset + u64::from(e.frame_len)) as usize];
+        let mut block = Vec::with_capacity(want);
+        decode_block_within(&mut scratch, frame, want, &mut block, DEFAULT_MAX_FRAME)
+            .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err))?;
+        if block.len() < share.end {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
                 "decoded block shorter than its share",
             ));
         }
+        // HEAVY and COLUMNAR decode whole and cut: the cache charges
+        // length, so it keeps no capacity beyond it.
+        block.shrink_to_fit();
+        let bytes = Arc::new(block);
+        shared.cache.insert(key, Arc::clone(&bytes));
         parts.push((bytes, share));
     }
     Ok(parts)
@@ -850,6 +858,7 @@ mod tests {
     use super::*;
     use adcomp_codecs::crc32::crc32;
     use adcomp_codecs::frame::HEADER_LEN;
+    use adcomp_codecs::CodecId;
     use adcomp_core::Backoff;
     use adcomp_corpus::{generate, Class};
     use std::collections::HashSet;
@@ -1353,8 +1362,9 @@ mod tests {
         let data = body(300_000);
         let server = sealed_object(&data, 8 * 1024);
         let (offset, len) = (34 * 8192 + 100, 30_000);
+        // Warm block 34 through its end: the share the GET below needs.
         let mut warm = Vec::new();
-        handle_get(&server.shared, &mut warm, "t", 1, offset, 10);
+        handle_get(&server.shared, &mut warm, "t", 1, offset, 8192 - 100);
         let before = server.cache_stats();
         let mut out = Counting::new(Vec::new());
         handle_get(&server.shared, &mut out, "t", 1, offset, len);
@@ -1403,6 +1413,121 @@ mod tests {
         // Over a socket: a cold pass, then a hot one.
         assert_eq!(get(server.local_addr(), "t", 1, 0, len, IO).unwrap(), data);
         assert_eq!(get(server.local_addr(), "t", 1, 0, len, IO).unwrap(), data);
+        server.shutdown();
+    }
+
+    /// `blocks` blocks of `block_len` bytes rotating runs, text and noise
+    /// (stored COLUMNAR, HUFF and RAW under the portfolio), then a tail of
+    /// a third of a block.
+    fn mixed_body(block_len: usize, blocks: usize) -> Vec<u8> {
+        let text = b"ranged reads decode a block only as far as the range reaches. ";
+        let mut x = 0x2545_F491u32;
+        let mut data = Vec::new();
+        for b in 0..=blocks {
+            let n = if b == blocks { block_len / 3 } else { block_len };
+            match b % 3 {
+                0 => data.extend((0..n).map(|i| (b + i / 700) as u8 % 4)),
+                1 => data.extend(text.iter().copied().cycle().skip(b).take(n)),
+                _ => data.extend((0..n).map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 17;
+                    x ^= x << 5;
+                    (x >> 24) as u8
+                })),
+            }
+        }
+        data
+    }
+
+    /// The codecs the sealed blocks of `t`/`id` are stored with.
+    fn stored_codecs(server: &Server, id: u64) -> HashSet<CodecId> {
+        let state = server.shared.lock();
+        let sealed = state.transfers[&("t".to_string(), id)].sealed.clone().unwrap();
+        sealed.index.entries.iter().map(|e| e.codec).collect()
+    }
+
+    /// Over a socket, objects stored at LIGHT, at MEDIUM and through the
+    /// portfolio: a first read of each block ends at its first byte,
+    /// mid-block, one byte short of its end, at its end or one byte into
+    /// the next block, so every codec decodes prefixes of every such
+    /// length; then a longer range over the same block, a range to the
+    /// object's end and the whole object. Every reply is its source slice.
+    #[test]
+    fn ranged_gets_ending_anywhere_in_a_block_are_the_source_slice() {
+        let bl = 8 * 1024;
+        let data = mixed_body(bl, 30);
+        let end = data.len() as u64;
+        let server = start();
+        for (id, level, portfolio) in [(1, 1, false), (2, 2, false), (3, 2, true)] {
+            let opts = PutOptions {
+                tenant: "t".into(),
+                transfer_id: id,
+                block_len: bl,
+                level: Some(level),
+                portfolio,
+                ..Default::default()
+            };
+            put(server.local_addr(), &data, &opts).unwrap();
+        }
+        let portfolio = stored_codecs(&server, 3);
+        assert!(portfolio.contains(&CodecId::Huffman), "{portfolio:?}");
+        assert!(portfolio.contains(&CodecId::Columnar), "{portfolio:?}");
+        let slice = |offset: u64, len: u64| {
+            let lo = offset.min(end) as usize;
+            data[lo..(offset + len).min(end) as usize].to_vec()
+        };
+        let ends = [1, bl / 2, bl - 1, bl, bl + 1];
+        for id in 1..=3 {
+            for b in 0..data.len().div_ceil(bl) {
+                let start = (b * bl) as u64;
+                let first = ends[b % ends.len()] as u64;
+                for (offset, len) in [(start, first), (start, 2 * bl as u64), (start + 7, end)] {
+                    let got = get(server.local_addr(), "t", id, offset, len, IO).unwrap();
+                    assert_eq!(got, slice(offset, len), "object {id} ({offset}, {len})");
+                }
+            }
+            assert_eq!(get(server.local_addr(), "t", id, 0, end, IO).unwrap(), data);
+        }
+        server.shutdown();
+    }
+
+    /// A block first read short is a miss the second time a longer share
+    /// of it is asked for, and a hit after that.
+    #[test]
+    fn a_longer_read_of_a_block_first_read_short_misses_then_hits() {
+        let data = body(100_000);
+        let server = sealed_object(&data, 8 * 1024);
+        let (offset, len) = (3 * 8192 + 10, 20);
+        let before = server.cache_stats();
+        for (n, reach) in [(1, len), (2, 100), (3, 100), (4, 8192 - 10)] {
+            let mut out = Vec::new();
+            assert!(handle_get(&server.shared, &mut out, "t", 1, offset, reach));
+            assert_eq!(out, two_frame_reply(&data, offset, reach), "read {n}");
+        }
+        let after = server.cache_stats();
+        // Miss (prefix), miss (short: decoded whole), hit, hit.
+        assert_eq!((after.hits - before.hits, after.misses - before.misses), (2, 2));
+        assert_eq!(after.resident_bytes - before.resident_bytes, 8192);
+        server.shutdown();
+    }
+
+    /// Every cache shard poisoned, as a handler panicking under its lock
+    /// would leave it: GETs are still served, from the source's bytes.
+    #[test]
+    fn gets_through_poisoned_cache_shards_are_the_source_slice() {
+        let data = body(200_000);
+        let server = sealed_object(&data, 8 * 1024);
+        let addr = server.local_addr();
+        assert_eq!(get(addr, "t", 1, 0, 200_000, IO).unwrap(), data);
+        server.shared.cache.poison_shards();
+        for (offset, len) in [(0u64, 200_000u64), (5, 1), (8000, 64 * 1024), (150_000, 50_000)] {
+            let want = &data[offset as usize..(offset + len) as usize];
+            assert_eq!(get(addr, "t", 1, offset, len, IO).unwrap(), want, "({offset}, {len})");
+        }
+        assert_eq!(get(addr, "t", 1, 0, 200_000, IO).unwrap(), data);
+        // What the cleared shards held left the count with them.
+        let s = server.cache_stats();
+        assert!(s.resident_bytes <= data.len() as u64, "{s:?}");
         server.shutdown();
     }
 }
