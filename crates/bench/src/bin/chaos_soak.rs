@@ -21,7 +21,7 @@
 //! deterministic grid order) before the summary.
 //!
 //! Run: `cargo run --release -p adcomp-bench --bin chaos_soak [--quick] \
-//!       [--runs N] [--seed S] [--cases]`
+//!       [--seed S] [--cases]`
 //!
 //! Exits non-zero if any case breaks the contract.
 
@@ -47,22 +47,7 @@ fn arg_value(name: &str) -> Option<String> {
 }
 
 fn main() -> ExitCode {
-    let runs = match arg_value("--runs") {
-        Some(v) => match v.parse() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("--runs must be a positive integer");
-                return ExitCode::from(2);
-            }
-        },
-        None => {
-            if quick_mode() {
-                QUICK_RUNS
-            } else {
-                FULL_RUNS
-            }
-        }
-    };
+    let runs = if quick_mode() { QUICK_RUNS } else { FULL_RUNS };
     let seed = match arg_value("--seed") {
         Some(v) => match v.parse() {
             Ok(s) => s,

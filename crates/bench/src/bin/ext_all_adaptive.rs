@@ -18,7 +18,7 @@ use adcomp_core::model::{RateBasedModel, StaticModel};
 use adcomp_corpus::Class;
 use adcomp_metrics::Table;
 use adcomp_trace::{JsonlWriter, RunManifest, TraceHandle};
-use adcomp_vcloud::{run_multiflow_traced, FlowSpec, MultiFlowConfig};
+use adcomp_vcloud::{run_multiflow_traced, FlowSpec};
 
 fn flows(classes: &[Class], adaptive: &[bool], bytes: u64) -> Vec<FlowSpec> {
     classes
@@ -37,6 +37,9 @@ fn flows(classes: &[Class], adaptive: &[bool], bytes: u64) -> Vec<FlowSpec> {
         })
         .collect()
 }
+
+/// Every cell runs the same fluctuating link.
+const SEED: u64 = 61;
 
 const CORPORA: [(&str, [Class; 3]); 2] = [
     ("homogeneous HIGH", [Class::High; 3]),
@@ -64,10 +67,9 @@ fn main() {
         let (ti, di) = (idx / DEPLOYMENTS.len(), idx % DEPLOYMENTS.len());
         let (title, classes) = CORPORA[ti];
         let (label, mask) = DEPLOYMENTS[di];
-        let cfg = MultiFlowConfig { seed: 61, ..Default::default() };
         let handle = if want_trace { TraceHandle::collecting() } else { TraceHandle::disabled() };
         let out =
-            run_multiflow_traced(&cfg, &speed, flows(&classes, &mask, bytes), handle.clone());
+            run_multiflow_traced(SEED, &speed, flows(&classes, &mask, bytes), handle.clone());
         let rates: Vec<String> =
             out.flows.iter().map(|f| format!("{:.0}", f.mean_app_rate / 1e6)).collect();
         let row = vec![
@@ -78,7 +80,7 @@ fn main() {
             rates.join(" / "),
         ];
         let cell_trace = want_trace.then(|| {
-            let manifest = RunManifest::new("ext_all_adaptive_cell", cfg.seed)
+            let manifest = RunManifest::new("ext_all_adaptive_cell", SEED)
                 .coord("corpus", title)
                 .coord("deployment", label)
                 .cfg("flows", classes.len())

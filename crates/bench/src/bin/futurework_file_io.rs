@@ -16,7 +16,7 @@ use adcomp_bench::{experiment_bytes, make_model, schemes};
 use adcomp_core::model::RateBasedModel;
 use adcomp_corpus::Class;
 use adcomp_metrics::Table;
-use adcomp_vcloud::{run_file_transfer, FileTransferConfig, Platform, SpeedModel};
+use adcomp_vcloud::{run_file_transfer, FileTransferConfig, SpeedModel};
 
 fn main() {
     let total = experiment_bytes().max(10_000_000_000);
@@ -59,10 +59,8 @@ fn main() {
             ]);
         };
         let naive_cfg = FileTransferConfig {
-            platform: Platform::XenPara,
             total_bytes: total,
             sync_aware: false,
-            ..Default::default()
         };
         for (name, level) in schemes() {
             if name == "DYNAMIC" {

@@ -13,11 +13,9 @@ use adcomp_vcloud::SpeedModel;
 use std::sync::Arc;
 
 /// The paper transfers 50 GB per cell; a full-fidelity sweep simulates in
-/// minutes. `--quick` (or `ADCOMP_QUICK=1`) scales volumes down ~10× for
-/// smoke runs.
+/// minutes. `--quick` scales volumes down ~10× for smoke runs.
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
-        || std::env::var("ADCOMP_QUICK").is_ok_and(|v| v == "1")
 }
 
 /// `--trace <path>` on any experiment binary: where to write the JSONL

@@ -63,7 +63,7 @@ pub mod throttle;
 pub use controller::{ControllerConfig, DecisionCase, RateBasedModel};
 pub use epoch::{Clock, EpochContext, EpochDriver, ManualClock, WallClock};
 pub use retry::Backoff;
-pub use throttle::{SharedThrottle, ThrottledReader, ThrottledWriter, TokenBucket};
+pub use throttle::{SharedThrottle, ThrottledReader, ThrottledWriter};
 pub use model::{
     Decision, DecisionModel, EntropyGuidedModel, GuestMetrics, MetricBasedModel, QueueBasedModel,
     SensorThresholdModel, StaticModel, ThresholdSamplingModel, TrainedLevel,

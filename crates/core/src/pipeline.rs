@@ -61,13 +61,10 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-/// Default number of pipeline workers: `ADCOMP_THREADS` if set, otherwise
-/// the machine's available parallelism. `1` means "no threads".
+/// The machine's available parallelism, the worker count `-j 0` asks
+/// for. `1` means "no threads".
 pub fn default_workers() -> usize {
-    match std::env::var("ADCOMP_THREADS") {
-        Ok(v) => v.trim().parse().ok().filter(|&n| n >= 1).unwrap_or(1),
-        Err(_) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-    }
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// In-order release gate: completions arrive in any order, leave strictly
@@ -141,9 +138,10 @@ struct Ordered<L: Lane> {
 }
 
 impl<L: Lane> Ordered<L> {
-    fn new(workers: usize, depth: usize) -> Self {
+    /// `workers` lanes and at most `2 × workers` blocks in flight.
+    fn new(workers: usize) -> Self {
         let nworkers = workers.max(1);
-        let depth = depth.max(nworkers);
+        let depth = (workers * 2).max(nworkers);
         let lanes = if nworkers == 1 {
             Lanes::Inline(L::new())
         } else {
@@ -386,17 +384,12 @@ pub struct CompressPool {
 
 impl CompressPool {
     /// A pool with `workers` threads (`workers <= 1`: none, blocks are
-    /// encoded inside [`CompressPool::submit`]) and the default pipeline
-    /// depth of `2 × workers` blocks in flight.
+    /// encoded inside [`CompressPool::submit`]) and a pipeline depth of
+    /// `2 × workers` blocks in flight (submitted but not yet released in
+    /// order).
     pub fn new(workers: usize) -> Self {
-        CompressPool::with_depth(workers, workers * 2)
-    }
-
-    /// Full-control constructor. `depth` bounds the number of blocks in
-    /// flight (submitted but not yet released in order).
-    pub fn with_depth(workers: usize, depth: usize) -> Self {
         CompressPool {
-            core: Ordered::new(workers, depth),
+            core: Ordered::new(workers),
             spare_frames: Vec::new(),
             trace: TraceHandle::disabled(),
             trace_epoch: NO_EPOCH,
@@ -426,7 +419,7 @@ impl CompressPool {
             self.core.next_seq == 0,
             "set_pipeline_workers must be called before the first write"
         );
-        self.core = Ordered::new(workers, workers * 2);
+        self.core = Ordered::new(workers);
     }
 
     #[cfg(test)]
@@ -603,12 +596,8 @@ impl DecodePool {
     /// decoded inside [`DecodePool::submit`]) and a pipeline depth of
     /// `2 × workers`.
     pub fn new(workers: usize) -> Self {
-        DecodePool::with_depth(workers, workers * 2)
-    }
-
-    pub fn with_depth(workers: usize, depth: usize) -> Self {
         DecodePool {
-            core: Ordered::new(workers, depth),
+            core: Ordered::new(workers),
             spare_out: Vec::new(),
             spare_wire: Vec::new(),
         }
@@ -711,11 +700,11 @@ mod tests {
 
     #[test]
     fn backpressure_bounds_in_flight() {
-        let mut pool = CompressPool::with_depth(2, 2);
+        let mut pool = CompressPool::new(2);
         let blocks: Vec<Vec<u8>> = (0..32).map(block).collect();
         let mut ready = Vec::new();
         for b in &blocks {
-            assert!(pool.core.in_flight <= 2);
+            assert!(pool.core.in_flight <= 4);
             pool.submit(0, CodecId::Raw, b.clone(), &mut ready);
         }
         pool.drain(&mut ready);
@@ -836,8 +825,7 @@ mod tests {
     }
 
     #[test]
-    fn default_workers_prefers_env() {
-        // Not parallel-safe to set env vars here; just sanity-check range.
+    fn default_workers_is_at_least_one() {
         assert!(default_workers() >= 1);
     }
 }

@@ -1,87 +1,59 @@
 //! Token-bucket pacing, shared between examples and serve mode.
 //!
-//! [`TokenBucket`] is the pure math: given a target rate and a clock
-//! reading it answers "how long must this write sleep to stay under
+//! A private token bucket is the pure math: given a target rate and a
+//! clock reading it answers "how long must this write sleep to stay under
 //! budget". It is clock-agnostic (callers pass `now` in seconds), so the
-//! schedule is unit-testable without sleeping. [`ThrottledWriter`] is the
-//! wall-clock `Write` adapter built on it (the shape
-//! `examples/tcp_transfer.rs` used to hand-roll), and
-//! [`SharedThrottle`] lets several connections of one tenant draw from a
-//! single bucket — the serve-mode per-tenant bandwidth cap.
+//! schedule is unit-testable without sleeping. [`SharedThrottle`] is the
+//! one wall-clock pacer built on it: several streams (every connection of
+//! one serve tenant) may draw from one bucket. [`ThrottledWriter`] and
+//! [`ThrottledReader`] pace a `Write` or a `Read` through one.
 
 use std::io::{self, Read, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Pure token-bucket state: bytes sent since `window_start` against an
-/// allowance of `rate_bps * elapsed`.
-#[derive(Debug, Clone)]
-pub struct TokenBucket {
+/// Most credit a bucket keeps, in seconds of its rate. A sender idle for
+/// longer may then send `rate × BURST_SECS` bytes at once and no more;
+/// without a bound, a tenant idle for `s` seconds could send `s × rate`
+/// bytes at memory speed. A 16 KiB burst (one slice) also bounds it, but
+/// costs short DYNAMIC transfers on a throttled link much more
+/// (EXPERIMENTS.md §"Tenant cap burst").
+const BURST_SECS: f64 = 0.05;
+
+/// Pure token-bucket state: credit earned at `rate_bps` since the last
+/// account, capped at [`BURST_SECS`] of the rate, less the bytes sent.
+#[derive(Debug)]
+struct TokenBucket {
     rate_bps: f64,
-    window_start: f64,
-    sent_in_window: f64,
+    /// Clock reading of the last account.
+    last: f64,
+    /// Bytes the sender may still send now; negative is a debt.
+    credit: f64,
 }
 
 impl TokenBucket {
     /// A bucket refilling at `rate_bps` bytes per second, opened at
-    /// clock reading `now` (seconds).
-    pub fn new(rate_bps: f64, now: f64) -> Self {
+    /// clock reading `now` (seconds) with no credit.
+    fn new(rate_bps: f64, now: f64) -> Self {
         assert!(rate_bps > 0.0, "throttle rate must be positive");
-        TokenBucket { rate_bps, window_start: now, sent_in_window: 0.0 }
+        TokenBucket { rate_bps, last: now, credit: 0.0 }
     }
 
     /// Accounts `bytes` sent at clock reading `now` and returns the debt
     /// in seconds the sender must pause to stay at or under the rate
     /// (0.0 when within budget). Monotone in `bytes`, and never negative.
-    pub fn debt_secs(&mut self, bytes: usize, now: f64) -> f64 {
-        self.sent_in_window += bytes as f64;
-        let elapsed = (now - self.window_start).max(0.0);
-        let allowed = elapsed * self.rate_bps;
-        if self.sent_in_window > allowed {
-            (self.sent_in_window - allowed) / self.rate_bps
-        } else {
-            0.0
-        }
+    /// A reading older than the last one earns nothing.
+    fn debt_secs(&mut self, bytes: usize, now: f64) -> f64 {
+        let earned = (now - self.last).max(0.0) * self.rate_bps;
+        self.last = self.last.max(now);
+        self.credit = (self.credit + earned).min(self.rate_bps * BURST_SECS) - bytes as f64;
+        (-self.credit).max(0.0) / self.rate_bps
     }
 }
 
 /// Preferred slice size for paced writes: small enough that sleeps stay
 /// short and smooth, large enough to amortize syscalls.
-pub const THROTTLE_SLICE: usize = 16 * 1024;
-
-/// Caps writes to `rate_bps` with a token bucket (sleeps when exhausted).
-pub struct ThrottledWriter<W: Write> {
-    inner: W,
-    bucket: TokenBucket,
-    start: Instant,
-}
-
-impl<W: Write> ThrottledWriter<W> {
-    pub fn new(inner: W, rate_bps: f64) -> Self {
-        ThrottledWriter { inner, bucket: TokenBucket::new(rate_bps, 0.0), start: Instant::now() }
-    }
-
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for ThrottledWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        // Pace in slices so sleeps stay short and smooth.
-        let n = buf.len().min(THROTTLE_SLICE);
-        self.inner.write_all(&buf[..n])?;
-        let debt = self.bucket.debt_secs(n, self.start.elapsed().as_secs_f64());
-        if debt > 0.0 {
-            std::thread::sleep(Duration::from_secs_f64(debt));
-        }
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
+const THROTTLE_SLICE: usize = 16 * 1024;
 
 /// A token bucket shared by several streams (e.g. every connection of one
 /// tenant). Cloning shares the underlying bucket.
@@ -102,10 +74,48 @@ impl SharedThrottle {
     /// Accounts `bytes` against the shared budget and sleeps off any debt.
     pub fn pace(&self, bytes: usize) {
         let now = self.start.elapsed().as_secs_f64();
-        let debt = self.bucket.lock().expect("throttle poisoned").debt_secs(bytes, now);
+        // Only `debt_secs` runs under the lock, and nothing between its two
+        // field writes can panic, so even a poisoned lock guards a whole
+        // bucket: it is taken over.
+        let debt = self
+            .bucket
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .debt_secs(bytes, now);
         if debt > 0.0 {
             std::thread::sleep(Duration::from_secs_f64(debt));
         }
+    }
+}
+
+/// Caps writes to `rate_bps` through a bucket of its own (sleeps when
+/// exhausted).
+pub struct ThrottledWriter<W: Write> {
+    inner: W,
+    throttle: SharedThrottle,
+}
+
+impl<W: Write> ThrottledWriter<W> {
+    pub fn new(inner: W, rate_bps: f64) -> Self {
+        ThrottledWriter { inner, throttle: SharedThrottle::new(rate_bps) }
+    }
+
+    pub fn into_inner(self) -> W {
+        self.inner
+    }
+}
+
+impl<W: Write> Write for ThrottledWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        // Pace in slices so sleeps stay short and smooth.
+        let n = buf.len().min(THROTTLE_SLICE);
+        self.inner.write_all(&buf[..n])?;
+        self.throttle.pace(n);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
     }
 }
 
@@ -145,8 +155,69 @@ mod tests {
     #[test]
     fn no_debt_under_budget() {
         let mut b = TokenBucket::new(1000.0, 0.0);
-        // 500 bytes after one second at 1000 B/s: well under budget.
-        assert_eq!(b.debt_secs(500, 1.0), 0.0);
+        // 50 bytes after one second at 1000 B/s: within the 50 ms burst.
+        assert_eq!(b.debt_secs(50, 1.0), 0.0);
+    }
+
+    #[test]
+    fn idle_time_banks_at_most_one_burst() {
+        let mut b = TokenBucket::new(1000.0, 0.0);
+        // Ten idle seconds at 1000 B/s bank 50 bytes, not 10 000.
+        let debt = b.debt_secs(1050, 10.0);
+        assert!((debt - 1.0).abs() < 1e-9, "debt {debt}");
+    }
+
+    /// Seeded schedules of sends and idle gaps, from one sender that
+    /// sleeps off its debt and from two that share the bucket: in every
+    /// window `[a, b]`, the bytes admitted by `b` (those sent in the
+    /// window, less the debt still owed at `b`) are at most
+    /// `rate × (b − a) + burst`.
+    #[test]
+    fn admitted_bytes_stay_under_rate_plus_burst_in_every_window() {
+        let mut x = 0x7B0Cu64;
+        let mut next = |m: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) % m
+        };
+        for case in 0..200 {
+            let rate = 1_000.0 + next(1_000_000) as f64;
+            let burst = rate * BURST_SECS;
+            let mut bucket = TokenBucket::new(rate, 0.0);
+            // (clock reading, bytes, debt owed after the send)
+            let mut sends: Vec<(f64, f64, f64)> = Vec::new();
+            let mut now = 0.0;
+            let mut paid_until = [0.0f64; 2];
+            for _ in 0..60 {
+                let who = next(2) as usize;
+                let mut t = now;
+                match next(4) {
+                    // An idle gap of up to a second.
+                    0 => t += next(1_000) as f64 / 1_000.0,
+                    // A sender that waits out its own debt first.
+                    1 | 2 => t = t.max(paid_until[who]),
+                    // A send straight after the last one, debt or not.
+                    _ => {}
+                }
+                now = t;
+                let bytes = 1 + next(2 * THROTTLE_SLICE as u64) as usize;
+                let debt = bucket.debt_secs(bytes, now);
+                assert!(debt >= 0.0);
+                paid_until[who] = now + debt;
+                sends.push((now, bytes as f64, debt));
+            }
+            for (j, &(a, _, _)) in sends.iter().enumerate() {
+                let mut sent = 0.0;
+                for &(b, bytes, debt) in &sends[j..] {
+                    sent += bytes;
+                    let admitted = sent - debt * rate;
+                    let cap = rate * (b - a) + burst;
+                    assert!(
+                        admitted <= cap * (1.0 + 1e-9) + 1e-6,
+                        "case {case}: {admitted} B admitted in [{a}, {b}] over a cap of {cap}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

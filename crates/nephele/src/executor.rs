@@ -63,19 +63,16 @@ impl JobReport {
     }
 }
 
-/// Executor configuration.
+/// Executor configuration. Every channel runs the paper's four levels
+/// and encodes its blocks on the sending task's own thread.
 pub struct Executor {
-    pub levels: LevelSet,
     /// Decision epoch for adaptive channels, seconds (paper: 2 s).
     pub epoch_secs: f64,
-    /// Compression worker threads per output channel (1 = none: blocks are
-    /// encoded on the task's own thread, through the same pool calls).
-    pub pipeline_workers: usize,
 }
 
 impl Default for Executor {
     fn default() -> Self {
-        Executor { levels: LevelSet::paper_default(), epoch_secs: 2.0, pipeline_workers: 1 }
+        Executor { epoch_secs: 2.0 }
     }
 }
 
@@ -103,17 +100,17 @@ impl Executor {
             let client = TcpStream::connect(listener.local_addr()?)?;
             client.set_nodelay(true).ok();
             let (server, _) = listener.accept()?;
-            let model = e.compression.make_model(&self.levels);
+            let levels = LevelSet::paper_default();
+            let model = e.compression.make_model(&levels);
             let clock = Box::new(WallClock::new());
-            let mut stream = AdaptiveWriter::with_params(
+            let stream = AdaptiveWriter::with_params(
                 client,
-                self.levels.clone(),
+                levels,
                 model,
                 DEFAULT_BLOCK_LEN,
                 self.epoch_secs,
                 clock,
             );
-            stream.set_pipeline_workers(self.pipeline_workers);
             out_idx.push(contexts[e.from].outputs.len());
             contexts[e.from].outputs.push(RecordWriter::new(stream));
             contexts[e.to].inputs.push(RecordReader::new(server));
@@ -225,27 +222,6 @@ mod tests {
         assert_eq!(r.edges.len(), 1);
         assert_eq!(r.edges[0].stats.app_bytes, 5_000_000 + 4 * sink.records);
         assert!(r.completion_secs > 0.0);
-    }
-
-    #[test]
-    fn pipelined_executor_moves_all_bytes() {
-        let mut g = JobGraph::new("pipelined-job");
-        let src = g.add_vertex(
-            "sender",
-            Box::new(SourceTask {
-                class: Class::Moderate,
-                total_bytes: 3_000_000,
-                record_len: 8192,
-                seed: 7,
-            }),
-        );
-        let dst = g.add_vertex("receiver", Box::new(SinkTask::new()));
-        g.connect(src, dst, CompressionMode::Static(2)).unwrap();
-        let exec = Executor { pipeline_workers: 4, ..Executor::default() };
-        let r = exec.run(g).unwrap();
-        let sink: &SinkTask = r.task("receiver").unwrap();
-        assert_eq!(sink.bytes, 3_000_000);
-        assert!(r.edges[0].stats.wire_ratio() < 1.0);
     }
 
     #[test]

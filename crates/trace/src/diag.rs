@@ -4,23 +4,13 @@
 //! everything human-facing (progress, timing, environment notes) must go
 //! through here so `adcomp_table2 > results.txt` stays clean and the CI
 //! determinism diff compares tables, not progress chatter.
-//!
-//! `ADCOMP_QUIET=1` silences progress entirely (CI smoke runs).
 
 use std::fmt;
 use std::io::Write as _;
 
-/// Whether progress output is suppressed (`ADCOMP_QUIET=1`).
-pub fn quiet() -> bool {
-    std::env::var("ADCOMP_QUIET").is_ok_and(|v| v == "1")
-}
-
-/// Writes one progress line to stderr (no-op under `ADCOMP_QUIET=1`).
-/// Prefer the [`progress!`](crate::progress) macro.
+/// Writes one progress line to stderr. Prefer the
+/// [`progress!`](crate::progress) macro.
 pub fn progress_args(args: fmt::Arguments<'_>) {
-    if quiet() {
-        return;
-    }
     let mut err = std::io::stderr().lock();
     let _ = writeln!(err, "[adcomp] {args}");
 }

@@ -64,4 +64,4 @@ pub use manifest::RunManifest;
 pub use prom::{render_registry, PromSnapshot};
 pub use promlint::{conformance_lint, parse_samples};
 pub use sink::TraceHandle;
-pub use timeline::{render_level_timeline, TimelineOptions};
+pub use timeline::render_level_timeline;

@@ -1,36 +1,17 @@
 //! ASCII "level over time" timeline — the shape of the paper's Fig. 5.
 //!
 //! Renders the compression level chosen by the controller as a step
-//! function over time, one row per level, plus an optional second panel
-//! with the per-epoch application data rate as a sparkline. Input is the
+//! function over time, one row per level, plus a second panel with the
+//! per-epoch application data rate as a sparkline. Input is the
 //! run's decision (or epoch) events.
 
 use crate::events::TraceEvent;
 use std::fmt::Write as _;
 
-/// Options for [`render_level_timeline`].
-#[derive(Debug, Clone)]
-pub struct TimelineOptions {
-    /// Plot width in columns (time buckets).
-    pub width: usize,
-    /// Level names, index = level. Falls back to `L<n>` beyond the list.
-    pub level_names: Vec<String>,
-    /// Also render the epoch-rate sparkline panel.
-    pub with_rate: bool,
-}
-
-impl Default for TimelineOptions {
-    fn default() -> Self {
-        TimelineOptions {
-            width: 72,
-            level_names: ["NO", "LIGHT", "MEDIUM", "HEAVY"]
-                .into_iter()
-                .map(String::from)
-                .collect(),
-            with_rate: true,
-        }
-    }
-}
+/// Plot width in columns (time buckets).
+const WIDTH: usize = 72;
+/// Level names, index = level; a level past the list prints as `L<n>`.
+const LEVEL_NAMES: [&str; 4] = ["NO", "LIGHT", "MEDIUM", "HEAVY"];
 
 /// The (t, level) step function extracted from a run's events.
 ///
@@ -60,17 +41,15 @@ fn level_steps(events: &[TraceEvent]) -> Vec<(f64, u32)> {
 /// Renders the timeline; returns `None` when `events` holds no decision
 /// or epoch events to plot.
 #[must_use]
-pub fn render_level_timeline(events: &[TraceEvent], opts: &TimelineOptions) -> Option<String> {
+pub fn render_level_timeline(events: &[TraceEvent]) -> Option<String> {
     let steps = level_steps(events);
     if steps.is_empty() {
         return None;
     }
     let t_end = steps.iter().map(|&(t, _)| t).fold(0.0f64, f64::max).max(1e-9);
-    let width = opts.width.max(8);
+    let width = WIDTH;
     let max_level = steps.iter().map(|&(_, l)| l).max().unwrap_or(0);
-    let rows = (max_level + 1).max(
-        opts.level_names.len().min(u32::MAX as usize) as u32,
-    );
+    let rows = (max_level + 1).max(LEVEL_NAMES.len() as u32);
 
     // Majority level per column.
     let mut col_level = vec![0u32; width];
@@ -99,10 +78,7 @@ pub fn render_level_timeline(events: &[TraceEvent], opts: &TimelineOptions) -> O
     }
 
     let name_of = |l: u32| -> String {
-        opts.level_names
-            .get(l as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("L{l}"))
+        LEVEL_NAMES.get(l as usize).map_or_else(|| format!("L{l}"), |n| n.to_string())
     };
     let label_w = (0..rows).map(|l| name_of(l).len()).max().unwrap_or(2).max(2);
 
@@ -137,41 +113,39 @@ pub fn render_level_timeline(events: &[TraceEvent], opts: &TimelineOptions) -> O
         end_pos = width - width / 2 - mid.len().min(width / 2)
     );
 
-    if opts.with_rate {
-        let rates: Vec<(f64, f64)> = events
-            .iter()
-            .filter_map(|ev| match ev {
-                TraceEvent::Epoch(e) if e.rate.is_finite() => Some((e.t, e.rate)),
-                _ => None,
-            })
-            .collect();
-        if !rates.is_empty() {
-            let max_rate = rates.iter().map(|&(_, r)| r).fold(0.0f64, f64::max).max(1e-9);
-            const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-            let mut cols = vec![(0.0f64, 0u32); width];
-            for &(t, r) in &rates {
-                let col = ((t / t_end * width as f64) as usize).min(width - 1);
-                cols[col].0 += r;
-                cols[col].1 += 1;
-            }
-            let mut line = String::new();
-            for &(sum, n) in &cols {
-                if n == 0 {
-                    line.push(' ');
-                } else {
-                    let frac = (sum / n as f64) / max_rate;
-                    let g = ((frac * (GLYPHS.len() - 1) as f64).round() as usize)
-                        .min(GLYPHS.len() - 1);
-                    line.push(GLYPHS[g]);
-                }
-            }
-            let _ = writeln!(
-                out,
-                "{:>label_w$} |{line}| app rate (peak {:.1} MB/s)",
-                "rate",
-                max_rate / 1e6
-            );
+    let rates: Vec<(f64, f64)> = events
+        .iter()
+        .filter_map(|ev| match ev {
+            TraceEvent::Epoch(e) if e.rate.is_finite() => Some((e.t, e.rate)),
+            _ => None,
+        })
+        .collect();
+    if !rates.is_empty() {
+        let max_rate = rates.iter().map(|&(_, r)| r).fold(0.0f64, f64::max).max(1e-9);
+        const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+        let mut cols = vec![(0.0f64, 0u32); width];
+        for &(t, r) in &rates {
+            let col = ((t / t_end * width as f64) as usize).min(width - 1);
+            cols[col].0 += r;
+            cols[col].1 += 1;
         }
+        let mut line = String::new();
+        for &(sum, n) in &cols {
+            if n == 0 {
+                line.push(' ');
+            } else {
+                let frac = (sum / n as f64) / max_rate;
+                let g = ((frac * (GLYPHS.len() - 1) as f64).round() as usize)
+                    .min(GLYPHS.len() - 1);
+                line.push(GLYPHS[g]);
+            }
+        }
+        let _ = writeln!(
+            out,
+            "{:>label_w$} |{line}| app rate (peak {:.1} MB/s)",
+            "rate",
+            max_rate / 1e6
+        );
     }
     Some(out)
 }
@@ -201,7 +175,7 @@ mod tests {
         let events: Vec<TraceEvent> = (0..60)
             .map(|i| decision(2.0 * (i + 1) as f64, (i / 15) as u32))
             .collect();
-        let s = render_level_timeline(&events, &TimelineOptions::default()).unwrap();
+        let s = render_level_timeline(&events).unwrap();
         for name in ["HEAVY", "MEDIUM", "LIGHT", "NO"] {
             assert!(s.contains(name), "missing row {name} in:\n{s}");
         }
@@ -211,7 +185,7 @@ mod tests {
 
     #[test]
     fn empty_events_render_nothing() {
-        assert!(render_level_timeline(&[], &TimelineOptions::default()).is_none());
+        assert!(render_level_timeline(&[]).is_none());
     }
 
     #[test]
@@ -229,7 +203,7 @@ mod tests {
                 .into()
             })
             .collect();
-        let s = render_level_timeline(&events, &TimelineOptions::default()).unwrap();
+        let s = render_level_timeline(&events).unwrap();
         assert!(s.contains("LIGHT"));
         assert!(s.contains('▁') || s.contains('█'));
     }

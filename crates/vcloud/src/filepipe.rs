@@ -19,33 +19,23 @@
 //! file channels.
 
 use crate::disk::VirtualDisk;
-use crate::platform::Platform;
 use crate::speed::SpeedModel;
 use adcomp_core::epoch::{EpochContext, EpochDriver};
 use adcomp_core::model::DecisionModel;
 use adcomp_corpus::Class;
 
-/// File-transfer experiment parameters.
+/// Block size (paper: ≤ 128 KiB).
+const BLOCK_LEN: u64 = 128 * 1024;
+/// Decision epoch, seconds (paper: 2 s); also the fsync period.
+const EPOCH_SECS: f64 = 2.0;
+
+/// File-transfer experiment parameters. The guest is a XEN one: its host's
+/// write-back cache is the mirage this module is about.
 #[derive(Debug, Clone)]
 pub struct FileTransferConfig {
-    pub platform: Platform,
     pub total_bytes: u64,
-    pub block_len: usize,
-    pub epoch_secs: f64,
     /// `fsync` every epoch so the controller sees the durable rate.
     pub sync_aware: bool,
-}
-
-impl Default for FileTransferConfig {
-    fn default() -> Self {
-        FileTransferConfig {
-            platform: Platform::XenPara,
-            total_bytes: 10_000_000_000,
-            block_len: 128 * 1024,
-            epoch_secs: 2.0,
-            sync_aware: false,
-        }
-    }
 }
 
 /// Result of a simulated file transfer.
@@ -77,20 +67,16 @@ pub fn run_file_transfer(
     model: Box<dyn DecisionModel>,
 ) -> FileOutcome {
     assert_eq!(model.num_levels(), speed.num_levels());
-    let mut disk = if cfg.platform.host_writeback_cache() {
-        VirtualDisk::xen_paper_default()
-    } else {
-        VirtualDisk::write_through(cfg.platform.disk_write_bps())
-    };
-    let mut driver = EpochDriver::new(model, cfg.epoch_secs, 0.0);
+    let mut disk = VirtualDisk::xen_paper_default();
+    let mut driver = EpochDriver::new(model, EPOCH_SECS, 0.0);
     let mut t = 0.0f64;
     let mut produced = 0u64;
     let mut wire_total = 0u64;
     let mut blocks_per_level = vec![0u64; speed.num_levels()];
-    let mut next_sync_t = cfg.epoch_secs;
+    let mut next_sync_t = EPOCH_SECS;
 
     while produced < cfg.total_bytes {
-        let block = (cfg.block_len as u64).min(cfg.total_bytes - produced);
+        let block = BLOCK_LEN.min(cfg.total_bytes - produced);
         let level = driver.level();
         let prof = speed.profile(class, level);
         let wire = (block as f64 * prof.ratio) as u64 + crate::pipeline_header_len() as u64;
@@ -104,7 +90,7 @@ pub fn run_file_transfer(
             // the durable rate, not the cache mirage — consistently, every
             // epoch.
             t += disk.sync_secs();
-            next_sync_t = t + cfg.epoch_secs;
+            next_sync_t = t + EPOCH_SECS;
         }
         produced += block;
         wire_total += wire;
@@ -129,45 +115,18 @@ mod tests {
     use super::*;
     use adcomp_core::model::{RateBasedModel, StaticModel};
 
-    fn cfg(platform: Platform, sync_aware: bool) -> FileTransferConfig {
+    fn cfg(sync_aware: bool) -> FileTransferConfig {
         FileTransferConfig {
-            platform,
             total_bytes: 5_000_000_000,
             sync_aware,
-            ..Default::default()
         }
-    }
-
-    #[test]
-    fn write_through_static_levels_behave_like_network_case() {
-        let speed = SpeedModel::paper_fit();
-        // KVM (write-through): LIGHT beats NO on compressible data because
-        // the 76 MB/s disk is the bottleneck.
-        let no = run_file_transfer(
-            &cfg(Platform::KvmPara, false),
-            &speed,
-            Class::High,
-            Box::new(StaticModel::new(0, 4)),
-        );
-        let light = run_file_transfer(
-            &cfg(Platform::KvmPara, false),
-            &speed,
-            Class::High,
-            Box::new(StaticModel::new(1, 4)),
-        );
-        assert!(
-            light.durable_secs < no.durable_secs / 2.0,
-            "LIGHT {} vs NO {}",
-            light.durable_secs,
-            no.durable_secs
-        );
     }
 
     #[test]
     fn xen_cache_inflates_apparent_over_durable() {
         let speed = SpeedModel::paper_fit();
         let out = run_file_transfer(
-            &cfg(Platform::XenPara, false),
+            &cfg(false),
             &speed,
             Class::High,
             Box::new(StaticModel::new(0, 4)),
@@ -184,7 +143,7 @@ mod tests {
     fn cache_mirage_misleads_naive_adaptive_controller() {
         let speed = SpeedModel::paper_fit();
         let naive = run_file_transfer(
-            &cfg(Platform::XenPara, false),
+            &cfg(false),
             &speed,
             Class::High,
             Box::new(RateBasedModel::paper_default()),
@@ -203,13 +162,13 @@ mod tests {
     fn sync_aware_controller_recovers_compression_benefit() {
         let speed = SpeedModel::paper_fit();
         let naive = run_file_transfer(
-            &cfg(Platform::XenPara, false),
+            &cfg(false),
             &speed,
             Class::High,
             Box::new(RateBasedModel::paper_default()),
         );
         let aware = run_file_transfer(
-            &cfg(Platform::XenPara, true),
+            &cfg(true),
             &speed,
             Class::High,
             Box::new(RateBasedModel::paper_default()),
@@ -237,13 +196,13 @@ mod tests {
     fn incompressible_data_keeps_no_compression_either_way() {
         let speed = SpeedModel::paper_fit();
         let aware = run_file_transfer(
-            &cfg(Platform::XenPara, true),
+            &cfg(true),
             &speed,
             Class::Low,
             Box::new(RateBasedModel::paper_default()),
         );
         let no = run_file_transfer(
-            &cfg(Platform::XenPara, true),
+            &cfg(true),
             &speed,
             Class::Low,
             Box::new(StaticModel::new(0, 4)),

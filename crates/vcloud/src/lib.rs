@@ -40,9 +40,7 @@ pub use disk::VirtualDisk;
 pub use filepipe::{run_file_transfer, FileOutcome, FileTransferConfig};
 pub use fluctuation::{Ar1, Constant, Fluctuation, OnOff, Outages};
 pub use link::SharedLink;
-pub use multiflow::{
-    run_multiflow_traced, FlowOutcome, FlowSpec, MultiFlowConfig, MultiFlowOutcome,
-};
+pub use multiflow::{run_multiflow_traced, FlowOutcome, FlowSpec, MultiFlowOutcome};
 pub use pipeline::{
     run_transfer, run_transfer_traced, AlternatingClass, ClassSchedule, ConstantClass,
     TransferConfig, TransferOutcome,

@@ -36,32 +36,15 @@ pub struct FlowSpec {
     pub total_bytes: u64,
 }
 
-/// Scenario parameters.
-pub struct MultiFlowConfig {
-    pub platform: Platform,
-    /// Decision epoch per flow (paper: 2 s).
-    pub epoch_secs: f64,
-    /// Sender-side wire queue bound per flow, bytes.
-    pub send_queue_bytes: u64,
-    /// Fluid time quantum, seconds. Small enough to resolve epochs.
-    pub quantum_secs: f64,
-    /// Disable bandwidth fluctuation for deterministic tests.
-    pub deterministic: bool,
-    pub seed: u64,
-}
+/// The paper's §IV platform.
+const PLATFORM: Platform = Platform::KvmPara;
+/// Decision epoch per flow (paper: 2 s).
+const EPOCH_SECS: f64 = 2.0;
+/// Sender-side wire queue bound per flow, bytes.
+const SEND_QUEUE_BYTES: f64 = 2.0 * 1024.0 * 1024.0;
+/// Fluid time quantum, seconds: a four-hundredth of an epoch.
+const QUANTUM_SECS: f64 = 0.005;
 
-impl Default for MultiFlowConfig {
-    fn default() -> Self {
-        MultiFlowConfig {
-            platform: Platform::KvmPara,
-            epoch_secs: 2.0,
-            send_queue_bytes: 2 * 1024 * 1024,
-            quantum_secs: 0.005,
-            deterministic: false,
-            seed: 1,
-        }
-    }
-}
 
 /// Per-flow result.
 #[derive(Debug, Clone)]
@@ -128,24 +111,16 @@ struct FlowState {
 /// `flow_join` / `flow_leave` lifecycle events per flow and a periodic
 /// `link_arbitration` sample (active-flow count + per-flow share), so the
 /// arbitration behaviour is reconstructible from the trace. All timestamps
-/// are virtual time.
+/// are virtual time. `seed` seeds the link's bandwidth fluctuation.
 pub fn run_multiflow_traced(
-    cfg: &MultiFlowConfig,
+    seed: u64,
     speed: &SpeedModel,
     flows: Vec<FlowSpec>,
     trace: TraceHandle,
 ) -> MultiFlowOutcome {
     assert!(!flows.is_empty());
-    assert!(
-        cfg.quantum_secs > 0.0 && cfg.quantum_secs <= cfg.epoch_secs / 4.0,
-        "quantum must resolve epochs"
-    );
-    let mut fluct: Box<dyn Fluctuation> = if cfg.deterministic {
-        Platform::no_fluctuation()
-    } else {
-        cfg.platform.net_fluctuation(cfg.seed)
-    };
-    let base_bw = cfg.platform.net_bandwidth_bps();
+    let mut fluct: Box<dyn Fluctuation> = PLATFORM.net_fluctuation(seed);
+    let base_bw = PLATFORM.net_bandwidth_bps();
     let n = flows.len();
     // Co-location CPU pressure: each extra VM's I/O backend costs cycles
     // on every guest (same constant as the single-flow pipeline).
@@ -160,7 +135,7 @@ pub fn run_multiflow_traced(
                 name: spec.name,
                 class: spec.class,
                 total_bytes: spec.total_bytes,
-                driver: EpochDriver::new(spec.model, cfg.epoch_secs, 0.0),
+                driver: EpochDriver::new(spec.model, EPOCH_SECS, 0.0),
                 produced: 0,
                 epoch_pending: 0,
                 queue_bytes: 0.0,
@@ -187,7 +162,7 @@ pub fn run_multiflow_traced(
         }
     }
 
-    let dt = cfg.quantum_secs;
+    let dt = QUANTUM_SECS;
     let mut t = 0.0f64;
     let mut next_arb_emit = 0.0f64;
     let hard_stop = 1e7; // virtual-seconds safety net
@@ -212,7 +187,7 @@ pub fn run_multiflow_traced(
                 (1.0 / prof.compress_bps + prof.ratio / speed.tcp_proc_bps) / cpu_factor;
             let cpu_capacity_bytes = dt / per_byte;
             let queue_room =
-                ((cfg.send_queue_bytes as f64 - s.queue_bytes) / prof.ratio).max(0.0);
+                ((SEND_QUEUE_BYTES - s.queue_bytes) / prof.ratio).max(0.0);
             let remaining = (s.total_bytes - s.produced) as f64;
             let app_bytes = cpu_capacity_bytes.min(queue_room).min(remaining);
             if app_bytes > 0.0 {
@@ -235,7 +210,7 @@ pub fn run_multiflow_traced(
                 // epochs, not fluid quanta.
                 trace.observe(
                     SimEvent {
-                        epoch: (t / cfg.epoch_secs) as u64,
+                        epoch: (t / EPOCH_SECS) as u64,
                         t,
                         kind: "link_arbitration",
                         flow: SimEvent::NO_FLOW,
@@ -244,7 +219,7 @@ pub fn run_multiflow_traced(
                     }
                     .into(),
                 );
-                next_arb_emit = t + cfg.epoch_secs;
+                next_arb_emit = t + EPOCH_SECS;
             }
             for (i, s) in states.iter_mut().enumerate() {
                 if s.queue_bytes > 0.0 {
@@ -256,7 +231,7 @@ pub fn run_multiflow_traced(
                         if trace.enabled() {
                             trace.observe(
                                 SimEvent {
-                                    epoch: (leave_t / cfg.epoch_secs) as u64,
+                                    epoch: (leave_t / EPOCH_SECS) as u64,
                                     t: leave_t,
                                     kind: "flow_leave",
                                     flow: i as u32,
@@ -329,18 +304,14 @@ mod tests {
         }
     }
 
-    fn untraced(cfg: &MultiFlowConfig, speed: &SpeedModel, flows: Vec<FlowSpec>) -> MultiFlowOutcome {
-        run_multiflow_traced(cfg, speed, flows, TraceHandle::disabled())
-    }
-
-    fn det_cfg() -> MultiFlowConfig {
-        MultiFlowConfig { deterministic: true, ..Default::default() }
+    fn untraced(seed: u64, speed: &SpeedModel, flows: Vec<FlowSpec>) -> MultiFlowOutcome {
+        run_multiflow_traced(seed, speed, flows, TraceHandle::disabled())
     }
 
     #[test]
     fn single_flow_matches_wire_bound_rate() {
         let speed = SpeedModel::paper_fit();
-        let out = untraced(&det_cfg(), &speed, vec![spec("a", Class::High, Some(0), 1)]);
+        let out = untraced(1, &speed, vec![spec("a", Class::High, Some(0), 1)]);
         let rate = out.flows[0].mean_app_rate / 1e6;
         // Solo uncompressed ≈ the platform's ~100 MB/s wire rate.
         assert!((88.0..105.0).contains(&rate), "rate {rate}");
@@ -351,7 +322,7 @@ mod tests {
     fn two_equal_flows_share_fairly() {
         let speed = SpeedModel::paper_fit();
         let out = untraced(
-            &det_cfg(),
+            1,
             &speed,
             vec![spec("a", Class::Low, Some(0), 1), spec("b", Class::Low, Some(0), 1)],
         );
@@ -368,14 +339,14 @@ mod tests {
         let speed = SpeedModel::paper_fit();
         // Both uncompressed baseline.
         let base = untraced(
-            &det_cfg(),
+            1,
             &speed,
             vec![spec("a", Class::High, Some(0), 1), spec("b", Class::Low, Some(0), 1)],
         );
         // Flow a compresses (LIGHT): its wire demand drops ~10×, so flow b
         // should finish markedly faster too.
         let adaptive = untraced(
-            &det_cfg(),
+            1,
             &speed,
             vec![spec("a", Class::High, Some(1), 1), spec("b", Class::Low, Some(0), 1)],
         );
@@ -392,7 +363,7 @@ mod tests {
         let speed = SpeedModel::paper_fit();
         let classes = [Class::High, Class::Moderate, Class::High];
         let none = untraced(
-            &det_cfg(),
+            1,
             &speed,
             classes
                 .iter()
@@ -401,7 +372,7 @@ mod tests {
                 .collect(),
         );
         let all = untraced(
-            &det_cfg(),
+            1,
             &speed,
             classes
                 .iter()
@@ -421,7 +392,7 @@ mod tests {
     fn adaptive_controllers_do_not_starve_each_other() {
         let speed = SpeedModel::paper_fit();
         let out = untraced(
-            &det_cfg(),
+            1,
             &speed,
             vec![
                 spec("a", Class::High, None, 1),
@@ -445,7 +416,7 @@ mod tests {
     fn mismatched_volumes_finish_in_order() {
         let speed = SpeedModel::paper_fit();
         let out = untraced(
-            &det_cfg(),
+            1,
             &speed,
             vec![spec("small", Class::Low, Some(0), 1), spec("big", Class::Low, Some(0), 3)],
         );
@@ -460,7 +431,7 @@ mod tests {
         let speed = SpeedModel::paper_fit();
         let trace = TraceHandle::collecting();
         let out = run_multiflow_traced(
-            &det_cfg(),
+            1,
             &speed,
             vec![spec("a", Class::High, Some(1), 1), spec("b", Class::Low, Some(0), 1)],
             trace.clone(),
@@ -492,7 +463,7 @@ mod tests {
         let speed = SpeedModel::paper_fit();
         let mk = || {
             untraced(
-                &MultiFlowConfig { seed: 7, ..Default::default() },
+                7,
                 &speed,
                 vec![spec("a", Class::Moderate, None, 1), spec("b", Class::High, Some(0), 1)],
             )

@@ -70,6 +70,13 @@ impl ClassSchedule for AlternatingClass {
     }
 }
 
+/// Block size (paper: ≤ 128 KiB).
+const BLOCK_LEN: usize = 128 * 1024;
+/// Bounded send queue between compression and wire, in blocks.
+const SEND_QUEUE_BLOCKS: usize = 8;
+/// Bounded receive queue between wire and decompression, in blocks.
+const RECV_QUEUE_BLOCKS: usize = 8;
+
 /// Transfer experiment parameters.
 #[derive(Debug, Clone)]
 pub struct TransferConfig {
@@ -80,14 +87,8 @@ pub struct TransferConfig {
     pub background_flows: usize,
     /// Total application bytes to move (paper: 50 GB).
     pub total_bytes: u64,
-    /// Block size (paper: ≤ 128 KiB).
-    pub block_len: usize,
     /// Decision epoch `t` in seconds (paper: 2 s).
     pub epoch_secs: f64,
-    /// Bounded send queue between compression and wire, in blocks.
-    pub send_queue_blocks: usize,
-    /// Bounded receive queue between wire and decompression, in blocks.
-    pub recv_queue_blocks: usize,
     /// Relative jitter on per-block CPU time.
     pub cpu_jitter: f64,
     /// Disables bandwidth fluctuation (deterministic tests).
@@ -107,10 +108,7 @@ impl TransferConfig {
             platform: Platform::KvmPara,
             background_flows: 0,
             total_bytes: 50_000_000_000,
-            block_len: 128 * 1024,
             epoch_secs: 2.0,
-            send_queue_blocks: 8,
-            recv_queue_blocks: 8,
             cpu_jitter: 0.02,
             deterministic: false,
             seed: 1,
@@ -175,7 +173,7 @@ pub fn run_transfer_traced(
     trace: TraceHandle,
 ) -> TransferOutcome {
     assert_eq!(model.num_levels(), speed.num_levels());
-    assert!(cfg.block_len > 0 && cfg.total_bytes > 0);
+    assert!(cfg.total_bytes > 0);
 
     let fluct = if cfg.deterministic {
         Platform::no_fluctuation()
@@ -212,8 +210,8 @@ pub fn run_transfer_traced(
     let mut record_clock = 0.0f64;
     let mut net_free = 0.0f64;
     let mut rx_free = 0.0f64;
-    let mut net_done_q: VecDeque<f64> = VecDeque::with_capacity(cfg.send_queue_blocks);
-    let mut rx_done_q: VecDeque<f64> = VecDeque::with_capacity(cfg.recv_queue_blocks);
+    let mut net_done_q: VecDeque<f64> = VecDeque::with_capacity(SEND_QUEUE_BLOCKS);
+    let mut rx_done_q: VecDeque<f64> = VecDeque::with_capacity(RECV_QUEUE_BLOCKS);
 
     // Per-epoch accumulators for the CPU/network traces.
     let mut epoch_cpu_busy = 0.0f64;
@@ -239,7 +237,7 @@ pub fn run_transfer_traced(
     let displayed_bw = cfg.platform.net_bandwidth_bps();
 
     while produced < cfg.total_bytes {
-        let block = (cfg.block_len as u64).min(cfg.total_bytes - produced) as usize;
+        let block = (BLOCK_LEN as u64).min(cfg.total_bytes - produced) as usize;
         let class = schedule.class_at(produced);
         let level = driver.level();
         let prof = speed.profile(class, level);
@@ -251,7 +249,7 @@ pub fn run_transfer_traced(
         if cfg.cpu_jitter > 0.0 {
             comp_secs *= (1.0 + rng.normal(0.0, cfg.cpu_jitter)).clamp(0.5, 2.0);
         }
-        let backpressure = if net_done_q.len() >= cfg.send_queue_blocks {
+        let backpressure = if net_done_q.len() >= SEND_QUEUE_BLOCKS {
             net_done_q.pop_front().unwrap()
         } else {
             0.0
@@ -273,7 +271,7 @@ pub fn run_transfer_traced(
         record_clock = emit_t;
 
         // Stage 2: wire.
-        let rx_backpressure = if rx_done_q.len() >= cfg.recv_queue_blocks {
+        let rx_backpressure = if rx_done_q.len() >= RECV_QUEUE_BLOCKS {
             rx_done_q.pop_front().unwrap()
         } else {
             0.0
@@ -315,7 +313,7 @@ pub fn run_transfer_traced(
         let true_busy_frac = 1.0f64.min(epoch_cpu_busy / cfg.epoch_secs);
         let ctx = EpochContext {
             queue_depth,
-            queue_capacity: cfg.send_queue_blocks,
+            queue_capacity: SEND_QUEUE_BLOCKS,
             guest: Some(GuestMetrics {
                 cpu_idle_frac: (1.0 - true_busy_frac * display_factor).clamp(0.0, 1.0),
                 net_bandwidth: displayed_bw,

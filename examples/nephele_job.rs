@@ -26,7 +26,6 @@ fn run(mode: CompressionMode, label: &str, class: Class, mb: u64) -> (f64, Strea
 
     let exec = Executor {
         epoch_secs: 0.1, // fast adaptation for the demo
-        ..Executor::default()
     };
     let report = exec.run(g).unwrap();
     let sink: &SinkTask = report.task("receiver").unwrap();

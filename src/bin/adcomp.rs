@@ -12,7 +12,7 @@
 //! adcomp range      --offset N [--len N] [--pipeline-workers W] IN [OUT]
 //! adcomp probe      [IN]          # report compressibility + per-level ratios
 //! adcomp trace      [-l LEVEL] [-t EPOCH_S] [--class C] [--flows N] [--gb G] [OUT.jsonl]
-//! adcomp chaos      [--runs N] [--seed S] [--cases]   # fault-injection soak
+//! adcomp chaos      [--runs N] [--seed S]             # fault-injection soak
 //! adcomp chaos --net [--runs N] [--seed S] [--fault-rate R]  # socket-level soak
 //! adcomp serve      [--listen A] [--metrics A] [--max-streams N] [--tenant-streams N] [--rate-bps B] [--cache-mb M]
 //! adcomp put        --url HOST:PORT [--tenant T] [--id N] [IN]
@@ -47,7 +47,6 @@ struct Options {
     gb: f64,
     runs: usize,
     seed: u64,
-    cases: bool,
     pipeline_workers: usize,
     url: Option<String>,
     once: bool,
@@ -82,7 +81,7 @@ fn usage() -> ! {
          \x20      adcomp range      --offset N [--len N] IN [OUT]\n\
          \x20      adcomp probe      [IN]\n\
          \x20      adcomp trace      [-l LEVEL] [-t EPOCH_S] [--class C] [--flows N] [--gb G] [OUT.jsonl]\n\
-         \x20      adcomp chaos      [--runs N] [--seed S] [--cases] [--net [--fault-rate R] [--concurrency N]]\n\
+         \x20      adcomp chaos      [--runs N] [--seed S] [--net [--fault-rate R] [--concurrency N]]\n\
          \x20      adcomp serve      [--listen A] [--metrics A] [--max-streams N] [--tenant-streams N] [--rate-bps B] [--cache-mb M]\n\
          \x20      adcomp put        --url HOST:PORT [--tenant T] [--id N] [-l LEVEL] [IN]\n\
          \x20      adcomp get        --url HOST:PORT [--tenant T] [--id N] [--offset N] [--len N] [OUT]\n\
@@ -91,7 +90,7 @@ fn usage() -> ! {
          \x20      adcomp top        [--url HOST:PORT[/PATH]] [--once] [--raw] [--interval S] [--gb G]\n\
          LEVEL: NO | LIGHT | MEDIUM | HEAVY | DYNAMIC (default DYNAMIC)\n\
          C    : HIGH | MODERATE | LOW (default HIGH); N: 0..=3 (default 2); G: simulated GB (default 2)\n\
-         chaos: N seeded fault-injection runs (default 64); --cases streams per-case JSON lines;\n\
+         chaos: N seeded fault-injection runs (default 64);\n\
          \x20    --net runs real client-proxy-server transfers over loopback sockets\n\
          serve: overload-resilient daemon; exits 0 once drained (see `adcomp drain`)\n\
          top  : live dashboard from a served /metrics endpoint (--url), or a\n\
@@ -137,7 +136,6 @@ fn parse_options(args: &[String]) -> Options {
         gb: 2.0,
         runs: 64,
         seed: 0xC4405,
-        cases: false,
         // Workers default to $ADCOMP_THREADS when set, else serial.
         pipeline_workers: std::env::var("ADCOMP_THREADS")
             .ok()
@@ -224,7 +222,6 @@ fn parse_options(args: &[String]) -> Options {
                 i += 1;
                 opts.seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
             }
-            "--cases" => opts.cases = true,
             "--net" => opts.net = true,
             "--seekable" => opts.seekable = true,
             "--portfolio" => opts.portfolio = true,
@@ -554,8 +551,7 @@ fn cmd_probe(opts: Options) -> io::Result<()> {
 fn cmd_trace(opts: Options) -> io::Result<()> {
     use adcomp::metrics::registry::{self, RegistryMode};
     use adcomp::trace::{
-        render_level_timeline, render_registry, JsonlWriter, RunManifest, TimelineOptions,
-        TraceHandle,
+        render_level_timeline, render_registry, JsonlWriter, RunManifest, TraceHandle,
     };
     use adcomp::vcloud::{run_transfer_traced, ConstantClass, SpeedModel, TransferConfig};
 
@@ -605,7 +601,7 @@ fn cmd_trace(opts: Options) -> io::Result<()> {
     w.finish()?.flush()?;
 
     // Human-facing panels on stderr.
-    if let Some(tl) = render_level_timeline(&events, &TimelineOptions::default()) {
+    if let Some(tl) = render_level_timeline(&events) {
         eprintln!("{tl}");
     }
     eprintln!("{}", render_registry(&reg.snapshot()));
@@ -631,11 +627,6 @@ fn cmd_chaos(opts: Options) -> io::Result<()> {
 
     let cases = grid(opts.seed, opts.runs);
     let results: Vec<_> = cases.iter().map(run_case).collect();
-    if opts.cases {
-        for r in &results {
-            println!("{}", r.to_json());
-        }
-    }
     let summary = summarize(&results);
     println!("{}", summary.to_json());
     for r in results.iter().filter(|r| !r.ok()).take(8) {
@@ -807,7 +798,6 @@ fn cmd_net_chaos(opts: Options) -> io::Result<()> {
         seed: opts.seed,
         concurrency: opts.concurrency as u32,
         fault_rate: opts.fault_rate,
-        ..NetSoakConfig::default()
     };
     let mut show = |done: u32, total: u32| {
         eprint!("\radcomp chaos --net: {done}/{total} transfers");

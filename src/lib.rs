@@ -40,6 +40,8 @@
 //! `crates/bench` for the binaries that regenerate every figure and table
 //! of the paper.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod serve;
 
 pub use adcomp_codecs as codecs;

@@ -186,13 +186,16 @@ mod tests {
 
     #[test]
     fn oversize_put_is_rejected_fatally() {
-        let mut cfg = test_config();
-        cfg.max_transfer_bytes = 16;
-        let server = Server::start(cfg).unwrap();
-        let opts = PutOptions { tenant: "t".into(), transfer_id: 1, ..Default::default() };
-        let err = put(server.local_addr(), &[0u8; 64], &opts).unwrap_err();
-        assert!(err.to_string().contains("too_large"), "unexpected error: {err}");
-        server.shutdown();
+        let server = Server::start(test_config()).unwrap();
+        let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+        let total_len = server::MAX_TRANSFER_BYTES + 1;
+        let req = Request::Put { tenant: "t".into(), transfer_id: 1, total_len };
+        proto::write_request(&mut sock, &req).unwrap();
+        let reason = RejectReason::TooLarge;
+        assert_eq!(proto::read_response(&mut sock).unwrap(), Response::Reject { reason });
+        assert!(!reason.is_retryable(), "a client must not retry {reason:?}");
+        let stats = server.shutdown();
+        assert_eq!((stats.shed, stats.accepted), (1, 0));
     }
 
     #[test]
@@ -520,6 +523,34 @@ mod tests {
         // still proving the throttle engaged at all.
         assert!(elapsed > 0.2, "rate cap did not pace ingest ({elapsed:.3}s)");
         assert_eq!(get(server.local_addr(), "capped", 1, 0, u64::MAX, IO).unwrap(), data);
+        server.shutdown();
+    }
+
+    #[test]
+    fn idle_tenant_banks_no_more_than_a_burst() {
+        let rate = 400_000.0; // 400 kB/s
+        let mut cfg = test_config();
+        cfg.tenant_rate_bps = Some(rate);
+        let server = Server::start(cfg).unwrap();
+        let addr = server.local_addr();
+        // At NO the wire is the payload plus frame headers.
+        let opts = |id| PutOptions {
+            tenant: "idle".into(),
+            transfer_id: id,
+            level: Some(0),
+            ..Default::default()
+        };
+        // The first PUT opens the tenant's bucket; the tenant then idles
+        // for longer than the second payload takes at the cap (0.5 s).
+        put(addr, b"x", &opts(1)).unwrap();
+        let data = payload(5, 200_000);
+        std::thread::sleep(Duration::from_millis(600));
+        let t0 = Instant::now();
+        put(addr, &data, &opts(2)).unwrap();
+        let elapsed = t0.elapsed().as_secs_f64();
+        // The bucket keeps at most 50 ms of credit.
+        let floor = (data.len() as f64 - rate * 0.05) / rate;
+        assert!(elapsed >= floor, "idle credit let {} B through in {elapsed:.3}s", data.len());
         server.shutdown();
     }
 }

@@ -51,24 +51,12 @@ pub struct NetSoakConfig {
     /// Socket fault intensity in `[0, 1]` (see
     /// [`NetFaultSpec::from_rate`]); 0 = transparent wire.
     pub fault_rate: f64,
-    /// Smallest payload, bytes.
-    pub min_payload: usize,
-    /// Largest payload, bytes.
-    pub max_payload: usize,
 }
 
-impl Default for NetSoakConfig {
-    fn default() -> Self {
-        NetSoakConfig {
-            runs: 32,
-            seed: 1,
-            concurrency: 4,
-            fault_rate: 0.02,
-            min_payload: 4 * 1024,
-            max_payload: 64 * 1024,
-        }
-    }
-}
+/// Payload lengths span `[MIN_PAYLOAD, MAX_PAYLOAD)` bytes: from half of
+/// one of the soak's 8 KiB blocks to eight of them.
+const MIN_PAYLOAD: usize = 4 * 1024;
+const MAX_PAYLOAD: usize = 64 * 1024;
 
 /// Aggregate outcome of a soak; [`NetSoakSummary::to_json`] is the
 /// machine-readable artifact the CLI prints and CI checks.
@@ -179,9 +167,9 @@ pub fn run_net_soak(
         let mut clients = Vec::new();
         for i in 0..batch {
             let id = run + i;
-            let len = cfg.min_payload
+            let len = MIN_PAYLOAD
                 + (Prng::new(cfg.seed ^ 0xFACE ^ id as u64).next_u64() as usize)
-                    % (cfg.max_payload - cfg.min_payload).max(1);
+                    % (MAX_PAYLOAD - MIN_PAYLOAD);
             let data = soak_payload(cfg.seed.wrapping_add(id as u64), len);
             let opts = PutOptions {
                 tenant: format!("tenant-{}", id % 3),
@@ -336,8 +324,6 @@ mod tests {
             seed: 11,
             concurrency: 3,
             fault_rate: 0.0,
-            min_payload: 2 * 1024,
-            max_payload: 16 * 1024,
         };
         let s = run_net_soak(&cfg, None);
         assert!(s.clean(), "quiet soak violated a contract: {}", s.to_json());
@@ -352,8 +338,6 @@ mod tests {
             seed: 7,
             concurrency: 4,
             fault_rate: 0.05,
-            min_payload: 2 * 1024,
-            max_payload: 24 * 1024,
         };
         let s = run_net_soak(&cfg, None);
         assert!(s.clean(), "hostile soak violated a contract: {}", s.to_json());

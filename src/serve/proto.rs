@@ -150,11 +150,16 @@ fn write_framed(w: &mut impl Write, mut buf: Vec<u8>) -> io::Result<()> {
 /// Splits `framed` into the bytes its 4-byte CRC trailer covers and checks
 /// the trailer against them.
 fn split_trailer(framed: &[u8]) -> io::Result<&[u8]> {
-    let (seen, trailer) = framed.split_at(framed.len() - 4);
-    if u32::from_le_bytes(trailer.try_into().unwrap()) != crc32(seen) {
+    let (seen, trailer) = framed.split_last_chunk().ok_or_else(|| bad("control frame too short"))?;
+    if u32::from_le_bytes(*trailer) != crc32(seen) {
         return Err(bad("control frame failed CRC check"));
     }
     Ok(seen)
+}
+
+/// The first `N` bytes of `bytes`, for a little-endian field.
+fn field<const N: usize>(bytes: &[u8]) -> io::Result<[u8; N]> {
+    bytes.first_chunk().copied().ok_or_else(|| bad("control frame too short"))
 }
 
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
@@ -241,14 +246,11 @@ pub fn read_request(r: &mut impl Read) -> io::Result<Request> {
     let tenant_end = REQUEST_HEAD + tenant_len;
     let tenant = String::from_utf8(buf[REQUEST_HEAD..tenant_end].to_vec())
         .map_err(|_| bad("tenant not utf-8"))?;
-    let num = |i: usize| {
-        let at = tenant_end + 8 * i;
-        u64::from_le_bytes(buf[at..at + 8].try_into().unwrap())
-    };
+    let num = |i: usize| field(&buf[tenant_end + 8 * i..]).map(u64::from_le_bytes);
     Ok(if nums == 2 {
-        Request::Put { tenant, transfer_id: num(0), total_len: num(1) }
+        Request::Put { tenant, transfer_id: num(0)?, total_len: num(1)? }
     } else {
-        Request::Get { tenant, transfer_id: num(0), offset: num(1), len: num(2) }
+        Request::Get { tenant, transfer_id: num(0)?, offset: num(1)?, len: num(2)? }
     })
 }
 
@@ -338,7 +340,7 @@ pub fn read_response(r: &mut impl Read) -> io::Result<Response> {
         r.read_exact(&mut buf[REJECT_FRAME..])?;
         let seen = split_trailer(&buf)?;
         Ok(Response::Accept {
-            start_offset: u64::from_le_bytes(seen[1..9].try_into().unwrap()),
+            start_offset: u64::from_le_bytes(field(&seen[1..])?),
             level_cap: seen[9],
         })
     } else {
@@ -365,8 +367,8 @@ pub fn read_done(r: &mut impl Read) -> io::Result<Done> {
     }
     Ok(Done {
         ok: seen[0] == 0,
-        verified: u64::from_le_bytes(seen[1..9].try_into().unwrap()),
-        crc: u32::from_le_bytes(seen[9..13].try_into().unwrap()),
+        verified: u64::from_le_bytes(field(&seen[1..])?),
+        crc: u32::from_le_bytes(field(&seen[9..])?),
     })
 }
 

@@ -29,7 +29,7 @@
 //! * **Deadlines** — every socket read/write carries `io_timeout` (which
 //!   doubles as the idle timeout inside a request: a silent client trips
 //!   it; between requests the linger is the wait instead), and each
-//!   stream has an overall `max_stream_secs` wall budget against
+//!   stream has an overall wall budget, `MAX_STREAM_SECS`, against
 //!   slow-drip senders.
 //! * **Graceful drain** — a drain request stops admissions (new PUTs get
 //!   [`RejectReason::Draining`]) while in-flight streams run to
@@ -67,6 +67,13 @@ use std::time::{Duration, Instant};
 /// handlers (and the allocator arenas behind them) are gone soon after it.
 pub(crate) const HANDLER_LINGER: Duration = Duration::from_millis(500);
 
+/// Largest accepted transfer, application bytes; a PUT declaring more is
+/// refused with [`RejectReason::TooLarge`] before any payload byte is read.
+pub(crate) const MAX_TRANSFER_BYTES: u64 = 1 << 30;
+
+/// Overall wall budget per stream: the slow-drip guard.
+const MAX_STREAM_SECS: Duration = Duration::from_secs(600);
+
 /// Tuning for one daemon instance.
 #[derive(Clone)]
 pub struct ServeConfig {
@@ -76,13 +83,9 @@ pub struct ServeConfig {
     pub max_streams: usize,
     /// Per-tenant cap on concurrently admitted streams.
     pub per_tenant_streams: usize,
-    /// Largest accepted transfer, application bytes.
-    pub max_transfer_bytes: u64,
     /// Per-read/write socket deadline; also the idle timeout inside a
     /// request.
     pub io_timeout: Duration,
-    /// Overall wall budget per stream (slow-drip guard).
-    pub max_stream_secs: f64,
     /// Per-tenant ingest bandwidth cap, bytes/s (`None` = uncapped).
     pub tenant_rate_bps: Option<f64>,
     /// Byte budget for the hot-object block cache serving ranged GETs
@@ -96,9 +99,7 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             max_streams: 64,
             per_tenant_streams: 8,
-            max_transfer_bytes: 1 << 30,
             io_timeout: Duration::from_secs(5),
-            max_stream_secs: 600.0,
             tenant_rate_bps: None,
             cache_bytes: 64 << 20,
         }
@@ -204,9 +205,13 @@ impl Shared {
         }
     }
 
-    /// The state lock, on every path but [`StreamGuard`]'s release.
+    /// The state lock, on every path but [`StreamGuard`]'s release. Its
+    /// sections write counts, flags and whole buffers, none with a call
+    /// between two writes that belong together that could panic; so if a
+    /// handler panicked while holding it, every field still holds a value
+    /// some section finished writing, and the lock is taken over.
     fn lock(&self) -> MutexGuard<'_, State> {
-        self.state.lock().expect("state poisoned")
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn shed(&self, reason: RejectReason) {
@@ -335,7 +340,11 @@ impl Server {
                         },
                     ) {
                         Ok(h) => {
-                            let mut v = hs.lock().expect("handlers poisoned");
+                            // Only `retain`, `push` and `take` touch the
+                            // list; a panic in none of them leaves it
+                            // half-written, so a poisoned lock is taken
+                            // over.
+                            let mut v = hs.lock().unwrap_or_else(PoisonError::into_inner);
                             // Reap finished handlers so the vector stays
                             // bounded over a long-lived daemon.
                             v.retain(|h| !h.is_finished());
@@ -457,7 +466,10 @@ impl Server {
     }
 
     fn join_handlers(&self) {
-        let handles = std::mem::take(&mut *self.handlers.lock().expect("handlers poisoned"));
+        // A list of join handles, whole after any panic (see the accept
+        // loop): a poisoned lock is taken over.
+        let handles =
+            std::mem::take(&mut *self.handlers.lock().unwrap_or_else(PoisonError::into_inner));
         for h in handles {
             let _ = h.join();
         }
@@ -575,8 +587,10 @@ fn serve_request(shared: &Arc<Shared>, mut sock: &TcpStream) -> bool {
 /// is shed or counted. Once the byte is there, the request is read under
 /// `io_timeout` like the first one.
 fn next_request_arrives(shared: &Shared, sock: &Arc<TcpStream>) -> bool {
+    // The idle list only gains and loses whole entries, so a poisoned lock
+    // guards a consistent list and is taken over, as `stop_and_join` does.
     {
-        let mut idle = shared.idle_conns.lock().expect("idle conns poisoned");
+        let mut idle = shared.idle_conns.lock().unwrap_or_else(PoisonError::into_inner);
         if shared.stop.load(Ordering::Acquire) {
             return false;
         }
@@ -584,7 +598,11 @@ fn next_request_arrives(shared: &Shared, sock: &Arc<TcpStream>) -> bool {
     }
     let _ = sock.set_read_timeout(Some(HANDLER_LINGER));
     let arrived = matches!(sock.peek(&mut [0u8]), Ok(1));
-    shared.idle_conns.lock().expect("idle conns poisoned").retain(|s| !Arc::ptr_eq(s, sock));
+    shared
+        .idle_conns
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .retain(|s| !Arc::ptr_eq(s, sock));
     let _ = sock.set_read_timeout(Some(shared.cfg.io_timeout));
     arrived && !shared.stop.load(Ordering::Acquire)
 }
@@ -607,7 +625,7 @@ fn handle_put(
     if shared.draining.load(Ordering::Acquire) {
         return reject(RejectReason::Draining, sock);
     }
-    if total_len > shared.cfg.max_transfer_bytes {
+    if total_len > MAX_TRANSFER_BYTES {
         return reject(RejectReason::TooLarge, sock);
     }
     let (mut guard, start, mut crc) = match shared.admit((tenant, transfer_id), total_len) {
@@ -628,7 +646,10 @@ fn handle_put(
     // abort anywhere still leaves a resumable, CRC-clean prefix.
     let throttled: Box<dyn Read + Send + '_> = match shared.cfg.tenant_rate_bps {
         Some(bps) => {
-            let mut throttles = shared.tenant_throttles.lock().expect("throttles poisoned");
+            // A map of shared buckets that only gains whole entries: a
+            // poisoned lock is taken over.
+            let mut throttles =
+                shared.tenant_throttles.lock().unwrap_or_else(PoisonError::into_inner);
             let tenant = guard.key.0.clone();
             let throttle = throttles.entry(tenant).or_insert_with(|| SharedThrottle::new(bps));
             Box::new(ThrottledReader::new(sock, throttle.clone()))
@@ -638,7 +659,7 @@ fn handle_put(
     // The reader fails fast, which resume depends on: the verified prefix
     // has no gaps, and the stored wire reproduces every delivered byte.
     let mut reader = AdaptiveReader::new(CaptureReader { inner: throttled, captured: Vec::new() });
-    let deadline = Instant::now() + Duration::from_secs_f64(shared.cfg.max_stream_secs);
+    let deadline = Instant::now() + MAX_STREAM_SECS;
     let mut verified = start;
     let mut verified_wire = 0; // where the capture is cut, however the stream ends
     // The loop ends with `None` when the declared length arrived or the
@@ -1529,5 +1550,27 @@ mod tests {
         let s = server.cache_stats();
         assert!(s.resident_bytes <= data.len() as u64, "{s:?}");
         server.shutdown();
+    }
+
+    /// The state lock poisoned by a thread that panicked holding it: a PUT
+    /// and a ranged GET on the same server still succeed.
+    #[test]
+    fn puts_and_gets_succeed_past_a_poisoned_state_lock() {
+        let server = start();
+        let addr = server.local_addr();
+        std::thread::scope(|s| {
+            let died = s.spawn(|| {
+                let _held = server.shared.state.lock();
+                panic!("poisoning the state lock");
+            });
+            assert!(died.join().is_err());
+        });
+        assert!(server.shared.state.is_poisoned());
+        let data = body(50_000);
+        let opts = PutOptions { tenant: "t".into(), transfer_id: 1, ..Default::default() };
+        assert_eq!(put(addr, &data, &opts).unwrap().crc, crc32(&data));
+        assert_eq!(get(addr, "t", 1, 10_000, 5_000, IO).unwrap(), &data[10_000..15_000]);
+        let stats = server.shutdown();
+        assert_eq!(stats.completed, 1);
     }
 }

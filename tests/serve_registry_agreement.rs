@@ -11,18 +11,27 @@
 use adcomp::codecs::frame::encode_block;
 use adcomp::codecs::{codec_for, CodecId};
 use adcomp::metrics::registry::{self, CounterKind, LabelFamily, RegistryMode, RegistrySnapshot};
-use adcomp::serve::{proto, put, PutOptions, Request, Response, ServeConfig, Server};
+use adcomp::serve::{
+    proto, put, PutOptions, RejectReason, Request, Response, ServeConfig, Server,
+};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-/// A PUT of `t`/`id` for `total_len` bytes, accepted; the socket is left
-/// for the caller to feed.
-fn accepted_put(addr: SocketAddr, id: u64, total_len: u64) -> TcpStream {
+/// A PUT request of `t`/`id` for `total_len` bytes and the daemon's answer.
+fn put_request(addr: SocketAddr, id: u64, total_len: u64) -> (TcpStream, Response) {
     let mut sock = TcpStream::connect(addr).unwrap();
     let req = Request::Put { tenant: "t".into(), transfer_id: id, total_len };
     proto::write_request(&mut sock, &req).unwrap();
-    assert!(matches!(proto::read_response(&mut sock).unwrap(), Response::Accept { .. }));
+    let resp = proto::read_response(&mut sock).unwrap();
+    (sock, resp)
+}
+
+/// A PUT of `t`/`id` for `total_len` bytes, accepted; the socket is left
+/// for the caller to feed.
+fn accepted_put(addr: SocketAddr, id: u64, total_len: u64) -> TcpStream {
+    let (sock, resp) = put_request(addr, id, total_len);
+    assert!(matches!(resp, Response::Accept { .. }), "{resp:?}");
     sock
 }
 
@@ -40,7 +49,6 @@ fn serve_stats_and_registry_count_the_same_events() {
     let before = reg.snapshot();
     let server = Server::start(ServeConfig {
         io_timeout: Duration::from_secs(1),
-        max_transfer_bytes: 1 << 20,
         ..ServeConfig::default()
     })
     .unwrap();
@@ -64,9 +72,9 @@ fn serve_stats_and_registry_count_the_same_events() {
     accepted_put(addr, 2, total).write_all(&frames[..2].concat()).unwrap();
     wait_idle(&server);
     assert!(put(addr, &data, &opts(2)).unwrap().resumed);
-    // A `too_large` shed.
-    let err = put(addr, &vec![0u8; (1 << 20) + 1], &opts(3)).unwrap_err();
-    assert!(err.to_string().contains("too_large"), "unexpected error: {err}");
+    // A `too_large` shed: a PUT declaring more than the daemon takes.
+    let reason = RejectReason::TooLarge;
+    assert_eq!(put_request(addr, 3, u64::MAX).1, Response::Reject { reason });
     // An idle timeout.
     let _silent = accepted_put(addr, 4, total);
     wait_idle(&server);
