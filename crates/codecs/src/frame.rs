@@ -234,13 +234,34 @@ pub fn decode_block_with(
     decode_block_within(scratch, input, usize::MAX, out, max_frame)
 }
 
-/// [`decode_block_with`] of the block's first `want` bytes: the header
-/// checks and the payload CRC — over the *whole* payload — run before any
-/// decode, then [`Codec::decompress_within`] appends exactly
-/// `min(want, uncompressed_len)` bytes. What a bound skips is the decode
-/// of the block's tail, and with it the checks only that decode makes (a
-/// token past the bound, trailing bytes); a frame that fails those is
-/// still refused by a whole decode. On an error `out` is as it was.
+/// The checks a frame at the start of `input` passes before its payload
+/// is trusted: the checked header parse (magic, codec id, bomb guard), a
+/// payload that is all there, its CRC over the *whole* payload, and RAW's
+/// length rule (a stored payload is its block, byte for byte). Returns
+/// the header and the payload. [`decode_block_within`] decodes what this
+/// returns; a reader of a RAW frame may use the payload as the block.
+pub fn checked_payload(input: &[u8], max_frame: u32) -> Result<(FrameHeader, &[u8])> {
+    let head = input.first_chunk::<HEADER_LEN>().ok_or(CodecError::Truncated)?;
+    let header = FrameHeader::parse(head, max_frame)?;
+    let end = HEADER_LEN + header.payload_len as usize;
+    let payload = input.get(HEADER_LEN..end).ok_or(CodecError::Truncated)?;
+    let actual_crc = crc32(payload);
+    if actual_crc != header.crc {
+        return Err(CodecError::ChecksumMismatch { expected: header.crc, actual: actual_crc });
+    }
+    if header.codec == CodecId::Raw && header.payload_len != header.uncompressed_len {
+        return Err(CodecError::Corrupt("raw block length mismatch"));
+    }
+    Ok((header, payload))
+}
+
+/// [`decode_block_with`] of the block's first `want` bytes: the
+/// [`checked_payload`] checks run before any decode, then
+/// [`Codec::decompress_within`] appends exactly `min(want,
+/// uncompressed_len)` bytes. What a bound skips is the decode of the
+/// block's tail, and with it the checks only that decode makes (a token
+/// past the bound, trailing bytes); a frame that fails those is still
+/// refused by a whole decode. On an error `out` is as it was.
 pub fn decode_block_within(
     scratch: &mut DecodeScratch,
     input: &[u8],
@@ -248,19 +269,8 @@ pub fn decode_block_within(
     out: &mut Vec<u8>,
     max_frame: u32,
 ) -> Result<(FrameHeader, usize)> {
-    if input.len() < HEADER_LEN {
-        return Err(CodecError::Truncated);
-    }
-    let header = FrameHeader::parse(input[..HEADER_LEN].try_into().unwrap(), max_frame)?;
-    let total = HEADER_LEN + header.payload_len as usize;
-    if input.len() < total {
-        return Err(CodecError::Truncated);
-    }
-    let payload = &input[HEADER_LEN..total];
-    let actual_crc = crc32(payload);
-    if actual_crc != header.crc {
-        return Err(CodecError::ChecksumMismatch { expected: header.crc, actual: actual_crc });
-    }
+    let (header, payload) = checked_payload(input, max_frame)?;
+    let total = HEADER_LEN + payload.len();
     let out_start = out.len();
     if let Err(e) = codec_for(header.codec).decompress_within(
         scratch,

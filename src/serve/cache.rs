@@ -7,6 +7,12 @@
 //! makes the *second* request for a hot block free — a hit returns the
 //! decoded bytes without touching the decoder at all.
 //!
+//! Admission: the cache holds only bytes a decode produced. A block
+//! stored raw (its frame's payload *is* the block) is served as a slice
+//! of the sealed wire, checked as a decode would check it, and is never
+//! looked up, inserted or counted here; the budget goes to the blocks
+//! that cost a decode.
+//!
 //! Design:
 //!
 //! * **CRC-keyed** — the key is `(payload_crc, uncompressed_len)`, the

@@ -96,7 +96,7 @@ mod tests {
     use super::*;
     use super::testio::writer;
     use adcomp_codecs::crc32::crc32;
-    use adcomp_corpus::Prng;
+    use adcomp_corpus::{generate, Class, Prng};
     use std::io::Write;
     use std::net::{SocketAddr, TcpStream};
     use std::time::{Duration, Instant};
@@ -134,6 +134,12 @@ mod tests {
     /// Options for a `put` of `tenant`/`id` in 8 KiB blocks.
     fn in_8k_blocks(tenant: &str, transfer_id: u64) -> PutOptions {
         PutOptions { tenant: tenant.into(), transfer_id, block_len: 8 * 1024, ..Default::default() }
+    }
+
+    /// [`in_8k_blocks`] at LIGHT: on text every block is compressed, and
+    /// only compressed blocks pass through the block cache.
+    fn light_8k_blocks(tenant: &str, transfer_id: u64) -> PutOptions {
+        PutOptions { level: Some(1), ..in_8k_blocks(tenant, transfer_id) }
     }
 
     /// Waits until no admitted stream is in flight.
@@ -337,8 +343,9 @@ mod tests {
 
     #[test]
     fn ranged_get_serves_sealed_wire_without_decoded_payloads() {
-        // The server holds only compressed wire + the block index, and
-        // every GET decodes (or cache-serves) blocks.
+        // The server holds only the stored wire + the block index, and
+        // every GET serves its blocks out of that wire: stored ones as
+        // they lie, compressed ones decoded (or from the cache).
         let server = Server::start(test_config()).unwrap();
         let data = payload(10, 300_000);
         put(server.local_addr(), &data, &in_8k_blocks("t", 1)).unwrap();
@@ -362,8 +369,8 @@ mod tests {
     #[test]
     fn hot_object_gets_hit_cache_without_invoking_decoder() {
         let server = Server::start(test_config()).unwrap();
-        let data = payload(11, 200_000);
-        put(server.local_addr(), &data, &in_8k_blocks("hot", 3)).unwrap();
+        let data = generate(Class::Moderate, 200_000, 11);
+        put(server.local_addr(), &data, &light_8k_blocks("hot", 3)).unwrap();
         let addr = server.local_addr();
         // Warm the covering blocks once (these are the only misses).
         let (offset, len) = (40_000u64, 30_000u64);
@@ -398,8 +405,8 @@ mod tests {
         let mut cfg = test_config();
         cfg.cache_bytes = 64 * 1024; // tiny: a handful of 8 KiB blocks
         let server = Server::start(cfg).unwrap();
-        let data = payload(12, 400_000);
-        put(server.local_addr(), &data, &in_8k_blocks("t", 1)).unwrap();
+        let data = generate(Class::Moderate, 400_000, 12);
+        put(server.local_addr(), &data, &light_8k_blocks("t", 1)).unwrap();
         let addr = server.local_addr();
         // Sweep the whole object so far more blocks are decoded than fit.
         for start in (0..data.len() as u64).step_by(32 * 1024) {

@@ -45,9 +45,9 @@ use super::proto::{
     Response, NO_LEVEL_CAP,
 };
 use adcomp_codecs::crc32::Hasher;
-use adcomp_codecs::frame::{decode_block_within, DEFAULT_MAX_FRAME};
-use adcomp_codecs::seek::StreamIndex;
-use adcomp_codecs::DecodeScratch;
+use adcomp_codecs::frame::{checked_payload, decode_block_within, DEFAULT_MAX_FRAME, HEADER_LEN};
+use adcomp_codecs::seek::{IndexEntry, StreamIndex};
+use adcomp_codecs::{CodecId, DecodeScratch};
 use adcomp_core::stream::AdaptiveReader;
 use adcomp_core::{SharedThrottle, ThrottledReader};
 use adcomp_metrics::registry::{
@@ -163,8 +163,43 @@ struct Transfer {
 /// A completed transfer's compressed bytes plus the block index that
 /// makes them randomly accessible.
 struct SealedObject {
-    wire: Vec<u8>,
+    /// Shared with the GET replies that serve stored blocks out of it.
+    wire: Arc<Vec<u8>>,
     index: StreamIndex,
+    /// One bit per index entry, set once that stored block's frame has
+    /// passed its check: later reads trust it, as a cache hit trusts the
+    /// bytes a checked decode produced.
+    checked: Vec<AtomicU64>,
+}
+
+impl SealedObject {
+    fn new(wire: Vec<u8>, index: StreamIndex) -> SealedObject {
+        let checked = (0..index.entries.len().div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        SealedObject { wire: Arc::new(wire), index, checked }
+    }
+
+    /// Where stored block `e` starts in the wire: its frame's payload,
+    /// which the block's first read checks as a decode would.
+    fn stored_block(&self, e: &IndexEntry) -> std::io::Result<usize> {
+        let start = e.frame_offset as usize;
+        let at = self.index.entries.partition_point(|x| x.frame_offset < e.frame_offset);
+        let (word, bit) = (&self.checked[at / 64], 1u64 << (at % 64));
+        // The wire does not change after the seal, so the bit publishes
+        // nothing: `Relaxed`.
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            let frame = &self.wire[start..start + e.frame_len as usize];
+            let (header, payload) = checked_payload(frame, DEFAULT_MAX_FRAME).map_err(invalid)?;
+            if header.codec != CodecId::Raw || payload.len() != e.uncompressed_len as usize {
+                return Err(invalid("stored block unlike its index entry"));
+            }
+            word.fetch_or(bit, Ordering::Relaxed);
+        }
+        Ok(start + HEADER_LEN)
+    }
+}
+
+fn invalid(err: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, err)
 }
 
 /// Admission and transfer state, behind [`Shared::state`]. Its critical
@@ -741,7 +776,7 @@ fn handle_put(
         // trusted: the transfer completes unsealed and its GETs are refused.
         match StreamIndex::scan(&guard.wire) {
             Ok(index) if index.total_uncompressed() == total_len => {
-                let sealed = SealedObject { wire: std::mem::take(&mut guard.wire), index };
+                let sealed = SealedObject::new(std::mem::take(&mut guard.wire), index);
                 let mut state = shared.lock();
                 let t = state.transfers.get_mut(&guard.key).expect("busy transfer vanished");
                 t.sealed = Some(Arc::new(sealed));
@@ -782,11 +817,12 @@ impl Read for CaptureReader<'_> {
     }
 }
 
-/// Serves a ranged GET of a completed transfer by decoding only the
-/// covering blocks out of its sealed wire — through the block cache, so a
-/// hot block is decoded once and then served from memory. The reply —
-/// accept frame, body, CRC trailer — leaves in one vectored write straight
-/// from the blocks. True when the reply went out; a refusal is false.
+/// Serves a ranged GET of a completed transfer out of its sealed wire:
+/// a stored (RAW) block is a slice of the wire, and a compressed block is
+/// decoded through the block cache, so a hot block is decoded once and
+/// then served from memory. The reply — accept frame, body, CRC trailer —
+/// leaves in one vectored write straight from the wire and the blocks.
+/// True when the reply went out; a refusal is false.
 fn handle_get<W: Write>(
     shared: &Shared,
     out: &mut W,
@@ -811,8 +847,8 @@ fn handle_get<W: Write>(
     let span = registry::span(SpanKind::RangedRead);
     shared.metric(|m| m.counter_add(CounterKind::RangedReads, 1));
     let Ok(blocks) = read_range_sealed(shared, &sealed, offset, len) else {
-        // The server's own wire failed to decode — nothing sane to serve;
-        // shed rather than ship wrong bytes.
+        // The server's own wire failed its checks — nothing sane to
+        // serve; shed rather than ship wrong bytes.
         return reject(out);
     };
     drop(span);
@@ -820,15 +856,20 @@ fn handle_get<W: Write>(
     write_get_reply(out, &parts).is_ok()
 }
 
-/// A decoded block and the part of it a ranged GET asked for.
+/// A part of a GET reply: a decoded block, or a sealed wire holding a
+/// stored block, and the bytes of it the reply takes.
 type Part = (Arc<Vec<u8>>, Range<usize>);
 
-/// The blocks covering `[offset, offset + len)` (clamped) of a sealed
-/// object, each with its share of the range. A block cached at least as
-/// far as its share reaches is used as it lies. A miss decodes the block
-/// only through its share's end and caches that prefix; a block whose
-/// cached prefix falls short of its share is read again, so it is decoded
-/// whole and replaces the prefix. Nothing is copied.
+/// The parts covering `[offset, offset + len)` (clamped) of a sealed
+/// object, one per covering block. A stored block is its frame's payload,
+/// so its part is that share of the sealed wire: its frame is checked as
+/// a decode would check it on the block's first read, and nothing is
+/// allocated, copied or cached. A compressed block cached at least as far
+/// as its share reaches is used as it lies. A miss decodes the block only
+/// through its share's end and caches that prefix; a block whose cached
+/// prefix falls short of its share is read again, so it is decoded whole
+/// and replaces the prefix. The cache thus holds only bytes a decode
+/// produced.
 fn read_range_sealed(
     shared: &Shared,
     sealed: &SealedObject,
@@ -838,6 +879,11 @@ fn read_range_sealed(
     let mut parts = Vec::new();
     let mut scratch = DecodeScratch::new();
     for (e, share) in sealed.index.shares(offset, len) {
+        if e.codec == CodecId::Raw {
+            let at = sealed.stored_block(&e)?;
+            parts.push((Arc::clone(&sealed.wire), at + share.start..at + share.end));
+            continue;
+        }
         let key = (e.crc, e.uncompressed_len);
         let want = match shared.cache.lookup(key, share.end) {
             Lookup::Hit(bytes) => {
@@ -851,12 +897,9 @@ fn read_range_sealed(
             [e.frame_offset as usize..(e.frame_offset + u64::from(e.frame_len)) as usize];
         let mut block = Vec::with_capacity(want);
         decode_block_within(&mut scratch, frame, want, &mut block, DEFAULT_MAX_FRAME)
-            .map_err(|err| std::io::Error::new(std::io::ErrorKind::InvalidData, err))?;
+            .map_err(invalid)?;
         if block.len() < share.end {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "decoded block shorter than its share",
-            ));
+            return Err(invalid("decoded block shorter than its share"));
         }
         // HEAVY and COLUMNAR decode whole and cut: the cache charges
         // length, so it keeps no capacity beyond it.
@@ -878,8 +921,6 @@ mod tests {
     use super::super::testio::{writer, Counting};
     use super::*;
     use adcomp_codecs::crc32::crc32;
-    use adcomp_codecs::frame::HEADER_LEN;
-    use adcomp_codecs::CodecId;
     use adcomp_core::Backoff;
     use adcomp_corpus::{generate, Class};
     use std::collections::HashSet;
@@ -1310,11 +1351,17 @@ mod tests {
         assert_eq!((s.aborts, s.completed, s.shed), (1, 1, 0));
     }
 
-    /// A started server holding `data` as `t`/1, put in `block_len` blocks.
+    /// A started server holding `data` as `t`/1, put at LIGHT in
+    /// `block_len` blocks.
     fn sealed_object(data: &[u8], block_len: usize) -> Server {
         let server = start();
-        let opts =
-            PutOptions { tenant: "t".into(), transfer_id: 1, block_len, ..Default::default() };
+        let opts = PutOptions {
+            tenant: "t".into(),
+            transfer_id: 1,
+            block_len,
+            level: Some(1),
+            ..Default::default()
+        };
         put(server.local_addr(), data, &opts).unwrap();
         assert!(server.is_sealed("t", 1));
         server
@@ -1373,23 +1420,32 @@ mod tests {
         server.shutdown();
     }
 
-    /// One GET whose body comes from a cached block, a block decoded for
-    /// it and the object's short last block, sent whole and through a
-    /// socket that takes 1 000 bytes a call.
+    /// One GET whose body comes from a cached block, a stored block, a
+    /// block decoded for it and the object's short last block, sent whole
+    /// and through a socket that takes 1 000 bytes a call.
     #[test]
     fn get_reply_over_a_hit_a_miss_and_a_partial_tail_is_the_two_frame_form() {
-        // 8 KiB blocks: block 34 starts at 278 528, the last (block 36,
-        // 5 088 bytes) at 294 912.
-        let data = body(300_000);
+        // 8 KiB blocks: block 33 (runs) starts at 270 336, block 34
+        // (text) at 278 528, block 35 (noise, stored) at 286 720 and the
+        // last (block 36, 2 730 bytes of runs) at 294 912.
+        let data = mixed_body(8 * 1024, 36);
         let server = sealed_object(&data, 8 * 1024);
-        let (offset, len) = (34 * 8192 + 100, 30_000);
-        // Warm block 34 through its end: the share the GET below needs.
+        let codecs = {
+            let state = server.shared.lock();
+            let sealed = state.transfers[&("t".to_string(), 1)].sealed.clone().unwrap();
+            sealed.index.entries[33..37].iter().map(|e| e.codec).collect::<Vec<_>>()
+        };
+        assert_eq!(codecs[2], CodecId::Raw, "{codecs:?}");
+        assert!(![0, 1, 3].iter().any(|&k| codecs[k] == CodecId::Raw), "{codecs:?}");
+        let (offset, len) = (33 * 8192 + 100, 30_000);
+        // Warm block 33 through its end: the share the GET below needs.
         let mut warm = Vec::new();
         handle_get(&server.shared, &mut warm, "t", 1, offset, 8192 - 100);
         let before = server.cache_stats();
         let mut out = Counting::new(Vec::new());
         handle_get(&server.shared, &mut out, "t", 1, offset, len);
         let after = server.cache_stats();
+        // The stored block is neither a hit nor a miss.
         assert_eq!((after.hits - before.hits, after.misses - before.misses), (1, 2));
         assert_eq!(out.calls, 1);
         assert_eq!(out.inner, two_frame_reply(&data, offset, len));
@@ -1465,6 +1521,67 @@ mod tests {
         let state = server.shared.lock();
         let sealed = state.transfers[&("t".to_string(), id)].sealed.clone().unwrap();
         sealed.index.entries.iter().map(|e| e.codec).collect()
+    }
+
+    /// The blocks of `t`/1 mixed_body's noise stores raw, as application
+    /// byte ranges.
+    fn stored_blocks(server: &Server) -> Vec<Range<u64>> {
+        let state = server.shared.lock();
+        let sealed = state.transfers[&("t".to_string(), 1)].sealed.clone().unwrap();
+        let stored = sealed.index.entries.iter().filter(|e| e.codec == CodecId::Raw);
+        stored.map(|e| e.uncompressed_offset..e.uncompressed_offset + u64::from(e.uncompressed_len))
+            .collect()
+    }
+
+    /// GETs covering only stored blocks, cold and again, leave every
+    /// cache counter where it was: a stored block is a slice of the wire.
+    #[test]
+    fn gets_of_stored_blocks_leave_the_cache_alone() {
+        let data = mixed_body(8 * 1024, 12);
+        let server = sealed_object(&data, 8 * 1024);
+        let stored = stored_blocks(&server);
+        assert_eq!(stored.len(), 4, "{stored:?}");
+        let before = server.cache_stats();
+        for b in &stored {
+            for (offset, len) in [(b.start, b.end - b.start), (b.start + 5, 100), (b.end - 1, 1)] {
+                for _ in 0..2 {
+                    let got = get(server.local_addr(), "t", 1, offset, len, IO).unwrap();
+                    assert_eq!(got, &data[offset as usize..(offset + len) as usize]);
+                }
+            }
+        }
+        assert_eq!(server.cache_stats(), before);
+        server.shutdown();
+    }
+
+    /// One payload byte of a stored block flipped in the sealed wire: a GET
+    /// covering that block is a typed reject counted in `shed`, and a GET
+    /// of a compressed block of the same object is still its source slice.
+    #[test]
+    fn a_flipped_byte_in_a_stored_block_is_refused_and_spares_the_rest() {
+        let data = mixed_body(8 * 1024, 6);
+        let server = sealed_object(&data, 8 * 1024);
+        let stored = stored_blocks(&server)[0].clone();
+        {
+            let mut state = server.shared.lock();
+            let t = state.transfers.get_mut(&("t".to_string(), 1)).unwrap();
+            let sealed = t.sealed.take().unwrap();
+            let e = sealed.index.entries.iter().find(|e| e.codec == CodecId::Raw).unwrap();
+            let mut wire = sealed.wire.to_vec();
+            wire[e.frame_offset as usize + HEADER_LEN + 7] ^= 0x10;
+            t.sealed = Some(Arc::new(SealedObject::new(wire, sealed.index.clone())));
+        }
+        let addr = server.local_addr();
+        for (offset, len) in [(stored.start, 100), (stored.start - 10, 20), (0, data.len() as u64)]
+        {
+            let err = get(addr, "t", 1, offset, len, IO).unwrap_err();
+            assert!(err.to_string().contains("bad_request"), "({offset}, {len}): {err}");
+        }
+        assert_eq!(server.stats().shed, 3);
+        let (offset, len) = (stored.start - 8192 + 3, 8000);
+        let got = get(addr, "t", 1, offset, len, IO).unwrap();
+        assert_eq!(got, &data[offset as usize..(offset + len) as usize]);
+        server.shutdown();
     }
 
     /// Over a socket, objects stored at LIGHT, at MEDIUM and through the

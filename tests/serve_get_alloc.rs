@@ -1,4 +1,5 @@
-//! **A hot ranged `get` allocates about one body, not two.**
+//! **A hot ranged `get` allocates about one body, not two; so does a
+//! cold one of stored blocks.**
 //!
 //! A counting global allocator tallies the bytes every `alloc`/`realloc`
 //! asks for, in every thread of the process — the daemon's connection
@@ -6,7 +7,8 @@
 //! `serve::get` on a kept-alive connection, the client's body buffer is
 //! the one allocation the size of the body: the daemon sends the cached
 //! blocks where they lie instead of assembling the reply in a buffer of
-//! its own.
+//! its own. A first `get` of blocks stored raw (incompressible data) is
+//! served as slices of the sealed wire: no block is allocated for it.
 //!
 //! This file intentionally contains a single `#[test]` so no concurrent
 //! test can disturb the allocation counter.
@@ -46,29 +48,61 @@ fn hot_ranged_get_allocates_less_than_one_and_a_half_bodies() {
     let io = Duration::from_secs(5);
     let server = Server::start(ServeConfig { io_timeout: io, ..ServeConfig::default() }).unwrap();
     let addr = server.local_addr();
-    let data: Vec<u8> =
-        (0..1u32 << 20).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
-    let opts = PutOptions { tenant: "t".into(), transfer_id: 1, ..Default::default() };
-    put(addr, &data, &opts).unwrap();
+    let len = 1 << 20;
+    // Object 1 compresses, so its blocks pass through the cache; object 2
+    // does not, so LIGHT stores every block of it raw.
+    let line = |i| format!("line {i} of a compressible object\n").into_bytes();
+    let text: Vec<u8> = (0..).flat_map(line).take(len).collect();
+    let mut x = 0x2545_F491u32;
+    let noise: Vec<u8> = (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            (x >> 24) as u8
+        })
+        .collect();
+    for (id, data) in [(1, &text), (2, &noise)] {
+        let opts = PutOptions {
+            tenant: "t".into(),
+            transfer_id: id,
+            level: Some(1),
+            ..Default::default()
+        };
+        put(addr, data, &opts).unwrap();
+    }
 
     // A range across a block boundary; the first get decodes and caches
     // its blocks, the second leaves the connection pooled and warm.
     let offset = 100_000;
-    let want = &data[offset as usize..(offset + BODY) as usize];
+    let range = offset as usize..(offset + BODY) as usize;
     for _ in 0..2 {
-        assert_eq!(get(addr, "t", 1, offset, BODY, io).unwrap(), want);
+        assert_eq!(get(addr, "t", 1, offset, BODY, io).unwrap(), &text[range.clone()]);
     }
     let hits = server.cache_stats().hits;
-
-    let before = BYTES.load(Ordering::Relaxed);
-    let got = get(addr, "t", 1, offset, BODY, io).unwrap();
-    let allocated = BYTES.load(Ordering::Relaxed) - before;
-
-    assert_eq!(got, want);
+    let (got, allocated) = counted(|| get(addr, "t", 1, offset, BODY, io).unwrap());
+    assert_eq!(got, &text[range.clone()]);
     assert!(server.cache_stats().hits > hits, "the measured get missed the cache");
     assert!(
         allocated * 2 < BODY * 3,
         "a hot {BODY}-byte get allocated {allocated} bytes (limit: 1.5 x the body)"
     );
+
+    // The first get of object 2, across the same block boundary.
+    let cache = server.cache_stats();
+    let (got, allocated) = counted(|| get(addr, "t", 2, offset, BODY, io).unwrap());
+    assert_eq!(got, &noise[range]);
+    assert_eq!(server.cache_stats(), cache, "a stored range went through the cache");
+    assert!(
+        allocated * 2 < BODY * 3,
+        "a cold stored {BODY}-byte get allocated {allocated} bytes (limit: 1.5 x the body)"
+    );
     server.shutdown();
+}
+
+/// What `f` returns and the bytes allocated while it ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.load(Ordering::Relaxed);
+    let out = f();
+    (out, BYTES.load(Ordering::Relaxed) - before)
 }
