@@ -14,19 +14,19 @@
 //!
 //! Run: `cargo run --release -p adcomp-bench --bin ablation_alpha [--quick]`
 
-use adcomp_bench::{experiment_bytes, runner, speed_model, to_paper_scale};
+use adcomp_bench::{experiment_bytes, runner, to_paper_scale};
 use adcomp_core::controller::ControllerConfig;
 use adcomp_core::model::RateBasedModel;
 use adcomp_corpus::Class;
 use adcomp_metrics::Table;
-use adcomp_vcloud::{run_transfer, ConstantClass, TransferConfig};
+use adcomp_vcloud::{run_transfer, ConstantClass, SpeedModel, TransferConfig};
 
 const ALPHAS: [f64; 4] = [0.05, 0.10, 0.20, 0.40];
 const SCENARIOS: [(Class, usize); 2] = [(Class::High, 0), (Class::Low, 2)];
 
 fn main() {
     let total = experiment_bytes();
-    let speed = speed_model();
+    let speed = SpeedModel::paper_fit();
     println!("ABLATION α: completion time [s, 50 GB scale] and level switches\n");
     // 4 α values × 2 scenarios fan out at once; every cell's seed is fixed
     // in its TransferConfig, so the grid is independent of scheduling.

@@ -13,19 +13,19 @@
 //!
 //! Run: `cargo run --release -p adcomp-bench --bin ablation_backoff [--quick]`
 
-use adcomp_bench::{experiment_bytes, runner, speed_model, to_paper_scale};
+use adcomp_bench::{experiment_bytes, runner, to_paper_scale};
 use adcomp_core::controller::ControllerConfig;
 use adcomp_core::model::RateBasedModel;
 use adcomp_corpus::Class;
 use adcomp_metrics::Table;
-use adcomp_vcloud::{run_transfer, ConstantClass, TransferConfig};
+use adcomp_vcloud::{run_transfer, ConstantClass, SpeedModel, TransferConfig};
 
 const VARIANTS: [(&str, u32); 2] = [("with backoff (paper)", 16), ("no backoff", 0)];
 const CLASSES: [Class; 2] = [Class::High, Class::Moderate];
 
 fn main() {
     let total = experiment_bytes();
-    let speed = speed_model();
+    let speed = SpeedModel::paper_fit();
     println!("ABLATION backoff: completion time [s, 50 GB scale] and probing volume\n");
     // 2 variants × 2 classes fan out at once; the seed is fixed per cell.
     let cells = runner::run_cells(VARIANTS.len() * CLASSES.len(), |idx| {

@@ -12,11 +12,13 @@
 //!
 //! Run: `cargo run --release -p adcomp-bench --bin ablation_epoch [--quick]`
 
-use adcomp_bench::{experiment_bytes, runner, speed_model, to_paper_scale};
+use adcomp_bench::{experiment_bytes, runner, to_paper_scale};
 use adcomp_core::model::RateBasedModel;
 use adcomp_corpus::Class;
 use adcomp_metrics::Table;
-use adcomp_vcloud::{run_transfer, AlternatingClass, ConstantClass, Platform, TransferConfig};
+use adcomp_vcloud::{
+    run_transfer, AlternatingClass, ConstantClass, Platform, SpeedModel, TransferConfig,
+};
 
 const TS: [f64; 5] = [0.5, 1.0, 2.0, 4.0, 8.0];
 /// Steady HIGH on KVM, HIGH under EC2 fluctuation, HIGH<->LOW switching.
@@ -24,7 +26,7 @@ const SCENARIOS: usize = 3;
 
 fn main() {
     let total = experiment_bytes();
-    let speed = speed_model();
+    let speed = SpeedModel::paper_fit();
     println!("ABLATION t (epoch length): completion time [s, 50 GB scale]\n");
     // 5 epoch lengths × 3 scenarios fan out at once; per-cell seeds are
     // fixed below, so the grid is independent of scheduling.

@@ -21,7 +21,7 @@
 //!
 //! Run: `cargo run --release -p adcomp-bench --bin baseline_models [--quick]`
 
-use adcomp_bench::{experiment_bytes, runner, speed_model, to_paper_scale};
+use adcomp_bench::{experiment_bytes, runner, to_paper_scale};
 use adcomp_core::model::{
     DecisionModel, MetricBasedModel, QueueBasedModel, RateBasedModel, SensorThresholdModel,
     StaticModel, ThresholdSamplingModel, TrainedLevel,
@@ -69,7 +69,7 @@ const FLOWS: [usize; 2] = [0, 2];
 
 fn main() {
     let total = experiment_bytes();
-    let speed = speed_model();
+    let speed = SpeedModel::paper_fit();
     println!(
         "BASELINES: completion time [s, 50 GB scale] under distorted guest metrics\n\
          (displayed CPU utilization off by the Fig. 1 gap; displayed bandwidth = nominal NIC)\n"

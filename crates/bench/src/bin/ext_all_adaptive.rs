@@ -13,12 +13,12 @@
 //!
 //! Run: `cargo run --release -p adcomp-bench --bin ext_all_adaptive [--quick]`
 
-use adcomp_bench::{experiment_bytes, runner, speed_model, trace_path};
+use adcomp_bench::{experiment_bytes, runner, trace_path};
 use adcomp_core::model::{RateBasedModel, StaticModel};
 use adcomp_corpus::Class;
 use adcomp_metrics::Table;
 use adcomp_trace::{JsonlWriter, RunManifest, TraceHandle};
-use adcomp_vcloud::{run_multiflow_traced, FlowSpec};
+use adcomp_vcloud::{run_multiflow_traced, FlowSpec, SpeedModel};
 
 fn flows(classes: &[Class], adaptive: &[bool], bytes: u64) -> Vec<FlowSpec> {
     classes
@@ -54,7 +54,7 @@ const DEPLOYMENTS: [(&str, [bool; 3]); 3] = [
 
 fn main() {
     let bytes = experiment_bytes() / 10; // per flow; 3 flows share the link
-    let speed = speed_model();
+    let speed = SpeedModel::paper_fit();
     println!(
         "EXT: three co-located senders, {:.1} GB each, shared KVM-para link\n",
         bytes as f64 / 1e9

@@ -15,16 +15,16 @@
 //! Run: `cargo run --release -p adcomp-bench --bin startup_table`
 
 use adcomp_bench::table2::FLOW_SETTINGS;
-use adcomp_bench::{make_model, runner, schemes, speed_model};
+use adcomp_bench::{make_model, runner, schemes};
 use adcomp_corpus::Class;
 use adcomp_metrics::Table;
-use adcomp_vcloud::{run_transfer, ConstantClass, TransferConfig};
+use adcomp_vcloud::{run_transfer, ConstantClass, SpeedModel, TransferConfig};
 
 const LENGTHS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 const REPS: usize = 3;
 
 fn main() {
-    let speed = speed_model();
+    let speed = SpeedModel::paper_fit();
     let base = TransferConfig::paper_default();
     let epoch_bytes = (base.epoch_secs * base.platform.net_bandwidth_bps()) as u64;
     let schemes = schemes();

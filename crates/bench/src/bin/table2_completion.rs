@@ -17,10 +17,11 @@
 use adcomp_bench::table2::{
     cell, compute_grid, compute_grid_traced, write_cell_traces, FLOW_SETTINGS,
 };
-use adcomp_bench::{experiment_bytes, repetitions, runner, schemes, speed_model, trace_path};
+use adcomp_bench::{experiment_bytes, repetitions, runner, schemes, trace_path};
 use adcomp_corpus::Class;
 use adcomp_metrics::{mean_sd_cell, Table};
 use adcomp_trace::JsonlWriter;
+use adcomp_vcloud::SpeedModel;
 
 /// Paper Table II reference values (seconds), `[flows][scheme][class]`.
 const PAPER: [[[f64; 3]; 5]; 4] = [
@@ -61,7 +62,7 @@ const PAPER: [[[f64; 3]; 5]; 4] = [
 fn main() {
     let total = experiment_bytes();
     let reps = repetitions();
-    let speed = speed_model();
+    let speed = SpeedModel::paper_fit();
     let workers = runner::threads();
     // Worker count goes to stderr so stdout is bit-identical for any
     // ADCOMP_THREADS setting (the determinism contract we regression-test).

@@ -9,8 +9,6 @@ pub mod table2;
 
 use adcomp_core::controller::ControllerConfig;
 use adcomp_core::model::{DecisionModel, RateBasedModel, StaticModel};
-use adcomp_vcloud::SpeedModel;
-use std::sync::Arc;
 
 /// The paper transfers 50 GB per cell; a full-fidelity sweep simulates in
 /// minutes. `--quick` scales volumes down ~10× for smoke runs.
@@ -94,28 +92,6 @@ pub fn repetitions() -> usize {
         2
     } else {
         3
-    }
-}
-
-/// The speed model every experiment binary should use.
-///
-/// By default this is the deterministic [`SpeedModel::paper_fit`] constants
-/// (free to construct). Setting `ADCOMP_MEASURED=1` instead calibrates the
-/// profile from this repository's *real* codecs — through the process-wide
-/// calibration cache ([`runner::measured_speed_model`]), so a binary whose
-/// cells all need the measured profile pays for the measurement once per
-/// process, not once per cell. `ADCOMP_HW_SCALE` (default `0.35`) rescales
-/// measured speeds toward the paper's 2008-era single core.
-pub fn speed_model() -> Arc<SpeedModel> {
-    if std::env::var("ADCOMP_MEASURED").is_ok_and(|v| v == "1") {
-        let hw_scale = std::env::var("ADCOMP_HW_SCALE")
-            .ok()
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|s| *s > 0.0)
-            .unwrap_or(0.35);
-        runner::measured_speed_model(256 * 1024, 0.05, hw_scale, 42)
-    } else {
-        Arc::new(SpeedModel::paper_fit())
     }
 }
 

@@ -16,17 +16,9 @@
 //!
 //! The `ADCOMP_THREADS` environment variable pins the worker count
 //! (`1` = fully serial in the calling thread; default = available cores).
-//!
-//! The module also hosts the process-wide calibration cache:
-//! [`measured_speed_model`] memoizes [`SpeedModel::measure`] runs so a grid
-//! whose cells all want the same measured profile pays for calibration
-//! once, not once per cell.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-use adcomp_vcloud::SpeedModel;
+use std::sync::Mutex;
 
 /// Worker count for [`run_cells`]: `ADCOMP_THREADS` if set (clamped to at
 /// least 1), otherwise the number of available cores.
@@ -95,35 +87,6 @@ where
     run_cells(items.len(), |i| f(i, &items[i]))
 }
 
-/// Cache key for [`measured_speed_model`]: `hw_scale` is keyed by bit
-/// pattern so the key is `Eq + Hash` without rounding surprises.
-type CalKey = (usize, u64, u64, u64);
-
-fn calibration_cache() -> &'static Mutex<HashMap<CalKey, Arc<SpeedModel>>> {
-    static CACHE: OnceLock<Mutex<HashMap<CalKey, Arc<SpeedModel>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Process-wide memoized [`SpeedModel::measure`]: measuring all 12
-/// (class, level) calibration cells costs real wall time, so grids whose
-/// cells share one measured profile calibrate once per process instead of
-/// once per cell. Cloning the returned [`Arc`] is free.
-pub fn measured_speed_model(
-    sample_len: usize,
-    seconds_per_cell: f64,
-    hw_scale: f64,
-    seed: u64,
-) -> Arc<SpeedModel> {
-    let key = (sample_len, seconds_per_cell.to_bits(), hw_scale.to_bits(), seed);
-    // Fast path under the lock; measure outside it would re-measure on a
-    // race, so hold the lock across the measurement — callers hitting the
-    // same key genuinely want the same (single) calibration run.
-    let mut cache = calibration_cache().lock().unwrap();
-    Arc::clone(cache.entry(key).or_insert_with(|| {
-        Arc::new(SpeedModel::measure(sample_len, seconds_per_cell, hw_scale, seed))
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,14 +115,5 @@ mod tests {
     fn map_cells_passes_items() {
         let items = ["a", "bb", "ccc"];
         assert_eq!(map_cells(&items, |i, s| s.len() + i), vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn calibration_cache_returns_same_model() {
-        let a = measured_speed_model(64 * 1024, 0.0, 0.5, 9);
-        let b = measured_speed_model(64 * 1024, 0.0, 0.5, 9);
-        assert!(Arc::ptr_eq(&a, &b));
-        let c = measured_speed_model(64 * 1024, 0.0, 0.5, 10);
-        assert!(!Arc::ptr_eq(&a, &c));
     }
 }

@@ -1,11 +1,15 @@
 //! Codec calibration: measures real speed and compression ratio of each
 //! codec on sample data.
 //!
-//! The cloud simulator needs per-level `(compress MB/s, decompress MB/s,
-//! ratio)` profiles. Rather than assuming numbers, benches measure our
-//! actual codecs on the actual generated corpus and then re-scale the speeds
-//! to the paper's hardware era with a single factor (the *shape* of the
-//! trade-off — ordering and relative gaps — comes from real measurements).
+//! The cloud simulator reads per-level `(compress MB/s, decompress MB/s,
+//! ratio)` profiles from committed tables, never from a measurement made
+//! while it runs. One of them, `adcomp_vcloud::speed::HOST_LADDER`, is this
+//! module's output: the `calibrate_codecs` bench binary measures our actual
+//! codecs on the actual generated corpus in interleaved rounds, prints each
+//! cell's median, IQR and drift from the committed table, and prints the
+//! table's rows for re-pinning it. The simulator scales those speeds to the
+//! paper's hardware era with a single factor (the *shape* of the trade-off
+//! — ordering and relative gaps — comes from real measurements).
 
 use crate::frame::{encode_block_with, DEFAULT_BLOCK_LEN};
 use crate::{codec_for, CodecId, Scratch};

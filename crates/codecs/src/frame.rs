@@ -208,23 +208,15 @@ pub fn encode_block_with(
 /// [`DEFAULT_MAX_FRAME`] before any allocation. Thin wrapper over
 /// [`decode_block_with`]; hot paths should hold a [`DecodeScratch`].
 pub fn decode_block(input: &[u8], out: &mut Vec<u8>) -> Result<(FrameHeader, usize)> {
-    decode_block_limited(input, out, DEFAULT_MAX_FRAME)
+    decode_block_with(&mut DecodeScratch::new(), input, out, DEFAULT_MAX_FRAME)
 }
 
-/// [`decode_block`] with an explicit decompression-bomb cap: both header
-/// length fields must be ≤ `max_frame` or the frame is rejected with
-/// [`CodecError::FrameTooLarge`] *before* any payload or output allocation.
-pub fn decode_block_limited(
-    input: &[u8],
-    out: &mut Vec<u8>,
-    max_frame: u32,
-) -> Result<(FrameHeader, usize)> {
-    decode_block_with(&mut DecodeScratch::new(), input, out, max_frame)
-}
-
-/// [`decode_block_limited`] with reusable decode working memory: zero
-/// per-block heap allocation in steady state, output byte-identical to the
-/// fresh-scratch path. [`decode_block_within`] with no bound.
+/// [`decode_block`] with reusable decode working memory and an explicit
+/// decompression-bomb cap: both header length fields must be ≤
+/// `max_frame` or the frame is rejected with [`CodecError::FrameTooLarge`]
+/// *before* any payload or output allocation. Zero per-block heap
+/// allocation in steady state, output byte-identical to the fresh-scratch
+/// path. [`decode_block_within`] with no bound.
 pub fn decode_block_with(
     scratch: &mut DecodeScratch,
     input: &[u8],

@@ -57,7 +57,7 @@
 //!   ([`StreamIndex::shares_from`]).
 
 use crate::crc32::crc32;
-use crate::frame::{FrameHeader, DEFAULT_MAX_FRAME, HEADER_LEN};
+use crate::frame::{checked_payload, FrameHeader, DEFAULT_MAX_FRAME, HEADER_LEN};
 use crate::{CodecError, CodecId, Result};
 
 /// Footer magic: "ADXI" (ADcomp indeX).
@@ -90,6 +90,25 @@ pub struct IndexEntry {
 }
 
 impl IndexEntry {
+    /// The one check of a block's frame against its entry, made before a
+    /// reader that found the block through this entry trusts it: the
+    /// [`checked_payload`] checks (header, whole payload, CRC, RAW's
+    /// length rule), then agreement with the entry on codec, both lengths
+    /// and CRC, and no index flag. `frame` is the wire from the entry's
+    /// `frame_offset` on. Returns the header and the payload.
+    pub fn check_frame<'a>(&self, frame: &'a [u8]) -> Result<(FrameHeader, &'a [u8])> {
+        let (header, payload) = checked_payload(frame, DEFAULT_MAX_FRAME)?;
+        if header.codec != self.codec
+            || header.uncompressed_len != self.uncompressed_len
+            || HEADER_LEN + payload.len() != self.frame_len as usize
+            || header.crc != self.crc
+            || header.index
+        {
+            return Err(CodecError::Corrupt("block frame disagrees with index entry"));
+        }
+        Ok((header, payload))
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.frame_offset.to_le_bytes());
         out.extend_from_slice(&self.uncompressed_offset.to_le_bytes());
@@ -450,6 +469,23 @@ mod tests {
         e.encode(&mut buf);
         assert_eq!(buf.len(), INDEX_ENTRY_LEN);
         assert_eq!(IndexEntry::decode(&buf).unwrap(), e);
+    }
+
+    #[test]
+    fn check_frame_holds_a_frame_to_its_entry() {
+        let b = b"frame check target ".repeat(100);
+        let (wire, index) = sample_stream(&[&b]);
+        let e = index.entries[0];
+        assert!(e.check_frame(&wire).is_ok());
+        // Each field the entry vouches for, changed alone, fails the check.
+        for forged in [
+            IndexEntry { codec: CodecId::Raw, ..e },
+            IndexEntry { uncompressed_len: e.uncompressed_len + 1, ..e },
+            IndexEntry { frame_len: e.frame_len - 1, ..e },
+            IndexEntry { crc: !e.crc, ..e },
+        ] {
+            assert!(forged.check_frame(&wire).is_err(), "{forged:?}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * **never bloat** — forged giant length fields are rejected by the
 //!   pre-allocation cap, not by the allocator.
 
-use adcomp_codecs::frame::{decode_block_limited, encode_block, HEADER_LEN};
+use adcomp_codecs::frame::{decode_block_with, encode_block, HEADER_LEN};
 use adcomp_codecs::{codec_for, compress_fresh, CodecId, DecodeScratch};
 use proptest::prelude::*;
 
@@ -47,7 +47,7 @@ proptest! {
         frame[idx] ^= 1 << bit.index(8);
         let mut out = Vec::new();
         prop_assert!(
-            decode_block_limited(&frame, &mut out, u32::MAX).is_err(),
+            decode_block_with(&mut DecodeScratch::new(), &frame, &mut out, u32::MAX).is_err(),
             "payload flip at byte {idx} slipped past the CRC"
         );
     }
@@ -67,8 +67,9 @@ proptest! {
         let mut frame = encode(codec, &data);
         let idx = pos.index(frame.len());
         frame[idx] ^= 1 << bit.index(8);
-        let mut out = Vec::new();
-        if let Ok((header, consumed)) = decode_block_limited(&frame, &mut out, u32::MAX) {
+        let (mut scratch, mut out) = (DecodeScratch::new(), Vec::new());
+        let decoded = decode_block_with(&mut scratch, &frame, &mut out, u32::MAX);
+        if let Ok((header, consumed)) = decoded {
             prop_assert_eq!(out.len(), header.uncompressed_len as usize);
             prop_assert!(consumed <= frame.len());
         }
@@ -86,9 +87,9 @@ proptest! {
         let codec = CODECS[ci.index(CODECS.len())];
         let frame = encode(codec, &data);
         let keep = cut.index(frame.len()); // 0..frame.len(), strictly short
-        let mut out = Vec::new();
+        let (mut scratch, mut out) = (DecodeScratch::new(), Vec::new());
         prop_assert!(
-            decode_block_limited(&frame[..keep], &mut out, u32::MAX).is_err(),
+            decode_block_with(&mut scratch, &frame[..keep], &mut out, u32::MAX).is_err(),
             "truncation to {keep}/{} bytes decoded successfully",
             frame.len()
         );
@@ -111,7 +112,7 @@ proptest! {
         let off = if field { 4 } else { 8 }; // uncompressed_len / payload_len
         frame[off..off + 4].copy_from_slice(&forged.to_le_bytes());
         let mut out = Vec::new();
-        prop_assert!(decode_block_limited(&frame, &mut out, cap).is_err());
+        prop_assert!(decode_block_with(&mut DecodeScratch::new(), &frame, &mut out, cap).is_err());
         prop_assert!(out.capacity() < forged as usize);
     }
 

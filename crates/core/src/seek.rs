@@ -31,8 +31,7 @@
 //! heap allocation — mirroring the streaming pipeline's contract.
 
 use crate::pipeline::{Decoded, DecodePool};
-use adcomp_codecs::crc32::crc32;
-use adcomp_codecs::frame::{FrameHeader, DEFAULT_MAX_FRAME, HEADER_LEN};
+use adcomp_codecs::frame::{FrameHeader, HEADER_LEN};
 use adcomp_codecs::seek::{IndexEntry, IndexFooter, StreamIndex, INDEX_FOOTER_LEN};
 use adcomp_codecs::CodecError;
 use adcomp_metrics::registry::{self, CounterKind, SpanKind};
@@ -226,8 +225,8 @@ fn load_trailer<R: Read + Seek>(inner: &mut R, stream_len: u64) -> io::Result<Op
     Ok(index.filter(|ix| ix.total_wire() + trailer_len == stream_len))
 }
 
-/// One frame read + validation against the index entry and the frame's own
-/// CRC. On success `frame` holds the complete wire frame.
+/// One frame read + [`IndexEntry::check_frame`]. On success `frame` holds
+/// the complete wire frame.
 fn read_validated_frame<R: Read + Seek>(
     inner: &mut R,
     entry: &IndexEntry,
@@ -237,29 +236,7 @@ fn read_validated_frame<R: Read + Seek>(
     frame.clear();
     frame.resize(entry.frame_len as usize, 0);
     inner.read_exact(frame)?;
-    let (hb, payload) = frame.split_first_chunk::<HEADER_LEN>().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidData, "frame shorter than header")
-    })?;
-    let header = FrameHeader::parse(hb, DEFAULT_MAX_FRAME).map_err(to_io)?;
-    if header.payload_len as usize != payload.len()
-        || header.crc != entry.crc
-        || header.uncompressed_len != entry.uncompressed_len
-        || header.codec != entry.codec
-        || header.index
-    {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "block frame disagrees with index entry",
-        ));
-    }
-    let actual = crc32(payload);
-    if actual != header.crc {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("block payload CRC mismatch: expected {:#010x}, got {actual:#010x}", header.crc),
-        ));
-    }
-    Ok(header)
+    entry.check_frame(frame).map(|(header, _)| header).map_err(to_io)
 }
 
 fn to_io(e: adcomp_codecs::CodecError) -> io::Error {

@@ -45,7 +45,7 @@ use super::proto::{
     Response, NO_LEVEL_CAP,
 };
 use adcomp_codecs::crc32::Hasher;
-use adcomp_codecs::frame::{checked_payload, decode_block_within, DEFAULT_MAX_FRAME, HEADER_LEN};
+use adcomp_codecs::frame::{decode_block_within, DEFAULT_MAX_FRAME, HEADER_LEN};
 use adcomp_codecs::seek::{IndexEntry, StreamIndex};
 use adcomp_codecs::{CodecId, DecodeScratch};
 use adcomp_core::stream::AdaptiveReader;
@@ -188,10 +188,7 @@ impl SealedObject {
         // nothing: `Relaxed`.
         if word.load(Ordering::Relaxed) & bit == 0 {
             let frame = &self.wire[start..start + e.frame_len as usize];
-            let (header, payload) = checked_payload(frame, DEFAULT_MAX_FRAME).map_err(invalid)?;
-            if header.codec != CodecId::Raw || payload.len() != e.uncompressed_len as usize {
-                return Err(invalid("stored block unlike its index entry"));
-            }
+            e.check_frame(frame).map_err(invalid)?;
             word.fetch_or(bit, Ordering::Relaxed);
         }
         Ok(start + HEADER_LEN)

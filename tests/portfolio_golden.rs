@@ -13,8 +13,8 @@
 //! silent skip. The same property is exercised forward: today's reader
 //! refuses ids *it* does not know the same way.
 
-use adcomp::codecs::frame::{decode_block_limited, FrameReader, HEADER_LEN};
-use adcomp::codecs::{CodecError, CodecId};
+use adcomp::codecs::frame::{decode_block_with, FrameReader, HEADER_LEN};
+use adcomp::codecs::{CodecError, CodecId, DecodeScratch};
 use adcomp::prelude::*;
 use std::io::{Read, Write};
 
@@ -159,7 +159,7 @@ fn pre_portfolio_reader_rejects_new_codec_ids_with_typed_error() {
     let mut forged = golden.clone();
     forged[2] = 0x2A;
     let mut out = Vec::new();
-    match decode_block_limited(&forged, &mut out, u32::MAX) {
+    match decode_block_with(&mut DecodeScratch::new(), &forged, &mut out, u32::MAX) {
         Err(CodecError::UnknownCodec(0x2A)) => {}
         other => panic!("expected UnknownCodec(42), got {other:?}"),
     }
