@@ -129,7 +129,7 @@ fn speed_criteria(speed: &SpeedModel, scale: u64) -> Vec<(String, Verdict)> {
         }
         check(
             "TAB2: DYNAMIC within +25% of best static",
-            format!("worst {:+.0}%", worst * 100.0),
+            format!("worst {:+.1}%", worst * 100.0),
             worst <= 0.25,
         );
     }
@@ -185,7 +185,7 @@ fn speed_criteria(speed: &SpeedModel, scale: u64) -> Vec<(String, Verdict)> {
         let light_share = out.blocks_per_level[1] as f64 / total as f64;
         check(
             "FIG6: level follows compressibility",
-            format!("NO {:.0}%, LIGHT {:.0}%", no_share * 100.0, light_share * 100.0),
+            format!("NO {:.1}%, LIGHT {:.1}%", no_share * 100.0, light_share * 100.0),
             no_share > 0.10 && light_share > 0.10,
         );
     }

@@ -7,11 +7,17 @@
 //! makes the *second* request for a hot block free — a hit returns the
 //! decoded bytes without touching the decoder at all.
 //!
-//! Admission: the cache holds only bytes a decode produced. A block
-//! stored raw (its frame's payload *is* the block) is served as a slice
-//! of the sealed wire, checked as a decode would check it, and is never
-//! looked up, inserted or counted here; the budget goes to the blocks
-//! that cost a decode.
+//! Admission: the cache holds only bytes a ranged read's decode produced.
+//! A block stored raw (its frame's payload *is* the block) is served as a
+//! slice of the sealed wire, checked as a decode would check it, and is
+//! never looked up, inserted or counted here; the budget goes to the
+//! blocks that cost a decode. A whole-object read looks its blocks up and
+//! sends the hits, but streams each miss through one decode buffer of its
+//! own and inserts nothing. That keeps the cache scan-resistant — one
+//! large object read whole would otherwise sweep out the blocks ranged
+//! reads come back to — and bounds a whole reply's memory by one block
+//! rather than by the object. The trade-off: an object of one block that
+//! is only ever read whole is never cached, and each read decodes it.
 //!
 //! Design:
 //!

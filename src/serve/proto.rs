@@ -37,8 +37,9 @@
 //! frame in at most two exact-length reads — a fixed head, then what the
 //! head announces — never a byte past its trailer, so whatever follows on
 //! the socket (a PUT's frame stream) is left for its own reader.
-//! The server's GET reply is the one-write form of accept frame + payload
-//! (`write_get_reply`): a vectored write straight from the cached blocks.
+//! The server writes a GET reply as [`GetReply`] pieces, vectored writes
+//! straight from the wire and the decoded blocks: a ranged reply in one
+//! piece, a whole-object reply in one piece per block it decodes.
 
 use adcomp_codecs::crc32::{crc32, Hasher};
 use std::io::{self, IoSlice, Read, Write};
@@ -273,24 +274,50 @@ pub fn read_get_payload(r: &mut impl Read, n: u64) -> io::Result<Vec<u8>> {
     Ok(bytes)
 }
 
-/// Writes a whole GET reply — accept frame, body, CRC trailer — with the
-/// body taken from `parts` where they lie: one CRC pass over the parts,
-/// then one vectored write (more only when the writer takes part of it).
-/// Byte for byte what [`write_response`] followed by [`write_get_payload`]
-/// put on the wire.
-pub(crate) fn write_get_reply(w: &mut impl Write, parts: &[&[u8]]) -> io::Result<()> {
-    let mut crc = Hasher::new();
-    for part in parts {
-        crc.update(part);
+/// A GET reply written in pieces: the accept frame with the first, the
+/// body parts where they lie, the CRC trailer with the last. Each piece
+/// is one vectored write (more only when the writer takes part of it), and
+/// the pieces of a reply, in order, are byte for byte what
+/// [`write_response`] followed by [`write_get_payload`] put on the wire.
+pub(crate) struct GetReply {
+    /// The accept frame, until the first piece takes it.
+    head: Option<[u8; ACCEPT_FRAME]>,
+    crc: Hasher,
+}
+
+impl GetReply {
+    /// A reply announcing `body_len` body bytes.
+    pub(crate) fn new(body_len: u64) -> GetReply {
+        GetReply { head: Some(accept_frame(body_len, NO_LEVEL_CAP)), crc: Hasher::new() }
     }
-    let body_len = parts.iter().map(|part| part.len() as u64).sum();
-    let head = accept_frame(body_len, NO_LEVEL_CAP);
-    let trailer = crc.finish().to_le_bytes();
-    let mut slices = Vec::with_capacity(parts.len() + 2);
-    slices.push(IoSlice::new(&head));
-    slices.extend(parts.iter().map(|part| IoSlice::new(part)));
-    slices.push(IoSlice::new(&trailer));
-    write_all_vectored(w, &mut slices)
+
+    /// Whether a piece has gone out, or begun to: from then on the reply
+    /// can only be finished or cut, no longer refused.
+    pub(crate) fn started(&self) -> bool {
+        self.head.is_none()
+    }
+
+    /// Writes the next piece: `body`, after the accept frame if no piece
+    /// took it yet, and before the trailer if this piece is the `last`.
+    pub(crate) fn write<'a>(
+        &mut self,
+        w: &mut impl Write,
+        body: impl Iterator<Item = &'a [u8]>,
+        last: bool,
+    ) -> io::Result<()> {
+        let head = self.head.take();
+        let trailer;
+        let mut slices: Vec<IoSlice<'_>> = head.iter().map(|head| IoSlice::new(head)).collect();
+        for part in body {
+            self.crc.update(part);
+            slices.push(IoSlice::new(part));
+        }
+        if last {
+            trailer = self.crc.finish().to_le_bytes();
+            slices.push(IoSlice::new(&trailer));
+        }
+        write_all_vectored(w, &mut slices)
+    }
 }
 
 /// `Write::write_all_vectored`, which is unstable in std: writes every

@@ -14,8 +14,9 @@
 //! request. A burst of connections gets a handler each, so nobody queues
 //! behind a slow `put`.
 //! Control frames cross the socket in one syscall each way: a request is
-//! two exact-length reads, a GET reply is one write of accept frame, body
-//! and trailer assembled in the buffer the block reads fill.
+//! two exact-length reads, and a ranged GET reply is one vectored write of
+//! accept frame, body and trailer, straight from the wire and the decoded
+//! blocks. A whole-object GET writes one piece per block it decodes.
 //!
 //! The overload model, end to end:
 //!
@@ -41,8 +42,8 @@
 
 use super::cache::{BlockCache, CacheStats, Lookup};
 use super::proto::{
-    read_request, write_done, write_get_reply, write_response, Done, RejectReason, Request,
-    Response, NO_LEVEL_CAP,
+    read_request, write_done, write_response, Done, GetReply, RejectReason, Request, Response,
+    NO_LEVEL_CAP,
 };
 use adcomp_codecs::crc32::Hasher;
 use adcomp_codecs::frame::{decode_block_within, DEFAULT_MAX_FRAME, HEADER_LEN};
@@ -166,9 +167,9 @@ struct SealedObject {
     /// Shared with the GET replies that serve stored blocks out of it.
     wire: Arc<Vec<u8>>,
     index: StreamIndex,
-    /// One bit per index entry, set once that stored block's frame has
-    /// passed its check: later reads trust it, as a cache hit trusts the
-    /// bytes a checked decode produced.
+    /// One bit per index entry, set once that block's frame has passed its
+    /// check: later reads trust it, as a cache hit trusts the bytes a
+    /// checked decode produced.
     checked: Vec<AtomicU64>,
 }
 
@@ -178,20 +179,30 @@ impl SealedObject {
         SealedObject { wire: Arc::new(wire), index, checked }
     }
 
-    /// Where stored block `e` starts in the wire: its frame's payload,
-    /// which the block's first read checks as a decode would.
-    fn stored_block(&self, e: &IndexEntry) -> std::io::Result<usize> {
-        let start = e.frame_offset as usize;
+    /// Block `e`'s frame in the wire.
+    fn frame(&self, e: &IndexEntry) -> &[u8] {
+        &self.wire[e.frame_offset as usize..][..e.frame_len as usize]
+    }
+
+    /// Checks block `e`'s frame against its entry, unless a read did so
+    /// before.
+    fn check(&self, e: &IndexEntry) -> std::io::Result<()> {
         let at = self.index.entries.partition_point(|x| x.frame_offset < e.frame_offset);
         let (word, bit) = (&self.checked[at / 64], 1u64 << (at % 64));
         // The wire does not change after the seal, so the bit publishes
         // nothing: `Relaxed`.
         if word.load(Ordering::Relaxed) & bit == 0 {
-            let frame = &self.wire[start..start + e.frame_len as usize];
-            e.check_frame(frame).map_err(invalid)?;
+            e.check_frame(self.frame(e)).map_err(invalid)?;
             word.fetch_or(bit, Ordering::Relaxed);
         }
-        Ok(start + HEADER_LEN)
+        Ok(())
+    }
+
+    /// Where stored block `e` starts in the wire: its frame's payload,
+    /// which the block's first read checks as a decode would.
+    fn stored_block(&self, e: &IndexEntry) -> std::io::Result<usize> {
+        self.check(e)?;
+        Ok(e.frame_offset as usize + HEADER_LEN)
     }
 }
 
@@ -814,12 +825,12 @@ impl Read for CaptureReader<'_> {
     }
 }
 
-/// Serves a ranged GET of a completed transfer out of its sealed wire:
-/// a stored (RAW) block is a slice of the wire, and a compressed block is
-/// decoded through the block cache, so a hot block is decoded once and
-/// then served from memory. The reply — accept frame, body, CRC trailer —
-/// leaves in one vectored write straight from the wire and the blocks.
-/// True when the reply went out; a refusal is false.
+/// Serves a GET of a completed transfer out of its sealed wire: a stored
+/// (RAW) block is a slice of the wire, a cached block is sent as it lies,
+/// and any other block is decoded. A ranged read admits what it decodes
+/// to the block cache, so a hot block is decoded once and then served
+/// from memory; a whole read streams past the cache (see [`write_reply`]).
+/// True when the reply went out whole; a refusal or a cut reply is false.
 fn handle_get<W: Write>(
     shared: &Shared,
     out: &mut W,
@@ -841,41 +852,65 @@ fn handle_get<W: Write>(
     let Some(sealed) = sealed else {
         return reject(out);
     };
-    let span = registry::span(SpanKind::RangedRead);
     shared.metric(|m| m.counter_add(CounterKind::RangedReads, 1));
-    let Ok(blocks) = read_range_sealed(shared, &sealed, offset, len) else {
-        // The server's own wire failed its checks — nothing sane to
-        // serve; shed rather than ship wrong bytes.
-        return reject(out);
-    };
-    drop(span);
-    let parts: Vec<&[u8]> = blocks.iter().map(|(block, range)| &block[range.clone()]).collect();
-    write_get_reply(out, &parts).is_ok()
+    let body_len = sealed.index.shares(offset, len).map(|(_, share)| share.len() as u64).sum();
+    let mut reply = GetReply::new(body_len);
+    match write_reply(shared, &sealed, offset, len, &mut reply, out) {
+        Ok(()) => true,
+        // The server's own wire failed its checks before any byte left:
+        // nothing sane to serve; shed rather than ship wrong bytes.
+        Err(_) if !reply.started() => reject(out),
+        // A write failed, or a decode after the accept frame: the
+        // connection ends without a trailer, which the client sees.
+        Err(_) => false,
+    }
 }
 
 /// A part of a GET reply: a decoded block, or a sealed wire holding a
 /// stored block, and the bytes of it the reply takes.
 type Part = (Arc<Vec<u8>>, Range<usize>);
 
-/// The parts covering `[offset, offset + len)` (clamped) of a sealed
-/// object, one per covering block. A stored block is its frame's payload,
-/// so its part is that share of the sealed wire: its frame is checked as
-/// a decode would check it on the block's first read, and nothing is
-/// allocated, copied or cached. A compressed block cached at least as far
-/// as its share reaches is used as it lies. A miss decodes the block only
-/// through its share's end and caches that prefix; a block whose cached
-/// prefix falls short of its share is read again, so it is decoded whole
-/// and replaces the prefix. The cache thus holds only bytes a decode
-/// produced.
-fn read_range_sealed(
+/// Writes the reply to a GET of `[offset, offset + len)` (clamped) of a
+/// sealed object, walking its covering blocks in order. A stored block is
+/// its frame's payload, so its part is that share of the sealed wire:
+/// its frame is checked as a decode would check it on the block's first
+/// read, and nothing is allocated, copied or cached. A compressed block
+/// cached at least as far as its share reaches is used as it lies.
+///
+/// A ranged read decodes a missed block only through its share's end and
+/// caches that prefix; a block whose cached prefix falls short of its
+/// share is read again, so it is decoded whole and replaces the prefix.
+/// The cache thus holds only bytes a decode produced. The reply leaves in
+/// one piece after the last block, so a failed check refuses it before
+/// any byte.
+///
+/// A whole read (offset 0, through the object's end) checks every frame
+/// not checked before, then streams: each missed block is decoded whole
+/// into the reply's one buffer and written, behind the parts before it,
+/// before the next decode reuses the buffer. Nothing it decodes is
+/// cached, so a scan of a large object evicts no block a ranged read
+/// depends on, and the reply holds one block however large the object.
+fn write_reply(
     shared: &Shared,
     sealed: &SealedObject,
     offset: u64,
     len: u64,
-) -> std::io::Result<Vec<Part>> {
-    let mut parts = Vec::new();
+    reply: &mut GetReply,
+    out: &mut impl Write,
+) -> std::io::Result<()> {
+    let shares = sealed.index.shares(offset, len);
+    let whole = offset == 0 && len >= sealed.index.total_uncompressed();
+    // For a whole read, the span also holds the writes between decodes.
+    let span = registry::span(SpanKind::RangedRead);
+    if whole {
+        for (e, _) in shares.clone() {
+            sealed.check(&e)?;
+        }
+    }
+    let mut parts: Vec<Part> = Vec::new();
+    let mut buf = Vec::new();
     let mut scratch = DecodeScratch::new();
-    for (e, share) in sealed.index.shares(offset, len) {
+    for (e, share) in shares {
         if e.codec == CodecId::Raw {
             let at = sealed.stored_block(&e)?;
             parts.push((Arc::clone(&sealed.wire), at + share.start..at + share.end));
@@ -890,22 +925,34 @@ fn read_range_sealed(
             Lookup::Miss => share.end,
             Lookup::Short => e.uncompressed_len as usize,
         };
-        let frame = &sealed.wire
-            [e.frame_offset as usize..(e.frame_offset + u64::from(e.frame_len)) as usize];
-        let mut block = Vec::with_capacity(want);
-        decode_block_within(&mut scratch, frame, want, &mut block, DEFAULT_MAX_FRAME)
+        let mut block = if whole { std::mem::take(&mut buf) } else { Vec::new() };
+        block.clear();
+        block.reserve_exact(want);
+        decode_block_within(&mut scratch, sealed.frame(&e), want, &mut block, DEFAULT_MAX_FRAME)
             .map_err(invalid)?;
         if block.len() < share.end {
             return Err(invalid("decoded block shorter than its share"));
         }
-        // HEAVY and COLUMNAR decode whole and cut: the cache charges
-        // length, so it keeps no capacity beyond it.
-        block.shrink_to_fit();
-        let bytes = Arc::new(block);
-        shared.cache.insert(key, Arc::clone(&bytes));
-        parts.push((bytes, share));
+        if whole {
+            reply.write(out, bytes_of(&parts).chain([&block[share]]), false)?;
+            parts.clear();
+            buf = block;
+        } else {
+            // HEAVY and COLUMNAR decode whole and cut: the cache charges
+            // length, so it keeps no capacity beyond it.
+            block.shrink_to_fit();
+            let bytes = Arc::new(block);
+            shared.cache.insert(key, Arc::clone(&bytes));
+            parts.push((bytes, share));
+        }
     }
-    Ok(parts)
+    drop(span);
+    reply.write(out, bytes_of(&parts), true)
+}
+
+/// The bytes each part takes, in order.
+fn bytes_of(parts: &[Part]) -> impl Iterator<Item = &[u8]> {
+    parts.iter().map(|(bytes, range)| &bytes[range.clone()])
 }
 
 #[cfg(test)]
@@ -1576,6 +1623,44 @@ mod tests {
         }
         assert_eq!(server.stats().shed, 3);
         let (offset, len) = (stored.start - 8192 + 3, 8000);
+        let got = get(addr, "t", 1, offset, len, IO).unwrap();
+        assert_eq!(got, &data[offset as usize..(offset + len) as usize]);
+        server.shutdown();
+    }
+
+    /// One payload byte of a compressed block flipped in the sealed wire: a
+    /// whole GET is a typed reject before any byte, counted in `shed`, and
+    /// a ranged GET of another block of the same object is still its
+    /// source slice.
+    #[test]
+    fn a_flipped_byte_in_a_compressed_block_refuses_a_whole_get_before_any_byte() {
+        let data = mixed_body(8 * 1024, 6);
+        let server = sealed_object(&data, 8 * 1024);
+        // The last compressed block: a reply that checked frames only as
+        // it reached them would have sent most of the body by then.
+        let hurt = {
+            let mut state = server.shared.lock();
+            let t = state.transfers.get_mut(&("t".to_string(), 1)).unwrap();
+            let sealed = t.sealed.take().unwrap();
+            let e = *sealed.index.entries.iter().rev().find(|e| e.codec != CodecId::Raw).unwrap();
+            let mut wire = sealed.wire.to_vec();
+            wire[e.frame_offset as usize + HEADER_LEN + e.frame_len as usize / 2] ^= 0x10;
+            t.sealed = Some(Arc::new(SealedObject::new(wire, sealed.index.clone())));
+            e
+        };
+        assert!(hurt.uncompressed_offset > 4 * 8192, "{hurt:?}");
+        let len = data.len() as u64;
+        let mut out = Vec::new();
+        assert!(!handle_get(&server.shared, &mut out, "t", 1, 0, len));
+        let mut refused = Vec::new();
+        write_response(&mut refused, &Response::Reject { reason: RejectReason::BadRequest })
+            .unwrap();
+        assert_eq!(out, refused, "a whole GET of a damaged object sent bytes before refusing");
+        let addr = server.local_addr();
+        let err = get(addr, "t", 1, 0, len, IO).unwrap_err();
+        assert!(err.to_string().contains("bad_request"), "{err}");
+        assert_eq!(server.stats().shed, 2);
+        let (offset, len) = (8192 + 3, 8000);
         let got = get(addr, "t", 1, offset, len, IO).unwrap();
         assert_eq!(got, &data[offset as usize..(offset + len) as usize]);
         server.shutdown();
