@@ -4,7 +4,7 @@
 //! LIGHT frame at all, so they cannot hold the encoders still at the
 //! paper's 128 KiB blocks. This table can: `(len, crc32)` of the raw
 //! stream (the codec's payload, before framing and RAW fallback) of LIGHT,
-//! MEDIUM, HUFF and COLUMNAR over
+//! MEDIUM, HUFF, COLUMNAR and HEAVY over
 //!
 //! * 1 MiB of each corpus class (seed 42) in 128 KiB blocks through one
 //!   reused `Scratch`, the streams of the eight blocks concatenated;
@@ -21,21 +21,22 @@
 //! wrote one byte at a time (commit a63761f), before the span writers
 //! replaced them; the COLUMNAR values from the three-pass encoder that
 //! walked each run byte by byte (commit 979298e), before the run list
-//! replaced it. A change to the encoders that moves any wire byte fails
-//! here.
+//! replaced it; the HEAVY values from its encoder as of commit 3ce32e4. A
+//! change to the encoders that moves any wire byte fails here.
 
 use adcomp_codecs::crc32::crc32;
-use adcomp_codecs::{columnar, huff, qlz, Scratch};
+use adcomp_codecs::{columnar, heavy, huff, qlz, Scratch};
 use adcomp_corpus::{generate, Class};
 use std::ops::RangeInclusive;
 
 type Encoder = fn(&mut Scratch, &[u8], &mut Vec<u8>);
 
-const ENCODERS: [(&str, Encoder); 4] = [
+const ENCODERS: [(&str, Encoder); 5] = [
     ("LIGHT", qlz::compress_light_with),
     ("MEDIUM", qlz::compress_medium_with),
     ("HUFF", huff::compress_with),
     ("COLUMNAR", columnar::compress),
+    ("HEAVY", heavy::compress_with),
 ];
 
 /// Opens on a repeat, so the short prefixes hold matches as well as
@@ -54,27 +55,32 @@ as pressure on the link. Blocks of 128 KiB, fixed trees, one control bit \
 per item: the format is frozen, and only the loops that write it change.";
 
 /// `(input, codec) -> (len, crc32)` of the concatenated streams.
-const PINS: [(&str, &str, usize, u32); 26] = [
+const PINS: [(&str, &str, usize, u32); 31] = [
     ("HIGH", "LIGHT", 87293, 0x7F97DFB6),
     ("HIGH", "MEDIUM", 36144, 0x1D9F8D35),
     ("HIGH", "HUFF", 62427, 0x2B3684D9),
     ("HIGH", "COLUMNAR", 84167, 0x6F75BCD7),
+    ("HIGH", "HEAVY", 25509, 0x2C4D95E5),
     ("MODERATE", "LIGHT", 580928, 0xF8F2D95C),
     ("MODERATE", "MEDIUM", 426727, 0x05F27BEB),
     ("MODERATE", "HUFF", 493885, 0xC61AFC6E),
     ("MODERATE", "COLUMNAR", 786872, 0xFA66E23C),
+    ("MODERATE", "HEAVY", 315784, 0x67BAD79C),
     ("LOW", "LIGHT", 1175106, 0x0A3B1F17),
     ("LOW", "MEDIUM", 1175106, 0x5E86718C),
     ("LOW", "HUFF", 1101455, 0xF3B3C26F),
     ("LOW", "COLUMNAR", 1048584, 0x95669601),
+    ("LOW", "HEAVY", 1059285, 0x0F49DA78),
     ("text", "LIGHT", 678, 0x812C478D),
     ("text", "MEDIUM", 658, 0xDF1CECA8),
     ("text", "HUFF", 564, 0xBF2C6E7E),
     ("text", "COLUMNAR", 647, 0x48EA6BD7),
+    ("text", "HEAVY", 443, 0xDBBF8FE5),
     ("prefixes 0..=24", "LIGHT", 265, 0x9F21CC4E),
     ("prefixes 0..=24", "MEDIUM", 285, 0xFB49A6BC),
     ("prefixes 0..=24", "HUFF", 242, 0x252B7906),
     ("prefixes 0..=24", "COLUMNAR", 319, 0xF055791B),
+    ("prefixes 0..=24", "HEAVY", 341, 0xE8181A16),
     ("runs: verbatim", "COLUMNAR", 131073, 0x4FF2EB29),
     ("runs: RLE", "COLUMNAR", 3363, 0x5027F559),
     ("runs: dict", "COLUMNAR", 65550, 0xF2A3B498),
@@ -123,7 +129,7 @@ fn run_block(n: usize, alphabet: usize, run_len: &RangeInclusive<usize>, seed: u
 type Input = (&'static str, Vec<Vec<u8>>, &'static [&'static str]);
 
 fn inputs() -> Vec<Input> {
-    const ALL: &[&str] = &["LIGHT", "MEDIUM", "HUFF", "COLUMNAR"];
+    const ALL: &[&str] = &["LIGHT", "MEDIUM", "HUFF", "COLUMNAR", "HEAVY"];
     let mut rows = Vec::new();
     for (name, class) in [
         ("HIGH", Class::High),

@@ -24,6 +24,7 @@
 //! can never disagree. A proptest pins this.
 
 use adcomp_codecs::CodecId;
+use adcomp_corpus::entropy::entropy_bits;
 
 /// Number of ladder slots a nomination fills — same as the paper's level
 /// count, so the rate controller's level index maps directly.
@@ -81,19 +82,8 @@ pub fn probe(data: &[u8]) -> Probe {
         }
     }
 
-    let total: u64 = hist.iter().map(|&c| c as u64).sum();
-    let mut entropy_bits = 0.0f64;
-    let mut distinct = 0u16;
-    if total > 0 {
-        let n = total as f64;
-        for &c in &hist {
-            if c > 0 {
-                distinct += 1;
-                let p = c as f64 / n;
-                entropy_bits -= p * p.log2();
-            }
-        }
-    }
+    let entropy_bits = entropy_bits(&hist);
+    let distinct = hist.iter().filter(|&&c| c > 0).count() as u16;
     let run_fraction = if pairs == 0 { 0.0 } else { equal_pairs as f64 / pairs as f64 };
     Probe { entropy_bits, run_fraction, distinct }
 }

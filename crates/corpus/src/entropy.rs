@@ -2,24 +2,30 @@
 //! metric-based baseline schemes "probe" data compressibility the way the
 //! related-work systems do.
 
-/// Shannon entropy of the byte distribution, in bits per byte (0..=8).
-pub fn shannon_bits_per_byte(data: &[u8]) -> f64 {
-    if data.is_empty() {
-        return 0.0;
-    }
-    let mut counts = [0u64; 256];
-    for &b in data {
-        counts[b as usize] += 1;
-    }
-    let n = data.len() as f64;
+/// Shannon entropy, in bits per symbol, of the distribution `counts`
+/// tallies (one count per symbol value; 0.0 when it tallies nothing). The
+/// one order-0 loop: over a byte histogram it is bits per byte.
+pub fn entropy_bits<C: Copy + Into<u64>>(counts: &[C]) -> f64 {
+    let total: u64 = counts.iter().map(|&c| c.into()).sum();
+    let n = total as f64;
     let mut h = 0.0;
-    for &c in &counts {
+    for &c in counts {
+        let c: u64 = c.into();
         if c > 0 {
             let p = c as f64 / n;
             h -= p * p.log2();
         }
     }
     h
+}
+
+/// Shannon entropy of the byte distribution, in bits per byte (0..=8).
+pub fn shannon_bits_per_byte(data: &[u8]) -> f64 {
+    let mut counts = [0u64; 256];
+    for &b in data {
+        counts[b as usize] += 1;
+    }
+    entropy_bits(&counts)
 }
 
 /// First-order (digram) conditional entropy in bits per byte.
@@ -36,15 +42,7 @@ pub fn digram_bits_per_byte(data: &[u8]) -> f64 {
     for w in data.windows(2) {
         joint[((w[0] as usize) << 8) | w[1] as usize] += 1;
     }
-    let n = (data.len() - 1) as f64;
-    let mut h_joint = 0.0;
-    for &c in joint.iter() {
-        if c > 0 {
-            let p = c as f64 / n;
-            h_joint -= p * p.log2();
-        }
-    }
-    (h_joint - shannon_bits_per_byte(&data[..data.len() - 1])).max(0.0)
+    (entropy_bits(&joint) - shannon_bits_per_byte(&data[..data.len() - 1])).max(0.0)
 }
 
 /// A quick compressibility score in `[0, 1]`: 0 = incompressible,

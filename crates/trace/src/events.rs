@@ -94,10 +94,9 @@ pub struct SimEvent {
     pub epoch: u64,
     /// Virtual time (seconds).
     pub t: f64,
-    /// `"link_arbitration"`, `"flow_join"`, `"flow_leave"`,
-    /// `"bandwidth"`, `"transfer_start"`, `"transfer_done"`, `"sample"`.
+    /// `"transfer_start"`, `"transfer_done"`, `"bandwidth"`, `"sample"`.
     pub kind: &'static str,
-    /// Flow index, or `u32::MAX` when not flow-scoped.
+    /// Flow index when several flows share a run, or `u32::MAX`.
     pub flow: u32,
     /// Kind-dependent primary payload (bytes/s for bandwidth events,
     /// seconds for lifecycle events, …).

@@ -17,8 +17,11 @@
 //! * [`cpu`] — guest/host CPU utilization breakdowns and sampling (Fig. 1);
 //! * [`speed`] — per-(compressibility, level) codec profiles, either
 //!   back-fitted from Table II or measured from this repo's real codecs;
-//! * [`pipeline`] — the virtual-time sender → wire → receiver transfer with
-//!   any [`DecisionModel`](adcomp_core::model::DecisionModel) in the loop;
+//! * [`pipeline`] — the transfer engine: virtual-time senders → wire →
+//!   receiver (or → virtual disk), with any
+//!   [`DecisionModel`](adcomp_core::model::DecisionModel) in each flow's
+//!   loop; [`multiflow`] (several adaptive flows on one link) and
+//!   [`filepipe`] (a write to the disk) are two of its configurations;
 //! * [`experiments`] — sample generators for Figures 1–3.
 //!
 //! Virtual time means a 50 GB × 4 levels × 4 contention sweep simulates in
@@ -37,19 +40,13 @@ pub mod speed;
 
 pub use cpu::{CpuAccuracyModel, CpuBreakdown};
 pub use disk::VirtualDisk;
-pub use filepipe::{run_file_transfer, FileOutcome, FileTransferConfig};
+pub use filepipe::{run_file_transfer, FileOutcome};
 pub use fluctuation::{Ar1, Constant, Fluctuation, OnOff, Outages};
 pub use link::SharedLink;
-pub use multiflow::{run_multiflow_traced, FlowOutcome, FlowSpec, MultiFlowOutcome};
+pub use multiflow::{run_multiflow_traced, MultiFlowOutcome};
 pub use pipeline::{
-    run_transfer, run_transfer_traced, AlternatingClass, ClassSchedule, ConstantClass,
+    run_transfer, run_transfer_traced, AlternatingClass, ClassSchedule, ConstantClass, FlowSpec,
     TransferConfig, TransferOutcome,
 };
 pub use platform::{IoOp, Platform};
 pub use speed::{LevelProfile, SpeedModel};
-
-/// Frame header length re-exported for the pipeline models (wire bytes per
-/// block include the 16-byte frame header).
-pub fn pipeline_header_len() -> usize {
-    adcomp_codecs::frame::HEADER_LEN
-}

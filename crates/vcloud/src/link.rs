@@ -51,10 +51,6 @@ impl SharedLink {
         self
     }
 
-    pub fn background_flows(&self) -> usize {
-        self.background_flows
-    }
-
     /// Long-run mean share of the foreground flow, ignoring fluctuation.
     pub fn nominal_share_bps(&self) -> f64 {
         self.base_bw_bps / (1.0 + CONTENTION_BETA * self.background_flows as f64)
@@ -72,8 +68,10 @@ impl SharedLink {
         (self.nominal_share_bps() * self.fluct.factor_at(t)).max(0.0)
     }
 
-    /// Time to transmit `bytes` starting at time `t`, integrating the
-    /// (piecewise-sampled) fluctuating bandwidth in small steps.
+    /// Time to transmit `bytes` starting at time `t` while `sharers`
+    /// foreground flows (this one included) split the foreground share
+    /// equally, integrating the (piecewise-sampled) fluctuating bandwidth
+    /// in small steps.
     ///
     /// Dead-link windows (`bandwidth_at == 0`) advance virtual time
     /// without moving bytes. Short stalls are walked at the sampling
@@ -83,7 +81,7 @@ impl SharedLink {
     /// `MAX_STALL_SECS` of consecutive virtual time the transfer is
     /// declared lost and `f64::INFINITY` is returned — the simulation
     /// never hangs on a link that will not come back.
-    pub fn transmit_secs(&mut self, bytes: u64, t: f64) -> f64 {
+    pub fn transmit_secs(&mut self, bytes: u64, t: f64, sharers: usize) -> f64 {
         // Sample the rate at most every 10 ms of virtual time so long
         // transmissions see fluctuation, while short blocks cost one sample.
         const STEP: f64 = 0.010;
@@ -94,7 +92,7 @@ impl SharedLink {
         let mut probe = STEP;
         let mut guard = 0u64;
         while remaining > 0.0 {
-            let bw = self.bandwidth_at(now);
+            let bw = self.bandwidth_at(now) / sharers as f64;
             if bw <= 0.0 {
                 if stalled >= MAX_STALL_SECS {
                     return f64::INFINITY;
@@ -124,11 +122,12 @@ impl SharedLink {
         now - t
     }
 
-    /// Guest CPU capacity factor under co-location: each background VM's
-    /// I/O backend work shaves a slice off the cycles effectively available
-    /// to the foreground guest's compression + TCP path.
-    pub fn cpu_capacity_factor(&self) -> f64 {
-        (1.0 - 0.10 * self.background_flows as f64).max(0.5)
+    /// Guest CPU capacity factor under co-location, with `flows`
+    /// foreground senders on this link: each other VM's I/O backend work
+    /// shaves a slice off the cycles effectively available to a sender's
+    /// compression + TCP path.
+    pub fn cpu_capacity_factor(&self, flows: usize) -> f64 {
+        (1.0 - 0.10 * (self.background_flows + flows - 1) as f64).max(0.5)
     }
 }
 
@@ -154,7 +153,7 @@ mod tests {
     #[test]
     fn transmit_time_is_bytes_over_bandwidth_when_constant() {
         let mut l = SharedLink::new(100e6, 0, Box::new(Constant));
-        let secs = l.transmit_secs(50_000_000, 0.0);
+        let secs = l.transmit_secs(50_000_000, 0.0, 1);
         assert!((secs - 0.5).abs() < 1e-9, "got {secs}");
     }
 
@@ -162,8 +161,8 @@ mod tests {
     fn transmit_time_scales_with_contention() {
         let mut solo = SharedLink::new(100e6, 0, Box::new(Constant));
         let mut busy = SharedLink::new(100e6, 2, Box::new(Constant));
-        let a = solo.transmit_secs(10_000_000, 0.0);
-        let b = busy.transmit_secs(10_000_000, 0.0);
+        let a = solo.transmit_secs(10_000_000, 0.0, 1);
+        let b = busy.transmit_secs(10_000_000, 0.0, 1);
         assert!((b / a - 2.3).abs() < 0.01, "ratio {}", b / a);
     }
 
@@ -171,20 +170,20 @@ mod tests {
     fn onoff_fluctuation_stretches_transfers() {
         // 50 % duty cycle on/off: long transfers take ~2× the constant time.
         let mut l = SharedLink::new(100e6, 0, Box::new(OnOff::new(1.0, 0.0, 0.05, 0.05, 3)));
-        let secs = l.transmit_secs(200_000_000, 0.0);
+        let secs = l.transmit_secs(200_000_000, 0.0, 1);
         assert!((1.6..2.6).contains(&(secs / 2.0)), "got {secs}");
     }
 
     #[test]
     fn zero_bytes_transmit_instantly() {
         let mut l = SharedLink::new(100e6, 0, Box::new(Constant));
-        assert_eq!(l.transmit_secs(0, 5.0), 0.0);
+        assert_eq!(l.transmit_secs(0, 5.0, 1), 0.0);
     }
 
     #[test]
     fn cpu_capacity_shrinks_with_background_flows() {
         let f: Vec<f64> = (0..4)
-            .map(|n| SharedLink::new(1e6, n, Box::new(Constant)).cpu_capacity_factor())
+            .map(|n| SharedLink::new(1e6, n, Box::new(Constant)).cpu_capacity_factor(1))
             .collect();
         assert_eq!(f[0], 1.0);
         assert!(f.windows(2).all(|w| w[1] < w[0]));
@@ -199,9 +198,9 @@ mod tests {
             SharedLink::new(100e6, 0, Box::new(Constant)).with_outages(0.05, 0.05, 42)
         };
         let clean =
-            SharedLink::new(100e6, 0, Box::new(Constant)).transmit_secs(200_000_000, 0.0);
+            SharedLink::new(100e6, 0, Box::new(Constant)).transmit_secs(200_000_000, 0.0, 1);
         let (a, b) =
-            (mk().transmit_secs(200_000_000, 0.0), mk().transmit_secs(200_000_000, 0.0));
+            (mk().transmit_secs(200_000_000, 0.0, 1), mk().transmit_secs(200_000_000, 0.0, 1));
         assert_eq!(a, b, "same seed must stall identically");
         assert!(a.is_finite());
         assert!(a > clean * 1.5, "outages must cost time: {a} vs clean {clean}");
@@ -230,10 +229,10 @@ mod tests {
             }
         }
         let mut l = SharedLink::new(100e6, 0, Box::new(Dead));
-        let secs = l.transmit_secs(1_000, 0.0);
+        let secs = l.transmit_secs(1_000, 0.0, 1);
         assert!(secs.is_infinite(), "dead link must not pretend to finish: {secs}");
         // Zero bytes still transmit instantly even on a dead link.
-        assert_eq!(l.transmit_secs(0, 1.0), 0.0);
+        assert_eq!(l.transmit_secs(0, 1.0, 1), 0.0);
     }
 
     #[test]
@@ -259,7 +258,7 @@ mod tests {
             0,
             Box::new(LongBlackout { until: 0.1, resume: 600.0 }),
         );
-        let secs = l.transmit_secs(50_000_000, 0.0);
+        let secs = l.transmit_secs(50_000_000, 0.0, 1);
         // 0.1 s of transfer, ~600 s dead, remainder after resume.
         assert!(secs.is_finite() && secs > 599.0 && secs < 700.0, "got {secs}");
     }

@@ -122,8 +122,12 @@ impl SpeedModel {
     /// * HIGH (fax-like, run-heavy): the columnar RLE cascade replaces the
     ///   QuickLZ levels — long runs collapse at memcpy-like speed with a
     ///   better ratio than generic LZ.
-    /// * MODERATE (text): fixed-Huffman deflate backs level 2 — a slightly
-    ///   better ratio than QLZ-medium at higher throughput on prose.
+    /// * MODERATE (text): fixed-Huffman deflate backs level 2 — faster
+    ///   than QLZ-medium on prose, at a *worse* ratio: 0.4713 against
+    ///   MEDIUM's 0.4071 on the corpus text (EXPERIMENTS.md §LADDER,
+    ///   [`HOST_LADDER`]). The fitted 0.385 below predates that
+    ///   measurement and stays: `adcomp trace --portfolio` and the tests
+    ///   read it.
     /// * LOW (jpeg-like): the probes detect already-compressed data and
     ///   nominate raw/light codecs, so levels 1–2 stop burning CPU on
     ///   bytes that will not shrink.

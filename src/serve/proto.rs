@@ -37,7 +37,7 @@
 //! frame in at most two exact-length reads — a fixed head, then what the
 //! head announces — never a byte past its trailer, so whatever follows on
 //! the socket (a PUT's frame stream) is left for its own reader.
-//! The server writes a GET reply as [`GetReply`] pieces, vectored writes
+//! The server writes a GET reply as `GetReply` pieces, vectored writes
 //! straight from the wire and the decoded blocks: a ranged reply in one
 //! piece, a whole-object reply in one piece per block it decodes.
 
